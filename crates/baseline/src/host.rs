@@ -147,8 +147,11 @@ mod tests {
     #[test]
     fn single_thread_works_for_all_variants() {
         for v in Variant::ALL {
+            // Progress, not a rate: how many operations fit in 50 ms is
+            // the host's business (and its other tests'), not the code's.
             let p = measure(v, 1, StdDuration::from_millis(50));
-            assert!(p.ops_per_sec > 10_000.0, "{}: {}", v.label(), p.ops_per_sec);
+            assert_eq!(p.threads, 1);
+            assert!(p.ops_per_sec > 0.0, "{}: no operation completed", v.label());
         }
     }
 

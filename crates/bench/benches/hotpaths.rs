@@ -45,19 +45,26 @@ fn bench_cache_hot_hit(c: &mut Criterion) {
 fn bench_request(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpaths/request");
     group.throughput(Throughput::Elements(1));
-    let req = Request {
-        op: Op::Get,
-        key: key_bytes(0),
-        value_bytes: 64,
-    };
-    group.bench_function("mercury_a7_get64", |b| {
-        let mut core = CoreSim::new(CoreSimConfig::mercury_a7()).expect("valid");
-        core.preload(64, 32).expect("fits");
-        for _ in 0..300 {
-            core.execute(&req);
-        }
-        b.iter(|| black_box(core.execute(&req)))
-    });
+    // 64 B and the top of the paper's size sweep: host cost must not
+    // follow the value's 16 384 lines.
+    for (name, value_bytes, warmup) in [
+        ("mercury_a7_get64", 64, 300),
+        ("mercury_a7_get1mb", 1 << 20, 30),
+    ] {
+        let req = Request {
+            op: Op::Get,
+            key: key_bytes(0),
+            value_bytes,
+        };
+        group.bench_function(name, |b| {
+            let mut core = CoreSim::new(CoreSimConfig::mercury_a7()).expect("valid");
+            core.preload(value_bytes, 32).expect("fits");
+            for _ in 0..warmup {
+                core.execute(&req);
+            }
+            b.iter(|| black_box(core.execute(&req)))
+        });
+    }
     group.finish();
 }
 
@@ -110,10 +117,12 @@ fn bench_slab_churn(c: &mut Criterion) {
 fn bench_sweep_point(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpaths/sweep");
     group.sample_size(10);
-    group.bench_function("quick_point_64b", |b| {
-        let cfg = CoreSimConfig::mercury_a7();
-        b.iter(|| black_box(measure_point(&cfg, 64, SweepEffort::quick())))
-    });
+    let cfg = CoreSimConfig::mercury_a7();
+    for (name, value_bytes) in [("quick_point_64b", 64), ("quick_point_1mb", 1 << 20)] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(measure_point(&cfg, value_bytes, SweepEffort::quick())))
+        });
+    }
     group.finish();
 }
 

@@ -1,8 +1,9 @@
 //! Performance-trajectory regression gate.
 //!
-//! Re-times the hot paths of `bench_report` and compares them against
-//! the checked-in baseline (`results/BENCH_hotpaths.json`). Raw
-//! nanoseconds are not comparable across machines, so every ratio is
+//! Re-times the hot-path ledger (`densekv_bench::hotpaths`, the loops
+//! `bench_report` baselines) and compares it against the checked-in
+//! baseline (`results/BENCH_hotpaths.json`). Raw nanoseconds are not
+//! comparable across machines, so every ratio is
 //! **normalized by a calibration path** (`cache_l1_mru_hit` — a tiny,
 //! allocation-free, branch-predictable loop whose cost tracks the
 //! host's single-core speed, not this codebase): a path only fails the
@@ -20,38 +21,7 @@
 //! `DENSEKV_QUICK=1` uses fewer timing repetitions;
 //! `DENSEKV_PERF_BASELINE` points at an alternate baseline file.
 
-use std::hint::black_box;
-use std::time::Instant;
-
-use densekv::sim::{CoreSim, CoreSimConfig};
-use densekv::slots::RequestSlots;
-use densekv::sweep::{measure_point, SweepEffort};
-use densekv_cpu::cache::{Cache, CacheConfig};
-use densekv_engine::Engine;
-use densekv_kv::store::StoreConfig;
-use densekv_kv::StoreBackend;
-use densekv_sim::dist::Zipf;
-use densekv_sim::{Scheduler, SplitMix64, SplitRng};
-use densekv_workload::{key_bytes, Op, Request};
-
-/// The path every other ratio is normalized by.
-const CALIBRATION: &str = "cache_l1_mru_hit";
-
-/// Best (minimum) per-call nanoseconds over `reps` batches of `iters`
-/// calls. Interference on a shared host only ever *adds* time, so the
-/// minimum batch is the robust estimator of attainable cost — medians
-/// still wander by 2x with noisy neighbours.
-fn best_ns(iters: u32, reps: usize, mut f: impl FnMut()) -> f64 {
-    (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / f64::from(iters)
-        })
-        .fold(f64::INFINITY, f64::min)
-}
+use densekv_bench::hotpaths::{measure, CALIBRATION};
 
 /// Pulls `"key": <float>` out of the baseline JSON without a JSON
 /// dependency — the file is machine-written with a fixed shape.
@@ -63,120 +33,6 @@ fn json_number(text: &str, key: &str) -> Option<f64> {
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
-}
-
-/// Times every gated hot path — the same loops `bench_report` writes
-/// into the baseline, so the comparison is like for like.
-fn measure(quick: bool) -> Vec<(&'static str, f64)> {
-    let (iters, reps) = if quick { (50_000, 5) } else { (200_000, 9) };
-
-    let zipf = Zipf::new(10_000, 0.99);
-    let mut rng = SplitMix64::new(7);
-    let alias_ns = best_ns(iters, reps, || {
-        black_box(zipf.sample(&mut rng));
-    });
-    let mut rng = SplitMix64::new(7);
-    let cdf_ns = best_ns(iters, reps, || {
-        black_box(zipf.sample_cdf(&mut rng));
-    });
-
-    let mut cache = Cache::new(CacheConfig::l1_32k());
-    cache.access(0);
-    let cache_ns = best_ns(iters, reps, || {
-        black_box(cache.access(0));
-    });
-
-    let req = Request {
-        op: Op::Get,
-        key: key_bytes(0),
-        value_bytes: 64,
-    };
-    let mut core = CoreSim::new(CoreSimConfig::mercury_a7()).expect("valid");
-    core.preload(64, 32).expect("fits");
-    for _ in 0..300 {
-        core.execute(&req);
-    }
-    let request_ns = best_ns(if quick { 2_000 } else { 5_000 }, reps, || {
-        black_box(core.execute(&req));
-    });
-
-    let cfg = CoreSimConfig::mercury_a7();
-    let sweep_reps = if quick { 3 } else { 5 };
-    let sweep_point_ns = best_ns(1, sweep_reps, || {
-        black_box(measure_point(&cfg, 64, SweepEffort::quick()));
-    });
-
-    // The event engine's steady-state unit: pop the earliest event off
-    // the timer wheel and reschedule it a random distance ahead,
-    // holding a 4096-event backlog so pops cascade wheel levels.
-    let mut sched: Scheduler<u32> = Scheduler::new();
-    let mut sched_rng = SplitMix64::new(11);
-    for id in 0..4096u32 {
-        sched.schedule_in(
-            densekv_sim::Duration::from_nanos(1 + sched_rng.next_below(1 << 20)),
-            id,
-        );
-    }
-    let scheduler_ns = best_ns(iters, reps, || {
-        let (_, id) = sched.pop().expect("standing backlog");
-        sched.schedule_in(
-            densekv_sim::Duration::from_nanos(1 + sched_rng.next_below(1 << 20)),
-            id,
-        );
-    });
-
-    // Slot-arena churn: acquire renders the key into the arena slab,
-    // release recycles it through the free list — the per-request
-    // state cost with no simulator behind it.
-    let mut slots = RequestSlots::with_capacity(4);
-    let mut key_id = 0u64;
-    let slab_ns = best_ns(iters, reps, || {
-        key_id = key_id.wrapping_add(1);
-        let a = slots.acquire(Op::Get, 64, key_id);
-        let b = slots.acquire(Op::Put, 64, !key_id);
-        black_box(slots.key(b));
-        slots.release(b);
-        slots.release(a);
-    });
-
-    // The storage engine's hot path: overwrite + read back one 256 B
-    // value — hash, bucket probe, bitmap page free/alloc, byte copy.
-    // Key indices come out of a batched `fill_f64` buffer, the same
-    // RNG hot path the simulator's samplers drain.
-    let mut engine = Engine::new(StoreConfig::with_capacity(16 << 20));
-    let value = vec![7u8; 256];
-    let keys: Vec<Vec<u8>> = (0..256).map(key_bytes).collect();
-    for key in &keys {
-        engine
-            .set_with_flags(key, value.clone(), 0, None, 0)
-            .expect("fits");
-    }
-    let mut key_rng = SplitRng::new(7);
-    let mut draws = [0.0f64; 64];
-    let mut pos = draws.len();
-    let engine_ns = best_ns(if quick { 20_000 } else { 100_000 }, reps, || {
-        if pos == draws.len() {
-            key_rng.fill_f64(&mut draws);
-            pos = 0;
-        }
-        let key = &keys[(draws[pos] * keys.len() as f64) as usize];
-        pos += 1;
-        engine
-            .set_with_flags(key, value.clone(), 0, None, 0)
-            .expect("fits");
-        black_box(engine.get(key, 0));
-    });
-
-    vec![
-        ("zipf_alias_sample", alias_ns),
-        ("zipf_cdf_sample", cdf_ns),
-        (CALIBRATION, cache_ns),
-        ("request_mercury_a7_get64", request_ns),
-        ("sweep_point_quick_64b", sweep_point_ns),
-        ("scheduler_push_pop", scheduler_ns),
-        ("request_slab_churn", slab_ns),
-        ("engine_set_get_256b", engine_ns),
-    ]
 }
 
 fn main() {

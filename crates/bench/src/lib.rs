@@ -8,6 +8,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hotpaths;
+
 use std::path::{Path, PathBuf};
 
 use densekv::report::TextTable;

@@ -100,12 +100,15 @@ fn serve_obs_binary_cross_checks_server_and_client_percentiles() {
         let results = Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve_obs_results");
         let status = Command::new(env!("CARGO_BIN_EXE_serve_obs"))
             .env("DENSEKV_QUICK", "1")
-            .env("DENSEKV_OBS_GATE", "1")
+            // The metrics-overhead gate compares two wall-clock rates and
+            // is its own CI step; under a parallel `cargo test` it would
+            // measure the neighbouring tests.
+            .env_remove("DENSEKV_OBS_GATE")
             .env(densekv_bench::RESULTS_DIR_ENV, &results)
             .args(["--jobs", "2"])
             .status()
             .expect("serve_obs starts");
-        assert!(status.success(), "serve_obs exits cleanly (gate passed)");
+        assert!(status.success(), "serve_obs exits cleanly");
 
         let csv =
             std::fs::read_to_string(results.join("serve_metrics.csv")).expect("serve_metrics.csv");

@@ -1,13 +1,17 @@
-//! Differential pins for the hot-loop rewrite's two speed paths.
+//! Differential pins for the phase engine's exact speed paths.
 //!
-//! The resident-L2 shortcut must be invisible at the request level for
-//! *mixed* GET/PUT streams on every stack family; the phase memo is
-//! only exact for single-shape loops, which is why it ships disabled —
-//! both claims are checked against a reference core with the path
-//! turned off.
+//! The resident-L2 shortcut and the thrash-region skip inside it must be
+//! invisible at the request level for *mixed* GET/PUT streams on every
+//! stack family, from 64 B requests (no run reaches the skip's window)
+//! to 1 MB ones (every network phase does): both are checked against a
+//! reference core that walks every cache reference. (The devices'
+//! closed-form stream pricing has its own per-line reference in
+//! `tests/properties.rs`.)
 
 use densekv::sim::{CoreSim, CoreSimConfig};
 use densekv::slots::RequestSlots;
+use densekv_cpu::CoreConfig;
+use densekv_sim::Duration;
 use densekv_workload::{FixedSizeWorkload, Op};
 
 fn build(config: &CoreSimConfig, value_bytes: u64, population: u64, reference: bool) -> CoreSim {
@@ -24,16 +28,22 @@ fn build(config: &CoreSimConfig, value_bytes: u64, population: u64, reference: b
     core
 }
 
-/// Runs the same seeded mixed op stream through `fast` and `reference`,
-/// asserting identical timings, breakdowns, and cache counters at every
+/// Runs the same seeded mixed op stream (`per_op` GETs, PUTs, then GETs
+/// again) through `fast` and `reference`, asserting identical timings,
+/// breakdowns, cache counters, device bytes and tier counters at every
 /// request.
-fn assert_streams_identical(fast: &mut CoreSim, reference: &mut CoreSim, value_bytes: u64) {
-    let population = 64;
+fn assert_streams_identical(
+    fast: &mut CoreSim,
+    reference: &mut CoreSim,
+    value_bytes: u64,
+    population: u64,
+    per_op: u32,
+) {
     let mut slots = RequestSlots::with_capacity(1);
     for op in [Op::Get, Op::Put, Op::Get] {
         let mut gen_f = FixedSizeWorkload::new(op, value_bytes, population, 0xD1FF ^ value_bytes);
         let mut gen_r = FixedSizeWorkload::new(op, value_bytes, population, 0xD1FF ^ value_bytes);
-        for i in 0..110u32 {
+        for i in 0..per_op {
             let a = slots.acquire(op, value_bytes, gen_f.next_key_id());
             let (tf, bf) = fast.execute_parts(slots.op(a), slots.key(a), slots.value_bytes(a));
             slots.release(a);
@@ -47,6 +57,16 @@ fn assert_streams_identical(fast: &mut CoreSim, reference: &mut CoreSim, value_b
                 reference.cache_stats(),
                 "cache counters diverged at {op:?} #{i}"
             );
+            assert_eq!(
+                fast.device_tier_bytes(),
+                reference.device_tier_bytes(),
+                "device bytes diverged at {op:?} #{i}"
+            );
+            assert_eq!(
+                fast.tier_stats(),
+                reference.tier_stats(),
+                "tier counters diverged at {op:?} #{i}"
+            );
         }
     }
 }
@@ -57,7 +77,7 @@ fn residency_shortcut_is_invisible_on_mercury() {
         let config = CoreSimConfig::mercury_a7();
         let mut fast = build(&config, value_bytes, 64, false);
         let mut reference = build(&config, value_bytes, 64, true);
-        assert_streams_identical(&mut fast, &mut reference, value_bytes);
+        assert_streams_identical(&mut fast, &mut reference, value_bytes, 64, 110);
     }
 }
 
@@ -66,35 +86,26 @@ fn residency_shortcut_is_invisible_on_iridium() {
     let config = CoreSimConfig::iridium_a7();
     let mut fast = build(&config, 128, 64, false);
     let mut reference = build(&config, 128, 64, true);
-    assert_streams_identical(&mut fast, &mut reference, 128);
+    assert_streams_identical(&mut fast, &mut reference, 128, 64, 110);
 }
 
-/// The memo's documented soundness domain: a loop that replays one
-/// request shape end-to-end. With every request armed-and-replaying,
-/// the frozen cache contents are never consulted by a diverging real
-/// execution, so opt-in memo must be bit-exact — and actually hit.
+/// The sizes whose network phases run far past the skip's window (a
+/// 256 KB response is ~4 700 fetches and ~4 400 kernel references per
+/// `net-tx`; 1 MB four times that), on the four configurations of the
+/// benchmark's evaluation grid.
 #[test]
-fn memo_is_exact_for_single_shape_loops() {
-    let config = CoreSimConfig::mercury_a7();
-    let mut memoized = build(&config, 64, 64, false);
-    memoized.set_memo_enabled(true);
-    let mut reference = build(&config, 64, 64, false);
-    assert!(!reference.memo_enabled(), "memo ships disabled");
-
-    let mut slots = RequestSlots::with_capacity(1);
-    // One fixed key: a single (family, size) shape.
-    for i in 0..400u32 {
-        let a = slots.acquire(Op::Get, 64, 7);
-        let (tm, bm) = memoized.execute_parts(slots.op(a), slots.key(a), slots.value_bytes(a));
-        let (tr, br) = reference.execute_parts(slots.op(a), slots.key(a), slots.value_bytes(a));
-        slots.release(a);
-        assert_eq!(tm, tr, "memo replay diverged at #{i}");
-        assert_eq!(bm, br, "memo breakdown diverged at #{i}");
+fn thrash_region_skip_is_invisible_for_large_values_on_the_benchmark_grid() {
+    let grid = [
+        CoreSimConfig::mercury_a7(),
+        CoreSimConfig::iridium_a7(),
+        CoreSimConfig::helios_a7(256 << 20),
+        CoreSimConfig::mercury(CoreConfig::a15_1ghz(), true, Duration::from_nanos(10)),
+    ];
+    for config in &grid {
+        for value_bytes in [256 << 10, 1 << 20] {
+            let mut fast = build(config, value_bytes, 6, false);
+            let mut reference = build(config, value_bytes, 6, true);
+            assert_streams_identical(&mut fast, &mut reference, value_bytes, 6, 8);
+        }
     }
-    assert!(
-        memoized.memo_hits() > 100,
-        "the loop must actually replay (hits = {})",
-        memoized.memo_hits()
-    );
-    assert_eq!(reference.memo_hits(), 0);
 }

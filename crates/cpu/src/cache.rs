@@ -133,7 +133,27 @@ impl Cache {
     ///
     /// Panics if the line's tag reaches the [`EMPTY`] sentinel — a
     /// device beyond the modeled address range.
+    #[inline]
     pub fn access(&mut self, line_addr: u64) -> bool {
+        let hit = self.install(line_addr);
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
+        hit
+    }
+
+    /// Makes `line_addr` the most recently used line of its set — filling
+    /// it, and dropping the set's LRU line, if it was absent — without
+    /// counting a lookup. Returns whether it was already resident.
+    ///
+    /// For callers that already know a reference's outcome and account
+    /// it through [`Cache::credit`]; the phase engine's thrash-region
+    /// skip rebuilds the L1's final contents this way.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Cache::access`].
+    #[inline]
+    pub fn install(&mut self, line_addr: u64) -> bool {
         let (set_idx, tag) = match self.pow2 {
             Some(p) => ((line_addr & p.mask) as usize, line_addr >> p.shift),
             None => {
@@ -146,14 +166,12 @@ impl Cache {
         let set = &mut self.tags[set_idx * self.ways..set_idx * self.ways + self.ways];
         // Fast path: re-referencing the MRU way needs no recency shuffle.
         if set[0] == tag {
-            self.hits += 1;
             return true;
         }
         if let Some(pos) = set[1..].iter().position(|&t| t == tag) {
             // Move to MRU position.
             set.copy_within(..pos + 1, 1);
             set[0] = tag;
-            self.hits += 1;
             true
         } else {
             // Shift everything down one way and fill at MRU; sentinels
@@ -161,7 +179,6 @@ impl Cache {
             // the true LRU tag exactly when the set was full.
             set.copy_within(..self.ways - 1, 1);
             set[0] = tag;
-            self.misses += 1;
             false
         }
     }
@@ -192,9 +209,9 @@ impl Cache {
         self.misses = 0;
     }
 
-    /// Credits hit/miss counters without touching contents — the replay
-    /// path of the request memo layer, which accounts a request's cache
-    /// traffic without re-walking it.
+    /// Credits hit/miss counters without touching contents, for
+    /// references whose outcome is known without walking them (the phase
+    /// engine's resident-L2 shortcut and thrash-region skip).
     pub fn credit(&mut self, hits: u64, misses: u64) {
         self.hits += hits;
         self.misses += misses;

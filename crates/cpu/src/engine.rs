@@ -93,6 +93,29 @@ impl PhaseSpec {
     }
 }
 
+/// A contiguous run of lines that a cursor cycles through.
+#[derive(Debug, Clone, Copy)]
+struct Region {
+    base: u64,
+    footprint: u64,
+}
+
+impl Region {
+    /// The line under `cursor`, which then steps on, counting a completed
+    /// pass in `wraps`. The cursor moves by one, so a wrap-compare stands
+    /// in for a per-reference `%`.
+    #[inline]
+    fn next_line(self, cursor: &mut u64, wraps: &mut u64) -> u64 {
+        let line = self.base + *cursor;
+        *cursor += 1;
+        if *cursor == self.footprint {
+            *cursor = 0;
+            *wraps += 1;
+        }
+        line
+    }
+}
+
 /// Where a simulated reference was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Level {
@@ -206,37 +229,6 @@ impl CacheHierarchyStats {
     }
 }
 
-/// Deterministic hot-loop state of a [`PhaseEngine`] at a point in time:
-/// fetch cursors, the kernel-region cursor, and cache counters. Captured
-/// before a real execution so [`PhaseEngine::replay_delta`] can express
-/// that execution's engine-side effect.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineSnapshot {
-    kernel_cursor: u64,
-    /// `(phase name, fetch cursor)`, sorted by name for stable equality.
-    instr_cursors: Vec<(&'static str, u64)>,
-    cache: CacheHierarchyStats,
-}
-
-/// The engine-side effect of one request: cursor advances plus cache
-/// counter growth.
-///
-/// [`PhaseEngine::apply_replay`] leaves counters and cursors exactly
-/// where a real execution would have — cache *contents* are untouched,
-/// which is sound precisely when the replayed reference pattern no
-/// longer changes any resident set (the post-warm steady state the memo
-/// layer in `densekv-core` observes before arming a family).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct EngineDelta {
-    /// Kernel-region cursor advance, modulo the region.
-    kernel_advance: u64,
-    /// `(phase name, cursor advance, footprint)`, sorted by name.
-    instr_advances: Vec<(&'static str, u64, u64)>,
-    l1i: CacheLevelStats,
-    l1d: CacheLevelStats,
-    l2: Option<CacheLevelStats>,
-}
-
 /// Cache hierarchy + core parameters; executes [`PhaseSpec`]s.
 ///
 /// # Examples
@@ -259,8 +251,8 @@ pub struct PhaseEngine {
     l1d: Cache,
     l2: Option<Cache>,
     uncached_latency: Duration,
-    /// Per-phase-name instruction footprint
-    /// `(base, cursor, footprint, wraps)`.
+    /// Per-phase-name instruction region
+    /// `(base, cursor, footprint it first ran with, wraps)`.
     instr_regions: HashMap<&'static str, (u64, u64, u64, u64)>,
     next_instr_base: u64,
     /// Cursor cycling the kernel hot region (shared by all phases).
@@ -273,8 +265,9 @@ pub struct PhaseEngine {
     /// which makes its LRU *order* unobservable and licenses the
     /// residency shortcut below.
     l2_occupancy: Vec<u32>,
-    /// Cached `max(l2_occupancy) ≤ l2.ways`: the residency shortcut is
-    /// sound.
+    /// Whether the residency shortcut is sound: `max(l2_occupancy) ≤
+    /// l2.ways`, and every phase name has kept the footprint it first ran
+    /// with.
     l2_resident_ok: bool,
     /// Registered footprint per phase name (grows if a later spec names
     /// a larger footprint, which widens the occupancy bound).
@@ -364,29 +357,13 @@ impl PhaseEngine {
         }
     }
 
-    /// Disables the resident-L2 shortcut, forcing every reference
-    /// through the full LRU walk. Exists for differential tests; results
-    /// are bit-identical either way.
+    /// Disables the resident-L2 shortcut — and with it the thrash-region
+    /// skip, which only runs inside it — forcing every reference through
+    /// the full LRU walk. Exists for differential tests; results are
+    /// bit-identical either way.
     #[doc(hidden)]
     pub fn disable_l2_residency_shortcut(&mut self) {
         self.l2_resident_ok = false;
-    }
-
-    /// Whether every cyclic region has completed at least one full pass:
-    /// the kernel hot region and every phase's instruction footprint. At
-    /// that point all of their lines are resident in the L2 (the combined
-    /// footprint fits without eviction), so per-request timing has
-    /// reached its steady state — the precondition the memo layer in
-    /// `densekv-core` requires before arming a replay family. During the
-    /// cold fill, timing sits on long *locally constant* plateaus (every
-    /// reference misses the same way), which a streak check alone would
-    /// mistake for steady state.
-    pub fn warm(&self) -> bool {
-        self.kernel_wraps > 0
-            && self
-                .instr_regions
-                .values()
-                .all(|&(_, _, _, wraps)| wraps > 0)
     }
 
     /// The core configuration.
@@ -417,70 +394,6 @@ impl PhaseEngine {
         }
     }
 
-    /// Captures the hot-loop state (cursors + cache counters) so a
-    /// subsequent [`PhaseEngine::replay_delta`] can express what one
-    /// execution did to the engine.
-    pub fn replay_snapshot(&self) -> EngineSnapshot {
-        let mut instr_cursors: Vec<(&'static str, u64)> = self
-            .instr_regions
-            .iter()
-            .map(|(&name, &(_, cursor, _, _))| (name, cursor))
-            .collect();
-        instr_cursors.sort_unstable_by_key(|&(name, _)| name);
-        EngineSnapshot {
-            kernel_cursor: self.kernel_cursor,
-            instr_cursors,
-            cache: self.cache_stats(),
-        }
-    }
-
-    /// The engine-side effect since `before`: per-phase fetch-cursor
-    /// advances (modulo each footprint), the kernel-cursor advance, and
-    /// cache counter growth.
-    pub fn replay_delta(&self, before: &EngineSnapshot) -> EngineDelta {
-        let mut instr_advances: Vec<(&'static str, u64, u64)> = self
-            .instr_regions
-            .iter()
-            .map(|(&name, &(_, cursor, footprint, _))| {
-                let prior = before
-                    .instr_cursors
-                    .binary_search_by_key(&name, |&(n, _)| n)
-                    .map(|i| before.instr_cursors[i].1)
-                    .unwrap_or(0);
-                let advance = (cursor + footprint - prior % footprint) % footprint;
-                (name, advance, footprint)
-            })
-            .collect();
-        instr_advances.sort_unstable_by_key(|&(name, _, _)| name);
-        let cache = self.cache_stats().delta(&before.cache);
-        EngineDelta {
-            kernel_advance: (self.kernel_cursor + KERNEL_REGION_LINES - before.kernel_cursor)
-                % KERNEL_REGION_LINES,
-            instr_advances,
-            l1i: cache.l1i,
-            l1d: cache.l1d,
-            l2: cache.l2,
-        }
-    }
-
-    /// Replays a previously captured delta: advances every cursor and
-    /// credits every cache counter exactly as the recorded execution
-    /// did, without touching cache contents. See [`EngineDelta`] for
-    /// when this is sound.
-    pub fn apply_replay(&mut self, delta: &EngineDelta) {
-        self.kernel_cursor = (self.kernel_cursor + delta.kernel_advance) % KERNEL_REGION_LINES;
-        for &(name, advance, footprint) in &delta.instr_advances {
-            if let Some(entry) = self.instr_regions.get_mut(name) {
-                entry.1 = (entry.1 + advance) % footprint;
-            }
-        }
-        self.l1i.credit(delta.l1i.hits, delta.l1i.misses);
-        self.l1d.credit(delta.l1d.hits, delta.l1d.misses);
-        if let (Some(l2), Some(d)) = (self.l2.as_mut(), delta.l2) {
-            l2.credit(d.hits, d.misses);
-        }
-    }
-
     /// Walks one reference through the hierarchy (for instruction or
     /// kernel classes); returns where it hit.
     fn lookup(l1: &mut Cache, l2: &mut Option<Cache>, line: u64) -> Level {
@@ -497,6 +410,51 @@ impl PhaseEngine {
             }
             None => Level::Memory,
         }
+    }
+
+    /// Runs `refs` sequential references of a cyclic region through its
+    /// L1 on the resident-L2 branch (an L1 miss is an L2 hit that changes
+    /// no L2 state) and returns how many missed the L1.
+    ///
+    /// **Thrash-region skip.** On this branch every region is disjoint
+    /// from the others and cycled with a fixed footprint. One of at
+    /// least `(ways + 2) · sets` lines — the *window* — puts more than
+    /// `ways` of its lines in every L1 set, so between two references to
+    /// one of them at least `ways` other lines hit the same set: under
+    /// true LRU every reference to the region misses, whatever other
+    /// regions interleave. A run longer than the window is therefore
+    /// `refs` known misses, and only the L1's final contents remain to
+    /// be produced: the last `window` references hold no repeated line
+    /// and at most one wrap, hence at least `ways` distinct lines per
+    /// set, which fixes every set's contents and order regardless of
+    /// what it held before. So the run credits `refs` misses, moves the
+    /// cursor arithmetically, and installs only that tail. DESIGN.md,
+    /// "Bulk pricing", has the full argument.
+    fn walk_resident(
+        l1: &mut Cache,
+        region: Region,
+        cursor: &mut u64,
+        wraps: &mut u64,
+        refs: u64,
+    ) -> u64 {
+        let window = (u64::from(l1.config().ways) + 2) * l1.config().sets();
+        if region.footprint >= window && refs > window {
+            let landed = *cursor + (refs - window);
+            *wraps += landed / region.footprint;
+            *cursor = landed % region.footprint;
+            l1.credit(0, refs);
+            for _ in 0..window {
+                l1.install(region.next_line(cursor, wraps));
+            }
+            return refs;
+        }
+        let mut misses = 0;
+        for _ in 0..refs {
+            if !l1.access(region.next_line(cursor, wraps)) {
+                misses += 1;
+            }
+        }
+        misses
     }
 
     /// Executes a phase against `mem`, returning its timing. The phase's
@@ -539,25 +497,32 @@ impl PhaseEngine {
         let miss_scale = 1.0 / miss_overlap;
 
         // Instruction fetches: cycle the phase's cursor through its
-        // footprint. The cursor increments by one per fetch, so a
-        // wrap-compare replaces the per-reference `%`; L2-hit stalls are
-        // a fixed integer latency, so they accumulate as a count and
-        // multiply out once (bit-identical to per-hit addition because
-        // `Duration` is integer picoseconds).
+        // footprint. L2-hit stalls are a fixed integer latency, so they
+        // accumulate as a count and multiply out once (bit-identical to
+        // per-hit addition because `Duration` is integer picoseconds).
         let fetches = spec.instructions * spec.ifetch_per_kinstr / 1000;
         if fetches > 0 {
             let footprint = spec.ifetch_footprint_lines.max(1);
-            let (base, cursor, mut wraps) = {
+            let (base, cursor, first_footprint, mut wraps) = {
                 let entry = self.instr_regions.entry(spec.name).or_insert((
                     self.next_instr_base,
                     0,
                     footprint,
                     0,
                 ));
-                (entry.0, entry.1, entry.3)
+                *entry
             };
             if base == self.next_instr_base {
                 self.next_instr_base += footprint;
+            }
+            if footprint != first_footprint {
+                // Regions are laid out back to back from the footprint
+                // each name first ran with. A name that changes it may
+                // reach lines it never inserted (`wraps` was earned on
+                // the old cycle) or run into its neighbour, so nothing
+                // below may assume residency or a fixed cycle any more.
+                // Walking every reference from here on is always sound.
+                self.l2_resident_ok = false;
             }
             // Keep the L2 occupancy bound covering this region (widening
             // it if a later spec names a larger footprint).
@@ -566,6 +531,7 @@ impl PhaseEngine {
                 self.register_l2_block(base + registered, footprint - registered);
                 self.l2_registered.insert(spec.name, footprint);
             }
+            let region = Region { base, footprint };
             let mut cur = cursor % footprint;
             let mut l2_hits = 0u64;
             // Resident-L2 shortcut: once the region has completed a full
@@ -576,29 +542,14 @@ impl PhaseEngine {
             // and timing are bit-identical to the full walk.
             if self.l2_resident_ok && wraps > 0 {
                 self.l2_shortcut_used = true;
-                for _ in 0..fetches {
-                    let line = base + cur;
-                    cur += 1;
-                    if cur == footprint {
-                        cur = 0;
-                        wraps += 1;
-                    }
-                    if !self.l1i.access(line) {
-                        l2_hits += 1;
-                    }
-                }
+                l2_hits = Self::walk_resident(&mut self.l1i, region, &mut cur, &mut wraps, fetches);
                 self.l2
                     .as_mut()
                     .expect("residency shortcut requires an L2")
                     .credit(l2_hits, 0);
             } else {
                 for _ in 0..fetches {
-                    let line = base + cur;
-                    cur += 1;
-                    if cur == footprint {
-                        cur = 0;
-                        wraps += 1;
-                    }
+                    let line = region.next_line(&mut cur, &mut wraps);
                     match Self::lookup(&mut self.l1i, &mut self.l2, line) {
                         Level::L1 => {}
                         Level::L2 => l2_hits += 1,
@@ -613,41 +564,36 @@ impl PhaseEngine {
             result.l2_hits += l2_hits;
             result.stall += l2_latency * l2_hits;
             self.instr_regions
-                .insert(spec.name, (base, cur, footprint, wraps));
+                .insert(spec.name, (base, cur, first_footprint, wraps));
         }
 
         // Kernel-structure references: cycle the hot region. A cyclic
         // pattern has the same steady-state behaviour as the real mix —
         // it thrashes a 32 KB L1D but fits (and stays warm in) a 2 MB L2
         // — while warming deterministically within one region pass.
+        let kernel = Region {
+            base: KERNEL_BASE_LINE,
+            footprint: KERNEL_REGION_LINES,
+        };
         let mut kernel_l2_hits = 0u64;
         if self.l2_resident_ok && self.kernel_wraps > 0 && spec.kernel_refs > 0 {
             // Same residency argument as the fetch loop: after one full
             // pass the kernel region is pinned in the never-evicting L2.
             self.l2_shortcut_used = true;
-            for _ in 0..spec.kernel_refs {
-                let line = KERNEL_BASE_LINE + self.kernel_cursor;
-                self.kernel_cursor += 1;
-                if self.kernel_cursor == KERNEL_REGION_LINES {
-                    self.kernel_cursor = 0;
-                    self.kernel_wraps += 1;
-                }
-                if !self.l1d.access(line) {
-                    kernel_l2_hits += 1;
-                }
-            }
+            kernel_l2_hits = Self::walk_resident(
+                &mut self.l1d,
+                kernel,
+                &mut self.kernel_cursor,
+                &mut self.kernel_wraps,
+                spec.kernel_refs,
+            );
             self.l2
                 .as_mut()
                 .expect("residency shortcut requires an L2")
                 .credit(kernel_l2_hits, 0);
         } else {
             for _ in 0..spec.kernel_refs {
-                let line = KERNEL_BASE_LINE + self.kernel_cursor;
-                self.kernel_cursor += 1;
-                if self.kernel_cursor == KERNEL_REGION_LINES {
-                    self.kernel_cursor = 0;
-                    self.kernel_wraps += 1;
-                }
+                let line = kernel.next_line(&mut self.kernel_cursor, &mut self.kernel_wraps);
                 match Self::lookup(&mut self.l1d, &mut self.l2, line) {
                     Level::L1 => {}
                     Level::L2 => kernel_l2_hits += 1,
@@ -684,11 +630,9 @@ impl PhaseEngine {
                     .stream_mlp
                     .min(dev.max_overlap(stream.kind))
                     .max(1.0);
-            for i in 0..stream.lines {
-                result.mem_refs += 1;
-                let lat = dev.line_access(stream.start_line + i, stream.kind);
-                result.stall += lat * stream_scale;
-            }
+            result.mem_refs += stream.lines;
+            result.stall +=
+                dev.stream_access(stream.start_line, stream.lines, stream.kind, stream_scale);
         }
 
         result.mem_bytes =
@@ -717,6 +661,7 @@ mod tests {
     use super::*;
     use densekv_mem::dram::{DramConfig, DramStack};
     use densekv_mem::flash::{FlashArray, FlashConfig};
+    use proptest::prelude::*;
 
     fn dram(ns: u64) -> DramStack {
         DramStack::new(DramConfig::mercury(Duration::from_nanos(ns)))
@@ -981,32 +926,82 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replay_reproduces_cursors_and_counters() {
-        let mut e = PhaseEngine::with_l2(CoreConfig::a7_1ghz());
-        let mut mem = dram(10);
-        let spec = net_phase();
-        for _ in 0..50 {
-            e.run(&spec, &mut mem);
+    /// L1 window of the thrash-region skip: `(ways + 2) · sets` of the
+    /// 32 KB, 4-way L1s.
+    const WINDOW: u64 = 768;
+
+    /// Run lengths on both sides of the skip's window, and far past it.
+    fn run_length() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..400,
+            (WINDOW - 3)..(WINDOW + 4),
+            WINDOW..4_000,
+            4_000u64..40_000
+        ]
+    }
+
+    proptest! {
+        /// The thrash-region skip against the full walk: random phase
+        /// sequences over regions smaller than, equal to and larger than
+        /// the window, with fetch and kernel runs on both sides of it.
+        /// Results, cache counters, cursors and wrap counts must agree
+        /// after every phase — and so must a closing pair of runs over a
+        /// region that fits the L1, whose hits depend on exactly which of
+        /// its lines every earlier run left resident, and in what order.
+        /// Some cases change a region's footprint mid-sequence, which
+        /// must retire the skip rather than let it mis-credit hits.
+        #[test]
+        fn thrash_region_skip_matches_full_walk(
+            footprints in proptest::collection::vec(
+                prop_oneof![40u64..700, (WINDOW - 2)..(WINDOW + 3), WINDOW..3_000],
+                4,
+            ),
+            phases in proptest::collection::vec(
+                (0usize..4, run_length(), run_length(), 0u64..5),
+                8..40,
+            ),
+            // One case in four brings a region back with another footprint.
+            refootprint in (0u8..4, 300u64..3_000),
+        ) {
+            const NAMES: [&str; 4] = ["p0", "p1", "p2", "p3"];
+            let mut fast = PhaseEngine::with_l2(CoreConfig::a7_1ghz());
+            let mut full = PhaseEngine::with_l2(CoreConfig::a7_1ghz());
+            full.disable_l2_residency_shortcut();
+            let (mut m1, mut m2) = (dram(10), dram(10));
+            let mut check = |spec: &PhaseSpec, at: usize| {
+                prop_assert_eq!(fast.run(spec, &mut m1), full.run(spec, &mut m2), "phase {}", at);
+                prop_assert_eq!(fast.cache_stats(), full.cache_stats(), "phase {}", at);
+                prop_assert_eq!(&fast.instr_regions, &full.instr_regions, "phase {}", at);
+                prop_assert_eq!(
+                    (fast.kernel_cursor, fast.kernel_wraps),
+                    (full.kernel_cursor, full.kernel_wraps),
+                    "phase {}", at
+                );
+            };
+            for (i, &(region, fetches, kernel_refs, extras)) in phases.iter().enumerate() {
+                let mut spec = PhaseSpec::compute(NAMES[region], fetches);
+                spec.ifetch_per_kinstr = 1_000; // one fetch per instruction
+                spec.ifetch_footprint_lines = footprints[region];
+                if refootprint.0 == 0 && i == phases.len() / 2 {
+                    spec.ifetch_footprint_lines = refootprint.1;
+                }
+                spec.kernel_refs = kernel_refs;
+                spec.store_refs = (0..extras).map(|r| 1_000_000 + 977 * r).collect();
+                spec.stream = (extras > 2).then_some(StreamRef {
+                    start_line: 5_000_000 + fetches,
+                    lines: extras * 40,
+                    kind: AccessKind::Read,
+                });
+                check(&spec, i);
+            }
+            let mut resident = PhaseSpec::compute("fits-l1", 450);
+            resident.ifetch_per_kinstr = 1_000;
+            resident.ifetch_footprint_lines = 300;
+            resident.kernel_refs = 64;
+            for pass in 0..2 {
+                check(&resident, phases.len() + pass);
+            }
         }
-        // Twin engine replays the delta the real engine executes.
-        let mut twin = e.clone();
-        let before = e.replay_snapshot();
-        e.run(&spec, &mut mem);
-        let delta = e.replay_delta(&before);
-        twin.apply_replay(&delta);
-        assert_eq!(twin.replay_snapshot(), e.replay_snapshot());
-        // And again from the advanced state, with a second phase mixed in.
-        let other = PhaseSpec {
-            name: "other",
-            ..net_phase()
-        };
-        e.run(&other, &mut mem);
-        twin.run(&other, &mut mem);
-        let before = e.replay_snapshot();
-        e.run(&spec, &mut mem);
-        twin.apply_replay(&e.replay_delta(&before));
-        assert_eq!(twin.replay_snapshot(), e.replay_snapshot());
     }
 
     #[test]

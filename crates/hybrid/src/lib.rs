@@ -526,6 +526,29 @@ impl HybridMemory {
         latency
     }
 
+    /// One line access against a non-empty tier. Returns the latency and
+    /// whether the line's page is resident afterwards (false only for a
+    /// miss the admission filter bypassed).
+    fn tier_line_access(&mut self, lpn: u64, line_addr: u64, kind: AccessKind) -> (Duration, bool) {
+        if self.tier.touch(lpn, kind == AccessKind::Write) {
+            self.hits += 1;
+            self.dram_bytes += LINE_BYTES;
+            return (self.config.dram_line_latency(), true);
+        }
+        self.misses += 1;
+        if !self.admit(lpn) {
+            // Bypass: one line straight off the flash array, Iridium
+            // style (the array counts the line's bytes).
+            return (self.ftl.line_access(line_addr, kind), false);
+        }
+        // Fill the whole page from flash (write-allocate on stores: the
+        // line lands in the filled page, which becomes dirty).
+        let fill = self.ftl.read_page_any(lpn);
+        let stall = self.install(lpn, kind == AccessKind::Write);
+        self.dram_bytes += self.config.flash.page_bytes;
+        (fill + stall + self.config.dram_line_latency(), true)
+    }
+
     /// Writes the value bytes at logical byte `offset` — the bulk PUT
     /// path. With the tier disabled this is exactly
     /// [`Ftl::write_range`]; otherwise the covering pages are installed
@@ -560,23 +583,49 @@ impl MemoryTiming for HybridMemory {
             return self.ftl.line_access(line_addr, kind);
         }
         let lpn = self.lpn_of_line(line_addr);
-        if self.tier.touch(lpn, kind == AccessKind::Write) {
-            self.hits += 1;
-            self.dram_bytes += LINE_BYTES;
-            return self.config.dram_line_latency();
+        self.tier_line_access(lpn, line_addr, kind).0
+    }
+
+    /// Page-granular: within each flash page of the run, lines walk
+    /// through the per-line path until the page is resident (a hit, or
+    /// an admitted fill). That line left the page the most recent frame
+    /// of the tier and as dirty as this run can make it, and nothing
+    /// else touches the tier before the run leaves the page — so every
+    /// later line of the page is a tier hit at `dram_line_latency` that
+    /// would move nothing, and only the counters remain to be advanced.
+    fn stream_access(
+        &mut self,
+        start_line: u64,
+        lines: u64,
+        kind: AccessKind,
+        scale: f64,
+    ) -> Duration {
+        if self.tier.capacity_pages == 0 {
+            return self.ftl.stream_access(start_line, lines, kind, scale);
         }
-        self.misses += 1;
-        if !self.admit(lpn) {
-            // Bypass: one line straight off the flash array, Iridium
-            // style (the array counts the line's bytes).
-            return self.ftl.line_access(line_addr, kind);
+        let end = start_line + lines;
+        let page_bytes = u128::from(self.config.flash.page_bytes);
+        let mut total = Duration::ZERO;
+        let mut line = start_line;
+        while line < end {
+            let raw_page = u128::from(line) * u128::from(LINE_BYTES) / page_bytes;
+            let next_page_line = ((raw_page + 1) * page_bytes).div_ceil(u128::from(LINE_BYTES));
+            let page_end = u64::try_from(next_page_line).map_or(end, |l| l.min(end));
+            let lpn = (raw_page % u128::from(self.ftl.exported_pages())) as u64;
+            let mut resident = false;
+            while line < page_end && !resident {
+                let (latency, now_resident) = self.tier_line_access(lpn, line, kind);
+                total += latency * scale;
+                resident = now_resident;
+                line += 1;
+            }
+            let rest = page_end - line;
+            self.hits += rest;
+            self.dram_bytes += LINE_BYTES * rest;
+            total += (self.config.dram_line_latency() * scale) * rest;
+            line = page_end;
         }
-        // Fill the whole page from flash (write-allocate on stores: the
-        // line lands in the filled page, which becomes dirty).
-        let fill = self.ftl.read_page_any(lpn);
-        let stall = self.install(lpn, kind == AccessKind::Write);
-        self.dram_bytes += self.config.flash.page_bytes;
-        fill + stall + self.config.dram_line_latency()
+        total
     }
 
     fn bytes_moved(&self) -> u64 {

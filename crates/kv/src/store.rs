@@ -7,6 +7,7 @@
 //! and memory-device models, making the timing model execution-driven.
 
 use core::fmt;
+use std::borrow::Cow;
 
 use crate::hash::jenkins_oaat;
 use crate::lru::{EvictionKind, EvictionPolicy};
@@ -201,7 +202,11 @@ impl AccessTrace {
 #[derive(Debug, Clone)]
 struct Item {
     key: Vec<u8>,
-    value: Vec<u8>,
+    /// Owned for every live-plane caller; borrowed when the caller has a
+    /// `'static` block to lend (the simulator, which only ever asks for a
+    /// value's length, lends slices of one zero block instead of filling
+    /// a buffer per item). Nothing downstream can tell the two apart.
+    value: Cow<'static, [u8]>,
     flags: u32,
     /// Absolute expiry in seconds; `None` = immortal.
     expires_at: Option<u64>,
@@ -429,7 +434,7 @@ impl KvStore {
                 let item = self.items[slot as usize].as_ref().expect("live");
                 self.stats.bytes_read += item.value.len() as u64;
                 Some(GetHit {
-                    value: item.value.clone(),
+                    value: item.value.to_vec(),
                     flags: item.flags,
                     cas: item.cas,
                     trace,
@@ -479,7 +484,7 @@ impl KvStore {
     pub fn set(
         &mut self,
         key: &[u8],
-        value: Vec<u8>,
+        value: impl Into<Cow<'static, [u8]>>,
         ttl_secs: Option<u64>,
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
@@ -494,11 +499,12 @@ impl KvStore {
     pub fn set_with_flags(
         &mut self,
         key: &[u8],
-        value: Vec<u8>,
+        value: impl Into<Cow<'static, [u8]>>,
         flags: u32,
         ttl_secs: Option<u64>,
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
+        let value = value.into();
         if key.len() > MAX_KEY_BYTES {
             return Err(StoreError::KeyTooLong { len: key.len() });
         }
@@ -561,7 +567,7 @@ impl KvStore {
     pub fn cas(
         &mut self,
         key: &[u8],
-        value: Vec<u8>,
+        value: impl Into<Cow<'static, [u8]>>,
         cas: u64,
         ttl_secs: Option<u64>,
         now: u64,
@@ -595,7 +601,7 @@ impl KvStore {
     pub fn add(
         &mut self,
         key: &[u8],
-        value: Vec<u8>,
+        value: impl Into<Cow<'static, [u8]>>,
         ttl_secs: Option<u64>,
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
@@ -615,7 +621,7 @@ impl KvStore {
     pub fn replace(
         &mut self,
         key: &[u8],
-        value: Vec<u8>,
+        value: impl Into<Cow<'static, [u8]>>,
         ttl_secs: Option<u64>,
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
@@ -646,7 +652,7 @@ impl KvStore {
         let slot = slot.ok_or(StoreError::NotFound)?;
         let (mut value, flags, expires_at) = {
             let item = self.items[slot as usize].as_ref().expect("live");
-            (item.value.clone(), item.flags, item.expires_at)
+            (item.value.to_vec(), item.flags, item.expires_at)
         };
         if front {
             let mut combined = extra.to_vec();
@@ -1163,5 +1169,59 @@ mod tests {
             assert_eq!(by_hit.stats(), by_trace.stats(), "key {key:?}");
         }
         assert_eq!(by_trace.stats().expirations, 1, "lazy expiry still fires");
+    }
+
+    #[test]
+    fn borrowed_and_owned_values_are_indistinguishable() {
+        // The same operations on two stores, one handed `Vec`s and one
+        // lent `'static` slices of equal bytes: every result, trace and
+        // counter must agree, including the paths that read a value
+        // (`get`, `incr_decr`) or rebuild one (`concat`).
+        static BYTES: [u8; 300] = [b'7'; 300];
+        let mut owned = small();
+        let mut borrowed = small();
+        for (key, len) in [(&b"a"[..], 300), (b"n", 3), (b"empty", 0), (b"a", 17)] {
+            assert_eq!(
+                owned.set_with_flags(key, BYTES[..len].to_vec(), 5, Some(60), 0),
+                borrowed.set_with_flags(key, &BYTES[..len], 5, Some(60), 0),
+            );
+        }
+        assert_eq!(
+            owned.add(b"fresh", BYTES[..9].to_vec(), None, 0),
+            borrowed.add(b"fresh", &BYTES[..9], None, 0)
+        );
+        assert_eq!(
+            owned.replace(b"fresh", BYTES[..4].to_vec(), None, 0),
+            borrowed.replace(b"fresh", &BYTES[..4], None, 0)
+        );
+        let token = owned.get(b"n", 0).unwrap().cas();
+        assert_eq!(token, borrowed.get(b"n", 0).unwrap().cas());
+        assert_eq!(
+            owned.cas(b"n", BYTES[..2].to_vec(), token, None, 0),
+            borrowed.cas(b"n", &BYTES[..2], token, None, 0)
+        );
+        // 77 + 23 = 100: the borrowed digits parse like the owned ones.
+        assert_eq!(owned.incr_decr(b"n", 23, false, 0), Ok(100));
+        assert_eq!(borrowed.incr_decr(b"n", 23, false, 0), Ok(100));
+        for (extra, front) in [(&b"-tail"[..], false), (b"head-", true)] {
+            assert_eq!(
+                owned.concat(b"a", extra, front, 1),
+                borrowed.concat(b"a", extra, front, 1)
+            );
+        }
+        let mut trace = AccessTrace::default();
+        for key in [&b"a"[..], b"n", b"empty", b"fresh", b"absent"] {
+            assert_eq!(owned.get(key, 2), borrowed.get(key, 2), "key {key:?}");
+            let len = owned.get_traced(key, 2, &mut trace);
+            let owned_trace = trace.clone();
+            assert_eq!(len, borrowed.get_traced(key, 2, &mut trace));
+            assert_eq!(owned_trace, trace, "key {key:?}");
+        }
+        assert_eq!(
+            borrowed.get(b"a", 2).unwrap().value(),
+            b"head-77777777777777777-tail"
+        );
+        owned.get(b"a", 2);
+        assert_eq!(owned.stats(), borrowed.stats());
     }
 }

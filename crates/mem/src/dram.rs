@@ -12,7 +12,7 @@
 
 use densekv_sim::Duration;
 
-use crate::{AccessKind, MemoryTiming, PagePolicy, LINE_BYTES};
+use crate::{stream_per_line, AccessKind, MemoryTiming, PagePolicy, LINE_BYTES};
 
 /// Bytes in one 512 MB DRAM die layer.
 const LAYER_BYTES: u64 = 512 << 20;
@@ -234,76 +234,6 @@ impl DramStack {
     pub fn port_bytes_moved(&self, port: u32) -> u64 {
         self.per_port_bytes[port as usize]
     }
-
-    /// Snapshot of every traffic counter, for the request memo layer.
-    pub fn counters(&self) -> DramCounters {
-        DramCounters {
-            bytes_moved: self.bytes_moved,
-            row_hits: self.row_hits,
-            row_misses: self.row_misses,
-            per_port_bytes: self.per_port_bytes.clone(),
-        }
-    }
-
-    /// Credits all counters by a recorded per-request delta — the replay
-    /// path of the memo layer. Timing state is untouched, which is exact
-    /// under the closed-page policy (no timing state exists) and is why
-    /// the memo layer only arms closed-page stacks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta's port vector length differs from this
-    /// stack's (a delta recorded on a different geometry).
-    pub fn credit(&mut self, delta: &DramCounters) {
-        assert_eq!(
-            delta.per_port_bytes.len(),
-            self.per_port_bytes.len(),
-            "delta recorded on a different port count"
-        );
-        self.bytes_moved += delta.bytes_moved;
-        self.row_hits += delta.row_hits;
-        self.row_misses += delta.row_misses;
-        for (port, d) in self.per_port_bytes.iter_mut().zip(&delta.per_port_bytes) {
-            *port += d;
-        }
-    }
-}
-
-/// Traffic-counter snapshot of a [`DramStack`]; also serves as the
-/// per-request delta the memo layer replays.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DramCounters {
-    /// Total bytes moved.
-    pub bytes_moved: u64,
-    /// Row-buffer hits.
-    pub row_hits: u64,
-    /// Row-buffer misses.
-    pub row_misses: u64,
-    /// Bytes moved per port.
-    pub per_port_bytes: Vec<u64>,
-}
-
-impl DramCounters {
-    /// Counter growth since an `earlier` snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any counter went backwards (snapshots out of order or a
-    /// reset in between) or the port counts differ.
-    #[must_use]
-    pub fn delta(&self, earlier: &DramCounters) -> DramCounters {
-        DramCounters {
-            bytes_moved: self.bytes_moved - earlier.bytes_moved,
-            row_hits: self.row_hits - earlier.row_hits,
-            row_misses: self.row_misses - earlier.row_misses,
-            per_port_bytes: self
-                .per_port_bytes
-                .iter()
-                .zip(&earlier.per_port_bytes)
-                .map(|(now, was)| now - was)
-                .collect(),
-        }
-    }
 }
 
 impl MemoryTiming for DramStack {
@@ -342,6 +272,36 @@ impl MemoryTiming for DramStack {
         self.bytes_moved += LINE_BYTES;
         self.per_port_bytes[loc.port as usize] += LINE_BYTES;
         access
+    }
+
+    /// Closed-page lines all cost `closed_access` and keep no row state,
+    /// so a run is `lines` equal addends plus per-port byte counts, one
+    /// step per port the run crosses. Open-page rows (and odd-sized
+    /// geometries) take the per-line walk.
+    fn stream_access(
+        &mut self,
+        start_line: u64,
+        lines: u64,
+        kind: AccessKind,
+        scale: f64,
+    ) -> Duration {
+        let (PagePolicy::Closed, Some((cap_mask, port_shift))) =
+            (self.config.page_policy, self.pow2_ports)
+        else {
+            return stream_per_line(self, start_line, lines, kind, scale);
+        };
+        self.row_misses += lines;
+        self.bytes_moved += LINE_BYTES * lines;
+        let port_lines = 1u64 << port_shift;
+        let (mut line, mut left) = (start_line, lines);
+        while left > 0 {
+            let in_capacity = line & cap_mask;
+            let chunk = left.min(port_lines - (in_capacity & (port_lines - 1)));
+            self.per_port_bytes[(in_capacity >> port_shift) as usize] += LINE_BYTES * chunk;
+            line = line.wrapping_add(chunk);
+            left -= chunk;
+        }
+        (self.closed_access * scale) * lines
     }
 
     fn bytes_moved(&self) -> u64 {

@@ -211,51 +211,19 @@ impl FlashArray {
         self.erases
     }
 
-    /// Snapshot of the traffic counters, for the request memo layer.
-    pub fn counters(&self) -> FlashCounters {
-        FlashCounters {
-            bytes_moved: self.bytes_moved,
-            reads: self.reads,
-            programs: self.programs,
-        }
-    }
-
-    /// Credits the traffic counters by a recorded per-request delta.
-    /// Line reads carry no device state (fixed latency, no wear), so
-    /// replaying a read-only request this way is exact; the memo layer
-    /// never arms flash writes (programs/erases drive GC and wear).
-    pub fn credit(&mut self, delta: &FlashCounters) {
-        self.bytes_moved += delta.bytes_moved;
-        self.reads += delta.reads;
-        self.programs += delta.programs;
-    }
-}
-
-/// Traffic-counter snapshot of a [`FlashArray`]; also the per-request
-/// delta the memo layer replays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlashCounters {
-    /// Total bytes moved.
-    pub bytes_moved: u64,
-    /// Page/line reads.
-    pub reads: u64,
-    /// Page/line programs.
-    pub programs: u64,
-}
-
-impl FlashCounters {
-    /// Counter growth since an `earlier` snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any counter went backwards (snapshots out of order or a
-    /// reset in between).
-    #[must_use]
-    pub fn delta(&self, earlier: &FlashCounters) -> FlashCounters {
-        FlashCounters {
-            bytes_moved: self.bytes_moved - earlier.bytes_moved,
-            reads: self.reads - earlier.reads,
-            programs: self.programs - earlier.programs,
+    /// Counts `lines` uncached line transfers and returns the latency
+    /// each one pays.
+    fn account_lines(&mut self, lines: u64, kind: AccessKind) -> Duration {
+        self.bytes_moved += LINE_BYTES * lines;
+        match kind {
+            AccessKind::Read => {
+                self.reads += lines;
+                self.config.read_latency + self.config.controller_overhead
+            }
+            AccessKind::Write => {
+                self.programs += lines;
+                self.config.program_latency + self.config.controller_overhead
+            }
         }
     }
 }
@@ -268,17 +236,19 @@ impl MemoryTiming for FlashArray {
     /// applies its 10–20 µs read / 200 µs write latencies per memory
     /// access, which is what pushes flash PUTs below 1 KTPS in Fig. 6).
     fn line_access(&mut self, _line_addr: u64, kind: AccessKind) -> Duration {
-        self.bytes_moved += LINE_BYTES;
-        match kind {
-            AccessKind::Read => {
-                self.reads += 1;
-                self.config.read_latency + self.config.controller_overhead
-            }
-            AccessKind::Write => {
-                self.programs += 1;
-                self.config.program_latency + self.config.controller_overhead
-            }
-        }
+        self.account_lines(1, kind)
+    }
+
+    /// Every line of a run pays the same fixed latency and touches no
+    /// device state, so the run is `lines` equal addends.
+    fn stream_access(
+        &mut self,
+        _start_line: u64,
+        lines: u64,
+        kind: AccessKind,
+        scale: f64,
+    ) -> Duration {
+        (self.account_lines(lines, kind) * scale) * lines
     }
 
     fn bytes_moved(&self) -> u64 {

@@ -218,13 +218,6 @@ impl Ftl {
         &self.flash
     }
 
-    /// Credits the underlying flash traffic counters by a recorded
-    /// per-request delta (memo replay of a read-only request; the FTL's
-    /// own mapping/GC state is only touched by writes, which never arm).
-    pub fn credit_flash(&mut self, delta: &crate::flash::FlashCounters) {
-        self.flash.credit(delta);
-    }
-
     /// Writes the logical pages covering `bytes` at logical byte
     /// `offset`, returning the total device time (programs + any GC).
     /// Offsets wrap modulo the exported capacity, so callers can hand in
@@ -554,6 +547,16 @@ impl Ftl {
 impl MemoryTiming for Ftl {
     fn line_access(&mut self, line_addr: u64, kind: AccessKind) -> Duration {
         self.flash.line_access(line_addr, kind)
+    }
+
+    fn stream_access(
+        &mut self,
+        start_line: u64,
+        lines: u64,
+        kind: AccessKind,
+        scale: f64,
+    ) -> Duration {
+        self.flash.stream_access(start_line, lines, kind, scale)
     }
 
     fn bytes_moved(&self) -> u64 {

@@ -65,13 +65,35 @@ pub enum PagePolicy {
 
 /// Timing interface a memory device exposes to the core model.
 ///
-/// One call prices one cache-line (64 B) transfer. Implementations also
-/// accumulate the bytes moved so callers can derive sustained bandwidth
-/// and, from it, device power.
+/// [`line_access`](MemoryTiming::line_access) prices one cache-line
+/// (64 B) transfer; [`stream_access`](MemoryTiming::stream_access) prices
+/// a sequential run of them. Implementations also accumulate the bytes
+/// moved so callers can derive sustained bandwidth and, from it, device
+/// power.
 pub trait MemoryTiming {
     /// Latency to move one line at `line_addr` (a *line* index, not a byte
     /// address) in the given direction.
     fn line_access(&mut self, line_addr: u64, kind: AccessKind) -> Duration;
+
+    /// Prices the sequential run `start_line .. start_line + lines`:
+    /// the sum of every line's latency, each multiplied by `scale` (the
+    /// caller's reciprocal overlap) *before* summing.
+    ///
+    /// The contract is [`stream_per_line`], which is also the default.
+    /// Devices whose lines all cost the same override it with the closed
+    /// form `(latency * scale) * lines` — exact, because `Duration` is
+    /// integer picoseconds and that product *is* `lines` equal addends —
+    /// and must leave every counter and all internal state exactly where
+    /// the per-line walk would.
+    fn stream_access(
+        &mut self,
+        start_line: u64,
+        lines: u64,
+        kind: AccessKind,
+        scale: f64,
+    ) -> Duration {
+        stream_per_line(self, start_line, lines, kind, scale)
+    }
 
     /// Total bytes moved since construction or the last
     /// [`reset_counters`](MemoryTiming::reset_counters).
@@ -91,6 +113,22 @@ pub trait MemoryTiming {
     fn max_overlap(&self, _kind: AccessKind) -> f64 {
         f64::MAX
     }
+}
+
+/// The per-line walk that defines [`MemoryTiming::stream_access`]: one
+/// [`line_access`](MemoryTiming::line_access) per line, scaled, then
+/// summed. Stateful devices (open-page DRAM) price streams this way, and
+/// the differential tests hold every closed form against it.
+pub fn stream_per_line<M: MemoryTiming + ?Sized>(
+    dev: &mut M,
+    start_line: u64,
+    lines: u64,
+    kind: AccessKind,
+    scale: f64,
+) -> Duration {
+    (0..lines)
+        .map(|i| dev.line_access(start_line + i, kind) * scale)
+        .sum()
 }
 
 /// Splits a byte count into the number of whole cache lines that cover it.

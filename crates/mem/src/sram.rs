@@ -47,18 +47,23 @@ impl SramBuffer {
             ..SramBuffer::on_die()
         }
     }
-
-    /// Credits the traffic counter by a recorded per-request delta (the
-    /// memo layer's replay path; the buffer has no timing state at all).
-    pub fn credit_bytes(&mut self, bytes: u64) {
-        self.bytes_moved += bytes;
-    }
 }
 
 impl MemoryTiming for SramBuffer {
     fn line_access(&mut self, _line_addr: u64, _kind: AccessKind) -> Duration {
         self.bytes_moved += LINE_BYTES;
         self.latency
+    }
+
+    fn stream_access(
+        &mut self,
+        _start_line: u64,
+        lines: u64,
+        _kind: AccessKind,
+        scale: f64,
+    ) -> Duration {
+        self.bytes_moved += LINE_BYTES * lines;
+        (self.latency * scale) * lines
     }
 
     fn bytes_moved(&self) -> u64 {

@@ -908,6 +908,233 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Bulk stream pricing: every closed form equals the per-line walk
+// ---------------------------------------------------------------------
+
+mod stream_pricing {
+    use densekv_hybrid::{AdmissionPolicy, HybridConfig, HybridMemory, TierOrganization};
+    use densekv_mem::dram::{DramConfig, DramStack};
+    use densekv_mem::flash::{FlashArray, FlashConfig};
+    use densekv_mem::ftl::Ftl;
+    use densekv_mem::sram::SramBuffer;
+    use densekv_mem::{stream_per_line, AccessKind, MemoryTiming, PagePolicy};
+    use densekv_sim::Duration;
+    use proptest::prelude::*;
+
+    /// One sequential run: where it starts, how long it is, its
+    /// direction, and which overlap the caller scales it by.
+    pub type Run = (u64, u64, bool, usize);
+
+    /// Reciprocal overlaps the phase engine actually produces (MLP 1, 2,
+    /// 3, 4), so the scaled per-line latency rounds as it does there.
+    const SCALES: [f64; 4] = [1.0, 0.5, 1.0 / 3.0, 0.25];
+
+    pub fn kind(write: bool) -> AccessKind {
+        if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        }
+    }
+
+    /// Runs near `anchor` (a port, capacity or page boundary) as often
+    /// as anywhere else, and of 0 to `max_lines` lines.
+    pub fn runs(anchor: u64, span: u64, max_lines: u64) -> impl Strategy<Value = Vec<Run>> {
+        proptest::collection::vec(
+            (
+                prop_oneof![0..span, (anchor - 40)..(anchor + 40)],
+                0..max_lines,
+                any::<bool>(),
+                0usize..SCALES.len(),
+            ),
+            1..24,
+        )
+    }
+
+    /// Drives `fast` through `stream_access` and `reference` through the
+    /// per-line walk, comparing the returned time, the byte counter and
+    /// `observe` (every other counter) after each run.
+    pub fn assert_runs_match<M: MemoryTiming, O: PartialEq + core::fmt::Debug>(
+        fast: &mut M,
+        reference: &mut M,
+        runs: &[Run],
+        observe: impl Fn(&M) -> O,
+    ) {
+        for (i, &(start, lines, write, scale)) in runs.iter().enumerate() {
+            let a = fast.stream_access(start, lines, kind(write), SCALES[scale]);
+            let b = stream_per_line(reference, start, lines, kind(write), SCALES[scale]);
+            prop_assert_eq!(
+                a,
+                b,
+                "run {} ({} lines at {}) priced differently",
+                i,
+                lines,
+                start
+            );
+            prop_assert_eq!(
+                fast.bytes_moved(),
+                reference.bytes_moved(),
+                "bytes after run {}",
+                i
+            );
+            prop_assert_eq!(
+                observe(fast),
+                observe(reference),
+                "counters after run {}",
+                i
+            );
+        }
+    }
+
+    fn dram_counters(d: &DramStack) -> (u64, u64, Vec<u64>) {
+        let ports = (0..d.config().ports).map(|p| d.port_bytes_moved(p));
+        (d.row_hits(), d.row_misses(), ports.collect())
+    }
+
+    fn flash_counters(f: &FlashArray) -> (u64, u64, u64) {
+        (f.reads(), f.programs(), f.erases())
+    }
+
+    /// A small flash geometry so garbage collection starts early;
+    /// `page_bytes` also comes in sizes that are not a whole number of
+    /// 64 B lines, so lines straddle page boundaries.
+    fn tiny_flash(page_bytes: u64) -> FlashConfig {
+        FlashConfig {
+            planes: 2,
+            page_bytes,
+            pages_per_block: 4,
+            blocks_per_plane: 16,
+            read_latency: Duration::from_micros(10),
+            program_latency: Duration::from_micros(200),
+            erase_latency: Duration::from_millis(2),
+            controller_overhead: Duration::from_micros(15),
+            active_mw_per_gbps: 6.0,
+        }
+    }
+
+    proptest! {
+        /// Closed-page stacks take the closed form, open-page and
+        /// odd-sized ones the per-line default; all four must agree with
+        /// the walk on time, bytes, row counters and per-port bytes —
+        /// across port boundaries and the wrap at capacity.
+        #[test]
+        fn dram_stream_matches_per_line_walk(
+            geometry in 0usize..4,
+            // One port is 4 Mi lines on the Mercury stack; 16 of them wrap.
+            runs in runs(4 << 20, 70 << 20, 3_000),
+        ) {
+            let config = match geometry {
+                0 => DramConfig::default(),
+                1 => DramConfig { page_policy: PagePolicy::Open, ..DramConfig::default() },
+                2 => DramConfig::ddr3_like(),
+                // 1.5 GB: not a power of two, so no mask-and-shift decode.
+                _ => DramConfig { layers: 3, ..DramConfig::default() },
+            };
+            let mut fast = DramStack::new(config.clone());
+            let mut reference = DramStack::new(config);
+            assert_runs_match(&mut fast, &mut reference, &runs, dram_counters);
+            // Row-buffer state (open page) shows in what a probe pays next.
+            for line in [0u64, 1, 15, 16, 4 << 20, (4 << 20) + 1] {
+                prop_assert_eq!(
+                    fast.line_access(line, AccessKind::Read),
+                    reference.line_access(line, AccessKind::Read)
+                );
+            }
+        }
+
+        /// The stateless devices: raw flash, the FTL's timing facade over
+        /// it, and the packet-buffer SRAM.
+        #[test]
+        fn flash_ftl_and_sram_streams_match_per_line_walk(runs in runs(1 << 20, 2 << 20, 20_000)) {
+            let config = FlashConfig::default();
+            assert_runs_match(
+                &mut FlashArray::new(config.clone()),
+                &mut FlashArray::new(config),
+                &runs,
+                flash_counters,
+            );
+            assert_runs_match(
+                &mut Ftl::new(tiny_flash(8 << 10), 0.25),
+                &mut Ftl::new(tiny_flash(8 << 10), 0.25),
+                &runs,
+                |ftl| (flash_counters(ftl.flash()), ftl.host_writes()),
+            );
+            assert_runs_match(
+                &mut SramBuffer::on_die(),
+                &mut SramBuffer::on_die(),
+                &runs,
+                SramBuffer::clone,
+            );
+        }
+
+        /// The page-granular hybrid stream against the per-line walk, on
+        /// tiers small enough that runs evict: both organizations, both
+        /// admission policies, a 0-byte tier, pages that lines straddle,
+        /// and writes whose dirty victims fill the writeback buffer and
+        /// reach the FTL (garbage collection included). Bulk PUT writes
+        /// are interleaved, as the core interleaves them.
+        #[test]
+        fn hybrid_stream_matches_per_line_walk(
+            tier_pages in 0u64..9,
+            set_associative in any::<bool>(),
+            second_touch in any::<bool>(),
+            writeback_pages in 1u32..5,
+            page_shape in 0usize..3,
+            // 96 logical pages are exported; starts run past them to wrap.
+            runs in runs(96 * 128, 110 * 128, 700),
+            value_writes in proptest::collection::vec((0u64..(1 << 20), 1u64..40_000), 24),
+        ) {
+            let page_bytes = [8 << 10, 65 * 64, 5_000][page_shape];
+            let config = HybridConfig {
+                dram_tier_bytes: tier_pages * page_bytes,
+                organization: if set_associative {
+                    TierOrganization::SetAssociative { ways: 2 }
+                } else {
+                    TierOrganization::ObjectLru
+                },
+                admission: if second_touch {
+                    AdmissionPolicy::SecondTouch { window: 3 }
+                } else {
+                    AdmissionPolicy::Always
+                },
+                writeback_pages,
+                flash: tiny_flash(page_bytes),
+                overprovision: 0.25,
+                ..HybridConfig::helios(0, Duration::from_micros(10))
+            };
+            let mut fast = HybridMemory::new(config.clone());
+            let mut reference = HybridMemory::new(config);
+            let observe = |m: &HybridMemory| {
+                (m.snapshot(), flash_counters(m.ftl().flash()), m.ftl().flash().wear_spread())
+            };
+            for (run, &(offset, bytes)) in runs.iter().zip(&value_writes) {
+                assert_runs_match(&mut fast, &mut reference, &[*run], observe);
+                prop_assert_eq!(
+                    fast.value_write(offset, bytes),
+                    reference.value_write(offset, bytes)
+                );
+            }
+            // What each later access pays depends on which pages are
+            // resident, which are dirty and in what recency order: a
+            // scan longer than the tier, twice, witnesses all three.
+            let lines_per_page = page_bytes.div_ceil(64);
+            for pass in 0..2 {
+                for page in (0..24u64).map(|i| i * 7 % 24) {
+                    let line = page * lines_per_page + pass;
+                    prop_assert_eq!(
+                        fast.line_access(line, kind(page % 3 == 0)),
+                        reference.line_access(line, kind(page % 3 == 0)),
+                        "probe of page {} diverged", page
+                    );
+                }
+            }
+            prop_assert_eq!(fast.drain_writeback(), reference.drain_writeback());
+            prop_assert_eq!(observe(&fast), observe(&reference));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Parallel harness determinism (densekv-par)
 // ---------------------------------------------------------------------
 

@@ -128,15 +128,28 @@ pub fn measure(variant: Variant, threads: u32, duration: StdDuration) -> Scaling
     }
 }
 
-/// Sweeps thread counts for one variant.
+/// What stands in for a measurement taken with more threads than the
+/// host has cores.
+pub const SKIPPED: &str = "skipped_insufficient_cores";
+
+/// Whether `threads` workers can each have a core of this host. When
+/// they cannot, their throughput relative to one thread's says how the
+/// scheduler shares a core, not how a lock scales: callers report
+/// [`SKIPPED`] instead of a ratio.
+pub fn enough_cores(threads: u32) -> bool {
+    std::thread::available_parallelism().is_ok_and(|cores| cores.get() >= threads as usize)
+}
+
+/// Sweeps thread counts for one variant; a count the host has too few
+/// cores for yields `None` ([`enough_cores`]).
 pub fn scaling_curve(
     variant: Variant,
     thread_counts: &[u32],
     duration: StdDuration,
-) -> Vec<ScalingPoint> {
+) -> Vec<Option<ScalingPoint>> {
     thread_counts
         .iter()
-        .map(|&t| measure(variant, t, duration))
+        .map(|&t| enough_cores(t).then(|| measure(variant, t, duration)))
         .collect()
 }
 
@@ -156,6 +169,15 @@ mod tests {
     }
 
     #[test]
+    fn a_curve_has_no_point_where_the_host_has_no_cores() {
+        let wide = u32::MAX;
+        assert!(enough_cores(1) && !enough_cores(wide));
+        let curve = scaling_curve(Variant::Bags, &[1, wide], StdDuration::from_millis(20));
+        assert_eq!(curve[0].map(|p| p.threads), Some(1));
+        assert_eq!(curve[1], None);
+    }
+
+    #[test]
     fn labels_are_distinct() {
         let labels: std::collections::HashSet<_> = Variant::ALL.iter().map(|v| v.label()).collect();
         assert_eq!(labels.len(), 3);
@@ -165,13 +187,10 @@ mod tests {
     /// tolerant (CI machines vary); the bench produces the full curve.
     #[test]
     fn bags_scales_at_least_as_well_as_global_lock() {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2) as u32;
-        if cores < 4 {
+        if !enough_cores(4) {
             return; // contention is invisible without parallelism
         }
-        let threads = cores.min(8);
+        let threads = if enough_cores(8) { 8 } else { 4 };
         let global = measure(Variant::GlobalLock, threads, StdDuration::from_millis(300));
         let bags = measure(Variant::Bags, threads, StdDuration::from_millis(300));
         assert!(

@@ -8,25 +8,27 @@ use std::time::Duration as StdBenchDuration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use densekv_baseline::host::{measure, Variant};
+use densekv_baseline::host::{measure, scaling_curve, Variant, SKIPPED};
 
 fn bench_lock_scaling(c: &mut Criterion) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get() as u32)
         .unwrap_or(2);
-    let thread_counts: Vec<u32> = [1u32, 2, 4, 8, 16]
-        .into_iter()
-        .filter(|&t| t <= cores)
-        .collect();
 
-    // Print the full scaling curve once (the Table 4 ordering).
+    // Print the full scaling curve once (the Table 4 ordering); a width
+    // the host has no cores for says so instead of reporting a rate.
     eprintln!("[lock_scaling] host has {cores} cores");
     for variant in Variant::ALL {
-        let curve: Vec<String> = thread_counts
+        let curve: Vec<String> = [1u32, 2, 4, 8, 16]
             .iter()
-            .map(|&t| {
-                let p = measure(variant, t, StdDuration::from_millis(400));
-                format!("{t}T={:.0}K", p.ops_per_sec / 1000.0)
+            .zip(scaling_curve(
+                variant,
+                &[1, 2, 4, 8, 16],
+                StdDuration::from_millis(400),
+            ))
+            .map(|(t, point)| match point {
+                Some(p) => format!("{t}T={:.0}K", p.ops_per_sec / 1000.0),
+                None => format!("{t}T={SKIPPED}"),
             })
             .collect();
         eprintln!(

@@ -8,15 +8,17 @@
 //! bytes through tier pages and bitmaps. Seeded Zipf keys, a 90/10
 //! GET/SET mix, and value sizes straddling every page tier make the
 //! hot path representative; `results/engine_bench.csv` records both
-//! absolute throughput and per-variant scaling so the striped designs'
-//! advantage over the global lock is visible even on boxes where raw
-//! ops/s saturates early.
+//! absolute throughput and per-variant scaling. A thread count the host
+//! has too few cores for is reported as `skipped_insufficient_cores`:
+//! its rate relative to one thread's would say how the scheduler shares
+//! a core, not how a lock scales.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use densekv::report::TextTable;
+use densekv_baseline::host::{enough_cores, SKIPPED};
 use densekv_engine::StripedEngine;
 use densekv_kv::concurrent::SharedStore;
 use densekv_sim::dist::Zipf;
@@ -144,6 +146,17 @@ fn main() {
     for variant in Variant::ALL {
         let mut base = 0.0;
         for &threads in thread_counts {
+            // With fewer cores than threads the rate relative to one
+            // thread's measures the scheduler, not the locks.
+            if !enough_cores(threads) {
+                table.row(vec![
+                    variant.label().into(),
+                    threads.to_string(),
+                    SKIPPED.into(),
+                    SKIPPED.into(),
+                ]);
+                continue;
+            }
             let ops = median_ops(variant, threads, duration, reps);
             if threads == 1 {
                 base = ops;

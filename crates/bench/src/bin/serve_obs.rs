@@ -13,7 +13,7 @@
 //! directions — a single pair would make the gate a coin flip). With
 //! `DENSEKV_OBS_GATE=1` the bin exits non-zero when the median
 //! instrumented throughput drop exceeds the tolerance
-//! (`DENSEKV_OBS_TOLERANCE`, default 0.20) — the CI regression gate for
+//! (`DENSEKV_OBS_TOLERANCE`, default 0.05) — the CI regression gate for
 //! the passivity claim.
 //!
 //! Emits:
@@ -99,7 +99,9 @@ fn capacity_with(metrics: MetricsConfig, workers: usize, requests: u64) -> f64 {
 fn main() {
     let quick = std::env::var("DENSEKV_QUICK").is_ok_and(|v| v != "0");
     let workers = densekv_bench::jobs().get().clamp(2, 8);
-    let closed_requests: u64 = if quick { 300 } else { 2_000 };
+    // The same in quick mode: a burst shorter than a scheduler quantum
+    // cannot resolve the few percent the overhead gate is about.
+    let closed_requests: u64 = 2_000;
     let open_millis = if quick { 400 } else { 2_000 };
     let sample_every = if quick { 32 } else { 128 };
 
@@ -202,7 +204,7 @@ fn main() {
     // Interleave off/on pairs and gate on the median paired overhead:
     // each pair shares whatever transient load the host is under, and
     // the median discards outlier pairs in either direction.
-    let pairs = if quick { 3 } else { 5 };
+    let pairs = 5;
     let median = |v: &mut Vec<f64>| {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
@@ -210,16 +212,20 @@ fn main() {
     let mut offs = Vec::new();
     let mut ons = Vec::new();
     let mut overheads = Vec::new();
-    for _ in 0..pairs {
-        let off = capacity_with(MetricsConfig::disabled(), workers, closed_requests);
-        let on = capacity_with(
-            MetricsConfig {
-                sample_every,
-                ..MetricsConfig::default()
-            },
-            workers,
-            closed_requests,
-        );
+    let plane_on = MetricsConfig {
+        sample_every,
+        ..MetricsConfig::default()
+    };
+    let burst = |plane: &MetricsConfig| capacity_with(plane.clone(), workers, closed_requests);
+    for pair in 0..pairs {
+        // Whichever runs second finds the host warmer: take turns.
+        let (off, on) = if pair % 2 == 0 {
+            let off = burst(&MetricsConfig::disabled());
+            (off, burst(&plane_on))
+        } else {
+            let on = burst(&plane_on);
+            (burst(&MetricsConfig::disabled()), on)
+        };
         eprintln!("[serve_obs] overhead pair: off {off:.0} rps, on {on:.0} rps");
         overheads.push(1.0 - on / off.max(f64::MIN_POSITIVE));
         offs.push(off);
@@ -286,7 +292,7 @@ fn main() {
         let tolerance: f64 = std::env::var("DENSEKV_OBS_TOLERANCE")
             .ok()
             .and_then(|v| v.parse().ok())
-            .unwrap_or(0.20);
+            .unwrap_or(0.05);
         if overhead > tolerance {
             eprintln!(
                 "[serve_obs] GATE FAILED: metrics overhead {:.1}% exceeds {:.0}% tolerance",

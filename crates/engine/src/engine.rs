@@ -12,8 +12,8 @@
 use densekv_kv::hash::jenkins_oaat;
 use densekv_kv::lru::EvictionPolicy;
 use densekv_kv::store::{
-    AccessTrace, GetHit, StoreConfig, StoreError, StoreStats, ITEM_HEADER_BYTES,
-    MAX_ITEM_FOOTPRINT_BYTES, MAX_KEY_BYTES,
+    HitRef, StoreConfig, StoreError, StoreStats, ITEM_HEADER_BYTES, MAX_ITEM_FOOTPRINT_BYTES,
+    MAX_KEY_BYTES,
 };
 use densekv_kv::StoreBackend;
 
@@ -137,9 +137,8 @@ impl Engine {
         (hash & self.mask) as usize
     }
 
-    /// Probes for `key`, lazily expiring a stale match. Returns the item
-    /// slot and the number of buckets probed.
-    fn lookup(&mut self, key: &[u8], hash: u64, now: u64) -> (Option<u32>, usize) {
+    /// Probes for `key`, lazily expiring a stale match.
+    fn lookup(&mut self, key: &[u8], hash: u64, now: u64) -> Option<u32> {
         let home = self.home(hash);
         let mask = self.mask as usize;
         let mut probes = PROBE_LIMIT;
@@ -170,11 +169,10 @@ impl Engine {
                 self.remove_slot(slot);
                 self.stats.expirations += 1;
                 self.stats.expired_bytes += freed;
-                return (None, probes);
+                return None;
             }
-            return (Some(slot), probes);
         }
-        (None, probes)
+        found
     }
 
     /// Tries to place `slot` within the probe window; `false` means the
@@ -299,6 +297,7 @@ impl Engine {
     fn do_set(
         &mut self,
         key: &[u8],
+        hash: u64,
         value: Vec<u8>,
         flags: u32,
         ttl_secs: Option<u64>,
@@ -307,11 +306,10 @@ impl Engine {
         if key.len() > MAX_KEY_BYTES {
             return Err(StoreError::KeyTooLong { len: key.len() });
         }
-        let hash = jenkins_oaat(key);
 
         // Replace any existing copy first (frees its page) — as in the
         // model store, a failed allocation destroys the old item.
-        let (existing, _) = self.lookup(key, hash, now);
+        let existing = self.lookup(key, hash, now);
         if let Some(slot) = existing {
             self.remove_slot(slot);
         }
@@ -355,49 +353,32 @@ impl Engine {
 }
 
 impl StoreBackend for Engine {
-    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit> {
-        let hash = jenkins_oaat(key);
-        let (slot, probes) = self.lookup(key, hash, now);
-        match slot {
-            Some(slot) => {
-                let item = self.items[slot as usize].as_ref().expect("live");
-                let class = item.class();
-                let vlen = u64::from(item.vlen);
-                let home = self.home(hash);
-                let mask = self.mask as usize;
-                let trace = AccessTrace {
-                    bucket_offset: home as u64 * 8,
-                    chain_offsets: (1..probes)
-                        .map(|i| (((home + i) & mask) * 8) as u64)
-                        .collect(),
-                    value: Some((
-                        AccessTrace::SLAB_REGION_OFFSET + self.tiers.byte_offset(item.vref),
-                        vlen,
-                    )),
-                };
-                let value = self.tiers.read(item.vref, item.vlen as usize).to_vec();
-                let (flags, cas) = (item.flags, item.cas);
-                self.policies[class].on_access(slot);
-                self.stats.get_hits += 1;
-                self.stats.bytes_read += vlen;
-                Some(GetHit::new(value, flags, cas, trace))
-            }
-            None => {
-                self.stats.get_misses += 1;
-                None
-            }
-        }
+    fn get_ref(&mut self, key: &[u8], hash: u64, now: u64) -> Option<HitRef<'_>> {
+        let Some(slot) = self.lookup(key, hash, now) else {
+            self.stats.get_misses += 1;
+            return None;
+        };
+        let item = self.items[slot as usize].as_ref().expect("live");
+        self.policies[item.class()].on_access(slot);
+        self.stats.get_hits += 1;
+        self.stats.bytes_read += u64::from(item.vlen);
+        Some(HitRef {
+            value: self.tiers.read(item.vref, item.vlen as usize),
+            flags: item.flags,
+            cas: item.cas,
+        })
     }
 
-    fn set_with_flags(
+    fn set_hashed(
         &mut self,
         key: &[u8],
+        hash: u64,
         value: Vec<u8>,
         flags: u32,
         ttl_secs: Option<u64>,
         now: u64,
     ) -> Result<(), StoreError> {
-        self.do_set(key, value, flags, ttl_secs, now)
+        self.do_set(key, hash, value, flags, ttl_secs, now)
     }
 
     fn add(
@@ -408,10 +389,10 @@ impl StoreBackend for Engine {
         now: u64,
     ) -> Result<(), StoreError> {
         let hash = jenkins_oaat(key);
-        if self.lookup(key, hash, now).0.is_some() {
+        if self.lookup(key, hash, now).is_some() {
             return Err(StoreError::Exists);
         }
-        self.do_set(key, value, 0, ttl_secs, now)
+        self.do_set(key, hash, value, 0, ttl_secs, now)
     }
 
     fn replace(
@@ -422,10 +403,10 @@ impl StoreBackend for Engine {
         now: u64,
     ) -> Result<(), StoreError> {
         let hash = jenkins_oaat(key);
-        if self.lookup(key, hash, now).0.is_none() {
+        if self.lookup(key, hash, now).is_none() {
             return Err(StoreError::NotFound);
         }
-        self.do_set(key, value, 0, ttl_secs, now)
+        self.do_set(key, hash, value, 0, ttl_secs, now)
     }
 
     fn concat(
@@ -436,7 +417,7 @@ impl StoreBackend for Engine {
         now: u64,
     ) -> Result<(), StoreError> {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
+        let slot = self.lookup(key, hash, now);
         let slot = slot.ok_or(StoreError::NotFound)?;
         let (mut value, flags, expires_at) = {
             let item = self.items[slot as usize].as_ref().expect("live");
@@ -454,7 +435,7 @@ impl StoreBackend for Engine {
             value.extend_from_slice(extra);
         }
         let ttl = expires_at.map(|t| t.saturating_sub(now));
-        self.do_set(key, value, flags, ttl, now)
+        self.do_set(key, hash, value, flags, ttl, now)
     }
 
     fn cas(
@@ -466,13 +447,13 @@ impl StoreBackend for Engine {
         now: u64,
     ) -> Result<(), StoreError> {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
+        let slot = self.lookup(key, hash, now);
         let slot = slot.ok_or(StoreError::NotFound)?;
         let current = self.items[slot as usize].as_ref().expect("live").cas;
         if current != cas {
             return Err(StoreError::CasMismatch);
         }
-        self.do_set(key, value, 0, ttl_secs, now)
+        self.do_set(key, hash, value, 0, ttl_secs, now)
     }
 
     fn incr_decr(
@@ -483,7 +464,7 @@ impl StoreBackend for Engine {
         now: u64,
     ) -> Result<u64, StoreError> {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
+        let slot = self.lookup(key, hash, now);
         let slot = slot.ok_or(StoreError::NotFound)?;
         let (current, flags, expires_at) = {
             let item = self.items[slot as usize].as_ref().expect("live");
@@ -498,13 +479,13 @@ impl StoreBackend for Engine {
             current.wrapping_add(delta)
         };
         let ttl = expires_at.map(|t| t.saturating_sub(now));
-        self.do_set(key, next.to_string().into_bytes(), flags, ttl, now)?;
+        self.do_set(key, hash, next.to_string().into_bytes(), flags, ttl, now)?;
         Ok(next)
     }
 
     fn touch(&mut self, key: &[u8], ttl_secs: Option<u64>, now: u64) -> bool {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
+        let slot = self.lookup(key, hash, now);
         match slot {
             Some(slot) => {
                 let item = self.items[slot as usize].as_mut().expect("live");
@@ -520,7 +501,7 @@ impl StoreBackend for Engine {
         let hash = jenkins_oaat(key);
         // As in the model store: a delete finds any TTL'd item already
         // expired, so it answers "not found" and counts an expiration.
-        let (slot, _) = self.lookup(key, hash, u64::MAX.saturating_sub(1));
+        let slot = self.lookup(key, hash, u64::MAX.saturating_sub(1));
         match slot {
             Some(slot) => {
                 self.remove_slot(slot);

@@ -13,7 +13,7 @@
 use densekv_engine::Engine;
 use densekv_kv::server::serve_buffer;
 use densekv_kv::store::{
-    GetHit, KvStore, StoreConfig, StoreError, StoreStats, ITEM_HEADER_BYTES,
+    HitRef, KvStore, StoreConfig, StoreError, StoreStats, ITEM_HEADER_BYTES,
     MAX_ITEM_FOOTPRINT_BYTES, MAX_KEY_BYTES,
 };
 use densekv_kv::StoreBackend;
@@ -115,18 +115,17 @@ impl RefStore {
 }
 
 impl StoreBackend for RefStore {
-    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit> {
+    fn get_ref(&mut self, key: &[u8], _hash: u64, now: u64) -> Option<HitRef<'_>> {
         self.expire(key, now);
         match self.map.get(key) {
             Some(item) => {
                 self.stats.get_hits += 1;
                 self.stats.bytes_read += item.value.len() as u64;
-                Some(GetHit::new(
-                    item.value.clone(),
-                    item.flags,
-                    item.cas,
-                    Default::default(),
-                ))
+                Some(HitRef {
+                    value: &item.value,
+                    flags: item.flags,
+                    cas: item.cas,
+                })
             }
             None => {
                 self.stats.get_misses += 1;
@@ -135,9 +134,10 @@ impl StoreBackend for RefStore {
         }
     }
 
-    fn set_with_flags(
+    fn set_hashed(
         &mut self,
         key: &[u8],
+        _hash: u64,
         value: Vec<u8>,
         flags: u32,
         ttl_secs: Option<u64>,

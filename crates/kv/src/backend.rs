@@ -1,6 +1,6 @@
 //! The storage-backend abstraction: one protocol loop, many engines.
 //!
-//! [`crate::server::handle_command`] dispatches parsed commands through
+//! [`crate::server::execute`] dispatches parsed commands through
 //! [`StoreBackend`] rather than a concrete store, so the same command
 //! loop (and everything stacked on it: [`crate::server::serve_buffer`],
 //! the sharded TCP front-end, the load generators) runs over either the
@@ -10,7 +10,8 @@
 //! not layout — which is what lets a differential test pin two
 //! implementations against each other byte for byte.
 
-use crate::store::{GetHit, KvStore, StoreError, StoreStats};
+use crate::hash::jenkins_oaat;
+use crate::store::{AccessTrace, GetHit, HitRef, KvStore, StoreError, StoreStats};
 
 /// The store operations the protocol loop dispatches.
 ///
@@ -22,15 +23,47 @@ use crate::store::{GetHit, KvStore, StoreError, StoreStats};
 /// expired). The differential proptest in `densekv-engine` enforces
 /// this agreement over random command sequences.
 pub trait StoreBackend {
-    /// Fetches `key`, returning the hit (value, flags, CAS) if live.
-    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit>;
+    /// Fetches `key` and lends the hit (value, flags, CAS) if live — a
+    /// GET's lookup, recency touch and counters, without copying the
+    /// value out. `hash` is [`jenkins_oaat`]`(key)`: the caller that
+    /// picked this store by it need not have it computed again.
+    fn get_ref(&mut self, key: &[u8], hash: u64, now: u64) -> Option<HitRef<'_>>;
+
+    /// [`StoreBackend::get_ref`] with the value copied out.
+    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit> {
+        self.get_ref(key, jenkins_oaat(key), now).map(|hit| {
+            GetHit::new(
+                hit.value.to_vec(),
+                hit.flags,
+                hit.cas,
+                AccessTrace::default(),
+            )
+        })
+    }
 
     /// Stores `key` → `value` with client flags and optional TTL.
+    /// `hash` is [`jenkins_oaat`]`(key)`, as for
+    /// [`StoreBackend::get_ref`].
     ///
     /// # Errors
     ///
     /// [`StoreError::KeyTooLong`], [`StoreError::ValueTooLarge`], or
     /// [`StoreError::OutOfMemory`] when eviction cannot make room.
+    fn set_hashed(
+        &mut self,
+        key: &[u8],
+        hash: u64,
+        value: Vec<u8>,
+        flags: u32,
+        ttl_secs: Option<u64>,
+        now: u64,
+    ) -> Result<(), StoreError>;
+
+    /// [`StoreBackend::set_hashed`], hashing `key` itself.
+    ///
+    /// # Errors
+    ///
+    /// As for [`StoreBackend::set_hashed`].
     fn set_with_flags(
         &mut self,
         key: &[u8],
@@ -38,7 +71,9 @@ pub trait StoreBackend {
         flags: u32,
         ttl_secs: Option<u64>,
         now: u64,
-    ) -> Result<(), StoreError>;
+    ) -> Result<(), StoreError> {
+        self.set_hashed(key, jenkins_oaat(key), value, flags, ttl_secs, now)
+    }
 
     /// Stores only if the key is absent (Memcached `add`).
     ///
@@ -139,19 +174,20 @@ pub trait StoreBackend {
 }
 
 impl StoreBackend for KvStore {
-    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit> {
-        KvStore::get(self, key, now)
+    fn get_ref(&mut self, key: &[u8], hash: u64, now: u64) -> Option<HitRef<'_>> {
+        KvStore::get_ref(self, key, hash, now)
     }
 
-    fn set_with_flags(
+    fn set_hashed(
         &mut self,
         key: &[u8],
+        hash: u64,
         value: Vec<u8>,
         flags: u32,
         ttl_secs: Option<u64>,
         now: u64,
     ) -> Result<(), StoreError> {
-        KvStore::set_with_flags(self, key, value, flags, ttl_secs, now).map(|_| ())
+        KvStore::set_hashed(self, key, hash, value, flags, ttl_secs, now).map(|_| ())
     }
 
     fn add(

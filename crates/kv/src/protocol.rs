@@ -2,14 +2,16 @@
 //! `get`, `gets`, `set`, `delete`, `touch`, `flush_all`, `stats`, plus
 //! `version` and `quit`).
 //!
-//! Parsing is incremental over a [`bytes::BytesMut`]: a parse call either
-//! yields a complete command (consuming its bytes), reports that more
-//! bytes are needed, or fails with a protocol error — exactly the contract
-//! a byte-stream server loop needs.
+//! Parsing is incremental: [`parse_request`] either yields a complete
+//! command borrowed from the bytes it was given (and how many of them it
+//! spans), reports that more bytes are needed, or fails with a protocol
+//! error — exactly the contract a byte-stream server loop needs.
+//! [`parse_command`] is the same parse copied out into an owned
+//! [`Command`] and consumed from a [`bytes::BytesMut`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::store::{GetHit, StoreError};
+use crate::store::{GetHit, HitRef, StoreError};
 
 /// Maximum accepted command-line length (Memcached rejects longer).
 pub const MAX_LINE_BYTES: usize = 2048;
@@ -37,13 +39,14 @@ pub enum StoreVerb {
     Cas,
 }
 
-/// A parsed client command.
+/// A parsed client command. By default it owns its bytes; the command
+/// loop executes the borrowed form, [`Request`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Command {
+pub enum Command<B = Bytes, K = Vec<Bytes>> {
     /// `get <key>+` — fetch one or more keys.
     Get {
         /// Keys requested.
-        keys: Vec<Bytes>,
+        keys: K,
         /// Whether CAS tokens were requested (`gets`).
         with_cas: bool,
     },
@@ -53,13 +56,13 @@ pub enum Command {
         /// Storage semantics.
         verb: StoreVerb,
         /// Item key.
-        key: Bytes,
+        key: B,
         /// Client-opaque flags.
         flags: u32,
         /// Expiry in seconds (0 = immortal).
         exptime: u64,
         /// Value bytes.
-        data: Bytes,
+        data: B,
         /// CAS token (only for `cas`).
         cas: u64,
         /// Suppress the reply.
@@ -68,7 +71,7 @@ pub enum Command {
     /// `incr <key> <delta> [noreply]` / `decr …`.
     IncrDecr {
         /// Item key.
-        key: Bytes,
+        key: B,
         /// Unsigned delta.
         delta: u64,
         /// True for `decr`.
@@ -79,14 +82,14 @@ pub enum Command {
     /// `delete <key> [noreply]`.
     Delete {
         /// Item key.
-        key: Bytes,
+        key: B,
         /// Suppress the reply.
         noreply: bool,
     },
     /// `touch <key> <exptime> [noreply]`.
     Touch {
         /// Item key.
-        key: Bytes,
+        key: B,
         /// New expiry in seconds.
         exptime: u64,
         /// Suppress the reply.
@@ -99,7 +102,7 @@ pub enum Command {
     /// carries the sub-command verbatim for the serving layer to route.
     Stats {
         /// The sub-command after `stats`, if any.
-        arg: Option<Bytes>,
+        arg: Option<B>,
     },
     /// `metrics` — Prometheus text exposition of every live metric
     /// (a densekv extension; not part of the Memcached protocol).
@@ -108,6 +111,95 @@ pub enum Command {
     Version,
     /// `quit`.
     Quit,
+}
+
+/// A command whose key and data are slices of the bytes it was parsed
+/// from: nothing is copied until a store keeps it.
+pub type Request<'a> = Command<&'a [u8], Keys<'a>>;
+
+impl<B, K> Command<B, K> {
+    /// The same command over another representation of its bytes and
+    /// of its key list.
+    fn map<'a, B2, K2>(
+        &'a self,
+        bytes: impl Fn(&'a B) -> B2,
+        keys: impl FnOnce(&'a K) -> K2,
+    ) -> Command<B2, K2> {
+        match *self {
+            Command::Get {
+                keys: ref k,
+                with_cas,
+            } => Command::Get {
+                keys: keys(k),
+                with_cas,
+            },
+            Command::Set {
+                verb,
+                ref key,
+                flags,
+                exptime,
+                ref data,
+                cas,
+                noreply,
+            } => Command::Set {
+                verb,
+                key: bytes(key),
+                flags,
+                exptime,
+                data: bytes(data),
+                cas,
+                noreply,
+            },
+            Command::IncrDecr {
+                ref key,
+                delta,
+                decrement,
+                noreply,
+            } => Command::IncrDecr {
+                key: bytes(key),
+                delta,
+                decrement,
+                noreply,
+            },
+            Command::Delete { ref key, noreply } => Command::Delete {
+                key: bytes(key),
+                noreply,
+            },
+            Command::Touch {
+                ref key,
+                exptime,
+                noreply,
+            } => Command::Touch {
+                key: bytes(key),
+                exptime,
+                noreply,
+            },
+            Command::FlushAll => Command::FlushAll,
+            Command::Stats { ref arg } => Command::Stats {
+                arg: arg.as_ref().map(bytes),
+            },
+            Command::Metrics => Command::Metrics,
+            Command::Version => Command::Version,
+            Command::Quit => Command::Quit,
+        }
+    }
+}
+
+impl Request<'_> {
+    /// Copies the request out of the buffer it borrows from.
+    pub fn to_command(&self) -> Command {
+        self.map(
+            |bytes| Bytes::copy_from_slice(bytes),
+            |keys| keys.clone().map(Bytes::copy_from_slice).collect(),
+        )
+    }
+}
+
+impl Command {
+    /// The command as the borrowed form the command loop executes.
+    pub fn as_request(&self) -> Request<'_> {
+        self.map(|bytes| &bytes[..], |keys| Keys::Owned(keys.iter()))
+    }
 }
 
 /// Protocol-level parse errors (the server answers `CLIENT_ERROR`/`ERROR`).
@@ -148,6 +240,45 @@ pub enum Parsed {
     Incomplete,
 }
 
+/// The space-separated tokens of a command line, empty tokens skipped.
+#[derive(Debug, Clone)]
+pub struct Tokens<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let start = self.rest.iter().position(|&b| b != b' ')?;
+        let rest = &self.rest[start..];
+        let end = rest.iter().position(|&b| b == b' ').unwrap_or(rest.len());
+        self.rest = &rest[end..];
+        Some(&rest[..end])
+    }
+}
+
+/// The keys of a `get`: read straight off the received line, or out of
+/// an owned [`Command`].
+#[derive(Debug, Clone)]
+pub enum Keys<'a> {
+    /// The rest of the command line after the verb.
+    Line(Tokens<'a>),
+    /// The key list of a [`Command::Get`].
+    Owned(std::slice::Iter<'a, Bytes>),
+}
+
+impl<'a> Iterator for Keys<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        match self {
+            Keys::Line(tokens) => tokens.next(),
+            Keys::Owned(keys) => keys.next().map(|key| &key[..]),
+        }
+    }
+}
+
 /// Tries to parse one command from the front of `buf`.
 ///
 /// On [`Parsed::Complete`] the command's bytes (including its data block,
@@ -175,32 +306,47 @@ pub enum Parsed {
 /// # Ok::<(), densekv_kv::protocol::ProtocolError>(())
 /// ```
 pub fn parse_command(buf: &mut BytesMut) -> Result<Parsed, ProtocolError> {
-    let Some(line_end) = find_crlf(buf) else {
+    let Some((request, used)) = parse_request(buf)? else {
+        return Ok(Parsed::Incomplete);
+    };
+    let command = request.to_command();
+    buf.advance(used);
+    Ok(Parsed::Complete(command))
+}
+
+/// Tries to parse one request from the front of `buf` without copying
+/// anything out of it: `Some` carries the request and how many bytes of
+/// `buf` it spans (data block included); `None` means `buf` does not yet
+/// hold a complete command.
+///
+/// # Errors
+///
+/// As for [`parse_command`].
+pub fn parse_request(buf: &[u8]) -> Result<Option<(Request<'_>, usize)>, ProtocolError> {
+    // A line within the limit ends inside this window; past it the line
+    // is too long whether or not its end has arrived.
+    let window = &buf[..buf.len().min(MAX_LINE_BYTES + 2)];
+    let Some(line_end) = find_crlf(window) else {
         if buf.len() > MAX_LINE_BYTES {
             return Err(ProtocolError::LineTooLong);
         }
-        return Ok(Parsed::Incomplete);
+        return Ok(None);
     };
-    if line_end > MAX_LINE_BYTES {
-        return Err(ProtocolError::LineTooLong);
-    }
-
-    // Peek the line without consuming: `set` needs the data block too.
-    let line: Vec<u8> = buf[..line_end].to_vec();
-    let mut parts = line.split(|&b| b == b' ').filter(|token| !token.is_empty());
+    let mut parts = Tokens {
+        rest: &buf[..line_end],
+    };
     let verb = parts.next().unwrap_or(b"");
+    let mut used = line_end + 2;
 
-    match verb {
+    let request = match verb {
         b"get" | b"gets" => {
-            let keys: Vec<Bytes> = parts.map(Bytes::copy_from_slice).collect();
-            if keys.is_empty() {
+            if parts.clone().next().is_none() {
                 return Err(ProtocolError::BadArguments("get needs at least one key"));
             }
-            buf.advance(line_end + 2);
-            Ok(Parsed::Complete(Command::Get {
-                keys,
+            Request::Get {
+                keys: Keys::Line(parts),
                 with_cas: verb == b"gets",
-            }))
+            }
         }
         b"set" | b"add" | b"replace" | b"append" | b"prepend" | b"cas" => {
             let store_verb = match verb {
@@ -214,7 +360,10 @@ pub fn parse_command(buf: &mut BytesMut) -> Result<Parsed, ProtocolError> {
             let key = parts
                 .next()
                 .ok_or(ProtocolError::BadArguments("storage command needs a key"))?;
-            let flags = parse_u64(parts.next(), "flags")? as u32;
+            // Out of range is an error, as memcached's `safe_strtoul`
+            // makes it, not a value to wrap.
+            let flags = u32::try_from(parse_u64(parts.next(), "flags")?)
+                .map_err(|_| ProtocolError::BadArguments("flags"))?;
             let exptime = parse_u64(parts.next(), "exptime")?;
             let nbytes = parse_u64(parts.next(), "bytes")?;
             // Memcached rejects oversized items up front; the bound also
@@ -230,98 +379,80 @@ pub fn parse_command(buf: &mut BytesMut) -> Result<Parsed, ProtocolError> {
                 0
             };
             let noreply = matches!(parts.next(), Some(b"noreply"));
-            let data_start = line_end + 2;
-            let needed = data_start + nbytes + 2;
-            if buf.len() < needed {
-                return Ok(Parsed::Incomplete);
+            let data_start = used;
+            used = data_start + nbytes + 2;
+            if buf.len() < used {
+                return Ok(None);
             }
-            if &buf[data_start + nbytes..needed] != b"\r\n" {
+            if &buf[data_start + nbytes..used] != b"\r\n" {
                 return Err(ProtocolError::BadDataChunk);
             }
-            let key = Bytes::copy_from_slice(key);
-            buf.advance(data_start);
-            let data = buf.split_to(nbytes).freeze();
-            buf.advance(2);
-            Ok(Parsed::Complete(Command::Set {
+            Request::Set {
                 verb: store_verb,
                 key,
                 flags,
                 exptime,
-                data,
+                data: &buf[data_start..data_start + nbytes],
                 cas,
                 noreply,
-            }))
+            }
         }
         b"incr" | b"decr" => {
             let key = parts
                 .next()
                 .ok_or(ProtocolError::BadArguments("incr/decr needs a key"))?;
             let delta = parse_u64(parts.next(), "delta")?;
-            let noreply = matches!(parts.next(), Some(b"noreply"));
-            let cmd = Command::IncrDecr {
-                key: Bytes::copy_from_slice(key),
+            Request::IncrDecr {
+                key,
                 delta,
                 decrement: verb == b"decr",
-                noreply,
-            };
-            buf.advance(line_end + 2);
-            Ok(Parsed::Complete(cmd))
+                noreply: matches!(parts.next(), Some(b"noreply")),
+            }
         }
         b"delete" => {
             let key = parts
                 .next()
                 .ok_or(ProtocolError::BadArguments("delete needs a key"))?;
-            let noreply = matches!(parts.next(), Some(b"noreply"));
-            let cmd = Command::Delete {
-                key: Bytes::copy_from_slice(key),
-                noreply,
-            };
-            buf.advance(line_end + 2);
-            Ok(Parsed::Complete(cmd))
+            Request::Delete {
+                key,
+                noreply: matches!(parts.next(), Some(b"noreply")),
+            }
         }
         b"touch" => {
             let key = parts
                 .next()
                 .ok_or(ProtocolError::BadArguments("touch needs a key"))?;
             let exptime = parse_u64(parts.next(), "exptime")?;
-            let noreply = matches!(parts.next(), Some(b"noreply"));
-            let cmd = Command::Touch {
-                key: Bytes::copy_from_slice(key),
+            Request::Touch {
+                key,
                 exptime,
-                noreply,
-            };
-            buf.advance(line_end + 2);
-            Ok(Parsed::Complete(cmd))
+                noreply: matches!(parts.next(), Some(b"noreply")),
+            }
         }
-        b"flush_all" => {
-            buf.advance(line_end + 2);
-            Ok(Parsed::Complete(Command::FlushAll))
+        b"flush_all" => Request::FlushAll,
+        b"stats" => Request::Stats { arg: parts.next() },
+        b"metrics" => Request::Metrics,
+        b"version" => Request::Version,
+        b"quit" => Request::Quit,
+        other => {
+            return Err(ProtocolError::UnknownCommand(
+                String::from_utf8_lossy(other).into_owned(),
+            ))
         }
-        b"stats" => {
-            let arg = parts.next().map(Bytes::copy_from_slice);
-            buf.advance(line_end + 2);
-            Ok(Parsed::Complete(Command::Stats { arg }))
-        }
-        b"metrics" => {
-            buf.advance(line_end + 2);
-            Ok(Parsed::Complete(Command::Metrics))
-        }
-        b"version" => {
-            buf.advance(line_end + 2);
-            Ok(Parsed::Complete(Command::Version))
-        }
-        b"quit" => {
-            buf.advance(line_end + 2);
-            Ok(Parsed::Complete(Command::Quit))
-        }
-        other => Err(ProtocolError::UnknownCommand(
-            String::from_utf8_lossy(other).into_owned(),
-        )),
-    }
+    };
+    Ok(Some((request, used)))
 }
 
-fn find_crlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(2).position(|w| w == b"\r\n")
+/// Offset of the first CRLF in `buf`.
+pub(crate) fn find_crlf(buf: &[u8]) -> Option<usize> {
+    let mut from = 1;
+    while let Some(i) = buf.get(from..)?.iter().position(|&b| b == b'\n') {
+        if buf[from + i - 1] == b'\r' {
+            return Some(from + i - 1);
+        }
+        from += i + 1;
+    }
+    None
 }
 
 fn parse_u64(token: Option<&[u8]>, what: &'static str) -> Result<u64, ProtocolError> {
@@ -332,18 +463,40 @@ fn parse_u64(token: Option<&[u8]>, what: &'static str) -> Result<u64, ProtocolEr
         .ok_or(ProtocolError::BadArguments(what))
 }
 
+/// Appends `n` in decimal.
+fn put_decimal(out: &mut BytesMut, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.put_slice(&digits[at..]);
+}
+
 /// Renders a `VALUE` block for one GET hit.
 pub fn render_value(out: &mut BytesMut, key: &[u8], hit: &GetHit, with_cas: bool) {
+    render_hit(out, key, hit.borrowed(), with_cas);
+}
+
+/// Renders a `VALUE` block for a hit the store still owns.
+pub fn render_hit(out: &mut BytesMut, key: &[u8], hit: HitRef<'_>, with_cas: bool) {
     out.put_slice(b"VALUE ");
     out.put_slice(key);
+    out.put_slice(b" ");
+    put_decimal(out, u64::from(hit.flags));
+    out.put_slice(b" ");
+    put_decimal(out, hit.value.len() as u64);
     if with_cas {
-        out.put_slice(
-            format!(" {} {} {}\r\n", hit.flags(), hit.value().len(), hit.cas()).as_bytes(),
-        );
-    } else {
-        out.put_slice(format!(" {} {}\r\n", hit.flags(), hit.value().len()).as_bytes());
+        out.put_slice(b" ");
+        put_decimal(out, hit.cas);
     }
-    out.put_slice(hit.value());
+    out.put_slice(b"\r\n");
+    out.put_slice(hit.value);
     out.put_slice(b"\r\n");
 }
 
@@ -391,7 +544,7 @@ pub fn render_store_error(out: &mut BytesMut, err: &StoreError) {
 
 /// Renders an `incr`/`decr` result.
 pub fn render_number(out: &mut BytesMut, value: u64) {
-    out.put_slice(value.to_string().as_bytes());
+    put_decimal(out, value);
     out.put_slice(b"\r\n");
 }
 
@@ -476,6 +629,20 @@ mod tests {
             Parsed::Complete(Command::Set { noreply, .. }) => assert!(noreply),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn flags_beyond_32_bits_are_an_error_not_a_wrap() {
+        let set = |flags: u64| parse_one(format!("set k {flags} 0 1\r\nx\r\n").as_bytes());
+        match set(u64::from(u32::MAX)).unwrap() {
+            Parsed::Complete(Command::Set { flags, .. }) => assert_eq!(flags, u32::MAX),
+            other => panic!("{other:?}"),
+        }
+        let over = set(u64::from(u32::MAX) + 1);
+        assert_eq!(over, Err(ProtocolError::BadArguments("flags")));
+        let mut out = BytesMut::new();
+        render_error(&mut out, &over.unwrap_err());
+        assert_eq!(&out[..], b"CLIENT_ERROR bad arguments: flags\r\n");
     }
 
     #[test]
@@ -712,23 +879,33 @@ mod tests {
                 buf.extend_from_slice(&stream[fed..fed + take]);
                 fed += take;
                 loop {
-                    let before = buf.len();
-                    match parse_command(&mut buf) {
-                        Ok(Parsed::Complete(_)) => {
-                            proptest::prop_assert!(
-                                buf.len() < before,
-                                "complete command must consume bytes"
-                            );
+                    let before = buf.to_vec();
+                    // The owned parse is the borrowed one, copied out.
+                    let borrowed = parse_request(&buf).map(|parsed| {
+                        parsed.map(|(request, used)| (request.to_command(), used))
+                    });
+                    let owned = parse_command(&mut buf);
+                    match &owned {
+                        Ok(Parsed::Complete(command)) => {
+                            let (same, used) = borrowed.unwrap().expect("complete");
+                            proptest::prop_assert_eq!(command, &same);
+                            proptest::prop_assert!(used > 0, "complete command must consume bytes");
+                            // Consumed from the front; what is still
+                            // buffered behind did not move or change.
+                            proptest::prop_assert_eq!(&buf[..], &before[used..]);
                         }
                         Ok(Parsed::Incomplete) => {
+                            proptest::prop_assert_eq!(borrowed, Ok(None));
                             proptest::prop_assert_eq!(
-                                buf.len(),
-                                before,
+                                &buf[..],
+                                &before[..],
                                 "incomplete parse must leave the buffer intact"
                             );
                             break;
                         }
-                        Err(_) => {
+                        Err(err) => {
+                            proptest::prop_assert_eq!(borrowed.as_ref(), Err(err));
+                            proptest::prop_assert_eq!(&buf[..], &before[..]);
                             // A server answers the error, then skips the
                             // offending line or closes; either way the
                             // buffer shrinks and the loop terminates.

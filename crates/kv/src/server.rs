@@ -7,14 +7,17 @@
 //! rendering, and error mapping serve both the Memcached-model
 //! [`crate::store::KvStore`] and real engines layered on the trait.
 
+use std::fmt::Write as _;
+
 use bytes::BytesMut;
 
 use crate::backend::StoreBackend;
+use crate::hash::jenkins_oaat;
 use crate::protocol::{
-    parse_command, render_deleted, render_end, render_error, render_number, render_store_error,
-    render_stored, render_value, Command, Parsed, ProtocolError, StoreVerb,
+    find_crlf, parse_request, render_deleted, render_end, render_error, render_hit, render_number,
+    render_store_error, render_stored, Command, ProtocolError, Request, StoreVerb,
 };
-use crate::store::StoreError;
+use crate::store::{StoreError, StoreStats};
 
 /// What the connection should do after a command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +102,46 @@ impl Clock for WallClock {
     }
 }
 
+/// The stores behind a command loop, and how to reach the one that owns
+/// a key. One store reaches itself; a sharded front-end picks the shard
+/// by the key's hash and takes its lock. [`execute`] is written against
+/// this, so every front-end runs the same command body.
+pub trait Stores {
+    /// Runs `f` on the store that owns `key`, handing it
+    /// [`jenkins_oaat`]`(key)` along with the store.
+    fn with_store<R>(&mut self, key: &[u8], f: impl FnOnce(&mut dyn StoreBackend, u64) -> R) -> R;
+
+    /// Drops every item of every store.
+    fn flush_all(&mut self);
+
+    /// Counters summed over every store.
+    fn stats(&mut self) -> StoreStats;
+
+    /// Backend-internal gauges merged over every store.
+    fn backend_stat_lines(&mut self) -> Vec<(String, u64)>;
+}
+
+/// A lone store as a [`Stores`].
+struct Single<'a>(&'a mut dyn StoreBackend);
+
+impl Stores for Single<'_> {
+    fn with_store<R>(&mut self, key: &[u8], f: impl FnOnce(&mut dyn StoreBackend, u64) -> R) -> R {
+        f(self.0, jenkins_oaat(key))
+    }
+
+    fn flush_all(&mut self) {
+        self.0.flush_all();
+    }
+
+    fn stats(&mut self) -> StoreStats {
+        self.0.stats()
+    }
+
+    fn backend_stat_lines(&mut self) -> Vec<(String, u64)> {
+        self.0.backend_stat_lines()
+    }
+}
+
 /// Executes one parsed command against `store` at the clock's current
 /// time, appending any response to `out`.
 pub fn handle_command(
@@ -107,17 +150,36 @@ pub fn handle_command(
     clock: &dyn Clock,
     out: &mut BytesMut,
 ) -> Disposition {
-    let now = clock.now_secs();
-    match command {
-        Command::Get { keys, with_cas } => {
-            for key in &keys {
-                if let Some(hit) = store.get(key, now) {
-                    render_value(out, key, &hit, with_cas);
-                }
+    execute(
+        &mut Single(store),
+        command.as_request(),
+        clock.now_secs(),
+        out,
+    )
+}
+
+/// Executes one request against `stores` at time `now` (whole seconds),
+/// appending any response to `out`. A GET renders each hit straight from
+/// the value its store lends; a storage command copies its data block
+/// once, into the `Vec` the store keeps.
+pub fn execute(
+    stores: &mut impl Stores,
+    request: Request<'_>,
+    now: u64,
+    out: &mut BytesMut,
+) -> Disposition {
+    match request {
+        Request::Get { keys, with_cas } => {
+            for key in keys {
+                stores.with_store(key, |store, hash| {
+                    if let Some(hit) = store.get_ref(key, hash, now) {
+                        render_hit(out, key, hit, with_cas);
+                    }
+                });
             }
             render_end(out);
         }
-        Command::Set {
+        Request::Set {
             verb,
             key,
             flags,
@@ -127,14 +189,14 @@ pub fn handle_command(
             noreply,
         } => {
             let ttl = (exptime > 0).then_some(exptime);
-            let result = match verb {
-                StoreVerb::Set => store.set_with_flags(&key, data.to_vec(), flags, ttl, now),
-                StoreVerb::Add => store.add(&key, data.to_vec(), ttl, now),
-                StoreVerb::Replace => store.replace(&key, data.to_vec(), ttl, now),
-                StoreVerb::Append => store.concat(&key, &data, false, now),
-                StoreVerb::Prepend => store.concat(&key, &data, true, now),
-                StoreVerb::Cas => store.cas(&key, data.to_vec(), cas, ttl, now),
-            };
+            let result = stores.with_store(key, |store, hash| match verb {
+                StoreVerb::Set => store.set_hashed(key, hash, data.to_vec(), flags, ttl, now),
+                StoreVerb::Add => store.add(key, data.to_vec(), ttl, now),
+                StoreVerb::Replace => store.replace(key, data.to_vec(), ttl, now),
+                StoreVerb::Append => store.concat(key, data, false, now),
+                StoreVerb::Prepend => store.concat(key, data, true, now),
+                StoreVerb::Cas => store.cas(key, data.to_vec(), cas, ttl, now),
+            });
             if !noreply {
                 match result {
                     Ok(()) => render_stored(out),
@@ -142,13 +204,14 @@ pub fn handle_command(
                 }
             }
         }
-        Command::IncrDecr {
+        Request::IncrDecr {
             key,
             delta,
             decrement,
             noreply,
         } => {
-            let result = store.incr_decr(&key, delta, decrement, now);
+            let result =
+                stores.with_store(key, |store, _| store.incr_decr(key, delta, decrement, now));
             if !noreply {
                 match result {
                     Ok(value) => render_number(out, value),
@@ -156,18 +219,19 @@ pub fn handle_command(
                 }
             }
         }
-        Command::Delete { key, noreply } => {
-            let existed = store.delete(&key);
+        Request::Delete { key, noreply } => {
+            let existed = stores.with_store(key, |store, _| store.delete(key));
             if !noreply {
                 render_deleted(out, existed);
             }
         }
-        Command::Touch {
+        Request::Touch {
             key,
             exptime,
             noreply,
         } => {
-            let touched = store.touch(&key, (exptime > 0).then_some(exptime), now);
+            let ttl = (exptime > 0).then_some(exptime);
+            let touched = stores.with_store(key, |store, _| store.touch(key, ttl, now));
             if !noreply {
                 if touched {
                     out.extend_from_slice(b"TOUCHED\r\n");
@@ -176,24 +240,24 @@ pub fn handle_command(
                 }
             }
         }
-        Command::FlushAll => {
-            store.flush_all();
+        Request::FlushAll => {
+            stores.flush_all();
             out.extend_from_slice(b"OK\r\n");
         }
-        Command::Stats { arg } => match arg.as_deref() {
-            None => render_stats(&store.stats(), out),
-            // `stats engine` surfaces backend internals (tier occupancy,
-            // bitmap fill, probe histogram); the model store has none
-            // and answers ERROR like any unknown stats argument.
-            Some(b"engine") => render_backend_stats(&store.backend_stat_lines(), out),
-            // Extended sub-commands (`stats latency` …) are served by the
-            // front-end layers that own the relevant state; a bare store
-            // answers like Memcached answers unknown stats args.
-            Some(_) => out.extend_from_slice(b"ERROR\r\n"),
-        },
-        Command::Metrics => render_store_metrics(&store.stats(), out),
-        Command::Version => out.extend_from_slice(b"VERSION 1.4.15-densekv\r\n"),
-        Command::Quit => return Disposition::Close,
+        Request::Stats { arg: None } => render_stats(&stores.stats(), out),
+        // `stats engine` surfaces backend internals (tier occupancy,
+        // bitmap fill, probe histogram); the model store has none and
+        // answers ERROR like any unknown stats argument.
+        Request::Stats {
+            arg: Some(b"engine"),
+        } => render_backend_stats(&stores.backend_stat_lines(), out),
+        // Extended sub-commands (`stats latency` …) are served by the
+        // front-end layers that own the relevant state; a bare store
+        // answers like Memcached answers unknown stats args.
+        Request::Stats { arg: Some(_) } => out.extend_from_slice(b"ERROR\r\n"),
+        Request::Metrics => render_store_metrics(&stores.stats(), out),
+        Request::Version => out.extend_from_slice(b"VERSION 1.4.15-densekv\r\n"),
+        Request::Quit => return Disposition::Close,
     }
     Disposition::KeepAlive
 }
@@ -203,7 +267,7 @@ pub fn handle_command(
 /// per-shard counters before rendering.
 pub fn render_stats(stats: &crate::store::StoreStats, out: &mut BytesMut) {
     for (name, value) in stat_lines(stats) {
-        out.extend_from_slice(format!("STAT {name} {value}\r\n").as_bytes());
+        let _ = write!(out, "STAT {name} {value}\r\n");
     }
     render_end(out);
 }
@@ -239,7 +303,7 @@ pub fn render_backend_stats(lines: &[(String, u64)], out: &mut BytesMut) {
         return;
     }
     for (name, value) in lines {
-        out.extend_from_slice(format!("STAT {name} {value}\r\n").as_bytes());
+        let _ = write!(out, "STAT {name} {value}\r\n");
     }
     render_end(out);
 }
@@ -255,9 +319,9 @@ pub fn render_store_metrics(stats: &crate::store::StoreStats, out: &mut BytesMut
         } else {
             "counter"
         };
-        out.extend_from_slice(
-            format!("# TYPE densekv_store_{name} {kind}\ndensekv_store_{name} {value}\n")
-                .as_bytes(),
+        let _ = write!(
+            out,
+            "# TYPE densekv_store_{name} {kind}\ndensekv_store_{name} {value}\n"
         );
     }
     render_end(out);
@@ -279,55 +343,52 @@ pub fn render_store_metrics(stats: &crate::store::StoreStats, out: &mut BytesMut
 /// assert_eq!(&out[..], b"STORED\r\nVALUE k 0 2\r\nhi\r\nEND\r\n");
 /// ```
 pub fn serve_buffer(store: &mut dyn StoreBackend, input: &[u8], now: u64) -> Vec<u8> {
-    let mut buf = BytesMut::from(input);
+    let mut stores = Single(store);
+    let mut rest = input;
     let mut out = BytesMut::new();
-    let clock = FixedClock(now);
     loop {
-        match parse_command(&mut buf) {
-            Ok(Parsed::Complete(command)) => {
-                if handle_command(store, command, &clock, &mut out) == Disposition::Close {
+        let skip = match parse_request(rest) {
+            Ok(Some((request, used))) => {
+                if execute(&mut stores, request, now, &mut out) == Disposition::Close {
                     break;
                 }
+                Some(used)
             }
-            Ok(Parsed::Incomplete) => break,
+            Ok(None) => break,
             Err(err) => {
                 render_error(&mut out, &err);
-                if !resync_after_error(&mut buf, &err) {
-                    break;
-                }
+                resync_offset(rest, &err)
             }
-        }
+        };
+        let Some(skip) = skip else { break };
+        rest = &rest[skip..];
     }
     out.to_vec()
 }
 
-/// Skips past the offending line after a protocol error; returns whether
-/// parsing can continue on this byte stream.
+/// How many bytes of `buf` to skip to get past the offending line after
+/// a protocol error, or `None` when parsing cannot continue on this
+/// byte stream.
 ///
 /// Errors that lose framing ([`ProtocolError::BadDataChunk`],
 /// [`ProtocolError::LineTooLong`], [`ProtocolError::ValueTooLarge`])
-/// return `false` — a real server answers and closes the connection,
+/// return `None` — a real server answers and closes the connection,
 /// because the following bytes can no longer be trusted to start at a
 /// command boundary.
-pub fn resync_after_error(buf: &mut BytesMut, err: &ProtocolError) -> bool {
+pub fn resync_offset(buf: &[u8], err: &ProtocolError) -> Option<usize> {
     if matches!(
         err,
         ProtocolError::BadDataChunk | ProtocolError::LineTooLong | ProtocolError::ValueTooLarge
     ) {
-        // Framing is lost; a real server closes the connection.
-        return false;
+        return None;
     }
-    if let Some(pos) = buf.windows(2).position(|w| w == b"\r\n") {
-        bytes::Buf::advance(buf, pos + 2);
-        true
-    } else {
-        false
-    }
+    find_crlf(buf).map(|pos| pos + 2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{parse_command, Parsed};
     use crate::store::{KvStore, StoreConfig};
 
     fn store() -> KvStore {
@@ -536,12 +597,13 @@ mod tests {
 
     #[test]
     fn resync_is_public_and_closes_on_lost_framing() {
-        let mut buf = BytesMut::from(&b"rest\r\n"[..]);
-        assert!(!resync_after_error(&mut buf, &ProtocolError::ValueTooLarge));
-        assert!(resync_after_error(
-            &mut buf,
-            &ProtocolError::UnknownCommand("x".into())
-        ));
-        assert!(buf.is_empty(), "skipped past the offending line");
+        let buf = b"rest\r\nnext";
+        assert_eq!(resync_offset(buf, &ProtocolError::ValueTooLarge), None);
+        let skip = resync_offset(buf, &ProtocolError::UnknownCommand("x".into()));
+        assert_eq!(skip, Some(6), "skips past the offending line");
+        assert_eq!(
+            resync_offset(b"no line end", &ProtocolError::BadArguments("x")),
+            None
+        );
     }
 }

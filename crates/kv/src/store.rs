@@ -220,6 +220,19 @@ impl Item {
     }
 }
 
+/// A successful GET whose value is still the store's: what
+/// [`crate::backend::StoreBackend::get_ref`] lends, valid until the
+/// store is next touched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HitRef<'a> {
+    /// The value bytes.
+    pub value: &'a [u8],
+    /// The client-opaque flags stored with the item.
+    pub flags: u32,
+    /// The CAS token (for `gets`/`cas`).
+    pub cas: u64,
+}
+
 /// A successful GET.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GetHit {
@@ -239,6 +252,15 @@ impl GetHit {
             flags,
             cas,
             trace,
+        }
+    }
+
+    /// The hit with its value borrowed.
+    pub fn borrowed(&self) -> HitRef<'_> {
+        HitRef {
+            value: &self.value,
+            flags: self.flags,
+            cas: self.cas,
         }
     }
 
@@ -386,65 +408,78 @@ impl KvStore {
         now: u64,
         trace: &mut AccessTrace,
     ) -> Option<u32> {
-        let items = &self.items;
-        let found = self.table.find_with(hash, |slot| {
-            items[slot as usize]
-                .as_ref()
-                .is_some_and(|item| item.key == key)
-        });
+        let found = self.find(key, hash);
         trace.bucket_offset = self.bucket_offset(hash);
         trace.chain_offsets.clear();
         trace.value = None;
-        // Reconstruct chain-walk addresses: we log the matched item's
-        // header (dependent loads along the chain are represented by the
-        // probe count).
-        if let Some(slot) = found.slot {
-            let item = self.items[slot as usize].as_ref().expect("found slot live");
-            for _ in 1..found.probes {
-                // Probed-but-unmatched headers: charge one header line each;
-                // we use the matched item's neighbourhood as a proxy address.
-                trace.chain_offsets.push(self.header_offset(item.addr));
-            }
+        let slot = found.slot?;
+        // Reconstruct chain-walk addresses: one header line per probe
+        // (dependent loads along the chain are represented by the probe
+        // count), with the matched item's neighbourhood as the proxy
+        // address of the probed-but-unmatched headers.
+        let item = self.items[slot as usize].as_ref().expect("found slot live");
+        for _ in 0..found.probes {
             trace.chain_offsets.push(self.header_offset(item.addr));
-            if Self::is_expired(item, now) {
-                let freed = item.footprint();
-                self.remove_slot(slot, hash);
-                self.stats.expirations += 1;
-                self.stats.expired_bytes += freed;
-                return None;
-            }
-            return Some(slot);
         }
-        None
+        self.live_or_expire(slot, hash, now)
+    }
+
+    fn find(&mut self, key: &[u8], hash: u64) -> crate::table::FindResult {
+        let items = &self.items;
+        self.table.find_with(hash, |slot| {
+            items[slot as usize]
+                .as_ref()
+                .is_some_and(|item| item.key == key)
+        })
+    }
+
+    /// `slot` if its item is live at `now`; a stale one is removed and
+    /// counted as expired.
+    fn live_or_expire(&mut self, slot: u32, hash: u64, now: u64) -> Option<u32> {
+        let item = self.items[slot as usize].as_ref().expect("found slot live");
+        if Self::is_expired(item, now) {
+            let freed = item.footprint();
+            self.remove_slot(slot, hash);
+            self.stats.expirations += 1;
+            self.stats.expired_bytes += freed;
+            return None;
+        }
+        Some(slot)
+    }
+
+    /// What every flavour of GET does with its lookup's answer: the LRU
+    /// touch and the hit or miss counters.
+    fn count_get(&mut self, slot: Option<u32>) -> Option<u32> {
+        let Some(slot) = slot else {
+            self.stats.get_misses += 1;
+            return None;
+        };
+        let item = self.items[slot as usize].as_ref().expect("live");
+        self.policies[item.addr.class as usize].on_access(slot);
+        self.stats.get_hits += 1;
+        self.stats.bytes_read += item.value.len() as u64;
+        Some(slot)
+    }
+
+    /// A GET that traces the addresses it touched into `trace`.
+    fn traced_hit(&mut self, key: &[u8], now: u64, trace: &mut AccessTrace) -> Option<&Item> {
+        let slot = self.lookup_into(key, jenkins_oaat(key), now, trace);
+        let slot = self.count_get(slot)?;
+        let item = self.items[slot as usize].as_ref().expect("live");
+        trace.value = Some((self.value_offset(item), item.value.len() as u64));
+        Some(item)
     }
 
     /// Fetches `key`, returning the value and trace on a live hit.
     pub fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit> {
-        let hash = jenkins_oaat(key);
-        let (slot, mut trace) = self.lookup(key, hash, now);
-        match slot {
-            Some(slot) => {
-                let class = {
-                    let item = self.items[slot as usize].as_ref().expect("live");
-                    trace.value = Some((self.value_offset(item), item.value.len() as u64));
-                    item.addr.class
-                };
-                self.policies[class as usize].on_access(slot);
-                self.stats.get_hits += 1;
-                let item = self.items[slot as usize].as_ref().expect("live");
-                self.stats.bytes_read += item.value.len() as u64;
-                Some(GetHit {
-                    value: item.value.to_vec(),
-                    flags: item.flags,
-                    cas: item.cas,
-                    trace,
-                })
-            }
-            None => {
-                self.stats.get_misses += 1;
-                None
-            }
-        }
+        let mut trace = AccessTrace::default();
+        let item = self.traced_hit(key, now, &mut trace)?;
+        Some(GetHit {
+            value: item.value.to_vec(),
+            flags: item.flags,
+            cas: item.cas,
+            trace,
+        })
     }
 
     /// [`KvStore::get`] for timing-model callers: identical side
@@ -453,25 +488,23 @@ impl KvStore {
     /// skipping the value clone a [`GetHit`] would pay for, which at
     /// 1 MB values is a megabyte of memcpy per simulated request.
     pub fn get_traced(&mut self, key: &[u8], now: u64, trace: &mut AccessTrace) -> Option<u64> {
-        let hash = jenkins_oaat(key);
-        match self.lookup_into(key, hash, now, trace) {
-            Some(slot) => {
-                let class = {
-                    let item = self.items[slot as usize].as_ref().expect("live");
-                    trace.value = Some((self.value_offset(item), item.value.len() as u64));
-                    item.addr.class
-                };
-                self.policies[class as usize].on_access(slot);
-                self.stats.get_hits += 1;
-                let item = self.items[slot as usize].as_ref().expect("live");
-                self.stats.bytes_read += item.value.len() as u64;
-                Some(item.value.len() as u64)
-            }
-            None => {
-                self.stats.get_misses += 1;
-                None
-            }
-        }
+        let item = self.traced_hit(key, now, trace)?;
+        Some(item.value.len() as u64)
+    }
+
+    /// [`KvStore::get`] for the live plane: identical side effects, but
+    /// lends the value instead of copying it and builds no trace.
+    /// `hash` is `jenkins_oaat(key)`, which the caller already has.
+    pub fn get_ref(&mut self, key: &[u8], hash: u64, now: u64) -> Option<HitRef<'_>> {
+        let slot = self.find(key, hash).slot;
+        let slot = slot.and_then(|slot| self.live_or_expire(slot, hash, now));
+        let slot = self.count_get(slot)?;
+        let item = self.items[slot as usize].as_ref().expect("live");
+        Some(HitRef {
+            value: &item.value,
+            flags: item.flags,
+            cas: item.cas,
+        })
     }
 
     /// Stores `key` → `value` with optional TTL (seconds from `now`).
@@ -504,11 +537,28 @@ impl KvStore {
         ttl_secs: Option<u64>,
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
+        self.set_hashed(key, jenkins_oaat(key), value, flags, ttl_secs, now)
+    }
+
+    /// [`KvStore::set_with_flags`] for a caller that already has
+    /// `hash` = `jenkins_oaat(key)`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`KvStore::set`].
+    pub fn set_hashed(
+        &mut self,
+        key: &[u8],
+        hash: u64,
+        value: impl Into<Cow<'static, [u8]>>,
+        flags: u32,
+        ttl_secs: Option<u64>,
+        now: u64,
+    ) -> Result<SetOutcome, StoreError> {
         let value = value.into();
         if key.len() > MAX_KEY_BYTES {
             return Err(StoreError::KeyTooLong { len: key.len() });
         }
-        let hash = jenkins_oaat(key);
         let footprint = ITEM_HEADER_BYTES + key.len() as u64 + value.len() as u64;
 
         // Replace any existing copy first (frees its chunk).

@@ -38,9 +38,10 @@
 //!   `serve_validate` experiment in `densekv-bench`.
 //!
 //! The command loop itself is byte-identical to the simulator's: both
-//! run [`densekv_kv::server::handle_command`], differing only in the
-//! [`densekv_kv::server::Clock`] they pass (simulated seconds there,
-//! [`densekv_kv::server::WallClock`] here).
+//! run [`densekv_kv::server::execute`], differing only in the stores
+//! they hand it (one store there, the key's shard under its lock here)
+//! and the [`densekv_kv::server::Clock`] they read (simulated seconds
+//! there, [`densekv_kv::server::WallClock`] here).
 //!
 //! # Examples
 //!
@@ -58,12 +59,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cells;
 pub mod client;
 pub mod loadgen;
 pub mod metrics;
 pub mod server;
 pub mod shard;
 
+pub use cells::ConnCells;
 pub use client::{ClientError, Connection, Pool};
 pub use loadgen::{
     preload, run_closed_loop, run_open_loop, ClosedLoopConfig, LoadMix, LoadReport, OpenLoopConfig,

@@ -18,19 +18,30 @@
 //! of the simulator's "telemetry cannot change results" invariant.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use bytes::BytesMut;
 use parking_lot::Mutex;
 
-use densekv_kv::protocol::{Command, StoreVerb};
+use densekv_kv::protocol::{Request, StoreVerb};
 use densekv_sim::{Duration as SimDuration, SimTime};
 use densekv_telemetry::{
-    CounterId, GaugeId, HistogramId, MetricsRegistry, Quantiles, SloConfig, SloSnapshot,
-    SloTracker, SpanBuilder, Stopwatch, Tracer, WindowedHistogram, WindowedRate,
+    CounterId, GaugeId, HistogramId, LogHistogram, MetricsRegistry, Quantiles, SloConfig,
+    SloSnapshot, SloTracker, SpanBuilder, Stopwatch, Tracer, WindowedHistogram, WindowedRate,
 };
 
+use crate::cells::ConnCells;
 use crate::server::ServeStats;
+
+/// Appends formatted text to a `BytesMut` or a `String`, neither of
+/// which can refuse it.
+macro_rules! put {
+    ($out:expr, $($format:tt)*) => {{
+        let _ = write!($out, $($format)*);
+    }};
+}
 
 /// Number of protocol verbs the plane tracks (every [`Verb`] variant).
 pub const VERB_COUNT: usize = 16;
@@ -95,12 +106,12 @@ impl Verb {
         Verb::Quit,
     ];
 
-    /// Classifies a parsed command.
+    /// Classifies a parsed request.
     #[must_use]
-    pub fn of(command: &Command) -> Verb {
-        match command {
-            Command::Get { .. } => Verb::Get,
-            Command::Set { verb, .. } => match verb {
+    pub fn of(request: &Request<'_>) -> Verb {
+        match request {
+            Request::Get { .. } => Verb::Get,
+            Request::Set { verb, .. } => match verb {
                 StoreVerb::Set => Verb::Set,
                 StoreVerb::Add => Verb::Add,
                 StoreVerb::Replace => Verb::Replace,
@@ -108,87 +119,36 @@ impl Verb {
                 StoreVerb::Prepend => Verb::Prepend,
                 StoreVerb::Cas => Verb::Cas,
             },
-            Command::IncrDecr {
+            Request::IncrDecr {
                 decrement: false, ..
             } => Verb::Incr,
-            Command::IncrDecr { .. } => Verb::Decr,
-            Command::Delete { .. } => Verb::Delete,
-            Command::Touch { .. } => Verb::Touch,
-            Command::FlushAll => Verb::FlushAll,
-            Command::Stats { .. } => Verb::Stats,
-            Command::Metrics => Verb::Metrics,
-            Command::Version => Verb::Version,
-            Command::Quit => Verb::Quit,
+            Request::IncrDecr { .. } => Verb::Decr,
+            Request::Delete { .. } => Verb::Delete,
+            Request::Touch { .. } => Verb::Touch,
+            Request::FlushAll => Verb::FlushAll,
+            Request::Stats { .. } => Verb::Stats,
+            Request::Metrics => Verb::Metrics,
+            Request::Version => Verb::Version,
+            Request::Quit => Verb::Quit,
         }
     }
 
     /// The wire-level verb name (also the trace span label).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            Verb::Get => "get",
-            Verb::Set => "set",
-            Verb::Add => "add",
-            Verb::Replace => "replace",
-            Verb::Append => "append",
-            Verb::Prepend => "prepend",
-            Verb::Cas => "cas",
-            Verb::Incr => "incr",
-            Verb::Decr => "decr",
-            Verb::Delete => "delete",
-            Verb::Touch => "touch",
-            Verb::FlushAll => "flush_all",
-            Verb::Stats => "stats",
-            Verb::Metrics => "metrics",
-            Verb::Version => "version",
-            Verb::Quit => "quit",
-        }
+        VERB_NAMES[self.index()][0]
     }
 
     /// Registry name of this verb's command counter.
     #[must_use]
     pub fn counter_name(self) -> &'static str {
-        match self {
-            Verb::Get => "serve.cmd.get",
-            Verb::Set => "serve.cmd.set",
-            Verb::Add => "serve.cmd.add",
-            Verb::Replace => "serve.cmd.replace",
-            Verb::Append => "serve.cmd.append",
-            Verb::Prepend => "serve.cmd.prepend",
-            Verb::Cas => "serve.cmd.cas",
-            Verb::Incr => "serve.cmd.incr",
-            Verb::Decr => "serve.cmd.decr",
-            Verb::Delete => "serve.cmd.delete",
-            Verb::Touch => "serve.cmd.touch",
-            Verb::FlushAll => "serve.cmd.flush_all",
-            Verb::Stats => "serve.cmd.stats",
-            Verb::Metrics => "serve.cmd.metrics",
-            Verb::Version => "serve.cmd.version",
-            Verb::Quit => "serve.cmd.quit",
-        }
+        VERB_NAMES[self.index()][1]
     }
 
     /// Registry name of this verb's latency histogram.
     #[must_use]
     pub fn histogram_name(self) -> &'static str {
-        match self {
-            Verb::Get => "serve.latency.get",
-            Verb::Set => "serve.latency.set",
-            Verb::Add => "serve.latency.add",
-            Verb::Replace => "serve.latency.replace",
-            Verb::Append => "serve.latency.append",
-            Verb::Prepend => "serve.latency.prepend",
-            Verb::Cas => "serve.latency.cas",
-            Verb::Incr => "serve.latency.incr",
-            Verb::Decr => "serve.latency.decr",
-            Verb::Delete => "serve.latency.delete",
-            Verb::Touch => "serve.latency.touch",
-            Verb::FlushAll => "serve.latency.flush_all",
-            Verb::Stats => "serve.latency.stats",
-            Verb::Metrics => "serve.latency.metrics",
-            Verb::Version => "serve.latency.version",
-            Verb::Quit => "serve.latency.quit",
-        }
+        VERB_NAMES[self.index()][2]
     }
 
     /// Dense index into the per-verb handle arrays.
@@ -197,6 +157,31 @@ impl Verb {
         self as usize
     }
 }
+
+/// Wire name, counter name and latency-histogram name of every verb, in
+/// [`Verb::ALL`] order.
+const VERB_NAMES: [[&str; 3]; VERB_COUNT] = [
+    ["get", "serve.cmd.get", "serve.latency.get"],
+    ["set", "serve.cmd.set", "serve.latency.set"],
+    ["add", "serve.cmd.add", "serve.latency.add"],
+    ["replace", "serve.cmd.replace", "serve.latency.replace"],
+    ["append", "serve.cmd.append", "serve.latency.append"],
+    ["prepend", "serve.cmd.prepend", "serve.latency.prepend"],
+    ["cas", "serve.cmd.cas", "serve.latency.cas"],
+    ["incr", "serve.cmd.incr", "serve.latency.incr"],
+    ["decr", "serve.cmd.decr", "serve.latency.decr"],
+    ["delete", "serve.cmd.delete", "serve.latency.delete"],
+    ["touch", "serve.cmd.touch", "serve.latency.touch"],
+    [
+        "flush_all",
+        "serve.cmd.flush_all",
+        "serve.latency.flush_all",
+    ],
+    ["stats", "serve.cmd.stats", "serve.latency.stats"],
+    ["metrics", "serve.cmd.metrics", "serve.latency.metrics"],
+    ["version", "serve.cmd.version", "serve.latency.version"],
+    ["quit", "serve.cmd.quit", "serve.latency.quit"],
+];
 
 /// How the front-end's observability plane is shaped.
 #[derive(Debug, Clone)]
@@ -252,16 +237,6 @@ impl MetricsConfig {
     }
 }
 
-/// Per-shard lock accounting, updated lock-free by workers.
-#[derive(Debug, Default)]
-struct ShardLockStats {
-    acquisitions: AtomicU64,
-    contended: AtomicU64,
-    wait_ns: AtomicU64,
-    hold_ns: AtomicU64,
-    hold_max_ns: AtomicU64,
-}
-
 /// A point-in-time copy of one shard's lock counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardLockSnapshot {
@@ -276,6 +251,32 @@ pub struct ShardLockSnapshot {
     pub hold_ns: u64,
     /// Longest single hold, nanoseconds.
     pub hold_max_ns: u64,
+}
+
+impl ShardLockSnapshot {
+    /// One acquisition.
+    pub(crate) fn of(
+        wait: std::time::Duration,
+        hold: std::time::Duration,
+        contended: bool,
+    ) -> Self {
+        let hold_ns = u64::try_from(hold.as_nanos()).unwrap_or(u64::MAX);
+        ShardLockSnapshot {
+            acquisitions: 1,
+            contended: u64::from(contended),
+            wait_ns: u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
+            hold_ns,
+            hold_max_ns: hold_ns,
+        }
+    }
+
+    pub(crate) fn add(&mut self, more: &ShardLockSnapshot) {
+        self.acquisitions += more.acquisitions;
+        self.contended += more.contended;
+        self.wait_ns += more.wait_ns;
+        self.hold_ns += more.hold_ns;
+        self.hold_max_ns = self.hold_max_ns.max(more.hold_max_ns);
+    }
 }
 
 /// One entry of the slow-request log.
@@ -343,13 +344,26 @@ const CONTENTION_FRACTION_DEN: u64 = 2;
 const RECORDER_SPAN_CAP: usize = 64;
 /// EWMA smoothing factor of the per-verb windowed rates.
 const RATE_EWMA_ALPHA: f64 = 0.3;
+/// The largest latency a histogram can hold. Recording it once grows a
+/// histogram's buckets to their full range, which a reset then keeps.
+pub(crate) const LONGEST: SimDuration = SimDuration::from_ps(u64::MAX);
 /// Longest catch-up rotation run after an idle stretch; beyond this
 /// many windows every ring and the SLO ledger are all-empty anyway, so
 /// the rotation epoch just jumps.
 const MAX_CATCHUP_WINDOWS: u64 = 128;
 
-/// The windowed side of the plane, all mutated under one mutex.
-struct WindowPlane {
+/// Everything a flush writes — the cumulative registry, the windowed
+/// views and the slow log — mutated under one mutex, so a connection
+/// pays one lock per drained batch.
+struct Plane {
+    /// Commands flushed so far: the next flush's first sequence number.
+    seq: u64,
+    /// Per-verb counters and latency histograms, and the gauges.
+    registry: MetricsRegistry,
+    /// Per-shard lock accounting.
+    shards: Vec<ShardLockSnapshot>,
+    /// The slow-request log, oldest first.
+    slow: VecDeque<SlowRequest>,
     /// Windows closed since server start (monotonic; reset keeps it).
     closed: u64,
     /// Windowed view of all-verb latency.
@@ -393,40 +407,31 @@ pub struct RequestPhases {
     pub write: std::time::Duration,
 }
 
-impl RequestPhases {
-    fn total(&self) -> std::time::Duration {
-        self.recv + self.parse + self.lock_wait + self.store + self.write
-    }
-}
-
 /// The front-end's live observability plane.
 ///
-/// Shared by every worker thread: the registry and tracer sit behind
-/// short-critical-section mutexes (one lock per completed request, not
-/// per byte), shard-lock stats are plain atomics. All of it is inert
-/// when constructed from a disabled [`MetricsConfig`].
+/// Shared by every worker thread, which is why workers do not record
+/// into it directly: each connection fills its own [`ConnCells`] and
+/// [`ServeMetrics::flush`]es them once per drained batch. Spans sit
+/// behind their own mutex (one lock per sampled request). All of it is
+/// inert when constructed from a disabled [`MetricsConfig`].
 pub struct ServeMetrics {
     enabled: bool,
     sample_every: u64,
     slow_threshold: std::time::Duration,
     slow_capacity: usize,
     start: Stopwatch,
-    seq: AtomicU64,
-    registry: Mutex<MetricsRegistry>,
     verb_counters: [CounterId; VERB_COUNT],
     verb_histograms: [HistogramId; VERB_COUNT],
     gauge_bytes_in: GaugeId,
     gauge_bytes_out: GaugeId,
     gauge_active: GaugeId,
     gauge_rejected: GaugeId,
-    shards: Vec<ShardLockStats>,
     tracer: Mutex<Tracer>,
-    slow: Mutex<VecDeque<SlowRequest>>,
     /// Rotation cadence (clamped ≥ 1 ms), and its picosecond form the
     /// boundary check divides by.
     window: std::time::Duration,
     window_ps: u64,
-    windows: Mutex<WindowPlane>,
+    plane: Mutex<Plane>,
     /// Connection-plane counters mirrored here so window snapshots and
     /// the saturation trigger can read them without reaching into the
     /// server's shared state.
@@ -440,7 +445,6 @@ impl std::fmt::Debug for ServeMetrics {
         f.debug_struct("ServeMetrics")
             .field("enabled", &self.enabled)
             .field("sample_every", &self.sample_every)
-            .field("shards", &self.shards.len())
             .finish_non_exhaustive()
     }
 }
@@ -468,9 +472,25 @@ impl ServeMetrics {
         };
         let window = config.window.max(std::time::Duration::from_millis(1));
         let window_sim = SimDuration::from_std(window);
-        let plane = WindowPlane {
+        let mut overall = WindowedHistogram::new(config.window_retain.max(1));
+        if config.enabled {
+            // Grow every histogram a flush writes to its full range now,
+            // so that no later sample, however slow, makes a worker
+            // allocate under the plane lock (a reset keeps the buckets).
+            for &id in &verb_histograms {
+                registry.observe(id, LONGEST);
+            }
+            registry.reset();
+            overall.record(LONGEST);
+            overall.reset();
+        }
+        let plane = Plane {
+            seq: 0,
+            registry,
+            shards: vec![ShardLockSnapshot::default(); shards],
+            slow: VecDeque::with_capacity(config.slow_log_capacity),
             closed: 0,
-            overall: WindowedHistogram::new(config.window_retain.max(1)),
+            overall,
             rates: std::array::from_fn(|_| WindowedRate::new(window_sim, RATE_EWMA_ALPHA)),
             slo: SloTracker::new(config.slo),
             recorder: VecDeque::new(),
@@ -488,30 +508,20 @@ impl ServeMetrics {
             slow_threshold: config.slow_threshold,
             slow_capacity: config.slow_log_capacity,
             start: Stopwatch::start(),
-            seq: AtomicU64::new(0),
-            registry: Mutex::new(registry),
             verb_counters,
             verb_histograms,
             gauge_bytes_in,
             gauge_bytes_out,
             gauge_active,
             gauge_rejected,
-            shards: (0..shards).map(|_| ShardLockStats::default()).collect(),
             tracer: Mutex::new(tracer),
-            slow: Mutex::new(VecDeque::new()),
             window,
-            window_ps: SimDuration::from_std(window).as_ps().max(1),
-            windows: Mutex::new(plane),
+            window_ps: window_sim.as_ps().max(1),
+            plane: Mutex::new(plane),
             conn_active: AtomicU64::new(0),
             conn_capacity: AtomicU64::new(0),
             conn_rejected: AtomicU64::new(0),
         }
-    }
-
-    /// A fully inert plane.
-    #[must_use]
-    pub fn disabled(shards: usize) -> Self {
-        ServeMetrics::new(&MetricsConfig::disabled(), shards)
     }
 
     /// Whether any instrument records.
@@ -526,15 +536,15 @@ impl ServeMetrics {
         self.start.elapsed()
     }
 
-    /// Next global request sequence number (drives trace sampling).
-    pub fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Whether request `seq` should record a phase span.
+    /// Empty cells for one connection of this server.
     #[must_use]
-    pub fn samples(&self, seq: u64) -> bool {
-        self.enabled && self.sample_every > 0 && seq.is_multiple_of(self.sample_every)
+    pub fn cells(&self) -> ConnCells {
+        ConnCells::new(
+            self.plane.lock().shards.len(),
+            self.slow_capacity,
+            self.slow_threshold,
+            if self.enabled { self.sample_every } else { 0 },
+        )
     }
 
     /// Closes every window whose wall-clock boundary has passed. Called
@@ -543,8 +553,8 @@ impl ServeMetrics {
     /// jumps rather than replaying thousands of empty rotations —
     /// beyond [`MAX_CATCHUP_WINDOWS`] every bounded ring would be
     /// all-empty either way.
-    fn rotate_due(&self, plane: &mut WindowPlane) {
-        let uptime = self.start.elapsed();
+    fn rotate_due(&self, plane: &mut Plane, now: Instant) {
+        let uptime = SimDuration::from_std(now - self.start.started_at());
         let target = uptime.as_ps() / self.window_ps;
         if plane.closed >= target {
             return;
@@ -562,7 +572,7 @@ impl ServeMetrics {
     /// per-verb rates, feeds the SLO tracker, snapshots the window for
     /// the flight recorder, and fires the recorder on a rising trigger
     /// edge.
-    fn close_window(&self, plane: &mut WindowPlane) {
+    fn close_window(&self, plane: &mut Plane) {
         let closed_hist = plane.overall.rotate();
         let total = closed_hist.count();
         let objective = plane.slo.config().objective;
@@ -575,11 +585,8 @@ impl ServeMetrics {
             rate.rotate();
             verbs[i] = rate.last_count();
         }
-        let (mut acq, mut contended) = (0u64, 0u64);
-        for s in &self.shards {
-            acq += s.acquisitions.load(Ordering::Relaxed);
-            contended += s.contended.load(Ordering::Relaxed);
-        }
+        let acq: u64 = plane.shards.iter().map(|s| s.acquisitions).sum();
+        let contended: u64 = plane.shards.iter().map(|s| s.contended).sum();
         let lock_acquisitions = acq.saturating_sub(plane.prev_acquisitions);
         let lock_contended = contended.saturating_sub(plane.prev_contended);
         plane.prev_acquisitions = acq;
@@ -644,37 +651,47 @@ impl ServeMetrics {
         }
     }
 
-    /// Records one completed request: bumps the verb counter, lands the
-    /// latency in the verb's histogram, rotates any due windows and
-    /// feeds the windowed plane, and logs it if slow.
-    pub fn record_command(&self, verb: Verb, latency: std::time::Duration, seq: u64) {
-        if !self.enabled {
-            return;
+    /// Folds a connection's cells into the plane and empties them: per
+    /// verb, the count goes to its counter and windowed rate and the
+    /// latencies to its histogram and the windowed all-verb view; slow
+    /// commands join the slow log; lock accounting joins the shards'.
+    /// Rotates any window due at `now` first. Returns the sequence
+    /// number of the first command flushed (the rest follow in order).
+    pub fn flush(&self, cells: &mut ConnCells, now: Instant) -> u64 {
+        if !self.enabled || cells.commands == 0 {
+            return 0;
         }
-        let d = SimDuration::from_std(latency);
-        {
-            let mut plane = self.windows.lock();
-            self.rotate_due(&mut plane);
-            plane.overall.record(d);
-            plane.rates[verb.index()].record(1);
-        }
-        {
-            let mut registry = self.registry.lock();
-            registry.inc(self.verb_counters[verb.index()], 1);
-            registry.observe(self.verb_histograms[verb.index()], d);
-        }
-        if latency >= self.slow_threshold && self.slow_capacity > 0 {
-            let mut slow = self.slow.lock();
-            if slow.len() == self.slow_capacity {
-                slow.pop_front();
+        let mut plane = self.plane.lock();
+        let first = plane.seq;
+        plane.seq += std::mem::take(&mut cells.commands);
+        self.rotate_due(&mut plane, now);
+        for (i, samples) in cells.latency.iter_mut().enumerate() {
+            if samples.count() == 0 {
+                continue;
             }
-            slow.push_back(SlowRequest {
-                seq,
+            plane.overall.record_all(samples);
+            plane.rates[i].record(samples.count());
+            plane.registry.inc(self.verb_counters[i], samples.count());
+            plane.registry.observe_all(self.verb_histograms[i], samples);
+            samples.reset();
+        }
+        for (position, verb, latency, end) in cells.slow.drain(..) {
+            if plane.slow.len() == self.slow_capacity {
+                plane.slow.pop_front();
+            }
+            plane.slow.push_back(SlowRequest {
+                seq: first + position,
                 verb,
-                latency: d,
-                at: self.start.elapsed(),
+                latency: SimDuration::from_std(latency),
+                at: SimDuration::from_std(end - self.start.started_at()),
             });
         }
+        for (total, delta) in plane.shards.iter_mut().zip(&mut cells.shards) {
+            if delta.acquisitions > 0 {
+                total.add(&std::mem::take(delta));
+            }
+        }
+        first
     }
 
     /// Records one shard-lock acquisition: how long the worker waited,
@@ -689,18 +706,9 @@ impl ServeMetrics {
         if !self.enabled {
             return;
         }
-        let Some(s) = self.shards.get(shard) else {
-            return;
-        };
-        s.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if contended {
-            s.contended.fetch_add(1, Ordering::Relaxed);
+        if let Some(total) = self.plane.lock().shards.get_mut(shard) {
+            total.add(&ShardLockSnapshot::of(wait, hold, contended));
         }
-        let wait_ns = u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX);
-        let hold_ns = u64::try_from(hold.as_nanos()).unwrap_or(u64::MAX);
-        s.wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
-        s.hold_ns.fetch_add(hold_ns, Ordering::Relaxed);
-        s.hold_max_ns.fetch_max(hold_ns, Ordering::Relaxed);
     }
 
     /// Builds and stores the phase span of sampled request `seq`. The
@@ -711,13 +719,10 @@ impl ServeMetrics {
         if !self.enabled {
             return;
         }
-        let total = SimDuration::from_std(phases.total());
-        let end = self.start.elapsed();
-        let offset = if end > total {
-            end - total
-        } else {
-            SimDuration::ZERO
-        };
+        let total = SimDuration::from_std(
+            phases.recv + phases.parse + phases.lock_wait + phases.store + phases.write,
+        );
+        let offset = self.start.elapsed().saturating_sub(total);
         let mut span = SpanBuilder::new(seq, verb.name(), 1, connection, SimTime::ZERO + offset);
         span.phase("recv", SimDuration::from_std(phases.recv))
             .phase("parse", SimDuration::from_std(phases.parse))
@@ -749,15 +754,16 @@ impl ServeMetrics {
     /// The slow-request log, oldest first.
     #[must_use]
     pub fn slow_requests(&self) -> Vec<SlowRequest> {
-        self.slow.lock().iter().copied().collect()
+        self.plane.lock().slow.iter().copied().collect()
     }
 
     /// Quantiles of one verb's latency histogram (zeros when no
     /// requests of that verb have completed).
     #[must_use]
     pub fn verb_quantiles(&self, verb: Verb) -> Quantiles {
-        self.registry
+        self.plane
             .lock()
+            .registry
             .histogram_value(self.verb_histograms[verb.index()])
             .quantiles()
     }
@@ -767,10 +773,10 @@ impl ServeMetrics {
     /// cross-checks against the load generator's client-side histogram.
     #[must_use]
     pub fn overall_quantiles(&self) -> Quantiles {
-        let registry = self.registry.lock();
-        let mut all = densekv_telemetry::LogHistogram::new();
-        for verb in Verb::ALL {
-            all.merge(registry.histogram_value(self.verb_histograms[verb.index()]));
+        let plane = self.plane.lock();
+        let mut all = LogHistogram::new();
+        for id in self.verb_histograms {
+            all.merge(plane.registry.histogram_value(id));
         }
         all.quantiles()
     }
@@ -778,30 +784,22 @@ impl ServeMetrics {
     /// Lifetime count of one verb.
     #[must_use]
     pub fn verb_count(&self, verb: Verb) -> u64 {
-        self.registry
+        self.plane
             .lock()
+            .registry
             .counter_value(self.verb_counters[verb.index()])
     }
 
     /// Point-in-time copies of every shard's lock counters.
     #[must_use]
     pub fn shard_snapshots(&self) -> Vec<ShardLockSnapshot> {
-        self.shards
-            .iter()
-            .map(|s| ShardLockSnapshot {
-                acquisitions: s.acquisitions.load(Ordering::Relaxed),
-                contended: s.contended.load(Ordering::Relaxed),
-                wait_ns: s.wait_ns.load(Ordering::Relaxed),
-                hold_ns: s.hold_ns.load(Ordering::Relaxed),
-                hold_max_ns: s.hold_max_ns.load(Ordering::Relaxed),
-            })
-            .collect()
+        self.plane.lock().shards.clone()
     }
 
     /// Copies the front-end's own counters into the registry's gauges
     /// (called when rendering, so the exposition is always current).
     pub fn sync_gauges(&self, stats: &ServeStats, active: usize) {
-        let mut registry = self.registry.lock();
+        let registry = &mut self.plane.lock().registry;
         registry.set(self.gauge_bytes_in, stats.bytes_in as f64);
         registry.set(self.gauge_bytes_out, stats.bytes_out as f64);
         registry.set(self.gauge_active, active as f64);
@@ -835,12 +833,6 @@ impl ServeMetrics {
         }
     }
 
-    /// The rotation cadence the plane was built with.
-    #[must_use]
-    pub fn window(&self) -> std::time::Duration {
-        self.window
-    }
-
     /// Windows closed since server start. Rotates due windows first, so
     /// polling this advances the plane even on an idle server.
     #[must_use]
@@ -848,8 +840,8 @@ impl ServeMetrics {
         if !self.enabled {
             return 0;
         }
-        let mut plane = self.windows.lock();
-        self.rotate_due(&mut plane);
+        let mut plane = self.plane.lock();
+        self.rotate_due(&mut plane, Instant::now());
         plane.closed
     }
 
@@ -860,7 +852,7 @@ impl ServeMetrics {
         if !self.enabled {
             return;
         }
-        let mut plane = self.windows.lock();
+        let mut plane = self.plane.lock();
         self.close_window(&mut plane);
     }
 
@@ -870,23 +862,23 @@ impl ServeMetrics {
         if !self.enabled {
             return Vec::new();
         }
-        let mut plane = self.windows.lock();
-        self.rotate_due(&mut plane);
+        let mut plane = self.plane.lock();
+        self.rotate_due(&mut plane, Instant::now());
         plane.recorder.iter().cloned().collect()
     }
 
     /// The most recent trigger edge, if the recorder ever tripped.
     #[must_use]
     pub fn last_trigger(&self) -> Option<Trigger> {
-        self.windows.lock().last_trigger
+        self.plane.lock().last_trigger
     }
 
     /// The SLO tracker's current reading (rotating due windows first).
     #[must_use]
     pub fn slo_snapshot(&self) -> SloSnapshot {
-        let mut plane = self.windows.lock();
+        let mut plane = self.plane.lock();
         if self.enabled {
-            self.rotate_due(&mut plane);
+            self.rotate_due(&mut plane, Instant::now());
         }
         plane.slo.snapshot()
     }
@@ -896,7 +888,7 @@ impl ServeMetrics {
     /// disk — the plane itself never touches the filesystem.
     #[must_use]
     pub fn take_auto_dump(&self) -> Option<String> {
-        self.windows.lock().auto_dump.take()
+        self.plane.lock().auto_dump.take()
     }
 
     /// The on-demand flight-recorder dump (`stats dump`): rotates due
@@ -907,33 +899,37 @@ impl ServeMetrics {
         if !self.enabled {
             return "{\"format\":\"densekv-flight-recorder-v1\",\"enabled\":false}".to_owned();
         }
-        let mut plane = self.windows.lock();
-        self.rotate_due(&mut plane);
+        let mut plane = self.plane.lock();
+        self.rotate_due(&mut plane, Instant::now());
         self.recorder_json_locked(&plane)
     }
 
     /// Serializes the recorder with the plane lock already held (shared
     /// by the on-demand dump and the rising-edge auto dump). Takes the
-    /// slow-log and tracer locks inside the plane lock; nothing ever
-    /// takes the plane lock while holding those, so the order is safe.
-    fn recorder_json_locked(&self, plane: &WindowPlane) -> String {
+    /// tracer lock inside the plane lock; nothing ever takes the plane
+    /// lock while holding that, so the order is safe.
+    fn recorder_json_locked(&self, plane: &Plane) -> String {
         let mut out = String::from("{\"format\":\"densekv-flight-recorder-v1\",\"enabled\":true");
-        out.push_str(&format!(
+        put!(
+            out,
             ",\"uptime_us\":{:.1},\"window_ms\":{},\"windows_closed\":{}",
             self.start.elapsed().as_micros_f64(),
             self.window.as_millis(),
             plane.closed
-        ));
+        );
         match plane.last_trigger {
-            Some(t) => out.push_str(&format!(
+            Some(t) => put!(
+                out,
                 ",\"trigger\":{{\"reason\":\"{}\",\"window\":{}}}",
-                t.reason, t.window
-            )),
+                t.reason,
+                t.window
+            ),
             None => out.push_str(",\"trigger\":null"),
         }
         let slo = plane.slo.snapshot();
         let config = plane.slo.config();
-        out.push_str(&format!(
+        put!(
+            out,
             ",\"slo\":{{\"objective_us\":{:.1},\"target\":{},\"short_burn\":{:.4},\
              \"long_burn\":{:.4},\"alerting\":{},\"windows\":{},\"total\":{},\"bad\":{}}}",
             config.objective.as_micros_f64(),
@@ -944,13 +940,14 @@ impl ServeMetrics {
             slo.windows,
             slo.total,
             slo.bad
-        ));
+        );
         out.push_str(",\"windows\":[");
         for (i, w) in plane.recorder.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
+            put!(
+                out,
                 "{{\"index\":{},\"end_uptime_us\":{:.1},\"total\":{},\"bad\":{},\
                  \"p50_us\":{:.2},\"p95_us\":{:.2},\"p99_us\":{:.2},\
                  \"lock_acquisitions\":{},\"lock_contended\":{},\
@@ -972,8 +969,8 @@ impl ServeMetrics {
                 match w.trigger {
                     Some(r) => format!("\"{r}\""),
                     None => "null".to_owned(),
-                },
-            ));
+                }
+            );
             let mut first = true;
             for verb in Verb::ALL {
                 let n = w.verbs[verb.index()];
@@ -984,22 +981,23 @@ impl ServeMetrics {
                     out.push(',');
                 }
                 first = false;
-                out.push_str(&format!("\"{}\":{n}", verb.name()));
+                put!(out, "\"{}\":{n}", verb.name());
             }
             out.push_str("}}");
         }
         out.push_str("],\"slow\":[");
-        for (i, s) in self.slow.lock().iter().enumerate() {
+        for (i, s) in plane.slow.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
+            put!(
+                out,
                 "{{\"seq\":{},\"verb\":\"{}\",\"latency_us\":{:.2},\"at_us\":{:.1}}}",
                 s.seq,
                 s.verb.name(),
                 s.latency.as_micros_f64(),
                 s.at.as_micros_f64()
-            ));
+            );
         }
         out.push_str("],\"trace\":");
         out.push_str(&self.tracer.lock().to_chrome_json_capped(RECORDER_SPAN_CAP));
@@ -1015,14 +1013,14 @@ impl ServeMetrics {
     /// verb is what keeps an otherwise idle server's windows current.
     pub fn render_stats_windows(&self, out: &mut BytesMut) {
         if self.enabled {
-            let mut plane = self.windows.lock();
-            self.rotate_due(&mut plane);
-            out.extend_from_slice(
-                format!("STAT window_ms {}\r\n", self.window.as_millis()).as_bytes(),
-            );
-            out.extend_from_slice(format!("STAT windows_closed {}\r\n", plane.closed).as_bytes());
-            out.extend_from_slice(
-                format!("STAT windows_retained {}\r\n", plane.overall.retained()).as_bytes(),
+            let mut plane = self.plane.lock();
+            self.rotate_due(&mut plane, Instant::now());
+            put!(out, "STAT window_ms {}\r\n", self.window.as_millis());
+            put!(out, "STAT windows_closed {}\r\n", plane.closed);
+            put!(
+                out,
+                "STAT windows_retained {}\r\n",
+                plane.overall.retained()
             );
             for verb in Verb::ALL {
                 let rate = &plane.rates[verb.index()];
@@ -1030,22 +1028,16 @@ impl ServeMetrics {
                     continue;
                 }
                 let n = verb.name();
-                out.extend_from_slice(
-                    format!("STAT rate_{n} {:.1}\r\n", rate.last_rate()).as_bytes(),
-                );
-                out.extend_from_slice(
-                    format!("STAT rate_{n}_ewma {:.1}\r\n", rate.ewma_rate()).as_bytes(),
-                );
+                put!(out, "STAT rate_{n} {:.1}\r\n", rate.last_rate());
+                put!(out, "STAT rate_{n}_ewma {:.1}\r\n", rate.ewma_rate());
             }
             let retained = plane.overall.retained() as u64;
             for (j, h) in plane.overall.windows().enumerate() {
                 let idx = plane.closed - retained + j as u64 + 1;
                 let q = h.quantiles();
-                out.extend_from_slice(format!("STAT win_{idx}_count {}\r\n", q.count).as_bytes());
+                put!(out, "STAT win_{idx}_count {}\r\n", q.count);
                 for (stat, d) in [("p50", q.p50), ("p95", q.p95), ("p99", q.p99)] {
-                    out.extend_from_slice(
-                        format!("STAT win_{idx}_{stat}_us {:.2}\r\n", d.as_micros_f64()).as_bytes(),
-                    );
+                    put!(out, "STAT win_{idx}_{stat}_us {:.2}\r\n", d.as_micros_f64());
                 }
             }
         }
@@ -1057,21 +1049,17 @@ impl ServeMetrics {
     /// `END`.
     pub fn render_stats_slo(&self, out: &mut BytesMut) {
         if self.enabled {
-            let mut plane = self.windows.lock();
-            self.rotate_due(&mut plane);
+            let mut plane = self.plane.lock();
+            self.rotate_due(&mut plane, Instant::now());
             let snap = plane.slo.snapshot();
             let config = plane.slo.config();
-            out.extend_from_slice(
-                format!(
-                    "STAT slo_objective_us {:.1}\r\n",
-                    config.objective.as_micros_f64()
-                )
-                .as_bytes(),
+            put!(
+                out,
+                "STAT slo_objective_us {:.1}\r\n",
+                config.objective.as_micros_f64()
             );
-            out.extend_from_slice(format!("STAT slo_target {}\r\n", config.target).as_bytes());
-            out.extend_from_slice(
-                format!("STAT slo_window_ms {}\r\n", self.window.as_millis()).as_bytes(),
-            );
+            put!(out, "STAT slo_target {}\r\n", config.target);
+            put!(out, "STAT slo_window_ms {}\r\n", self.window.as_millis());
             for (stat, v) in [
                 ("slo_short_windows", config.short_windows as u64),
                 ("slo_long_windows", config.long_windows as u64),
@@ -1080,13 +1068,13 @@ impl ServeMetrics {
                 ("slo_bad", snap.bad),
                 ("slo_alerting", u64::from(snap.alerting)),
             ] {
-                out.extend_from_slice(format!("STAT {stat} {v}\r\n").as_bytes());
+                put!(out, "STAT {stat} {v}\r\n");
             }
             for (stat, v) in [
                 ("slo_short_burn", snap.short_burn),
                 ("slo_long_burn", snap.long_burn),
             ] {
-                out.extend_from_slice(format!("STAT {stat} {v:.4}\r\n").as_bytes());
+                put!(out, "STAT {stat} {v:.4}\r\n");
             }
         }
         out.extend_from_slice(b"END\r\n");
@@ -1102,16 +1090,10 @@ impl ServeMetrics {
     /// window numbering/rotation cadence — window indices keep counting
     /// from server start so they stay comparable across a reset.
     pub fn reset(&self) {
-        let mut plane = self.windows.lock();
-        self.registry.lock().reset();
-        for s in &self.shards {
-            s.acquisitions.store(0, Ordering::Relaxed);
-            s.contended.store(0, Ordering::Relaxed);
-            s.wait_ns.store(0, Ordering::Relaxed);
-            s.hold_ns.store(0, Ordering::Relaxed);
-            s.hold_max_ns.store(0, Ordering::Relaxed);
-        }
-        self.slow.lock().clear();
+        let mut plane = self.plane.lock();
+        plane.registry.reset();
+        plane.shards.fill(ShardLockSnapshot::default());
+        plane.slow.clear();
         self.conn_rejected.store(0, Ordering::Relaxed);
         plane.overall.reset();
         for rate in &mut plane.rates {
@@ -1131,15 +1113,17 @@ impl ServeMetrics {
     /// p50/p90/p95/p99/p999/max in microseconds, only for verbs that
     /// have traffic, terminated by `END`.
     pub fn render_stats_latency(&self, out: &mut BytesMut) {
-        let registry = self.registry.lock();
+        let plane = self.plane.lock();
         for verb in Verb::ALL {
-            let h = registry.histogram_value(self.verb_histograms[verb.index()]);
+            let h = plane
+                .registry
+                .histogram_value(self.verb_histograms[verb.index()]);
             if h.count() == 0 {
                 continue;
             }
             let q = h.quantiles();
             let n = verb.name();
-            out.extend_from_slice(format!("STAT {n}_count {}\r\n", q.count).as_bytes());
+            put!(out, "STAT {n}_count {}\r\n", q.count);
             for (stat, d) in [
                 ("mean", q.mean),
                 ("p50", q.p50),
@@ -1149,12 +1133,9 @@ impl ServeMetrics {
                 ("p999", q.p999),
                 ("max", q.max),
             ] {
-                out.extend_from_slice(
-                    format!("STAT {n}_{stat}_us {:.2}\r\n", d.as_micros_f64()).as_bytes(),
-                );
+                put!(out, "STAT {n}_{stat}_us {:.2}\r\n", d.as_micros_f64());
             }
         }
-        drop(registry);
         out.extend_from_slice(b"END\r\n");
     }
 
@@ -1176,15 +1157,13 @@ impl ServeMetrics {
                 ("lock_contended", lock.contended),
                 ("lock_hold_max_ns", lock.hold_max_ns),
             ] {
-                out.extend_from_slice(format!("STAT shard_{i}_{stat} {v}\r\n").as_bytes());
+                put!(out, "STAT shard_{i}_{stat} {v}\r\n");
             }
             for (stat, ns) in [
                 ("lock_wait_us", lock.wait_ns),
                 ("lock_hold_us", lock.hold_ns),
             ] {
-                out.extend_from_slice(
-                    format!("STAT shard_{i}_{stat} {:.1}\r\n", ns as f64 / 1e3).as_bytes(),
-                );
+                put!(out, "STAT shard_{i}_{stat} {:.1}\r\n", ns as f64 / 1e3);
             }
         }
         out.extend_from_slice(b"END\r\n");
@@ -1195,7 +1174,7 @@ impl ServeMetrics {
     /// sees contention per stripe without N distinct metric names.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
-        let mut out = self.registry.lock().to_prometheus();
+        let mut out = self.plane.lock().registry.to_prometheus();
         let locks = self.shard_snapshots();
         for (metric, get) in [
             (
@@ -1207,9 +1186,9 @@ impl ServeMetrics {
             ("densekv_shard_lock_hold_ns", |l| l.hold_ns),
             ("densekv_shard_lock_hold_max_ns", |l| l.hold_max_ns),
         ] {
-            out.push_str(&format!("# TYPE {metric} counter\n"));
+            put!(out, "# TYPE {metric} counter\n");
             for (i, lock) in locks.iter().enumerate() {
-                out.push_str(&format!("{metric}{{shard=\"{i}\"}} {}\n", get(lock)));
+                put!(out, "{metric}{{shard=\"{i}\"}} {}\n", get(lock));
             }
         }
         out
@@ -1238,30 +1217,31 @@ pub fn render_prometheus(
         ("timeouts", serve.timeouts),
         ("protocol_errors", serve.protocol_errors),
     ] {
-        out.push_str(&format!(
+        put!(
+            out,
             "# TYPE densekv_serve_{name} counter\ndensekv_serve_{name} {v}\n"
-        ));
+        );
     }
-    out.push_str(&format!(
+    put!(
+        out,
         "# TYPE densekv_serve_uptime_seconds gauge\ndensekv_serve_uptime_seconds {:.3}\n",
         metrics.uptime().as_secs_f64()
-    ));
+    );
     for (name, v) in densekv_kv::server::stat_lines(store) {
         let kind = if matches!(name, "curr_items" | "bytes") {
             "gauge"
         } else {
             "counter"
         };
-        out.push_str(&format!(
+        put!(
+            out,
             "# TYPE densekv_store_{name} {kind}\ndensekv_store_{name} {v}\n"
-        ));
+        );
     }
     // Backend-internal gauges (tier occupancy, bitmap fill, probe
     // lengths) when the engine is serving; empty under the model store.
     for (name, v) in engine {
-        out.push_str(&format!(
-            "# TYPE densekv_{name} gauge\ndensekv_{name} {v}\n"
-        ));
+        put!(out, "# TYPE densekv_{name} gauge\ndensekv_{name} {v}\n");
     }
     out.push_str(&metrics.to_prometheus());
     out
@@ -1271,16 +1251,24 @@ pub fn render_prometheus(
 mod tests {
     use super::*;
 
+    /// One command through a connection's cells and straight into the
+    /// plane, as a worker with nothing else buffered flushes it.
+    fn record(m: &ServeMetrics, verb: Verb, latency: std::time::Duration) {
+        let mut cells = m.cells();
+        cells.record(verb, latency, Instant::now());
+        m.flush(&mut cells, Instant::now());
+    }
+
     #[test]
     fn verb_classification_covers_the_protocol() {
-        use bytes::Bytes;
+        use densekv_kv::protocol::Command;
         let get = Command::Get {
-            keys: vec![Bytes::from_static(b"k")],
+            keys: vec![bytes::Bytes::from_static(b"k")],
             with_cas: false,
         };
-        assert_eq!(Verb::of(&get), Verb::Get);
-        assert_eq!(Verb::of(&Command::Metrics), Verb::Metrics);
-        assert_eq!(Verb::of(&Command::Stats { arg: None }), Verb::Stats);
+        assert_eq!(Verb::of(&get.as_request()), Verb::Get);
+        assert_eq!(Verb::of(&Request::Metrics), Verb::Metrics);
+        assert_eq!(Verb::of(&Request::Stats { arg: None }), Verb::Stats);
         // Names, counter names, and indices are all distinct.
         let mut names: Vec<_> = Verb::ALL.iter().map(|v| v.name()).collect();
         names.sort_unstable();
@@ -1297,9 +1285,9 @@ mod tests {
     fn record_and_render_latency_stats() {
         let m = ServeMetrics::new(&MetricsConfig::default(), 4);
         for us in [100u64, 200, 300] {
-            m.record_command(Verb::Get, std::time::Duration::from_micros(us), 0);
+            record(&m, Verb::Get, std::time::Duration::from_micros(us));
         }
-        m.record_command(Verb::Set, std::time::Duration::from_micros(50), 1);
+        record(&m, Verb::Set, std::time::Duration::from_micros(50));
         assert_eq!(m.verb_count(Verb::Get), 3);
         let q = m.verb_quantiles(Verb::Get);
         assert_eq!(q.count, 3);
@@ -1317,16 +1305,16 @@ mod tests {
 
     #[test]
     fn disabled_plane_is_inert() {
-        let m = ServeMetrics::disabled(2);
+        let m = ServeMetrics::new(&MetricsConfig::disabled(), 2);
         assert!(!m.is_enabled());
-        m.record_command(Verb::Get, std::time::Duration::from_micros(10), 0);
+        record(&m, Verb::Get, std::time::Duration::from_micros(10));
         m.record_shard(0, Default::default(), Default::default(), true);
         m.record_span(0, Verb::Get, 7, &RequestPhases::default());
         assert_eq!(m.verb_count(Verb::Get), 0);
         assert_eq!(m.verb_quantiles(Verb::Get).count, 0);
         assert_eq!(m.shard_snapshots()[0], ShardLockSnapshot::default());
         assert_eq!(m.spans_recorded(), 0);
-        assert!(!m.samples(0));
+        assert!(!m.cells().sampled());
     }
 
     #[test]
@@ -1338,10 +1326,18 @@ mod tests {
             },
             1,
         );
-        let sampled: Vec<u64> = (0..10).filter(|&s| m.samples(s)).collect();
+        // Per connection: its first command and every fourth after it.
+        let mut cells = m.cells();
+        let sampled: Vec<u64> = (0..10).filter(|_| cells.sampled()).collect();
         assert_eq!(sampled, vec![0, 4, 8]);
-        assert_eq!(m.next_seq(), 0);
-        assert_eq!(m.next_seq(), 1);
+        // Sequence numbers are handed out in flush order.
+        let now = Instant::now();
+        for _ in 0..3 {
+            cells.record(Verb::Get, std::time::Duration::ZERO, now);
+        }
+        assert_eq!(m.flush(&mut cells, now), 0);
+        cells.record(Verb::Get, std::time::Duration::ZERO, now);
+        assert_eq!(m.flush(&mut cells, now), 3);
     }
 
     #[test]
@@ -1378,12 +1374,12 @@ mod tests {
         assert_eq!(snaps[0].hold_ns, 30_000);
         assert_eq!(snaps[0].hold_max_ns, 20_000);
         assert_eq!(snaps[1].acquisitions, 1);
-        m.record_command(Verb::Get, us(100), 0);
+        record(&m, Verb::Get, us(100));
         m.reset();
         assert_eq!(m.shard_snapshots()[0], ShardLockSnapshot::default());
         assert_eq!(m.verb_count(Verb::Get), 0);
         // Handles survive the reset.
-        m.record_command(Verb::Get, us(10), 1);
+        record(&m, Verb::Get, us(10));
         assert_eq!(m.verb_count(Verb::Get), 1);
     }
 
@@ -1397,9 +1393,9 @@ mod tests {
             },
             1,
         );
-        m.record_command(Verb::Get, std::time::Duration::from_micros(50), 0);
-        for seq in 1..=3 {
-            m.record_command(Verb::Set, std::time::Duration::from_micros(200), seq);
+        record(&m, Verb::Get, std::time::Duration::from_micros(50));
+        for _ in 1..=3 {
+            record(&m, Verb::Set, std::time::Duration::from_micros(200));
         }
         let slow = m.slow_requests();
         assert_eq!(slow.len(), 2, "capacity bound");
@@ -1438,10 +1434,10 @@ mod tests {
             1,
         );
         let us = std::time::Duration::from_micros;
-        m.record_command(Verb::Get, us(100), 0);
-        m.record_command(Verb::Get, us(200), 1);
+        record(&m, Verb::Get, us(100));
+        record(&m, Verb::Get, us(200));
         m.rotate_now();
-        m.record_command(Verb::Set, us(50), 2);
+        record(&m, Verb::Set, us(50));
         m.rotate_now();
         m.rotate_now(); // empty third window evicts the first
         assert_eq!(m.windows_closed(), 3);
@@ -1466,8 +1462,8 @@ mod tests {
     fn slo_burn_trips_the_flight_recorder_once_per_edge() {
         let m = touchy_plane();
         let slow = std::time::Duration::from_micros(500); // 500× objective
-        for seq in 0..10 {
-            m.record_command(Verb::Get, slow, seq);
+        for _ in 0..10 {
+            record(&m, Verb::Get, slow);
         }
         m.rotate_now();
         let snap = m.slo_snapshot();
@@ -1481,8 +1477,8 @@ mod tests {
         assert!(dump.contains("\"reason\":\"slo-burn\""), "{dump}");
 
         // Still burning: no second dump while the state holds.
-        for seq in 10..20 {
-            m.record_command(Verb::Get, slow, seq);
+        for _ in 10..20 {
+            record(&m, Verb::Get, slow);
         }
         m.rotate_now();
         assert!(m.take_auto_dump().is_none(), "no dump without a new edge");
@@ -1492,8 +1488,8 @@ mod tests {
         m.rotate_now();
         m.rotate_now();
         assert!(!m.slo_snapshot().alerting);
-        for seq in 20..30 {
-            m.record_command(Verb::Get, slow, seq);
+        for _ in 20..30 {
+            record(&m, Verb::Get, slow);
         }
         m.rotate_now();
         let second = m.take_auto_dump().expect("new edge, new dump");
@@ -1528,8 +1524,8 @@ mod tests {
     fn stats_dump_is_valid_json_with_every_section() {
         let m = touchy_plane();
         let us = std::time::Duration::from_micros;
-        m.record_command(Verb::Get, us(300), 0);
-        m.record_command(Verb::Set, us(40), 1);
+        record(&m, Verb::Get, us(300));
+        record(&m, Verb::Set, us(40));
         m.record_span(0, Verb::Get, 3, &RequestPhases::default());
         m.rotate_now();
         let json = m.flight_recorder_json();
@@ -1545,7 +1541,7 @@ mod tests {
             assert!(json.contains(section), "missing {section}: {json}");
         }
         // Disabled plane still answers with valid JSON.
-        let off = ServeMetrics::disabled(1);
+        let off = ServeMetrics::new(&MetricsConfig::disabled(), 1);
         let json = off.flight_recorder_json();
         densekv_telemetry::validate_json(&json).expect("disabled dump is valid JSON");
         assert!(json.contains("\"enabled\":false"));
@@ -1555,8 +1551,8 @@ mod tests {
     fn reset_clears_window_ring_and_slo_state_atomically() {
         let m = touchy_plane();
         let slow = std::time::Duration::from_micros(500);
-        for seq in 0..10 {
-            m.record_command(Verb::Get, slow, seq);
+        for _ in 0..10 {
+            record(&m, Verb::Get, slow);
         }
         m.rotate_now();
         m.rotate_now();
@@ -1577,7 +1573,7 @@ mod tests {
         // Window numbering continues: indices stay comparable across
         // the reset instead of restarting at 1.
         let before = m.windows_closed();
-        m.record_command(Verb::Get, std::time::Duration::from_nanos(100), 10);
+        record(&m, Verb::Get, std::time::Duration::from_nanos(100));
         m.rotate_now();
         assert_eq!(m.windows_closed(), before + 1);
         let snaps = m.window_snapshots();
@@ -1589,8 +1585,8 @@ mod tests {
 
     #[test]
     fn disabled_plane_windowed_surface_is_inert() {
-        let m = ServeMetrics::disabled(1);
-        m.record_command(Verb::Get, std::time::Duration::from_micros(10), 0);
+        let m = ServeMetrics::new(&MetricsConfig::disabled(), 1);
+        record(&m, Verb::Get, std::time::Duration::from_micros(10));
         m.rotate_now();
         assert_eq!(m.windows_closed(), 0);
         assert!(m.window_snapshots().is_empty());
@@ -1606,7 +1602,7 @@ mod tests {
     #[test]
     fn prometheus_block_has_every_layer() {
         let m = ServeMetrics::new(&MetricsConfig::default(), 2);
-        m.record_command(Verb::Get, std::time::Duration::from_micros(120), 0);
+        record(&m, Verb::Get, std::time::Duration::from_micros(120));
         m.record_shard(
             1,
             Default::default(),

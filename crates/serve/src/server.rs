@@ -27,12 +27,13 @@ use std::time::{Duration, Instant};
 use bytes::BytesMut;
 use parking_lot::Mutex;
 
-use densekv_kv::protocol::{parse_command, render_error, Command, Parsed};
-use densekv_kv::server::{resync_after_error, Disposition, WallClock};
+use densekv_kv::protocol::{parse_request, render_error, Request};
+use densekv_kv::server::{resync_offset, Clock, Disposition, WallClock};
 use densekv_kv::store::StoreConfig;
 
+use crate::cells::ConnCells;
 use crate::metrics::{render_prometheus, MetricsConfig, RequestPhases, ServeMetrics, Verb};
-use crate::shard::{BackendKind, ShardTiming, ShardedStore};
+use crate::shard::{BackendKind, LockObserver, ShardedStore};
 
 /// Read size per syscall in the connection loop.
 const READ_CHUNK: usize = 16 << 10;
@@ -223,6 +224,25 @@ struct Shared {
     /// Clones of live connection sockets, so shutdown can interrupt
     /// blocked reads immediately instead of waiting out the timeout.
     conns: Mutex<HashMap<u64, TcpStream>>,
+}
+
+impl Counters {
+    /// Adds what one connection counted since it last did this, and
+    /// zeroes its tally.
+    fn add(&self, tally: &mut ServeStats) {
+        for (counter, n) in [
+            (&self.commands, tally.commands),
+            (&self.bytes_in, tally.bytes_in),
+            (&self.bytes_out, tally.bytes_out),
+            (&self.protocol_errors, tally.protocol_errors),
+        ] {
+            // Even adding nothing would take the counter's cache line.
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        *tally = ServeStats::default();
+    }
 }
 
 /// Reads the lifetime counters out of `counters` (shared by the handle
@@ -418,74 +438,44 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Writes and drains `out`; false when the peer is gone.
-fn flush(stream: &mut TcpStream, out: &mut BytesMut, shared: &Shared) -> bool {
-    if out.is_empty() {
-        return true;
-    }
-    let ok = stream.write_all(out).is_ok();
-    shared
-        .counters
-        .bytes_out
-        .fetch_add(out.len() as u64, Ordering::Relaxed);
-    out.clear();
-    ok
-}
-
-/// Flushes and, if a sampled request is pending its write phase, times
-/// the flush as that phase and commits the span.
-fn finish_flush(
-    stream: &mut TcpStream,
-    out: &mut BytesMut,
+/// Executes one request: the observability verbs (`stats
+/// latency|shards|reset…`, `metrics`) are answered from the plane;
+/// everything else goes to the sharded store, reporting its shard locks
+/// to `observer`.
+fn execute(
     shared: &Shared,
-    pending: &mut Option<(u64, Verb, RequestPhases)>,
-    id: u64,
-) -> bool {
-    let write_t0 = pending.is_some().then(Instant::now);
-    let ok = flush(stream, out, shared);
-    if let Some((seq, verb, mut phases)) = pending.take() {
-        phases.write = write_t0.map(|t| t.elapsed()).unwrap_or_default();
-        shared.metrics.record_span(seq, verb, id as u32, &phases);
-    }
-    ok
-}
-
-/// Executes one parsed command: the observability verbs (`stats
-/// latency|shards|reset`, `metrics`) are answered from the plane;
-/// everything else goes to the sharded store — through the lock-timed
-/// path when the plane records, the plain path when it is off.
-fn execute(shared: &Shared, command: Command, out: &mut BytesMut) -> (Disposition, ShardTiming) {
-    match command {
-        Command::Stats { arg: Some(arg) } => {
-            match arg.as_ref() {
-                b"latency" => shared.metrics.render_stats_latency(out),
-                b"shards" => shared
-                    .metrics
-                    .render_stats_shards(&shared.store.shard_stats(), out),
-                b"windows" => shared.metrics.render_stats_windows(out),
-                b"slo" => shared.metrics.render_stats_slo(out),
-                b"dump" => {
-                    // One JSON object on one line, then END — readable
-                    // with the same line-until-END client call as the
-                    // other stats verbs.
-                    out.extend_from_slice(shared.metrics.flight_recorder_json().as_bytes());
-                    out.extend_from_slice(b"\r\nEND\r\n");
-                }
-                b"reset" => {
-                    shared.metrics.reset();
-                    out.extend_from_slice(b"RESET\r\n");
-                }
-                b"engine" => densekv_kv::server::render_backend_stats(
-                    &shared.store.backend_stat_lines(),
-                    out,
-                ),
-                _ => out.extend_from_slice(b"ERROR\r\n"),
-            }
-            (Disposition::KeepAlive, ShardTiming::default())
+    request: Request<'_>,
+    now: u64,
+    out: &mut BytesMut,
+    observer: Option<&mut dyn LockObserver>,
+) -> Disposition {
+    let plane = &shared.metrics;
+    match request {
+        Request::Stats {
+            arg: Some(b"latency"),
+        } => plane.render_stats_latency(out),
+        Request::Stats {
+            arg: Some(b"shards"),
+        } => plane.render_stats_shards(&shared.store.shard_stats(), out),
+        Request::Stats {
+            arg: Some(b"windows"),
+        } => plane.render_stats_windows(out),
+        Request::Stats { arg: Some(b"slo") } => plane.render_stats_slo(out),
+        Request::Stats { arg: Some(b"dump") } => {
+            // One JSON object on one line, then END — readable with the
+            // same line-until-END client call as the other stats verbs.
+            out.extend_from_slice(plane.flight_recorder_json().as_bytes());
+            out.extend_from_slice(b"\r\nEND\r\n");
         }
-        Command::Metrics => {
+        Request::Stats {
+            arg: Some(b"reset"),
+        } => {
+            plane.reset();
+            out.extend_from_slice(b"RESET\r\n");
+        }
+        Request::Metrics => {
             let text = render_prometheus(
-                &shared.metrics,
+                plane,
                 &stats_of(&shared.counters),
                 shared.active.load(Ordering::Relaxed),
                 &shared.store.stats(),
@@ -493,20 +483,36 @@ fn execute(shared: &Shared, command: Command, out: &mut BytesMut) -> (Dispositio
             );
             out.extend_from_slice(text.as_bytes());
             out.extend_from_slice(b"END\r\n");
-            (Disposition::KeepAlive, ShardTiming::default())
         }
-        command if shared.metrics.is_enabled() => {
-            shared
-                .store
-                .dispatch_timed(command, &shared.clock, out, &shared.metrics)
-        }
-        command => (
-            shared.store.dispatch(command, &shared.clock, out),
-            ShardTiming::default(),
-        ),
+        request => return shared.store.execute(request, now, out, observer),
+    }
+    Disposition::KeepAlive
+}
+
+/// Commits the sampled requests of the commands just flushed, which
+/// were numbered from `first`; the last of them waited for `write`.
+fn commit_spans(
+    metrics: &ServeMetrics,
+    pending: &mut Vec<(u64, Verb, RequestPhases)>,
+    first: u64,
+    id: u64,
+    write: Duration,
+) {
+    if let Some((_, _, phases)) = pending.last_mut() {
+        phases.write = write;
+    }
+    for (position, verb, phases) in pending.drain(..) {
+        metrics.record_span(first + position, verb, id as u32, &phases);
     }
 }
 
+/// One connection's worker. Per socket read it drains every complete
+/// command out of the receive buffer, borrowing each from it, and
+/// answers them with one write. What it measures along the way stays in
+/// its own tally and cells until the batch is drained; they reach the
+/// shared counters and plane before that batch's write — and before
+/// any `stats`/`metrics` verb in it runs — so whoever has read a reply
+/// can also read its counters.
 fn serve_connection(mut stream: TcpStream, id: u64, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
@@ -514,87 +520,99 @@ fn serve_connection(mut stream: TcpStream, id: u64, shared: &Arc<Shared>) {
     let mut out = BytesMut::with_capacity(4096);
     let mut chunk = vec![0u8; READ_CHUNK];
     let metrics = &shared.metrics;
-    let instrument = metrics.is_enabled();
+    let mut cells: Option<ConnCells> = metrics.is_enabled().then(|| metrics.cells());
+    let mut tally = ServeStats::default();
+    // Sampled requests waiting for the flush that numbers them: position
+    // since the last flush, verb, and phases so far.
+    let mut pending: Vec<(u64, Verb, RequestPhases)> = Vec::new();
     // Wall time of the socket read that delivered the bytes currently
     // buffered — the sampled span's recv phase.
     let mut last_read = Duration::ZERO;
-    // A sampled request waiting for its write phase (the flush that
-    // sends its response).
-    let mut pending: Option<(u64, Verb, RequestPhases)> = None;
+    // When the previous command ended, which is when the next begins:
+    // each command's latency costs one clock reading, not two.
+    let mut prev = Instant::now();
+    let mut open = true;
 
-    'conn: loop {
+    while open {
         // Drain every complete command currently buffered.
-        loop {
-            let parse_t0 = instrument.then(Instant::now);
-            match parse_command(&mut rx) {
-                Ok(Parsed::Complete(command)) => {
-                    shared.counters.commands.fetch_add(1, Ordering::Relaxed);
-                    let disposition = if instrument {
-                        let parse = parse_t0.map(|t| t.elapsed()).unwrap_or_default();
-                        let verb = Verb::of(&command);
-                        let seq = metrics.next_seq();
-                        let exec_t0 = Instant::now();
-                        let (disposition, timing) = execute(shared, command, &mut out);
-                        let exec = exec_t0.elapsed();
-                        metrics.record_command(verb, parse + exec, seq);
-                        if metrics.samples(seq) {
-                            // A second sampled request in one batch
-                            // commits the first with a zero write phase
-                            // rather than losing it.
-                            if let Some((s, v, p)) = pending.take() {
-                                metrics.record_span(s, v, id as u32, &p);
-                            }
-                            pending = Some((
-                                seq,
-                                verb,
-                                RequestPhases {
-                                    recv: std::mem::take(&mut last_read),
-                                    parse,
-                                    lock_wait: timing.lock_wait,
-                                    store: exec.saturating_sub(timing.lock_wait),
-                                    write: Duration::ZERO,
-                                },
-                            ));
-                        }
-                        disposition
-                    } else {
-                        execute(shared, command, &mut out).0
-                    };
-                    if disposition == Disposition::Close {
-                        finish_flush(&mut stream, &mut out, shared, &mut pending, id);
-                        break 'conn;
-                    }
+        let now = shared.clock.now_secs();
+        let mut used = 0;
+        while open {
+            let request = match parse_request(&rx[used..]) {
+                Ok(Some((request, len))) => {
+                    used += len;
+                    request
                 }
-                Ok(Parsed::Incomplete) => break,
+                Ok(None) => break,
                 Err(err) => {
-                    shared
-                        .counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
+                    tally.protocol_errors += 1;
                     render_error(&mut out, &err);
-                    if !resync_after_error(&mut rx, &err) {
+                    match resync_offset(&rx[used..], &err) {
+                        Some(skip) => used += skip,
                         // Framing lost: answer, then close.
-                        finish_flush(&mut stream, &mut out, shared, &mut pending, id);
-                        break 'conn;
+                        None => open = false,
                     }
+                    continue;
+                }
+            };
+            tally.commands += 1;
+            // A verb that reads the counters finds this batch in them.
+            if matches!(request, Request::Stats { .. } | Request::Metrics) {
+                shared.counters.add(&mut tally);
+                if let Some(cells) = &mut cells {
+                    let first = metrics.flush(cells, prev);
+                    commit_spans(metrics, &mut pending, first, id, Duration::ZERO);
                 }
             }
+            let Some(cells) = &mut cells else {
+                open = execute(shared, request, now, &mut out, None) == Disposition::KeepAlive;
+                continue;
+            };
+            let verb = Verb::of(&request);
+            let parsed = cells.sampled().then(Instant::now);
+            open = execute(shared, request, now, &mut out, Some(cells)) == Disposition::KeepAlive;
+            let (lock_wait, released) = cells.take_lock();
+            let end = released.unwrap_or_else(Instant::now);
+            let position = cells.record(verb, end - prev, end);
+            if let Some(parsed) = parsed {
+                let phases = RequestPhases {
+                    recv: std::mem::take(&mut last_read),
+                    parse: parsed - prev,
+                    lock_wait,
+                    store: (end - parsed).saturating_sub(lock_wait),
+                    write: Duration::ZERO,
+                };
+                pending.push((position, verb, phases));
+            }
+            prev = end;
         }
-        if !finish_flush(&mut stream, &mut out, shared, &mut pending, id) {
+        bytes::Buf::advance(&mut rx, used);
+
+        tally.bytes_out += out.len() as u64;
+        shared.counters.add(&mut tally);
+        let first = cells.as_mut().map_or(0, |cells| metrics.flush(cells, prev));
+        let write_t0 = (!pending.is_empty()).then(Instant::now);
+        open &= out.is_empty() || stream.write_all(&out).is_ok();
+        out.clear();
+        let write = write_t0.map(|t| t.elapsed()).unwrap_or_default();
+        commit_spans(metrics, &mut pending, first, id, write);
+        if !open || shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let read_t0 = instrument.then(Instant::now);
+
+        // Only a sampled request reports how long its bytes took to come.
+        let read_t0 = cells
+            .as_ref()
+            .is_some_and(ConnCells::samples_next)
+            .then(Instant::now);
         match stream.read(&mut chunk) {
             Ok(0) => break, // peer closed
             Ok(n) => {
-                last_read = read_t0.map(|t| t.elapsed()).unwrap_or_default();
-                shared
-                    .counters
-                    .bytes_in
-                    .fetch_add(n as u64, Ordering::Relaxed);
+                if cells.is_some() {
+                    prev = Instant::now();
+                    last_read = read_t0.map_or(Duration::ZERO, |t| prev - t);
+                }
+                tally.bytes_in += n as u64;
                 rx.extend_from_slice(&chunk[..n]);
             }
             Err(e)
@@ -609,6 +627,7 @@ fn serve_connection(mut stream: TcpStream, id: u64, shared: &Arc<Shared>) {
             Err(_) => break,
         }
     }
+    shared.counters.add(&mut tally);
     shared.conns.lock().remove(&id);
     shared.active.fetch_sub(1, Ordering::SeqCst);
     shared.metrics.connection_closed();
@@ -893,6 +912,108 @@ mod tests {
         // Unknown stats sub-commands answer ERROR in-band.
         let err = conn.raw_roundtrip(b"stats bogus\r\n").unwrap();
         assert_eq!(err, "ERROR");
+        server.shutdown();
+    }
+
+    #[test]
+    fn counters_are_exact_once_every_connection_has_been_answered() {
+        // Each connection keeps its counts to itself until it has
+        // drained a batch, and flushes them before it writes the
+        // replies: a client that has read its last reply finds every one
+        // of its commands counted, exactly.
+        const CONNECTIONS: usize = 4;
+        const ROUNDS: usize = 150;
+        let server = spawn(quick_config()).unwrap();
+        let clients: Vec<_> = (0..CONNECTIONS)
+            .map(|c| {
+                let addr = server.addr();
+                std::thread::spawn(move || {
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    let mut batch = Vec::new();
+                    for i in 0..ROUNDS {
+                        let key = format!("c{c}k{i}");
+                        batch.extend_from_slice(
+                            format!("set {key} 0 0 1\r\nx\r\nget {key} absent\r\ngets {key}\r\n")
+                                .as_bytes(),
+                        );
+                        if i % 3 == 0 {
+                            batch.extend_from_slice(format!("delete {key} noreply\r\n").as_bytes());
+                        }
+                    }
+                    batch.extend_from_slice(b"version\r\n");
+                    // In a few writes, so that one connection's commands
+                    // arrive in more than one batch.
+                    for piece in batch.chunks(batch.len() / 3 + 1) {
+                        stream.write_all(piece).unwrap();
+                    }
+                    let mut reply = Vec::new();
+                    let mut chunk = [0u8; 4096];
+                    while !reply.ends_with(b"-densekv\r\n") {
+                        let n = stream.read(&mut chunk).unwrap();
+                        assert_ne!(n, 0);
+                        reply.extend_from_slice(&chunk[..n]);
+                    }
+                    (stream, batch.len(), reply.len())
+                })
+            })
+            .collect();
+        // The connections stay open: nothing below is owed to a
+        // flush-on-close.
+        let held: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+        let metrics = server.metrics();
+        let n = (CONNECTIONS * ROUNDS) as u64;
+        let deletes = (CONNECTIONS * ROUNDS.div_ceil(3)) as u64;
+        assert_eq!(metrics.verb_count(Verb::Set), n);
+        assert_eq!(metrics.verb_count(Verb::Get), 2 * n);
+        assert_eq!(metrics.verb_count(Verb::Delete), deletes);
+        assert_eq!(metrics.verb_count(Verb::Version), CONNECTIONS as u64);
+        assert_eq!(metrics.verb_quantiles(Verb::Get).count, 2 * n);
+        let commands = 3 * n + deletes + CONNECTIONS as u64;
+        assert_eq!(metrics.overall_quantiles().count, commands);
+        let locks: u64 = metrics
+            .shard_snapshots()
+            .iter()
+            .map(|s| s.acquisitions)
+            .sum();
+        assert_eq!(locks, 4 * n + deletes, "one per key visited");
+        let stats = server.stats();
+        assert_eq!(stats.commands, commands);
+        assert_eq!(
+            stats.bytes_in,
+            held.iter().map(|&(_, sent, _)| sent as u64).sum::<u64>()
+        );
+        assert_eq!(
+            stats.bytes_out,
+            held.iter().map(|&(_, _, got)| got as u64).sum::<u64>()
+        );
+        drop(held);
+        server.shutdown();
+    }
+
+    #[test]
+    fn stats_verbs_count_the_commands_batched_before_them() {
+        let server = spawn(quick_config()).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // One write, so one batch: the plane is flushed into before the
+        // stats verb runs, not only at the end of the batch.
+        stream
+            .write_all(
+                b"set k 0 0 1\r\nx\r\nget k\r\nget k\r\nstats latency\r\n\
+                  get k\r\nmetrics\r\nquit\r\n",
+            )
+            .unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        let (latency, exposition) = reply.rsplit_once("END\r\nVALUE").expect("both blocks");
+        assert!(latency.contains("STAT set_count 1\r\n"), "{latency}");
+        assert!(latency.contains("STAT get_count 2\r\n"), "{latency}");
+        assert!(!latency.contains("stats_count"), "{latency}");
+        assert!(exposition.contains("serve_cmd_get 3\n"), "{exposition}");
+        assert!(exposition.contains("serve_cmd_stats 1\n"), "{exposition}");
+        assert!(
+            exposition.contains("densekv_serve_commands 6\n"),
+            "{exposition}"
+        );
         server.shutdown();
     }
 

@@ -3,22 +3,22 @@
 //!
 //! This is the live-traffic counterpart of
 //! [`densekv_kv::concurrent::StripedStore`]: same shard-by-upper-hash-
-//! bits layout, but dispatching full protocol [`Command`]s through
-//! [`handle_command`] instead of a narrow get/set trait, so every verb
-//! the simulator's functional path supports works over a real socket
-//! too. One shard reproduces Memcached 1.4's global cache lock; many
+//! bits layout, but running full protocol requests through
+//! [`densekv_kv::server::execute`] instead of a narrow get/set trait, so
+//! every verb the simulator's functional path supports works over a real
+//! socket too. One shard reproduces Memcached 1.4's global cache lock; many
 //! shards are the 1.6-style striped design whose contention difference
 //! the paper's §3.6 (and Table 4's "Bags" row) turns on.
 
 use bytes::BytesMut;
 use parking_lot::Mutex;
 
+use std::time::{Duration, Instant};
+
 use densekv_engine::Engine;
 use densekv_kv::hash::jenkins_oaat;
-use densekv_kv::protocol::{render_end, render_value, Command};
-use densekv_kv::server::{
-    handle_command, render_backend_stats, render_stats, render_store_metrics, Clock, Disposition,
-};
+use densekv_kv::protocol::{Command, Request};
+use densekv_kv::server::{Clock, Disposition, Stores};
 use densekv_kv::store::{KvStore, StoreConfig, StoreStats};
 use densekv_kv::StoreBackend;
 
@@ -84,9 +84,96 @@ impl BackendKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardTiming {
     /// Total lock acquisition wait.
-    pub lock_wait: std::time::Duration,
+    pub lock_wait: Duration,
     /// Total time holding shard locks (store work).
-    pub hold: std::time::Duration,
+    pub hold: Duration,
+}
+
+/// Told about every shard lock a command takes for its key.
+pub trait LockObserver {
+    /// Shard `shard`'s lock was held from `acquired` to `released`
+    /// after waiting `wait` for it. `contended` is whether `try_lock`
+    /// lost; when it won, nothing was waited for and `wait` is zero.
+    fn held(
+        &mut self,
+        shard: usize,
+        wait: Duration,
+        acquired: Instant,
+        released: Instant,
+        contended: bool,
+    );
+}
+
+/// Records straight into the shared plane, one command at a time.
+struct Direct<'a> {
+    metrics: &'a ServeMetrics,
+    timing: ShardTiming,
+}
+
+impl LockObserver for Direct<'_> {
+    fn held(
+        &mut self,
+        shard: usize,
+        wait: Duration,
+        acquired: Instant,
+        released: Instant,
+        contended: bool,
+    ) {
+        let hold = released - acquired;
+        self.metrics.record_shard(shard, wait, hold, contended);
+        self.timing.lock_wait += wait;
+        self.timing.hold += hold;
+    }
+}
+
+/// The shards as the command body reaches them: a key's store is the
+/// shard its hash picks, under that shard's lock.
+struct Locked<'s, 'o> {
+    store: &'s ShardedStore,
+    observer: Option<&'o mut dyn LockObserver>,
+}
+
+impl Stores for Locked<'_, '_> {
+    fn with_store<R>(&mut self, key: &[u8], f: impl FnOnce(&mut dyn StoreBackend, u64) -> R) -> R {
+        let hash = jenkins_oaat(key);
+        // Upper hash bits, like [`densekv_kv::concurrent::StripedStore`],
+        // so shard choice stays independent of the per-shard bucket
+        // index (low bits).
+        let idx = (hash >> 32) as usize % self.store.shards.len();
+        let shard = &self.store.shards[idx];
+        let Some(observer) = self.observer.as_deref_mut() else {
+            return f(&mut **shard.lock(), hash);
+        };
+        // The clock is read for the wait only when there is one.
+        let (mut guard, blocked_at) = match shard.try_lock() {
+            Some(guard) => (guard, None),
+            None => {
+                let blocked_at = Instant::now();
+                (shard.lock(), Some(blocked_at))
+            }
+        };
+        let acquired = Instant::now();
+        let result = f(&mut **guard, hash);
+        drop(guard);
+        let released = Instant::now();
+        let wait = blocked_at.map_or(Duration::ZERO, |t| acquired - t);
+        observer.held(idx, wait, acquired, released, blocked_at.is_some());
+        result
+    }
+
+    fn flush_all(&mut self) {
+        for shard in &self.store.shards {
+            shard.lock().flush_all();
+        }
+    }
+
+    fn stats(&mut self) -> StoreStats {
+        self.store.stats()
+    }
+
+    fn backend_stat_lines(&mut self) -> Vec<(String, u64)> {
+        self.store.backend_stat_lines()
+    }
 }
 
 /// A thread-safe store sharded across independently locked [`KvStore`]s.
@@ -169,79 +256,40 @@ impl ShardedStore {
         self.backend
     }
 
-    /// The shard owning `key`: upper hash bits, like
-    /// [`densekv_kv::concurrent::StripedStore`], so shard choice stays
-    /// independent of the per-shard bucket index (low bits).
-    fn shard_of(&self, key: &[u8]) -> usize {
-        (jenkins_oaat(key) >> 32) as usize % self.shards.len()
+    /// Executes one request at time `now`, appending any response to
+    /// `out` — [`densekv_kv::server::execute`], the command body the
+    /// simulator runs, over the shards.
+    ///
+    /// Single-key commands lock exactly their key's shard. Multi-key
+    /// GETs lock one shard at a time (no deadlock possible: at most one
+    /// lock is ever held). `stats` and `flush_all` visit every shard;
+    /// `version` and `quit` none. `observer` hears of each per-key lock,
+    /// timed; without one no clock is read. The whole-store verbs are
+    /// never reported: they visit every shard and would swamp the
+    /// per-request lock accounting an observer is after.
+    pub fn execute(
+        &self,
+        request: Request<'_>,
+        now: u64,
+        out: &mut BytesMut,
+        observer: Option<&mut dyn LockObserver>,
+    ) -> Disposition {
+        let mut shards = Locked {
+            store: self,
+            observer,
+        };
+        densekv_kv::server::execute(&mut shards, request, now, out)
     }
 
-    /// Executes one parsed command, appending any response to `out`.
-    ///
-    /// Single-key commands lock exactly their key's shard and run the
-    /// same [`handle_command`] loop the simulator uses. Multi-key GETs
-    /// lock one shard at a time (no deadlock possible: at most one lock
-    /// is ever held). `stats` and `flush_all` visit every shard.
+    /// [`ShardedStore::execute`] for an owned command at the clock's
+    /// current time, unobserved.
     pub fn dispatch(&self, command: Command, clock: &dyn Clock, out: &mut BytesMut) -> Disposition {
-        match command {
-            Command::Get { keys, with_cas } => {
-                let now = clock.now_secs();
-                for key in &keys {
-                    let mut shard = self.shards[self.shard_of(key)].lock();
-                    if let Some(hit) = shard.get(key, now) {
-                        render_value(out, key, &hit, with_cas);
-                    }
-                }
-                render_end(out);
-                Disposition::KeepAlive
-            }
-            // Plain `stats` renders the fold; `stats engine` renders the
-            // backend's internal gauges (ERROR under the model store,
-            // which exposes none). Other sub-commands belong to the
-            // serving layer's observability plane — at this layer (no
-            // plane attached) they answer ERROR like memcached does for
-            // unknown stats args.
-            Command::Stats { arg: None } => {
-                render_stats(&self.stats(), out);
-                Disposition::KeepAlive
-            }
-            Command::Stats { arg: Some(arg) } => {
-                if arg.as_ref() == b"engine" {
-                    render_backend_stats(&self.backend_stat_lines(), out);
-                } else {
-                    out.extend_from_slice(b"ERROR\r\n");
-                }
-                Disposition::KeepAlive
-            }
-            Command::Metrics => {
-                render_store_metrics(&self.stats(), out);
-                Disposition::KeepAlive
-            }
-            Command::FlushAll => {
-                for shard in &self.shards {
-                    shard.lock().flush_all();
-                }
-                out.extend_from_slice(b"OK\r\n");
-                Disposition::KeepAlive
-            }
-            Command::Set { ref key, .. }
-            | Command::IncrDecr { ref key, .. }
-            | Command::Delete { ref key, .. }
-            | Command::Touch { ref key, .. } => {
-                let shard = self.shard_of(key);
-                handle_command(&mut **self.shards[shard].lock(), command, clock, out)
-            }
-            // Version/Quit touch no data; any shard's loop renders them.
-            Command::Version | Command::Quit => {
-                handle_command(&mut **self.shards[0].lock(), command, clock, out)
-            }
-        }
+        self.execute(command.as_request(), clock.now_secs(), out, None)
     }
 
     /// Like [`ShardedStore::dispatch`], but measuring shard-lock wait
     /// and hold wall time into `metrics` (per shard) and the returned
-    /// [`ShardTiming`] (per request, for span phases). The instrumented
-    /// front-end calls this; everything else keeps the untimed path.
+    /// [`ShardTiming`] (per request).
     pub fn dispatch_timed(
         &self,
         command: Command,
@@ -249,76 +297,17 @@ impl ShardedStore {
         out: &mut BytesMut,
         metrics: &ServeMetrics,
     ) -> (Disposition, ShardTiming) {
-        let mut timing = ShardTiming::default();
-        let disposition = match command {
-            Command::Get { keys, with_cas } => {
-                let now = clock.now_secs();
-                for key in &keys {
-                    let idx = self.shard_of(key);
-                    self.with_shard_timed(idx, metrics, &mut timing, |shard| {
-                        if let Some(hit) = shard.get(key, now) {
-                            render_value(out, key, &hit, with_cas);
-                        }
-                    });
-                }
-                render_end(out);
-                Disposition::KeepAlive
-            }
-            Command::Stats { .. } | Command::Metrics | Command::FlushAll => {
-                // Introspection and whole-store verbs take the untimed
-                // path: they visit every shard and would swamp the
-                // per-request lock accounting the plane is after.
-                self.dispatch(command, clock, out)
-            }
-            Command::Set { .. }
-            | Command::IncrDecr { .. }
-            | Command::Delete { .. }
-            | Command::Touch { .. } => {
-                let idx = match &command {
-                    Command::Set { key, .. }
-                    | Command::IncrDecr { key, .. }
-                    | Command::Delete { key, .. }
-                    | Command::Touch { key, .. } => self.shard_of(key),
-                    _ => unreachable!("outer arm is key-carrying"),
-                };
-                self.with_shard_timed(idx, metrics, &mut timing, |shard| {
-                    handle_command(shard, command, clock, out)
-                })
-            }
-            Command::Version | Command::Quit => {
-                self.with_shard_timed(0, metrics, &mut timing, |shard| {
-                    handle_command(shard, command, clock, out)
-                })
-            }
+        let mut direct = Direct {
+            metrics,
+            timing: ShardTiming::default(),
         };
-        (disposition, timing)
-    }
-
-    /// Runs `f` under shard `idx`'s lock, timing acquisition wait and
-    /// hold and recording both into `metrics` and `timing`. Contention
-    /// is detected by `try_lock` losing the race before falling back to
-    /// a blocking `lock`.
-    fn with_shard_timed<R>(
-        &self,
-        idx: usize,
-        metrics: &ServeMetrics,
-        timing: &mut ShardTiming,
-        f: impl FnOnce(&mut dyn StoreBackend) -> R,
-    ) -> R {
-        let t0 = std::time::Instant::now();
-        let (mut guard, contended) = match self.shards[idx].try_lock() {
-            Some(guard) => (guard, false),
-            None => (self.shards[idx].lock(), true),
-        };
-        let wait = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        let result = f(&mut **guard);
-        drop(guard);
-        let hold = t1.elapsed();
-        metrics.record_shard(idx, wait, hold, contended);
-        timing.lock_wait += wait;
-        timing.hold += hold;
-        result
+        let disposition = self.execute(
+            command.as_request(),
+            clock.now_secs(),
+            out,
+            Some(&mut direct),
+        );
+        (disposition, direct.timing)
     }
 
     /// Counters summed across shards (rendered by the `stats` verb).
@@ -354,7 +343,8 @@ impl ShardedStore {
     /// line sets agree). Ratio lines don't sum — `*_fill_pct` is
     /// recomputed from the merged `*_used_pages` / `*_total_pages`
     /// totals. Empty under the model store, which exposes no
-    /// internals — [`render_backend_stats`] turns that into `ERROR`.
+    /// internals — [`densekv_kv::server::render_backend_stats`] turns that
+    /// into `ERROR`.
     #[must_use]
     pub fn backend_stat_lines(&self) -> Vec<(String, u64)> {
         let mut merged: Vec<(String, u64)> = Vec::new();
@@ -515,9 +505,9 @@ mod tests {
             .iter()
             .map(|s| s.acquisitions)
             .sum();
-        // 5 single-key writes + version (shard 0) + 3 get-key visits:
-        // every locked shard visit is counted exactly once.
-        assert_eq!(acquisitions, 9, "acquisitions = {acquisitions}");
+        // 5 single-key writes + 3 get-key visits (`version` needs no
+        // store): every locked shard visit is counted exactly once.
+        assert_eq!(acquisitions, 8, "acquisitions = {acquisitions}");
         assert!(total.hold > std::time::Duration::ZERO);
     }
 

@@ -52,7 +52,7 @@ pub struct HistogramId(usize);
 /// let exact = Duration::from_micros(500);
 /// assert!(p50 >= exact && p50.as_secs_f64() < exact.as_secs_f64() * 1.1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct LogHistogram {
     /// Sample count per bucket, indexed by [`bucket_index`].
     buckets: Vec<u64>,
@@ -95,6 +95,18 @@ fn bucket_bound(index: usize) -> u64 {
     // before subtracting would wrap.
     (base + sub * width) + (width - 1)
 }
+
+/// Histograms are equal when they hold the same samples, however far
+/// their bucket vectors have grown.
+impl PartialEq for LogHistogram {
+    fn eq(&self, other: &LogHistogram) -> bool {
+        (self.count, self.sum_ps, self.min_ps, self.max_ps)
+            == (other.count, other.sum_ps, other.min_ps, other.max_ps)
+            && self.buckets[self.occupied()] == other.buckets[other.occupied()]
+    }
+}
+
+impl Eq for LogHistogram {}
 
 impl Default for LogHistogram {
     /// Identical to [`LogHistogram::new`] — in particular `min_ps`
@@ -205,7 +217,7 @@ impl LogHistogram {
     /// already-grown bucket vector so the next samples stay allocation
     /// free (the `stats reset` path of a live server).
     pub fn reset(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
+        self.occupied_mut().fill(0);
         self.count = 0;
         self.sum_ps = 0;
         self.min_ps = u64::MAX;
@@ -231,12 +243,32 @@ impl LogHistogram {
         }
     }
 
+    /// The buckets that can be non-zero: every sample lies between the
+    /// exact minimum and maximum, so a histogram of a few similar
+    /// samples resets and merges in time proportional to their spread,
+    /// not to the largest value the bucket vector ever grew for.
+    fn occupied(&self) -> std::ops::Range<usize> {
+        if self.count == 0 {
+            return 0..0;
+        }
+        bucket_index(self.min_ps)..bucket_index(self.max_ps) + 1
+    }
+
+    fn occupied_mut(&mut self) -> &mut [u64] {
+        let occupied = self.occupied();
+        &mut self.buckets[occupied]
+    }
+
     /// Merges another histogram into this one (shard fold-in).
     pub fn merge(&mut self, other: &LogHistogram) {
         if other.buckets.len() > self.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+        let occupied = other.occupied();
+        for (mine, theirs) in self.buckets[occupied.clone()]
+            .iter_mut()
+            .zip(&other.buckets[occupied])
+        {
             *mine += theirs;
         }
         self.count += other.count;
@@ -449,6 +481,14 @@ impl MetricsRegistry {
     pub fn observe(&mut self, id: HistogramId, d: Duration) {
         if self.enabled {
             self.histograms[id.0].1.record(d);
+        }
+    }
+
+    /// Folds a whole histogram of samples into a histogram, as if each
+    /// had been [`MetricsRegistry::observe`]d.
+    pub fn observe_all(&mut self, id: HistogramId, samples: &LogHistogram) {
+        if self.enabled {
+            self.histograms[id.0].1.merge(samples);
         }
     }
 

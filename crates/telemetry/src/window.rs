@@ -99,6 +99,14 @@ impl WindowedHistogram {
         self.cumulative.record(d);
     }
 
+    /// Folds a whole histogram of samples into the open window and the
+    /// cumulative histogram, as if each had been
+    /// [`WindowedHistogram::record`]ed.
+    pub fn record_all(&mut self, samples: &LogHistogram) {
+        self.current.merge(samples);
+        self.cumulative.merge(samples);
+    }
+
     /// Closes the open window into the ring and starts a fresh one,
     /// returning the histogram of the window just closed. Closing an
     /// empty window is legal and meaningful: it is how idle time shows
@@ -684,6 +692,9 @@ mod tests {
     #[derive(Debug, Clone)]
     enum WinOp {
         Record(u64),
+        /// Samples collected elsewhere (a connection's cell) and folded
+        /// in whole.
+        RecordAll(Vec<u64>),
         Rotate,
     }
 
@@ -691,7 +702,7 @@ mod tests {
         prop_oneof![
             (0u64..=400_000_000_000).prop_map(WinOp::Record),
             (0u64..=400_000_000_000).prop_map(WinOp::Record),
-            (0u64..=400_000_000_000).prop_map(WinOp::Record),
+            proptest::collection::vec(0u64..=400_000_000_000, 0..8).prop_map(WinOp::RecordAll),
             (0u64..1).prop_map(|_| WinOp::Rotate),
         ]
     }
@@ -709,12 +720,23 @@ mod tests {
         ) {
             let mut windowed = WindowedHistogram::new(capacity);
             let mut plain = LogHistogram::new();
+            // Reused across batches, as a connection reuses its cell: it
+            // keeps the buckets it grew for an earlier, larger sample.
+            let mut cell = LogHistogram::new();
             for op in &ops {
-                match *op {
-                    WinOp::Record(ps) => {
+                match op {
+                    &WinOp::Record(ps) => {
                         let v = Duration::from_ps(ps);
                         windowed.record(v);
                         plain.record(v);
+                    }
+                    WinOp::RecordAll(samples) => {
+                        for &ps in samples {
+                            cell.record(Duration::from_ps(ps));
+                            plain.record(Duration::from_ps(ps));
+                        }
+                        windowed.record_all(&cell);
+                        cell.reset();
                     }
                     WinOp::Rotate => {
                         windowed.rotate();
@@ -735,8 +757,15 @@ mod tests {
         ) {
             let mut windowed = WindowedHistogram::new(capacity);
             for op in &ops {
-                match *op {
-                    WinOp::Record(ps) => windowed.record(Duration::from_ps(ps)),
+                match op {
+                    &WinOp::Record(ps) => windowed.record(Duration::from_ps(ps)),
+                    WinOp::RecordAll(samples) => {
+                        let mut cell = LogHistogram::new();
+                        for &ps in samples {
+                            cell.record(Duration::from_ps(ps));
+                        }
+                        windowed.record_all(&cell);
+                    }
                     WinOp::Rotate => {
                         windowed.rotate();
                     }

@@ -33,9 +33,13 @@ const CORE_PID: u32 = 1;
 /// counters and `core.rtt` / `core.server` latency histograms. Cores
 /// with a hybrid (Helios) memory additionally keep `core.tier_hits` /
 /// `core.tier_misses` counters current with the DRAM tier's cumulative
-/// totals. Sampled requests get one span whose phases are the request's
-/// [`PhaseBreakdown`](crate::sim::PhaseBreakdown) — they tile the RTT
-/// exactly, so `phase_sum == total` holds for every exported span.
+/// totals, and every core keeps `core.refs_walked` / `core.refs_deferred`
+/// / `core.l1_settles` current with how its cache model resolved L1
+/// references ([`CoreSim::walk_counts`]) — what a simulated request
+/// cost the host. Sampled requests get one span whose phases are the
+/// request's [`PhaseBreakdown`](crate::sim::PhaseBreakdown) — they tile
+/// the RTT exactly, so `phase_sum == total` holds for every exported
+/// span.
 #[derive(Debug)]
 pub struct CoreObserver {
     requests: CounterId,
@@ -44,6 +48,10 @@ pub struct CoreObserver {
     tier_hits: CounterId,
     tier_misses: CounterId,
     last_tier: (u64, u64),
+    refs_walked: CounterId,
+    refs_deferred: CounterId,
+    l1_settles: CounterId,
+    last_walk: densekv_cpu::WalkCounts,
     rtt: HistogramId,
     server: HistogramId,
     seq: u64,
@@ -61,6 +69,10 @@ impl CoreObserver {
             tier_hits: metrics.counter("core.tier_hits"),
             tier_misses: metrics.counter("core.tier_misses"),
             last_tier: (0, 0),
+            refs_walked: metrics.counter("core.refs_walked"),
+            refs_deferred: metrics.counter("core.refs_deferred"),
+            l1_settles: metrics.counter("core.l1_settles"),
+            last_walk: densekv_cpu::WalkCounts::default(),
             rtt: metrics.histogram("core.rtt"),
             server: metrics.histogram("core.server"),
             seq: 0,
@@ -129,6 +141,15 @@ impl CoreObserver {
             );
             self.last_tier = (tier.hits, tier.misses);
         }
+        let walk = core.walk_counts();
+        for (id, now, last) in [
+            (self.refs_walked, walk.walked, self.last_walk.walked),
+            (self.refs_deferred, walk.deferred, self.last_walk.deferred),
+            (self.l1_settles, walk.settles, self.last_walk.settles),
+        ] {
+            tele.metrics.inc(id, now.saturating_sub(last));
+        }
+        self.last_walk = walk;
         tele.metrics.observe(self.rtt, timing.rtt);
         tele.metrics.observe(self.server, timing.server);
 

@@ -453,6 +453,12 @@ impl CoreSim {
         self.engine.cache_stats()
     }
 
+    /// How the core's L1 references were resolved so far: looked up one
+    /// by one, or credited as proven misses with their fills postponed.
+    pub fn walk_counts(&self) -> densekv_cpu::WalkCounts {
+        self.engine.walk_counts()
+    }
+
     /// Forces the engine's full LRU walk (differential tests only).
     #[doc(hidden)]
     pub fn disable_l2_residency_shortcut(&mut self) {

@@ -1,16 +1,21 @@
 //! A steady-state simulated GET performs no heap allocation: the
 //! request slot, the lookup trace and the store phase's metadata lines
-//! all live in buffers the core reuses. (Mercury and Iridium; the Helios
-//! tier keeps its recency order in a `BTreeMap`, whose nodes come and go
-//! as pages are touched.) Alone in its file, so no other test shares the
-//! counting allocator.
+//! all live in buffers the core reuses, and the cache model's queue of
+//! postponed L1 fills is a ring of fixed capacity. (Mercury and Iridium;
+//! the Helios tier keeps its recency order in a `BTreeMap`, whose nodes
+//! come and go as pages are touched.) "Steady state" means every cyclic
+//! region of the cache model has completed a pass — until then its
+//! references are walked, not deferred — so the warm-ups here run that
+//! long, and the replay-mix test also pins what steady state costs the
+//! cache model: nothing walked, nothing settled. Alone in its file, so
+//! no other test shares the counting allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use densekv::sim::{CoreSim, CoreSimConfig};
 use densekv::slots::RequestSlots;
-use densekv_workload::Op;
+use densekv_workload::{MixedWorkload, Op, RequestGenerator, ETC_GET_FRACTION, ETC_ZIPF_ALPHA};
 
 thread_local! {
     /// Allocations made by this thread (const-initialised and without a
@@ -64,8 +69,11 @@ fn steady_state_get_does_not_allocate() {
             slots.release(slot);
             assert!(timing.0.hit);
         };
-        // Every buffer reaches its working size within two passes.
-        for key_id in (0..8).chain(0..8) {
+        // Every buffer reaches its working size within two passes, but
+        // the cache model is in its steady state only once every region
+        // has been cycled through: the kernel region, at 165 references
+        // of its 12 288 lines per small GET, is the last.
+        for key_id in (0..8).cycle().take(WARM_UP) {
             get(&mut core, key_id);
         }
         let before = ALLOCATIONS.with(Cell::get);
@@ -78,4 +86,56 @@ fn steady_state_get_does_not_allocate() {
             "{value_bytes} B GETs allocated {allocated} times"
         );
     }
+}
+
+/// Requests before the cache model's last region (the kernel's) has
+/// wrapped on GETs as small as 64 B.
+const WARM_UP: usize = 128;
+
+/// The benchmark's replay mix in its steady state: no allocation, and —
+/// the cache model's side of the same claim — no L1 reference looked up
+/// one by one, no postponed fill ever caught up on, and a queue of
+/// postponed runs that stays inside its fixed capacity.
+#[test]
+fn steady_state_replay_defers_every_reference_and_does_not_allocate() {
+    const KEYS: usize = 512;
+    let mut core = CoreSim::new(CoreSimConfig::mercury_a7()).expect("valid configuration");
+    core.preload(1024, KEYS as u64).expect("preload fits");
+    let mut stream = MixedWorkload::new(
+        KEYS,
+        ETC_ZIPF_ALPHA,
+        ETC_GET_FRACTION,
+        &[(64, 0.3), (256, 0.35), (1024, 0.35)],
+        7,
+        "replay mix",
+    );
+    // One request in twenty is a PUT and `store-put` needs a dozen of
+    // them to wrap, so the warm-up is long; the requests are drawn up
+    // front because drawing one allocates its key.
+    let requests: Vec<_> = (0..4_000 + 1_000).map(|_| stream.next_request()).collect();
+    let (warm_up, steady) = requests.split_at(4_000);
+    for request in warm_up {
+        core.execute(request);
+    }
+    let before = core.walk_counts();
+    // A PUT allocates in the store (the item's key, its trace), which is
+    // the store's business; the mix's GETs must not allocate anywhere.
+    let mut allocated = 0;
+    for request in steady {
+        let allocations = ALLOCATIONS.with(Cell::get);
+        core.execute(request);
+        if request.op == Op::Get {
+            allocated += ALLOCATIONS.with(Cell::get) - allocations;
+        }
+    }
+    assert_eq!(allocated, 0, "replay GETs allocated {allocated} times");
+    let after = core.walk_counts();
+    assert!(steady.iter().any(|r| r.op == Op::Put));
+    assert_eq!(after.walked, before.walked, "references walked one by one");
+    assert_eq!(
+        after.settles, before.settles,
+        "postponed fills caught up on"
+    );
+    assert!(after.deferred > before.deferred + 1_000 * 400);
+    assert!(after.pending_runs <= 2 * densekv_cpu::engine::L1_RING_RUNS as u64);
 }

@@ -1,18 +1,23 @@
 //! Differential pins for the phase engine's exact speed paths.
 //!
-//! The resident-L2 shortcut and the thrash-region skip inside it must be
-//! invisible at the request level for *mixed* GET/PUT streams on every
-//! stack family, from 64 B requests (no run reaches the skip's window)
-//! to 1 MB ones (every network phase does): both are checked against a
-//! reference core that walks every cache reference. (The devices'
-//! closed-form stream pricing has its own per-line reference in
-//! `tests/properties.rs`.)
+//! The resident-L2 shortcut and the lazy L1s inside it must be invisible
+//! at the request level for *mixed* GET/PUT streams on every stack
+//! family, from 64 B requests (every run shorter than the L1's window:
+//! the fills are postponed for good) to 1 MB ones (every network phase
+//! runs far past it), and for the benchmark's own replay mix: all are
+//! checked against a reference core that walks every cache reference.
+//! (The devices' closed-form stream pricing has its own per-line
+//! reference in `tests/properties.rs`.)
 
 use densekv::sim::{CoreSim, CoreSimConfig};
 use densekv::slots::RequestSlots;
 use densekv_cpu::CoreConfig;
 use densekv_sim::Duration;
-use densekv_workload::{FixedSizeWorkload, Op};
+use densekv_sim::SplitMix64;
+use densekv_workload::{
+    key_bytes, FixedSizeWorkload, MixedWorkload, Op, RequestGenerator, ETC_GET_FRACTION,
+    ETC_ZIPF_ALPHA,
+};
 
 fn build(config: &CoreSimConfig, value_bytes: u64, population: u64, reference: bool) -> CoreSim {
     let mut sized = config.clone();
@@ -52,22 +57,95 @@ fn assert_streams_identical(
             slots.release(b);
             assert_eq!(tf, tr, "timing diverged at {op:?} #{i} ({value_bytes} B)");
             assert_eq!(bf, br, "breakdown diverged at {op:?} #{i}");
-            assert_eq!(
-                fast.cache_stats(),
-                reference.cache_stats(),
-                "cache counters diverged at {op:?} #{i}"
-            );
-            assert_eq!(
-                fast.device_tier_bytes(),
-                reference.device_tier_bytes(),
-                "device bytes diverged at {op:?} #{i}"
-            );
-            assert_eq!(
-                fast.tier_stats(),
-                reference.tier_stats(),
-                "tier counters diverged at {op:?} #{i}"
-            );
+            assert_cores_identical(fast, reference, &format!("{op:?} #{i}"));
         }
+    }
+}
+
+/// What a request leaves visible of a core besides its own timing.
+fn assert_cores_identical(fast: &CoreSim, reference: &CoreSim, at: &str) {
+    assert_eq!(
+        fast.cache_stats(),
+        reference.cache_stats(),
+        "cache counters diverged at {at}"
+    );
+    assert_eq!(
+        fast.device_tier_bytes(),
+        reference.device_tier_bytes(),
+        "device bytes diverged at {at}"
+    );
+    assert_eq!(
+        fast.tier_stats(),
+        reference.tier_stats(),
+        "tier counters diverged at {at}"
+    );
+}
+
+/// The benchmark's `sim_core_replay` stream — its size mix, GET share
+/// and key skew over a smaller population — with an 8-key multiget in
+/// place of every 50th request, on the benchmark's four configurations:
+/// 5 000 requests against the walking reference, then again with the
+/// fast core switched to walking halfway (whatever its L1s had postponed
+/// by then must be caught up on first).
+#[test]
+fn lazy_l1_is_invisible_on_the_replay_mix() {
+    const SIZE_MIX: &[(u64, f64)] = &[(64, 0.3), (256, 0.35), (1024, 0.35)];
+    const KEYS: usize = 2_000;
+    const REQUESTS: usize = 5_000;
+    let grid = [
+        CoreSimConfig::mercury_a7(),
+        CoreSimConfig::iridium_a7(),
+        CoreSimConfig::helios_a7(256 << 20),
+        CoreSimConfig::mercury(CoreConfig::a15_1ghz(), true, Duration::from_nanos(10)),
+    ];
+    for (config, disable_at) in grid
+        .iter()
+        .flat_map(|c| [(c, None), (c, Some(REQUESTS / 2))])
+    {
+        let build = |reference: bool| {
+            let mut core = build(config, 0, 0, reference);
+            let mut sizes = SplitMix64::new(0x51DE);
+            for id in 0..KEYS as u64 {
+                let bytes = SIZE_MIX[sizes.next_below(SIZE_MIX.len() as u64) as usize].0;
+                core.preload_one(&key_bytes(id), bytes).expect("fits");
+            }
+            core
+        };
+        let (mut fast, mut reference) = (build(false), build(true));
+        let mut stream = MixedWorkload::new(
+            KEYS,
+            ETC_ZIPF_ALPHA,
+            ETC_GET_FRACTION,
+            SIZE_MIX,
+            0xD1FF,
+            "replay mix",
+        );
+        for i in 0..REQUESTS {
+            if disable_at == Some(i) {
+                fast.disable_l2_residency_shortcut();
+            }
+            let request = stream.next_request();
+            let at = format!("request {i} ({:?} {} B)", request.op, request.value_bytes);
+            if i % 50 == 49 {
+                let keys: Vec<Vec<u8>> = (0..8).map(|_| stream.next_request().key).collect();
+                assert_eq!(
+                    fast.execute_multiget(&keys, request.value_bytes),
+                    reference.execute_multiget(&keys, request.value_bytes),
+                    "multiget diverged at {at}"
+                );
+            } else {
+                assert_eq!(
+                    fast.execute_breakdown(&request),
+                    reference.execute_breakdown(&request),
+                    "timing or breakdown diverged at {at}"
+                );
+            }
+            assert_cores_identical(&fast, &reference, &at);
+        }
+        let counts = fast.walk_counts();
+        assert!(counts.deferred > 0, "the mix must defer");
+        assert_eq!(counts.deferred > counts.walked, disable_at.is_none());
+        assert_eq!(reference.walk_counts().deferred, 0);
     }
 }
 
@@ -89,7 +167,7 @@ fn residency_shortcut_is_invisible_on_iridium() {
     assert_streams_identical(&mut fast, &mut reference, 128, 64, 110);
 }
 
-/// The sizes whose network phases run far past the skip's window (a
+/// The sizes whose network phases run far past the L1's window (a
 /// 256 KB response is ~4 700 fetches and ~4 400 kernel references per
 /// `net-tx`; 1 MB four times that), on the four configurations of the
 /// benchmark's evaluation grid.

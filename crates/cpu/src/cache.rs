@@ -126,6 +126,12 @@ impl Cache {
         &self.config
     }
 
+    /// First line address past the modeled range: lines below it have
+    /// a tag distinct from the [`EMPTY`] sentinel.
+    pub fn line_limit(&self) -> u64 {
+        u64::from(EMPTY) * (self.tags.len() / self.ways) as u64
+    }
+
     /// Looks up `line_addr`, updating LRU state and filling on miss.
     /// Returns `true` on a hit.
     ///
@@ -146,8 +152,8 @@ impl Cache {
     /// counting a lookup. Returns whether it was already resident.
     ///
     /// For callers that already know a reference's outcome and account
-    /// it through [`Cache::credit`]; the phase engine's thrash-region
-    /// skip rebuilds the L1's final contents this way.
+    /// it through [`Cache::credit`]; the phase engine's lazy L1s catch up
+    /// on postponed fills this way.
     ///
     /// # Panics
     ///
@@ -183,6 +189,12 @@ impl Cache {
         }
     }
 
+    /// Every set's tags, most recently used first.
+    #[cfg(test)]
+    pub(crate) fn tags(&self) -> &[u32] {
+        &self.tags
+    }
+
     /// Hits recorded so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -211,7 +223,7 @@ impl Cache {
 
     /// Credits hit/miss counters without touching contents, for
     /// references whose outcome is known without walking them (the phase
-    /// engine's resident-L2 shortcut and thrash-region skip).
+    /// engine's resident-L2 shortcut and lazy L1s).
     pub fn credit(&mut self, hits: u64, misses: u64) {
         self.hits += hits;
         self.misses += misses;

@@ -25,14 +25,24 @@
 //!   the core's `stream_mlp`.
 //! * **Uncached operations** — NIC doorbells/MMIO, priced at a fixed
 //!   latency that no core overlaps.
-
-use std::collections::HashMap;
+//!
+//! Host cost. Two exact shortcuts keep a simulated request from paying
+//! for every one of those references (DESIGN.md, "Resident-L2 shortcut"
+//! and "Bulk pricing" §3, has the arguments): once a region is resident
+//! in an L2 that provably never evicts, its L1 misses are credited as L2
+//! hits without touching the L2; and on that branch the L1s are *lazy*
+//! (`lazy::LazyL1`) — a run whose every reference is a proven L1 miss
+//! is counted and queued instead of filled, and the queue is replayed
+//! only when a later reference's outcome depends on the L1's contents.
+//! [`PhaseEngine::walk_counts`] says how many references went which way.
 
 use densekv_mem::{AccessKind, MemoryTiming};
 use densekv_sim::Duration;
 
 use crate::cache::{Cache, CacheConfig};
 use crate::core::CoreConfig;
+use lazy::LazyL1;
+pub use lazy::RING_RUNS as L1_RING_RUNS;
 
 /// Line-granular base of the kernel hot region (arbitrary, disjoint from
 /// instruction and store regions).
@@ -93,35 +103,91 @@ impl PhaseSpec {
     }
 }
 
-/// A contiguous run of lines that a cursor cycles through.
-#[derive(Debug, Clone, Copy)]
+/// A contiguous block of lines that a cursor cycles through — one phase
+/// name's instruction footprint, or the kernel hot region — and how far
+/// the cursor has got.
+#[derive(Debug, Clone)]
 struct Region {
+    /// The phase name that owns it (`"kernel"` for the kernel region).
+    name: &'static str,
     base: u64,
+    /// Lines in the cycle: what its name last ran with.
     footprint: u64,
+    /// Next line to reference, `< footprint`.
+    cursor: u64,
+    /// Completed passes.
+    wraps: u64,
+    /// Lines of it already counted in the L2 occupancy bound.
+    l2_lines: u64,
+    /// For a region shorter than its L1's window: that L1's coverage
+    /// clock at each line's last reference ([`LazyL1`]). Empty otherwise.
+    stamps: Vec<u64>,
 }
 
 impl Region {
-    /// The line under `cursor`, which then steps on, counting a completed
-    /// pass in `wraps`. The cursor moves by one, so a wrap-compare stands
-    /// in for a per-reference `%`.
+    fn new(name: &'static str, base: u64, footprint: u64, l1_window: u64) -> Self {
+        let stamped = if footprint < l1_window { footprint } else { 0 };
+        Region {
+            name,
+            base,
+            footprint,
+            cursor: 0,
+            wraps: 0,
+            l2_lines: 0,
+            stamps: vec![0; stamped as usize],
+        }
+    }
+
+    /// The line under the cursor, which then steps on. The cursor moves
+    /// by one, so a wrap-compare stands in for a per-reference `%`.
     #[inline]
-    fn next_line(self, cursor: &mut u64, wraps: &mut u64) -> u64 {
-        let line = self.base + *cursor;
-        *cursor += 1;
-        if *cursor == self.footprint {
-            *cursor = 0;
-            *wraps += 1;
+    fn next_line(&mut self) -> u64 {
+        let line = self.base + self.cursor;
+        self.cursor += 1;
+        if self.cursor == self.footprint {
+            self.cursor = 0;
+            self.wraps += 1;
         }
         line
     }
-}
 
-/// Where a simulated reference was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Level {
-    L1,
-    L2,
-    Memory,
+    /// Steps the cursor over `refs` references at once.
+    fn advance(&mut self, refs: u64) {
+        self.cursor += refs;
+        if self.cursor >= self.footprint {
+            self.wraps += self.cursor / self.footprint;
+            self.cursor %= self.footprint;
+        }
+    }
+
+    /// Lengths of the at most two contiguous address ranges the next
+    /// `refs` references touch: up to the end of the region, then from
+    /// its start. A whole pass or more touches every line once.
+    fn spans(&self, refs: u64) -> (u64, u64) {
+        let lines = refs.min(self.footprint);
+        let first = lines.min(self.footprint - self.cursor);
+        (first, lines - first)
+    }
+
+    /// A number of distinct lines that the next `refs` references are
+    /// sure to put in every one of an L1's `sets` sets (the coverage
+    /// lemma: a contiguous range of n lines puts ⌊n / sets⌋ or more in
+    /// each; a run that wraps is two ranges, floored one by one).
+    fn coverage(&self, refs: u64, sets: u64) -> u64 {
+        let (first, second) = self.spans(refs);
+        first / sets + second / sets
+    }
+
+    /// Records `clock` as the last-reference time of the lines the next
+    /// `refs` references touch (a no-op for an unstamped region).
+    fn stamp(&mut self, refs: u64, clock: u64) {
+        if !self.stamps.is_empty() {
+            let (first, second) = self.spans(refs);
+            let at = self.cursor as usize;
+            self.stamps[at..at + first as usize].fill(clock);
+            self.stamps[..second as usize].fill(clock);
+        }
+    }
 }
 
 /// Timing result of one phase.
@@ -163,6 +229,13 @@ pub struct CacheLevelStats {
 }
 
 impl CacheLevelStats {
+    fn of(cache: &Cache) -> Self {
+        CacheLevelStats {
+            hits: cache.hits(),
+            misses: cache.misses(),
+        }
+    }
+
     /// Hit fraction; `0.0` before any lookup.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
@@ -229,6 +302,23 @@ impl CacheHierarchyStats {
     }
 }
 
+/// Lifetime counts of how the engine resolved its L1 references, both
+/// L1s together — what tells a cheap simulated request from a dear one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkCounts {
+    /// References looked up one by one.
+    pub walked: u64,
+    /// References credited as proven misses, their fills postponed.
+    pub deferred: u64,
+    /// Times postponed fills had to be caught up on.
+    pub settles: u64,
+    /// Lines filled while catching up (never more than `deferred`).
+    pub installed_at_settle: u64,
+    /// Postponed runs queued right now (a gauge, at most
+    /// [`L1_RING_RUNS`] per L1).
+    pub pending_runs: u64,
+}
+
 /// Cache hierarchy + core parameters; executes [`PhaseSpec`]s.
 ///
 /// # Examples
@@ -247,18 +337,17 @@ impl CacheHierarchyStats {
 #[derive(Debug, Clone)]
 pub struct PhaseEngine {
     core: CoreConfig,
-    l1i: Cache,
-    l1d: Cache,
+    l1i: LazyL1,
+    l1d: LazyL1,
     l2: Option<Cache>,
     uncached_latency: Duration,
-    /// Per-phase-name instruction region
-    /// `(base, cursor, footprint it first ran with, wraps)`.
-    instr_regions: HashMap<&'static str, (u64, u64, u64, u64)>,
+    /// Per-phase-name instruction regions, laid out back to back in
+    /// first-run order. A request names half a dozen, so a scan by name
+    /// beats hashing it.
+    instr_regions: Vec<Region>,
     next_instr_base: u64,
-    /// Cursor cycling the kernel hot region (shared by all phases).
-    kernel_cursor: u64,
-    /// Completed passes over the kernel hot region.
-    kernel_wraps: u64,
+    /// The kernel hot region (shared by all phases).
+    kernel: Region,
     /// Per-L2-set upper bound on lines ever inserted: the kernel region
     /// plus every registered instruction footprint. While every set's
     /// bound stays ≤ the L2's associativity, the L2 can never evict —
@@ -269,9 +358,6 @@ pub struct PhaseEngine {
     /// l2.ways`, and every phase name has kept the footprint it first ran
     /// with.
     l2_resident_ok: bool,
-    /// Registered footprint per phase name (grows if a later spec names
-    /// a larger footprint, which widens the occupancy bound).
-    l2_registered: HashMap<&'static str, u64>,
     /// Whether any phase has skipped an L2 LRU update. Once true, the
     /// occupancy bound must keep holding: exceeding it afterwards would
     /// make eviction order observable *and* already stale, so the engine
@@ -293,30 +379,36 @@ impl PhaseEngine {
 
     /// Creates an engine with an explicit L2 choice.
     pub fn new(core: CoreConfig, l2: Option<CacheConfig>) -> Self {
-        let l2_occupancy = l2
-            .as_ref()
-            .map(|c| vec![0u32; c.sets() as usize])
-            .unwrap_or_default();
+        let l1 = LazyL1::new(CacheConfig::l1_32k());
+        let l2 = l2.map(Cache::new);
         let mut engine = PhaseEngine {
             core,
-            l1i: Cache::new(CacheConfig::l1_32k()),
-            l1d: Cache::new(CacheConfig::l1_32k()),
-            l2: l2.map(Cache::new),
             uncached_latency: Duration::from_nanos(300),
-            instr_regions: HashMap::new(),
+            instr_regions: Vec::new(),
             next_instr_base: INSTR_BASE_LINE,
-            kernel_cursor: 0,
-            kernel_wraps: 0,
-            l2_occupancy,
-            l2_resident_ok: false,
-            l2_registered: HashMap::new(),
+            kernel: Region::new("kernel", KERNEL_BASE_LINE, KERNEL_REGION_LINES, l1.window()),
+            l2_occupancy: vec![0; l2.as_ref().map_or(0, |c| c.config().sets() as usize)],
+            l2_resident_ok: l2.is_some(),
             l2_shortcut_used: false,
+            l1i: l1.clone(),
+            l1d: l1,
+            l2,
         };
-        if engine.l2.is_some() {
-            engine.l2_resident_ok = true;
-            engine.register_l2_block(KERNEL_BASE_LINE, KERNEL_REGION_LINES);
-        }
+        engine.assert_modeled(&engine.kernel);
+        engine.register_l2_block(KERNEL_BASE_LINE, KERNEL_REGION_LINES);
+        engine.kernel.l2_lines = KERNEL_REGION_LINES;
         engine
+    }
+
+    /// Checks a region's address range where it is laid out, so that an
+    /// unmodeled line fails its first phase whether or not the reference
+    /// that reaches it is ever walked.
+    fn assert_modeled(&self, region: &Region) {
+        let l2_limit = self.l2.as_ref().map_or(u64::MAX, Cache::line_limit);
+        assert!(
+            region.base + region.footprint <= l2_limit.min(self.l1i.line_limit()),
+            "line address out of modeled range"
+        );
     }
 
     /// Widens the L2 insert-occupancy bound by a contiguous `lines`-long
@@ -357,10 +449,11 @@ impl PhaseEngine {
         }
     }
 
-    /// Disables the resident-L2 shortcut — and with it the thrash-region
-    /// skip, which only runs inside it — forcing every reference through
-    /// the full LRU walk. Exists for differential tests; results are
-    /// bit-identical either way.
+    /// Disables the resident-L2 shortcut — and with it the lazy L1s,
+    /// which only defer inside it: whatever they had postponed is filled
+    /// in first, and from then on every reference takes the full LRU
+    /// walk. Exists for differential tests; results are bit-identical
+    /// either way.
     #[doc(hidden)]
     pub fn disable_l2_residency_shortcut(&mut self) {
         self.l2_resident_ok = false;
@@ -383,78 +476,59 @@ impl PhaseEngine {
 
     /// Snapshot of every cache level's lifetime hit/miss counters.
     pub fn cache_stats(&self) -> CacheHierarchyStats {
-        let level = |c: &Cache| CacheLevelStats {
-            hits: c.hits(),
-            misses: c.misses(),
-        };
         CacheHierarchyStats {
-            l1i: level(&self.l1i),
-            l1d: level(&self.l1d),
-            l2: self.l2.as_ref().map(level),
+            l1i: self.l1i.stats(),
+            l1d: self.l1d.stats(),
+            l2: self.l2.as_ref().map(CacheLevelStats::of),
         }
     }
 
-    /// Walks one reference through the hierarchy (for instruction or
-    /// kernel classes); returns where it hit.
-    fn lookup(l1: &mut Cache, l2: &mut Option<Cache>, line: u64) -> Level {
-        if l1.access(line) {
-            return Level::L1;
-        }
-        match l2 {
-            Some(l2) => {
-                if l2.access(line) {
-                    Level::L2
-                } else {
-                    Level::Memory
-                }
-            }
-            None => Level::Memory,
+    /// How the L1 references so far were resolved.
+    pub fn walk_counts(&self) -> WalkCounts {
+        let (i, d) = (self.l1i.counts(), self.l1d.counts());
+        WalkCounts {
+            walked: i.walked + d.walked,
+            deferred: i.deferred + d.deferred,
+            settles: i.settles + d.settles,
+            installed_at_settle: i.installed_at_settle + d.installed_at_settle,
+            pending_runs: i.pending_runs + d.pending_runs,
         }
     }
 
-    /// Runs `refs` sequential references of a cyclic region through its
-    /// L1 on the resident-L2 branch (an L1 miss is an L2 hit that changes
-    /// no L2 state) and returns how many missed the L1.
-    ///
-    /// **Thrash-region skip.** On this branch every region is disjoint
-    /// from the others and cycled with a fixed footprint. One of at
-    /// least `(ways + 2) · sets` lines — the *window* — puts more than
-    /// `ways` of its lines in every L1 set, so between two references to
-    /// one of them at least `ways` other lines hit the same set: under
-    /// true LRU every reference to the region misses, whatever other
-    /// regions interleave. A run longer than the window is therefore
-    /// `refs` known misses, and only the L1's final contents remain to
-    /// be produced: the last `window` references hold no repeated line
-    /// and at most one wrap, hence at least `ways` distinct lines per
-    /// set, which fixes every set's contents and order regardless of
-    /// what it held before. So the run credits `refs` misses, moves the
-    /// cursor arithmetically, and installs only that tail. DESIGN.md,
-    /// "Bulk pricing", has the full argument.
-    fn walk_resident(
-        l1: &mut Cache,
-        region: Region,
-        cursor: &mut u64,
-        wraps: &mut u64,
-        refs: u64,
-    ) -> u64 {
-        let window = (u64::from(l1.config().ways) + 2) * l1.config().sets();
-        if region.footprint >= window && refs > window {
-            let landed = *cursor + (refs - window);
-            *wraps += landed / region.footprint;
-            *cursor = landed % region.footprint;
-            l1.credit(0, refs);
-            for _ in 0..window {
-                l1.install(region.next_line(cursor, wraps));
-            }
-            return refs;
+    /// Index of `name`'s instruction region, laid out on first use and
+    /// kept inside the L2 occupancy bound.
+    fn instr_region(&mut self, name: &'static str, footprint: u64) -> usize {
+        let found = self.instr_regions.iter().position(|r| r.name == name);
+        let idx = found.unwrap_or_else(|| {
+            let region = Region::new(name, self.next_instr_base, footprint, self.l1i.window());
+            self.assert_modeled(&region);
+            self.next_instr_base += footprint;
+            self.instr_regions.push(region);
+            self.instr_regions.len() - 1
+        });
+        let region = &mut self.instr_regions[idx];
+        if footprint != region.footprint {
+            // Regions are laid out back to back from the footprint each
+            // name first ran with. A name that changes it may reach
+            // lines it never inserted (`wraps` was earned on the old
+            // cycle) or run into its neighbour, so nothing may assume
+            // residency, a fixed cycle or a stamp any more. Walking every
+            // reference from here on is always sound.
+            self.l2_resident_ok = false;
+            region.footprint = footprint;
+            region.cursor %= footprint;
+            region.stamps.clear();
+            let region = &self.instr_regions[idx];
+            self.assert_modeled(region);
         }
-        let mut misses = 0;
-        for _ in 0..refs {
-            if !l1.access(region.next_line(cursor, wraps)) {
-                misses += 1;
-            }
+        // Keep the L2 occupancy bound covering this region (widening it
+        // if a later spec names a larger footprint).
+        let Region { base, l2_lines, .. } = self.instr_regions[idx];
+        if footprint > l2_lines {
+            self.register_l2_block(base + l2_lines, footprint - l2_lines);
+            self.instr_regions[idx].l2_lines = footprint;
         }
-        misses
+        idx
     }
 
     /// Executes a phase against `mem`, returning its timing. The phase's
@@ -496,117 +570,54 @@ impl PhaseEngine {
             .max(1.0);
         let miss_scale = 1.0 / miss_overlap;
 
-        // Instruction fetches: cycle the phase's cursor through its
-        // footprint. L2-hit stalls are a fixed integer latency, so they
-        // accumulate as a count and multiply out once (bit-identical to
-        // per-hit addition because `Duration` is integer picoseconds).
+        // Instruction fetches cycle the phase's cursor through its
+        // footprint, kernel-structure references cycle the hot region.
+        // (A cyclic pattern has the same steady-state behaviour as the
+        // real mix — it thrashes a 32 KB L1D but fits, and stays warm in,
+        // a 2 MB L2 — while warming deterministically within one region
+        // pass.)
         let fetches = spec.instructions * spec.ifetch_per_kinstr / 1000;
-        if fetches > 0 {
-            let footprint = spec.ifetch_footprint_lines.max(1);
-            let (base, cursor, first_footprint, mut wraps) = {
-                let entry = self.instr_regions.entry(spec.name).or_insert((
-                    self.next_instr_base,
-                    0,
-                    footprint,
-                    0,
-                ));
-                *entry
-            };
-            if base == self.next_instr_base {
-                self.next_instr_base += footprint;
-            }
-            if footprint != first_footprint {
-                // Regions are laid out back to back from the footprint
-                // each name first ran with. A name that changes it may
-                // reach lines it never inserted (`wraps` was earned on
-                // the old cycle) or run into its neighbour, so nothing
-                // below may assume residency or a fixed cycle any more.
-                // Walking every reference from here on is always sound.
-                self.l2_resident_ok = false;
-            }
-            // Keep the L2 occupancy bound covering this region (widening
-            // it if a later spec names a larger footprint).
-            let registered = self.l2_registered.get(spec.name).copied().unwrap_or(0);
-            if footprint > registered {
-                self.register_l2_block(base + registered, footprint - registered);
-                self.l2_registered.insert(spec.name, footprint);
-            }
-            let region = Region { base, footprint };
-            let mut cur = cursor % footprint;
-            let mut l2_hits = 0u64;
+        let fetch_region =
+            (fetches > 0).then(|| self.instr_region(spec.name, spec.ifetch_footprint_lines.max(1)));
+        let fetch = fetch_region.map(|idx| (&mut self.l1i, &mut self.instr_regions[idx], fetches));
+        let kernel =
+            (spec.kernel_refs > 0).then_some((&mut self.l1d, &mut self.kernel, spec.kernel_refs));
+        for (l1, region, refs) in [fetch, kernel].into_iter().flatten() {
             // Resident-L2 shortcut: once the region has completed a full
             // pass, every line of it was inserted into an L2 that — per
             // the occupancy bound — can never evict. An L1 miss is then
             // an L2 hit by construction, and the skipped LRU reorder is
             // unobservable (order only matters to evictions). Counters
             // and timing are bit-identical to the full walk.
-            if self.l2_resident_ok && wraps > 0 {
+            if self.l2_resident_ok && region.wraps > 0 {
                 self.l2_shortcut_used = true;
-                l2_hits = Self::walk_resident(&mut self.l1i, region, &mut cur, &mut wraps, fetches);
+                let l2_hits = l1.run_resident(region, refs);
                 self.l2
                     .as_mut()
                     .expect("residency shortcut requires an L2")
                     .credit(l2_hits, 0);
-            } else {
-                for _ in 0..fetches {
-                    let line = region.next_line(&mut cur, &mut wraps);
-                    match Self::lookup(&mut self.l1i, &mut self.l2, line) {
-                        Level::L1 => {}
-                        Level::L2 => l2_hits += 1,
-                        Level::Memory => {
-                            result.mem_refs += 1;
-                            let lat = mem.line_access(line, AccessKind::Read);
-                            result.stall += lat * miss_scale;
-                        }
-                    }
-                }
+                result.l2_hits += l2_hits;
+                continue;
             }
-            result.l2_hits += l2_hits;
-            result.stall += l2_latency * l2_hits;
-            self.instr_regions
-                .insert(spec.name, (base, cur, first_footprint, wraps));
-        }
-
-        // Kernel-structure references: cycle the hot region. A cyclic
-        // pattern has the same steady-state behaviour as the real mix —
-        // it thrashes a 32 KB L1D but fits (and stays warm in) a 2 MB L2
-        // — while warming deterministically within one region pass.
-        let kernel = Region {
-            base: KERNEL_BASE_LINE,
-            footprint: KERNEL_REGION_LINES,
-        };
-        let mut kernel_l2_hits = 0u64;
-        if self.l2_resident_ok && self.kernel_wraps > 0 && spec.kernel_refs > 0 {
-            // Same residency argument as the fetch loop: after one full
-            // pass the kernel region is pinned in the never-evicting L2.
-            self.l2_shortcut_used = true;
-            kernel_l2_hits = Self::walk_resident(
-                &mut self.l1d,
-                kernel,
-                &mut self.kernel_cursor,
-                &mut self.kernel_wraps,
-                spec.kernel_refs,
-            );
-            self.l2
-                .as_mut()
-                .expect("residency shortcut requires an L2")
-                .credit(kernel_l2_hits, 0);
-        } else {
-            for _ in 0..spec.kernel_refs {
-                let line = kernel.next_line(&mut self.kernel_cursor, &mut self.kernel_wraps);
-                match Self::lookup(&mut self.l1d, &mut self.l2, line) {
-                    Level::L1 => {}
-                    Level::L2 => kernel_l2_hits += 1,
-                    Level::Memory => {
-                        result.mem_refs += 1;
-                        let lat = mem.line_access(line, AccessKind::Read);
-                        result.stall += lat * miss_scale;
-                    }
+            let l1 = l1.settled_for(region, refs);
+            for _ in 0..refs {
+                let line = region.next_line();
+                if l1.access(line) {
+                    continue;
+                }
+                if self.l2.as_mut().is_some_and(|l2| l2.access(line)) {
+                    result.l2_hits += 1;
+                } else {
+                    result.mem_refs += 1;
+                    let lat = mem.line_access(line, AccessKind::Read);
+                    result.stall += lat * miss_scale;
                 }
             }
         }
-        result.l2_hits += kernel_l2_hits;
-        result.stall += l2_latency * kernel_l2_hits;
+        // L2-hit stalls are a fixed integer latency, so they accumulate
+        // as a count and multiply out once (bit-identical to per-hit
+        // addition because `Duration` is integer picoseconds).
+        result.stall += l2_latency * result.l2_hits;
 
         // Store references: gigabyte-scale working set, modeled as always
         // missing (see module docs); demand misses overlap by `mlp`,
@@ -656,9 +667,203 @@ impl PhaseEngine {
     }
 }
 
+/// The lazy L1, in a module of its own so that the engine cannot reach
+/// the `Cache` inside it except through calls that first bring it up to
+/// date.
+mod lazy {
+    use super::{CacheLevelStats, Region, WalkCounts};
+    use crate::cache::{Cache, CacheConfig};
+    use std::collections::VecDeque;
+
+    /// Postponed runs one L1 queues at most; a full queue is caught up
+    /// on instead of grown.
+    pub const RING_RUNS: usize = 64;
+
+    /// A run of `len` references of a region from cursor `start` whose
+    /// fills are still owed; `clock` is the coverage clock before it.
+    #[derive(Debug, Clone, Copy)]
+    struct Run {
+        base: u64,
+        footprint: u64,
+        start: u64,
+        len: u64,
+        clock: u64,
+    }
+
+    /// An L1 on the resident-L2 branch, where a miss changes nothing
+    /// below it: a run is fully described by its L1 outcomes and the
+    /// L1's contents afterwards. Runs whose every reference provably
+    /// misses are credited at once and queued; the queue is replayed
+    /// through [`Cache::install`] (*settled*) before any reference is
+    /// looked up. DESIGN.md, "Bulk pricing" §3, proves the three lemmas
+    /// this rests on — coverage, miss and determinacy.
+    #[derive(Debug, Clone)]
+    pub(super) struct LazyL1 {
+        cache: Cache,
+        sets: u64,
+        ways: u64,
+        /// `(ways + 2) · sets`: a region at least this long misses on
+        /// every reference, and the last `window` references of a run in
+        /// one fix the L1's contents and order whatever came before.
+        window: u64,
+        /// Runs whose fills are owed, oldest first; never more than
+        /// [`RING_RUNS`], which it is allocated for.
+        queue: VecDeque<Run>,
+        /// Coverage clock: over any interval, every set was referenced
+        /// at `ways` distinct lines or more if the clock advanced by
+        /// `ways` or more (it may well have been if it did not).
+        clock: u64,
+        counts: WalkCounts,
+    }
+
+    impl LazyL1 {
+        pub(super) fn new(config: CacheConfig) -> Self {
+            let (sets, ways) = (config.sets(), u64::from(config.ways));
+            LazyL1 {
+                cache: Cache::new(config),
+                sets,
+                ways,
+                window: (ways + 2) * sets,
+                queue: VecDeque::with_capacity(RING_RUNS),
+                clock: 0,
+                counts: WalkCounts::default(),
+            }
+        }
+
+        pub(super) fn window(&self) -> u64 {
+            self.window
+        }
+
+        pub(super) fn line_limit(&self) -> u64 {
+            self.cache.line_limit()
+        }
+
+        /// Lifetime hit/miss counters; deferral credits them up front.
+        pub(super) fn stats(&self) -> CacheLevelStats {
+            CacheLevelStats::of(&self.cache)
+        }
+
+        pub(super) fn counts(&self) -> WalkCounts {
+            WalkCounts {
+                pending_runs: self.queue.len() as u64,
+                ..self.counts
+            }
+        }
+
+        /// The cache, brought up to date, for the caller to look up the
+        /// next `refs` references of `region` in one by one — the only way
+        /// to a lookup.
+        pub(super) fn settled_for(&mut self, region: &mut Region, refs: u64) -> &mut Cache {
+            self.settle();
+            region.stamp(refs, self.clock);
+            self.counts.walked += refs;
+            &mut self.cache
+        }
+
+        /// Runs the next `refs` references of a warm region on the
+        /// resident-L2 branch and returns how many missed: deferred when
+        /// all of them must, walked otherwise.
+        pub(super) fn run_resident(&mut self, region: &mut Region, refs: u64) -> u64 {
+            if region.footprint >= self.window || self.all_evicted(region, refs) {
+                self.defer(region, refs);
+                return refs;
+            }
+            let cache = self.settled_for(region, refs);
+            (0..refs)
+                .map(|_| u64::from(!cache.access(region.next_line())))
+                .sum()
+        }
+
+        /// Whether each of the next `refs` references of a stamped region
+        /// is to a line whose set has seen `ways` other lines since (the
+        /// miss lemma). A run that comes round to a line twice is not
+        /// worth proving.
+        fn all_evicted(&self, region: &Region, refs: u64) -> bool {
+            let (first, second) = region.spans(refs);
+            let at = region.cursor as usize;
+            refs <= region.footprint
+                && region.stamps[at..at + first as usize]
+                    .iter()
+                    .chain(&region.stamps[..second as usize])
+                    .all(|&stamp| self.clock - stamp >= self.ways)
+        }
+
+        /// Credits `refs` misses and queues their fills.
+        fn defer(&mut self, region: &mut Region, refs: u64) {
+            region.stamp(refs, self.clock);
+            match self.queue.back_mut() {
+                // A run that continues the one before it extends it.
+                Some(last)
+                    if (last.base, last.footprint) == (region.base, region.footprint)
+                        && (last.start + last.len) % last.footprint == region.cursor =>
+                {
+                    last.len += refs;
+                }
+                _ => {
+                    if self.queue.len() == RING_RUNS {
+                        self.settle();
+                    }
+                    self.queue.push_back(Run {
+                        base: region.base,
+                        footprint: region.footprint,
+                        start: region.cursor,
+                        len: refs,
+                        clock: self.clock,
+                    });
+                }
+            }
+            if region.footprint >= self.window {
+                self.clock += region.coverage(refs, self.sets);
+                // Determinacy lemma: runs older than a suffix that covers
+                // every set `ways` times cannot show in the L1 any more.
+                while self
+                    .queue
+                    .get(1)
+                    .is_some_and(|next| self.clock - next.clock >= self.ways)
+                {
+                    self.queue.pop_front();
+                }
+            }
+            region.advance(refs);
+            self.cache.credit(0, refs);
+            self.counts.deferred += refs;
+        }
+
+        /// The tags the cache holds once nothing is owed, on a copy.
+        #[cfg(test)]
+        pub(super) fn settled_tags(&self) -> Vec<u32> {
+            let mut settled = self.clone();
+            settled.settle();
+            settled.cache.tags().to_vec()
+        }
+
+        /// Replays the queue, oldest run first, so that the cache holds
+        /// what walking every deferred reference would have left.
+        fn settle(&mut self) {
+            self.counts.settles += u64::from(!self.queue.is_empty());
+            for run in self.queue.drain(..) {
+                let (mut at, mut len) = (run.start, run.len);
+                if run.footprint >= self.window && len > self.window {
+                    at = (at + (len - self.window)) % run.footprint;
+                    len = self.window;
+                }
+                self.counts.installed_at_settle += len;
+                for _ in 0..len {
+                    self.cache.install(run.base + at);
+                    at += 1;
+                    if at == run.footprint {
+                        at = 0;
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
     use densekv_mem::dram::{DramConfig, DramStack};
     use densekv_mem::flash::{FlashArray, FlashConfig};
     use proptest::prelude::*;
@@ -926,82 +1131,343 @@ mod tests {
         }
     }
 
-    /// L1 window of the thrash-region skip: `(ways + 2) · sets` of the
-    /// 32 KB, 4-way L1s.
-    const WINDOW: u64 = 768;
+    /// A lazy engine and its walking reference, run in lockstep.
+    struct Pair {
+        fast: PhaseEngine,
+        full: PhaseEngine,
+        mems: [DramStack; 2],
+        phases: usize,
+    }
 
-    /// Run lengths on both sides of the skip's window, and far past it.
-    fn run_length() -> impl Strategy<Value = u64> {
-        prop_oneof![
-            0u64..400,
-            (WINDOW - 3)..(WINDOW + 4),
-            WINDOW..4_000,
-            4_000u64..40_000
-        ]
+    impl Pair {
+        /// Both engines with 32 KB L1s of `l1_ways` ways (4 is what
+        /// `PhaseEngine::new` builds; the tests swap in the others).
+        fn new(l1_ways: u32) -> Self {
+            let build = || {
+                let mut engine = PhaseEngine::with_l2(CoreConfig::a7_1ghz());
+                let l1 = LazyL1::new(CacheConfig {
+                    ways: l1_ways,
+                    ..CacheConfig::l1_32k()
+                });
+                engine.l1i = l1.clone();
+                engine.l1d = l1;
+                engine
+            };
+            let mut full = build();
+            full.disable_l2_residency_shortcut();
+            Pair {
+                fast: build(),
+                full,
+                mems: [dram(10), dram(10)],
+                phases: 0,
+            }
+        }
+
+        /// Runs `spec` on both and compares everything a caller can see —
+        /// the result, the cache counters, every region's cursor and wrap
+        /// count — and what no caller can: the tags each L1 holds once
+        /// the lazy one has caught up (on a copy, so that checking never
+        /// settles the engine under test).
+        fn check(&mut self, spec: &PhaseSpec) {
+            let at = self.phases;
+            self.phases += 1;
+            let [m1, m2] = &mut self.mems;
+            assert_eq!(
+                self.fast.run(spec, m1),
+                self.full.run(spec, m2),
+                "phase {at}"
+            );
+            assert_eq!(
+                self.fast.cache_stats(),
+                self.full.cache_stats(),
+                "phase {at}"
+            );
+            assert_eq!(self.fast.cursors(), self.full.cursors(), "phase {at}");
+            assert_eq!(
+                self.fast.l1i.settled_tags(),
+                self.full.l1i.settled_tags(),
+                "L1I after phase {at}"
+            );
+            assert_eq!(
+                self.fast.l1d.settled_tags(),
+                self.full.l1d.settled_tags(),
+                "L1D after phase {at}"
+            );
+        }
+
+        /// One phase of `fetches` fetches over `name`'s `footprint` lines
+        /// and `kernel_refs` kernel references.
+        fn phase(&mut self, name: &'static str, footprint: u64, fetches: u64, kernel_refs: u64) {
+            self.check(&fetch_phase(name, footprint, fetches, kernel_refs));
+        }
+    }
+
+    fn fetch_phase(
+        name: &'static str,
+        footprint: u64,
+        fetches: u64,
+        kernel_refs: u64,
+    ) -> PhaseSpec {
+        PhaseSpec {
+            ifetch_per_kinstr: 1_000, // one fetch per instruction
+            ifetch_footprint_lines: footprint,
+            kernel_refs,
+            ..PhaseSpec::compute(name, fetches)
+        }
+    }
+
+    impl PhaseEngine {
+        /// `(name, base, footprint, cursor, wraps)` of every region.
+        fn cursors(&self) -> Vec<(&'static str, u64, u64, u64, u64)> {
+            self.instr_regions
+                .iter()
+                .chain([&self.kernel])
+                .map(|r| (r.name, r.base, r.footprint, r.cursor, r.wraps))
+                .collect()
+        }
+    }
+
+    /// A length on one side of an L1's window or the other: well under
+    /// it, within three of it, past it, far past it.
+    fn around(window: u64, (arm, x): (u8, u64)) -> u64 {
+        match arm {
+            0 => 40 + x % (window - 140),
+            1 => window - 3 + x % 7,
+            2 => window + x % 2_300,
+            _ => 4_000 + x % 36_000,
+        }
     }
 
     proptest! {
-        /// The thrash-region skip against the full walk: random phase
-        /// sequences over regions smaller than, equal to and larger than
-        /// the window, with fetch and kernel runs on both sides of it.
-        /// Results, cache counters, cursors and wrap counts must agree
-        /// after every phase — and so must a closing pair of runs over a
-        /// region that fits the L1, whose hits depend on exactly which of
-        /// its lines every earlier run left resident, and in what order.
-        /// Some cases change a region's footprint mid-sequence, which
-        /// must retire the skip rather than let it mis-credit hits.
+        /// The lazy L1s against the full walk: random phase sequences
+        /// over regions smaller than, equal to and larger than the
+        /// window, with fetch and kernel runs on both sides of it, on
+        /// 2-, 4- and 8-way L1s. [`Pair::check`] holds after every phase,
+        /// through a region that fits the L1 coming back at random (its
+        /// hits depend on exactly which of its lines every earlier run
+        /// left resident, and in what order — and looking forces a
+        /// settle), through bursts of short runs that fill the queue,
+        /// and, in some cases, through the lazy engine being cloned or
+        /// switched to walking mid-sequence, or a region changing its
+        /// footprint — which must retire deferral rather than let it
+        /// mis-credit hits.
         #[test]
-        fn thrash_region_skip_matches_full_walk(
-            footprints in proptest::collection::vec(
-                prop_oneof![40u64..700, (WINDOW - 2)..(WINDOW + 3), WINDOW..3_000],
-                4,
-            ),
+        fn lazy_l1_matches_full_walk(
+            footprints in proptest::collection::vec((0u8..3, any::<u64>()), 4),
             phases in proptest::collection::vec(
-                (0usize..4, run_length(), run_length(), 0u64..5),
+                (0usize..4, (0u8..4, any::<u64>()), (0u8..4, any::<u64>()), 0u64..5, 0u8..6),
                 8..40,
             ),
             // One case in four brings a region back with another footprint.
             refootprint in (0u8..4, 300u64..3_000),
+            // L1 ways; three cases in four start warm; the phases (if the
+            // sequence is that long) at which the lazy engine stops
+            // deferring and at which it is replaced by its clone.
+            setup in (0usize..3, 0u8..4, 0usize..100, 0usize..60),
         ) {
             const NAMES: [&str; 4] = ["p0", "p1", "p2", "p3"];
-            let mut fast = PhaseEngine::with_l2(CoreConfig::a7_1ghz());
-            let mut full = PhaseEngine::with_l2(CoreConfig::a7_1ghz());
-            full.disable_l2_residency_shortcut();
-            let (mut m1, mut m2) = (dram(10), dram(10));
-            let mut check = |spec: &PhaseSpec, at: usize| {
-                prop_assert_eq!(fast.run(spec, &mut m1), full.run(spec, &mut m2), "phase {}", at);
-                prop_assert_eq!(fast.cache_stats(), full.cache_stats(), "phase {}", at);
-                prop_assert_eq!(&fast.instr_regions, &full.instr_regions, "phase {}", at);
-                prop_assert_eq!(
-                    (fast.kernel_cursor, fast.kernel_wraps),
-                    (full.kernel_cursor, full.kernel_wraps),
-                    "phase {}", at
-                );
-            };
-            for (i, &(region, fetches, kernel_refs, extras)) in phases.iter().enumerate() {
-                let mut spec = PhaseSpec::compute(NAMES[region], fetches);
-                spec.ifetch_per_kinstr = 1_000; // one fetch per instruction
-                spec.ifetch_footprint_lines = footprints[region];
-                if refootprint.0 == 0 && i == phases.len() / 2 {
-                    spec.ifetch_footprint_lines = refootprint.1;
+            let mut pair = Pair::new([4, 2, 8][setup.0]);
+            let window = pair.fast.l1i.window();
+            let footprints: Vec<u64> = footprints.iter().map(|&f| around(window, f)).collect();
+            if setup.1 > 0 {
+                for (name, &footprint) in NAMES.iter().zip(&footprints) {
+                    pair.phase(name, footprint, footprint + 1, KERNEL_REGION_LINES / 4 + 1);
                 }
-                spec.kernel_refs = kernel_refs;
+            }
+            for (i, &(region, fetches, kernel_refs, extras, then)) in phases.iter().enumerate() {
+                if i == setup.2 {
+                    pair.fast.disable_l2_residency_shortcut();
+                }
+                if i == setup.3 {
+                    pair.fast = pair.fast.clone();
+                }
+                let mut footprint = footprints[region];
+                if refootprint.0 == 0 && i == phases.len() / 2 {
+                    footprint = refootprint.1;
+                }
+                let fetches = if fetches.0 == 0 { fetches.1 % 400 } else { around(window, fetches) };
+                let kernel_refs =
+                    if kernel_refs.0 == 0 { kernel_refs.1 % 400 } else { around(window, kernel_refs) };
+                let mut spec = fetch_phase(NAMES[region], footprint, fetches, kernel_refs);
                 spec.store_refs = (0..extras).map(|r| 1_000_000 + 977 * r).collect();
                 spec.stream = (extras > 2).then_some(StreamRef {
                     start_line: 5_000_000 + fetches,
                     lines: extras * 40,
                     kind: AccessKind::Read,
                 });
-                check(&spec, i);
+                pair.check(&spec);
+                match then {
+                    0 => pair.phase("fits-l1", 300, 40 + 90 * extras, 64),
+                    1 => {
+                        for burst in 0..L1_RING_RUNS as u64 + 9 {
+                            let region = (region + burst as usize % 2) % 4;
+                            pair.phase(NAMES[region], footprints[region], 1 + (fetches + burst) % 60, 0);
+                        }
+                    }
+                    _ => {}
+                }
             }
-            let mut resident = PhaseSpec::compute("fits-l1", 450);
-            resident.ifetch_per_kinstr = 1_000;
-            resident.ifetch_footprint_lines = 300;
-            resident.kernel_refs = 64;
-            for pass in 0..2 {
-                check(&resident, phases.len() + pass);
+            for _ in 0..2 {
+                pair.phase("fits-l1", 300, 450, 64);
             }
         }
+    }
+
+    /// Two regions past the 4-way L1's 768-line window, warm.
+    fn warm_pair() -> Pair {
+        let mut pair = Pair::new(4);
+        pair.phase("a", 3_000, 3_001, KERNEL_REGION_LINES + 1);
+        pair.phase("b", 2_500, 2_501, 0);
+        pair.phase("fits-l1", 300, 301, 0);
+        assert_eq!(pair.fast.walk_counts().deferred, 0, "cold passes walk");
+        pair
+    }
+
+    #[test]
+    fn settles_reproduce_every_queue_shape() {
+        let mut pair = warm_pair();
+        let cold_walked = pair.fast.walk_counts().walked;
+        // More than a pass of the resident region is never deferred: it
+        // is looked up, so whatever is queued must be settled first.
+        let look = |pair: &mut Pair| {
+            let before = pair.fast.l1i.counts();
+            assert!(before.pending_runs > 0);
+            pair.phase("fits-l1", 300, 320, 0);
+            let after = pair.fast.l1i.counts();
+            assert_eq!(after.settles, before.settles + 1);
+            assert_eq!(after.pending_runs, 0);
+            after.installed_at_settle - before.installed_at_settle
+        };
+
+        // A run that continues the one before it merges into it.
+        pair.phase("a", 3_000, 100, 10);
+        pair.phase("a", 3_000, 100, 10);
+        assert_eq!(pair.fast.l1i.counts().pending_runs, 1);
+        assert_eq!(pair.fast.l1d.counts().pending_runs, 1);
+        assert_eq!(look(&mut pair), 200);
+
+        // Of a run past the window only the last window is installed.
+        pair.phase("a", 3_000, 5_000, 0);
+        assert_eq!(look(&mut pair), 768);
+
+        // Runs older than `ways` of coverage are dropped: each 300-fetch
+        // run covers every set twice, so two of them hide what came
+        // before — here the first two of four.
+        for name in ["a", "b", "a", "b"] {
+            pair.phase(name, if name == "a" { 3_000 } else { 2_500 }, 300, 0);
+        }
+        assert_eq!(pair.fast.l1i.counts().pending_runs, 2);
+        assert_eq!(look(&mut pair), 600);
+
+        // Runs shorter than `sets` never advance the clock, so nothing
+        // is dropped: the queue fills and is settled rather than grown.
+        let settles = pair.fast.l1i.counts().settles;
+        for i in 0..L1_RING_RUNS as u64 + 10 {
+            let (name, footprint) = [("a", 3_000), ("b", 2_500)][i as usize % 2];
+            pair.phase(name, footprint, 50, 0);
+            assert!(pair.fast.l1i.counts().pending_runs <= L1_RING_RUNS as u64);
+        }
+        assert_eq!(pair.fast.l1i.counts().settles, settles + 1);
+        assert_eq!(pair.fast.l1i.counts().pending_runs, 10);
+        assert_eq!(look(&mut pair), 500);
+
+        // The kernel region, alone in the L1D, was never looked at.
+        let l1d = pair.fast.l1d.counts();
+        assert_eq!((l1d.settles, l1d.pending_runs), (0, 1));
+        assert_eq!(pair.fast.walk_counts().walked, cold_walked + 4 * 320);
+    }
+
+    #[test]
+    fn deferral_never_installs_more_than_the_walk_it_replaces() {
+        // The shape deferral gains nothing on: a region that fits the L1
+        // comes back between every two big runs, too often for the short
+        // runs around it to have evicted it, so every one of its runs
+        // settles what the big run before it queued.
+        let mut pair = warm_pair();
+        let before = (pair.fast.walk_counts(), pair.full.walk_counts());
+        for i in 0..300 {
+            let (name, footprint) = [("a", 3_000), ("b", 2_500)][i % 2];
+            pair.phase(name, footprint, 40 + (i as u64 * 7) % 80, 0);
+            pair.phase("fits-l1", 300, 40, 0);
+        }
+        let (fast, full) = (pair.fast.walk_counts(), pair.full.walk_counts());
+        assert_eq!(fast.settles - before.0.settles, 300);
+        assert!(fast.deferred > before.0.deferred);
+        assert_eq!(full.deferred, 0);
+        assert!(
+            fast.installed_at_settle + fast.walked - before.0.walked
+                <= full.walked - before.1.walked
+        );
+    }
+
+    #[test]
+    fn a_resident_region_is_deferred_once_it_is_provably_evicted() {
+        let mut pair = warm_pair();
+        // 300-fetch runs cover every set twice: after two of them the
+        // resident region's lines are gone and its run needs no lookup...
+        pair.phase("a", 3_000, 300, 0);
+        pair.phase("b", 2_500, 300, 0);
+        let before = pair.fast.walk_counts();
+        pair.phase("fits-l1", 300, 40, 0);
+        let after = pair.fast.walk_counts();
+        assert_eq!(
+            (after.walked, after.settles),
+            (before.walked, before.settles)
+        );
+        assert_eq!(after.deferred, before.deferred + 40);
+        // ...but the very next run of it finds those forty lines back.
+        pair.phase("a", 3_000, 200, 0);
+        pair.phase("fits-l1", 300, 300, 0);
+        assert_eq!(pair.fast.walk_counts().walked, after.walked + 300);
+    }
+
+    #[test]
+    fn coverage_clock_never_overstates_the_lines_a_run_puts_in_a_set() {
+        // The coverage lemma, by brute force. Each of a run's contiguous
+        // ranges is floored separately because one floor over the whole
+        // run overstates a run that wraps in a region whose length is
+        // not a multiple of the set count (the first case below puts no
+        // line at all in one set, and ⌊128 / 128⌋ = 1).
+        const SETS: u64 = 128;
+        let mut witnessed_wrap_loss = false;
+        for (footprint, cursor, refs) in
+            [(1_000, 873, 128), (1_000, 873, 400)]
+                .into_iter()
+                .chain((0..400u64).map(|i| {
+                    let footprint = 768 + (i * 131) % 2_300;
+                    (footprint, (i * 977) % footprint, 1 + (i * 389) % 4_000)
+                }))
+        {
+            let mut region = Region::new("r", INSTR_BASE_LINE + 7, footprint, 768);
+            region.cursor = cursor;
+            let claimed = region.coverage(refs, SETS);
+            let mut per_set = vec![std::collections::HashSet::new(); SETS as usize];
+            for _ in 0..refs {
+                let line = region.next_line();
+                per_set[(line % SETS) as usize].insert(line);
+            }
+            let fewest = per_set
+                .iter()
+                .map(|lines| lines.len() as u64)
+                .min()
+                .unwrap();
+            assert!(
+                claimed <= fewest,
+                "{refs} references from {cursor} of {footprint}"
+            );
+            witnessed_wrap_loss |= fewest < refs.min(footprint) / SETS;
+        }
+        assert!(witnessed_wrap_loss);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of modeled range")]
+    fn unmodeled_footprint_panics_in_its_first_phase() {
+        // 2^40 lines end past the last tag a 128-set L1 can hold. No
+        // cursor would get that far in a lifetime, and a deferred run is
+        // not looked up at all: the region's layout is what is checked.
+        let mut e = PhaseEngine::with_l2(CoreConfig::a7_1ghz());
+        e.run(&fetch_phase("vast", 1 << 40, 10, 0), &mut dram(10));
     }
 
     #[test]

@@ -30,4 +30,6 @@ pub mod engine;
 
 pub use crate::core::{CoreConfig, CoreKind};
 pub use cache::{Cache, CacheConfig};
-pub use engine::{CacheHierarchyStats, CacheLevelStats, PhaseEngine, PhaseResult, PhaseSpec};
+pub use engine::{
+    CacheHierarchyStats, CacheLevelStats, PhaseEngine, PhaseResult, PhaseSpec, WalkCounts,
+};

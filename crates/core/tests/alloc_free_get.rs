@@ -1,14 +1,14 @@
 //! A steady-state simulated GET performs no heap allocation: the
 //! request slot, the lookup trace and the store phase's metadata lines
 //! all live in buffers the core reuses, and the cache model's queue of
-//! postponed L1 fills is a ring of fixed capacity. (Mercury and Iridium;
-//! the Helios tier keeps its recency order in a `BTreeMap`, whose nodes
-//! come and go as pages are touched.) "Steady state" means every cyclic
-//! region of the cache model has completed a pass — until then its
-//! references are walked, not deferred — so the warm-ups here run that
-//! long, and the replay-mix test also pins what steady state costs the
-//! cache model: nothing walked, nothing settled. Alone in its file, so
-//! no other test shares the counting allocator.
+//! postponed L1 fills is a ring of fixed capacity, and the Helios tier
+//! keeps its recency order as links between the slots of a frame table.
+//! "Steady state" means every cyclic region of the cache model has
+//! completed a pass — until then its references are walked, not
+//! deferred — so the warm-ups here run that long, and the replay-mix
+//! test also pins what steady state costs the cache model: nothing
+//! walked, nothing settled. Alone in its file, so no other test shares
+//! the counting allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -58,6 +58,9 @@ fn steady_state_get_does_not_allocate() {
         (CoreSimConfig::mercury_a7(), 64),
         (CoreSimConfig::mercury_a7(), 1 << 20),
         (CoreSimConfig::iridium_a7(), 4096),
+        (CoreSimConfig::helios_a7(256 << 20), 64),
+        (CoreSimConfig::helios_a7(256 << 20), 4096),
+        (CoreSimConfig::helios_a7(256 << 20), 1 << 20),
     ] {
         let mut core = CoreSim::new(config).expect("valid configuration");
         core.preload(value_bytes, 8).expect("preload fits");

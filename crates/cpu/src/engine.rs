@@ -569,6 +569,16 @@ impl PhaseEngine {
             .min(mem.max_overlap(AccessKind::Read))
             .max(1.0);
         let miss_scale = 1.0 / miss_overlap;
+        // `lat * miss_scale` is a pure function of `lat`, so a miss that
+        // costs what the one before it cost reuses that product: a
+        // closed-page device returns one latency for every line.
+        let mut priced = (Duration::ZERO, Duration::ZERO);
+        let mut price = |lat: Duration| {
+            if lat != priced.0 {
+                priced = (lat, lat * miss_scale);
+            }
+            priced.1
+        };
 
         // Instruction fetches cycle the phase's cursor through its
         // footprint, kernel-structure references cycle the hot region.
@@ -609,8 +619,7 @@ impl PhaseEngine {
                     result.l2_hits += 1;
                 } else {
                     result.mem_refs += 1;
-                    let lat = mem.line_access(line, AccessKind::Read);
-                    result.stall += lat * miss_scale;
+                    result.stall += price(mem.line_access(line, AccessKind::Read));
                 }
             }
         }
@@ -624,8 +633,7 @@ impl PhaseEngine {
         // capped by what the device sustains.
         for &line in &spec.store_refs {
             result.mem_refs += 1;
-            let lat = mem.line_access(line, AccessKind::Read);
-            result.stall += lat * miss_scale;
+            result.stall += price(mem.line_access(line, AccessKind::Read));
         }
 
         // Bulk value transfer: sequential lines overlap by `stream_mlp`,
@@ -866,6 +874,7 @@ mod tests {
     use crate::cache::CacheConfig;
     use densekv_mem::dram::{DramConfig, DramStack};
     use densekv_mem::flash::{FlashArray, FlashConfig};
+    use densekv_mem::PagePolicy;
     use proptest::prelude::*;
 
     fn dram(ns: u64) -> DramStack {
@@ -1036,8 +1045,16 @@ mod tests {
         // phase result and every cache counter, from cold start through
         // deep steady state, across interleaved phases of very different
         // footprints (including a store phase with refs and a stream).
-        let mut fast = PhaseEngine::with_l2(CoreConfig::a7_1ghz());
-        let mut slow = PhaseEngine::with_l2(CoreConfig::a7_1ghz());
+        for l2 in [Some(CacheConfig::l2_2m()), None] {
+            shortcut_matches_full_walk(l2);
+        }
+    }
+
+    /// One engine as built and one told to walk, in lockstep; without an
+    /// L2 there is nothing to skip and both must say so.
+    fn shortcut_matches_full_walk(l2: Option<CacheConfig>) {
+        let mut fast = PhaseEngine::new(CoreConfig::a7_1ghz(), l2);
+        let mut slow = fast.clone();
         slow.disable_l2_residency_shortcut();
         let mut m1 = dram(10);
         let mut m2 = dram(10);
@@ -1064,7 +1081,71 @@ mod tests {
                 "cache counters diverged at iteration {i}"
             );
         }
-        assert!(fast.l2_shortcut_used, "steady state must hit the shortcut");
+        assert_eq!(
+            fast.l2_shortcut_used,
+            fast.has_l2(),
+            "steady state must hit the shortcut exactly when there is an L2"
+        );
+    }
+
+    /// Forwards to open-page DRAM — whose lines cost a row hit or a row
+    /// miss depending on the line before — and keeps what each cost.
+    struct Recorded {
+        dram: DramStack,
+        latencies: Vec<Duration>,
+    }
+
+    impl MemoryTiming for Recorded {
+        fn line_access(&mut self, line_addr: u64, kind: AccessKind) -> Duration {
+            let latency = self.dram.line_access(line_addr, kind);
+            self.latencies.push(latency);
+            latency
+        }
+
+        fn bytes_moved(&self) -> u64 {
+            self.dram.bytes_moved()
+        }
+
+        fn reset_counters(&mut self) {
+            self.dram.reset_counters();
+        }
+
+        fn active_power_w(&self, gb_per_s: f64) -> f64 {
+            self.dram.active_power_w(gb_per_s)
+        }
+    }
+
+    #[test]
+    fn a_miss_priced_like_the_one_before_it_costs_the_same_picoseconds() {
+        // No L2 and an A15's three-wide overlap: every L1 miss and store
+        // reference is priced at a third of its latency, rounded to a
+        // picosecond, whether or not the product was reused.
+        let core = CoreConfig::a15_1ghz();
+        let scale = 1.0 / core.mlp;
+        let mut engine = PhaseEngine::without_l2(core);
+        let mut mem = Recorded {
+            dram: DramStack::new(DramConfig {
+                page_policy: PagePolicy::Open,
+                ..DramConfig::mercury(Duration::from_nanos(10))
+            }),
+            latencies: Vec::new(),
+        };
+        let mut spec = net_phase();
+        // Neighbouring lines share a row, far ones do not.
+        spec.store_refs = vec![7, 8, 9, 5_000_000, 10, 11, 9_000_000, 9_000_001];
+        for _ in 0..3 {
+            mem.latencies.clear();
+            let result = engine.run(&spec, &mut mem);
+            let per_miss: Duration = mem.latencies.iter().map(|&lat| lat * scale).sum();
+            assert_eq!(result.stall, per_miss);
+            assert_eq!(result.mem_refs, mem.latencies.len() as u64);
+        }
+        let repeats = mem.latencies.windows(2).filter(|w| w[0] == w[1]).count();
+        let changes = mem.latencies.windows(2).filter(|w| w[0] != w[1]).count();
+        assert!(
+            repeats > 10 && changes > 3,
+            "{repeats} repeats, {changes} changes"
+        );
     }
 
     #[test]

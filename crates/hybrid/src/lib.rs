@@ -31,11 +31,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use densekv_mem::flash::FlashConfig;
 use densekv_mem::ftl::Ftl;
 use densekv_mem::{AccessKind, MemoryTiming, LINE_BYTES};
+use densekv_sim::lru::StrictLru;
 use densekv_sim::Duration;
 
 /// How the DRAM tier maps flash pages onto its frames.
@@ -190,10 +192,31 @@ impl TierSnapshot {
 }
 
 /// One resident page frame.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Frame {
     lpn: u64,
     dirty: bool,
+}
+
+/// One multiply and a fold for the `lpn -> slot` index, whose keys are
+/// page numbers the simulator computed itself. The index is looked up,
+/// never iterated, so the hash function cannot reach a result.
+#[derive(Debug, Clone, Copy, Default)]
+struct LpnHasher(u64);
+
+impl Hasher for LpnHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("lpn keys hash through write_u64");
+    }
+
+    fn write_u64(&mut self, lpn: u64) {
+        let h = lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
 }
 
 /// The DRAM tier's frame directory, in either organization.
@@ -205,11 +228,21 @@ enum Frames {
         ways: usize,
     },
     ObjectLru {
-        /// lpn -> (recency tick, dirty).
-        entries: HashMap<u64, (u64, bool)>,
-        /// recency tick -> lpn, oldest first.
-        order: BTreeMap<u64, u64>,
-        tick: u64,
+        /// Resident frames by slot: slots fill in order, and an evicted
+        /// frame's slot is reused by the page that evicted it.
+        table: Vec<Frame>,
+        /// Recency order over the slots of `table`.
+        order: StrictLru,
+        /// lpn -> slot of `table`.
+        index: HashMap<u64, u32, BuildHasherDefault<LpnHasher>>,
+    },
+    /// The tick-ordered directory `ObjectLru` replaced, one per set of
+    /// `ways` frames: the differential tests' reference for both
+    /// organizations.
+    #[cfg(test)]
+    Reference {
+        sets: Vec<tests::ReferenceLru>,
+        ways: u64,
     },
 }
 
@@ -218,6 +251,9 @@ struct DramTier {
     frames: Frames,
     capacity_pages: u64,
     resident: u64,
+    /// Every victim so far, for the differential tests to compare.
+    #[cfg(test)]
+    evicted: Vec<Frame>,
 }
 
 impl DramTier {
@@ -225,23 +261,29 @@ impl DramTier {
         let capacity = config.capacity_pages();
         let frames = match config.organization {
             TierOrganization::SetAssociative { ways } => {
-                let ways = ways.max(1) as usize;
-                let sets = ((capacity / ways as u64).max(1)) as usize;
+                // No more ways than frames, or one set would hold more
+                // pages than the tier has.
+                let ways = u64::from(ways).clamp(1, capacity.max(1));
+                let sets = (capacity / ways).max(1);
                 Frames::SetAssociative {
-                    sets: vec![Vec::new(); sets],
-                    ways,
+                    sets: (0..sets)
+                        .map(|_| Vec::with_capacity(ways as usize))
+                        .collect(),
+                    ways: ways as usize,
                 }
             }
             TierOrganization::ObjectLru => Frames::ObjectLru {
-                entries: HashMap::new(),
-                order: BTreeMap::new(),
-                tick: 0,
+                table: Vec::new(),
+                order: StrictLru::new(),
+                index: HashMap::default(),
             },
         };
         DramTier {
             frames,
             capacity_pages: capacity,
             resident: 0,
+            #[cfg(test)]
+            evicted: Vec::new(),
         }
     }
 
@@ -257,29 +299,38 @@ impl DramTier {
                 let set = &mut sets[(lpn % nsets) as usize];
                 match set.iter().position(|f| f.lpn == lpn) {
                     Some(pos) => {
-                        let mut frame = set.remove(pos);
-                        frame.dirty |= dirty;
-                        set.insert(0, frame);
+                        set[..=pos].rotate_right(1);
+                        set[0].dirty |= dirty;
                         true
                     }
                     None => false,
                 }
             }
             Frames::ObjectLru {
-                entries,
+                table,
                 order,
-                tick,
-            } => match entries.get_mut(&lpn) {
-                Some((at, d)) => {
-                    order.remove(at);
-                    *tick += 1;
-                    *at = *tick;
-                    *d |= dirty;
-                    order.insert(*tick, lpn);
-                    true
-                }
-                None => false,
-            },
+                index,
+            } => {
+                // A touch of the most recent frame moves nothing: most
+                // touches are the next line of the page touched last.
+                let slot = match order.head() {
+                    Some(head) if table[head as usize].lpn == lpn => head,
+                    _ => {
+                        let Some(&slot) = index.get(&lpn) else {
+                            return false;
+                        };
+                        order.touch(slot);
+                        slot
+                    }
+                };
+                table[slot as usize].dirty |= dirty;
+                true
+            }
+            #[cfg(test)]
+            Frames::Reference { sets, .. } => {
+                let nsets = sets.len() as u64;
+                sets[(lpn % nsets) as usize].touch(lpn, dirty)
+            }
         }
     }
 
@@ -288,36 +339,48 @@ impl DramTier {
     /// evicted frame, if any.
     fn install(&mut self, lpn: u64, dirty: bool) -> Option<Frame> {
         debug_assert!(self.capacity_pages > 0);
+        let frame = Frame { lpn, dirty };
         let evicted = match &mut self.frames {
             Frames::SetAssociative { sets, ways } => {
                 let nsets = sets.len() as u64;
                 let set = &mut sets[(lpn % nsets) as usize];
-                let evicted = if set.len() == *ways { set.pop() } else { None };
-                set.insert(0, Frame { lpn, dirty });
+                let evicted = if set.len() == *ways {
+                    Some(std::mem::replace(&mut set[*ways - 1], frame))
+                } else {
+                    set.push(frame);
+                    None
+                };
+                set.rotate_right(1);
                 evicted
             }
             Frames::ObjectLru {
-                entries,
+                table,
                 order,
-                tick,
+                index,
             } => {
-                let evicted = if entries.len() as u64 == self.capacity_pages {
-                    let (_, victim) = order.pop_first().expect("tier is non-empty");
-                    let (_, d) = entries.remove(&victim).expect("ordered lpn is resident");
-                    Some(Frame {
-                        lpn: victim,
-                        dirty: d,
-                    })
+                let (slot, evicted) = if table.len() as u64 == self.capacity_pages {
+                    let slot = order.pop_lru().expect("tier is non-empty");
+                    let victim = std::mem::replace(&mut table[slot as usize], frame);
+                    index.remove(&victim.lpn);
+                    (slot, Some(victim))
                 } else {
-                    None
+                    let slot = u32::try_from(table.len()).expect("frames are indexed by u32");
+                    table.push(frame);
+                    (slot, None)
                 };
-                *tick += 1;
-                entries.insert(lpn, (*tick, dirty));
-                order.insert(*tick, lpn);
+                order.insert(slot);
+                index.insert(lpn, slot);
                 evicted
+            }
+            #[cfg(test)]
+            Frames::Reference { sets, ways } => {
+                let nsets = sets.len() as u64;
+                sets[(lpn % nsets) as usize].install(frame, *ways)
             }
         };
         self.resident += 1 - u64::from(evicted.is_some());
+        #[cfg(test)]
+        self.evicted.extend(evicted);
         evicted
     }
 }
@@ -342,6 +405,13 @@ impl DramTier {
 #[derive(Debug, Clone)]
 pub struct HybridMemory {
     config: HybridConfig,
+    /// `config.dram_line_latency()` and `config.dram_page_latency()`,
+    /// derived once.
+    dram_line_latency: Duration,
+    dram_page_latency: Duration,
+    /// 64 B lines per flash page, or 0 when a page is not a whole number
+    /// of lines and lines straddle page boundaries.
+    lines_per_page: u64,
     ftl: Ftl,
     tier: DramTier,
     /// Dirty lpns awaiting flush, in eviction order.
@@ -363,7 +433,15 @@ impl HybridMemory {
     pub fn new(config: HybridConfig) -> Self {
         let ftl = Ftl::new(config.flash.clone(), config.overprovision);
         let tier = DramTier::new(&config);
+        let flash = &config.flash;
         HybridMemory {
+            dram_line_latency: config.dram_line_latency(),
+            dram_page_latency: config.dram_page_latency(),
+            lines_per_page: if flash.page_bytes.is_multiple_of(LINE_BYTES) {
+                flash.lines_per_page()
+            } else {
+                0
+            },
             ftl,
             tier,
             writeback: VecDeque::new(),
@@ -453,11 +531,23 @@ impl HybridMemory {
     }
 
     /// The logical flash page holding a line address (64 B units),
-    /// wrapped modulo the FTL's exported capacity.
-    fn lpn_of_line(&self, line_addr: u64) -> u64 {
-        let byte = line_addr as u128 * LINE_BYTES as u128;
-        let lpn = byte / self.config.flash.page_bytes as u128;
-        (lpn % self.ftl.exported_pages() as u128) as u64
+    /// wrapped modulo the FTL's exported capacity, and the first line
+    /// that starts in the next page (saturating). Whole-line pages — every
+    /// shipped geometry — take one `u64` division; the byte-exact wide
+    /// form is for pages that lines straddle.
+    fn page_of_line(&self, line_addr: u64) -> (u64, u64) {
+        let exported = self.ftl.exported_pages();
+        if let Some(raw) = line_addr.checked_div(self.lines_per_page) {
+            let next = raw.saturating_add(1).saturating_mul(self.lines_per_page);
+            return (raw % exported, next);
+        }
+        let page_bytes = u128::from(self.config.flash.page_bytes);
+        let raw = u128::from(line_addr) * u128::from(LINE_BYTES) / page_bytes;
+        let next = ((raw + 1) * page_bytes).div_ceil(u128::from(LINE_BYTES));
+        (
+            (raw % u128::from(exported)) as u64,
+            u64::try_from(next).unwrap_or(u64::MAX),
+        )
     }
 
     /// Consults (and updates) the admission filter for a missing page.
@@ -533,7 +623,7 @@ impl HybridMemory {
         if self.tier.touch(lpn, kind == AccessKind::Write) {
             self.hits += 1;
             self.dram_bytes += LINE_BYTES;
-            return (self.config.dram_line_latency(), true);
+            return (self.dram_line_latency, true);
         }
         self.misses += 1;
         if !self.admit(lpn) {
@@ -546,7 +636,7 @@ impl HybridMemory {
         let fill = self.ftl.read_page_any(lpn);
         let stall = self.install(lpn, kind == AccessKind::Write);
         self.dram_bytes += self.config.flash.page_bytes;
-        (fill + stall + self.config.dram_line_latency(), true)
+        (fill + stall + self.dram_line_latency, true)
     }
 
     /// Writes the value bytes at logical byte `offset` — the bulk PUT
@@ -571,7 +661,7 @@ impl HybridMemory {
                 latency += self.install(lpn, true);
             }
             self.dram_bytes += page;
-            latency += self.config.dram_page_latency();
+            latency += self.dram_page_latency;
         }
         latency
     }
@@ -582,7 +672,7 @@ impl MemoryTiming for HybridMemory {
         if self.tier.capacity_pages == 0 {
             return self.ftl.line_access(line_addr, kind);
         }
-        let lpn = self.lpn_of_line(line_addr);
+        let (lpn, _) = self.page_of_line(line_addr);
         self.tier_line_access(lpn, line_addr, kind).0
     }
 
@@ -604,14 +694,12 @@ impl MemoryTiming for HybridMemory {
             return self.ftl.stream_access(start_line, lines, kind, scale);
         }
         let end = start_line + lines;
-        let page_bytes = u128::from(self.config.flash.page_bytes);
+        let hit = self.dram_line_latency * scale;
         let mut total = Duration::ZERO;
         let mut line = start_line;
         while line < end {
-            let raw_page = u128::from(line) * u128::from(LINE_BYTES) / page_bytes;
-            let next_page_line = ((raw_page + 1) * page_bytes).div_ceil(u128::from(LINE_BYTES));
-            let page_end = u64::try_from(next_page_line).map_or(end, |l| l.min(end));
-            let lpn = (raw_page % u128::from(self.ftl.exported_pages())) as u64;
+            let (lpn, next_page_line) = self.page_of_line(line);
+            let page_end = next_page_line.min(end);
             let mut resident = false;
             while line < page_end && !resident {
                 let (latency, now_resident) = self.tier_line_access(lpn, line, kind);
@@ -622,7 +710,7 @@ impl MemoryTiming for HybridMemory {
             let rest = page_end - line;
             self.hits += rest;
             self.dram_bytes += LINE_BYTES * rest;
-            total += (self.config.dram_line_latency() * scale) * rest;
+            total += hit * rest;
             line = page_end;
         }
         total
@@ -656,6 +744,166 @@ mod tests {
     use super::*;
     use densekv_mem::dram::{DramConfig, DramStack};
     use densekv_sim::SplitMix64;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The frame directory as it was before the frame table: a SipHash
+    /// map to a recency tick and a tree from ticks back to pages. Every
+    /// touch is a tree remove and insert, which is why it was replaced
+    /// and why it makes an independent reference.
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct ReferenceLru {
+        /// lpn -> (recency tick, dirty).
+        entries: HashMap<u64, (u64, bool)>,
+        /// recency tick -> lpn, oldest first.
+        order: BTreeMap<u64, u64>,
+        tick: u64,
+    }
+
+    impl ReferenceLru {
+        pub(super) fn touch(&mut self, lpn: u64, dirty: bool) -> bool {
+            match self.entries.get_mut(&lpn) {
+                Some((at, d)) => {
+                    self.order.remove(at);
+                    self.tick += 1;
+                    *at = self.tick;
+                    *d |= dirty;
+                    self.order.insert(self.tick, lpn);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        pub(super) fn install(&mut self, frame: Frame, capacity: u64) -> Option<Frame> {
+            let evicted = if self.entries.len() as u64 == capacity {
+                let (_, lpn) = self.order.pop_first().expect("set is non-empty");
+                let (_, dirty) = self.entries.remove(&lpn).expect("ordered lpn is resident");
+                Some(Frame { lpn, dirty })
+            } else {
+                None
+            };
+            self.tick += 1;
+            self.entries.insert(frame.lpn, (self.tick, frame.dirty));
+            self.order.insert(self.tick, frame.lpn);
+            evicted
+        }
+    }
+
+    /// `config`'s memory over the reference directory, with the sets and
+    /// ways the frame table was built with.
+    fn reference_memory(config: HybridConfig) -> HybridMemory {
+        let mut memory = HybridMemory::new(config);
+        let (sets, ways) = match &memory.tier.frames {
+            Frames::SetAssociative { sets, ways } => (sets.len(), *ways as u64),
+            _ => (1, memory.tier.capacity_pages),
+        };
+        memory.tier.frames = Frames::Reference {
+            sets: vec![ReferenceLru::default(); sets],
+            ways,
+        };
+        memory
+    }
+
+    fn kind(write: bool) -> AccessKind {
+        if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        }
+    }
+
+    proptest! {
+        /// The frame table against the directory it replaced, call by
+        /// call: equal latency, equal counters, equal victims (page and
+        /// dirtiness) — and never more resident pages than frames,
+        /// whatever `ways` asks for.
+        #[test]
+        fn frame_table_matches_tick_ordered_reference(
+            tier_pages in 0u64..9,
+            ways in 0u32..5,
+            second_touch in any::<bool>(),
+            writeback_pages in 1u32..5,
+            // 96 logical pages are exported; addresses run past them to wrap.
+            calls in proptest::collection::vec(
+                (0u8..8, 0u64..(110 * 128), 1u64..400, any::<bool>()),
+                1..200,
+            ),
+        ) {
+            let config = HybridConfig {
+                organization: match ways {
+                    0 => TierOrganization::ObjectLru,
+                    ways => TierOrganization::SetAssociative { ways },
+                },
+                admission: if second_touch {
+                    AdmissionPolicy::SecondTouch { window: 3 }
+                } else {
+                    AdmissionPolicy::Always
+                },
+                writeback_pages,
+                ..tiny_helios(tier_pages * (8 << 10))
+            };
+            let mut fast = HybridMemory::new(config.clone());
+            let mut reference = reference_memory(config);
+            for (call, line, len, write) in calls {
+                let run = |m: &mut HybridMemory| match call {
+                    0..=3 => m.line_access(line, kind(write)),
+                    4 | 5 => m.stream_access(line, len, kind(write), 0.25),
+                    6 => m.value_write(line * LINE_BYTES, len * 100),
+                    _ => m.drain_writeback(),
+                };
+                prop_assert_eq!(run(&mut fast), run(&mut reference));
+                prop_assert_eq!(fast.snapshot(), reference.snapshot());
+                prop_assert_eq!(&fast.tier.evicted, &reference.tier.evicted);
+                prop_assert!(fast.resident_pages() <= tier_pages);
+            }
+        }
+
+        /// Whole-line pages take `u64` page arithmetic; it must agree
+        /// with the byte-exact wide form on any line address, and split
+        /// a run at the same page boundaries.
+        #[test]
+        fn u64_page_math_matches_the_wide_form(
+            page_lines in 1u64..200,
+            lines in proptest::collection::vec(0u64..(u64::MAX / 64), 32),
+            runs in proptest::collection::vec(
+                (0u64..(110 * 200), 1u64..700, any::<bool>()),
+                16,
+            ),
+        ) {
+            let mut config = tiny_helios(3 * page_lines * LINE_BYTES);
+            config.flash.page_bytes = page_lines * LINE_BYTES;
+            let mut fast = HybridMemory::new(config);
+            prop_assert_eq!(fast.lines_per_page, page_lines);
+            let mut wide = fast.clone();
+            wide.lines_per_page = 0;
+            for line in lines {
+                prop_assert_eq!(fast.page_of_line(line), wide.page_of_line(line));
+            }
+            for (start, len, write) in runs {
+                prop_assert_eq!(
+                    fast.stream_access(start, len, kind(write), 0.5),
+                    wide.stream_access(start, len, kind(write), 0.5)
+                );
+                prop_assert_eq!(fast.snapshot(), wide.snapshot());
+            }
+        }
+    }
+
+    #[test]
+    fn set_associative_ways_are_clamped_to_the_tier_capacity() {
+        // One frame, two ways: used to build one 2-way set and hold two
+        // pages in a one-page tier.
+        let mut config = tiny_helios(8 << 10);
+        config.organization = TierOrganization::SetAssociative { ways: 2 };
+        let lines_per_page = config.flash.page_bytes / LINE_BYTES;
+        let mut hybrid = HybridMemory::new(config);
+        assert_eq!(hybrid.snapshot().capacity_pages, 1);
+        for page in 0..4 {
+            hybrid.line_access(page * lines_per_page, AccessKind::Read);
+            assert_eq!(hybrid.resident_pages(), 1);
+        }
+    }
 
     /// A small flash geometry so tests run fast and GC triggers early.
     fn tiny_flash() -> FlashConfig {

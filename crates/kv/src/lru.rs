@@ -47,10 +47,10 @@ impl EvictionKind {
     }
 }
 
-/// Sentinel for "no neighbour" in the intrusive list.
-const NIL: u32 = u32::MAX;
+pub use densekv_sim::lru::StrictLru;
 
-/// A strict LRU list, intrusive over slot indices.
+/// The strict LRU list lives in `densekv-sim` (Helios' page frames are
+/// ordered by it too); this is its face as a store's eviction policy.
 ///
 /// # Examples
 ///
@@ -63,104 +63,25 @@ const NIL: u32 = u32::MAX;
 /// lru.on_access(1);            // 2 is now least recent
 /// assert_eq!(lru.pop_victim(), Some(2));
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct StrictLru {
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    present: Vec<bool>,
-    head: u32,
-    tail: u32,
-    count: usize,
-}
-
-impl StrictLru {
-    /// Creates an empty list.
-    pub fn new() -> Self {
-        StrictLru {
-            prev: Vec::new(),
-            next: Vec::new(),
-            present: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            count: 0,
-        }
-    }
-
-    fn ensure(&mut self, slot: u32) {
-        let need = slot as usize + 1;
-        if self.prev.len() < need {
-            self.prev.resize(need, NIL);
-            self.next.resize(need, NIL);
-            self.present.resize(need, false);
-        }
-    }
-
-    fn unlink(&mut self, slot: u32) {
-        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
-        if p == NIL {
-            self.head = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NIL {
-            self.tail = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = NIL;
-    }
-
-    fn push_front(&mut self, slot: u32) {
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = self.head;
-        if self.head != NIL {
-            self.prev[self.head as usize] = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-}
-
 impl EvictionPolicy for StrictLru {
     fn on_insert(&mut self, slot: u32) {
-        self.ensure(slot);
-        debug_assert!(!self.present[slot as usize], "slot already tracked");
-        self.present[slot as usize] = true;
-        self.push_front(slot);
-        self.count += 1;
+        self.insert(slot);
     }
 
     fn on_access(&mut self, slot: u32) {
-        if self.present.get(slot as usize).copied() != Some(true) {
-            return;
-        }
-        self.unlink(slot);
-        self.push_front(slot);
+        self.touch(slot);
     }
 
     fn on_remove(&mut self, slot: u32) {
-        if self.present.get(slot as usize).copied() != Some(true) {
-            return;
-        }
-        self.present[slot as usize] = false;
-        self.unlink(slot);
-        self.count -= 1;
+        self.remove(slot);
     }
 
     fn pop_victim(&mut self) -> Option<u32> {
-        if self.tail == NIL {
-            return None;
-        }
-        let victim = self.tail;
-        self.on_remove(victim);
-        Some(victim)
+        self.pop_lru()
     }
 
     fn len(&self) -> usize {
-        self.count
+        StrictLru::len(self)
     }
 }
 

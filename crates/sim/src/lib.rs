@@ -5,6 +5,7 @@
 //! * [`SimTime`] / [`Duration`] — integer-picosecond simulated time,
 //! * [`EventQueue`] and [`Scheduler`] — a deterministic discrete-event loop,
 //! * [`rng::SplitMix64`] and the [`dist`] module — reproducible randomness,
+//! * [`lru::StrictLru`] — an index-linked recency list over `u32` slots,
 //! * [`stats`] — counters and exact latency distributions with
 //!   percentile and SLA queries.
 //!
@@ -28,6 +29,7 @@
 
 pub mod dist;
 pub mod event;
+pub mod lru;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -54,13 +54,16 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_get_does_not_allocate() {
-    for (config, value_bytes) in [
-        (CoreSimConfig::mercury_a7(), 64),
-        (CoreSimConfig::mercury_a7(), 1 << 20),
-        (CoreSimConfig::iridium_a7(), 4096),
-        (CoreSimConfig::helios_a7(256 << 20), 64),
-        (CoreSimConfig::helios_a7(256 << 20), 4096),
-        (CoreSimConfig::helios_a7(256 << 20), 1 << 20),
+    // The last column: does the counted window evict from a Helios tier?
+    for (config, value_bytes, evicts) in [
+        (CoreSimConfig::mercury_a7(), 64, false),
+        (CoreSimConfig::mercury_a7(), 1 << 20, false),
+        (CoreSimConfig::iridium_a7(), 4096, false),
+        (CoreSimConfig::helios_a7(256 << 20), 64, false),
+        (CoreSimConfig::helios_a7(256 << 20), 4096, false),
+        (CoreSimConfig::helios_a7(256 << 20), 1 << 20, false),
+        // Half the 8 MB working set: every GET fills and evicts pages.
+        (CoreSimConfig::helios_a7(4 << 20), 1 << 20, true),
     ] {
         let mut core = CoreSim::new(config).expect("valid configuration");
         core.preload(value_bytes, 8).expect("preload fits");
@@ -79,11 +82,13 @@ fn steady_state_get_does_not_allocate() {
         for key_id in (0..8).cycle().take(WARM_UP) {
             get(&mut core, key_id);
         }
-        let before = ALLOCATIONS.with(Cell::get);
+        let tier_misses = |core: &CoreSim| core.tier_stats().map_or(0, |tier| tier.misses);
+        let (before, misses_before) = (ALLOCATIONS.with(Cell::get), tier_misses(&core));
         for key_id in (0..8).cycle().take(64) {
             get(&mut core, key_id);
         }
         let allocated = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(tier_misses(&core) > misses_before, evicts);
         assert_eq!(
             allocated, 0,
             "{value_bytes} B GETs allocated {allocated} times"

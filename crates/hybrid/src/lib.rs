@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 
 use densekv_mem::flash::FlashConfig;
 use densekv_mem::ftl::Ftl;
@@ -198,27 +197,6 @@ struct Frame {
     dirty: bool,
 }
 
-/// One multiply and a fold for the `lpn -> slot` index, whose keys are
-/// page numbers the simulator computed itself. The index is looked up,
-/// never iterated, so the hash function cannot reach a result.
-#[derive(Debug, Clone, Copy, Default)]
-struct LpnHasher(u64);
-
-impl Hasher for LpnHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("lpn keys hash through write_u64");
-    }
-
-    fn write_u64(&mut self, lpn: u64) {
-        let h = lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
 /// The DRAM tier's frame directory, in either organization.
 #[derive(Debug, Clone)]
 enum Frames {
@@ -234,7 +212,7 @@ enum Frames {
         /// Recency order over the slots of `table`.
         order: StrictLru,
         /// lpn -> slot of `table`.
-        index: HashMap<u64, u32, BuildHasherDefault<LpnHasher>>,
+        index: HashMap<u64, u32>,
     },
     /// The tick-ordered directory `ObjectLru` replaced, one per set of
     /// `ways` frames: the differential tests' reference for both
@@ -409,9 +387,6 @@ pub struct HybridMemory {
     /// derived once.
     dram_line_latency: Duration,
     dram_page_latency: Duration,
-    /// 64 B lines per flash page, or 0 when a page is not a whole number
-    /// of lines and lines straddle page boundaries.
-    lines_per_page: u64,
     ftl: Ftl,
     tier: DramTier,
     /// Dirty lpns awaiting flush, in eviction order.
@@ -433,15 +408,9 @@ impl HybridMemory {
     pub fn new(config: HybridConfig) -> Self {
         let ftl = Ftl::new(config.flash.clone(), config.overprovision);
         let tier = DramTier::new(&config);
-        let flash = &config.flash;
         HybridMemory {
             dram_line_latency: config.dram_line_latency(),
             dram_page_latency: config.dram_page_latency(),
-            lines_per_page: if flash.page_bytes.is_multiple_of(LINE_BYTES) {
-                flash.lines_per_page()
-            } else {
-                0
-            },
             ftl,
             tier,
             writeback: VecDeque::new(),
@@ -532,20 +501,14 @@ impl HybridMemory {
 
     /// The logical flash page holding a line address (64 B units),
     /// wrapped modulo the FTL's exported capacity, and the first line
-    /// that starts in the next page (saturating). Whole-line pages — every
-    /// shipped geometry — take one `u64` division; the byte-exact wide
-    /// form is for pages that lines straddle.
+    /// that starts in the next page (saturating). Byte-exact, so a page
+    /// need not be a whole number of lines.
     fn page_of_line(&self, line_addr: u64) -> (u64, u64) {
-        let exported = self.ftl.exported_pages();
-        if let Some(raw) = line_addr.checked_div(self.lines_per_page) {
-            let next = raw.saturating_add(1).saturating_mul(self.lines_per_page);
-            return (raw % exported, next);
-        }
         let page_bytes = u128::from(self.config.flash.page_bytes);
         let raw = u128::from(line_addr) * u128::from(LINE_BYTES) / page_bytes;
         let next = ((raw + 1) * page_bytes).div_ceil(u128::from(LINE_BYTES));
         (
-            (raw % u128::from(exported)) as u64,
+            (raw % u128::from(self.ftl.exported_pages())) as u64,
             u64::try_from(next).unwrap_or(u64::MAX),
         )
     }
@@ -856,36 +819,6 @@ mod tests {
                 prop_assert_eq!(fast.snapshot(), reference.snapshot());
                 prop_assert_eq!(&fast.tier.evicted, &reference.tier.evicted);
                 prop_assert!(fast.resident_pages() <= tier_pages);
-            }
-        }
-
-        /// Whole-line pages take `u64` page arithmetic; it must agree
-        /// with the byte-exact wide form on any line address, and split
-        /// a run at the same page boundaries.
-        #[test]
-        fn u64_page_math_matches_the_wide_form(
-            page_lines in 1u64..200,
-            lines in proptest::collection::vec(0u64..(u64::MAX / 64), 32),
-            runs in proptest::collection::vec(
-                (0u64..(110 * 200), 1u64..700, any::<bool>()),
-                16,
-            ),
-        ) {
-            let mut config = tiny_helios(3 * page_lines * LINE_BYTES);
-            config.flash.page_bytes = page_lines * LINE_BYTES;
-            let mut fast = HybridMemory::new(config);
-            prop_assert_eq!(fast.lines_per_page, page_lines);
-            let mut wide = fast.clone();
-            wide.lines_per_page = 0;
-            for line in lines {
-                prop_assert_eq!(fast.page_of_line(line), wide.page_of_line(line));
-            }
-            for (start, len, write) in runs {
-                prop_assert_eq!(
-                    fast.stream_access(start, len, kind(write), 0.5),
-                    wide.stream_access(start, len, kind(write), 0.5)
-                );
-                prop_assert_eq!(fast.snapshot(), wide.snapshot());
             }
         }
     }

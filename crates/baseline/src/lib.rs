@@ -1,21 +1,17 @@
 //! The systems the paper compares against (Table 4): Memcached 1.4, 1.6,
 //! and "Bags" on a state-of-the-art Xeon server, and the TSSP accelerator.
 //!
-//! Two layers:
-//!
-//! * [`specs`] — the published Table 4 rows, encoded as constants, plus a
-//!   lock-contention throughput model ([`ContentionModel`]) that
-//!   *derives* those throughputs from per-op service time and
-//!   serialization, so the 1.4 → 1.6 → Bags ordering is explained rather
-//!   than asserted.
-//! * [`host`] — a harness that drives the real `densekv-kv` store
-//!   variants with real host threads, demonstrating the same contention
-//!   ordering on actual hardware (used by the `lock_scaling` bench).
+//! [`specs`] holds the published Table 4 rows, encoded as constants, plus
+//! a lock-contention throughput model ([`ContentionModel`]) that
+//! *derives* those throughputs from per-op service time and
+//! serialization, so the 1.4 → 1.6 → Bags ordering is explained rather
+//! than asserted. The `lock_scaling` bin of `densekv-bench` shows the
+//! same ordering on real host threads, over the live server's
+//! `densekv_serve::ShardedStore`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod host;
 pub mod specs;
 
 pub use specs::{BaselineSpec, ContentionModel, BAGS, MEMCACHED_14, MEMCACHED_16, TSSP};

@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hotpaths;
+pub mod lock_scaling;
 
 use std::path::{Path, PathBuf};
 

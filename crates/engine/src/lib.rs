@@ -18,10 +18,7 @@
 //!   failure) over the tiers, implementing
 //!   [`densekv_kv::StoreBackend`] with Memcached 1.4 semantics so the
 //!   protocol loop, the TCP front-end, and the differential tests run
-//!   it interchangeably with the model store,
-//! * [`striped`] — the real-thread concurrency variants (global mutex,
-//!   striped locks, per-stripe bag-LRU) the `engine_bench` experiment
-//!   measures under Zipf mixed workloads.
+//!   it interchangeably with the model store.
 //!
 //! # Examples
 //!
@@ -41,10 +38,8 @@
 
 pub mod bitmap;
 pub mod engine;
-pub mod striped;
 pub mod tier;
 
 pub use bitmap::MultiLevelBitmap;
 pub use engine::{Engine, PROBE_LIMIT};
-pub use striped::StripedEngine;
 pub use tier::{TierSet, ValueRef, OVERFLOW_TIER, TIER_COUNT, TIER_PAGE_BYTES};

@@ -11,11 +11,9 @@
 //!   (Wiggins & Langston's scalability work, §3.6 of the paper),
 //! * [`store`] — the store itself: get/set/delete/CAS, TTL expiry,
 //!   eviction, statistics, and per-operation access traces,
-//! * [`protocol`] / [`binary`] — the text and binary wire protocols,
+//! * [`protocol`] — the text wire protocol,
 //! * [`server`] / [`client`] — the command loop and the client-side
 //!   codec, so full byte-level request/response loops run in-process,
-//! * [`concurrent`] — thread-safe wrappers (global lock vs. striped)
-//!   used by the baseline lock-scaling experiments,
 //! * [`backend`] — the [`StoreBackend`] trait the command loop
 //!   dispatches through, so real engines (`densekv-engine`) serve the
 //!   same protocol as the model store.
@@ -36,9 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod binary;
 pub mod client;
-pub mod concurrent;
 pub mod hash;
 pub mod lru;
 pub mod protocol;

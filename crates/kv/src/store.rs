@@ -299,8 +299,8 @@ pub struct SetOutcome {
     pub trace: AccessTrace,
 }
 
-/// The single-threaded store. Concurrency wrappers live in
-/// [`crate::concurrent`].
+/// The single-threaded store. The live server shards it behind locks
+/// (`densekv_serve::ShardedStore`).
 ///
 /// # Examples
 ///

@@ -43,7 +43,8 @@ const READ_CHUNK: usize = 16 << 10;
 pub struct ServeConfig {
     /// Address to bind; port 0 picks an ephemeral port.
     pub addr: SocketAddr,
-    /// Total store bytes, split evenly across `shards`.
+    /// Total store bytes, split evenly across `shards` (the remainder
+    /// to shard 0).
     pub store_bytes: u64,
     /// Lock stripes: 1 = global lock (Memcached 1.4), more = striped.
     pub shards: usize,

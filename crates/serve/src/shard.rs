@@ -1,14 +1,13 @@
 //! The shared store behind the front-end: the hash space striped over
-//! independently locked [`KvStore`]s.
+//! independently locked stores.
 //!
-//! This is the live-traffic counterpart of
-//! [`densekv_kv::concurrent::StripedStore`]: same shard-by-upper-hash-
-//! bits layout, but running full protocol requests through
-//! [`densekv_kv::server::execute`] instead of a narrow get/set trait, so
-//! every verb the simulator's functional path supports works over a real
-//! socket too. One shard reproduces Memcached 1.4's global cache lock; many
-//! shards are the 1.6-style striped design whose contention difference
-//! the paper's §3.6 (and Table 4's "Bags" row) turns on.
+//! Full protocol requests run through [`densekv_kv::server::execute`],
+//! so every verb the simulator's functional path supports works over a
+//! real socket too. One shard reproduces Memcached 1.4's global cache
+//! lock; many shards are the 1.6-style striped design whose contention
+//! difference the paper's §3.6 (and Table 4's "Bags" row) turns on. The
+//! `lock_scaling` bin of `densekv-bench` measures that difference on
+//! this type through [`ShardedStore::with_shard`].
 
 use bytes::BytesMut;
 use parking_lot::Mutex;
@@ -135,15 +134,11 @@ struct Locked<'s, 'o> {
 
 impl Stores for Locked<'_, '_> {
     fn with_store<R>(&mut self, key: &[u8], f: impl FnOnce(&mut dyn StoreBackend, u64) -> R) -> R {
-        let hash = jenkins_oaat(key);
-        // Upper hash bits, like [`densekv_kv::concurrent::StripedStore`],
-        // so shard choice stays independent of the per-shard bucket
-        // index (low bits).
-        let idx = (hash >> 32) as usize % self.store.shards.len();
-        let shard = &self.store.shards[idx];
         let Some(observer) = self.observer.as_deref_mut() else {
-            return f(&mut **shard.lock(), hash);
+            return self.store.with_shard(key, f);
         };
+        let (hash, idx) = self.store.shard_of(key);
+        let shard = &self.store.shards[idx];
         // The clock is read for the wait only when there is one.
         let (mut guard, blocked_at) = match shard.try_lock() {
             Some(guard) => (guard, None),
@@ -176,7 +171,8 @@ impl Stores for Locked<'_, '_> {
     }
 }
 
-/// A thread-safe store sharded across independently locked [`KvStore`]s.
+/// A thread-safe store sharded across independently locked stores of
+/// one [`BackendKind`].
 ///
 /// # Examples
 ///
@@ -212,8 +208,8 @@ impl std::fmt::Debug for ShardedStore {
 
 impl ShardedStore {
     /// Creates `shards` independent model stores splitting
-    /// `config.memory_bytes` evenly. `shards == 1` is the global-lock
-    /// (Memcached 1.4) design.
+    /// `config.memory_bytes` evenly, the remainder to shard 0.
+    /// `shards == 1` is the global-lock (Memcached 1.4) design.
     ///
     /// # Panics
     ///
@@ -232,16 +228,36 @@ impl ShardedStore {
     #[must_use]
     pub fn new_with_backend(config: StoreConfig, shards: usize, backend: BackendKind) -> Self {
         assert!(shards > 0, "need at least one shard");
-        let per_shard = StoreConfig {
-            memory_bytes: config.memory_bytes / shards as u64,
-            ..config
-        };
+        let per_shard = config.memory_bytes / shards as u64;
+        let remainder = config.memory_bytes % shards as u64;
         ShardedStore {
             shards: (0..shards)
-                .map(|_| Mutex::new(backend.build(per_shard.clone())))
+                .map(|i| {
+                    let memory_bytes = per_shard + if i == 0 { remainder } else { 0 };
+                    Mutex::new(backend.build(StoreConfig {
+                        memory_bytes,
+                        ..config.clone()
+                    }))
+                })
                 .collect(),
             backend,
         }
+    }
+
+    /// `key`'s hash and the shard it picks. The upper hash bits choose
+    /// the shard, so the choice stays independent of the per-shard
+    /// bucket index (low bits).
+    fn shard_of(&self, key: &[u8]) -> (u64, usize) {
+        let hash = jenkins_oaat(key);
+        (hash, (hash >> 32) as usize % self.shards.len())
+    }
+
+    /// Runs `f` on `key`'s shard under its lock, passing the key's hash
+    /// ([`densekv_kv::hash::jenkins_oaat`]) for the store's `*_ref` /
+    /// `*_hashed` calls. The request path reaches a store the same way.
+    pub fn with_shard<R>(&self, key: &[u8], f: impl FnOnce(&mut dyn StoreBackend, u64) -> R) -> R {
+        let (hash, idx) = self.shard_of(key);
+        f(&mut **self.shards[idx].lock(), hash)
     }
 
     /// Number of lock stripes.
@@ -437,14 +453,22 @@ mod tests {
 
     #[test]
     fn stats_and_flush_cover_every_shard() {
-        let store = ShardedStore::new(StoreConfig::with_capacity(16 << 20), 4);
-        for i in 0..40u32 {
+        let store = ShardedStore::new(StoreConfig::with_capacity(16 << 20), 8);
+        for i in 0..800u32 {
             run(&store, format!("set key{i} 0 0 1\r\nx\r\n").as_bytes(), 0);
         }
-        assert_eq!(store.len(), 40);
+        assert_eq!(store.len(), 800);
+        // The upper hash bits spread keys over every shard.
+        for (i, shard) in store.shard_stats().iter().enumerate() {
+            assert!(
+                shard.items > 40,
+                "shard {i} got only {} of 800 keys",
+                shard.items
+            );
+        }
         let out = run(&store, b"stats\r\n", 0);
-        assert!(out.contains("STAT cmd_set 40"));
-        assert!(out.contains("STAT curr_items 40"));
+        assert!(out.contains("STAT cmd_set 800"));
+        assert!(out.contains("STAT curr_items 800"));
         assert_eq!(run(&store, b"flush_all\r\n", 0), "OK\r\n");
         assert!(store.is_empty());
     }
@@ -592,6 +616,21 @@ mod tests {
         // The model store exposes no engine internals.
         let model = ShardedStore::new(StoreConfig::with_capacity(16 << 20), 2);
         assert_eq!(run(&model, b"stats engine\r\n", 0), "ERROR\r\n");
+
+        // The shards' budgets add up to the configured one, also when
+        // the shard count does not divide it.
+        for shards in [3, 4] {
+            let store = ShardedStore::new_with_backend(
+                StoreConfig::with_capacity(16 << 20),
+                shards,
+                BackendKind::Engine,
+            );
+            let budget = store
+                .backend_stat_lines()
+                .into_iter()
+                .find_map(|(name, v)| (name == "engine_budget_bytes").then_some(v));
+            assert_eq!(budget, Some(16 << 20), "{shards} shards");
+        }
     }
 
     #[test]
@@ -647,24 +686,41 @@ mod tests {
 
     #[test]
     fn concurrent_mixed_traffic_is_safe() {
-        use std::sync::Arc;
-        let store = Arc::new(ShardedStore::new(StoreConfig::with_capacity(32 << 20), 8));
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let store = Arc::clone(&store);
-                std::thread::spawn(move || {
-                    for i in 0..300u32 {
-                        let set = format!("set t{t}k{i} 0 0 2\r\nhi\r\n");
-                        run(&store, set.as_bytes(), 0);
-                        let get = format!("get t{t}k{i}\r\n");
-                        assert!(run(&store, get.as_bytes(), 0).contains("VALUE"));
+        for backend in [BackendKind::Model, BackendKind::Engine] {
+            for shards in [1, 8] {
+                let store = ShardedStore::new_with_backend(
+                    StoreConfig::with_capacity(32 << 20),
+                    shards,
+                    backend,
+                );
+                std::thread::scope(|scope| {
+                    for t in 0..4u8 {
+                        let store = &store;
+                        scope.spawn(move || {
+                            let value = [b'a' + t; 64];
+                            let value = std::str::from_utf8(&value).unwrap();
+                            for i in 0..300u32 {
+                                let set = format!("set t{t}k{i} 0 0 64\r\n{value}\r\n");
+                                run(store, set.as_bytes(), 0);
+                                let get = format!("get t{t}k{i}\r\n");
+                                let reply = run(store, get.as_bytes(), 0);
+                                assert_eq!(
+                                    reply,
+                                    format!("VALUE t{t}k{i} 0 64\r\n{value}\r\nEND\r\n")
+                                );
+                            }
+                        });
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
+                });
+                assert_eq!(
+                    store.len(),
+                    1200,
+                    "{} over {shards} shards",
+                    backend.as_str()
+                );
+                let last = format!("VALUE t3k299 0 64\r\n{}\r\nEND\r\n", "d".repeat(64));
+                assert_eq!(run(&store, b"get t3k299\r\n", 0), last);
+            }
         }
-        assert_eq!(store.len(), 1200);
     }
 }

@@ -226,76 +226,6 @@ fn simulations_are_bit_reproducible() {
 }
 
 #[test]
-fn binary_and_text_protocols_agree_on_state() {
-    // The same logical operations through both wire protocols leave the
-    // store in the same state.
-    use densekv_kv::binary::{encode_request, serve_binary, Frame, Opcode};
-
-    let run_text = |input: &[u8]| {
-        let mut store = KvStore::new(StoreConfig::with_capacity(8 << 20));
-        serve_buffer(&mut store, input, 0);
-        store
-    };
-    let mut text_store =
-        run_text(b"set k 7 0 5\r\nhello\r\nset n 0 0 2\r\n10\r\nincr n 5\r\ndelete missing\r\n");
-
-    let mut wire = BytesMut::new();
-    let mut extras = Vec::new();
-    extras.extend_from_slice(&7u32.to_be_bytes());
-    extras.extend_from_slice(&0u32.to_be_bytes());
-    encode_request(
-        &Frame {
-            opcode: Opcode::Set,
-            extras: extras.clone(),
-            key: b"k".to_vec(),
-            value: b"hello".to_vec(),
-            opaque: 0,
-            cas: 0,
-        },
-        &mut wire,
-    );
-    let mut extras0 = Vec::new();
-    extras0.extend_from_slice(&0u32.to_be_bytes());
-    extras0.extend_from_slice(&0u32.to_be_bytes());
-    encode_request(
-        &Frame {
-            opcode: Opcode::Set,
-            extras: extras0,
-            key: b"n".to_vec(),
-            value: b"10".to_vec(),
-            opaque: 0,
-            cas: 0,
-        },
-        &mut wire,
-    );
-    let mut incr_extras = Vec::new();
-    incr_extras.extend_from_slice(&5u64.to_be_bytes());
-    incr_extras.extend_from_slice(&0u64.to_be_bytes());
-    incr_extras.extend_from_slice(&0u32.to_be_bytes());
-    encode_request(
-        &Frame {
-            opcode: Opcode::Increment,
-            extras: incr_extras,
-            key: b"n".to_vec(),
-            value: Vec::new(),
-            opaque: 0,
-            cas: 0,
-        },
-        &mut wire,
-    );
-    let mut binary_store = KvStore::new(StoreConfig::with_capacity(8 << 20));
-    serve_binary(&mut binary_store, &wire, 0);
-
-    for key in [b"k".as_slice(), b"n".as_slice()] {
-        let t = text_store.get(key, 0).expect("text store has key");
-        let b = binary_store.get(key, 0).expect("binary store has key");
-        assert_eq!(t.value(), b.value(), "value mismatch for {key:?}");
-        assert_eq!(t.flags(), b.flags(), "flags mismatch for {key:?}");
-    }
-    assert_eq!(text_store.len(), binary_store.len());
-}
-
-#[test]
 fn chrome_trace_export_is_stable() {
     // Golden-file check: the Chrome trace-event JSON for a tiny seeded
     // cluster run must be byte-stable. If a deliberate change to the

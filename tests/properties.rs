@@ -582,43 +582,6 @@ proptest! {
     }
 }
 
-proptest! {
-    /// The binary-protocol decoder and server loop never panic on
-    /// arbitrary bytes.
-    #[test]
-    fn binary_protocol_never_panics(input in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let mut store = KvStore::new(StoreConfig::with_capacity(4 << 20));
-        let _ = densekv_kv::binary::serve_binary(&mut store, &input, 0);
-        let mut buf = bytes::BytesMut::from(&input[..]);
-        let _ = densekv_kv::binary::decode_response(&mut buf);
-    }
-
-    /// Binary frames round-trip encode → decode for arbitrary contents.
-    #[test]
-    fn binary_frame_roundtrip(
-        key in proptest::collection::vec(any::<u8>(), 0..64),
-        value in proptest::collection::vec(any::<u8>(), 0..256),
-        extras in proptest::collection::vec(any::<u8>(), 0..20),
-        opaque in any::<u32>(),
-        cas in any::<u64>(),
-    ) {
-        use densekv_kv::binary::{decode_request, encode_request, Frame, Opcode};
-        let frame = Frame {
-            opcode: Opcode::Set,
-            extras,
-            key,
-            value,
-            opaque,
-            cas,
-        };
-        let mut wire = bytes::BytesMut::new();
-        encode_request(&frame, &mut wire);
-        let decoded = decode_request(&mut wire).expect("well-formed").expect("complete");
-        prop_assert_eq!(decoded, frame);
-        prop_assert!(wire.is_empty());
-    }
-}
-
 // ---------------------------------------------------------------------
 // Telemetry passivity: observing a run cannot change it
 // ---------------------------------------------------------------------

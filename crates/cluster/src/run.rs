@@ -33,9 +33,6 @@ use densekv_telemetry::{BucketedTimeline, SpanBuilder, Telemetry};
 
 use crate::config::ClusterConfig;
 
-/// Sentinel for "this key is not warm anywhere".
-const NOWHERE: u32 = u32::MAX;
-
 /// Gauge columns [`run_with_telemetry`] keeps current in the bundle's
 /// [`TimelineSampler`](densekv_telemetry::TimelineSampler); build the
 /// sampler with exactly these columns.
@@ -62,9 +59,9 @@ enum Event {
 pub struct RemapEvent {
     /// When the stacks died.
     pub at: SimTime,
-    /// The stacks killed.
+    /// The stacks killed, each once, in plan order.
     pub killed: Vec<u32>,
-    /// Ring nodes removed (killed stacks × cores per stack).
+    /// Ring nodes removed (distinct killed stacks × cores per stack).
     pub nodes_removed: u32,
     /// Exact fraction of the key population whose owner changed —
     /// computed over every key, so tests can compare it against the
@@ -248,6 +245,61 @@ impl LegScratch {
     }
 }
 
+/// The core on which each key is warm.
+///
+/// An entry of zero means "warm on the owner the initial ring gives it";
+/// any other entry is `owner + 1` for an explicitly recorded owner. The
+/// map is allocated zeroed, so a run pays nothing for its key population
+/// up front. Until the fault the ring is the initial ring, so an
+/// untouched key is warm on its current owner and hits by construction.
+/// The fault handler, which already visits every key for the exact blast
+/// radius, records each untouched key's pre-fault owner ([`settle`]); after
+/// it no entry is zero, and a key hits only where it was recorded.
+///
+/// [`settle`]: WarmKeys::settle
+struct WarmKeys(Vec<u32>);
+
+impl WarmKeys {
+    fn lazy(population: u64) -> Self {
+        WarmKeys(vec![0; population as usize])
+    }
+
+    /// The preload the zeroed map replaced: every key's initial owner
+    /// recorded before the first arrival. The differential tests'
+    /// reference.
+    #[cfg(test)]
+    fn eager(ring: &ConsistentHashRing, population: u64) -> Self {
+        WarmKeys(
+            (0..population)
+                .map(|key| {
+                    ring.node_for(&key.to_le_bytes())
+                        .map_or(0, |owner| owner + 1)
+                })
+                .collect(),
+        )
+    }
+
+    /// Whether `key` is warm on ring node `owner`.
+    fn is_warm_on(&self, key: u64, owner: u32) -> bool {
+        let recorded = self.0[key as usize];
+        recorded == 0 || recorded == owner + 1
+    }
+
+    /// Records that `key` is now warm on `owner` (a read-through fill).
+    fn warm_on(&mut self, key: u64, owner: u32) {
+        self.0[key as usize] = owner + 1;
+    }
+
+    /// At the fault, before the ring changes hands: makes `key`'s
+    /// implicit owner, `initial`, explicit.
+    fn settle(&mut self, key: u64, initial: u32) {
+        let recorded = &mut self.0[key as usize];
+        if *recorded == 0 {
+            *recorded = initial + 1;
+        }
+    }
+}
+
 /// Per-run mutable state of the cluster's shared resources.
 struct ClusterState {
     ring: ConsistentHashRing,
@@ -259,8 +311,8 @@ struct ClusterState {
     stack_in_free: Vec<SimTime>,
     /// When each stack's shared egress port frees.
     stack_out_free: Vec<SimTime>,
-    /// Core id on which each key is currently warm ([`NOWHERE`] if none).
-    warm: Vec<u32>,
+    /// Core on which each key is currently warm.
+    warm: WarmKeys,
 }
 
 /// Runs the cluster simulation with telemetry off.
@@ -301,6 +353,18 @@ pub fn run(config: &ClusterConfig) -> ClusterResult {
 ///
 /// As [`run`].
 pub fn run_with_telemetry(config: &ClusterConfig, tele: &mut Telemetry) -> ClusterResult {
+    simulate(config, tele, WarmKeys::lazy(config.workload.key_population))
+}
+
+/// The eager-preload reference: [`run`] with every key's initial owner
+/// written before the first arrival.
+#[cfg(test)]
+fn run_eager_reference(config: &ClusterConfig) -> ClusterResult {
+    let warm = WarmKeys::eager(&build_ring(config), config.workload.key_population);
+    simulate(config, &mut Telemetry::disabled(), warm)
+}
+
+fn simulate(config: &ClusterConfig, tele: &mut Telemetry, warm: WarmKeys) -> ClusterResult {
     let topo = config.topology;
     assert!(topo.stacks >= 1, "need at least one stack");
     assert!(
@@ -323,17 +387,11 @@ pub fn run_with_telemetry(config: &ClusterConfig, tele: &mut Telemetry) -> Clust
     let rtt_hist = tele.metrics.histogram("cluster.rtt");
     let shard_rtt_hist = tele.metrics.histogram("cluster.shard.rtt");
 
+    // Every key starts warm on its initial owner, mirroring the
+    // closed-loop simulators' untimed preload; `WarmKeys` keeps that
+    // implicit until the fault.
     let ring = build_ring(config);
-
-    // Preload: every key starts warm on its initial owner, mirroring the
-    // closed-loop simulators' untimed preload.
     let population = config.workload.key_population;
-    let mut warm = vec![NOWHERE; population as usize];
-    for key in 0..population {
-        if let Some(owner) = ring.node_for(&key.to_le_bytes()) {
-            warm[key as usize] = owner;
-        }
-    }
 
     let nodes = topo.nodes() as usize;
     let mut state = ClusterState {
@@ -393,34 +451,39 @@ pub fn run_with_telemetry(config: &ClusterConfig, tele: &mut Telemetry) -> Clust
             Event::Fail => {
                 let fault = config.fault.as_ref().expect("Fail implies a plan");
                 let before = state.ring.clone();
-                let mut nodes_removed = 0;
+                let mut killed: Vec<u32> = Vec::new();
                 for &stack in &fault.kill_stacks {
-                    for core in 0..topo.cores_per_stack {
-                        state.ring.remove_node(topo.node_id(stack, core));
-                        nodes_removed += 1;
+                    if !killed.contains(&stack) {
+                        killed.push(stack);
+                        for core in 0..topo.cores_per_stack {
+                            state.ring.remove_node(topo.node_id(stack, core));
+                        }
                     }
                 }
-                // Exact blast radius over the whole key population.
+                // Exact blast radius over the whole key population; the
+                // same pass makes every key's pre-fault owner explicit.
                 let mut moved = 0u64;
                 for key in 0..population {
                     let kb = key.to_le_bytes();
-                    if before.node_for(&kb) != state.ring.node_for(&kb) {
+                    let owner = before.node_for(&kb);
+                    if owner != state.ring.node_for(&kb) {
                         moved += 1;
                     }
-                }
-                remap = Some(RemapEvent {
-                    at: now,
-                    killed: fault.kill_stacks.clone(),
-                    nodes_removed,
-                    key_fraction_remapped: moved as f64 / population as f64,
-                });
-                // Dead stacks stop drawing power from this instant.
-                for &stack in &fault.kill_stacks {
-                    if stack_death[stack as usize].is_none() {
-                        stack_death[stack as usize] = Some(now);
-                        live_stacks -= 1;
+                    if let Some(owner) = owner {
+                        state.warm.settle(key, owner);
                     }
                 }
+                // Dead stacks stop drawing power from this instant.
+                for &stack in &killed {
+                    stack_death[stack as usize] = Some(now);
+                }
+                live_stacks -= killed.len() as u32;
+                remap = Some(RemapEvent {
+                    at: now,
+                    killed,
+                    nodes_removed: (before.node_count() - state.ring.node_count()) as u32,
+                    key_fraction_remapped: moved as f64 / population as f64,
+                });
             }
             Event::Arrival { seq } => {
                 if seq + 1 < total_requests {
@@ -460,7 +523,7 @@ pub fn run_with_telemetry(config: &ClusterConfig, tele: &mut Telemetry) -> Clust
                     ingress[stack].record_send(profile.req_wire);
 
                     // The owning core's FIFO queue.
-                    let hit = state.warm[key as usize] == owner;
+                    let hit = state.warm.is_warm_on(key, owner);
                     let service = if hit {
                         profile.hit_service
                     } else {
@@ -474,7 +537,7 @@ pub fn run_with_telemetry(config: &ClusterConfig, tele: &mut Telemetry) -> Clust
                     let busy_until = if hit {
                         svc_end
                     } else {
-                        state.warm[key as usize] = owner;
+                        state.warm.warm_on(key, owner);
                         svc_end + profile.fill_service
                     };
                     state.core_busy[owner as usize] += busy_until.elapsed_since(svc_start);
@@ -649,6 +712,9 @@ pub fn run_with_telemetry(config: &ClusterConfig, tele: &mut Telemetry) -> Clust
         }
     });
 
+    // Sorted once here, every percentile a caller asks for is an index.
+    latency.sort();
+    shard_latency.sort();
     ClusterResult {
         latency,
         shard_latency,
@@ -725,7 +791,7 @@ mod tests {
         let result = run(&quick(0.3));
         assert_eq!(result.dropped, 0);
         assert_eq!(result.measured, 2_000);
-        // Preload warms every key, so a fault-free run never misses.
+        // Every key starts warm, so a fault-free run never misses.
         assert_eq!(result.shard_misses, 0);
         assert!(result.remap.is_none());
     }
@@ -893,6 +959,127 @@ mod tests {
         assert!(result.dropped > 0);
         let remap = result.remap.unwrap();
         assert!((remap.key_fraction_remapped - 1.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn a_repeated_stack_is_killed_once() {
+        let mut once = failover_config();
+        once.energy = Some(crate::config::ClusterEnergyModel::mercury_a7(
+            once.topology.cores_per_stack,
+        ));
+        let mut twice = once.clone();
+        once.fault.as_mut().unwrap().kill_stacks = vec![0];
+        twice.fault.as_mut().unwrap().kill_stacks = vec![0, 0];
+        let result = run(&twice);
+        let remap = result.remap.as_ref().unwrap();
+        assert_eq!(remap.killed, vec![0]);
+        assert_eq!(remap.nodes_removed, once.topology.cores_per_stack);
+        assert_eq!(format!("{result:?}"), format!("{:?}", run(&once)));
+    }
+
+    /// Where in the run a fault lands, relative to the arrivals.
+    #[derive(Debug, Clone, Copy)]
+    enum FaultPhase {
+        BeforeFirstArrival,
+        MidWarmup,
+        MidMeasurement,
+        AfterLastArrival,
+    }
+
+    /// A small cluster (4 stacks × 4 cores) over a key population small
+    /// enough that remapped keys come back and hit their refilled owner.
+    fn differential_config(
+        seed: u64,
+        population: u64,
+        batch: u32,
+        phase: FaultPhase,
+        kill_stacks: Vec<u32>,
+    ) -> ClusterConfig {
+        let mut config = quick(0.3);
+        config.topology.stacks = 4;
+        config.topology.cores_per_stack = 4;
+        config.workload = ClusterWorkload::multigets(0.0, batch);
+        config.workload.key_population = population;
+        config.workload.rate_per_sec = 0.3 * config.hit_capacity();
+        config.requests = 600;
+        config.warmup = 200;
+        config.seed = seed;
+        config.timeline_bucket = Duration::from_micros(100);
+        config.energy = Some(crate::config::ClusterEnergyModel::mercury_a7(
+            config.topology.cores_per_stack,
+        ));
+        let arrival = |seq: u32| f64::from(seq) / config.workload.rate_per_sec;
+        let at = match phase {
+            FaultPhase::BeforeFirstArrival => 0.0,
+            FaultPhase::MidWarmup => arrival(config.warmup / 2),
+            FaultPhase::MidMeasurement => arrival(config.warmup + config.requests / 2),
+            FaultPhase::AfterLastArrival => 1.0,
+        };
+        config.fault = Some(FaultPlan {
+            at: SimTime::ZERO + Duration::from_secs_f64(at),
+            kill_stacks,
+        });
+        config
+    }
+
+    /// `run` and the eager-preload reference agree on every field of
+    /// the result. `Debug` prints all of them, floats exactly.
+    fn assert_matches_reference(config: &ClusterConfig) -> ClusterResult {
+        let lazy = run(config);
+        let eager = run_eager_reference(config);
+        assert_eq!(format!("{lazy:?}"), format!("{eager:?}"), "{config:?}");
+        lazy
+    }
+
+    #[test]
+    fn lazy_warm_keys_match_the_eager_preload() {
+        for phase in [
+            FaultPhase::BeforeFirstArrival,
+            FaultPhase::MidWarmup,
+            FaultPhase::MidMeasurement,
+            FaultPhase::AfterLastArrival,
+        ] {
+            for kill in [vec![1], vec![0, 1, 2, 3]] {
+                for batch in [1, 8] {
+                    let config = differential_config(7, 400, batch, phase, kill.clone());
+                    let result = assert_matches_reference(&config);
+                    let faulted = !matches!(phase, FaultPhase::AfterLastArrival);
+                    // A fault inside the run moves keys that come back
+                    // cold, or drops every request once nothing is left.
+                    assert_eq!(
+                        faulted,
+                        result.shard_misses + result.dropped > 0,
+                        "{phase:?} {kill:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn lazy_warm_keys_match_the_eager_preload_on_any_seed(
+            seed in proptest::prelude::any::<u64>(),
+            population in 50u64..3_000,
+            batch in 0u32..2,
+            phase in 0u8..4,
+            kill in (0u32..4, 0u8..3),
+        ) {
+            let phase = [
+                FaultPhase::BeforeFirstArrival,
+                FaultPhase::MidWarmup,
+                FaultPhase::MidMeasurement,
+                FaultPhase::AfterLastArrival,
+            ][usize::from(phase)];
+            let (stack, shape) = kill;
+            let kill_stacks = match shape {
+                0 => vec![stack],
+                1 => vec![stack, stack],
+                _ => (0..4).collect(),
+            };
+            let config = differential_config(seed, population, 1 + 7 * batch, phase, kill_stacks);
+            assert_matches_reference(&config);
+        }
     }
 
     #[test]

@@ -7,11 +7,17 @@
 //! arc ownership shrinks without needing many virtual nodes. This crate
 //! provides the ring plus the load-imbalance statistics that back that
 //! argument (reproduced by the `dht_balance` bench).
+//!
+//! The ring is one sorted array of `(position, node)` points. A lookup
+//! is a binary search for the first point at or after the key's hash,
+//! wrapping to the first point past the end; adding a node inserts its
+//! points in order, and a point landing on an occupied position replaces
+//! it (the last writer wins). The cluster simulator looks up a key per
+//! shard request, so the lookup is the hot path and membership changes
+//! are rare.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::collections::BTreeMap;
 
 use densekv_sim::SplitMix64;
 
@@ -44,8 +50,8 @@ fn ring_hash(data: &[u8]) -> u64 {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ConsistentHashRing {
-    /// Ring position → node id.
-    ring: BTreeMap<u64, u32>,
+    /// `(ring position, node id)`, sorted by position, positions unique.
+    ring: Vec<(u64, u32)>,
     vnodes: u32,
     nodes: Vec<u32>,
 }
@@ -60,7 +66,7 @@ impl ConsistentHashRing {
     pub fn new(vnodes: u32) -> Self {
         assert!(vnodes > 0, "need at least one virtual node");
         ConsistentHashRing {
-            ring: BTreeMap::new(),
+            ring: Vec::new(),
             vnodes,
             nodes: Vec::new(),
         }
@@ -101,7 +107,16 @@ impl ConsistentHashRing {
         self.nodes.push(node);
         for v in 0..self.vnodes {
             let pos = ring_hash(format!("node:{node}:vnode:{v}").as_bytes());
-            self.ring.insert(pos, node);
+            self.insert_point(pos, node);
+        }
+    }
+
+    /// Puts `node` at `pos`, keeping the points sorted. An occupied
+    /// position changes hands: the last writer wins.
+    fn insert_point(&mut self, pos: u64, node: u32) {
+        match self.ring.binary_search_by_key(&pos, |&(p, _)| p) {
+            Ok(i) => self.ring[i].1 = node,
+            Err(i) => self.ring.insert(i, (pos, node)),
         }
     }
 
@@ -123,30 +138,27 @@ impl ConsistentHashRing {
     /// ```
     pub fn remove_node(&mut self, node: u32) {
         self.nodes.retain(|&n| n != node);
-        self.ring.retain(|_, n| *n != node);
+        self.ring.retain(|&(_, n)| n != node);
     }
 
     /// The node owning `key`, or `None` on an empty ring (never panics).
     #[must_use]
     pub fn node_for(&self, key: &[u8]) -> Option<u32> {
-        if self.ring.is_empty() {
-            return None;
-        }
         let h = ring_hash(key);
+        let i = self.ring.partition_point(|&(p, _)| p < h);
         self.ring
-            .range(h..)
-            .next()
-            .or_else(|| self.ring.iter().next())
-            .map(|(_, &node)| node)
+            .get(i)
+            .or_else(|| self.ring.first())
+            .map(|&(_, node)| node)
     }
 
     /// Fraction of the ring each node owns, by arc length.
     #[must_use]
     pub fn arc_ownership(&self) -> Vec<(u32, f64)> {
-        if self.ring.is_empty() {
+        let points = &self.ring;
+        if points.is_empty() {
             return Vec::new();
         }
-        let points: Vec<(u64, u32)> = self.ring.iter().map(|(&p, &n)| (p, n)).collect();
         let mut owned: std::collections::HashMap<u32, u128> = std::collections::HashMap::new();
         for i in 0..points.len() {
             let (start, _) = points[i];
@@ -238,6 +250,10 @@ pub fn remapped_fraction(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn ring_with(nodes: u32, vnodes: u32) -> ConsistentHashRing {
@@ -350,6 +366,140 @@ mod tests {
         let a = remapped_fraction(&before, &shrunk, 10_000, 9);
         let b = remapped_fraction(&before, &shrunk, 10_000, 9);
         assert_eq!(a, b);
+    }
+
+    /// A ring kept in a `BTreeMap` from position to node and queried by
+    /// range: the reference the equivalence tests below drive with the
+    /// same operations as [`ConsistentHashRing`].
+    struct TreeRing {
+        ring: BTreeMap<u64, u32>,
+        vnodes: u32,
+        nodes: Vec<u32>,
+    }
+
+    impl TreeRing {
+        fn add_node(&mut self, node: u32) {
+            if self.nodes.contains(&node) {
+                return;
+            }
+            self.nodes.push(node);
+            for v in 0..self.vnodes {
+                let pos = ring_hash(format!("node:{node}:vnode:{v}").as_bytes());
+                self.ring.insert(pos, node);
+            }
+        }
+
+        fn remove_node(&mut self, node: u32) {
+            self.nodes.retain(|&n| n != node);
+            self.ring.retain(|_, n| *n != node);
+        }
+
+        fn node_for(&self, key: &[u8]) -> Option<u32> {
+            let h = ring_hash(key);
+            self.ring
+                .range(h..)
+                .next()
+                .or_else(|| self.ring.iter().next())
+                .map(|(_, &node)| node)
+        }
+
+        fn arc_ownership(&self) -> Vec<(u32, f64)> {
+            let points: Vec<(u64, u32)> = self.ring.iter().map(|(&p, &n)| (p, n)).collect();
+            let mut owned: BTreeMap<u32, u128> = BTreeMap::new();
+            for (i, &(pos, node)) in points.iter().enumerate() {
+                let prev = points[(i + points.len() - 1) % points.len()].0;
+                *owned.entry(node).or_insert(0) += pos.wrapping_sub(prev) as u128;
+            }
+            let total = u64::MAX as u128 + 1;
+            owned
+                .into_iter()
+                .map(|(node, arc)| (node, arc as f64 / total as f64))
+                .collect()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum RingOp {
+        Add(u32),
+        Remove(u32),
+        /// Removes every node, the last one included.
+        RemoveAll,
+    }
+
+    fn ring_op() -> impl Strategy<Value = RingOp> {
+        // Few node ids, so re-adds and removes of absent nodes are common.
+        prop_oneof![
+            (0u32..6).prop_map(RingOp::Add),
+            (0u32..6).prop_map(RingOp::Add),
+            (0u32..8).prop_map(RingOp::Remove),
+            (0u8..1).prop_map(|_| RingOp::RemoveAll),
+        ]
+    }
+
+    proptest! {
+        /// Any add/remove sequence leaves the sorted-array ring routing
+        /// every key, and splitting the circle, as the tree ring does.
+        #[test]
+        fn sorted_ring_matches_tree_ring(
+            vnodes in 1u32..6,
+            ops in proptest::collection::vec(ring_op(), 1..40),
+            keys in proptest::collection::vec(any::<u64>(), 32),
+        ) {
+            let mut ring = ConsistentHashRing::new(vnodes);
+            let mut tree = TreeRing { ring: BTreeMap::new(), vnodes, nodes: Vec::new() };
+            for op in ops {
+                match op {
+                    RingOp::Add(n) => {
+                        ring.add_node(n);
+                        tree.add_node(n);
+                    }
+                    RingOp::Remove(n) => {
+                        ring.remove_node(n);
+                        tree.remove_node(n);
+                    }
+                    RingOp::RemoveAll => {
+                        for n in tree.nodes.clone() {
+                            ring.remove_node(n);
+                            tree.remove_node(n);
+                        }
+                        prop_assert!(ring.is_empty());
+                    }
+                }
+                prop_assert_eq!(ring.node_count(), tree.nodes.len());
+                for key in &keys {
+                    let kb = key.to_le_bytes();
+                    prop_assert_eq!(ring.node_for(&kb), tree.node_for(&kb));
+                }
+                prop_assert_eq!(ring.arc_ownership(), tree.arc_ownership());
+            }
+        }
+
+        /// Points written straight to colliding positions end up where a
+        /// `BTreeMap::insert` puts them: sorted, one per position, owned
+        /// by the last writer.
+        #[test]
+        fn insert_point_matches_btree_insert(
+            points in proptest::collection::vec((0u64..16, 0u32..4), 0..40),
+        ) {
+            let mut ring = ConsistentHashRing::new(1);
+            let mut tree = BTreeMap::new();
+            for (pos, node) in points {
+                ring.insert_point(pos, node);
+                tree.insert(pos, node);
+            }
+            prop_assert_eq!(ring.ring, tree.into_iter().collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn equal_position_goes_to_the_last_writer() {
+        let mut ring = ConsistentHashRing::new(1);
+        ring.insert_point(10, 1);
+        ring.insert_point(5, 0);
+        ring.insert_point(10, 2);
+        assert_eq!(ring.ring, vec![(5, 0), (10, 2)]);
+        ring.insert_point(5, 3);
+        assert_eq!(ring.ring, vec![(5, 3), (10, 2)]);
     }
 
     #[test]

@@ -93,8 +93,12 @@ impl Summary {
 /// A latency distribution with exact percentile and SLA queries.
 ///
 /// Samples are stored exactly (simulation runs in this workspace record
-/// hundreds to tens of thousands of latencies, where exactness is worth
-/// more than constant memory) and sorted lazily on query.
+/// hundreds to hundreds of thousands of latencies, where exactness is
+/// worth more than constant memory). Once sorted, which producers do with
+/// [`LatencyHistogram::sort`] before returning one, a percentile or the
+/// max is an index. Samples recorded in order stay sorted; a
+/// [`merge`](LatencyHistogram::merge) or an out-of-order sample unsorts
+/// the histogram, and a query on it then sorts a copy.
 ///
 /// # Examples
 ///
@@ -145,6 +149,12 @@ impl LatencyHistogram {
         &self.samples
     }
 
+    /// Sorts the samples in place, so that later queries need no copy.
+    /// Changes no query's answer.
+    pub fn sort(&mut self) {
+        self.sorted_samples();
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.samples.len() as u64
@@ -161,7 +171,12 @@ impl LatencyHistogram {
 
     /// Largest recorded sample; zero when empty.
     pub fn max(&self) -> Duration {
-        Duration::from_ps(self.samples.iter().copied().max().unwrap_or(0))
+        let max = if self.sorted {
+            self.samples.last().copied()
+        } else {
+            self.samples.iter().copied().max()
+        };
+        Duration::from_ps(max.unwrap_or(0))
     }
 
     /// The latency at quantile `q` (nearest-rank), or `None` when the
@@ -179,8 +194,8 @@ impl LatencyHistogram {
         if self.sorted {
             return Some(Duration::from_ps(self.samples[rank - 1]));
         }
-        // Rare path: queried before recording finished; sort a copy
-        // rather than demanding &mut self.
+        // Unsorted only after a merge or an unsorted record: sort a copy
+        // rather than demanding &mut self. Call `sort` first to avoid it.
         let mut copy = self.clone();
         Some(Duration::from_ps(copy.sorted_samples()[rank - 1]))
     }

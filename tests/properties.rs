@@ -422,6 +422,46 @@ proptest! {
         prop_assert_eq!(h.count(), samples.len() as u64);
     }
 
+    /// `sort` is invisible to every query, on a histogram recorded out of
+    /// order and on one unsorted again by a merge.
+    #[test]
+    fn histogram_sort_changes_no_answer(
+        first in proptest::collection::vec(0u64..1_000, 0..200),
+        second in proptest::collection::vec(0u64..1_000, 0..200),
+    ) {
+        let record = |samples: &[u64]| {
+            let mut h = LatencyHistogram::new();
+            for &ns in samples {
+                h.record(Duration::from_nanos(ns));
+            }
+            h
+        };
+        let answers = |h: &LatencyHistogram| {
+            let n = h.count().max(1);
+            let percentiles: Vec<_> = (0..=n)
+                .map(|rank| h.percentile(rank as f64 / n as f64))
+                .chain([0.5, 0.95, 0.99].map(|q| h.percentile(q)))
+                .collect();
+            let within: Vec<_> = (0..=1_000)
+                .step_by(50)
+                .map(|ns| h.fraction_within(Duration::from_nanos(ns)).to_bits())
+                .collect();
+            (h.count(), h.mean(), h.max(), percentiles, within)
+        };
+        let mut h = record(&first);
+        let mut sorted = h.clone();
+        sorted.sort();
+        prop_assert_eq!(answers(&sorted), answers(&h));
+
+        let other = record(&second);
+        h.merge(&other);
+        sorted.merge(&other);
+        let unmerged = answers(&h);
+        prop_assert_eq!(answers(&sorted), unmerged.clone());
+        sorted.sort();
+        prop_assert_eq!(answers(&sorted), unmerged);
+    }
+
     /// SplitMix64 sequences are reproducible and `next_below` respects
     /// its bound for arbitrary seeds/bounds.
     #[test]

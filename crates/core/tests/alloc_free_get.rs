@@ -4,8 +4,8 @@
 //! postponed L1 fills is a ring of fixed capacity, and the Helios tier
 //! keeps its recency order as links between the slots of a frame table.
 //! "Steady state" means every cyclic region of the cache model has
-//! completed a pass — until then its references are walked, not
-//! deferred — so the warm-ups here run that long, and the replay-mix
+//! completed a pass — until then the L2 owes its fills on a list that
+//! grows — so the warm-ups here run that long, and the replay-mix
 //! test also pins what steady state costs the cache model: nothing
 //! walked, nothing settled. Alone in its file, so no other test shares
 //! the counting allocator.

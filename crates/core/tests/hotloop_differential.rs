@@ -1,11 +1,12 @@
 //! Differential pins for the phase engine's exact speed paths.
 //!
-//! The resident-L2 shortcut and the lazy L1s inside it must be invisible
-//! at the request level for *mixed* GET/PUT streams on every stack
-//! family, from 64 B requests (every run shorter than the L1's window:
-//! the fills are postponed for good) to 1 MB ones (every network phase
-//! runs far past it), and for the benchmark's own replay mix: all are
-//! checked against a reference core that walks every cache reference.
+//! The resident-L2 shortcut, the first-pass pricing beside it and the
+//! lazy L1s under both must be invisible at the request level for
+//! *mixed* GET/PUT streams on every stack family, from 64 B requests
+//! (every run shorter than the L1's window: the fills are postponed for
+//! good) to 1 MB ones (every network phase runs far past it), for the
+//! benchmark's own replay mix, and from a cold core on: all are checked
+//! against a reference core that walks every cache reference.
 //! (The devices' closed-form stream pricing has its own per-line
 //! reference in `tests/properties.rs`.)
 
@@ -142,10 +143,13 @@ fn lazy_l1_is_invisible_on_the_replay_mix() {
             }
             assert_cores_identical(&fast, &reference, &at);
         }
-        let counts = fast.walk_counts();
+        // Every reference went one way or the other; left alone, the mix
+        // walks none, first passes included.
+        let (counts, walking) = (fast.walk_counts(), reference.walk_counts());
         assert!(counts.deferred > 0, "the mix must defer");
-        assert_eq!(counts.deferred > counts.walked, disable_at.is_none());
-        assert_eq!(reference.walk_counts().deferred, 0);
+        assert_eq!(counts.walked + counts.deferred, walking.walked);
+        assert_eq!(counts.walked == 0, disable_at.is_none());
+        assert_eq!(walking.deferred, 0);
     }
 }
 
@@ -165,6 +169,56 @@ fn residency_shortcut_is_invisible_on_iridium() {
     let mut fast = build(&config, 128, 64, false);
     let mut reference = build(&config, 128, 64, true);
     assert_streams_identical(&mut fast, &mut reference, 128, 64, 110);
+}
+
+/// A fresh core — what `measure_point` builds for every point of the
+/// benchmark's evaluation grid — walks none of its first passes: each
+/// region's first pass is all compulsory misses, priced in closed form.
+/// Sized, preloaded and keyed as `measure_point` does at 64 B and 1 MB,
+/// through the GET warm-up of `SweepEffort::full()`, request by request
+/// equal to the walking reference. A 64 B GET walks nothing at all. A
+/// 1 MB GET's copy loop makes 131 fetches over the 64-line `value-copy`
+/// region, so it comes round to lines it referenced itself, which may
+/// hit: those are looked up, on every GET as in the steady state, and
+/// the first GET's first pass of 64 is not.
+#[test]
+fn a_cold_core_walks_nothing() {
+    let grid = [
+        CoreSimConfig::mercury_a7(),
+        CoreSimConfig::iridium_a7(),
+        CoreSimConfig::helios_a7(256 << 20),
+        CoreSimConfig::mercury(CoreConfig::a15_1ghz(), true, Duration::from_nanos(10)),
+    ];
+    // (value bytes, key population, warm-up GETs) of a sweep point, and
+    // (references walked per GET, of which deferred on the first).
+    for (value_bytes, population, warm_up, (per_get, first_pass)) in
+        [(64, 512, 300, (0, 0)), (1 << 20, 16, 30, (131, 64))]
+    {
+        for config in &grid {
+            let mut fast = build(config, value_bytes, population, false);
+            let mut reference = build(config, value_bytes, population, true);
+            let mut keys =
+                FixedSizeWorkload::new(Op::Get, value_bytes, population, 0x5EED ^ value_bytes);
+            let mut slots = RequestSlots::with_capacity(1);
+            for i in 0..warm_up {
+                let slot = slots.acquire(Op::Get, value_bytes, keys.next_key_id());
+                let (op, key) = (slots.op(slot), slots.key(slot));
+                assert_eq!(
+                    fast.execute_parts(op, key, value_bytes),
+                    reference.execute_parts(op, key, value_bytes),
+                    "GET #{i} ({value_bytes} B)"
+                );
+                slots.release(slot);
+                assert_cores_identical(&fast, &reference, &format!("GET #{i}"));
+                assert_eq!(
+                    fast.walk_counts().walked,
+                    per_get * (i + 1) - first_pass,
+                    "GET #{i} ({value_bytes} B)"
+                );
+            }
+            assert!(fast.walk_counts().deferred > 0);
+        }
+    }
 }
 
 /// The sizes whose network phases run far past the L1's window (a

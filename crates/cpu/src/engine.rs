@@ -26,23 +26,27 @@
 //! * **Uncached operations** — NIC doorbells/MMIO, priced at a fixed
 //!   latency that no core overlaps.
 //!
-//! Host cost. Two exact shortcuts keep a simulated request from paying
+//! Host cost. Three exact shortcuts keep a simulated request from paying
 //! for every one of those references (DESIGN.md, "Resident-L2 shortcut"
-//! and "Bulk pricing" §3, has the arguments): once a region is resident
-//! in an L2 that provably never evicts, its L1 misses are credited as L2
-//! hits without touching the L2; and on that branch the L1s are *lazy*
-//! (`lazy::LazyL1`) — a run whose every reference is a proven L1 miss
-//! is counted and queued instead of filled, and the queue is replayed
-//! only when a later reference's outcome depends on the L1's contents.
-//! [`PhaseEngine::walk_counts`] says how many references went which way.
+//! and "Bulk pricing" §3 and §5, has the arguments), all under an L2
+//! that provably never evicts: once a region is resident in it, its L1
+//! misses are credited as L2 hits without touching the L2; on a region's
+//! first pass every reference is a compulsory miss in both levels, so
+//! the misses are credited, the lines priced as one memory stream and
+//! the L2's fills owed (`lazy::LazyL2`); and on both branches the L1s
+//! are *lazy* (`lazy::LazyL1`) — a run whose every reference is a proven
+//! L1 miss is counted and queued instead of filled, and the queue is
+//! replayed only when a later reference's outcome depends on the L1's
+//! contents. [`PhaseEngine::walk_counts`] says how many references went
+//! which way.
 
 use densekv_mem::{AccessKind, MemoryTiming};
 use densekv_sim::Duration;
 
 use crate::cache::{Cache, CacheConfig};
 use crate::core::CoreConfig;
-use lazy::LazyL1;
 pub use lazy::RING_RUNS as L1_RING_RUNS;
+use lazy::{LazyL1, LazyL2};
 
 /// Line-granular base of the kernel hot region (arbitrary, disjoint from
 /// instruction and store regions).
@@ -339,7 +343,7 @@ pub struct PhaseEngine {
     core: CoreConfig,
     l1i: LazyL1,
     l1d: LazyL1,
-    l2: Option<Cache>,
+    l2: Option<LazyL2>,
     uncached_latency: Duration,
     /// Per-phase-name instruction regions, laid out back to back in
     /// first-run order. A request names half a dozen, so a scan by name
@@ -361,7 +365,8 @@ pub struct PhaseEngine {
     /// Whether any phase has skipped an L2 LRU update. Once true, the
     /// occupancy bound must keep holding: exceeding it afterwards would
     /// make eviction order observable *and* already stale, so the engine
-    /// panics rather than silently diverge.
+    /// panics rather than silently diverge. (Owed first-pass fills skip
+    /// nothing: they are made later, in order.)
     l2_shortcut_used: bool,
 }
 
@@ -380,7 +385,7 @@ impl PhaseEngine {
     /// Creates an engine with an explicit L2 choice.
     pub fn new(core: CoreConfig, l2: Option<CacheConfig>) -> Self {
         let l1 = LazyL1::new(CacheConfig::l1_32k());
-        let l2 = l2.map(Cache::new);
+        let l2 = l2.map(LazyL2::new);
         let mut engine = PhaseEngine {
             core,
             uncached_latency: Duration::from_nanos(300),
@@ -404,7 +409,7 @@ impl PhaseEngine {
     /// unmodeled line fails its first phase whether or not the reference
     /// that reaches it is ever walked.
     fn assert_modeled(&self, region: &Region) {
-        let l2_limit = self.l2.as_ref().map_or(u64::MAX, Cache::line_limit);
+        let l2_limit = self.l2.as_ref().map_or(u64::MAX, LazyL2::line_limit);
         assert!(
             region.base + region.footprint <= l2_limit.min(self.l1i.line_limit()),
             "line address out of modeled range"
@@ -449,11 +454,11 @@ impl PhaseEngine {
         }
     }
 
-    /// Disables the resident-L2 shortcut — and with it the lazy L1s,
-    /// which only defer inside it: whatever they had postponed is filled
-    /// in first, and from then on every reference takes the full LRU
-    /// walk. Exists for differential tests; results are bit-identical
-    /// either way.
+    /// Disables the resident-L2 shortcut — and with it the first-pass
+    /// pricing and the lazy L1s, which only defer under its guard:
+    /// whatever the L1s and the L2 had postponed is filled in first, and
+    /// from then on every reference takes the full LRU walk. Exists for
+    /// differential tests; results are bit-identical either way.
     #[doc(hidden)]
     pub fn disable_l2_residency_shortcut(&mut self) {
         self.l2_resident_ok = false;
@@ -479,7 +484,7 @@ impl PhaseEngine {
         CacheHierarchyStats {
             l1i: self.l1i.stats(),
             l1d: self.l1d.stats(),
-            l2: self.l2.as_ref().map(CacheLevelStats::of),
+            l2: self.l2.as_ref().map(LazyL2::stats),
         }
     }
 
@@ -593,29 +598,46 @@ impl PhaseEngine {
         let kernel =
             (spec.kernel_refs > 0).then_some((&mut self.l1d, &mut self.kernel, spec.kernel_refs));
         for (l1, region, refs) in [fetch, kernel].into_iter().flatten() {
-            // Resident-L2 shortcut: once the region has completed a full
-            // pass, every line of it was inserted into an L2 that — per
-            // the occupancy bound — can never evict. An L1 miss is then
-            // an L2 hit by construction, and the skipped LRU reorder is
-            // unobservable (order only matters to evictions). Counters
-            // and timing are bit-identical to the full walk.
-            if self.l2_resident_ok && region.wraps > 0 {
-                self.l2_shortcut_used = true;
-                let l2_hits = l1.run_resident(region, refs);
-                self.l2
-                    .as_mut()
-                    .expect("residency shortcut requires an L2")
-                    .credit(l2_hits, 0);
-                result.l2_hits += l2_hits;
+            if self.l2_resident_ok {
+                let l2 = self.l2.as_mut().expect("residency shortcut requires an L2");
+                let mut warm = refs;
+                // First pass: the lines from the cursor to the region's
+                // end were never referenced — regions are disjoint, the
+                // cursor only moves forward and a footprint change
+                // retires this branch — so each of them misses in both
+                // levels and reaches memory, in order.
+                if region.wraps == 0 {
+                    let cold = refs.min(region.footprint - region.cursor);
+                    let first = region.base + region.cursor;
+                    l1.defer_first_pass(region, cold);
+                    l2.owe_misses(first, cold);
+                    result.mem_refs += cold;
+                    result.stall += mem.stream_access(first, cold, AccessKind::Read, miss_scale);
+                    warm -= cold;
+                }
+                // Resident-L2 shortcut: once the region has completed a
+                // full pass, every line of it was inserted into an L2
+                // that — per the occupancy bound — can never evict. An L1
+                // miss is then an L2 hit by construction, and the skipped
+                // LRU reorder is unobservable (order only matters to
+                // evictions). Counters and timing are bit-identical to
+                // the full walk.
+                if warm > 0 {
+                    self.l2_shortcut_used = true;
+                    let l2_hits = l1.run_resident(region, warm);
+                    l2.credit(l2_hits, 0);
+                    result.l2_hits += l2_hits;
+                }
                 continue;
             }
             let l1 = l1.settled_for(region, refs);
+            let mut l2 = self.l2.as_mut().map(LazyL2::settled);
             for _ in 0..refs {
                 let line = region.next_line();
                 if l1.access(line) {
                     continue;
                 }
-                if self.l2.as_mut().is_some_and(|l2| l2.access(line)) {
+                if l2.as_mut().is_some_and(|l2| l2.access(line)) {
                     result.l2_hits += 1;
                 } else {
                     result.mem_refs += 1;
@@ -659,25 +681,11 @@ impl PhaseEngine {
         result.time = result.busy + result.stall;
         result
     }
-
-    /// Runs a phase repeatedly until caches warm up, then returns a fresh
-    /// measurement — used by experiments that want steady-state numbers.
-    pub fn run_steady(
-        &mut self,
-        spec: &PhaseSpec,
-        mem: &mut dyn MemoryTiming,
-        warmup: u32,
-    ) -> PhaseResult {
-        for _ in 0..warmup {
-            self.run(spec, mem);
-        }
-        self.run(spec, mem)
-    }
 }
 
-/// The lazy L1, in a module of its own so that the engine cannot reach
-/// the `Cache` inside it except through calls that first bring it up to
-/// date.
+/// The lazy L1 and L2, in a module of their own so that the engine
+/// cannot reach the `Cache` inside either except through calls that
+/// first bring it up to date.
 mod lazy {
     use super::{CacheLevelStats, Region, WalkCounts};
     use crate::cache::{Cache, CacheConfig};
@@ -796,6 +804,14 @@ mod lazy {
                     .all(|&stamp| self.clock - stamp >= self.ways)
         }
 
+        /// Defers the next `refs` references of a region on its first
+        /// pass, which stop at its end: every one is to a line never
+        /// referenced, so absent (the miss lemma).
+        pub(super) fn defer_first_pass(&mut self, region: &mut Region, refs: u64) {
+            debug_assert!(region.wraps == 0 && refs <= region.footprint - region.cursor);
+            self.defer(region, refs);
+        }
+
         /// Credits `refs` misses and queues their fills.
         fn defer(&mut self, region: &mut Region, refs: u64) {
             region.stamp(refs, self.clock);
@@ -864,6 +880,75 @@ mod lazy {
                     }
                 }
             }
+        }
+    }
+
+    /// An L2 whose first-pass fills are owed instead of made. Under the
+    /// residency guard the engine never looks a line up in it — the
+    /// first pass and the shortcut both only credit — so the owed fills
+    /// are its only changes, and replaying them in order through
+    /// [`Cache::install`] before the first lookup leaves exactly the
+    /// tags, and the order, that making them at once would have.
+    /// DESIGN.md, "Bulk pricing" §5.
+    #[derive(Debug, Clone)]
+    pub(super) struct LazyL2 {
+        cache: Cache,
+        /// `(first line, lines)` runs whose fills are owed, oldest first;
+        /// a run that continues the last one extends it. Every owed line
+        /// is new and the occupancy bound holds, so they number fewer
+        /// than the cache has lines.
+        owed: Vec<(u64, u64)>,
+    }
+
+    impl LazyL2 {
+        pub(super) fn new(config: CacheConfig) -> Self {
+            LazyL2 {
+                cache: Cache::new(config),
+                owed: Vec::new(),
+            }
+        }
+
+        pub(super) fn config(&self) -> &CacheConfig {
+            self.cache.config()
+        }
+
+        pub(super) fn line_limit(&self) -> u64 {
+            self.cache.line_limit()
+        }
+
+        /// Lifetime hit/miss counters; owed fills were credited up front.
+        pub(super) fn stats(&self) -> CacheLevelStats {
+            CacheLevelStats::of(&self.cache)
+        }
+
+        pub(super) fn credit(&mut self, hits: u64, misses: u64) {
+            self.cache.credit(hits, misses);
+        }
+
+        /// Credits `lines` misses, to the lines from `first` on, and owes
+        /// their fills.
+        pub(super) fn owe_misses(&mut self, first: u64, lines: u64) {
+            self.cache.credit(0, lines);
+            match self.owed.last_mut() {
+                Some((start, len)) if *start + *len == first => *len += lines,
+                _ => self.owed.push((first, lines)),
+            }
+        }
+
+        /// The cache with every owed fill made — the only way to a lookup.
+        pub(super) fn settled(&mut self) -> &mut Cache {
+            for (first, lines) in self.owed.drain(..) {
+                for line in first..first + lines {
+                    self.cache.install(line);
+                }
+            }
+            &mut self.cache
+        }
+
+        /// The tags the cache holds once nothing is owed, on a copy.
+        #[cfg(test)]
+        pub(super) fn settled_tags(&self) -> Vec<u32> {
+            self.clone().settled().tags().to_vec()
         }
     }
 }
@@ -1176,6 +1261,11 @@ mod tests {
             spec.ifetch_per_kinstr = 10;
             plain.run(&spec, &mut mem2);
         }
+        // r0 to r9 passed first through an L2 that owed their fills; r10
+        // retired the bound, and the fills were made, in order, before
+        // its first lookup. What evicts from here on depends on that
+        // order.
+        assert_eq!(e.l2_tags(), plain.l2_tags());
         for round in 0..3 {
             for name in names {
                 let mut spec = PhaseSpec::compute(name, 10_000);
@@ -1186,6 +1276,7 @@ mod tests {
                 assert_eq!(a, b, "round {round} phase {name}");
             }
         }
+        assert_eq!(e.l2_tags(), plain.l2_tags());
         assert!(!e.l2_shortcut_used);
     }
 
@@ -1218,6 +1309,8 @@ mod tests {
         full: PhaseEngine,
         mems: [DramStack; 2],
         phases: usize,
+        /// The L2's counters when its contents were last compared.
+        l2_compared: CacheLevelStats,
     }
 
     impl Pair {
@@ -1241,14 +1334,17 @@ mod tests {
                 full,
                 mems: [dram(10), dram(10)],
                 phases: 0,
+                l2_compared: CacheLevelStats::default(),
             }
         }
 
         /// Runs `spec` on both and compares everything a caller can see —
         /// the result, the cache counters, every region's cursor and wrap
-        /// count — and what no caller can: the tags each L1 holds once
-        /// the lazy one has caught up (on a copy, so that checking never
-        /// settles the engine under test).
+        /// count — and what no caller can: the tags each cache holds once
+        /// the lazy ones have caught up (on a copy, so that checking never
+        /// settles the engine under test). The L2's are compared exactly
+        /// until the residency shortcut has skipped an LRU update, and
+        /// set by set as sets of lines after.
         fn check(&mut self, spec: &PhaseSpec) {
             let at = self.phases;
             self.phases += 1;
@@ -1274,6 +1370,28 @@ mod tests {
                 self.full.l1d.settled_tags(),
                 "L1D after phase {at}"
             );
+            self.check_l2(at);
+        }
+
+        /// Compares the L2s' tags, skipping the comparison when it cannot
+        /// have changed: an L2's contents change only on an access, and
+        /// which lines it holds only on a miss — and the counters say
+        /// when there was one.
+        fn check_l2(&mut self, at: usize) {
+            let l2 = self.fast.cache_stats().l2.expect("built with an L2");
+            let reordered = self.fast.l2_shortcut_used || self.full.l2_shortcut_used;
+            if l2.misses == self.l2_compared.misses && (reordered || l2 == self.l2_compared) {
+                return;
+            }
+            self.l2_compared = l2;
+            let (mut fast, mut full) = (self.fast.l2_tags(), self.full.l2_tags());
+            if reordered {
+                let ways = CacheConfig::l2_2m().ways as usize;
+                for tags in [&mut fast, &mut full] {
+                    tags.chunks_mut(ways).for_each(<[u32]>::sort_unstable);
+                }
+            }
+            assert_eq!(fast, full, "L2 after phase {at}");
         }
 
         /// One phase of `fetches` fetches over `name`'s `footprint` lines
@@ -1298,6 +1416,27 @@ mod tests {
     }
 
     impl PhaseEngine {
+        /// Runs a phase `warmup` times, then returns one more run of it.
+        fn run_steady(
+            &mut self,
+            spec: &PhaseSpec,
+            mem: &mut dyn MemoryTiming,
+            warmup: u32,
+        ) -> PhaseResult {
+            for _ in 0..warmup {
+                self.run(spec, mem);
+            }
+            self.run(spec, mem)
+        }
+
+        /// The L2's tags once nothing is owed, on a copy.
+        fn l2_tags(&self) -> Vec<u32> {
+            self.l2
+                .as_ref()
+                .expect("engine built with an L2")
+                .settled_tags()
+        }
+
         /// `(name, base, footprint, cursor, wraps)` of every region.
         fn cursors(&self) -> Vec<(&'static str, u64, u64, u64, u64)> {
             self.instr_regions
@@ -1400,7 +1539,14 @@ mod tests {
         pair.phase("a", 3_000, 3_001, KERNEL_REGION_LINES + 1);
         pair.phase("b", 2_500, 2_501, 0);
         pair.phase("fits-l1", 300, 301, 0);
-        assert_eq!(pair.fast.walk_counts().deferred, 0, "cold passes walk");
+        // First passes defer. The one look is at fits-l1's 301st fetch,
+        // to a line its first fetch left in the L1.
+        let counts = pair.fast.walk_counts();
+        assert_eq!(counts.walked, 1);
+        assert_eq!(
+            counts.deferred,
+            3_001 + KERNEL_REGION_LINES + 1 + 2_501 + 300
+        );
         pair
     }
 
@@ -1476,7 +1622,7 @@ mod tests {
         assert!(fast.deferred > before.0.deferred);
         assert_eq!(full.deferred, 0);
         assert!(
-            fast.installed_at_settle + fast.walked - before.0.walked
+            fast.installed_at_settle - before.0.installed_at_settle + fast.walked - before.0.walked
                 <= full.walked - before.1.walked
         );
     }

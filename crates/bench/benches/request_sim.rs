@@ -16,8 +16,7 @@ use densekv_stack::MemoryKind;
 use densekv_workload::{key_bytes, Op, Request};
 
 fn warmed(config: CoreSimConfig) -> CoreSim {
-    let mut core = CoreSim::new(config).expect("valid");
-    core.preload(64, 32).expect("fits");
+    let mut core = CoreSim::preloaded(&config, 64, 32);
     let req = Request {
         op: Op::Get,
         key: key_bytes(0),
@@ -51,8 +50,7 @@ fn bench_request_execution(c: &mut Criterion) {
         value_bytes: 64 << 10,
     };
     group.bench_function("mercury_a7_get64k", |b| {
-        let mut core = CoreSim::new(CoreSimConfig::mercury_a7()).expect("valid");
-        core.preload(64 << 10, 8).expect("fits");
+        let mut core = CoreSim::preloaded(&CoreSimConfig::mercury_a7(), 64 << 10, 8);
         for _ in 0..30 {
             core.execute(&big);
         }

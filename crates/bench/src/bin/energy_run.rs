@@ -18,44 +18,17 @@
 
 use densekv::energy::{run_energy_observed, EnergyRun};
 use densekv::sim::{CoreSim, CoreSimConfig};
-use densekv_bench::emit_raw;
+use densekv_bench::{emit_raw, replay_mix, REPLAY_POPULATION, REPLAY_VALUE_BYTES};
 use densekv_sim::Duration;
 use densekv_stack::power::{energy_rates, stack_power};
 use densekv_telemetry::Telemetry;
-use densekv_workload::{key_bytes, Op, Request};
 
-/// Keys the store is preloaded with (and the replay cycles through).
-const POPULATION: u64 = 64;
-/// Value size, bytes — the paper's headline 64 B point.
-const VALUE_BYTES: u64 = 64;
-
-fn workload(requests: u64) -> Vec<Request> {
-    (0..requests)
-        .map(|i| {
-            // The same 3:1 GET:PUT mix as `trace_run`, so the energy and
-            // trace artifacts describe one workload.
-            let key = if i % 16 == 5 {
-                key_bytes(POPULATION + i)
-            } else {
-                key_bytes(i % POPULATION)
-            };
-            Request {
-                op: if i % 4 == 3 { Op::Put } else { Op::Get },
-                key,
-                value_bytes: VALUE_BYTES,
-            }
-        })
-        .collect()
-}
-
-fn metered_run(config: CoreSimConfig, requests: u64) -> (CoreSim, EnergyRun) {
-    let mut core = CoreSim::new(config).expect("valid config");
-    core.preload(VALUE_BYTES, POPULATION).expect("fits");
-    let mut tele = Telemetry::disabled();
+fn metered_run(config: &CoreSimConfig, requests: u64) -> (CoreSim, EnergyRun) {
+    let mut core = CoreSim::preloaded(config, REPLAY_VALUE_BYTES, REPLAY_POPULATION);
     let run = run_energy_observed(
         &mut core,
-        &workload(requests),
-        &mut tele,
+        &replay_mix(requests),
+        &mut Telemetry::disabled(),
         true,
         Duration::from_micros(500),
     );
@@ -105,8 +78,8 @@ fn main() {
     let quick = std::env::var("DENSEKV_QUICK").is_ok_and(|v| v != "0");
     let requests = if quick { 400 } else { 2_000 };
 
-    let (mercury_core, mercury) = metered_run(CoreSimConfig::mercury_a7(), requests);
-    let (iridium_core, iridium) = metered_run(CoreSimConfig::iridium_a7(), requests);
+    let (mercury_core, mercury) = metered_run(&CoreSimConfig::mercury_a7(), requests);
+    let (iridium_core, iridium) = metered_run(&CoreSimConfig::iridium_a7(), requests);
 
     let mut breakdown = String::from("family,component,j_per_op\n");
     breakdown_rows("mercury_a7", &mercury, &mut breakdown);

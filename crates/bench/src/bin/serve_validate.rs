@@ -44,13 +44,7 @@ const LOADS: [f64; 2] = [0.3, 0.7];
 /// The simulated core's closed-loop capacity: back-to-back requests,
 /// saturation rate = requests per second of server-side busy time.
 fn sim_capacity(family: &CoreSimConfig, value_bytes: u64, requests: u32) -> f64 {
-    let mut sized = family.clone();
-    sized.store_bytes = sized
-        .store_bytes
-        .max((value_bytes + 4096) * POPULATION * 2)
-        .max(16 << 20);
-    let mut core = densekv::CoreSim::new(sized).expect("valid configuration");
-    core.preload(value_bytes, POPULATION).expect("preload fits");
+    let mut core = densekv::CoreSim::preloaded(family, value_bytes, POPULATION);
     let mut rng = SplitMix64::new(SEED);
     let mut gets = FixedSizeWorkload::new(Op::Get, value_bytes, POPULATION, SEED);
     let mut puts = FixedSizeWorkload::new(Op::Put, value_bytes, POPULATION, !SEED);

@@ -16,48 +16,25 @@
 
 use densekv::observe::{run_observed, CORE_TIMELINE_COLUMNS};
 use densekv::sim::{CoreSim, CoreSimConfig};
-use densekv_bench::emit_raw;
+use densekv_bench::{emit_raw, replay_mix, REPLAY_POPULATION, REPLAY_VALUE_BYTES};
 use densekv_sim::Duration;
 use densekv_telemetry::{validate_json, Telemetry, TelemetryConfig};
-use densekv_workload::{key_bytes, Op, Request};
-
-/// Keys the store is preloaded with (and the replay cycles through).
-const POPULATION: u64 = 64;
-/// Value size, bytes — the paper's headline 64 B point.
-const VALUE_BYTES: u64 = 64;
-
-fn workload(requests: u64) -> Vec<Request> {
-    (0..requests)
-        .map(|i| {
-            // A 3:1 GET:PUT mix over a cycling key pattern, with every
-            // 16th request fetching a never-written key: deterministic,
-            // and hits and misses both exercised.
-            let key = if i % 16 == 5 {
-                key_bytes(POPULATION + i)
-            } else {
-                key_bytes(i % POPULATION)
-            };
-            Request {
-                op: if i % 4 == 3 { Op::Put } else { Op::Get },
-                key,
-                value_bytes: VALUE_BYTES,
-            }
-        })
-        .collect()
-}
 
 fn main() {
     let quick = std::env::var("DENSEKV_QUICK").is_ok_and(|v| v != "0");
     let requests = if quick { 400 } else { 2_000 };
-    let mut core = CoreSim::new(CoreSimConfig::mercury_a7()).expect("valid config");
-    core.preload(VALUE_BYTES, POPULATION).expect("fits");
+    let mut core = CoreSim::preloaded(
+        &CoreSimConfig::mercury_a7(),
+        REPLAY_VALUE_BYTES,
+        REPLAY_POPULATION,
+    );
 
     let mut tele = Telemetry::enabled(TelemetryConfig {
         sample_every: if quick { 20 } else { 100 },
         timeline_interval: Duration::from_micros(500),
         timeline_columns: CORE_TIMELINE_COLUMNS.to_vec(),
     });
-    let latency = run_observed(&mut core, &workload(requests), &mut tele);
+    let latency = run_observed(&mut core, &replay_mix(requests), &mut tele);
 
     let chrome = tele.tracer.to_chrome_json();
     validate_json(&chrome).expect("emitted trace is valid JSON");

@@ -13,6 +13,7 @@ pub mod lock_scaling;
 use std::path::{Path, PathBuf};
 
 use densekv::report::TextTable;
+use densekv_workload::{key_bytes, Op, Request};
 
 /// Directory (relative to the workspace root) where experiment output is
 /// written.
@@ -73,6 +74,36 @@ pub fn emit_raw(file_name: &str, contents: &str) {
     let path = results_dir().join(file_name);
     std::fs::write(&path, contents).expect("write artifact");
     eprintln!("[densekv-bench] wrote {}", path.display());
+}
+
+/// Keys the `trace_run` and `energy_run` cores are preloaded with (and
+/// their replay cycles through).
+pub const REPLAY_POPULATION: u64 = 64;
+/// Value size of the `trace_run` and `energy_run` replays, bytes — the
+/// paper's headline 64 B point.
+pub const REPLAY_VALUE_BYTES: u64 = 64;
+
+/// The request stream `trace_run` and `energy_run` replay, so their
+/// trace and energy artefacts describe one workload: a 3:1 GET:PUT mix
+/// over a cycling key pattern, with every 16th request fetching a
+/// never-written key — deterministic, with hits and misses both
+/// exercised.
+#[must_use]
+pub fn replay_mix(requests: u64) -> Vec<Request> {
+    (0..requests)
+        .map(|i| {
+            let key = if i % 16 == 5 {
+                key_bytes(REPLAY_POPULATION + i)
+            } else {
+                key_bytes(i % REPLAY_POPULATION)
+            };
+            Request {
+                op: if i % 4 == 3 { Op::Put } else { Op::Get },
+                key,
+                value_bytes: REPLAY_VALUE_BYTES,
+            }
+        })
+        .collect()
 }
 
 /// Picks the sweep effort: full by default, `DENSEKV_QUICK=1` for a fast

@@ -26,14 +26,17 @@
 //! `energy_converges_to_stack_power` test holds this to 1 %.
 
 use densekv_energy::{Component, EnergyMeter, EnergyRates, PowerTimeline};
+use densekv_server::PerCorePerf;
 use densekv_sim::stats::LatencyHistogram;
 use densekv_sim::{Duration, SimTime};
 use densekv_stack::power::{energy_rates, tier_rates};
 use densekv_telemetry::Telemetry;
-use densekv_workload::Request;
+use densekv_workload::{Op, Request, RequestGenerator};
 
-use crate::observe::CoreObserver;
-use crate::sim::{CoreSim, PhaseBreakdown, RequestTiming};
+use crate::observe::observed_loop;
+use crate::sim::{CoreSim, CoreSimConfig, PhaseBreakdown, RequestTiming};
+use crate::slots::RequestSlots;
+use crate::sweep::{per_core_perf, population_for, warm, SweepEffort};
 
 /// Gauge columns an [`EnergyObserver`] keeps current when the bundle's
 /// sampler carries them (matched by name, so they compose with
@@ -440,48 +443,36 @@ impl EnergyRun {
     }
 }
 
-/// Measures one (config, size) point with energy metering on: the
-/// energy counterpart of [`crate::sweep::measure_point`]. Preloads and
-/// warms exactly like the performance sweep, then replays GETs through
-/// [`run_energy_observed`], so the returned [`EnergyRun`] covers only
-/// steady-state measured requests.
+/// Measures the GETs of one (config, size) point with energy metering
+/// on: the energy counterpart of [`crate::sweep::measure_point`]. The
+/// core is built and warmed by the sweep's own code, so the measured
+/// GETs are the sweep's, and the returned [`PerCorePerf`] equals its
+/// `get.perf`; the [`EnergyRun`] covers those requests only.
 pub fn measure_energy_point(
-    config: &crate::sim::CoreSimConfig,
+    config: &CoreSimConfig,
     value_bytes: u64,
-    effort: crate::sweep::SweepEffort,
-) -> EnergyRun {
-    use densekv_workload::{FixedSizeWorkload, Op, RequestGenerator};
-
-    let population = crate::sweep::population_for(value_bytes);
-    let mut sized = config.clone();
-    sized.store_bytes = sized
-        .store_bytes
-        .max((value_bytes + 4096) * population * 2)
-        .max(16 << 20);
-    let mut core = CoreSim::new(sized).expect("valid configuration");
-    core.preload(value_bytes, population).expect("preload fits");
-
-    let mut gen = FixedSizeWorkload::new(Op::Get, value_bytes, population, 0x5EED ^ value_bytes);
-    for _ in 0..effort.warmup_for(value_bytes) {
-        core.execute(&gen.next_request());
-    }
-    let requests: Vec<Request> = (0..effort.measured_for(value_bytes))
-        .map(|_| gen.next_request())
-        .collect();
-    let mut tele = Telemetry::disabled();
-    run_energy_observed(
+    effort: SweepEffort,
+) -> (PerCorePerf, EnergyRun) {
+    let mut core = CoreSim::preloaded(config, value_bytes, population_for(value_bytes));
+    let mut slots = RequestSlots::with_capacity(1);
+    let mut gen = warm(&mut core, Op::Get, value_bytes, effort, &mut slots);
+    let measured = effort.measured_for(value_bytes);
+    let requests: Vec<Request> = (0..measured).map(|_| gen.next_request()).collect();
+    let run = run_energy_observed(
         &mut core,
         &requests,
-        &mut tele,
+        &mut Telemetry::disabled(),
         true,
         Duration::from_micros(500),
-    )
+    );
+    (per_core_perf(&core, run.elapsed, measured), run)
 }
 
 /// Runs `requests` closed-loop with telemetry *and* energy metering —
-/// the energy counterpart of [`crate::observe::run_observed`], sharing
-/// its [`CoreObserver`] so spans, metrics, and joules come from one
-/// pass. `metered` selects the passivity property's on/off arm.
+/// the energy counterpart of [`crate::observe::run_observed`], on the
+/// same loop and [`CoreObserver`](crate::observe::CoreObserver), so
+/// spans, metrics, and joules come from one pass. `metered` selects the
+/// passivity property's on/off arm.
 pub fn run_energy_observed(
     core: &mut CoreSim,
     requests: &[Request],
@@ -495,25 +486,19 @@ pub fn run_energy_observed(
         EnergyObserver::off(core)
     };
     energy.bind_sampler(tele);
-    let mut observer = CoreObserver::new(&mut tele.metrics);
-    let mut latency = LatencyHistogram::new();
-    for request in requests {
-        let (timing, breakdown) = core.execute_breakdown(request);
-        energy.observe(tele, core, &timing, &breakdown);
-        let timing = observer.record(tele, core, request, timing, &breakdown);
-        latency.record(timing.rtt);
-    }
-    tele.sampler.finish(observer.now());
+    let latency = observed_loop(core, requests, tele, |tele, core, timing, breakdown| {
+        energy.observe(tele, core, timing, breakdown);
+    });
     energy.finish(latency)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::CoreSimConfig;
+    use crate::sweep::measure_point;
     use densekv_stack::power::stack_power;
     use densekv_telemetry::TelemetryConfig;
-    use densekv_workload::{key_bytes, Op};
+    use densekv_workload::key_bytes;
 
     fn requests(n: u64) -> Vec<Request> {
         (0..n)
@@ -564,6 +549,32 @@ mod tests {
         // The timeline integrates to the same energy as the meter.
         let rel_t = (run.timeline.total_j() - run.meter.total_j()).abs() / run.meter.total_j();
         assert!(rel_t < 1e-9, "timeline vs meter: rel {rel_t}");
+    }
+
+    #[test]
+    fn energy_point_replays_the_sweep_points_gets() {
+        let effort = SweepEffort::quick();
+        for config in [
+            CoreSimConfig::mercury_a7(),
+            CoreSimConfig::iridium_a7(),
+            CoreSimConfig::helios_a7(256 << 20),
+        ] {
+            for value_bytes in [64, 4096, 1 << 20] {
+                let get = measure_point(&config, value_bytes, effort).get;
+                let (perf, run) = measure_energy_point(&config, value_bytes, effort);
+                let at = format!("{:?} at {value_bytes} B", config.memory);
+                assert_eq!(perf, get.perf, "{at}");
+                assert_eq!(run.latency.count(), get.latency.count(), "{at}");
+                assert_eq!(run.latency.mean(), get.latency.mean(), "{at}");
+                for q in [0.0, 0.5, 0.99, 1.0] {
+                    assert_eq!(
+                        run.latency.percentile(q),
+                        get.latency.percentile(q),
+                        "{at}, q={q}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,8 +62,7 @@ fn mean_server(core: &mut CoreSim, request: &Request, count: u32) -> Duration {
 /// executions, wire times from the shared 10 GbE port's serialization
 /// of the GET message sizes.
 pub fn calibrate(label: &str, config: &CoreSimConfig, effort: SweepEffort) -> ServiceProfile {
-    let mut core = CoreSim::new(config.clone()).expect("valid core config");
-    core.preload(VALUE_BYTES, 64).expect("population fits");
+    let mut core = CoreSim::preloaded(config, VALUE_BYTES, 64);
 
     let hot = Request {
         op: Op::Get,

@@ -8,12 +8,12 @@
 //!
 //! Every point carries *two* efficiency numbers: the analytic one
 //! (`tps / stack_power(...)`, the paper's methodology) and a measured
-//! one integrated from the event-driven [`EnergyMeter`] of a metered
-//! replay of the same size point. Both cite the shared
+//! one integrated from the event-driven [`EnergyMeter`] over the same
+//! metered replay of the size point's GETs. Both cite the shared
 //! [`stack_working_point`] for the wire derate, and the
 //! `energy_converges_to_stack_power` test pins them within 1 % at the
 //! component level — here the test below holds the end-to-end columns
-//! together within a looser sampling tolerance.
+//! together within a looser tolerance.
 //!
 //! [`EnergyMeter`]: densekv_energy::EnergyMeter
 
@@ -27,7 +27,7 @@ use crate::energy::measure_energy_point;
 use crate::experiments::evaluation::Family;
 use crate::report::{size_label, TextTable};
 use crate::sim::CoreSimConfig;
-use crate::sweep::{measure_point, SweepEffort};
+use crate::sweep::SweepEffort;
 
 /// One size point of the efficiency sweep.
 #[derive(Debug, Clone)]
@@ -50,10 +50,11 @@ pub struct EfficiencyPoint {
 }
 
 /// Runs the sweep for the A7 Mercury-32 and Iridium-32 servers. Each
-/// (family, size) point is one worker task that performs both the
-/// performance and the metered-energy replay; the per-family server
-/// plan (which needs the whole sweep's peak bandwidth) is derived
-/// serially after the join, so results are jobs-invariant.
+/// (family, size) point is one worker task: one metered replay of the
+/// sweep's GETs, which yields both the performance summary and the
+/// energy run; the per-family server plan (which needs the whole
+/// sweep's peak bandwidth) is derived serially after the join, so
+/// results are jobs-invariant.
 pub fn run(effort: SweepEffort, jobs: Jobs) -> Vec<EfficiencyPoint> {
     let constraints = ServerConstraints::paper_1p5u();
     let families = [
@@ -73,23 +74,19 @@ pub fn run(effort: SweepEffort, jobs: Jobs) -> Vec<EfficiencyPoint> {
         .flat_map(|fi| sizes.iter().map(move |&s| (fi, s)))
         .collect();
     let measured: Vec<_> = par_map(jobs, &tasks, |&(fi, size)| {
-        let config = &families[fi].1;
-        (
-            measure_point(config, size, effort),
-            measure_energy_point(config, size, effort),
-        )
+        measure_energy_point(&families[fi].1, size, effort)
     });
 
     let mut points = Vec::new();
     for ((family, _, stack), chunk) in families.iter().zip(measured.chunks(sizes.len())) {
         let peak = chunk
             .iter()
-            .map(|(p, _)| crate::experiments::evaluation::stack_mem_gbps(32, p.get.perf))
+            .map(|(perf, _)| crate::experiments::evaluation::stack_mem_gbps(32, *perf))
             .fold(0.0f64, f64::max);
         let plan = plan_server(&constraints, stack.clone(), peak);
-        for (point, energy) in chunk {
-            let report = evaluate_server(&plan, point.get.perf);
-            let derate = stack_working_point(plan.stack.cores, point.get.perf).derate;
+        for (&value_bytes, (perf, energy)) in sizes.iter().zip(chunk) {
+            let report = evaluate_server(&plan, *perf);
+            let derate = stack_working_point(plan.stack.cores, *perf).derate;
             // Same wall-power conversion as the analytic column: stacks x
             // measured stack watts, through the PSU/overhead model.
             let stacks = f64::from(plan.stacks);
@@ -99,7 +96,7 @@ pub fn run(effort: SweepEffort, jobs: Jobs) -> Vec<EfficiencyPoint> {
             let measured_tps = stacks * energy.measured_stack_tps(plan.stack.cores, derate);
             points.push(EfficiencyPoint {
                 family: *family,
-                value_bytes: point.value_bytes,
+                value_bytes,
                 tps: report.tps,
                 power_w: report.power_w,
                 ktps_per_watt: report.ktps_per_watt,
@@ -165,9 +162,9 @@ mod tests {
         // TPS/W collapses with size (per-request work grows, power ~flat).
         assert!(mercury_64.ktps_per_watt > 10.0 * mercury_1m.ktps_per_watt);
         // Mercury leads Iridium at every size, and the measured column
-        // tracks the analytic one: both cite the same working point and
-        // the meter converges to stack_power, so the residual is only
-        // run-to-run sampling (different request sequences).
+        // tracks the analytic one: both come from the same requests and
+        // cite the same working point, so the residual is the analytic
+        // power model against the event-driven meter.
         for size in paper_size_sweep() {
             let m = points
                 .iter()

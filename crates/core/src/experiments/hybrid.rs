@@ -143,13 +143,7 @@ fn measure_design(
     tier_mb: u64,
 ) -> HybridPoint {
     let (keys, warmup, measured) = shape;
-    let mut sized = config.clone();
-    sized.store_bytes = sized
-        .store_bytes
-        .max((VALUE_BYTES + 4096) * keys * 2)
-        .max(16 << 20);
-    let mut core = CoreSim::new(sized).expect("valid configuration");
-    core.preload(VALUE_BYTES, keys).expect("preload fits");
+    let mut core = CoreSim::preloaded(config, VALUE_BYTES, keys);
 
     let mut gen = workload_for(alpha, keys, workload);
     for _ in 0..warmup {

@@ -41,8 +41,7 @@ pub fn run(jobs: Jobs) -> Vec<MultigetPoint> {
         .flat_map(|si| BATCHES.into_iter().map(move |batch| (si, batch)))
         .collect();
     let rates = par_map(jobs, &tasks, |&(si, batch)| {
-        let mut core = CoreSim::new(systems[si].1.clone()).expect("valid configuration");
-        core.preload(64, 128).expect("fits");
+        let mut core = CoreSim::preloaded(&systems[si].1, 64, 128);
         let keys: Vec<Vec<u8>> = (0..u64::from(batch)).map(key_bytes).collect();
         for _ in 0..120 {
             core.execute_multiget(&keys, 64);

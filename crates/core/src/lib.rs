@@ -29,8 +29,7 @@
 //! use densekv_workload::{Op, Request};
 //!
 //! // One A7 core of a Mercury stack, with its 2 MB L2.
-//! let mut core = CoreSim::new(CoreSimConfig::mercury_a7()).expect("valid config");
-//! core.preload(64, 100).expect("fits");
+//! let mut core = CoreSim::preloaded(&CoreSimConfig::mercury_a7(), 64, 100);
 //! let timing = core.execute(&Request {
 //!     op: Op::Get,
 //!     key: densekv_workload::key_bytes(0),

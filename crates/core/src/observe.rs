@@ -3,21 +3,21 @@
 //!
 //! [`CoreSim`] itself stays telemetry-free — it returns a
 //! [`PhaseBreakdown`] and exposes raw counters, and this module turns
-//! them into [`densekv_telemetry`] records. [`CoreObserver`] drives a
+//! them into [`densekv_telemetry`] records. [`run_observed`] drives a
 //! closed-loop request sequence (each request departs when the previous
-//! response lands, TPS = 1/RTT as in §5.3) and records every request
-//! into a [`Telemetry`] bundle as it goes. Telemetry is passive: the
-//! observer calls the same [`CoreSim::execute_breakdown`] whether the
-//! bundle is enabled or disabled, so observed and unobserved runs
-//! produce bit-identical timings.
+//! response lands, TPS = 1/RTT as in §5.3) and its [`CoreObserver`]
+//! records every request into a [`Telemetry`] bundle as it goes.
+//! Telemetry is passive: the loop calls the same
+//! [`CoreSim::execute_breakdown`] whether the bundle is enabled or
+//! disabled, so observed and unobserved runs produce bit-identical
+//! timings.
 
 use densekv_sim::stats::LatencyHistogram;
 use densekv_sim::SimTime;
 use densekv_telemetry::{CounterId, HistogramId, MetricsRegistry, SpanBuilder, Telemetry};
 use densekv_workload::{Op, Request};
 
-use crate::sim::CoreSim;
-use crate::sim::RequestTiming;
+use crate::sim::{CoreSim, PhaseBreakdown, RequestTiming};
 
 /// Gauge columns a [`CoreObserver`] keeps current in the bundle's
 /// sampler; build the sampler with exactly these columns.
@@ -85,35 +85,18 @@ impl CoreObserver {
         self.clock
     }
 
-    /// Requests executed so far.
-    pub fn executed(&self) -> u64 {
-        self.seq
-    }
-
-    /// Executes `request` on `core`, records it into `tele`, and
-    /// advances the closed-loop clock by the round trip.
-    pub fn execute(
-        &mut self,
-        tele: &mut Telemetry,
-        core: &mut CoreSim,
-        request: &Request,
-    ) -> RequestTiming {
-        let (timing, breakdown) = core.execute_breakdown(request);
-        self.record(tele, core, request, timing, &breakdown)
-    }
-
-    /// Records an already-executed request into `tele` and advances the
-    /// closed-loop clock — the half of [`CoreObserver::execute`] that
-    /// other observers (e.g. the energy layer) share when they need the
-    /// same execution's breakdown first.
+    /// Records the request `core` just executed into `tele` and advances
+    /// the closed-loop clock by its round trip. `timing`/`breakdown` must
+    /// come from that execution: the observer reads the core's
+    /// cumulative counters.
     pub fn record(
         &mut self,
         tele: &mut Telemetry,
         core: &CoreSim,
         request: &Request,
         timing: RequestTiming,
-        breakdown: &crate::sim::PhaseBreakdown,
-    ) -> RequestTiming {
+        breakdown: &PhaseBreakdown,
+    ) {
         let start = self.clock;
         let end = start + timing.rtt;
 
@@ -166,7 +149,6 @@ impl CoreObserver {
 
         self.clock = end;
         self.seq += 1;
-        timing
     }
 }
 
@@ -179,10 +161,25 @@ pub fn run_observed(
     requests: &[Request],
     tele: &mut Telemetry,
 ) -> LatencyHistogram {
+    observed_loop(core, requests, tele, |_, _, _, _| {})
+}
+
+/// The closed loop every observed run shares: executes each request,
+/// hands its execution to `also` (another observer, e.g. the energy
+/// layer) and then to a fresh [`CoreObserver`], and returns the exact
+/// RTT distribution.
+pub(crate) fn observed_loop(
+    core: &mut CoreSim,
+    requests: &[Request],
+    tele: &mut Telemetry,
+    mut also: impl FnMut(&mut Telemetry, &CoreSim, &RequestTiming, &PhaseBreakdown),
+) -> LatencyHistogram {
     let mut observer = CoreObserver::new(&mut tele.metrics);
     let mut latency = LatencyHistogram::new();
     for request in requests {
-        let timing = observer.execute(tele, core, request);
+        let (timing, breakdown) = core.execute_breakdown(request);
+        also(tele, core, &timing, &breakdown);
+        observer.record(tele, core, request, timing, &breakdown);
         latency.record(timing.rtt);
     }
     tele.sampler.finish(observer.now());

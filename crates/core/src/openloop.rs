@@ -86,14 +86,7 @@ pub struct OpenLoopResult {
 pub fn run(config: &OpenLoopConfig) -> OpenLoopResult {
     assert!(config.rate_per_sec > 0.0, "rate must be positive");
     let population = 128;
-    let mut sized = config.sim.clone();
-    sized.store_bytes = sized
-        .store_bytes
-        .max((config.value_bytes + 4096) * population * 2)
-        .max(16 << 20);
-    let mut core = CoreSim::new(sized).expect("valid configuration");
-    core.preload(config.value_bytes, population)
-        .expect("preload fits");
+    let mut core = CoreSim::preloaded(&config.sim, config.value_bytes, population);
 
     let arrivals = Exponential::from_rate_per_sec(config.rate_per_sec);
     let mut rng = SplitMix64::new(config.seed);

@@ -438,6 +438,27 @@ impl CoreSim {
         })
     }
 
+    /// Builds a core and preloads `population` keys of `value_bytes`
+    /// each: how every measured point starts. The store grows to hold the
+    /// population with slab slack — `(value_bytes + 4096) · population ·
+    /// 2`, at least 16 MiB — and never shrinks below
+    /// `config.store_bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid or the population does not
+    /// fit.
+    pub fn preloaded(config: &CoreSimConfig, value_bytes: u64, population: u64) -> CoreSim {
+        let mut sized = config.clone();
+        sized.store_bytes = sized
+            .store_bytes
+            .max((value_bytes + 4096) * population * 2)
+            .max(16 << 20);
+        let mut core = CoreSim::new(sized).expect("valid configuration");
+        core.preload(value_bytes, population).expect("preload fits");
+        core
+    }
+
     /// The configuration this core was built from.
     pub fn config(&self) -> &CoreSimConfig {
         &self.config

@@ -79,18 +79,8 @@ struct Departure {
 pub fn run(config: &StackSimConfig) -> StackSimResult {
     assert!(config.cores >= 1, "need at least one core");
     let population = 64;
-    let mut sized = config.per_core.clone();
-    sized.store_bytes = sized
-        .store_bytes
-        .max((config.value_bytes + 4096) * population * 2)
-        .max(16 << 20);
-
     let mut cores: Vec<CoreSim> = (0..config.cores)
-        .map(|_| {
-            let mut core = CoreSim::new(sized.clone()).expect("valid configuration");
-            core.preload(config.value_bytes, population).expect("fits");
-            core
-        })
+        .map(|_| CoreSim::preloaded(&config.per_core, config.value_bytes, population))
         .collect();
     let mut generators: Vec<FixedSizeWorkload> = (0..config.cores)
         .map(|i| {

@@ -7,7 +7,7 @@ use densekv_sim::stats::LatencyHistogram;
 use densekv_sim::Duration;
 use densekv_workload::{FixedSizeWorkload, Op};
 
-use crate::sim::{CoreSim, CoreSimConfig, RequestTiming};
+use crate::sim::{CoreSim, CoreSimConfig};
 use crate::slots::RequestSlots;
 
 /// Measured behaviour of one operation type at one size point.
@@ -102,7 +102,7 @@ pub(crate) fn population_for(value_bytes: u64) -> u64 {
 /// # Panics
 ///
 /// Panics if the configuration cannot host the preload population (the
-/// sweep sizes stores to fit; see [`CoreSimConfig::store_bytes`]).
+/// sweep sizes stores to fit; see [`CoreSim::preloaded`]).
 ///
 /// # Examples
 ///
@@ -114,18 +114,9 @@ pub(crate) fn population_for(value_bytes: u64) -> u64 {
 /// assert!(point.get.tps > point.put.tps * 0.5);
 /// ```
 pub fn measure_point(config: &CoreSimConfig, value_bytes: u64, effort: SweepEffort) -> SweepPoint {
-    let population = population_for(value_bytes);
-    let mut sized = config.clone();
-    // Size the arena to hold the population with slab slack.
-    sized.store_bytes = sized
-        .store_bytes
-        .max((value_bytes + 4096) * population * 2)
-        .max(16 << 20);
-    let mut core = CoreSim::new(sized).expect("valid configuration");
-    core.preload(value_bytes, population).expect("preload fits");
-
-    let get = measure_op(&mut core, Op::Get, value_bytes, population, effort);
-    let put = measure_op(&mut core, Op::Put, value_bytes, population, effort);
+    let mut core = CoreSim::preloaded(config, value_bytes, population_for(value_bytes));
+    let get = measure_op(&mut core, Op::Get, value_bytes, effort);
+    let put = measure_op(&mut core, Op::Put, value_bytes, effort);
     SweepPoint {
         value_bytes,
         get,
@@ -133,26 +124,48 @@ pub fn measure_point(config: &CoreSimConfig, value_bytes: u64, effort: SweepEffo
     }
 }
 
-fn measure_op(
+/// Warms a preloaded core for one measured `op` point: replays
+/// `effort`'s warm-up through `slots`, resets the bandwidth counters,
+/// and returns the key stream at the first measured request.
+///
+/// Requests live in a slot arena: the key renders straight into the
+/// arena and the slot recycles each iteration, so the loop never
+/// allocates. The key-id draws are the exact stream `next_request` would
+/// consume, so a caller that goes on with owned `Request`s replays the
+/// same requests.
+pub(crate) fn warm(
     core: &mut CoreSim,
     op: Op,
     value_bytes: u64,
-    population: u64,
     effort: SweepEffort,
-) -> OpPoint {
-    // Requests live in a slot arena: the key renders straight into the
-    // arena and the slot recycles each iteration, so the loop never
-    // allocates. The key-id draws are the exact stream `next_request`
-    // would consume, so results are byte-identical to the owned-
-    // `Request` path.
+    slots: &mut RequestSlots,
+) -> FixedSizeWorkload {
+    let population = population_for(value_bytes);
     let mut gen = FixedSizeWorkload::new(op, value_bytes, population, 0x5EED ^ value_bytes);
-    let mut slots = RequestSlots::with_capacity(1);
     for _ in 0..effort.warmup_for(value_bytes) {
         let slot = slots.acquire(op, value_bytes, gen.next_key_id());
         core.execute_parts(slots.op(slot), slots.key(slot), slots.value_bytes(slot));
         slots.release(slot);
     }
     core.reset_counters();
+    gen
+}
+
+/// The per-core summary of `measured` requests whose round trips sum to
+/// `total`, on a core whose counters were reset before the first.
+pub(crate) fn per_core_perf(core: &CoreSim, total: Duration, measured: u32) -> PerCorePerf {
+    let mean_rtt = total / u64::from(measured);
+    let sim_seconds = total.as_secs_f64();
+    PerCorePerf {
+        tps: 1.0 / mean_rtt.as_secs_f64(),
+        mem_gbps: core.device_bytes() as f64 / sim_seconds / 1e9,
+        wire_gbps: core.wire_bytes() as f64 / sim_seconds / 1e9,
+    }
+}
+
+fn measure_op(core: &mut CoreSim, op: Op, value_bytes: u64, effort: SweepEffort) -> OpPoint {
+    let mut slots = RequestSlots::with_capacity(1);
+    let mut gen = warm(core, op, value_bytes, effort, &mut slots);
 
     let mut latency = LatencyHistogram::new();
     let mut total = Duration::ZERO;
@@ -163,8 +176,7 @@ fn measure_op(
     let measured = effort.measured_for(value_bytes);
     for _ in 0..measured {
         let slot = slots.acquire(op, value_bytes, gen.next_key_id());
-        let (t, _): (RequestTiming, _) =
-            core.execute_parts(slots.op(slot), slots.key(slot), slots.value_bytes(slot));
+        let (t, _) = core.execute_parts(slots.op(slot), slots.key(slot), slots.value_bytes(slot));
         slots.release(slot);
         latency.record(t.rtt);
         total += t.rtt;
@@ -174,18 +186,11 @@ fn measure_op(
         server += t.server;
     }
 
-    let mean_rtt = total / u64::from(measured);
-    let tps = 1.0 / mean_rtt.as_secs_f64();
-    let sim_seconds = total.as_secs_f64();
-    let perf = PerCorePerf {
-        tps,
-        mem_gbps: core.device_bytes() as f64 / sim_seconds / 1e9,
-        wire_gbps: core.wire_bytes() as f64 / sim_seconds / 1e9,
-    };
+    let perf = per_core_perf(core, total, measured);
     let server_s = server.as_secs_f64().max(f64::MIN_POSITIVE);
     OpPoint {
-        mean_rtt,
-        tps,
+        mean_rtt: total / u64::from(measured),
+        tps: perf.tps,
         network_share: net.as_secs_f64() / server_s,
         store_share: store.as_secs_f64() / server_s,
         hash_share: hash.as_secs_f64() / server_s,

@@ -20,17 +20,14 @@ use densekv_workload::{
     ETC_ZIPF_ALPHA,
 };
 
+/// A core built as every measured point builds one; the reference walks
+/// every cache reference (preload touches only the store, so disabling
+/// the shortcut after it is disabling it from the start).
 fn build(config: &CoreSimConfig, value_bytes: u64, population: u64, reference: bool) -> CoreSim {
-    let mut sized = config.clone();
-    sized.store_bytes = sized
-        .store_bytes
-        .max((value_bytes + 4096) * population * 2)
-        .max(16 << 20);
-    let mut core = CoreSim::new(sized).expect("valid configuration");
+    let mut core = CoreSim::preloaded(config, value_bytes, population);
     if reference {
         core.disable_l2_residency_shortcut();
     }
-    core.preload(value_bytes, population).expect("preload fits");
     core
 }
 

@@ -10,8 +10,7 @@ use densekv_workload::{key_bytes, Op, Request};
 
 fn main() {
     // --- 1. One simulated core, one request. ---------------------------
-    let mut core = CoreSim::new(CoreSimConfig::mercury_a7()).expect("valid config");
-    core.preload(64, 100).expect("preload fits");
+    let mut core = CoreSim::preloaded(&CoreSimConfig::mercury_a7(), 64, 100);
     let timing = core.execute(&Request {
         op: Op::Get,
         key: key_bytes(0),

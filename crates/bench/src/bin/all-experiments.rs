@@ -2,13 +2,13 @@
 //! evaluation grid, and prints a measured-vs-paper summary. This is the
 //! binary EXPERIMENTS.md is produced from.
 //!
-//! The independent top-level stages (breakdowns, latency figures, the
-//! evaluation grid, thermal) run concurrently under `--jobs` /
-//! `DENSEKV_JOBS`, each stage fanning its own size points out over the
-//! same worker budget. Emission happens after the join, in a fixed
+//! The independent top-level stages (static tables, breakdowns, latency
+//! figures, the evaluation grid, thermal, ablations) run concurrently
+//! under `--jobs` / `DENSEKV_JOBS`, each stage fanning its own points
+//! out over the same worker budget. Emission happens after the join, in a fixed
 //! stage order, so the artifacts are byte-identical at any `--jobs`.
 
-use densekv::experiments::{evaluation, fig4, fig56, fig78, headline, tables, thermal};
+use densekv::experiments::{ablations, evaluation, fig4, fig56, fig78, headline, tables, thermal};
 use densekv::report::TextTable;
 use densekv::sweep::SweepEffort;
 use densekv_par::{par_map, Jobs};
@@ -174,6 +174,10 @@ fn main() {
                 let rows = thermal::run(jobs);
                 vec![("thermal".to_owned(), thermal::table(&rows))]
             }),
+        ),
+        (
+            "ablations",
+            Box::new(move || vec![("ablations".to_owned(), ablations::run(effort, jobs))]),
         ),
     ];
 

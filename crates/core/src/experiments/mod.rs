@@ -20,11 +20,13 @@
 //! | [`multiget::run`] | extension: multi-GET batching amortization |
 //! | [`cluster::cluster_tail`] | extension: cluster-wide tail latency vs. load |
 //! | [`cluster::cluster_failover`] | extension: stack-failure remap transient |
+//! | [`ablations::run`] | the single-comparison claims (§3.3, §3.8, §5.2, §6.2, Table 2) with and without their feature |
 //!
 //! Each runner returns structured data plus ready-to-print
 //! [`TextTable`](crate::report::TextTable)s; the `densekv-bench` binaries
 //! are thin wrappers over these.
 
+pub mod ablations;
 pub mod cluster;
 pub mod efficiency;
 pub mod evaluation;

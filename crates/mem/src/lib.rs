@@ -52,7 +52,7 @@ pub enum AccessKind {
 ///
 /// The paper's memory model "assumes a closed-page latency for all
 /// requests" (§5.2) as a worst case; the open-page policy is provided for
-/// the row-buffer ablation bench.
+/// the row-buffer ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PagePolicy {
     /// Every access pays the full array-access latency (paper default).

@@ -23,6 +23,8 @@
 //! the same engine with a disabled bundle; the two produce bit-identical
 //! results, which the workspace property tests enforce.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use densekv_dht::ConsistentHashRing;
 use densekv_energy::PowerTimeline;
 use densekv_net::PortMeter;
@@ -183,6 +185,31 @@ fn build_ring(config: &ClusterConfig) -> ConsistentHashRing {
     ring
 }
 
+/// The Zipf table of `population` keys at exponent `alpha`, built once
+/// and shared until another `(population, alpha)` asks.
+///
+/// A sweep runs the same popularity law point after point, and at 1 M
+/// keys the table costs tens of milliseconds and 24 MB to build — more
+/// than a short run itself. One entry process-wide, not one per
+/// configuration: configs that differ only in load or batch share the
+/// table, and a caller alternating two populations holds one table at a
+/// time. The build runs under the lock, so parallel runs asking for the
+/// same key build it once.
+fn popularity(population: u64, alpha: f64) -> Arc<Zipf> {
+    static MEMO: Mutex<Option<(u64, u64, Arc<Zipf>)>> = Mutex::new(None);
+    let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    match &*memo {
+        Some((p, a, zipf)) if *p == population && *a == alpha.to_bits() => Arc::clone(zipf),
+        _ => {
+            // Drop the old table before building its replacement.
+            *memo = None;
+            let zipf = Arc::new(Zipf::new(population as usize, alpha));
+            *memo = Some((population, alpha.to_bits(), Arc::clone(&zipf)));
+            zipf
+        }
+    }
+}
+
 /// Expected per-shard traffic share of the *busiest* core: each key's
 /// Zipf probability mass, summed over the core that owns it.
 ///
@@ -193,10 +220,7 @@ fn build_ring(config: &ClusterConfig) -> ConsistentHashRing {
 #[must_use]
 pub fn hot_core_share(config: &ClusterConfig) -> f64 {
     let ring = build_ring(config);
-    let zipf = Zipf::new(
-        config.workload.key_population as usize,
-        config.workload.zipf_alpha,
-    );
+    let zipf = popularity(config.workload.key_population, config.workload.zipf_alpha);
     let mut share = vec![0.0f64; config.topology.nodes() as usize];
     for key in 0..config.workload.key_population {
         if let Some(owner) = ring.node_for(&key.to_le_bytes()) {
@@ -418,7 +442,7 @@ fn simulate(config: &ClusterConfig, tele: &mut Telemetry, warm: WarmKeys) -> Clu
     let mut live_stacks = topo.stacks;
 
     let arrivals = Exponential::from_rate_per_sec(config.workload.rate_per_sec);
-    let zipf = Zipf::new(population as usize, config.workload.zipf_alpha);
+    let zipf = popularity(population, config.workload.zipf_alpha);
     // Batched generator: consumes the exact SplitMix64 stream this seed
     // always produced, amortizing state updates across arrival and Zipf
     // draws — bit-identical results, fewer per-draw loads.
@@ -946,6 +970,41 @@ mod tests {
         uniform.workload.zipf_alpha = 0.0;
         assert!(hot_core_share(&uniform) < hot);
         assert!(effective_capacity(&uniform) > effective);
+    }
+
+    #[test]
+    fn popularity_memo_is_keyed_by_population_and_alpha() {
+        let a = quick(0.5);
+        let mut b = a.clone();
+        b.workload.key_population /= 2;
+        let first = format!("{:?}", run(&a));
+        let other = format!("{:?}", run(&b));
+        let again = format!("{:?}", run(&a));
+        assert_eq!(first, again, "a table built for B leaked into A");
+        assert_ne!(first, other);
+        let mut flatter = a.clone();
+        flatter.workload.zipf_alpha = 0.5;
+        assert_ne!(
+            format!("{:?}", run(&flatter)),
+            first,
+            "alpha is not in the key"
+        );
+
+        // Two threads alternating A and B race for the one entry; each
+        // run still matches its serial result.
+        let racers: Vec<_> = [(a, first), (b, other)]
+            .into_iter()
+            .map(|(config, serial)| {
+                std::thread::spawn(move || {
+                    for _ in 0..4 {
+                        assert_eq!(format!("{:?}", run(&config)), serial);
+                    }
+                })
+            })
+            .collect();
+        for racer in racers {
+            racer.join().expect("racing run");
+        }
     }
 
     #[test]

@@ -13,10 +13,12 @@ use crate::rng::UniformSource;
 /// bits select the slot, the fractional remainder is the coin), so the
 /// generator consumes exactly one `next_f64` per sample — the same RNG
 /// budget as the CDF binary-search it replaced, keeping downstream
-/// streams (arrival gaps, op mixes) aligned across that change.
+/// streams (arrival gaps, op mixes) aligned across that change. Each
+/// slot keeps its threshold and redirect side by side, so a draw reads
+/// one cache line.
 ///
-/// The old CDF inverse survives behind [`Zipf::sample_cdf`] as a
-/// test/benchmark reference; the two paths draw from the identical
+/// The old CDF inverse survives in this module's tests as the
+/// reference sampler; the two paths draw from the identical
 /// distribution (pinned by a chi-squared test) but map a given uniform
 /// to different ranks, so they are not sequence-interchangeable.
 ///
@@ -33,14 +35,20 @@ use crate::rng::UniformSource;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    /// Normalized probability per rank (kept for `pmf` and the CDF path).
+    /// Normalized probability per rank.
     pmf: Vec<f64>,
-    /// CDF for the reference sampler.
-    cdf: Vec<f64>,
-    /// Alias table: acceptance threshold per slot, scaled to [0, 1].
-    prob: Vec<f64>,
-    /// Alias table: redirect target per slot.
-    alias: Vec<u32>,
+    /// Alias table, one slot per rank.
+    slots: Vec<AliasSlot>,
+}
+
+/// One alias-table slot: accept the slot's own rank when the coin falls
+/// under `prob` (scaled to [0, 1]), else redirect to `alias`. Aligned
+/// to its 16-byte size, so no slot straddles two cache lines.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(16))]
+struct AliasSlot {
+    prob: f64,
+    alias: u32,
 }
 
 impl Zipf {
@@ -56,24 +64,13 @@ impl Zipf {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(u32::try_from(n).is_ok(), "Zipf rank count exceeds u32");
         assert!(alpha.is_finite() && alpha >= 0.0, "alpha must be >= 0");
-        let weights: Vec<f64> = (0..n).map(|k| 1.0 / ((k + 1) as f64).powf(alpha)).collect();
-        let total: f64 = weights.iter().sum();
-        let pmf: Vec<f64> = weights.iter().map(|w| w / total).collect();
-        let mut acc = 0.0;
-        let cdf: Vec<f64> = pmf
-            .iter()
-            .map(|p| {
-                acc += p;
-                acc
-            })
-            .collect();
-        let (prob, alias) = build_alias(&pmf);
-        Zipf {
-            pmf,
-            cdf,
-            prob,
-            alias,
+        let mut pmf: Vec<f64> = (0..n).map(|k| 1.0 / ((k + 1) as f64).powf(alpha)).collect();
+        let total: f64 = pmf.iter().sum();
+        for w in &mut pmf {
+            *w /= total;
         }
+        let slots = build_alias(&pmf);
+        Zipf { pmf, slots }
     }
 
     /// Number of ranks.
@@ -81,7 +78,7 @@ impl Zipf {
         self.pmf.len()
     }
 
-    /// True if there is exactly one rank (always sampled).
+    /// Always false: a distribution has at least one rank.
     pub fn is_empty(&self) -> bool {
         false
     }
@@ -92,30 +89,15 @@ impl Zipf {
     /// direct [`SplitMix64`](crate::SplitMix64) or a batched
     /// [`SplitRng`](crate::SplitRng) and draw the identical rank stream.
     pub fn sample<R: UniformSource>(&self, rng: &mut R) -> usize {
-        let scaled = rng.next_f64() * self.pmf.len() as f64;
+        let scaled = rng.next_f64() * self.slots.len() as f64;
         // `next_f64` is in [0, 1), so `scaled < n` and the cast is safe.
         let slot = scaled as usize;
         let coin = scaled - slot as f64;
-        if coin < self.prob[slot] {
+        let AliasSlot { prob, alias } = self.slots[slot];
+        if coin < prob {
             slot
         } else {
-            self.alias[slot] as usize
-        }
-    }
-
-    /// Draws a rank via the original CDF binary search (O(log n)).
-    ///
-    /// Retained only as the reference implementation for distribution
-    /// tests and the hot-path benchmarks; production sampling goes
-    /// through [`Zipf::sample`].
-    pub fn sample_cdf<R: UniformSource>(&self, rng: &mut R) -> usize {
-        let u = rng.next_f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) => (i + 1).min(self.cdf.len() - 1),
-            Err(i) => i.min(self.cdf.len() - 1),
+            alias as usize
         }
     }
 
@@ -126,32 +108,46 @@ impl Zipf {
 }
 
 /// Builds Walker's alias table from a normalized pmf: every slot `i`
-/// accepts with probability `prob[i]` and redirects to `alias[i]`
-/// otherwise. Vose's stable two-worklist construction.
-fn build_alias(pmf: &[f64]) -> (Vec<f64>, Vec<u32>) {
+/// accepts with probability `prob` and redirects to `alias` otherwise.
+/// Vose's stable two-worklist construction. The slots start out holding
+/// each rank's mass scaled by `n`, which the pairing loop consumes in
+/// place.
+fn build_alias(pmf: &[f64]) -> Vec<AliasSlot> {
     let n = pmf.len();
-    let mut prob = vec![0.0f64; n];
-    let mut alias = vec![0u32; n];
     // Scale each probability by n: slots with scaled mass < 1 need a
     // donor; slots with > 1 donate their surplus.
-    let mut scaled: Vec<f64> = pmf.iter().map(|&p| p * n as f64).collect();
-    let mut small: Vec<usize> = (0..n).filter(|&i| scaled[i] < 1.0).collect();
-    let mut large: Vec<usize> = (0..n).filter(|&i| scaled[i] >= 1.0).collect();
+    let mut slots: Vec<AliasSlot> = pmf
+        .iter()
+        .map(|&p| AliasSlot {
+            prob: p * n as f64,
+            alias: 0,
+        })
+        .collect();
+    let mut small: Vec<u32> = Vec::new();
+    let mut large: Vec<u32> = Vec::new();
+    for (i, slot) in (0u32..).zip(&slots) {
+        if slot.prob < 1.0 {
+            small.push(i);
+        } else {
+            large.push(i);
+        }
+    }
     while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
         small.pop();
-        prob[s] = scaled[s];
-        alias[s] = l as u32;
-        scaled[l] -= 1.0 - scaled[s];
-        if scaled[l] < 1.0 {
+        let deficit = 1.0 - slots[s as usize].prob;
+        slots[s as usize].alias = l;
+        let donor = &mut slots[l as usize].prob;
+        *donor -= deficit;
+        if *donor < 1.0 {
             large.pop();
             small.push(l);
         }
     }
     // Numerical leftovers on either list have scaled mass ~1.
     for &i in small.iter().chain(large.iter()) {
-        prob[i] = 1.0;
+        slots[i as usize].prob = 1.0;
     }
-    (prob, alias)
+    slots
 }
 
 /// An exponential distribution with the given rate (events per second).
@@ -260,6 +256,38 @@ mod tests {
         }
     }
 
+    /// The CDF binary search (O(log n)) the alias table replaced: the
+    /// reference sampler the distribution tests compare against.
+    struct CdfSampler {
+        cdf: Vec<f64>,
+    }
+
+    impl CdfSampler {
+        fn new(zipf: &Zipf) -> Self {
+            let mut acc = 0.0;
+            let cdf = zipf
+                .pmf
+                .iter()
+                .map(|p| {
+                    acc += p;
+                    acc
+                })
+                .collect();
+            CdfSampler { cdf }
+        }
+
+        fn sample<R: UniformSource>(&self, rng: &mut R) -> usize {
+            let u = rng.next_f64();
+            match self
+                .cdf
+                .binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite"))
+            {
+                Ok(i) => (i + 1).min(self.cdf.len() - 1),
+                Err(i) => i.min(self.cdf.len() - 1),
+            }
+        }
+    }
+
     /// Pearson chi-squared statistic of `counts` against `expected`
     /// probabilities over `draws` samples.
     fn chi_squared(counts: &[usize], expected: impl Fn(usize) -> f64, draws: usize) -> f64 {
@@ -283,13 +311,14 @@ mod tests {
         let n = 64;
         let draws = 400_000;
         let zipf = Zipf::new(n, 0.99);
+        let cdf = CdfSampler::new(&zipf);
         let mut alias_counts = vec![0usize; n];
         let mut cdf_counts = vec![0usize; n];
         let mut rng_a = SplitMix64::new(0xC41);
         let mut rng_c = SplitMix64::new(0xC41);
         for _ in 0..draws {
             alias_counts[zipf.sample(&mut rng_a)] += 1;
-            cdf_counts[zipf.sample_cdf(&mut rng_c)] += 1;
+            cdf_counts[cdf.sample(&mut rng_c)] += 1;
         }
         let chi_alias = chi_squared(&alias_counts, |k| zipf.pmf(k), draws);
         let chi_cdf = chi_squared(&cdf_counts, |k| zipf.pmf(k), draws);
@@ -325,13 +354,65 @@ mod tests {
         // The cluster simulator swaps its SplitMix64 for a SplitRng; the
         // interleaved Zipf + Exponential streams must not move by a bit.
         let zipf = Zipf::new(4096, 0.99);
+        let cdf = CdfSampler::new(&zipf);
         let exp = Exponential::from_rate_per_sec(1_500_000.0);
         let mut direct = SplitMix64::new(0x5EED);
         let mut batched = SplitRng::new(0x5EED);
         for _ in 0..5000 {
             assert_eq!(zipf.sample(&mut direct), zipf.sample(&mut batched));
             assert_eq!(exp.sample(&mut direct), exp.sample(&mut batched));
-            assert_eq!(zipf.sample_cdf(&mut direct), zipf.sample_cdf(&mut batched));
+            assert_eq!(cdf.sample(&mut direct), cdf.sample(&mut batched));
+        }
+    }
+
+    /// FNV-1a over every slot's threshold bits and redirect.
+    fn table_digest(zipf: &Zipf) -> u64 {
+        zipf.slots
+            .iter()
+            .flat_map(|s| [s.prob.to_bits(), u64::from(s.alias)])
+            .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+                (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn alias_table_and_rank_stream_are_pinned() {
+        // Recorded from the two-array table this layout replaced. Every
+        // threshold and redirect, and so every seeded rank stream the
+        // simulators draw, must survive a change to how the table is
+        // laid out or built, bit for bit.
+        let cases: [(usize, f64, u64, [usize; 64]); 2] = [
+            (
+                100_000,
+                0.99,
+                0x4a78_aa18_ef8f_96f3,
+                [
+                    3, 74388, 0, 948, 9412, 19135, 610, 27839, 2, 858, 8926, 7980, 4362, 3, 258,
+                    66164, 5393, 19812, 0, 1429, 6, 183, 38121, 4, 0, 25197, 17, 64, 8010, 27386,
+                    11708, 9, 900, 773, 55, 9, 2, 457, 2, 33660, 17, 461, 22, 788, 150, 112, 5,
+                    367, 18978, 4880, 888, 36682, 541, 17, 764, 9166, 89, 6, 1609, 3, 201, 11,
+                    16269, 655,
+                ],
+            ),
+            (
+                4096,
+                0.6,
+                0x980e_bd37_ca9d_03b8,
+                [
+                    1, 87, 847, 238, 384, 782, 180, 1140, 1337, 224, 365, 325, 178, 1527, 3133,
+                    2710, 697, 811, 898, 3732, 1749, 3005, 1561, 1609, 721, 1032, 11, 36, 328,
+                    1121, 479, 5, 231, 210, 2554, 1892, 1331, 3342, 0, 1378, 2115, 151, 2210, 3534,
+                    70, 57, 1690, 130, 777, 199, 3575, 1502, 167, 2116, 208, 375, 48, 1745, 3769,
+                    1, 3040, 1940, 666, 3470,
+                ],
+            ),
+        ];
+        for (n, alpha, digest, ranks) in cases {
+            let zipf = Zipf::new(n, alpha);
+            let mut rng = SplitMix64::new(0x601D);
+            let drawn: Vec<usize> = (0..64).map(|_| zipf.sample(&mut rng)).collect();
+            assert_eq!(drawn, ranks, "Zipf({n}, {alpha}) rank stream");
+            assert_eq!(table_digest(&zipf), digest, "Zipf({n}, {alpha}) table");
         }
     }
 

@@ -5,7 +5,7 @@
 //! a lock-contention throughput model ([`ContentionModel`]) that
 //! *derives* those throughputs from per-op service time and
 //! serialization, so the 1.4 → 1.6 → Bags ordering is explained rather
-//! than asserted. The `lock_scaling` bin of `densekv-bench` shows the
+//! than asserted. The `lock_scaling` subcommand of `densekv-bench` shows the
 //! same ordering on real host threads, over the live server's
 //! `densekv_serve::ShardedStore`.
 

@@ -1,15 +1,24 @@
-//! Shared plumbing for the `densekv-bench` binaries: where results go and
-//! how tables are emitted.
+//! Shared plumbing for `densekv-bench`: the command line, quick mode,
+//! the worker count, where results go and how tables are emitted.
 //!
-//! Every `bin/` target regenerates one table or figure of the paper (see
-//! DESIGN.md's experiment index) and drops both the rendered text and a
-//! CSV under `results/`.
+//! Every subcommand of the one binary (see [`stages`] and DESIGN.md's
+//! experiment index) regenerates one table, figure or extension of the
+//! paper and drops its artifacts under `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod energy_run;
+mod hybrid_run;
 pub mod lock_scaling;
+mod serve_obs;
+mod serve_run;
+mod serve_validate;
+pub mod stages;
+mod top;
+mod trace_run;
 
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 
 use densekv::report::TextTable;
@@ -25,6 +34,16 @@ pub const RESULTS_DIR: &str = "results";
 /// artifacts.
 pub const RESULTS_DIR_ENV: &str = "DENSEKV_RESULTS_DIR";
 
+/// The checked-in `results/` of the workspace this crate was built in,
+/// wherever the binary is started from.
+fn default_results_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+        .join(RESULTS_DIR)
+}
+
 /// Resolves the results directory, creating it if needed.
 ///
 /// Honors [`RESULTS_DIR_ENV`] when set; otherwise defaults to
@@ -35,19 +54,9 @@ pub const RESULTS_DIR_ENV: &str = "DENSEKV_RESULTS_DIR";
 /// Panics if the directory cannot be created.
 #[must_use]
 pub fn results_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os(RESULTS_DIR_ENV).filter(|d| !d.is_empty()) {
-        let dir = PathBuf::from(dir);
-        std::fs::create_dir_all(&dir).expect("create results dir");
-        return dir;
-    }
-    // The binaries run from the workspace root (`cargo run -p ...`), but
-    // fall back to the manifest's parent if invoked elsewhere.
-    let base = if Path::new("Cargo.toml").exists() {
-        PathBuf::from(".")
-    } else {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-    };
-    let dir = base.join(RESULTS_DIR);
+    let dir = std::env::var_os(RESULTS_DIR_ENV)
+        .filter(|d| !d.is_empty())
+        .map_or_else(default_results_dir, PathBuf::from);
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
@@ -106,60 +115,123 @@ pub fn replay_mix(requests: u64) -> Vec<Request> {
         .collect()
 }
 
-/// Picks the sweep effort: full by default, `DENSEKV_QUICK=1` for a fast
-/// smoke run.
+/// Whether this is a quick smoke run: `DENSEKV_QUICK` set to anything
+/// but `0`.
+#[must_use]
+pub(crate) fn quick() -> bool {
+    std::env::var("DENSEKV_QUICK").is_ok_and(|v| v != "0")
+}
+
+/// Picks the sweep effort: full by default, quick when `DENSEKV_QUICK`
+/// is set to anything but `0`.
 #[must_use]
 pub fn effort() -> densekv::sweep::SweepEffort {
-    if std::env::var("DENSEKV_QUICK").is_ok_and(|v| v != "0") {
+    if quick() {
         densekv::sweep::SweepEffort::quick()
     } else {
         densekv::sweep::SweepEffort::full()
     }
 }
 
-/// Picks the worker count for the run: `--jobs N` (or `--jobs=N`) from
-/// the command line, else the `DENSEKV_JOBS` variable, else the
-/// machine's available parallelism. Results are bit-identical at any
-/// value — `--jobs` only changes wall-clock time.
+/// A simulated or wall-clock duration in microseconds.
+#[must_use]
+pub(crate) fn us(d: densekv_sim::Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
+/// The command line after the program name:
+/// `<experiment> [--jobs N]`, where `top` also takes `--addr HOST:PORT`,
+/// `--frames N` and `--interval-ms M`. Every flag is also accepted as
+/// `--flag=value`.
+#[derive(Debug, Default)]
+pub struct Args {
+    /// The subcommand: a name from [`stages::names`].
+    pub experiment: String,
+    /// `--jobs`: worker count.
+    pub jobs: Option<usize>,
+    /// `--addr`: the server `top` attaches to instead of hosting one.
+    pub addr: Option<SocketAddr>,
+    /// `--frames`: frames `top` renders before exiting.
+    pub frames: Option<u64>,
+    /// `--interval-ms`: `top`'s refresh period.
+    pub interval_ms: Option<u64>,
+}
+
+impl Args {
+    /// Reads an argument list; any flag it does not know, or a flag of
+    /// `top` given to another subcommand, is an error.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first argument that does not parse.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut args = args.into_iter();
+        let mut out = Args {
+            experiment: args.next().ok_or("no experiment named")?,
+            ..Args::default()
+        };
+        while let Some(arg) = args.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag.to_owned(), Some(value.to_owned())),
+                None => (arg.clone(), None),
+            };
+            let top_only = matches!(flag.as_str(), "--addr" | "--frames" | "--interval-ms");
+            if !(flag == "--jobs" || top_only && out.experiment == "top") {
+                return Err(format!("unknown argument `{arg}` for `{}`", out.experiment));
+            }
+            let value = inline
+                .or_else(|| args.next())
+                .ok_or_else(|| format!("{flag} needs a value"))?;
+            let bad = |what: &str| format!("{flag} expects {what}, got `{value}`");
+            match flag.as_str() {
+                "--jobs" => {
+                    let n = value.parse().ok().filter(|&n| n > 0);
+                    out.jobs = Some(n.ok_or_else(|| bad("a positive worker count"))?);
+                }
+                "--addr" => out.addr = Some(value.parse().map_err(|_| bad("HOST:PORT"))?),
+                "--frames" => out.frames = Some(value.parse().map_err(|_| bad("a frame count"))?),
+                _ => out.interval_ms = Some(value.parse().map_err(|_| bad("milliseconds"))?),
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// This process's [`Args`].
 ///
 /// # Panics
 ///
-/// Panics with a usage message when `--jobs` is present without a
-/// parseable positive count.
+/// Panics if the command line does not parse; the binary checks it
+/// before it runs anything.
 #[must_use]
-pub fn jobs() -> densekv_par::Jobs {
-    jobs_from(std::env::args().skip(1))
+pub(crate) fn args() -> Args {
+    Args::parse(std::env::args().skip(1)).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`jobs`], but parsing an explicit argument list (testable).
-pub fn jobs_from(args: impl IntoIterator<Item = String>) -> densekv_par::Jobs {
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--jobs" {
-            args.next()
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            Some(v.to_owned())
-        } else {
-            continue;
-        };
-        let n = value
-            .as_deref()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| panic!("--jobs expects a positive worker count"));
-        return densekv_par::Jobs::new(n);
-    }
-    densekv_par::Jobs::from_env()
+/// Picks the worker count for the run: `--jobs N` from the command
+/// line, else the `DENSEKV_JOBS` variable, else the machine's available
+/// parallelism. Results are bit-identical at any value — `--jobs` only
+/// changes wall-clock time.
+#[must_use]
+pub fn jobs() -> densekv_par::Jobs {
+    args()
+        .jobs
+        .map_or_else(densekv_par::Jobs::from_env, densekv_par::Jobs::new)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(v: &[&str]) -> Result<Args, String> {
+        Args::parse(v.iter().map(|s| (*s).to_owned()))
+    }
+
     #[test]
     fn results_dir_exists_after_call() {
-        let dir = results_dir();
-        assert!(dir.is_dir());
+        // The default is the checked-in `results/`, never a directory
+        // beside whatever the working directory is.
+        assert!(default_results_dir().join("README.md").is_file());
     }
 
     #[test]
@@ -172,16 +244,32 @@ mod tests {
 
     #[test]
     fn jobs_flag_parses_both_spellings() {
-        let args = |v: &[&str]| v.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
-        assert_eq!(jobs_from(args(&["--jobs", "3"])).get(), 3);
-        assert_eq!(jobs_from(args(&["--quiet", "--jobs=7"])).get(), 7);
-        // No flag: falls through to the environment/machine default.
-        assert!(jobs_from(args(&["--quiet"])).get() >= 1);
+        assert_eq!(parse(&["all", "--jobs", "3"]).unwrap().jobs, Some(3));
+        assert_eq!(parse(&["sla", "--jobs=7"]).unwrap().jobs, Some(7));
+        // No flag: the environment/machine default decides.
+        assert_eq!(parse(&["all"]).unwrap().jobs, None);
+        let top = parse(&["top", "--frames", "4", "--interval-ms=250", "--jobs", "2"]).unwrap();
+        assert_eq!(
+            (top.frames, top.interval_ms, top.jobs),
+            (Some(4), Some(250), Some(2))
+        );
     }
 
     #[test]
     #[should_panic(expected = "positive worker count")]
     fn jobs_flag_rejects_garbage() {
-        let _ = jobs_from(["--jobs".to_owned(), "zero".to_owned()]);
+        // Mistyped flags are errors, not silently the default count.
+        for bad in [
+            &["all", "--job", "2"][..],
+            &["all", "--jobs2"],
+            &["all", "--jobs"],
+            &["all", "--quiet"],
+            &["all", "--frames", "3"],
+            &["top", "--frames", "many"],
+            &[],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
+        parse(&["all", "--jobs", "zero"]).unwrap();
     }
 }

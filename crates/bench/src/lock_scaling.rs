@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
+use densekv::report::TextTable;
 use densekv_kv::lru::EvictionKind;
 use densekv_kv::store::StoreConfig;
 use densekv_serve::{BackendKind, ShardedStore};
@@ -96,7 +97,7 @@ fn value_for(id: u64) -> Vec<u8> {
 
 /// Sustained operations per second of `variant` over `backend` with
 /// `threads` host threads for `duration`, or `None` when the host has
-/// fewer cores than threads ([`enough_cores`]).
+/// fewer cores than threads (`enough_cores`).
 ///
 /// # Panics
 ///
@@ -170,6 +171,55 @@ pub fn measure(
     })
 }
 
+/// Measures every (backend, variant, thread count) point and writes
+/// `results/lock_scaling.csv`: absolute throughput and the scaling over
+/// one thread per backend and variant, [`SKIPPED`] where the host has
+/// too few cores.
+pub fn run() {
+    let duration = Duration::from_millis(if crate::quick() { 40 } else { 300 });
+    let reps = if crate::quick() { 1 } else { 5 };
+
+    let mut table = TextTable::new(vec![
+        "backend".into(),
+        "variant".into(),
+        "threads".into(),
+        "ops_per_sec".into(),
+        "scaling_x".into(),
+    ]);
+    for backend in [BackendKind::Model, BackendKind::Engine] {
+        for variant in Variant::ALL {
+            let mut base = 0.0;
+            for threads in [1, 2, 4, 8] {
+                let row = |ops: String, scaling: String| {
+                    vec![
+                        backend.as_str().into(),
+                        variant.label().into(),
+                        threads.to_string(),
+                        ops,
+                        scaling,
+                    ]
+                };
+                // Median of `reps` runs: it shrugs off a scheduler
+                // hiccup that would skew a mean.
+                let samples: Option<Vec<f64>> = (0..reps)
+                    .map(|_| measure(backend, variant, threads, duration))
+                    .collect();
+                let Some(mut samples) = samples else {
+                    table.row(row(SKIPPED.into(), SKIPPED.into()));
+                    continue;
+                };
+                samples.sort_by(f64::total_cmp);
+                let ops = samples[samples.len() / 2];
+                if threads == 1 {
+                    base = ops;
+                }
+                table.row(row(format!("{ops:.0}"), format!("{:.2}", ops / base)));
+            }
+        }
+    }
+    crate::emit("lock_scaling", &table);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,7 +258,7 @@ mod tests {
     }
 
     /// The headline contention ordering, on real threads. Kept short and
-    /// tolerant (machines vary); the `lock_scaling` bin gives the curve.
+    /// tolerant (machines vary); `densekv-bench lock_scaling` gives the curve.
     #[test]
     fn bags_scales_at_least_as_well_as_global_lock() {
         if !enough_cores(4) {

@@ -1,4 +1,4 @@
-//! CI smoke test for the `energy_run` binary: runs it on the quick
+//! CI smoke test for `densekv-bench energy_run`: runs it on the quick
 //! config and validates the emitted energy artifacts.
 //!
 //! Output goes to a scratch directory via `DENSEKV_RESULTS_DIR` so the
@@ -11,7 +11,8 @@ use std::process::Command;
 #[test]
 fn energy_run_emits_breakdown_and_timeline_with_positive_joules() {
     let results = Path::new(env!("CARGO_TARGET_TMPDIR")).join("energy_smoke_results");
-    let status = Command::new(env!("CARGO_BIN_EXE_energy_run"))
+    let status = Command::new(env!("CARGO_BIN_EXE_densekv-bench"))
+        .arg("energy_run")
         .env("DENSEKV_QUICK", "1")
         .env(densekv_bench::RESULTS_DIR_ENV, &results)
         .status()

@@ -1,4 +1,4 @@
-//! CI smoke test for the `hybrid_run` binary: runs the Helios tier
+//! CI smoke test for `densekv-bench hybrid_run`: runs the Helios tier
 //! sweep end-to-end on the quick config and validates both artifacts.
 //!
 //! Output goes to a scratch directory via `DENSEKV_RESULTS_DIR` so the
@@ -11,7 +11,8 @@ use std::process::Command;
 #[test]
 fn hybrid_run_emits_sweep_and_power_artifacts() {
     let results = Path::new(env!("CARGO_TARGET_TMPDIR")).join("hybrid_smoke_results");
-    let status = Command::new(env!("CARGO_BIN_EXE_hybrid_run"))
+    let status = Command::new(env!("CARGO_BIN_EXE_densekv-bench"))
+        .arg("hybrid_run")
         .env("DENSEKV_QUICK", "1")
         .env(densekv_bench::RESULTS_DIR_ENV, &results)
         .status()

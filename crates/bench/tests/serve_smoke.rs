@@ -1,6 +1,6 @@
 //! CI smoke tests for the live front-end: an in-process server driven
-//! through the pool client, and the two `serve_*` binaries end-to-end
-//! in quick mode.
+//! through the pool client, and the `serve_*` and `top` subcommands of
+//! `densekv-bench` end-to-end in quick mode.
 //!
 //! Everything here carries a hard timeout — a wedged accept loop or a
 //! lost shutdown wakeup must fail the suite, not hang it.
@@ -67,10 +67,10 @@ fn serve_run_binary_emits_its_artifact() {
     with_deadline(Duration::from_secs(120), || {
         let results = Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve_run_results");
         let started = Instant::now();
-        let status = Command::new(env!("CARGO_BIN_EXE_serve_run"))
+        let status = Command::new(env!("CARGO_BIN_EXE_densekv-bench"))
             .env("DENSEKV_QUICK", "1")
             .env(densekv_bench::RESULTS_DIR_ENV, &results)
-            .args(["--jobs", "2"])
+            .args(["serve_run", "--jobs", "2"])
             .status()
             .expect("serve_run starts");
         assert!(status.success(), "serve_run exits cleanly");
@@ -98,14 +98,14 @@ fn serve_run_binary_emits_its_artifact() {
 fn serve_obs_binary_cross_checks_server_and_client_percentiles() {
     with_deadline(Duration::from_secs(120), || {
         let results = Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve_obs_results");
-        let status = Command::new(env!("CARGO_BIN_EXE_serve_obs"))
+        let status = Command::new(env!("CARGO_BIN_EXE_densekv-bench"))
             .env("DENSEKV_QUICK", "1")
             // The metrics-overhead gate compares two wall-clock rates and
             // is its own CI step; under a parallel `cargo test` it would
             // measure the neighbouring tests.
             .env_remove("DENSEKV_OBS_GATE")
             .env(densekv_bench::RESULTS_DIR_ENV, &results)
-            .args(["--jobs", "2"])
+            .args(["serve_obs", "--jobs", "2"])
             .status()
             .expect("serve_obs starts");
         assert!(status.success(), "serve_obs exits cleanly");
@@ -174,12 +174,12 @@ fn serve_obs_binary_cross_checks_server_and_client_percentiles() {
 #[test]
 fn densekv_top_quick_mode_renders_live_windowed_percentiles() {
     with_deadline(Duration::from_secs(120), || {
-        // The bin itself exits non-zero if no windowed percentiles ever
+        // The subcommand exits non-zero if no windowed percentiles ever
         // appear, so a clean exit already proves the plane is live; the
         // output checks pin the dashboard's shape.
-        let output = Command::new(env!("CARGO_BIN_EXE_densekv-top"))
+        let output = Command::new(env!("CARGO_BIN_EXE_densekv-bench"))
             .env("DENSEKV_QUICK", "1")
-            .args(["--frames", "4", "--interval-ms", "250"])
+            .args(["top", "--frames", "4", "--interval-ms", "250"])
             .output()
             .expect("densekv-top starts");
         let stdout = String::from_utf8_lossy(&output.stdout);
@@ -206,10 +206,10 @@ fn densekv_top_quick_mode_renders_live_windowed_percentiles() {
 fn serve_validate_binary_compares_both_planes() {
     with_deadline(Duration::from_secs(180), || {
         let results = Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve_validate_results");
-        let status = Command::new(env!("CARGO_BIN_EXE_serve_validate"))
+        let status = Command::new(env!("CARGO_BIN_EXE_densekv-bench"))
             .env("DENSEKV_QUICK", "1")
             .env(densekv_bench::RESULTS_DIR_ENV, &results)
-            .args(["--jobs", "2"])
+            .args(["serve_validate", "--jobs", "2"])
             .status()
             .expect("serve_validate starts");
         assert!(status.success(), "serve_validate exits cleanly");

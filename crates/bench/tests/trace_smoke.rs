@@ -1,4 +1,4 @@
-//! CI smoke test for the `trace_run` binary: runs it on the quick
+//! CI smoke test for `densekv-bench trace_run`: runs it on the quick
 //! config and validates the emitted artifacts with the in-tree JSON
 //! checker — no external tooling.
 //!
@@ -14,7 +14,8 @@ use densekv_telemetry::validate_json;
 #[test]
 fn trace_run_emits_a_valid_trace_with_complete_spans() {
     let results = Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace_smoke_results");
-    let status = Command::new(env!("CARGO_BIN_EXE_trace_run"))
+    let status = Command::new(env!("CARGO_BIN_EXE_densekv-bench"))
+        .arg("trace_run")
         .env("DENSEKV_QUICK", "1")
         .env(densekv_bench::RESULTS_DIR_ENV, &results)
         .status()

@@ -23,8 +23,8 @@
 //! | [`ablations::run`] | the single-comparison claims (§3.3, §3.8, §5.2, §6.2, Table 2) with and without their feature |
 //!
 //! Each runner returns structured data plus ready-to-print
-//! [`TextTable`](crate::report::TextTable)s; the `densekv-bench` binaries
-//! are thin wrappers over these.
+//! [`TextTable`](crate::report::TextTable)s; the subcommands of the
+//! `densekv-bench` binary are thin wrappers over these.
 
 pub mod ablations;
 pub mod cluster;

@@ -154,7 +154,7 @@ impl CoreObserver {
 
 /// Runs `requests` back-to-back through a fresh [`CoreObserver`],
 /// recording into `tele`, and returns the exact RTT distribution — the
-/// one-call harness the `trace_run` bench bin and the telemetry
+/// one-call harness `densekv-bench trace_run` and the telemetry
 /// property tests share.
 pub fn run_observed(
     core: &mut CoreSim,

@@ -35,7 +35,7 @@
 //!   histogram type the simulator fills, so real and simulated
 //!   percentile curves are directly comparable. That comparison — the
 //!   simulator as timing oracle behind a live front-end — is the
-//!   `serve_validate` experiment in `densekv-bench`.
+//!   `serve_validate` subcommand of `densekv-bench`.
 //!
 //! The command loop itself is byte-identical to the simulator's: both
 //! run [`densekv_kv::server::execute`], differing only in the stores

@@ -86,8 +86,8 @@ impl ServeConfig {
     }
 
     /// Defaults with every `DENSEKV_SERVE_*` environment override
-    /// applied — how the bench bins pick up deployment knobs without
-    /// growing a flag parser.
+    /// applied — how `densekv-bench` subcommands pick up deployment knobs
+    /// without growing a flag parser.
     #[must_use]
     pub fn from_env() -> Self {
         ServeConfig::default().env_overrides()

@@ -6,7 +6,7 @@
 //! real socket too. One shard reproduces Memcached 1.4's global cache
 //! lock; many shards are the 1.6-style striped design whose contention
 //! difference the paper's §3.6 (and Table 4's "Bags" row) turns on. The
-//! `lock_scaling` bin of `densekv-bench` measures that difference on
+//! `lock_scaling` subcommand of `densekv-bench` measures that difference on
 //! this type through [`ShardedStore::with_shard`].
 
 use bytes::BytesMut;

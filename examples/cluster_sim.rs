@@ -189,6 +189,6 @@ fn main() {
     println!(
         "\nEvery number above is simulated. To check the queueing model\n\
          against real sockets, run the live front-end validation:\n\
-         `cargo run --release -p densekv-bench --bin serve_validate`."
+         `cargo run --release -p densekv-bench -- serve_validate`."
     );
 }

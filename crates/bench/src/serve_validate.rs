@@ -1,6 +1,6 @@
 //! The simulator as timing oracle: drives the *real* TCP front-end
-//! (`densekv-serve`) and the open-loop *simulator*
-//! (`densekv::openloop`) through the same working points and compares
+//! (`densekv-serve`) and the *simulator* under Poisson arrivals
+//! (`densekv::stack_sim`) through the same working points and compares
 //! their latency-under-load behavior.
 //!
 //! An x86 dev box on loopback is orders of magnitude faster than a
@@ -20,20 +20,19 @@
 //! `DENSEKV_QUICK=1` shrinks the run for CI; `--jobs N` sets the client
 //! connection count.
 
-use densekv::openloop;
 use densekv::report::TextTable;
+use densekv::stack_sim::{self, Arrivals, StackSimConfig};
 use densekv::CoreSimConfig;
 use densekv_serve::{
     preload, run_closed_loop, run_open_loop, spawn, ClosedLoopConfig, LoadMix, OpenLoopConfig,
     ServeConfig,
 };
-use densekv_sim::{Duration, SplitMix64};
-use densekv_workload::{FixedSizeWorkload, Op, RequestGenerator};
 
 use crate::{emit_raw, us};
 
-/// Keys in play — matches the simulator's open-loop population so both
-/// planes serve an all-resident working set.
+/// Keys in play on both planes — the simulated core and the live
+/// server each preload all of them, so both serve an all-resident
+/// working set.
 const POPULATION: u64 = 128;
 /// GET fraction — the ETC mix both planes run.
 const GET_FRACTION: f64 = densekv_workload::ETC_GET_FRACTION;
@@ -42,41 +41,15 @@ const SEED: u64 = 0xA11CE;
 /// Load fractions (of each plane's own closed-loop capacity).
 const LOADS: [f64; 2] = [0.3, 0.7];
 
-/// The simulated core's closed-loop capacity: back-to-back requests,
-/// saturation rate = requests per second of server-side busy time.
-fn sim_capacity(family: &CoreSimConfig, value_bytes: u64, requests: u32) -> f64 {
-    let mut core = densekv::CoreSim::preloaded(family, value_bytes, POPULATION);
-    let mut rng = SplitMix64::new(SEED);
-    let mut gets = FixedSizeWorkload::new(Op::Get, value_bytes, POPULATION, SEED);
-    let mut puts = FixedSizeWorkload::new(Op::Put, value_bytes, POPULATION, !SEED);
-    let mut busy = Duration::ZERO;
-    for _ in 0..requests {
-        let request = if rng.next_bool(GET_FRACTION) {
-            gets.next_request()
-        } else {
-            puts.next_request()
-        };
-        busy += core.execute(&request).server;
-    }
-    f64::from(requests) / busy.as_secs_f64()
-}
-
+/// One working point at one load, as the summary table shows it.
 struct ValidateRow {
     family: &'static str,
     value_bytes: u64,
     load: f64,
-    sim_offered: f64,
-    sim_util: f64,
     sim_p50: f64,
-    sim_p95: f64,
     sim_p99: f64,
-    sim_sla: f64,
-    real_offered: f64,
-    real_achieved: f64,
     real_p50: f64,
-    real_p95: f64,
     real_p99: f64,
-    real_late: f64,
 }
 
 /// Runs the experiment and writes its artifacts.
@@ -94,9 +67,30 @@ pub fn run() {
         ("Iridium", CoreSimConfig::iridium_a7(), 64),
     ];
 
+    let mut csv = String::from(
+        "family,value_bytes,load_fraction,workers,\
+         sim_offered_rps,sim_utilization,sim_p50_us,sim_p95_us,sim_p99_us,sim_sla_1ms,\
+         real_offered_rps,real_achieved_rps,real_p50_us,real_p95_us,real_p99_us,\
+         real_late_fraction\n",
+    );
     let mut rows: Vec<ValidateRow> = Vec::new();
-    for (family, sim, value_bytes) in points {
-        let sim_cap = sim_capacity(&sim, value_bytes, sim_requests);
+    for (family, per_core, value_bytes) in points {
+        // One simulated core on the ETC mix. Its closed-loop capacity is
+        // a cold run (no warm-up) read as requests per second of
+        // server-side busy time.
+        let mut sim = StackSimConfig {
+            per_core,
+            cores: 1,
+            value_bytes,
+            arrivals: Arrivals::Closed,
+            get_fraction: GET_FRACTION,
+            population: POPULATION,
+            requests_per_core: sim_requests,
+            warmup_per_core: 0,
+            seed: SEED,
+        };
+        let sim_cap = f64::from(sim_requests) / stack_sim::run(&sim).busy.as_secs_f64();
+        sim.warmup_per_core = sim_warmup;
 
         // A fresh server per working point: fresh store, fresh counters.
         let server = spawn(ServeConfig::ephemeral()).expect("bind localhost");
@@ -117,15 +111,10 @@ pub fn run() {
         );
 
         for load in LOADS {
-            let sim_result = openloop::run(&openloop::OpenLoopConfig {
-                sim: sim.clone(),
-                value_bytes,
+            sim.arrivals = Arrivals::Poisson {
                 rate_per_sec: sim_cap * load,
-                get_fraction: GET_FRACTION,
-                requests: sim_requests,
-                warmup: sim_warmup,
-                seed: SEED,
-            });
+            };
+            let sim_result = stack_sim::run(&sim);
             let real = run_open_loop(&OpenLoopConfig {
                 addr,
                 workers,
@@ -136,54 +125,35 @@ pub fn run() {
             .expect("open loop");
             let sq = |q| sim_result.latency.percentile(q).map_or(0.0, us);
             let rq = |q| real.latency.percentile(q).map_or(0.0, us);
+            csv.push_str(&format!(
+                "{family},{value_bytes},{load:.2},{workers},{:.1},{:.4},{:.2},{:.2},{:.2},{:.4},\
+                 {:.1},{:.1},{:.2},{:.2},{:.2},{:.4}\n",
+                sim_cap * load,
+                sim_result.utilization,
+                sq(0.50),
+                sq(0.95),
+                sq(0.99),
+                sim_result.sla_1ms(),
+                real.offered_rps,
+                real.achieved_rps,
+                rq(0.50),
+                rq(0.95),
+                rq(0.99),
+                real.late_fraction,
+            ));
             rows.push(ValidateRow {
                 family,
                 value_bytes,
                 load,
-                sim_offered: sim_result.offered_rate,
-                sim_util: sim_result.utilization,
                 sim_p50: sq(0.50),
-                sim_p95: sq(0.95),
                 sim_p99: sq(0.99),
-                sim_sla: sim_result.sla_1ms,
-                real_offered: real.offered_rps,
-                real_achieved: real.achieved_rps,
                 real_p50: rq(0.50),
-                real_p95: rq(0.95),
                 real_p99: rq(0.99),
-                real_late: real.late_fraction,
             });
         }
         server.shutdown();
     }
 
-    let mut csv = String::from(
-        "family,value_bytes,load_fraction,workers,\
-         sim_offered_rps,sim_utilization,sim_p50_us,sim_p95_us,sim_p99_us,sim_sla_1ms,\
-         real_offered_rps,real_achieved_rps,real_p50_us,real_p95_us,real_p99_us,\
-         real_late_fraction\n",
-    );
-    for r in &rows {
-        csv.push_str(&format!(
-            "{},{},{:.2},{},{:.1},{:.4},{:.2},{:.2},{:.2},{:.4},{:.1},{:.1},{:.2},{:.2},{:.2},{:.4}\n",
-            r.family,
-            r.value_bytes,
-            r.load,
-            workers,
-            r.sim_offered,
-            r.sim_util,
-            r.sim_p50,
-            r.sim_p95,
-            r.sim_p99,
-            r.sim_sla,
-            r.real_offered,
-            r.real_achieved,
-            r.real_p50,
-            r.real_p95,
-            r.real_p99,
-            r.real_late,
-        ));
-    }
     emit_raw("serve_validate.csv", &csv);
 
     let mut table = TextTable::new(

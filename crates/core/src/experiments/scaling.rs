@@ -42,32 +42,29 @@ impl ScalingPoint {
 pub fn run(jobs: Jobs) -> Vec<ScalingPoint> {
     const CORES: [u32; 4] = [1, 4, 16, 32];
     let shapes = [(64u64, 60u32, 120u32), (256 << 10, 16, 5)];
-    let tasks: Vec<(u64, u32, u32, u32)> = shapes
+    let tasks: Vec<StackSimConfig> = shapes
         .iter()
-        .flat_map(|&(value_bytes, requests, warmup)| {
-            CORES
-                .iter()
-                .map(move |&cores| (value_bytes, requests, warmup, cores))
+        .flat_map(|&(value_bytes, requests_per_core, warmup_per_core)| {
+            CORES.iter().map(move |&cores| StackSimConfig {
+                requests_per_core,
+                warmup_per_core,
+                ..StackSimConfig::mercury_a7(cores, value_bytes)
+            })
         })
         .collect();
-    let results = par_map(jobs, &tasks, |&(value_bytes, requests, warmup, cores)| {
-        let mut cfg = StackSimConfig::mercury_a7(cores, value_bytes);
-        cfg.requests_per_core = requests;
-        cfg.warmup_per_core = warmup;
-        run_stack(&cfg)
-    });
+    let results = par_map(jobs, &tasks, run_stack);
     tasks
         .iter()
         .zip(&results)
         .enumerate()
-        .map(|(i, (&(value_bytes, _, _, cores), result))| {
+        .map(|(i, (task, result))| {
             // The first entry of each size group is its 1-core baseline.
             let one = &results[i / CORES.len() * CORES.len()];
             ScalingPoint {
-                value_bytes,
-                cores,
+                value_bytes: task.value_bytes,
+                cores: task.cores,
                 simulated_tps: result.aggregate_tps,
-                linear_tps: one.aggregate_tps * cores as f64,
+                linear_tps: one.aggregate_tps * f64::from(task.cores),
                 wire_utilization: result.wire_out_utilization,
             }
         })

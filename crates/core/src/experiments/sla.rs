@@ -10,9 +10,9 @@
 use densekv_par::{par_map, Jobs};
 use densekv_sim::Duration;
 
-use crate::openloop::{run as run_openloop, OpenLoopConfig};
 use crate::report::TextTable;
 use crate::sim::CoreSimConfig;
+use crate::stack_sim::{run as run_stack, StackSimConfig};
 use crate::sweep::{measure_point, SweepEffort};
 
 /// One load point of the SLA experiment.
@@ -35,7 +35,7 @@ pub struct SlaPoint {
 /// Runs the SLA experiment for Mercury and Iridium A7 cores at 64 B.
 ///
 /// Stage 1 measures each system's closed-loop capacity in parallel;
-/// stage 2 fans the (system, load) grid out, each open-loop run an
+/// stage 2 fans the (system, load) grid out, each Poisson run an
 /// independent task. Both stages collect in index order, so the output
 /// is jobs-invariant.
 pub fn run(effort: SweepEffort, jobs: Jobs) -> Vec<SlaPoint> {
@@ -52,17 +52,17 @@ pub fn run(effort: SweepEffort, jobs: Jobs) -> Vec<SlaPoint> {
         .collect();
     par_map(jobs, &tasks, |&(si, load)| {
         let (system, config) = &systems[si];
-        let mut ol = OpenLoopConfig::gets(config.clone(), 64, capacities[si] * load);
-        ol.requests = 500;
-        ol.warmup = 300;
-        let result = run_openloop(&ol);
+        let rate = capacities[si] * load;
+        let mut poisson = StackSimConfig::poisson_gets(config.clone(), 64, rate);
+        poisson.requests_per_core = 500;
+        let result = run_stack(&poisson);
         SlaPoint {
             system,
             load_fraction: load,
-            rate: result.offered_rate,
+            rate,
             p50: result.latency.percentile(0.50).expect("samples"),
             p99: result.latency.percentile(0.99).expect("samples"),
-            sla_1ms: result.sla_1ms,
+            sla_1ms: result.sla_1ms(),
         }
     })
 }

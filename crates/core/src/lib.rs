@@ -14,9 +14,9 @@
 //! * [`sweep`] — the paper's 64 B–1 MB request-size sweeps,
 //! * [`experiments`] — one runner per table and figure (Tables 1–4,
 //!   Figures 4–8, the §6.5 thermal check, and the §6 headline ratios),
-//! * [`openloop`] — Poisson-arrival latency-under-load (SLA) runs,
-//! * [`stack_sim`] — an event-driven multi-core stack sharing one 10 GbE
-//!   port, validating the §5.3 linear-scaling assumption,
+//! * [`stack_sim`] — the one simulated queue: n cores sharing one 10 GbE
+//!   port, closed-loop (the §5.3 linear-scaling check) or under Poisson
+//!   arrivals (latency under load, the SLA runs),
 //! * [`system`] — the top-level facade: build a Mercury/Iridium box and
 //!   query throughput, density, power, and latency under load,
 //! * [`report`] — text/CSV rendering of experiment output,
@@ -46,7 +46,6 @@
 pub mod energy;
 pub mod experiments;
 pub mod observe;
-pub mod openloop;
 pub mod paper;
 pub mod report;
 pub mod sim;

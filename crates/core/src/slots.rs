@@ -1,6 +1,6 @@
 //! Struct-of-arrays request-slot storage for the hot request loops.
 //!
-//! The sweep and open-loop drivers used to materialize every request as
+//! The sweep and energy drivers used to materialize every request as
 //! a [`densekv_workload::Request`] — an owned key `Vec` per request,
 //! allocated and dropped millions of times per experiment. This module
 //! keeps per-request state in parallel vectors indexed by a dense slot:

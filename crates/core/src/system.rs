@@ -20,8 +20,8 @@ use densekv_sim::Duration;
 use densekv_stack::config::StackConfigError;
 use densekv_stack::{MemoryKind, StackConfig};
 
-use crate::openloop::{run as run_openloop, OpenLoopConfig, OpenLoopResult};
 use crate::sim::CoreSimConfig;
+use crate::stack_sim::{run as run_stack, StackSimConfig, StackSimResult};
 use crate::sweep::{measure_point, sweep_sizes, SweepEffort, SweepPoint};
 
 /// Which memory family the system uses.
@@ -223,8 +223,8 @@ impl System {
 
     /// Latency under a Poisson load of `rate_per_sec` GETs of
     /// `value_bytes`, on one core.
-    pub fn latency_under_load(&self, value_bytes: u64, rate_per_sec: f64) -> OpenLoopResult {
-        run_openloop(&OpenLoopConfig::gets(
+    pub fn latency_under_load(&self, value_bytes: u64, rate_per_sec: f64) -> StackSimResult {
+        run_stack(&StackSimConfig::poisson_gets(
             self.sim_config.clone(),
             value_bytes,
             rate_per_sec,
@@ -281,6 +281,6 @@ mod tests {
     fn facade_latency_under_load() {
         let system = SystemBuilder::iridium().build().unwrap();
         let result = system.latency_under_load(64, 1_000.0);
-        assert!(result.sla_1ms > 0.9, "{}", result.sla_1ms);
+        assert!(result.sla_1ms() > 0.9, "{}", result.sla_1ms());
     }
 }

@@ -32,7 +32,6 @@ use densekv_sim::{Duration, SimTime};
 pub struct PortMeter {
     busy_ps: u64,
     sends: u64,
-    bytes: u64,
     drops: u64,
 }
 
@@ -48,13 +47,6 @@ impl PortMeter {
         self.sends += 1;
     }
 
-    /// Records one transfer of `bytes` payload occupying the port for
-    /// `busy`.
-    pub fn record_send_bytes(&mut self, busy: Duration, bytes: u64) {
-        self.record_send(busy);
-        self.bytes += bytes;
-    }
-
     /// Records a transfer the port refused (queue overflow, dead stack).
     pub fn record_drop(&mut self) {
         self.drops += 1;
@@ -68,11 +60,6 @@ impl PortMeter {
     /// Number of transfers recorded.
     pub fn sends(&self) -> u64 {
         self.sends
-    }
-
-    /// Total payload bytes recorded via [`PortMeter::record_send_bytes`].
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 
     /// Number of refused transfers.
@@ -97,7 +84,6 @@ impl PortMeter {
     pub fn merge(&mut self, other: &PortMeter) {
         self.busy_ps += other.busy_ps;
         self.sends += other.sends;
-        self.bytes += other.bytes;
         self.drops += other.drops;
     }
 }
@@ -109,12 +95,11 @@ mod tests {
     #[test]
     fn busy_time_accumulates() {
         let mut m = PortMeter::new();
-        m.record_send_bytes(Duration::from_micros(2), 2500);
-        m.record_send_bytes(Duration::from_micros(2), 2500);
+        m.record_send(Duration::from_micros(2));
+        m.record_send(Duration::from_micros(2));
         m.record_drop();
         assert_eq!(m.busy_time(), Duration::from_micros(4));
         assert_eq!(m.sends(), 2);
-        assert_eq!(m.bytes(), 5000);
         assert_eq!(m.drops(), 1);
     }
 

@@ -209,20 +209,21 @@ fn simulations_are_bit_reproducible() {
     assert_eq!(a.put.mean_rtt, b.put.mean_rtt);
     assert_eq!(a.get.perf.mem_gbps.to_bits(), b.get.perf.mem_gbps.to_bits());
 
-    let ol = |_| {
-        densekv::openloop::run(&densekv::openloop::OpenLoopConfig::gets(
-            CoreSimConfig::iridium_a7(),
-            64,
-            2_000.0,
-        ))
-    };
-    let (x, y) = (ol(()), ol(()));
-    assert_eq!(x.latency.percentile(0.99), y.latency.percentile(0.99));
-    assert_eq!(x.utilization.to_bits(), y.utilization.to_bits());
-
-    let stack = |_| densekv::stack_sim::run(&densekv::stack_sim::StackSimConfig::mercury_a7(4, 64));
-    let (s, t) = (stack(()), stack(()));
-    assert_eq!(s.aggregate_tps.to_bits(), t.aggregate_tps.to_bits());
+    use densekv::stack_sim::{run, Arrivals, StackSimConfig};
+    for arrivals in [
+        Arrivals::Closed,
+        Arrivals::Poisson {
+            rate_per_sec: 2_000.0,
+        },
+    ] {
+        let mut config = StackSimConfig::mercury_a7(4, 64);
+        config.per_core = CoreSimConfig::iridium_a7();
+        config.arrivals = arrivals;
+        let (x, y) = (run(&config), run(&config));
+        assert_eq!(x.latency.percentile(0.99), y.latency.percentile(0.99));
+        assert_eq!(x.utilization.to_bits(), y.utilization.to_bits());
+        assert_eq!(x.aggregate_tps.to_bits(), y.aggregate_tps.to_bits());
+    }
 }
 
 #[test]

@@ -269,6 +269,104 @@ impl LegScratch {
     }
 }
 
+/// How many arrivals' draws [`Draws`] makes ahead of the event loop:
+/// enough to keep many table misses in flight, with buffers of a few KB.
+const DRAW_BLOCK: u32 = 64;
+
+/// A run's random draws, made a block of arrivals ahead.
+///
+/// The RNG stream is consumed in an order no simulation state can
+/// change: the first gap, then, for each arrival `s`, the gap to arrival
+/// `s + 1` (none after the last) and its batch of Zipf ranks — unroutable
+/// keys included, and the fault draws nothing. Drawing a block at a time
+/// changes when the numbers are drawn, never which. Each Zipf rank reads
+/// one random slot of an alias table far larger than the cache; in one
+/// tight loop of independent loads those misses overlap, where the event
+/// loop would take them one after another.
+struct Draws {
+    rng: SplitRng,
+    arrivals: Exponential,
+    zipf: Arc<Zipf>,
+    /// Keys per arrival.
+    batch: usize,
+    /// Arrivals in the run.
+    total: u32,
+    /// The gap before arrival 0, `None` for a run without arrivals.
+    first_gap: Option<Duration>,
+    /// First arrival held in the buffers.
+    start: u32,
+    /// Gap to the next arrival, per buffered arrival that has one.
+    gaps: Vec<Duration>,
+    /// `batch` Zipf ranks per buffered arrival.
+    keys: Vec<u64>,
+}
+
+impl Draws {
+    fn new(config: &ClusterConfig, total: u32) -> Self {
+        let mut rng = SplitRng::new(config.seed);
+        let arrivals = Exponential::from_rate_per_sec(config.workload.rate_per_sec);
+        let first_gap = (total > 0).then(|| arrivals.sample(&mut rng));
+        let batch = config.workload.multiget_batch as usize;
+        Draws {
+            rng,
+            arrivals,
+            zipf: popularity(config.workload.key_population, config.workload.zipf_alpha),
+            batch,
+            total,
+            first_gap,
+            start: 0,
+            gaps: Vec::with_capacity(DRAW_BLOCK as usize),
+            keys: Vec::with_capacity(DRAW_BLOCK as usize * batch),
+        }
+    }
+
+    /// Arrival `seq`'s gap to the next arrival (`None` for the last) and
+    /// its keys. Arrivals must be asked for in order.
+    fn arrival(&mut self, seq: u32) -> (Option<Duration>, &[u64]) {
+        let held = (self.keys.len() / self.batch) as u32;
+        if seq == self.start + held {
+            self.fill(seq);
+        }
+        let i = (seq - self.start) as usize;
+        (
+            self.gaps.get(i).copied(),
+            &self.keys[i * self.batch..(i + 1) * self.batch],
+        )
+    }
+
+    /// Draws arrivals `start..` for one block, in stream order.
+    fn fill(&mut self, start: u32) {
+        self.start = start;
+        self.gaps.clear();
+        self.keys.clear();
+        for seq in start..start + DRAW_BLOCK.min(self.total - start) {
+            if seq + 1 < self.total {
+                self.gaps.push(self.arrivals.sample(&mut self.rng));
+            }
+            for _ in 0..self.batch {
+                self.keys.push(self.zipf.sample(&mut self.rng) as u64);
+            }
+        }
+    }
+
+    /// The reference: the whole run drawn up front, one arrival at a
+    /// time in the event loop's order — gap, then keys — so `fill` never
+    /// runs.
+    #[cfg(test)]
+    fn drawn_per_arrival(config: &ClusterConfig, total: u32) -> Self {
+        let mut draws = Draws::new(config, total);
+        for seq in 0..total {
+            if seq + 1 < total {
+                draws.gaps.push(draws.arrivals.sample(&mut draws.rng));
+            }
+            for _ in 0..draws.batch {
+                draws.keys.push(draws.zipf.sample(&mut draws.rng) as u64);
+            }
+        }
+        draws
+    }
+}
+
 /// The core on which each key is warm.
 ///
 /// An entry of zero means "warm on the owner the initial ring gives it";
@@ -377,7 +475,8 @@ pub fn run(config: &ClusterConfig) -> ClusterResult {
 ///
 /// As [`run`].
 pub fn run_with_telemetry(config: &ClusterConfig, tele: &mut Telemetry) -> ClusterResult {
-    simulate(config, tele, WarmKeys::lazy(config.workload.key_population))
+    let warm = WarmKeys::lazy(config.workload.key_population);
+    simulate(config, tele, warm, Draws::new)
 }
 
 /// The eager-preload reference: [`run`] with every key's initial owner
@@ -385,10 +484,28 @@ pub fn run_with_telemetry(config: &ClusterConfig, tele: &mut Telemetry) -> Clust
 #[cfg(test)]
 fn run_eager_reference(config: &ClusterConfig) -> ClusterResult {
     let warm = WarmKeys::eager(&build_ring(config), config.workload.key_population);
-    simulate(config, &mut Telemetry::disabled(), warm)
+    simulate(config, &mut Telemetry::disabled(), warm, Draws::new)
 }
 
-fn simulate(config: &ClusterConfig, tele: &mut Telemetry, warm: WarmKeys) -> ClusterResult {
+/// The drawn-ahead reference: [`run`] with every draw made in the
+/// event loop's order, one arrival at a time.
+#[cfg(test)]
+fn run_drawn_per_arrival(config: &ClusterConfig) -> ClusterResult {
+    let warm = WarmKeys::lazy(config.workload.key_population);
+    simulate(
+        config,
+        &mut Telemetry::disabled(),
+        warm,
+        Draws::drawn_per_arrival,
+    )
+}
+
+fn simulate(
+    config: &ClusterConfig,
+    tele: &mut Telemetry,
+    warm: WarmKeys,
+    draws: fn(&ClusterConfig, u32) -> Draws,
+) -> ClusterResult {
     let topo = config.topology;
     assert!(topo.stacks >= 1, "need at least one stack");
     assert!(
@@ -403,6 +520,11 @@ fn simulate(config: &ClusterConfig, tele: &mut Telemetry, warm: WarmKeys) -> Clu
             assert!(s < topo.stacks, "fault plan kills unknown stack {s}");
         }
     }
+    let total = config
+        .warmup
+        .checked_add(config.requests)
+        .expect("warmup + requests overflows u32");
+    let mut draws = draws(config, total);
 
     let requests_ctr = tele.metrics.counter("cluster.requests");
     let dropped_ctr = tele.metrics.counter("cluster.dropped");
@@ -441,16 +563,10 @@ fn simulate(config: &ClusterConfig, tele: &mut Telemetry, warm: WarmKeys) -> Clu
     let mut stack_death: Vec<Option<SimTime>> = vec![None; topo.stacks as usize];
     let mut live_stacks = topo.stacks;
 
-    let arrivals = Exponential::from_rate_per_sec(config.workload.rate_per_sec);
-    let zipf = popularity(population, config.workload.zipf_alpha);
-    // Batched generator: consumes the exact SplitMix64 stream this seed
-    // always produced, amortizing state updates across arrival and Zipf
-    // draws — bit-identical results, fewer per-draw loads.
-    let mut rng = SplitRng::new(config.seed);
-
-    let total_requests = config.warmup + config.requests;
     let mut sched: Scheduler<Event> = Scheduler::new();
-    sched.schedule_in(arrivals.sample(&mut rng), Event::Arrival { seq: 0 });
+    if let Some(gap) = draws.first_gap {
+        sched.schedule_in(gap, Event::Arrival { seq: 0 });
+    }
     if let Some(fault) = &config.fault {
         sched.schedule_at(fault.at, Event::Fail);
     }
@@ -510,18 +626,17 @@ fn simulate(config: &ClusterConfig, tele: &mut Telemetry, warm: WarmKeys) -> Clu
                 });
             }
             Event::Arrival { seq } => {
-                if seq + 1 < total_requests {
-                    sched.schedule_in(arrivals.sample(&mut rng), Event::Arrival { seq: seq + 1 });
+                let (gap, keys) = draws.arrival(seq);
+                if let Some(gap) = gap {
+                    sched.schedule_in(gap, Event::Arrival { seq: seq + 1 });
                 }
-                // Routing pass: draw the batch up front (so the RNG
-                // stream is identical whether or not any shard is
-                // routable) and resolve owners — the ring lookup is
-                // pure, so splitting it from the timing pass below
-                // reorders nothing. Unroutable keys drop out here,
-                // exactly as the old inline `continue` did.
+                // Routing pass: resolve the drawn keys' owners — the
+                // ring lookup is pure, so splitting it from the timing
+                // pass below reorders nothing. It stays here, not in
+                // `Draws`, because the ring changes at the fault.
+                // Unroutable keys drop out here.
                 legs.clear();
-                for _ in 0..config.workload.multiget_batch {
-                    let key = zipf.sample(&mut rng) as u64;
+                for &key in keys {
                     if let Some(owner) = state.ring.node_for(&key.to_le_bytes()) {
                         legs.push(key, owner, topo.stack_of(owner));
                     }
@@ -1043,14 +1158,18 @@ mod tests {
         MidWarmup,
         MidMeasurement,
         AfterLastArrival,
+        /// Halfway through the first block of draws.
+        MidBlock,
     }
 
     /// A small cluster (4 stacks × 4 cores) over a key population small
-    /// enough that remapped keys come back and hit their refilled owner.
+    /// enough that remapped keys come back and hit their refilled owner;
+    /// a quarter of the `arrivals` are warm-up.
     fn differential_config(
         seed: u64,
         population: u64,
         batch: u32,
+        arrivals: u32,
         phase: FaultPhase,
         kill_stacks: Vec<u32>,
     ) -> ClusterConfig {
@@ -1060,8 +1179,8 @@ mod tests {
         config.workload = ClusterWorkload::multigets(0.0, batch);
         config.workload.key_population = population;
         config.workload.rate_per_sec = 0.3 * config.hit_capacity();
-        config.requests = 600;
-        config.warmup = 200;
+        config.warmup = arrivals / 4;
+        config.requests = arrivals - config.warmup;
         config.seed = seed;
         config.timeline_bucket = Duration::from_micros(100);
         config.energy = Some(crate::config::ClusterEnergyModel::mercury_a7(
@@ -1073,6 +1192,7 @@ mod tests {
             FaultPhase::MidWarmup => arrival(config.warmup / 2),
             FaultPhase::MidMeasurement => arrival(config.warmup + config.requests / 2),
             FaultPhase::AfterLastArrival => 1.0,
+            FaultPhase::MidBlock => arrival(DRAW_BLOCK / 2),
         };
         config.fault = Some(FaultPlan {
             at: SimTime::ZERO + Duration::from_secs_f64(at),
@@ -1092,15 +1212,10 @@ mod tests {
 
     #[test]
     fn lazy_warm_keys_match_the_eager_preload() {
-        for phase in [
-            FaultPhase::BeforeFirstArrival,
-            FaultPhase::MidWarmup,
-            FaultPhase::MidMeasurement,
-            FaultPhase::AfterLastArrival,
-        ] {
+        for phase in ALL_PHASES {
             for kill in [vec![1], vec![0, 1, 2, 3]] {
                 for batch in [1, 8] {
-                    let config = differential_config(7, 400, batch, phase, kill.clone());
+                    let config = differential_config(7, 400, batch, 800, phase, kill.clone());
                     let result = assert_matches_reference(&config);
                     let faulted = !matches!(phase, FaultPhase::AfterLastArrival);
                     // A fault inside the run moves keys that come back
@@ -1121,24 +1236,136 @@ mod tests {
             seed in proptest::prelude::any::<u64>(),
             population in 50u64..3_000,
             batch in 0u32..2,
-            phase in 0u8..4,
+            phase in 0usize..5,
             kill in (0u32..4, 0u8..3),
         ) {
-            let phase = [
-                FaultPhase::BeforeFirstArrival,
-                FaultPhase::MidWarmup,
-                FaultPhase::MidMeasurement,
-                FaultPhase::AfterLastArrival,
-            ][usize::from(phase)];
-            let (stack, shape) = kill;
-            let kill_stacks = match shape {
-                0 => vec![stack],
-                1 => vec![stack, stack],
-                _ => (0..4).collect(),
-            };
-            let config = differential_config(seed, population, 1 + 7 * batch, phase, kill_stacks);
+            let config = differential_config(
+                seed,
+                population,
+                1 + 7 * batch,
+                800,
+                ALL_PHASES[phase],
+                kill_plan(kill),
+            );
             assert_matches_reference(&config);
         }
+
+        #[test]
+        fn drawn_ahead_matches_drawn_per_arrival_on_any_seed(
+            seed in proptest::prelude::any::<u64>(),
+            population in 50u64..3_000,
+            batch in 0usize..3,
+            arrivals in 0usize..5,
+            phase in 0usize..5,
+            kill in (0u32..4, 0u8..3),
+        ) {
+            let config = differential_config(
+                seed,
+                population,
+                DRAW_SHAPES.0[batch],
+                DRAW_SHAPES.1[arrivals],
+                ALL_PHASES[phase],
+                kill_plan(kill),
+            );
+            assert_drawn_ahead_matches(&config);
+        }
+    }
+
+    const ALL_PHASES: [FaultPhase; 5] = [
+        FaultPhase::BeforeFirstArrival,
+        FaultPhase::MidWarmup,
+        FaultPhase::MidMeasurement,
+        FaultPhase::AfterLastArrival,
+        FaultPhase::MidBlock,
+    ];
+
+    /// One stack, one stack named twice, or every stack.
+    fn kill_plan((stack, shape): (u32, u8)) -> Vec<u32> {
+        match shape {
+            0 => vec![stack],
+            1 => vec![stack, stack],
+            _ => (0..4).collect(),
+        }
+    }
+
+    /// Batch sizes (one odd) and arrival counts either side of a block.
+    const DRAW_SHAPES: ([u32; 3], [u32; 5]) = ([1, 8, 13], [1, 63, 64, 65, 129]);
+
+    /// `run` and the per-arrival draw reference agree on every field.
+    fn assert_drawn_ahead_matches(config: &ClusterConfig) {
+        let ahead = run(config);
+        let per_arrival = run_drawn_per_arrival(config);
+        assert_eq!(
+            format!("{ahead:?}"),
+            format!("{per_arrival:?}"),
+            "{config:?}"
+        );
+    }
+
+    #[test]
+    fn drawn_ahead_matches_drawn_per_arrival() {
+        for batch in DRAW_SHAPES.0 {
+            for arrivals in DRAW_SHAPES.1 {
+                for phase in ALL_PHASES {
+                    let config = differential_config(11, 700, batch, arrivals, phase, vec![2]);
+                    assert_drawn_ahead_matches(&config);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn draws_hand_out_the_per_arrival_stream() {
+        let mut config = quick(0.5);
+        config.workload = ClusterWorkload::multigets(0.0, 3);
+        config.workload.rate_per_sec = 1e6;
+        let total = 2 * DRAW_BLOCK + 5;
+
+        // The event loop's order: the first gap, then per arrival the
+        // gap to the next one (none after the last) and its keys.
+        let mut rng = SplitRng::new(config.seed);
+        let arrivals = Exponential::from_rate_per_sec(config.workload.rate_per_sec);
+        let zipf = popularity(config.workload.key_population, config.workload.zipf_alpha);
+        let first_gap = arrivals.sample(&mut rng);
+        let expected: Vec<(Option<Duration>, Vec<u64>)> = (0..total)
+            .map(|seq| {
+                let gap = (seq + 1 < total).then(|| arrivals.sample(&mut rng));
+                let keys = (0..3).map(|_| zipf.sample(&mut rng) as u64).collect();
+                (gap, keys)
+            })
+            .collect();
+
+        for mut draws in [
+            Draws::new(&config, total),
+            Draws::drawn_per_arrival(&config, total),
+        ] {
+            assert_eq!(draws.first_gap, Some(first_gap));
+            for (seq, (gap, keys)) in (0..total).zip(&expected) {
+                let (got_gap, got_keys) = draws.arrival(seq);
+                assert_eq!((got_gap, got_keys), (*gap, keys.as_slice()), "seq {seq}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_without_arrivals_measures_nothing() {
+        let mut config = quick(0.5);
+        config.warmup = 0;
+        config.requests = 0;
+        let result = run(&config);
+        assert_eq!(result.measured, 0);
+        assert_eq!(result.shard_hits + result.shard_misses, 0);
+        assert_eq!(result.latency.count(), 0);
+        assert_eq!(result.shard_latency.count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "warmup + requests overflows u32")]
+    fn an_arrival_count_past_u32_panics() {
+        let mut config = quick(0.5);
+        config.warmup = u32::MAX;
+        config.requests = 1;
+        run(&config);
     }
 
     #[test]

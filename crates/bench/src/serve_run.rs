@@ -9,12 +9,13 @@
 //! the request streams themselves are seeded and exactly reproducible.
 //!
 //! `DENSEKV_QUICK=1` shrinks the run for CI smoke tests; `--jobs N`
-//! sets the client connection count.
+//! sets the client connection count; the store behind the sockets is
+//! the one [`BackendKind::from_env`] names.
 
 use densekv::report::TextTable;
 use densekv_serve::{
-    preload, run_closed_loop, run_open_loop, spawn, ClosedLoopConfig, LoadMix, LoadReport,
-    OpenLoopConfig, ServeConfig,
+    preload, run_closed_loop, run_open_loop, spawn, BackendKind, ClosedLoopConfig, LoadMix,
+    LoadReport, OpenLoopConfig, ServeConfig,
 };
 
 use crate::{emit_raw, us};
@@ -36,11 +37,15 @@ pub fn run() {
     let closed_requests = if quick { 300 } else { 5_000 };
     let open_millis = if quick { 300 } else { 2_000 };
 
-    let server = spawn(ServeConfig::ephemeral()).expect("bind localhost");
+    let backend = BackendKind::from_env();
+    let server = spawn(ServeConfig::ephemeral().with_backend(backend)).expect("bind localhost");
     let addr = server.addr();
     let mix = LoadMix::etc(keys, 256, 0xA11CE);
     let warmed = preload(addr, &mix).expect("preload");
-    eprintln!("[serve_run] {warmed} keys preloaded on {addr}, {workers} client connections");
+    eprintln!(
+        "[serve_run] {warmed} keys preloaded on {addr} ({} backend), {workers} client connections",
+        backend.as_str()
+    );
 
     let mut rows = Vec::new();
     let capacity = {

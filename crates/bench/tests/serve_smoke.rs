@@ -1,6 +1,6 @@
 //! CI smoke tests for the live front-end: an in-process server driven
-//! through the pool client, and the `serve_*` and `top` subcommands of
-//! `densekv-bench` end-to-end in quick mode.
+//! through a few client connections, and the `serve_*` and `top`
+//! subcommands of `densekv-bench` end-to-end in quick mode.
 //!
 //! Everything here carries a hard timeout — a wedged accept loop or a
 //! lost shutdown wakeup must fail the suite, not hang it.
@@ -10,7 +10,7 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 use densekv_serve::{
-    preload, run_closed_loop, spawn, ClosedLoopConfig, LoadMix, Pool, ServeConfig,
+    preload, run_closed_loop, spawn, ClosedLoopConfig, Connection, LoadMix, ServeConfig,
 };
 
 /// Runs `body` on a watched thread; panics if it outlives `limit`.
@@ -34,12 +34,15 @@ fn serve_smoke_mixed_traffic_over_an_ephemeral_port() {
         let mix = LoadMix::etc(128, 128, 42);
         preload(addr, &mix).expect("preload");
 
-        // Mixed get/set through the pool client.
-        let mut pool = Pool::connect(addr, 4).expect("pool");
-        for i in 0..50u32 {
+        // Mixed get/set round-robin over four connections: each key is
+        // set on one connection and read back on the next.
+        let mut conns: Vec<Connection> = (0..4)
+            .map(|_| Connection::connect(addr).expect("connect"))
+            .collect();
+        for i in 0..50usize {
             let key = format!("smoke{i}");
-            assert!(pool.checkout().set(key.as_bytes(), b"v").unwrap());
-            assert!(pool.checkout().get(key.as_bytes()).unwrap().is_some());
+            assert!(conns[i % 4].set(key.as_bytes(), b"v").unwrap());
+            assert!(conns[(i + 1) % 4].get(key.as_bytes()).unwrap().is_some());
         }
 
         // A load-generator pass fills a non-empty latency histogram.
@@ -91,6 +94,26 @@ fn serve_run_binary_emits_its_artifact() {
             let p99: f64 = fields[10].parse().expect("p99 parses");
             assert!(achieved > 0.0 && p99 > 0.0, "degenerate row: {line}");
         }
+    });
+}
+
+#[test]
+fn serve_run_serves_the_backend_the_environment_names() {
+    with_deadline(Duration::from_secs(120), || {
+        let results = Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve_run_engine_results");
+        let output = Command::new(env!("CARGO_BIN_EXE_densekv-bench"))
+            .env("DENSEKV_QUICK", "1")
+            .env("DENSEKV_SERVE_BACKEND", "engine")
+            .env(densekv_bench::RESULTS_DIR_ENV, &results)
+            .args(["serve_run", "--jobs", "2"])
+            .output()
+            .expect("serve_run starts");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "serve_run exits cleanly\n{stderr}");
+        assert!(
+            stderr.contains("engine backend"),
+            "serve_run must serve the engine:\n{stderr}"
+        );
     });
 }
 

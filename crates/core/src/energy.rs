@@ -35,7 +35,6 @@ use densekv_workload::{Op, Request, RequestGenerator};
 
 use crate::observe::observed_loop;
 use crate::sim::{CoreSim, CoreSimConfig, PhaseBreakdown, RequestTiming};
-use crate::slots::RequestSlots;
 use crate::sweep::{per_core_perf, population_for, warm, SweepEffort};
 
 /// Gauge columns an [`EnergyObserver`] keeps current when the bundle's
@@ -454,8 +453,7 @@ pub fn measure_energy_point(
     effort: SweepEffort,
 ) -> (PerCorePerf, EnergyRun) {
     let mut core = CoreSim::preloaded(config, value_bytes, population_for(value_bytes));
-    let mut slots = RequestSlots::with_capacity(1);
-    let mut gen = warm(&mut core, Op::Get, value_bytes, effort, &mut slots);
+    let mut gen = warm(&mut core, Op::Get, value_bytes, effort);
     let measured = effort.measured_for(value_bytes);
     let requests: Vec<Request> = (0..measured).map(|_| gen.next_request()).collect();
     let run = run_energy_observed(

@@ -49,7 +49,6 @@ pub mod observe;
 pub mod paper;
 pub mod report;
 pub mod sim;
-pub mod slots;
 pub mod stack_sim;
 pub mod sweep;
 pub mod system;

@@ -583,9 +583,9 @@ impl CoreSim {
     }
 
     /// [`CoreSim::execute_breakdown`] without a materialized
-    /// [`Request`]: the sweeps pass key bytes straight out of their
-    /// request-slot arena and `stack_sim` out of one reused buffer, so
-    /// no per-request `Vec` allocation happens on the hot path.
+    /// [`Request`]: the sweeps and `stack_sim` pass key bytes out of one
+    /// reused buffer, so no per-request `Vec` allocation happens on the
+    /// hot path.
     pub fn execute_parts(
         &mut self,
         op: Op,

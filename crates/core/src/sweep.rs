@@ -5,10 +5,9 @@ use densekv_par::{par_map, par_map_reduce, Jobs};
 use densekv_server::PerCorePerf;
 use densekv_sim::stats::LatencyHistogram;
 use densekv_sim::Duration;
-use densekv_workload::{FixedSizeWorkload, Op};
+use densekv_workload::{key_bytes_into, FixedSizeWorkload, Op, MAX_KEY_LEN};
 
 use crate::sim::{CoreSim, CoreSimConfig};
-use crate::slots::RequestSlots;
 
 /// Measured behaviour of one operation type at one size point.
 #[derive(Debug, Clone)]
@@ -125,11 +124,10 @@ pub fn measure_point(config: &CoreSimConfig, value_bytes: u64, effort: SweepEffo
 }
 
 /// Warms a preloaded core for one measured `op` point: replays
-/// `effort`'s warm-up through `slots`, resets the bandwidth counters,
-/// and returns the key stream at the first measured request.
+/// `effort`'s warm-up, resets the bandwidth counters, and returns the
+/// key stream at the first measured request.
 ///
-/// Requests live in a slot arena: the key renders straight into the
-/// arena and the slot recycles each iteration, so the loop never
+/// Each key renders into one reused buffer, so the loop never
 /// allocates. The key-id draws are the exact stream `next_request` would
 /// consume, so a caller that goes on with owned `Request`s replays the
 /// same requests.
@@ -138,14 +136,13 @@ pub(crate) fn warm(
     op: Op,
     value_bytes: u64,
     effort: SweepEffort,
-    slots: &mut RequestSlots,
 ) -> FixedSizeWorkload {
     let population = population_for(value_bytes);
     let mut gen = FixedSizeWorkload::new(op, value_bytes, population, 0x5EED ^ value_bytes);
+    let mut key = Vec::with_capacity(MAX_KEY_LEN);
     for _ in 0..effort.warmup_for(value_bytes) {
-        let slot = slots.acquire(op, value_bytes, gen.next_key_id());
-        core.execute_parts(slots.op(slot), slots.key(slot), slots.value_bytes(slot));
-        slots.release(slot);
+        key_bytes_into(gen.next_key_id(), &mut key);
+        core.execute_parts(op, &key, value_bytes);
     }
     core.reset_counters();
     gen
@@ -164,8 +161,8 @@ pub(crate) fn per_core_perf(core: &CoreSim, total: Duration, measured: u32) -> P
 }
 
 fn measure_op(core: &mut CoreSim, op: Op, value_bytes: u64, effort: SweepEffort) -> OpPoint {
-    let mut slots = RequestSlots::with_capacity(1);
-    let mut gen = warm(core, op, value_bytes, effort, &mut slots);
+    let mut gen = warm(core, op, value_bytes, effort);
+    let mut key = Vec::with_capacity(MAX_KEY_LEN);
 
     let mut latency = LatencyHistogram::new();
     let mut total = Duration::ZERO;
@@ -175,9 +172,8 @@ fn measure_op(core: &mut CoreSim, op: Op, value_bytes: u64, effort: SweepEffort)
     let mut server = Duration::ZERO;
     let measured = effort.measured_for(value_bytes);
     for _ in 0..measured {
-        let slot = slots.acquire(op, value_bytes, gen.next_key_id());
-        let (t, _) = core.execute_parts(slots.op(slot), slots.key(slot), slots.value_bytes(slot));
-        slots.release(slot);
+        key_bytes_into(gen.next_key_id(), &mut key);
+        let (t, _) = core.execute_parts(op, &key, value_bytes);
         latency.record(t.rtt);
         total += t.rtt;
         net += t.network;

@@ -1,5 +1,5 @@
 //! A steady-state simulated GET performs no heap allocation: the
-//! request slot, the lookup trace and the store phase's metadata lines
+//! request's key, the lookup trace and the store phase's metadata lines
 //! all live in buffers the core reuses, and the cache model's queue of
 //! postponed L1 fills is a ring of fixed capacity, and the Helios tier
 //! keeps its recency order as links between the slots of a frame table.
@@ -14,8 +14,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use densekv::sim::{CoreSim, CoreSimConfig};
-use densekv::slots::RequestSlots;
-use densekv_workload::{MixedWorkload, Op, RequestGenerator, ETC_GET_FRACTION, ETC_ZIPF_ALPHA};
+use densekv_workload::{
+    key_bytes_into, MixedWorkload, Op, RequestGenerator, ETC_GET_FRACTION, ETC_ZIPF_ALPHA,
+    MAX_KEY_LEN,
+};
 
 thread_local! {
     /// Allocations made by this thread (const-initialised and without a
@@ -67,12 +69,10 @@ fn steady_state_get_does_not_allocate() {
     ] {
         let mut core = CoreSim::new(config).expect("valid configuration");
         core.preload(value_bytes, 8).expect("preload fits");
-        let mut slots = RequestSlots::with_capacity(1);
+        let mut key = Vec::with_capacity(MAX_KEY_LEN);
         let mut get = |core: &mut CoreSim, key_id: u64| {
-            let slot = slots.acquire(Op::Get, value_bytes, key_id);
-            let timing =
-                core.execute_parts(slots.op(slot), slots.key(slot), slots.value_bytes(slot));
-            slots.release(slot);
+            key_bytes_into(key_id, &mut key);
+            let timing = core.execute_parts(Op::Get, &key, value_bytes);
             assert!(timing.0.hit);
         };
         // Every buffer reaches its working size within two passes, but

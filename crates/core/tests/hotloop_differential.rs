@@ -11,13 +11,12 @@
 //! reference in `tests/properties.rs`.)
 
 use densekv::sim::{CoreSim, CoreSimConfig};
-use densekv::slots::RequestSlots;
 use densekv_cpu::CoreConfig;
 use densekv_sim::Duration;
 use densekv_sim::SplitMix64;
 use densekv_workload::{
-    key_bytes, FixedSizeWorkload, MixedWorkload, Op, RequestGenerator, ETC_GET_FRACTION,
-    ETC_ZIPF_ALPHA,
+    key_bytes, key_bytes_into, FixedSizeWorkload, MixedWorkload, Op, RequestGenerator,
+    ETC_GET_FRACTION, ETC_ZIPF_ALPHA,
 };
 
 /// A core built as every measured point builds one; the reference walks
@@ -42,17 +41,15 @@ fn assert_streams_identical(
     population: u64,
     per_op: u32,
 ) {
-    let mut slots = RequestSlots::with_capacity(1);
+    let mut key = Vec::new();
     for op in [Op::Get, Op::Put, Op::Get] {
         let mut gen_f = FixedSizeWorkload::new(op, value_bytes, population, 0xD1FF ^ value_bytes);
         let mut gen_r = FixedSizeWorkload::new(op, value_bytes, population, 0xD1FF ^ value_bytes);
         for i in 0..per_op {
-            let a = slots.acquire(op, value_bytes, gen_f.next_key_id());
-            let (tf, bf) = fast.execute_parts(slots.op(a), slots.key(a), slots.value_bytes(a));
-            slots.release(a);
-            let b = slots.acquire(op, value_bytes, gen_r.next_key_id());
-            let (tr, br) = reference.execute_parts(slots.op(b), slots.key(b), slots.value_bytes(b));
-            slots.release(b);
+            key_bytes_into(gen_f.next_key_id(), &mut key);
+            let (tf, bf) = fast.execute_parts(op, &key, value_bytes);
+            key_bytes_into(gen_r.next_key_id(), &mut key);
+            let (tr, br) = reference.execute_parts(op, &key, value_bytes);
             assert_eq!(tf, tr, "timing diverged at {op:?} #{i} ({value_bytes} B)");
             assert_eq!(bf, br, "breakdown diverged at {op:?} #{i}");
             assert_cores_identical(fast, reference, &format!("{op:?} #{i}"));
@@ -196,16 +193,14 @@ fn a_cold_core_walks_nothing() {
             let mut reference = build(config, value_bytes, population, true);
             let mut keys =
                 FixedSizeWorkload::new(Op::Get, value_bytes, population, 0x5EED ^ value_bytes);
-            let mut slots = RequestSlots::with_capacity(1);
+            let mut key = Vec::new();
             for i in 0..warm_up {
-                let slot = slots.acquire(Op::Get, value_bytes, keys.next_key_id());
-                let (op, key) = (slots.op(slot), slots.key(slot));
+                key_bytes_into(keys.next_key_id(), &mut key);
                 assert_eq!(
-                    fast.execute_parts(op, key, value_bytes),
-                    reference.execute_parts(op, key, value_bytes),
+                    fast.execute_parts(Op::Get, &key, value_bytes),
+                    reference.execute_parts(Op::Get, &key, value_bytes),
                     "GET #{i} ({value_bytes} B)"
                 );
-                slots.release(slot);
                 assert_cores_identical(&fast, &reference, &format!("GET #{i}"));
                 assert_eq!(
                     fast.walk_counts().walked,

@@ -73,7 +73,6 @@ impl Item {
 /// ```
 #[derive(Debug)]
 pub struct Engine {
-    config: StoreConfig,
     tiers: TierSet,
     /// Open-addressing table of item-slot indices (or sentinels).
     buckets: Vec<u32>,
@@ -93,7 +92,7 @@ pub struct Engine {
 
 impl Engine {
     /// An empty engine with the model store's configuration surface
-    /// (memory budget, eviction kind, initial buckets, `evict_on_full`).
+    /// (memory budget, eviction kind, initial buckets).
     #[must_use]
     pub fn new(config: StoreConfig) -> Self {
         let buckets = config.initial_buckets.next_power_of_two().max(8) as usize;
@@ -111,7 +110,6 @@ impl Engine {
             probe_hist: [0; PROBE_LIMIT],
             doublings: 0,
             tombstones: 0,
-            config,
         }
     }
 
@@ -279,9 +277,6 @@ impl Engine {
         loop {
             if let Some(vref) = self.tiers.alloc(value) {
                 return Ok(vref);
-            }
-            if !self.config.evict_on_full {
-                return Err(StoreError::OutOfMemory);
             }
             let Some(victim) = self.policies[class].pop_victim() else {
                 return Err(StoreError::OutOfMemory);
@@ -660,22 +655,24 @@ mod tests {
     }
 
     #[test]
-    fn oom_surfaces_when_eviction_is_disabled() {
-        let mut config = StoreConfig::with_capacity(16 << 10);
-        config.evict_on_full = false;
-        let mut e = Engine::new(config);
-        let mut oom = false;
-        for i in 0..200u32 {
-            let key = format!("key{i}");
-            if e.set_with_flags(key.as_bytes(), vec![0; 400], 0, None, 0)
-                == Err(StoreError::OutOfMemory)
-            {
-                oom = true;
-                break;
-            }
+    fn oom_surfaces_once_eviction_cannot_free_a_fitting_chunk() {
+        // Every resident item is an overflow value, so the smallest
+        // tier's eviction policy is empty: a 1-byte set must report
+        // OutOfMemory, not silently evict another class's items.
+        let mut e = Engine::new(StoreConfig::with_capacity(2 << 20));
+        let big = vec![2u8; 512 << 10];
+        for i in 0..8u32 {
+            e.set_with_flags(format!("big{i}").as_bytes(), big.clone(), 0, None, 0)
+                .expect("eviction makes room");
         }
-        assert!(oom, "budget exhausts without eviction");
-        assert_eq!(e.stats().evictions, 0);
+        let evictions = e.stats().evictions;
+        assert!(evictions > 0, "the budget is exhausted");
+        assert_eq!(
+            e.set_with_flags(b"tiny", b"x".to_vec(), 0, None, 0),
+            Err(StoreError::OutOfMemory)
+        );
+        assert_eq!(e.stats().evictions, evictions, "no cross-class eviction");
+        assert!(e.get(b"big7", 0).is_some(), "resident items survive");
     }
 
     #[test]

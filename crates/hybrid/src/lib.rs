@@ -10,13 +10,14 @@
 //! per line the way Iridium does.
 //!
 //! [`HybridMemory`] implements [`MemoryTiming`], so it drops into the
-//! CPU phase engine unchanged. The tier is configurable in capacity,
-//! organization (set-associative or object-granular LRU), and admission
-//! policy, and its hit rate falls out of the simulated reference stream
-//! — there is no hit-rate dial. Dirty pages are written back through an
-//! FTL-aware write buffer that coalesces repeat programs of the same
-//! logical page, so garbage-collection pressure shows up on the
-//! [`Ftl`]'s lifetime counters exactly as host PUT traffic does.
+//! CPU phase engine unchanged. The tier is a fully-associative,
+//! object-granular LRU over whole pages that admits every miss, sized
+//! by capacity alone, and its hit rate falls out of the simulated
+//! reference stream — there is no hit-rate dial. Dirty pages are
+//! written back through an FTL-aware write buffer that coalesces repeat
+//! programs of the same logical page, so garbage-collection pressure
+//! shows up on the [`Ftl`]'s lifetime counters exactly as host PUT
+//! traffic does.
 //!
 //! Two degenerate limits anchor the model (and are pinned by property
 //! tests): a 0-byte tier reproduces Iridium's timing bit-identically,
@@ -39,45 +40,11 @@ use densekv_mem::{AccessKind, MemoryTiming, LINE_BYTES};
 use densekv_sim::lru::StrictLru;
 use densekv_sim::Duration;
 
-/// How the DRAM tier maps flash pages onto its frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TierOrganization {
-    /// Classic set-associative cache of flash pages: `ways` frames per
-    /// set, LRU within the set. Conflict misses are possible below full
-    /// occupancy, as in a real tag-limited DRAM cache.
-    SetAssociative {
-        /// Frames per set (must be ≥ 1).
-        ways: u32,
-    },
-    /// Fully-associative, object-granular LRU over whole pages — the
-    /// software-managed organization a KV cache would run, with a global
-    /// recency order and no conflict misses.
-    ObjectLru,
-}
-
-/// When a missing page is admitted into the DRAM tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Every miss installs the page (classic cache fill).
-    Always,
-    /// A page is installed only on its second touch within a sliding
-    /// window of recent miss lpns — filters single-use streams out of
-    /// the tier so scans cannot flush the hot set.
-    SecondTouch {
-        /// Number of recent miss lpns remembered.
-        window: u32,
-    },
-}
-
-/// Geometry, timing, and policy of a Helios hybrid stack.
+/// Geometry and timing of a Helios hybrid stack.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HybridConfig {
     /// DRAM tier capacity in bytes (0 disables the tier: pure Iridium).
     pub dram_tier_bytes: u64,
-    /// Page-frame organization of the tier.
-    pub organization: TierOrganization,
-    /// Admission policy for missing pages.
-    pub admission: AdmissionPolicy,
     /// Independent DRAM ports bonded to the logic die (Mercury: 16).
     pub dram_ports: u32,
     /// DRAM array access latency (Mercury's closed-page 10 ns).
@@ -101,8 +68,6 @@ impl HybridConfig {
     pub fn helios(dram_tier_bytes: u64, flash_read_latency: Duration) -> Self {
         HybridConfig {
             dram_tier_bytes,
-            organization: TierOrganization::ObjectLru,
-            admission: AdmissionPolicy::Always,
             dram_ports: 16,
             dram_hit_latency: Duration::from_nanos(10),
             dram_port_bandwidth_gbps: 6.25,
@@ -197,14 +162,10 @@ struct Frame {
     dirty: bool,
 }
 
-/// The DRAM tier's frame directory, in either organization.
+/// The DRAM tier's frame directory: a fully-associative LRU over whole
+/// pages.
 #[derive(Debug, Clone)]
 enum Frames {
-    SetAssociative {
-        /// Per-set frames, most-recently-used first.
-        sets: Vec<Vec<Frame>>,
-        ways: usize,
-    },
     ObjectLru {
         /// Resident frames by slot: slots fill in order, and an evicted
         /// frame's slot is reused by the page that evicted it.
@@ -214,14 +175,10 @@ enum Frames {
         /// lpn -> slot of `table`.
         index: HashMap<u64, u32>,
     },
-    /// The tick-ordered directory `ObjectLru` replaced, one per set of
-    /// `ways` frames: the differential tests' reference for both
-    /// organizations.
+    /// The tick-ordered directory `ObjectLru` replaced: the
+    /// differential tests' reference.
     #[cfg(test)]
-    Reference {
-        sets: Vec<tests::ReferenceLru>,
-        ways: u64,
-    },
+    Reference(tests::ReferenceLru),
 }
 
 #[derive(Debug, Clone)]
@@ -236,29 +193,13 @@ struct DramTier {
 
 impl DramTier {
     fn new(config: &HybridConfig) -> Self {
-        let capacity = config.capacity_pages();
-        let frames = match config.organization {
-            TierOrganization::SetAssociative { ways } => {
-                // No more ways than frames, or one set would hold more
-                // pages than the tier has.
-                let ways = u64::from(ways).clamp(1, capacity.max(1));
-                let sets = (capacity / ways).max(1);
-                Frames::SetAssociative {
-                    sets: (0..sets)
-                        .map(|_| Vec::with_capacity(ways as usize))
-                        .collect(),
-                    ways: ways as usize,
-                }
-            }
-            TierOrganization::ObjectLru => Frames::ObjectLru {
+        DramTier {
+            frames: Frames::ObjectLru {
                 table: Vec::new(),
                 order: StrictLru::new(),
                 index: HashMap::default(),
             },
-        };
-        DramTier {
-            frames,
-            capacity_pages: capacity,
+            capacity_pages: config.capacity_pages(),
             resident: 0,
             #[cfg(test)]
             evicted: Vec::new(),
@@ -272,18 +213,6 @@ impl DramTier {
             return false;
         }
         match &mut self.frames {
-            Frames::SetAssociative { sets, .. } => {
-                let nsets = sets.len() as u64;
-                let set = &mut sets[(lpn % nsets) as usize];
-                match set.iter().position(|f| f.lpn == lpn) {
-                    Some(pos) => {
-                        set[..=pos].rotate_right(1);
-                        set[0].dirty |= dirty;
-                        true
-                    }
-                    None => false,
-                }
-            }
             Frames::ObjectLru {
                 table,
                 order,
@@ -305,32 +234,16 @@ impl DramTier {
                 true
             }
             #[cfg(test)]
-            Frames::Reference { sets, .. } => {
-                let nsets = sets.len() as u64;
-                sets[(lpn % nsets) as usize].touch(lpn, dirty)
-            }
+            Frames::Reference(lru) => lru.touch(lpn, dirty),
         }
     }
 
-    /// Installs `lpn` (caller guarantees it is absent), evicting the LRU
-    /// frame of its set (or of the whole tier) if full. Returns the
-    /// evicted frame, if any.
+    /// Installs `lpn` (caller guarantees it is absent), evicting the
+    /// tier's LRU frame if full. Returns the evicted frame, if any.
     fn install(&mut self, lpn: u64, dirty: bool) -> Option<Frame> {
         debug_assert!(self.capacity_pages > 0);
         let frame = Frame { lpn, dirty };
         let evicted = match &mut self.frames {
-            Frames::SetAssociative { sets, ways } => {
-                let nsets = sets.len() as u64;
-                let set = &mut sets[(lpn % nsets) as usize];
-                let evicted = if set.len() == *ways {
-                    Some(std::mem::replace(&mut set[*ways - 1], frame))
-                } else {
-                    set.push(frame);
-                    None
-                };
-                set.rotate_right(1);
-                evicted
-            }
             Frames::ObjectLru {
                 table,
                 order,
@@ -351,10 +264,7 @@ impl DramTier {
                 evicted
             }
             #[cfg(test)]
-            Frames::Reference { sets, ways } => {
-                let nsets = sets.len() as u64;
-                sets[(lpn % nsets) as usize].install(frame, *ways)
-            }
+            Frames::Reference(lru) => lru.install(frame, self.capacity_pages),
         };
         self.resident += 1 - u64::from(evicted.is_some());
         #[cfg(test)]
@@ -393,9 +303,6 @@ pub struct HybridMemory {
     writeback: VecDeque<u64>,
     /// Mirror of `writeback` membership for O(1) coalescing.
     writeback_set: HashSet<u64>,
-    /// Recent miss lpns for `AdmissionPolicy::SecondTouch`.
-    recent_misses: VecDeque<u64>,
-    recent_set: HashSet<u64>,
     hits: u64,
     misses: u64,
     dram_bytes: u64,
@@ -415,8 +322,6 @@ impl HybridMemory {
             tier,
             writeback: VecDeque::new(),
             writeback_set: HashSet::new(),
-            recent_misses: VecDeque::new(),
-            recent_set: HashSet::new(),
             hits: 0,
             misses: 0,
             dram_bytes: 0,
@@ -513,25 +418,6 @@ impl HybridMemory {
         )
     }
 
-    /// Consults (and updates) the admission filter for a missing page.
-    fn admit(&mut self, lpn: u64) -> bool {
-        match self.config.admission {
-            AdmissionPolicy::Always => true,
-            AdmissionPolicy::SecondTouch { window } => {
-                if self.recent_set.contains(&lpn) {
-                    return true;
-                }
-                self.recent_misses.push_back(lpn);
-                self.recent_set.insert(lpn);
-                while self.recent_misses.len() > window.max(1) as usize {
-                    let old = self.recent_misses.pop_front().expect("non-empty");
-                    self.recent_set.remove(&old);
-                }
-                false
-            }
-        }
-    }
-
     /// Installs a page into the tier, routing any dirty victim through
     /// the write buffer. Returns the flush latency incurred (usually
     /// zero; a full buffer drains synchronously, modeling the
@@ -579,27 +465,21 @@ impl HybridMemory {
         latency
     }
 
-    /// One line access against a non-empty tier. Returns the latency and
-    /// whether the line's page is resident afterwards (false only for a
-    /// miss the admission filter bypassed).
-    fn tier_line_access(&mut self, lpn: u64, line_addr: u64, kind: AccessKind) -> (Duration, bool) {
+    /// One line access to page `lpn` of a non-empty tier; the page is
+    /// resident afterwards.
+    fn tier_line_access(&mut self, lpn: u64, kind: AccessKind) -> Duration {
         if self.tier.touch(lpn, kind == AccessKind::Write) {
             self.hits += 1;
             self.dram_bytes += LINE_BYTES;
-            return (self.dram_line_latency, true);
+            return self.dram_line_latency;
         }
         self.misses += 1;
-        if !self.admit(lpn) {
-            // Bypass: one line straight off the flash array, Iridium
-            // style (the array counts the line's bytes).
-            return (self.ftl.line_access(line_addr, kind), false);
-        }
         // Fill the whole page from flash (write-allocate on stores: the
         // line lands in the filled page, which becomes dirty).
         let fill = self.ftl.read_page_any(lpn);
         let stall = self.install(lpn, kind == AccessKind::Write);
         self.dram_bytes += self.config.flash.page_bytes;
-        (fill + stall + self.dram_line_latency, true)
+        fill + stall + self.dram_line_latency
     }
 
     /// Writes the value bytes at logical byte `offset` — the bulk PUT
@@ -636,16 +516,16 @@ impl MemoryTiming for HybridMemory {
             return self.ftl.line_access(line_addr, kind);
         }
         let (lpn, _) = self.page_of_line(line_addr);
-        self.tier_line_access(lpn, line_addr, kind).0
+        self.tier_line_access(lpn, kind)
     }
 
-    /// Page-granular: within each flash page of the run, lines walk
-    /// through the per-line path until the page is resident (a hit, or
-    /// an admitted fill). That line left the page the most recent frame
-    /// of the tier and as dirty as this run can make it, and nothing
-    /// else touches the tier before the run leaves the page — so every
-    /// later line of the page is a tier hit at `dram_line_latency` that
-    /// would move nothing, and only the counters remain to be advanced.
+    /// Page-granular: each flash page's first line of the run takes the
+    /// per-line path (a hit, or a fill). That line left the page
+    /// resident, the most recent frame of the tier and as dirty as this
+    /// run can make it, and nothing else touches the tier before the run
+    /// leaves the page — so every later line of the page is a tier hit
+    /// at `dram_line_latency` that would move nothing, and only the
+    /// counters remain to be advanced.
     fn stream_access(
         &mut self,
         start_line: u64,
@@ -663,14 +543,8 @@ impl MemoryTiming for HybridMemory {
         while line < end {
             let (lpn, next_page_line) = self.page_of_line(line);
             let page_end = next_page_line.min(end);
-            let mut resident = false;
-            while line < page_end && !resident {
-                let (latency, now_resident) = self.tier_line_access(lpn, line, kind);
-                total += latency * scale;
-                resident = now_resident;
-                line += 1;
-            }
-            let rest = page_end - line;
+            total += self.tier_line_access(lpn, kind) * scale;
+            let rest = page_end - line - 1;
             self.hits += rest;
             self.dram_bytes += LINE_BYTES * rest;
             total += hit * rest;
@@ -753,18 +627,10 @@ mod tests {
         }
     }
 
-    /// `config`'s memory over the reference directory, with the sets and
-    /// ways the frame table was built with.
+    /// `config`'s memory over the reference directory.
     fn reference_memory(config: HybridConfig) -> HybridMemory {
         let mut memory = HybridMemory::new(config);
-        let (sets, ways) = match &memory.tier.frames {
-            Frames::SetAssociative { sets, ways } => (sets.len(), *ways as u64),
-            _ => (1, memory.tier.capacity_pages),
-        };
-        memory.tier.frames = Frames::Reference {
-            sets: vec![ReferenceLru::default(); sets],
-            ways,
-        };
+        memory.tier.frames = Frames::Reference(ReferenceLru::default());
         memory
     }
 
@@ -779,13 +645,10 @@ mod tests {
     proptest! {
         /// The frame table against the directory it replaced, call by
         /// call: equal latency, equal counters, equal victims (page and
-        /// dirtiness) — and never more resident pages than frames,
-        /// whatever `ways` asks for.
+        /// dirtiness) — and never more resident pages than frames.
         #[test]
         fn frame_table_matches_tick_ordered_reference(
             tier_pages in 0u64..9,
-            ways in 0u32..5,
-            second_touch in any::<bool>(),
             writeback_pages in 1u32..5,
             // 96 logical pages are exported; addresses run past them to wrap.
             calls in proptest::collection::vec(
@@ -794,15 +657,6 @@ mod tests {
             ),
         ) {
             let config = HybridConfig {
-                organization: match ways {
-                    0 => TierOrganization::ObjectLru,
-                    ways => TierOrganization::SetAssociative { ways },
-                },
-                admission: if second_touch {
-                    AdmissionPolicy::SecondTouch { window: 3 }
-                } else {
-                    AdmissionPolicy::Always
-                },
                 writeback_pages,
                 ..tiny_helios(tier_pages * (8 << 10))
             };
@@ -820,21 +674,6 @@ mod tests {
                 prop_assert_eq!(&fast.tier.evicted, &reference.tier.evicted);
                 prop_assert!(fast.resident_pages() <= tier_pages);
             }
-        }
-    }
-
-    #[test]
-    fn set_associative_ways_are_clamped_to_the_tier_capacity() {
-        // One frame, two ways: used to build one 2-way set and hold two
-        // pages in a one-page tier.
-        let mut config = tiny_helios(8 << 10);
-        config.organization = TierOrganization::SetAssociative { ways: 2 };
-        let lines_per_page = config.flash.page_bytes / LINE_BYTES;
-        let mut hybrid = HybridMemory::new(config);
-        assert_eq!(hybrid.snapshot().capacity_pages, 1);
-        for page in 0..4 {
-            hybrid.line_access(page * lines_per_page, AccessKind::Read);
-            assert_eq!(hybrid.resident_pages(), 1);
         }
     }
 
@@ -1007,56 +846,23 @@ mod tests {
     }
 
     #[test]
-    fn set_associative_organization_conflicts_below_capacity() {
-        let mut config = tiny_helios(8 * (8 << 10));
-        config.organization = TierOrganization::SetAssociative { ways: 2 };
-        let page = config.flash.page_bytes;
-        let lines_per_page = page / LINE_BYTES;
-        let mut hybrid = HybridMemory::new(config);
-        // Three pages mapping to the same set (stride = set count): with
-        // 2 ways they thrash even though 8 frames exist.
-        let sets = 4u64; // 8 pages / 2 ways
+    fn object_lru_holds_a_working_set_below_capacity() {
+        // Three pages in an 8-frame tier: a fully-associative LRU has
+        // no conflict misses, so only the first pass misses.
+        let mut hybrid = HybridMemory::new(tiny_helios(8 * (8 << 10)));
+        let lines_per_page = tiny_flash().page_bytes / LINE_BYTES;
         for _ in 0..4 {
-            for p in [0, sets, 2 * sets] {
+            for p in [0, 4, 8] {
                 hybrid.line_access(p * lines_per_page, AccessKind::Read);
             }
         }
         assert_eq!(
-            hybrid.tier_hits(),
-            0,
-            "2-way set thrashes on 3-way conflict"
+            hybrid.tier_misses(),
+            3,
+            "LRU keeps the working set resident"
         );
-        // The LRU organization holds all three.
-        let mut lru = HybridMemory::new(tiny_helios(8 * (8 << 10)));
-        for _ in 0..4 {
-            for p in [0, sets, 2 * sets] {
-                lru.line_access(p * lines_per_page, AccessKind::Read);
-            }
-        }
-        assert_eq!(lru.tier_misses(), 3, "LRU keeps the working set resident");
-    }
-
-    #[test]
-    fn second_touch_admission_filters_single_use_streams() {
-        let mut config = tiny_helios(4 * (8 << 10));
-        config.admission = AdmissionPolicy::SecondTouch { window: 32 };
-        let lines_per_page = config.flash.page_bytes / LINE_BYTES;
-        let mut hybrid = HybridMemory::new(config);
-        // A pure scan never installs anything.
-        for p in 0..16u64 {
-            hybrid.line_access(p * lines_per_page, AccessKind::Read);
-        }
-        assert_eq!(hybrid.resident_pages(), 0);
-        // A second pass within the window installs.
-        for p in 0..4u64 {
-            hybrid.line_access(p * lines_per_page, AccessKind::Read);
-        }
-        assert_eq!(hybrid.resident_pages(), 4);
-        // Third pass hits in DRAM.
-        for p in 0..4u64 {
-            hybrid.line_access(p * lines_per_page, AccessKind::Read);
-        }
-        assert_eq!(hybrid.tier_hits(), 4);
+        assert_eq!(hybrid.tier_hits(), 9);
+        assert_eq!(hybrid.resident_pages(), 3);
     }
 
     #[test]

@@ -84,8 +84,6 @@ pub struct StoreConfig {
     pub eviction: EvictionKind,
     /// Initial hash-table buckets.
     pub initial_buckets: u64,
-    /// Evict when full (Memcached `-M` disables this; we default on).
-    pub evict_on_full: bool,
 }
 
 impl StoreConfig {
@@ -95,7 +93,6 @@ impl StoreConfig {
             memory_bytes,
             eviction: EvictionKind::StrictLru,
             initial_buckets: 1024,
-            evict_on_full: true,
         }
     }
 }
@@ -807,9 +804,6 @@ impl KvStore {
                     return Err(StoreError::ValueTooLarge { bytes: requested })
                 }
                 Err(SlabError::OutOfMemory) => {
-                    if !self.config.evict_on_full {
-                        return Err(StoreError::OutOfMemory);
-                    }
                     let Some(victim) = self.policies[class].pop_victim() else {
                         return Err(StoreError::OutOfMemory);
                     };
@@ -1011,22 +1005,6 @@ mod tests {
     }
 
     #[test]
-    fn eviction_disabled_returns_oom() {
-        let mut cfg = StoreConfig::with_capacity(2 << 20);
-        cfg.evict_on_full = false;
-        let mut s = KvStore::new(cfg);
-        let value = vec![0u8; 512 << 10];
-        let mut result = Ok(());
-        for i in 0..10 {
-            if let Err(e) = s.set(format!("k{i}").as_bytes(), value.clone(), None, 0) {
-                result = Err(e);
-                break;
-            }
-        }
-        assert_eq!(result, Err(StoreError::OutOfMemory));
-    }
-
-    #[test]
     fn oom_never_surfaces_while_same_class_victims_remain() {
         // The slab's retry contract, enforced at the store: with
         // eviction enabled, OutOfMemory must stay internal as long as
@@ -1043,8 +1021,7 @@ mod tests {
 
     #[test]
     fn oom_surfaces_once_eviction_cannot_free_a_fitting_chunk() {
-        // Eviction is enabled, but every resident item lives in a large
-        // class: the small-class eviction policy is empty, so the store
+        // Every resident item lives in a large class: the small-class eviction policy is empty, so the store
         // must report OutOfMemory only after pop_victim finds nothing —
         // not silently evict unrelated classes.
         let mut s = small();

@@ -1,6 +1,5 @@
 //! A blocking client over the [`densekv_kv::client`] codec: one
-//! [`Connection`] per socket, and a round-robin [`Pool`] of them for
-//! the load generators.
+//! [`Connection`] per socket.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -246,68 +245,5 @@ impl Connection {
                 n => self.rx.extend_from_slice(&self.chunk[..n]),
             }
         }
-    }
-}
-
-/// A fixed-size set of connections handed out round-robin.
-///
-/// # Examples
-///
-/// ```
-/// use densekv_serve::{spawn, Pool, ServeConfig};
-///
-/// let server = spawn(ServeConfig::ephemeral()).unwrap();
-/// let mut pool = Pool::connect(server.addr(), 4).unwrap();
-/// assert!(pool.checkout().set(b"k", b"v").unwrap());
-/// assert!(pool.checkout().get(b"k").unwrap().is_some());
-/// server.shutdown();
-/// ```
-pub struct Pool {
-    conns: Vec<Connection>,
-    next: usize,
-}
-
-impl Pool {
-    /// Opens `size` connections to `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first connect failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    pub fn connect(addr: SocketAddr, size: usize) -> Result<Self, ClientError> {
-        assert!(size > 0, "a pool needs at least one connection");
-        let conns = (0..size)
-            .map(|_| Connection::connect(addr))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Pool { conns, next: 0 })
-    }
-
-    /// Number of pooled connections.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// True when the pool holds no connections (never, by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.conns.is_empty()
-    }
-
-    /// The next connection, round-robin.
-    pub fn checkout(&mut self) -> &mut Connection {
-        let i = self.next;
-        self.next = (self.next + 1) % self.conns.len();
-        &mut self.conns[i]
-    }
-
-    /// Dissolves the pool into its connections — the load generators
-    /// hand one to each worker thread.
-    #[must_use]
-    pub fn into_connections(self) -> Vec<Connection> {
-        self.conns
     }
 }

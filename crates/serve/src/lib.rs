@@ -27,7 +27,7 @@
 //!   bounded slow-request log, and Prometheus text exposition — served
 //!   in-band via `stats latency` / `stats shards` / `stats reset` and
 //!   the `metrics` verb. Disabled, the data path stays byte-identical.
-//! * [`client`] — a blocking connection-pool client over
+//! * [`client`] — a blocking per-socket client over
 //!   [`densekv_kv::client`]'s codec.
 //! * [`loadgen`] — closed-loop and open-loop (paced Poisson) load
 //!   generators with seeded Zipf key popularity; per-request wall-clock
@@ -67,7 +67,7 @@ pub mod server;
 pub mod shard;
 
 pub use cells::ConnCells;
-pub use client::{ClientError, Connection, Pool};
+pub use client::{ClientError, Connection};
 pub use loadgen::{
     preload, run_closed_loop, run_open_loop, ClosedLoopConfig, LoadMix, LoadReport, OpenLoopConfig,
 };

@@ -85,14 +85,6 @@ impl ServeConfig {
         ServeConfig::default()
     }
 
-    /// Defaults with every `DENSEKV_SERVE_*` environment override
-    /// applied — how `densekv-bench` subcommands pick up deployment knobs
-    /// without growing a flag parser.
-    #[must_use]
-    pub fn from_env() -> Self {
-        ServeConfig::default().env_overrides()
-    }
-
     /// Sets the concurrent-connection cap.
     #[must_use]
     pub fn with_max_connections(mut self, max_connections: usize) -> Self {
@@ -125,60 +117,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Applies any `DENSEKV_SERVE_*` environment variables on top of
-    /// this config: `MAX_CONNECTIONS`, `READ_TIMEOUT_MS`, `SHARDS`,
-    /// `METRICS` (`0`/`1`), `SAMPLE_EVERY`, `SLOW_US`, `WINDOW_MS`,
-    /// `SLO_US`, `SLO_TARGET`, and `BACKEND` (`model`/`engine`). Unset
-    /// or unparseable values leave the current setting untouched.
-    ///
-    /// Pathological values are clamped to safe minimums rather than
-    /// taken literally: a cap of 0 connections, 0 lock stripes, a 0 ms
-    /// read timeout, sampling every 0th request, or a 0 ms window would
-    /// each wedge or divide-by-zero a server that a typo'd deployment
-    /// variable should merely misconfigure.
-    #[must_use]
-    pub fn env_overrides(mut self) -> Self {
-        fn parse<T: std::str::FromStr>(var: &str) -> Option<T> {
-            std::env::var(var).ok()?.trim().parse().ok()
-        }
-        if let Some(v) = parse::<usize>("DENSEKV_SERVE_MAX_CONNECTIONS") {
-            self.max_connections = v.max(1);
-        }
-        if let Some(v) = parse::<u64>("DENSEKV_SERVE_READ_TIMEOUT_MS") {
-            self.read_timeout = Duration::from_millis(v.max(1));
-        }
-        if let Some(v) = parse::<usize>("DENSEKV_SERVE_SHARDS") {
-            self.shards = v.max(1);
-        }
-        if let Some(v) = parse::<u8>("DENSEKV_SERVE_METRICS") {
-            self.metrics.enabled = v != 0;
-        }
-        if let Some(v) = parse::<u64>("DENSEKV_SERVE_SAMPLE_EVERY") {
-            self.metrics.sample_every = v.max(1);
-        }
-        if let Some(v) = parse::<u64>("DENSEKV_SERVE_SLOW_US") {
-            self.metrics.slow_threshold = Duration::from_micros(v);
-        }
-        if let Some(v) = parse::<u64>("DENSEKV_SERVE_WINDOW_MS") {
-            self.metrics.window = Duration::from_millis(v.max(1));
-        }
-        if let Some(v) = parse::<u64>("DENSEKV_SERVE_SLO_US") {
-            self.metrics.slo.objective = densekv_sim::Duration::from_micros(v.max(1));
-        }
-        if let Some(v) = parse::<f64>("DENSEKV_SERVE_SLO_TARGET") {
-            if v.is_finite() {
-                self.metrics.slo.target = v.clamp(0.0, 0.9999);
-            }
-        }
-        if let Some(v) = std::env::var("DENSEKV_SERVE_BACKEND")
-            .ok()
-            .and_then(|v| BackendKind::parse(v.trim()))
-        {
-            self.backend = v;
-        }
         self
     }
 }
@@ -640,16 +578,8 @@ mod tests {
     use crate::client::Connection;
 
     fn quick_config() -> ServeConfig {
-        ServeConfig {
-            read_timeout: Duration::from_millis(400),
-            ..ServeConfig::ephemeral()
-        }
+        ServeConfig::ephemeral().with_read_timeout(Duration::from_millis(400))
     }
-
-    /// Serializes tests that mutate `DENSEKV_SERVE_*` process
-    /// environment (env vars are process-global; tests run in
-    /// parallel).
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn serves_a_full_verb_tour_over_tcp() {
@@ -669,11 +599,7 @@ mod tests {
 
     #[test]
     fn over_cap_connections_get_busy_then_closed() {
-        let config = ServeConfig {
-            max_connections: 3,
-            ..quick_config()
-        };
-        let server = spawn(config).unwrap();
+        let server = spawn(quick_config().with_max_connections(3)).unwrap();
         // Fill the cap and prove each connection is live with a
         // round-trip (connect() alone returns before accept()).
         let mut held: Vec<Connection> = (0..3)
@@ -704,10 +630,7 @@ mod tests {
 
     #[test]
     fn read_timeout_disconnects_stalled_peers() {
-        let config = ServeConfig {
-            read_timeout: Duration::from_millis(100),
-            ..ServeConfig::ephemeral()
-        };
+        let config = ServeConfig::ephemeral().with_read_timeout(Duration::from_millis(100));
         let server = spawn(config).unwrap();
         let mut conn = Connection::connect(server.addr()).unwrap();
         conn.version().unwrap();
@@ -741,123 +664,8 @@ mod tests {
     }
 
     #[test]
-    fn env_overrides_clamp_pathological_values() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        // One knob at a time: set a wedging value, check the clamp,
-        // clean up — so a typo'd deployment variable can misconfigure
-        // the server but never hang or panic it.
-        let case = |var: &str, value: &str, check: &dyn Fn(&ServeConfig)| {
-            std::env::set_var(var, value);
-            let config = ServeConfig::from_env();
-            std::env::remove_var(var);
-            check(&config);
-        };
-        case("DENSEKV_SERVE_SHARDS", "0", &|c| {
-            assert_eq!(c.shards, 1, "0 shards clamps to 1 lock stripe");
-        });
-        case("DENSEKV_SERVE_MAX_CONNECTIONS", "0", &|c| {
-            assert_eq!(c.max_connections, 1, "a 0-connection server serves no one");
-        });
-        case("DENSEKV_SERVE_READ_TIMEOUT_MS", "0", &|c| {
-            assert_eq!(
-                c.read_timeout,
-                Duration::from_millis(1),
-                "0 ms would disable the timeout and pin workers forever"
-            );
-        });
-        case("DENSEKV_SERVE_SAMPLE_EVERY", "0", &|c| {
-            assert_eq!(c.metrics.sample_every, 1, "every-0th sampling clamps to 1");
-        });
-        case("DENSEKV_SERVE_WINDOW_MS", "0", &|c| {
-            assert_eq!(
-                c.metrics.window,
-                Duration::from_millis(1),
-                "a 0 ms window would rotate unboundedly"
-            );
-        });
-        case("DENSEKV_SERVE_SLO_US", "0", &|c| {
-            assert_eq!(
-                c.metrics.slo.objective,
-                densekv_sim::Duration::from_micros(1),
-                "a 0 µs objective marks every request bad"
-            );
-        });
-        case("DENSEKV_SERVE_SLO_TARGET", "1.5", &|c| {
-            assert!(
-                c.metrics.slo.target < 1.0,
-                "target ≥ 1 leaves no error budget"
-            );
-        });
-        // Sane values still pass through unclamped.
-        case("DENSEKV_SERVE_WINDOW_MS", "250", &|c| {
-            assert_eq!(c.metrics.window, Duration::from_millis(250));
-        });
-        case("DENSEKV_SERVE_SLO_TARGET", "0.99", &|c| {
-            assert!((c.metrics.slo.target - 0.99).abs() < 1e-12);
-        });
-    }
-
-    #[test]
-    fn config_builders_and_env_overrides_compose() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let config = ServeConfig::ephemeral()
-            .with_max_connections(5)
-            .with_read_timeout(Duration::from_millis(250))
-            .with_shards(2)
-            .with_metrics(MetricsConfig {
-                sample_every: 8,
-                ..MetricsConfig::default()
-            });
-        assert_eq!(config.max_connections, 5);
-        assert_eq!(config.read_timeout, Duration::from_millis(250));
-        assert_eq!(config.shards, 2);
-        assert_eq!(config.metrics.sample_every, 8);
-
-        std::env::set_var("DENSEKV_SERVE_MAX_CONNECTIONS", "2");
-        std::env::set_var("DENSEKV_SERVE_READ_TIMEOUT_MS", "300");
-        std::env::set_var("DENSEKV_SERVE_METRICS", "0");
-        std::env::set_var("DENSEKV_SERVE_SLOW_US", "2500");
-        std::env::set_var("DENSEKV_SERVE_SHARDS", "not-a-number");
-        let config = config.env_overrides();
-        std::env::remove_var("DENSEKV_SERVE_MAX_CONNECTIONS");
-        std::env::remove_var("DENSEKV_SERVE_READ_TIMEOUT_MS");
-        std::env::remove_var("DENSEKV_SERVE_METRICS");
-        std::env::remove_var("DENSEKV_SERVE_SLOW_US");
-        std::env::remove_var("DENSEKV_SERVE_SHARDS");
-        assert_eq!(config.max_connections, 2);
-        assert_eq!(config.read_timeout, Duration::from_millis(300));
-        assert!(!config.metrics.enabled);
-        assert_eq!(config.metrics.slow_threshold, Duration::from_micros(2500));
-        assert_eq!(config.shards, 2, "unparseable override is ignored");
-
-        // The env-derived cap is enforced end to end: with the cap at
-        // 2, the third concurrent connection is told busy.
-        let server = spawn(ServeConfig {
-            read_timeout: Duration::from_millis(400),
-            ..config
-        })
-        .unwrap();
-        let mut held: Vec<Connection> = (0..2)
-            .map(|_| {
-                let mut c = Connection::connect(server.addr()).unwrap();
-                c.version().unwrap();
-                c
-            })
-            .collect();
-        let mut over = Connection::connect(server.addr()).unwrap();
-        let err = over.read_reply().expect_err("over-cap must be refused");
-        assert!(matches!(err, crate::client::ClientError::Server(ref m) if m.contains("busy")));
-        for conn in &mut held {
-            assert!(conn.set(b"x", b"1").unwrap());
-        }
-        drop(held);
-        let stats = server.shutdown();
-        assert_eq!((stats.accepted, stats.rejected_busy), (2, 1));
-    }
-
-    #[test]
     fn stats_latency_and_shards_report_live_traffic() {
-        let config = quick_config().with_metrics(MetricsConfig {
+        let config = quick_config().with_shards(2).with_metrics(MetricsConfig {
             sample_every: 1,
             ..MetricsConfig::default()
         });
@@ -885,7 +693,11 @@ mod tests {
         assert!(p50 > 0.0, "p50 must be positive, got {p50}");
 
         let shards = conn.text_block(b"stats shards\r\n").unwrap().join("\n");
-        assert!(shards.contains("STAT shard_0_items"), "{shards}");
+        assert!(shards.contains("STAT shard_1_items"), "{shards}");
+        assert!(
+            !shards.contains("STAT shard_2_items"),
+            "two stripes: {shards}"
+        );
         assert!(
             shards.contains("STAT shard_0_lock_acquisitions"),
             "{shards}"
@@ -1223,15 +1035,16 @@ mod tests {
 
     #[test]
     fn env_selects_the_backend() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DENSEKV_SERVE_BACKEND", "engine");
-        assert_eq!(ServeConfig::from_env().backend, BackendKind::Engine);
-        std::env::set_var("DENSEKV_SERVE_BACKEND", "model");
-        assert_eq!(ServeConfig::from_env().backend, BackendKind::Model);
-        // Unknown names leave the setting untouched.
-        std::env::set_var("DENSEKV_SERVE_BACKEND", "frobnicated");
-        let base = ServeConfig::ephemeral().with_backend(BackendKind::Engine);
-        assert_eq!(base.env_overrides().backend, BackendKind::Engine);
+        // `BackendKind::from_env` is the one reader of the process
+        // environment in this crate, so no other test races these writes.
+        for (name, backend) in [
+            ("engine", BackendKind::Engine),
+            ("model", BackendKind::Model),
+            ("frobnicated", BackendKind::Model),
+        ] {
+            std::env::set_var("DENSEKV_SERVE_BACKEND", name);
+            assert_eq!(BackendKind::from_env(), backend, "{name}");
+        }
         std::env::remove_var("DENSEKV_SERVE_BACKEND");
     }
 

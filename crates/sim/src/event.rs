@@ -1,9 +1,9 @@
-//! Deterministic discrete-event queue and scheduler.
+//! Deterministic discrete-event scheduler.
 //!
 //! Events are ordered by time, with ties broken by insertion sequence so
 //! the simulation is fully deterministic regardless of queue internals.
 //!
-//! [`EventQueue`] is backed by the hierarchical timer wheel
+//! [`Scheduler`] runs on the hierarchical timer wheel
 //! ([`crate::wheel::TimerWheel`]): amortized O(1) push/pop with
 //! slab-stored payloads. [`HeapQueue`] is the original binary-heap
 //! implementation, kept as the executable specification — the
@@ -48,10 +48,10 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Lifetime statistics of an [`EventQueue`] — the scheduler-side gauges
+/// Lifetime statistics of an event queue — the scheduler-side gauges
 /// the telemetry layer snapshots (event backlog, churn).
 ///
-/// [`EventQueue::clear`] resets these to a fresh queue's values; a
+/// [`TimerWheel::clear`] resets these to a fresh queue's values; a
 /// queue that should keep lifetime churn across epochs must accumulate
 /// the stats before clearing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,84 +62,6 @@ pub struct QueueStats {
     pub popped: u64,
     /// Largest backlog ever observed.
     pub peak_len: usize,
-}
-
-/// A time-ordered queue of events.
-///
-/// Ties at the same timestamp pop in insertion order (FIFO), which keeps
-/// multi-component simulations deterministic.
-///
-/// # Examples
-///
-/// ```
-/// use densekv_sim::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_ps(20), "late");
-/// q.push(SimTime::from_ps(10), "early");
-/// assert_eq!(q.pop().map(|(_, e)| e), Some("early"));
-/// assert_eq!(q.pop().map(|(_, e)| e), Some("late"));
-/// assert!(q.pop().is_none());
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<E> {
-    wheel: TimerWheel<E>,
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            wheel: TimerWheel::new(),
-        }
-    }
-
-    /// Schedules `event` at absolute time `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        self.wheel.push(time, event);
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.wheel.pop()
-    }
-
-    /// Lifetime push/pop/backlog statistics ([`QueueStats`]).
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            pushed: self.wheel.pushed(),
-            popped: self.wheel.popped(),
-            peak_len: self.wheel.peak_len(),
-        }
-    }
-
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.peek_time()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
-    }
-
-    /// Drops all pending events and resets the lifetime statistics, so
-    /// the queue is indistinguishable from a fresh one (allocated
-    /// capacity is kept for reuse).
-    pub fn clear(&mut self) {
-        self.wheel.clear();
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
 }
 
 /// The original `BinaryHeap`-backed event queue, kept as the reference
@@ -206,7 +128,7 @@ impl<E> HeapQueue<E> {
     }
 
     /// Drops all pending events and resets the lifetime statistics,
-    /// mirroring [`EventQueue::clear`].
+    /// mirroring [`TimerWheel::clear`].
     pub fn clear(&mut self) {
         self.heap.clear();
         self.next_seq = 0;
@@ -221,7 +143,7 @@ impl<E> Default for HeapQueue<E> {
     }
 }
 
-/// An [`EventQueue`] paired with a running clock.
+/// A [`TimerWheel`] paired with a running clock.
 ///
 /// [`Scheduler::pop`] advances the clock to the popped event's timestamp;
 /// [`Scheduler::schedule_in`] schedules relative to the current clock.
@@ -241,7 +163,7 @@ impl<E> Default for HeapQueue<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scheduler<E> {
-    queue: EventQueue<E>,
+    queue: TimerWheel<E>,
     now: SimTime,
 }
 
@@ -249,7 +171,7 @@ impl<E> Scheduler<E> {
     /// Creates a scheduler at the epoch with no pending events.
     pub fn new() -> Self {
         Scheduler {
-            queue: EventQueue::new(),
+            queue: TimerWheel::new(),
             now: SimTime::ZERO,
         }
     }
@@ -302,7 +224,7 @@ impl<E> Scheduler<E> {
     }
 
     /// Drops all pending events and resets the queue statistics — like
-    /// [`EventQueue::clear`] — without rewinding the clock, so a reused
+    /// [`TimerWheel::clear`] — without rewinding the clock, so a reused
     /// scheduler keeps monotone time.
     pub fn clear(&mut self) {
         self.queue.clear();
@@ -321,7 +243,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         q.push(SimTime::from_ps(30), 3);
         q.push(SimTime::from_ps(10), 1);
         q.push(SimTime::from_ps(20), 2);
@@ -331,7 +253,7 @@ mod tests {
 
     #[test]
     fn ties_pop_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         let t = SimTime::from_ps(5);
         for i in 0..100 {
             q.push(t, i);
@@ -342,7 +264,7 @@ mod tests {
 
     #[test]
     fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         q.push(SimTime::from_ps(7), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_ps(7)));
         assert_eq!(q.len(), 1);
@@ -371,7 +293,7 @@ mod tests {
 
     #[test]
     fn stats_track_churn_and_peak_backlog() {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         assert_eq!(q.stats(), QueueStats::default());
         for i in 0..5u64 {
             q.push(SimTime::from_ps(i), i);
@@ -397,7 +319,7 @@ mod tests {
 
     #[test]
     fn clear_resets_stats_to_fresh() {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         for i in 0..10u64 {
             q.push(SimTime::from_ps(i), i);
         }

@@ -3,7 +3,7 @@
 //! This crate provides the substrate every other `densekv` crate builds on:
 //!
 //! * [`SimTime`] / [`Duration`] — integer-picosecond simulated time,
-//! * [`EventQueue`] and [`Scheduler`] — a deterministic discrete-event loop,
+//! * [`Scheduler`] over a [`TimerWheel`] — a deterministic discrete-event loop,
 //! * [`rng::SplitMix64`] and the [`dist`] module — reproducible randomness,
 //! * [`lru::StrictLru`] — an index-linked recency list over `u32` slots,
 //! * [`stats`] — counters and exact latency distributions with
@@ -35,7 +35,7 @@ pub mod stats;
 pub mod time;
 pub mod wheel;
 
-pub use event::{EventQueue, HeapQueue, QueueStats, Scheduler};
+pub use event::{HeapQueue, QueueStats, Scheduler};
 pub use rng::{SplitMix64, SplitRng, UniformSource};
 pub use time::{Duration, SimTime};
-pub use wheel::{EventId, TimerWheel};
+pub use wheel::TimerWheel;

@@ -1,9 +1,9 @@
 //! Hierarchical timer wheel with slab event storage.
 //!
-//! [`TimerWheel`] is a drop-in ordering core for the discrete-event
-//! queue: events pop in exactly the order a binary heap ordered by
-//! `(time, insertion seq)` would produce them — time first, FIFO on
-//! ties — but pushes and pops touch O(1) amortized state instead of
+//! [`TimerWheel`] is the discrete-event queue behind
+//! [`crate::Scheduler`]: events pop in exactly the order a binary heap
+//! ordered by `(time, insertion seq)` would produce them — time first,
+//! FIFO on ties — but pushes and pops touch O(1) amortized state instead of
 //! O(log n) heap links, and event payloads live in a reusable slab so a
 //! steady-state push performs no allocation.
 //!
@@ -33,19 +33,11 @@
 //! in-level event (different top-level page), so the ready head is
 //! always the global minimum — the total pop order is bit-identical to
 //! the reference heap, which the differential property tests pin.
-//!
-//! # Slab and generations
-//!
-//! Payloads are stored in slab nodes addressed by [`EventId`] — an
-//! index plus a generation stamp bumped on every reuse, so a stale
-//! handle held across a slot's recycling can never reach the wrong
-//! event. [`TimerWheel::cancel`] uses this to remove events lazily:
-//! the payload is taken out immediately and the husk is swept when the
-//! cursor passes it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::event::QueueStats;
 use crate::time::SimTime;
 
 /// log2 of the grain: one level-0 slot covers `2^16` ps ≈ 65.5 ns.
@@ -60,24 +52,12 @@ const SLOT_MASK: u64 = SLOTS as u64 - 1;
 /// the overflow heap takes over.
 const LEVELS: usize = 6;
 
-/// Generation-checked handle to a pending event's slab slot.
-///
-/// Slab slots are recycled through a free list; the generation stamp is
-/// bumped on every reuse so a handle outliving its event is detected
-/// (`cancel` on it returns `None`) instead of aliasing a newer event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId {
-    index: u32,
-    generation: u32,
-}
-
 /// One slab slot: the scheduling key plus the payload. `event` is
-/// `None` for a cancelled husk awaiting sweep.
+/// `None` once popped, while the slot waits on the free list.
 #[derive(Debug, Clone)]
 struct Node<E> {
     time: SimTime,
     seq: u64,
-    generation: u32,
     event: Option<E>,
 }
 
@@ -97,21 +77,22 @@ impl Level {
     }
 }
 
-/// A hierarchical timer wheel over slab-stored events. See the module
-/// docs for the structure; [`crate::EventQueue`] wraps it behind the
-/// original queue API.
+/// A time-ordered queue of events: a hierarchical timer wheel over
+/// slab-stored payloads (see the module docs for the structure).
+///
+/// Ties at the same timestamp pop in insertion order (FIFO), which keeps
+/// multi-component simulations deterministic.
 ///
 /// # Examples
 ///
 /// ```
-/// use densekv_sim::wheel::TimerWheel;
-/// use densekv_sim::SimTime;
+/// use densekv_sim::{SimTime, TimerWheel};
 ///
 /// let mut w = TimerWheel::new();
 /// w.push(SimTime::from_ps(20), "late");
-/// let early = w.push(SimTime::from_ps(10), "early");
+/// w.push(SimTime::from_ps(10), "early");
 /// assert_eq!(w.peek_time(), Some(SimTime::from_ps(10)));
-/// assert_eq!(w.cancel(early), Some("early"));
+/// assert_eq!(w.pop(), Some((SimTime::from_ps(10), "early")));
 /// assert_eq!(w.pop(), Some((SimTime::from_ps(20), "late")));
 /// assert_eq!(w.pop(), None);
 /// ```
@@ -132,7 +113,7 @@ pub struct TimerWheel<E> {
     /// Cursor grain: every ready event's time is `< current << GRAIN_BITS`,
     /// every in-level or overflow event's time is `>= current << GRAIN_BITS`.
     current: u64,
-    /// Live (pushed, not yet popped or cancelled) events.
+    /// Pending (pushed, not yet popped) events.
     len: usize,
     next_seq: u64,
     popped: u64,
@@ -157,7 +138,7 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Pending (live) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -167,19 +148,13 @@ impl<E> TimerWheel<E> {
         self.len == 0
     }
 
-    /// Lifetime pushes (seq stamps issued).
-    pub fn pushed(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Lifetime pops (cancellations not included).
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// Largest live backlog ever observed.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
+    /// Lifetime push/pop/backlog statistics ([`QueueStats`]).
+    pub fn stats(&self) -> QueueStats {
+        QueueStats {
+            pushed: self.next_seq,
+            popped: self.popped,
+            peak_len: self.peak_len,
+        }
     }
 
     /// Allocates a slab node, recycling a freed slot when one exists.
@@ -195,30 +170,18 @@ impl<E> TimerWheel<E> {
             self.nodes.push(Node {
                 time,
                 seq,
-                generation: 0,
                 event: Some(event),
             });
             idx
         }
     }
 
-    /// Returns a node to the free list, bumping its generation so stale
-    /// [`EventId`]s die.
-    fn release(&mut self, idx: u32) {
-        let node = &mut self.nodes[idx as usize];
-        node.event = None;
-        node.generation = node.generation.wrapping_add(1);
-        self.free.push(idx);
-    }
-
     /// Schedules `event` at `time`; later pushes at the same time pop
-    /// after earlier ones (FIFO ties). Returns a handle for
-    /// [`TimerWheel::cancel`].
-    pub fn push(&mut self, time: SimTime, event: E) -> EventId {
+    /// after earlier ones (FIFO ties).
+    pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let idx = self.alloc(time, seq, event);
-        let generation = self.nodes[idx as usize].generation;
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
         if time.as_ps() < self.current << GRAIN_BITS {
@@ -232,24 +195,6 @@ impl<E> TimerWheel<E> {
             self.place(idx);
             self.ensure_ready();
         }
-        EventId {
-            index: idx,
-            generation,
-        }
-    }
-
-    /// Cancels a pending event, returning its payload, or `None` if the
-    /// handle is stale (already popped, cancelled, or recycled). The
-    /// slab husk is swept when the cursor reaches it.
-    pub fn cancel(&mut self, id: EventId) -> Option<E> {
-        let node = self.nodes.get_mut(id.index as usize)?;
-        if node.generation != id.generation {
-            return None;
-        }
-        let event = node.event.take()?;
-        self.len -= 1;
-        self.ensure_ready();
-        Some(event)
     }
 
     /// Buckets an in-horizon node into its wheel level or the overflow
@@ -274,31 +219,24 @@ impl<E> TimerWheel<E> {
     }
 
     /// Restores the invariant that the ready run is non-empty whenever
-    /// events are pending, so `peek_time` needs no `&mut`. Sweeps
-    /// cancelled husks off the ready head as a side effect.
+    /// events are pending, so `peek_time` needs no `&mut`: a drained run
+    /// is refilled from the levels while events remain.
     fn ensure_ready(&mut self) {
-        loop {
-            while let Some(&(_, _, idx)) = self.ready.get(self.cursor) {
-                if self.nodes[idx as usize].event.is_some() {
-                    return;
-                }
-                self.release(idx);
-                self.cursor += 1;
-            }
+        if self.cursor == self.ready.len() {
             self.ready.clear();
             self.cursor = 0;
-            if self.len == 0 {
-                return;
+            if self.len > 0 {
+                self.cascade();
             }
-            self.cascade();
         }
     }
 
     /// Advances the cursor to the earliest occupied slot and extracts
     /// it into the ready run, re-routing higher-level slots down and
     /// pulling the overflow heap's next page in when the levels drain.
+    /// Caller guarantees an event is pending outside the ready run.
     fn cascade(&mut self) {
-        loop {
+        'cascade: loop {
             // Level 0: the earliest occupied slot at or after the cursor
             // position holds exactly one grain — it becomes the ready run.
             let pos0 = (self.current & SLOT_MASK) as u32;
@@ -307,15 +245,7 @@ impl<E> TimerWheel<E> {
                 let slot = avail0.trailing_zeros() as usize;
                 self.current = (self.current & !SLOT_MASK) | slot as u64;
                 self.levels[0].occupied &= !(1u64 << slot);
-                let mut batch = std::mem::take(&mut self.levels[0].slots[slot]);
-                batch.retain(|&idx| {
-                    if self.nodes[idx as usize].event.is_some() {
-                        true
-                    } else {
-                        self.release(idx);
-                        false
-                    }
-                });
+                let batch = std::mem::take(&mut self.levels[0].slots[slot]);
                 // Advance past the extracted grain: same-grain pushes from
                 // here on merge into the ready run instead.
                 self.current += 1;
@@ -336,17 +266,13 @@ impl<E> TimerWheel<E> {
                 if self.current & SLOT_MASK == 0 {
                     self.drain_carry_slot();
                 }
-                if !self.ready.is_empty() {
-                    return;
-                }
-                continue;
+                return;
             }
             // Level 0's page is exhausted: cascade the earliest occupied
             // higher-level slot down. The cursor's own slot can be occupied
             // right after a carry advanced the cursor into it — in that
             // case the cursor's sub-slot bits are zero, so the jump below
             // never moves the cursor backwards.
-            let mut cascaded = false;
             for level in 1..LEVELS {
                 let shift = SLOT_BITS * level as u32;
                 let pos = ((self.current >> shift) & SLOT_MASK) as u32;
@@ -362,32 +288,13 @@ impl<E> TimerWheel<E> {
                 let jumped = (self.current & page_mask) | ((slot as u64) << shift);
                 debug_assert!(jumped >= self.current, "cursor must be monotone");
                 self.current = jumped;
-                let batch = std::mem::take(&mut self.levels[level].slots[slot]);
-                for idx in &batch {
-                    if self.nodes[*idx as usize].event.is_some() {
-                        self.place(*idx);
-                    } else {
-                        self.release(*idx);
-                    }
-                }
-                self.levels[level].slots[slot] = batch;
-                self.levels[level].slots[slot].clear();
-                cascaded = true;
-                break;
-            }
-            if cascaded {
-                continue;
+                self.reroute_slot(level, slot);
+                continue 'cascade;
             }
             // Levels are empty: pull the overflow heap's next page. Every
             // overflow event is beyond the old top-level page, so it is
             // later than everything already popped.
-            let Some(&Reverse((time, _, _))) = self.overflow.peek() else {
-                // Only cancelled husks remain in the structure; they are
-                // swept lazily. Live events would contradict `len > 0`
-                // bookkeeping — but a husk-only wheel lands here.
-                self.sweep_husks();
-                return;
-            };
+            let &Reverse((time, _, _)) = self.overflow.peek().expect("an event is pending");
             self.current = time.as_ps() >> GRAIN_BITS;
             let top_page = self.current >> (SLOT_BITS * LEVELS as u32);
             while let Some(&Reverse((t, _, idx))) = self.overflow.peek() {
@@ -395,11 +302,7 @@ impl<E> TimerWheel<E> {
                     break;
                 }
                 self.overflow.pop();
-                if self.nodes[idx as usize].event.is_some() {
-                    self.place(idx);
-                } else {
-                    self.release(idx);
-                }
+                self.place(idx);
             }
         }
     }
@@ -425,38 +328,21 @@ impl<E> TimerWheel<E> {
             }
             if self.levels[level].occupied & (1 << pos) != 0 {
                 self.levels[level].occupied &= !(1u64 << pos);
-                let batch = std::mem::take(&mut self.levels[level].slots[pos]);
-                for idx in &batch {
-                    if self.nodes[*idx as usize].event.is_some() {
-                        self.place(*idx);
-                    } else {
-                        self.release(*idx);
-                    }
-                }
-                self.levels[level].slots[pos] = batch;
-                self.levels[level].slots[pos].clear();
+                self.reroute_slot(level, pos);
             }
             break;
         }
     }
 
-    /// Drops every remaining husk (cancelled, unswept node) when the
-    /// live count hits zero, so slab slots recycle instead of pinning.
-    fn sweep_husks(&mut self) {
-        debug_assert_eq!(self.len, 0);
-        for level in &mut self.levels {
-            level.occupied = 0;
+    /// Re-routes every event of a higher-level slot whose occupancy bit
+    /// the caller has cleared, handing the bucket's capacity back.
+    fn reroute_slot(&mut self, level: usize, slot: usize) {
+        let mut batch = std::mem::take(&mut self.levels[level].slots[slot]);
+        for &idx in &batch {
+            self.place(idx);
         }
-        let mut husks: Vec<u32> = Vec::new();
-        for level in &mut self.levels {
-            for slot in &mut level.slots {
-                husks.append(slot);
-            }
-        }
-        husks.extend(self.overflow.drain().map(|Reverse((_, _, idx))| idx));
-        for idx in husks {
-            self.release(idx);
-        }
+        batch.clear();
+        self.levels[level].slots[slot] = batch;
     }
 
     /// Removes and returns the earliest event, if any.
@@ -466,8 +352,8 @@ impl<E> TimerWheel<E> {
         let event = self.nodes[idx as usize]
             .event
             .take()
-            .expect("ready head is live");
-        self.release(idx);
+            .expect("ready head is pending");
+        self.free.push(idx);
         self.len -= 1;
         self.popped += 1;
         self.ensure_ready();
@@ -552,34 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_is_generation_checked() {
-        let mut w = TimerWheel::new();
-        let a = w.push(SimTime::from_ps(10), "a");
-        assert_eq!(w.cancel(a), Some("a"));
-        assert_eq!(w.cancel(a), None);
-        // The slot recycles with a new generation; the stale handle
-        // still misses.
-        let b = w.push(SimTime::from_ps(20), "b");
-        assert_eq!(w.cancel(a), None);
-        assert_eq!(w.cancel(b), Some("b"));
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn cancelled_events_never_pop_and_len_tracks() {
-        let mut w = TimerWheel::new();
-        let ids: Vec<_> = (0..10)
-            .map(|i| w.push(SimTime::from_ps(100 + i), i))
-            .collect();
-        for id in ids.iter().step_by(2) {
-            w.cancel(*id);
-        }
-        assert_eq!(w.len(), 5);
-        let order: Vec<_> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 3, 5, 7, 9]);
-    }
-
-    #[test]
     fn slab_reuses_slots_without_growth() {
         let mut w = TimerWheel::new();
         for round in 0..100u64 {
@@ -621,7 +479,7 @@ mod tests {
         w.pop();
         w.clear();
         assert!(w.is_empty());
-        assert_eq!((w.pushed(), w.popped(), w.peak_len()), (0, 0, 0));
+        assert_eq!(w.stats(), QueueStats::default());
         w.push(SimTime::from_ps(1), 1);
         assert_eq!(w.pop(), Some((SimTime::from_ps(1), 1)));
     }

@@ -1,10 +1,10 @@
-//! Differential properties: the wheel-backed [`EventQueue`] must be
+//! Differential properties: the [`TimerWheel`] must be
 //! observationally identical to the reference [`HeapQueue`] — pop
 //! sequences (time, then FIFO seq), `QueueStats`, `peek_time`, and
 //! lengths all bit-equal under arbitrary push/pop interleavings,
 //! including same-timestamp floods and pushes below the cursor horizon.
 
-use densekv_sim::{EventQueue, HeapQueue, SimTime};
+use densekv_sim::{HeapQueue, SimTime, TimerWheel};
 use proptest::prelude::*;
 
 /// One scripted queue operation.
@@ -45,7 +45,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 /// Runs a script against both queues, comparing every observable.
 fn run_script(ops: &[Op]) {
-    let mut wheel = EventQueue::new();
+    let mut wheel = TimerWheel::new();
     let mut heap = HeapQueue::new();
     let mut payload = 0u64;
     let mut last_pop = SimTime::ZERO;
@@ -133,7 +133,7 @@ proptest! {
 /// kept out of proptest so the exact case always runs.
 #[test]
 fn thousand_tie_flood_exact_order() {
-    let mut wheel = EventQueue::new();
+    let mut wheel = TimerWheel::new();
     let mut heap = HeapQueue::new();
     let tie = SimTime::from_ps(123_456_789);
     for i in 0..1000u64 {

@@ -152,8 +152,8 @@ pub fn key_bytes_into(id: u64, out: &mut Vec<u8>) {
 }
 
 /// Upper bound on a rendered key's length for any `u64` id (`"key:"`
-/// plus up to 20 decimal digits) — the stride arena-backed request
-/// slots reserve per key.
+/// plus up to 20 decimal digits) — the capacity a reused key buffer
+/// needs never to grow.
 pub const MAX_KEY_LEN: usize = 24;
 
 /// Exact length [`key_bytes`] renders for `id`.

@@ -915,7 +915,7 @@ proptest! {
 // ---------------------------------------------------------------------
 
 mod stream_pricing {
-    use densekv_hybrid::{AdmissionPolicy, HybridConfig, HybridMemory, TierOrganization};
+    use densekv_hybrid::{HybridConfig, HybridMemory};
     use densekv_mem::dram::{DramConfig, DramStack};
     use densekv_mem::flash::{FlashArray, FlashConfig};
     use densekv_mem::ftl::Ftl;
@@ -1071,16 +1071,14 @@ mod stream_pricing {
         }
 
         /// The page-granular hybrid stream against the per-line walk, on
-        /// tiers small enough that runs evict: both organizations, both
-        /// admission policies, a 0-byte tier, pages that lines straddle,
-        /// and writes whose dirty victims fill the writeback buffer and
-        /// reach the FTL (garbage collection included). Bulk PUT writes
-        /// are interleaved, as the core interleaves them.
+        /// tiers small enough that runs evict: a 0-byte tier, pages that
+        /// lines straddle, and writes whose dirty victims fill the
+        /// writeback buffer and reach the FTL (garbage collection
+        /// included). Bulk PUT writes are interleaved, as the core
+        /// interleaves them.
         #[test]
         fn hybrid_stream_matches_per_line_walk(
             tier_pages in 0u64..9,
-            set_associative in any::<bool>(),
-            second_touch in any::<bool>(),
             writeback_pages in 1u32..5,
             page_shape in 0usize..3,
             // 96 logical pages are exported; starts run past them to wrap.
@@ -1090,16 +1088,6 @@ mod stream_pricing {
             let page_bytes = [8 << 10, 65 * 64, 5_000][page_shape];
             let config = HybridConfig {
                 dram_tier_bytes: tier_pages * page_bytes,
-                organization: if set_associative {
-                    TierOrganization::SetAssociative { ways: 2 }
-                } else {
-                    TierOrganization::ObjectLru
-                },
-                admission: if second_touch {
-                    AdmissionPolicy::SecondTouch { window: 3 }
-                } else {
-                    AdmissionPolicy::Always
-                },
                 writeback_pages,
                 flash: tiny_flash(page_bytes),
                 overprovision: 0.25,

@@ -20,7 +20,7 @@ use densekv_net::nic::NicMac;
 use densekv_net::{TcpCostModel, Wire};
 use densekv_sim::Duration;
 use densekv_stack::{MemoryKind, StackConfig};
-use densekv_workload::{Op, Request};
+use densekv_workload::{key_bytes_into, Op, Request, MAX_KEY_LEN};
 
 /// Line-address base of the packet-buffer region.
 const BUFFER_BASE_LINE: u64 = 0xE00_0000; // 3.5 GiB into the device, in lines
@@ -284,7 +284,8 @@ pub struct RequestTiming {
     pub store: Duration,
     /// Fig. 4's "Hash Computation" component.
     pub hash: Duration,
-    /// Whether a GET hit (PUTs report `true`).
+    /// Whether a GET hit or a PUT was stored (a PUT the store refuses
+    /// reports `false`).
     pub hit: bool,
 }
 
@@ -493,9 +494,10 @@ impl CoreSim {
     ///
     /// Propagates store errors (e.g. the population does not fit).
     pub fn preload(&mut self, value_bytes: u64, population: u64) -> Result<(), StoreError> {
+        let mut key = Vec::with_capacity(MAX_KEY_LEN);
         for id in 0..population {
-            let key = densekv_workload::key_bytes(id);
-            self.store.set(&key, stored_value(value_bytes), None, 0)?;
+            key_bytes_into(id, &mut key);
+            self.preload_one(&key, value_bytes)?;
         }
         Ok(())
     }
@@ -507,7 +509,7 @@ impl CoreSim {
     /// Propagates store errors.
     pub fn preload_one(&mut self, key: &[u8], value_bytes: u64) -> Result<(), StoreError> {
         self.store
-            .set(key, stored_value(value_bytes), None, 0)
+            .set_traced(key, stored_value(value_bytes), 0, &mut self.trace_scratch)
             .map(|_| ())
     }
 
@@ -605,16 +607,11 @@ impl CoreSim {
         let mut trace = std::mem::take(&mut self.trace_scratch);
         let hit = match op {
             Op::Get => self.store.get_traced(key, 0, &mut trace).is_some(),
-            Op::Put => match self.store.set(key, stored_value(value_bytes), None, 0) {
-                Ok(set) => {
-                    trace = set.trace;
-                    true
-                }
-                Err(_) => {
-                    trace = AccessTrace::default();
-                    false
-                }
-            },
+            // A refused set leaves the trace empty.
+            Op::Put => self
+                .store
+                .set_traced(key, stored_value(value_bytes), 0, &mut trace)
+                .is_ok(),
         };
 
         // --- Receive path: kernel RX + payload landing in buffers.

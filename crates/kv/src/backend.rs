@@ -187,7 +187,7 @@ impl StoreBackend for KvStore {
         ttl_secs: Option<u64>,
         now: u64,
     ) -> Result<(), StoreError> {
-        KvStore::set_hashed(self, key, hash, value, flags, ttl_secs, now).map(|_| ())
+        self.set_untraced(key, hash, value, flags, ttl_secs, now)
     }
 
     fn add(

@@ -321,6 +321,8 @@ pub struct KvStore {
     free_slots: Vec<u32>,
     stats: StoreStats,
     next_cas: u64,
+    /// The trace of every set whose caller discards it.
+    scratch: AccessTrace,
 }
 
 impl fmt::Debug for KvStore {
@@ -346,6 +348,7 @@ impl KvStore {
             free_slots: Vec::new(),
             stats: StoreStats::default(),
             next_cas: 1,
+            scratch: AccessTrace::default(),
             slab,
             config,
         }
@@ -387,17 +390,9 @@ impl KvStore {
         item.expires_at.is_some_and(|t| t <= now)
     }
 
-    /// Looks up a live item slot, lazily expiring a stale one. Returns the
-    /// slot and the trace of the walk.
-    fn lookup(&mut self, key: &[u8], hash: u64, now: u64) -> (Option<u32>, AccessTrace) {
-        let mut trace = AccessTrace::default();
-        let slot = self.lookup_into(key, hash, now, &mut trace);
-        (slot, trace)
-    }
-
-    /// [`KvStore::lookup`] writing into a caller-owned trace, so hot
-    /// paths reuse the chain-offsets buffer instead of allocating one
-    /// per request.
+    /// Looks up a live item slot, lazily expiring a stale one, and
+    /// traces the walk into a caller-owned trace, so hot paths reuse the
+    /// chain-offsets buffer instead of allocating one per request.
     fn lookup_into(
         &mut self,
         key: &[u8],
@@ -418,6 +413,12 @@ impl KvStore {
         for _ in 0..found.probes {
             trace.chain_offsets.push(self.header_offset(item.addr));
         }
+        self.live_or_expire(slot, hash, now)
+    }
+
+    /// [`KvStore::lookup_into`] for a caller that needs no trace.
+    fn live_slot(&mut self, key: &[u8], hash: u64, now: u64) -> Option<u32> {
+        let slot = self.find(key, hash).slot?;
         self.live_or_expire(slot, hash, now)
     }
 
@@ -493,8 +494,7 @@ impl KvStore {
     /// lends the value instead of copying it and builds no trace.
     /// `hash` is `jenkins_oaat(key)`, which the caller already has.
     pub fn get_ref(&mut self, key: &[u8], hash: u64, now: u64) -> Option<HitRef<'_>> {
-        let slot = self.find(key, hash).slot;
-        let slot = slot.and_then(|slot| self.live_or_expire(slot, hash, now));
+        let slot = self.live_slot(key, hash, now);
         let slot = self.count_get(slot)?;
         let item = self.items[slot as usize].as_ref().expect("live");
         Some(HitRef {
@@ -552,36 +552,89 @@ impl KvStore {
         ttl_secs: Option<u64>,
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
-        let value = value.into();
+        let mut trace = AccessTrace::default();
+        let evicted = self.set_into(key, hash, value.into(), flags, ttl_secs, now, &mut trace)?;
+        Ok(SetOutcome { evicted, trace })
+    }
+
+    /// [`KvStore::set`] for timing-model callers, the twin of
+    /// [`KvStore::get_traced`]: identical side effects, no flags and no
+    /// TTL, and the trace written into `trace`. Returns the items evicted
+    /// to make room; a refused set leaves `trace` equal to
+    /// [`AccessTrace::default`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`KvStore::set`].
+    pub fn set_traced(
+        &mut self,
+        key: &[u8],
+        value: &'static [u8],
+        now: u64,
+        trace: &mut AccessTrace,
+    ) -> Result<u64, StoreError> {
+        let set = self.set_into(key, jenkins_oaat(key), value.into(), 0, None, now, trace);
+        if set.is_err() {
+            trace.bucket_offset = 0;
+            trace.chain_offsets.clear();
+            trace.value = None;
+        }
+        set
+    }
+
+    /// [`KvStore::set_hashed`] for a caller that discards the trace: it
+    /// goes to the store's scratch trace.
+    pub(crate) fn set_untraced(
+        &mut self,
+        key: &[u8],
+        hash: u64,
+        value: Vec<u8>,
+        flags: u32,
+        ttl_secs: Option<u64>,
+        now: u64,
+    ) -> Result<(), StoreError> {
+        let mut trace = std::mem::take(&mut self.scratch);
+        let set = self.set_into(key, hash, value.into(), flags, ttl_secs, now, &mut trace);
+        self.scratch = trace;
+        set.map(|_| ())
+    }
+
+    /// The one set body: stores the item, traces what it touched into
+    /// `trace` and returns the items evicted to make room.
+    #[allow(clippy::too_many_arguments)]
+    fn set_into(
+        &mut self,
+        key: &[u8],
+        hash: u64,
+        value: Cow<'static, [u8]>,
+        flags: u32,
+        ttl_secs: Option<u64>,
+        now: u64,
+        trace: &mut AccessTrace,
+    ) -> Result<u64, StoreError> {
         if key.len() > MAX_KEY_BYTES {
             return Err(StoreError::KeyTooLong { len: key.len() });
         }
         let footprint = ITEM_HEADER_BYTES + key.len() as u64 + value.len() as u64;
 
-        // Replace any existing copy first (frees its chunk).
-        let (existing, mut trace) = self.lookup(key, hash, now);
-        if let Some(slot) = existing {
-            self.remove_slot(slot, hash);
-        }
+        // Replace any existing copy first (frees its chunk); its key
+        // equals `key`, so the new item keeps its buffer.
+        let replaced_key = self
+            .lookup_into(key, hash, now, trace)
+            .map(|slot| self.remove_slot(slot, hash).key);
 
         let (addr, evicted) = self.allocate_with_eviction(footprint)?;
         let cas = self.next_cas;
         self.next_cas += 1;
         let item = Item {
-            key: key.to_vec(),
+            key: replaced_key.unwrap_or_else(|| key.to_vec()),
             value,
             flags,
             expires_at: ttl_secs.map(|t| now + t),
             cas,
             addr,
         };
-        trace.value = Some((
-            AccessTrace::SLAB_REGION_OFFSET
-                + self.slab.byte_offset(addr)
-                + ITEM_HEADER_BYTES
-                + item.key.len() as u64,
-            item.value.len() as u64,
-        ));
+        trace.value = Some((self.value_offset(&item), item.value.len() as u64));
         trace.chain_offsets.push(self.header_offset(addr));
         self.stats.bytes += item.footprint();
         self.stats.items += 1;
@@ -600,7 +653,7 @@ impl KvStore {
         };
         self.table.insert(hash, slot);
         self.policies[addr.class as usize].on_insert(slot);
-        Ok(SetOutcome { evicted, trace })
+        Ok(evicted)
     }
 
     /// Compare-and-swap: stores only if the item's CAS token still equals
@@ -619,9 +672,9 @@ impl KvStore {
         ttl_secs: Option<u64>,
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
-        let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
-        let slot = slot.ok_or(StoreError::NotFound)?;
+        let slot = self
+            .live_slot(key, jenkins_oaat(key), now)
+            .ok_or(StoreError::NotFound)?;
         let current = self.items[slot as usize].as_ref().expect("live").cas;
         if current != cas {
             return Err(StoreError::CasMismatch);
@@ -632,8 +685,8 @@ impl KvStore {
     /// Deletes `key`, returning its trace if it was present.
     pub fn delete(&mut self, key: &[u8]) -> Option<AccessTrace> {
         let hash = jenkins_oaat(key);
-        let (slot, trace) = self.lookup(key, hash, u64::MAX.saturating_sub(1));
-        let slot = slot?;
+        let mut trace = AccessTrace::default();
+        let slot = self.lookup_into(key, hash, u64::MAX.saturating_sub(1), &mut trace)?;
         self.remove_slot(slot, hash);
         self.stats.deletes += 1;
         Some(trace)
@@ -652,8 +705,7 @@ impl KvStore {
         ttl_secs: Option<u64>,
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
-        let hash = jenkins_oaat(key);
-        if self.lookup(key, hash, now).0.is_some() {
+        if self.live_slot(key, jenkins_oaat(key), now).is_some() {
             return Err(StoreError::Exists);
         }
         self.set(key, value, ttl_secs, now)
@@ -672,8 +724,7 @@ impl KvStore {
         ttl_secs: Option<u64>,
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
-        let hash = jenkins_oaat(key);
-        if self.lookup(key, hash, now).0.is_none() {
+        if self.live_slot(key, jenkins_oaat(key), now).is_none() {
             return Err(StoreError::NotFound);
         }
         self.set(key, value, ttl_secs, now)
@@ -694,9 +745,9 @@ impl KvStore {
         front: bool,
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
-        let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
-        let slot = slot.ok_or(StoreError::NotFound)?;
+        let slot = self
+            .live_slot(key, jenkins_oaat(key), now)
+            .ok_or(StoreError::NotFound)?;
         let (mut value, flags, expires_at) = {
             let item = self.items[slot as usize].as_ref().expect("live");
             (item.value.to_vec(), item.flags, item.expires_at)
@@ -729,8 +780,7 @@ impl KvStore {
         now: u64,
     ) -> Result<u64, StoreError> {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
-        let slot = slot.ok_or(StoreError::NotFound)?;
+        let slot = self.live_slot(key, hash, now).ok_or(StoreError::NotFound)?;
         let (current, flags, expires_at) = {
             let item = self.items[slot as usize].as_ref().expect("live");
             let text = std::str::from_utf8(&item.value).map_err(|_| StoreError::NotNumeric)?;
@@ -743,15 +793,13 @@ impl KvStore {
             current.wrapping_add(delta)
         };
         let ttl = expires_at.map(|t| t.saturating_sub(now));
-        self.set_with_flags(key, next.to_string().into_bytes(), flags, ttl, now)?;
+        self.set_untraced(key, hash, next.to_string().into_bytes(), flags, ttl, now)?;
         Ok(next)
     }
 
     /// Updates a live item's TTL without touching its value.
     pub fn touch(&mut self, key: &[u8], ttl_secs: Option<u64>, now: u64) -> bool {
-        let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
-        match slot {
+        match self.live_slot(key, jenkins_oaat(key), now) {
             Some(slot) => {
                 let item = self.items[slot as usize].as_mut().expect("live");
                 item.expires_at = ttl_secs.map(|t| now + t);
@@ -779,7 +827,8 @@ impl KvStore {
         }
     }
 
-    fn remove_slot(&mut self, slot: u32, hash: u64) {
+    /// Unlinks and frees `slot`, handing back its item.
+    fn remove_slot(&mut self, slot: u32, hash: u64) -> Item {
         let item = self.items[slot as usize].take().expect("slot is live");
         self.table.remove(hash, slot);
         self.policies[item.addr.class as usize].on_remove(slot);
@@ -787,6 +836,7 @@ impl KvStore {
         self.stats.bytes -= item.footprint();
         self.stats.items -= 1;
         self.free_slots.push(slot);
+        item
     }
 
     /// Allocates a chunk, evicting same-class victims as needed (the
@@ -1166,6 +1216,35 @@ mod tests {
         s.concat(b"k", b"b", false, 40).unwrap();
         assert!(s.get(b"k", 90).is_some(), "alive until the original expiry");
         assert!(s.get(b"k", 110).is_none(), "expired at the original time");
+    }
+
+    #[test]
+    fn set_traced_matches_set_observably() {
+        // `set` on one store, `set_traced` into one reused trace on the
+        // other, through fresh keys, overwrites and evictions: the same
+        // traces, evictions and counters. A refused set leaves the trace
+        // empty.
+        static VALUE: [u8; 64 << 10] = [9; 64 << 10];
+        let mut by_outcome = small();
+        let mut by_trace = small();
+        let mut trace = AccessTrace::default();
+        // 40 fresh keys overflow the 2 MB arena; the last 20 sets
+        // overwrite the 8 newest.
+        for i in 0..60 {
+            let key = format!("key{}", if i < 40 { i } else { 32 + i % 8 });
+            let set = by_outcome.set(key.as_bytes(), &VALUE[..], None, 0).unwrap();
+            let evicted = by_trace.set_traced(key.as_bytes(), &VALUE[..], 0, &mut trace);
+            assert_eq!((set.evicted, &set.trace), (evicted.unwrap(), &trace), "{i}");
+            assert_eq!(by_outcome.stats(), by_trace.stats(), "set {i}");
+        }
+        let stats = by_trace.stats();
+        assert!(stats.evictions > 0 && stats.sets - stats.evictions > stats.items);
+        let long = [b'k'; MAX_KEY_BYTES + 1];
+        assert_eq!(
+            by_trace.set_traced(&long, &VALUE[..1], 0, &mut trace),
+            Err(StoreError::KeyTooLong { len: 251 })
+        );
+        assert_eq!(trace, AccessTrace::default());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use densekv_server::{
     evaluate_server, plan_server, PerCorePerf, ServerConstraints, ServerPlan, ServerReport,
 };
 use densekv_sim::Duration;
-use densekv_stack::{MemoryKind, StackConfig};
+use densekv_stack::StackConfig;
 
 use crate::sim::CoreSimConfig;
 use crate::sweep::{measure_point, SweepEffort, SweepPoint};
@@ -31,17 +31,6 @@ impl Family {
         match self {
             Family::Mercury => "Mercury",
             Family::Iridium => "Iridium",
-        }
-    }
-
-    fn memory_kind(self) -> MemoryKind {
-        match self {
-            Family::Mercury => MemoryKind::Mercury(densekv_mem::dram::DramConfig::mercury(
-                Duration::from_nanos(10),
-            )),
-            Family::Iridium => MemoryKind::Iridium(densekv_mem::flash::FlashConfig::iridium(
-                Duration::from_micros(10),
-            )),
         }
     }
 
@@ -92,6 +81,27 @@ pub fn stack_mem_gbps(n: u32, perf: PerCorePerf) -> f64 {
     densekv_server::stack_working_point(n, perf).mem_gbps
 }
 
+/// Plans a box of `stack`s at their peak memory bandwidth over `sweep`
+/// (GET side, as the paper's bandwidth measurements use GETs) and
+/// returns the plan with its 64 B GET working point.
+pub(crate) fn plan_at_peak(
+    constraints: &ServerConstraints,
+    stack: StackConfig,
+    sweep: &[SweepPoint],
+) -> (ServerPlan, ServerReport) {
+    let peak = sweep
+        .iter()
+        .map(|p| stack_mem_gbps(stack.cores, p.get.perf))
+        .fold(0.0f64, f64::max);
+    let at_64b = sweep
+        .iter()
+        .find(|p| p.value_bytes == 64)
+        .expect("sweep includes 64 B");
+    let plan = plan_server(constraints, stack, peak);
+    let report = evaluate_server(&plan, at_64b.get.perf);
+    (plan, report)
+}
+
 /// Evaluates one (core, family) sweep across all core counts.
 pub fn evaluate_family(
     core: CoreConfig,
@@ -99,24 +109,13 @@ pub fn evaluate_family(
     sweep: &[SweepPoint],
     constraints: &ServerConstraints,
 ) -> Vec<ConfigEval> {
-    let at_64b = sweep
-        .iter()
-        .find(|p| p.value_bytes == 64)
-        .expect("sweep includes 64 B");
-
+    let config = family.sim_config(core.clone());
     CORE_COUNTS
         .iter()
         .map(|&n| {
-            let stack = StackConfig::new(family.memory_kind(), core.clone(), n, true)
+            let stack = StackConfig::new(config.memory.clone(), core.clone(), n, config.l2)
                 .expect("valid stack config");
-            // Peak per-stack memory bandwidth over the sweep (GET side,
-            // as the paper's bandwidth measurements use GETs).
-            let peak = sweep
-                .iter()
-                .map(|p| stack_mem_gbps(n, p.get.perf))
-                .fold(0.0f64, f64::max);
-            let plan = plan_server(constraints, stack, peak);
-            let report_64b = evaluate_server(&plan, at_64b.get.perf);
+            let (plan, report_64b) = plan_at_peak(constraints, stack, sweep);
             let (max_power_w, max_mem_bw_gbps) = sweep
                 .iter()
                 .map(|p| {

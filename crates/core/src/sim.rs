@@ -36,11 +36,13 @@ const PARSE_INSTR: u64 = 1_800;
 const GET_STORE_INSTR: u64 = 5_500;
 /// Instructions for PUT metadata handling (alloc, LRU, table update).
 const PUT_STORE_INSTR: u64 = 16_000;
+/// Extra parse instructions per additional key of a multi-GET.
+const PARSE_INSTR_PER_EXTRA_KEY: u64 = 200;
 /// Copy-loop instructions per 64 B line moved.
 const COPY_INSTR_PER_LINE: u64 = 4;
 /// Metadata lines written by a PUT (bucket pointer, item header,
 /// LRU/stats).
-const PUT_METADATA_WRITES: usize = 3;
+const PUT_METADATA_WRITES: u64 = 3;
 
 /// Largest value the store accepts (one slab page minus header/key
 /// slack). The paper's 1 MB sweep point stores 1 MB minus this sliver;
@@ -351,6 +353,19 @@ impl PhaseBreakdown {
     pub fn total(&self) -> Duration {
         self.phases().iter().map(|&(_, d)| d).sum()
     }
+
+    /// The Fig. 4 totals of this round trip, for an exchange whose keys
+    /// all hit (`hit`).
+    fn timing(&self, hit: bool) -> RequestTiming {
+        RequestTiming {
+            rtt: self.total(),
+            server: self.server(),
+            network: self.net_rx + self.net_tx + self.value_copy,
+            store: self.parse + self.store_op,
+            hash: self.hash,
+            hit,
+        }
+    }
 }
 
 /// One simulated stack core and its Memcached instance.
@@ -545,14 +560,9 @@ impl CoreSim {
         self.wire_bytes = 0;
     }
 
-    /// Runs a phase whose stream (if any) targets the store device.
-    fn run_store(&mut self, spec: &PhaseSpec) -> PhaseResult {
-        self.memory.run_phase(&mut self.engine, spec, false)
-    }
-
     /// Runs a phase whose stream (if any) targets the packet buffers.
-    fn run_buffer(&mut self, spec: &PhaseSpec) -> PhaseResult {
-        self.memory.run_phase(&mut self.engine, spec, true)
+    fn run_buffer(&mut self, spec: &PhaseSpec) -> Duration {
+        self.memory.run_phase(&mut self.engine, spec, true).time
     }
 
     /// Converts a store-space byte offset to a device line address.
@@ -599,108 +609,8 @@ impl CoreSim {
             Op::Get => MessageSizes::get(key_len, value_bytes),
             Op::Put => MessageSizes::put(key_len, value_bytes),
         };
-
-        // --- The store operation itself (real data structures) runs
-        // first: the store never consults the timing models, so hoisting
-        // it ahead of the phase walk is observable-neutral — and its
-        // trace parameterizes the phase specs.
-        let mut trace = std::mem::take(&mut self.trace_scratch);
-        let hit = match op {
-            Op::Get => self.store.get_traced(key, 0, &mut trace).is_some(),
-            // A refused set leaves the trace empty.
-            Op::Put => self
-                .store
-                .set_traced(key, stored_value(value_bytes), 0, &mut trace)
-                .is_ok(),
-        };
-
-        // --- Receive path: kernel RX + payload landing in buffers.
-        let rx = self.config.tcp.rx_cost(sizes.request_frames());
-        let rx_result = self.run_buffer(&PhaseSpec {
-            name: "net-rx",
-            instructions: rx.instructions,
-            ifetch_footprint_lines: 3_000,
-            ifetch_per_kinstr: 12,
-            kernel_refs: rx.kernel_refs,
-            store_refs: Vec::new(),
-            stream: Some(StreamRef {
-                start_line: BUFFER_BASE_LINE,
-                lines: lines_for_bytes(sizes.request_payload),
-                kind: AccessKind::Write,
-            }),
-            uncached_ops: rx.uncached_ops,
-        });
-
-        // --- Protocol parse.
-        let parse_result = self.run_buffer(&PhaseSpec {
-            name: "parse",
-            instructions: PARSE_INSTR,
-            ifetch_footprint_lines: 200,
-            ifetch_per_kinstr: 6,
-            kernel_refs: 4,
-            store_refs: Vec::new(),
-            stream: None,
-            uncached_ops: 0,
-        });
-
-        // --- Key hash.
-        let hash_result = self.run_buffer(&PhaseSpec {
-            name: "hash",
-            instructions: hash_instructions(key.len()),
-            ifetch_footprint_lines: 64,
-            ifetch_per_kinstr: 2,
-            kernel_refs: 0,
-            store_refs: Vec::new(),
-            stream: None,
-            uncached_ops: 0,
-        });
-
-        // --- Store metadata + value movement, priced from the trace.
-        let (store_result, copy_result) = match op {
-            Op::Get => self.get_phases(&trace, value_bytes),
-            Op::Put => self.put_phases(&trace, value_bytes),
-        };
-
-        // --- Transmit path: kernel TX + NIC DMA out of the buffers.
-        let tx = self.config.tcp.tx_cost(sizes.response_frames());
-        let tx_result = self.run_buffer(&PhaseSpec {
-            name: "net-tx",
-            instructions: tx.instructions,
-            ifetch_footprint_lines: 2_500,
-            ifetch_per_kinstr: 12,
-            kernel_refs: tx.kernel_refs,
-            store_refs: Vec::new(),
-            stream: None,
-            uncached_ops: tx.uncached_ops,
-        });
-        self.memory
-            .dma_buffer_read(lines_for_bytes(sizes.response_payload));
-
-        self.wire_bytes += sizes.request_payload + sizes.response_payload;
-
-        let breakdown = PhaseBreakdown {
-            client_overhead: self.config.client_overhead,
-            req_wire: self.config.wire.one_way(sizes.request_payload),
-            req_nic: self.mac.message_latency(sizes.request_frames()),
-            net_rx: rx_result.time,
-            parse: parse_result.time,
-            hash: hash_result.time,
-            store_op: store_result.time,
-            value_copy: copy_result.time,
-            net_tx: tx_result.time,
-            resp_nic: self.mac.message_latency(sizes.response_frames()),
-            resp_wire: self.config.wire.one_way(sizes.response_payload),
-        };
-        let timing = RequestTiming {
-            rtt: breakdown.total(),
-            server: breakdown.server(),
-            network: breakdown.net_rx + breakdown.net_tx + breakdown.value_copy,
-            store: breakdown.parse + breakdown.store_op,
-            hash: breakdown.hash,
-            hit,
-        };
-
-        self.trace_scratch = trace;
+        let (timing, breakdown, _) =
+            self.exchange(op, std::slice::from_ref(&key), value_bytes, sizes);
         (timing, breakdown)
     }
 
@@ -717,11 +627,28 @@ impl CoreSim {
     /// Panics if `keys` is empty.
     pub fn execute_multiget(&mut self, keys: &[Vec<u8>], value_bytes: u64) -> (RequestTiming, u32) {
         assert!(!keys.is_empty(), "multiget needs at least one key");
-        let key_len = keys[0].len() as u64;
-        let sizes = MessageSizes::multiget(key_len, value_bytes, keys.len() as u64);
+        let sizes = MessageSizes::multiget(keys[0].len() as u64, value_bytes, keys.len() as u64);
+        let (timing, _, hits) = self.exchange(Op::Get, keys, value_bytes, sizes);
+        (timing, hits)
+    }
 
+    /// One client exchange, in wire order: the receive path, one parse,
+    /// then for each key its hash, the real store operation and that
+    /// operation's store and copy phases, and last the transmit path.
+    /// A GET or PUT is the exchange with one key; a multi-GET with many.
+    /// The store never consults the timing models, so running each
+    /// operation between the phases that price it is observable-neutral.
+    /// Returns the timing, its phase breakdown and the keys that hit.
+    fn exchange<K: AsRef<[u8]>>(
+        &mut self,
+        op: Op,
+        keys: &[K],
+        value_bytes: u64,
+        sizes: MessageSizes,
+    ) -> (RequestTiming, PhaseBreakdown, u32) {
+        // --- Receive path: kernel RX + payload landing in buffers.
         let rx = self.config.tcp.rx_cost(sizes.request_frames());
-        let rx_result = self.run_buffer(&PhaseSpec {
+        let net_rx = self.run_buffer(&PhaseSpec {
             name: "net-rx",
             instructions: rx.instructions,
             ifetch_footprint_lines: 3_000,
@@ -735,9 +662,11 @@ impl CoreSim {
             }),
             uncached_ops: rx.uncached_ops,
         });
-        let parse_result = self.run_buffer(&PhaseSpec {
+
+        // --- Protocol parse: one command line, longer per extra key.
+        let parse = self.run_buffer(&PhaseSpec {
             name: "parse",
-            instructions: PARSE_INSTR + 200 * (keys.len() as u64 - 1),
+            instructions: PARSE_INSTR + PARSE_INSTR_PER_EXTRA_KEY * (keys.len() as u64 - 1),
             ifetch_footprint_lines: 200,
             ifetch_per_kinstr: 6,
             kernel_refs: 4,
@@ -746,12 +675,15 @@ impl CoreSim {
             uncached_ops: 0,
         });
 
-        let mut hash_time = Duration::ZERO;
-        let mut store_time = Duration::ZERO;
-        let mut copy_time = Duration::ZERO;
-        let mut hits = 0;
+        // --- Per key: hash, the store operation itself (real data
+        // structures), and its metadata + value movement priced from
+        // the trace it left.
+        let (mut hash, mut store_op, mut value_copy, mut hits) =
+            (Duration::ZERO, Duration::ZERO, Duration::ZERO, 0);
+        let mut trace = std::mem::take(&mut self.trace_scratch);
         for key in keys {
-            let hash_result = self.run_buffer(&PhaseSpec {
+            let key = key.as_ref();
+            hash += self.run_buffer(&PhaseSpec {
                 name: "hash",
                 instructions: hash_instructions(key.len()),
                 ifetch_footprint_lines: 64,
@@ -761,20 +693,24 @@ impl CoreSim {
                 stream: None,
                 uncached_ops: 0,
             });
-            hash_time += hash_result.time;
-            let mut trace = std::mem::take(&mut self.trace_scratch);
-            let hit = self.store.get_traced(key, 0, &mut trace).is_some();
-            let (store_result, copy_result) = self.get_phases(&trace, value_bytes);
-            self.trace_scratch = trace;
-            store_time += store_result.time;
-            copy_time += copy_result.time;
-            if hit {
-                hits += 1;
-            }
+            let hit = match op {
+                Op::Get => self.store.get_traced(key, 0, &mut trace).is_some(),
+                // A refused set leaves the trace empty.
+                Op::Put => self
+                    .store
+                    .set_traced(key, stored_value(value_bytes), 0, &mut trace)
+                    .is_ok(),
+            };
+            let (store, copy) = self.store_phases(op, &trace, value_bytes);
+            store_op += store;
+            value_copy += copy;
+            hits += u32::from(hit);
         }
+        self.trace_scratch = trace;
 
+        // --- Transmit path: kernel TX + NIC DMA out of the buffers.
         let tx = self.config.tcp.tx_cost(sizes.response_frames());
-        let tx_result = self.run_buffer(&PhaseSpec {
+        let net_tx = self.run_buffer(&PhaseSpec {
             name: "net-tx",
             instructions: tx.instructions,
             ifetch_footprint_lines: 2_500,
@@ -788,161 +724,114 @@ impl CoreSim {
             .dma_buffer_read(lines_for_bytes(sizes.response_payload));
         self.wire_bytes += sizes.request_payload + sizes.response_payload;
 
-        let server = rx_result.time
-            + parse_result.time
-            + hash_time
-            + store_time
-            + copy_time
-            + tx_result.time;
-        let rtt = self.config.client_overhead
-            + self.config.wire.one_way(sizes.request_payload)
-            + self.mac.message_latency(sizes.request_frames())
-            + server
-            + self.mac.message_latency(sizes.response_frames())
-            + self.config.wire.one_way(sizes.response_payload);
-        (
-            RequestTiming {
-                rtt,
-                server,
-                network: rx_result.time + tx_result.time + copy_time,
-                store: parse_result.time + store_time,
-                hash: hash_time,
-                hit: hits == keys.len() as u32,
-            },
-            hits,
-        )
+        let breakdown = PhaseBreakdown {
+            client_overhead: self.config.client_overhead,
+            req_wire: self.config.wire.one_way(sizes.request_payload),
+            req_nic: self.mac.message_latency(sizes.request_frames()),
+            net_rx,
+            parse,
+            hash,
+            store_op,
+            value_copy,
+            net_tx,
+            resp_nic: self.mac.message_latency(sizes.response_frames()),
+            resp_wire: self.config.wire.one_way(sizes.response_payload),
+        };
+        let all_hit = hits as usize == keys.len();
+        (breakdown.timing(all_hit), breakdown, hits)
     }
 
-    /// GET phase walk: metadata refs and value stream priced from the
-    /// [`AccessTrace`] the already-executed lookup produced.
-    fn get_phases(&mut self, trace: &AccessTrace, value_bytes: u64) -> (PhaseResult, PhaseResult) {
-        let spec = PhaseSpec {
-            name: "store-get",
-            instructions: GET_STORE_INSTR,
-            ifetch_footprint_lines: 1_500,
-            ifetch_per_kinstr: 10,
-            kernel_refs: 6,
-            store_refs: self.metadata_lines(trace),
-            stream: None,
-            uncached_ops: 0,
-        };
-        let store_result = self.run_store(&spec);
-        self.store_refs_scratch = spec.store_refs;
-
-        // Value moves store -> CPU -> socket buffer.
-        let mut copy_result = PhaseResult::default();
-        if let Some((offset, len)) = trace.value {
-            let lines = lines_for_bytes(len.max(value_bytes));
-            let read = self.run_store(&PhaseSpec {
-                name: "value-copy",
-                instructions: COPY_INSTR_PER_LINE * lines,
-                ifetch_footprint_lines: 64,
-                ifetch_per_kinstr: 2,
-                kernel_refs: 0,
-                store_refs: Vec::new(),
-                stream: Some(StreamRef {
-                    start_line: Self::store_line(offset),
-                    lines,
-                    kind: AccessKind::Read,
-                }),
+    /// The store and value-copy phase times of one executed operation,
+    /// priced from the [`AccessTrace`] it produced: the metadata walk
+    /// (plus, for a PUT, a short write burst of dirtied metadata lines),
+    /// then the value's two copy legs.
+    fn store_phases(
+        &mut self,
+        op: Op,
+        trace: &AccessTrace,
+        value_bytes: u64,
+    ) -> (Duration, Duration) {
+        let store_refs = self.metadata_lines(trace);
+        let spec = match op {
+            Op::Get => PhaseSpec {
+                name: "store-get",
+                instructions: GET_STORE_INSTR,
+                ifetch_footprint_lines: 1_500,
+                ifetch_per_kinstr: 10,
+                kernel_refs: 6,
+                store_refs,
+                stream: None,
                 uncached_ops: 0,
-            });
-            let write = self.run_buffer(&PhaseSpec {
-                name: "value-copy",
-                instructions: 0,
-                ifetch_footprint_lines: 64,
-                ifetch_per_kinstr: 2,
-                kernel_refs: 0,
-                store_refs: Vec::new(),
+            },
+            // Metadata updates dirty a few lines; charge them as a short
+            // write burst at the head of the item.
+            Op::Put => PhaseSpec {
+                name: "store-put",
+                instructions: PUT_STORE_INSTR,
+                ifetch_footprint_lines: 1_800,
+                ifetch_per_kinstr: 10,
+                kernel_refs: 10,
                 stream: Some(StreamRef {
-                    start_line: BUFFER_BASE_LINE,
-                    lines,
+                    start_line: store_refs.first().copied().unwrap_or(0),
+                    lines: PUT_METADATA_WRITES,
                     kind: AccessKind::Write,
                 }),
+                store_refs,
                 uncached_ops: 0,
-            });
-            copy_result = read;
-            copy_result.merge(&write);
-        }
-        (store_result, copy_result)
+            },
+        };
+        let store = self.memory.run_phase(&mut self.engine, &spec, false).time;
+        self.store_refs_scratch = spec.store_refs;
+
+        let Some((offset, len)) = trace.value else {
+            return (store, Duration::ZERO);
+        };
+        let bytes = len.max(value_bytes);
+        let lines = lines_for_bytes(bytes);
+        let item = Self::store_line(offset);
+        let copy = match op {
+            // Value moves store -> CPU -> socket buffer.
+            Op::Get => {
+                let read = self.copy_leg(false, item, lines, AccessKind::Read);
+                read + self.copy_leg(true, BUFFER_BASE_LINE, lines, AccessKind::Write)
+            }
+            // Read the payload out of the socket buffer, then write it
+            // into the item's chunk. On flash the write goes through the
+            // FTL as whole-page programs (with garbage collection in the
+            // loop); on Mercury it streams through the DRAM.
+            Op::Put => {
+                let read = self.copy_leg(true, BUFFER_BASE_LINE, lines, AccessKind::Read);
+                read + match self.memory.ftl_value_write(offset, bytes) {
+                    Some(program) => program,
+                    None => self.copy_leg(false, item, lines, AccessKind::Write),
+                }
+            }
+        };
+        (store, copy)
     }
 
-    /// PUT phase walk: metadata refs + metadata writes + value stream
-    /// priced from the [`AccessTrace`] the already-executed insert
-    /// produced.
-    fn put_phases(&mut self, trace: &AccessTrace, value_bytes: u64) -> (PhaseResult, PhaseResult) {
-        let metadata = self.metadata_lines(trace);
-        // Metadata updates dirty a few lines; charge them as a short
-        // write burst at the head of the item.
-        let first_meta = metadata.first().copied().unwrap_or(0);
+    /// One leg of a value copy: `lines` streamed from line `start` of
+    /// the packet buffers (`buffer`) or the store. The copy loop's
+    /// instructions are charged once, on the leg that reads.
+    fn copy_leg(&mut self, buffer: bool, start: u64, lines: u64, kind: AccessKind) -> Duration {
         let spec = PhaseSpec {
-            name: "store-put",
-            instructions: PUT_STORE_INSTR,
-            ifetch_footprint_lines: 1_800,
-            ifetch_per_kinstr: 10,
-            kernel_refs: 10,
-            store_refs: metadata,
+            name: "value-copy",
+            instructions: match kind {
+                AccessKind::Read => COPY_INSTR_PER_LINE * lines,
+                AccessKind::Write => 0,
+            },
+            ifetch_footprint_lines: 64,
+            ifetch_per_kinstr: 2,
+            kernel_refs: 0,
+            store_refs: Vec::new(),
             stream: Some(StreamRef {
-                start_line: first_meta,
-                lines: PUT_METADATA_WRITES as u64,
-                kind: AccessKind::Write,
+                start_line: start,
+                lines,
+                kind,
             }),
             uncached_ops: 0,
         };
-        let store_result = self.run_store(&spec);
-        self.store_refs_scratch = spec.store_refs;
-
-        let mut copy_result = PhaseResult::default();
-        if let Some((offset, len)) = trace.value {
-            let lines = lines_for_bytes(len.max(value_bytes));
-            // Read the payload out of the socket buffer...
-            let read = self.run_buffer(&PhaseSpec {
-                name: "value-copy",
-                instructions: COPY_INSTR_PER_LINE * lines,
-                ifetch_footprint_lines: 64,
-                ifetch_per_kinstr: 2,
-                kernel_refs: 0,
-                store_refs: Vec::new(),
-                stream: Some(StreamRef {
-                    start_line: BUFFER_BASE_LINE,
-                    lines,
-                    kind: AccessKind::Read,
-                }),
-                uncached_ops: 0,
-            });
-            // ...and write it into the item's chunk. On Iridium the
-            // write goes through the FTL as whole-page programs (with
-            // garbage collection in the loop); on Mercury it streams
-            // through the DRAM.
-            let write_bytes = len.max(value_bytes);
-            let write = match self.memory.ftl_value_write(offset, write_bytes) {
-                Some(ftl_latency) => PhaseResult {
-                    time: ftl_latency,
-                    busy: Duration::ZERO,
-                    stall: ftl_latency,
-                    mem_refs: lines,
-                    l2_hits: 0,
-                    mem_bytes: 0, // the FTL's device counter tracks bytes
-                },
-                None => self.run_store(&PhaseSpec {
-                    name: "value-copy",
-                    instructions: 0,
-                    ifetch_footprint_lines: 64,
-                    ifetch_per_kinstr: 2,
-                    kernel_refs: 0,
-                    store_refs: Vec::new(),
-                    stream: Some(StreamRef {
-                        start_line: Self::store_line(offset),
-                        lines,
-                        kind: AccessKind::Write,
-                    }),
-                    uncached_ops: 0,
-                }),
-            };
-            copy_result = read;
-            copy_result.merge(&write);
-        }
-        (store_result, copy_result)
+        self.memory.run_phase(&mut self.engine, &spec, buffer).time
     }
 }
 
@@ -1241,6 +1130,42 @@ mod tests {
         );
         // But not 16x: per-key store work and response bytes remain.
         assert!(speedup < 16.0, "speedup {speedup:.2}x");
+    }
+
+    #[test]
+    fn one_key_multiget_is_a_get() {
+        // GET and multi-GET run one exchange: with one key they differ
+        // only in the separator byte the batched request line carries.
+        let helios = CoreSimConfig::helios_a7(64 << 20);
+        for config in [
+            CoreSimConfig::mercury_a7(),
+            CoreSimConfig::iridium_a7(),
+            helios,
+        ] {
+            for size in [64, 4096, 1 << 20] {
+                let mut single = warmed(config.clone(), size);
+                let mut batched = warmed(config.clone(), size);
+                let key = densekv_workload::key_bytes(1);
+                let (get, _) = single.execute_parts(Op::Get, &key, size);
+                let (multi, hits) = batched.execute_multiget(std::slice::from_ref(&key), size);
+                let case = format!("{:?} at {size} B", config.memory);
+                assert_eq!(hits, 1, "{case}");
+                assert_eq!(
+                    (
+                        multi.server,
+                        multi.network,
+                        multi.store,
+                        multi.hash,
+                        multi.hit
+                    ),
+                    (get.server, get.network, get.store, get.hash, get.hit),
+                    "{case}"
+                );
+                let len = key.len() as u64;
+                let separator = config.wire.one_way(len + 41) - config.wire.one_way(len + 40);
+                assert_eq!(multi.rtt - get.rtt, separator, "{case}");
+            }
+        }
     }
 
     #[test]

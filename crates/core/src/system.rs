@@ -15,21 +15,15 @@
 
 use densekv_cpu::CoreConfig;
 use densekv_par::Jobs;
-use densekv_server::{evaluate_server, plan_server, ServerConstraints, ServerPlan, ServerReport};
+use densekv_server::{evaluate_server, plan_server, ServerConstraints, ServerReport};
 use densekv_sim::Duration;
 use densekv_stack::config::StackConfigError;
-use densekv_stack::{MemoryKind, StackConfig};
+use densekv_stack::StackConfig;
 
+use crate::experiments::evaluation::plan_at_peak;
 use crate::sim::CoreSimConfig;
 use crate::stack_sim::{run as run_stack, StackSimConfig, StackSimResult};
 use crate::sweep::{measure_point, sweep_sizes, SweepEffort, SweepPoint};
-
-/// Which memory family the system uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FamilyChoice {
-    Mercury,
-    Iridium,
-}
 
 /// Errors from building a system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +55,9 @@ impl From<StackConfigError> for BuildError {
 /// paper's 1.5U constraints.
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
-    family: FamilyChoice,
+    /// The memory family's per-core configuration:
+    /// [`CoreSimConfig::mercury`] or [`CoreSimConfig::iridium`].
+    family: fn(CoreConfig, bool, Duration) -> CoreSimConfig,
     core: CoreConfig,
     cores_per_stack: u32,
     l2: bool,
@@ -72,13 +68,10 @@ pub struct SystemBuilder {
 }
 
 impl SystemBuilder {
-    fn new(family: FamilyChoice) -> Self {
+    fn new(family: fn(CoreConfig, bool, Duration) -> CoreSimConfig, latency: Duration) -> Self {
         SystemBuilder {
-            memory_latency: match family {
-                FamilyChoice::Mercury => Duration::from_nanos(10),
-                FamilyChoice::Iridium => Duration::from_micros(10),
-            },
             family,
+            memory_latency: latency,
             core: CoreConfig::a7_1ghz(),
             cores_per_stack: 32,
             l2: true,
@@ -90,12 +83,12 @@ impl SystemBuilder {
 
     /// Starts a DRAM-based (Mercury) system.
     pub fn mercury() -> Self {
-        SystemBuilder::new(FamilyChoice::Mercury)
+        SystemBuilder::new(CoreSimConfig::mercury, Duration::from_nanos(10))
     }
 
     /// Starts a flash-based (Iridium) system.
     pub fn iridium() -> Self {
-        SystemBuilder::new(FamilyChoice::Iridium)
+        SystemBuilder::new(CoreSimConfig::iridium, Duration::from_micros(10))
     }
 
     /// Sets the core model (A7/A15, frequency).
@@ -147,23 +140,13 @@ impl SystemBuilder {
     ///
     /// [`BuildError::Stack`] for invalid core counts.
     pub fn build(self) -> Result<System, BuildError> {
-        let memory = match self.family {
-            FamilyChoice::Mercury => {
-                MemoryKind::Mercury(densekv_mem::dram::DramConfig::mercury(self.memory_latency))
-            }
-            FamilyChoice::Iridium => MemoryKind::Iridium(densekv_mem::flash::FlashConfig::iridium(
-                self.memory_latency,
-            )),
-        };
-        let stack = StackConfig::new(memory, self.core.clone(), self.cores_per_stack, self.l2)?;
-        let sim_config = match self.family {
-            FamilyChoice::Mercury => {
-                CoreSimConfig::mercury(self.core, self.l2, self.memory_latency)
-            }
-            FamilyChoice::Iridium => {
-                CoreSimConfig::iridium(self.core, self.l2, self.memory_latency)
-            }
-        };
+        let sim_config = (self.family)(self.core, self.l2, self.memory_latency);
+        let stack = StackConfig::new(
+            sim_config.memory.clone(),
+            sim_config.core.clone(),
+            self.cores_per_stack,
+            sim_config.l2,
+        )?;
         Ok(System {
             stack,
             sim_config,
@@ -201,7 +184,7 @@ impl System {
     pub fn evaluate_quick(&self, value_bytes: u64) -> ServerReport {
         let point = measure_point(&self.sim_config, value_bytes, self.effort);
         let peak = self.stack.cores as f64 * point.get.perf.mem_gbps;
-        let plan = self.plan(peak);
+        let plan = plan_server(&self.constraints, self.stack.clone(), peak);
         evaluate_server(&plan, point.get.perf)
     }
 
@@ -209,16 +192,8 @@ impl System {
     /// bandwidth, and returns the 64 B working point plus the sweep.
     pub fn evaluate_swept(&self) -> (ServerReport, Vec<SweepPoint>) {
         let sweep = sweep_sizes(&self.sim_config, self.effort, self.jobs);
-        let peak = sweep
-            .iter()
-            .map(|p| crate::experiments::evaluation::stack_mem_gbps(self.stack.cores, p.get.perf))
-            .fold(0.0f64, f64::max);
-        let plan = self.plan(peak);
-        let at_64b = sweep
-            .iter()
-            .find(|p| p.value_bytes == 64)
-            .expect("sweep includes 64 B");
-        (evaluate_server(&plan, at_64b.get.perf), sweep)
+        let (_, report) = plan_at_peak(&self.constraints, self.stack.clone(), &sweep);
+        (report, sweep)
     }
 
     /// Latency under a Poisson load of `rate_per_sec` GETs of
@@ -229,10 +204,6 @@ impl System {
             value_bytes,
             rate_per_sec,
         ))
-    }
-
-    fn plan(&self, peak_mem_gbps: f64) -> ServerPlan {
-        plan_server(&self.constraints, self.stack.clone(), peak_mem_gbps)
     }
 }
 

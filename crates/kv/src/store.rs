@@ -280,11 +280,6 @@ impl GetHit {
     pub fn trace(&self) -> &AccessTrace {
         &self.trace
     }
-
-    /// Consumes the hit, returning the value.
-    pub fn into_value(self) -> Vec<u8> {
-        self.value
-    }
 }
 
 /// Outcome of a successful SET.

@@ -195,20 +195,14 @@ pub struct MetricsConfig {
     /// Requests at or above this wall-clock latency land in the
     /// slow-request log.
     pub slow_threshold: std::time::Duration,
-    /// Bounded slow-log length; the oldest entry is dropped first.
-    pub slow_log_capacity: usize,
     /// Wall-clock length of one observation window — the rotation
     /// cadence of the windowed histograms, rates, and SLO tracker
     /// (clamped to ≥ 1 ms).
     pub window: std::time::Duration,
-    /// Closed windows the `stats windows` ring retains.
-    pub window_retain: usize,
     /// The latency objective the windowed plane burns against. With
     /// the default 1 s window, the default 5-short/60-long windows are
     /// the classic 5 s / 1 min multi-window burn-rate pair.
     pub slo: SloConfig,
-    /// Window snapshots the flight recorder retains.
-    pub recorder_capacity: usize,
 }
 
 impl Default for MetricsConfig {
@@ -217,11 +211,8 @@ impl Default for MetricsConfig {
             enabled: true,
             sample_every: 1024,
             slow_threshold: std::time::Duration::from_millis(10),
-            slow_log_capacity: 64,
             window: std::time::Duration::from_secs(1),
-            window_retain: 32,
             slo: SloConfig::default(),
-            recorder_capacity: 32,
         }
     }
 }
@@ -335,6 +326,12 @@ pub struct WindowSnapshot {
     pub trigger: Option<&'static str>,
 }
 
+/// Bounded slow-log length; the oldest entry is dropped first.
+const SLOW_LOG_CAPACITY: usize = 64;
+/// Closed windows the `stats windows` ring retains.
+const WINDOW_RETAIN: usize = 32;
+/// Window snapshots the flight recorder retains.
+const RECORDER_CAPACITY: usize = 32;
 /// Contention trigger: at least this many acquisitions in the window…
 const CONTENTION_MIN_ACQ: u64 = 16;
 /// …of which at least half were contended.
@@ -375,7 +372,6 @@ struct Plane {
     slo: SloTracker,
     /// The flight recorder's snapshot ring, oldest first.
     recorder: VecDeque<WindowSnapshot>,
-    recorder_capacity: usize,
     /// The most recent trigger edge.
     last_trigger: Option<Trigger>,
     /// Whether the previous closed window was in a triggered state
@@ -418,7 +414,6 @@ pub struct ServeMetrics {
     enabled: bool,
     sample_every: u64,
     slow_threshold: std::time::Duration,
-    slow_capacity: usize,
     start: Stopwatch,
     verb_counters: [CounterId; VERB_COUNT],
     verb_histograms: [HistogramId; VERB_COUNT],
@@ -472,7 +467,7 @@ impl ServeMetrics {
         };
         let window = config.window.max(std::time::Duration::from_millis(1));
         let window_sim = SimDuration::from_std(window);
-        let mut overall = WindowedHistogram::new(config.window_retain.max(1));
+        let mut overall = WindowedHistogram::new(WINDOW_RETAIN);
         if config.enabled {
             // Grow every histogram a flush writes to its full range now,
             // so that no later sample, however slow, makes a worker
@@ -488,13 +483,12 @@ impl ServeMetrics {
             seq: 0,
             registry,
             shards: vec![ShardLockSnapshot::default(); shards],
-            slow: VecDeque::with_capacity(config.slow_log_capacity),
+            slow: VecDeque::with_capacity(SLOW_LOG_CAPACITY),
             closed: 0,
             overall,
             rates: std::array::from_fn(|_| WindowedRate::new(window_sim, RATE_EWMA_ALPHA)),
             slo: SloTracker::new(config.slo),
             recorder: VecDeque::new(),
-            recorder_capacity: config.recorder_capacity.max(1),
             last_trigger: None,
             triggered: false,
             auto_dump: None,
@@ -506,7 +500,6 @@ impl ServeMetrics {
             enabled: config.enabled,
             sample_every: config.sample_every,
             slow_threshold: config.slow_threshold,
-            slow_capacity: config.slow_log_capacity,
             start: Stopwatch::start(),
             verb_counters,
             verb_histograms,
@@ -541,7 +534,7 @@ impl ServeMetrics {
     pub fn cells(&self) -> ConnCells {
         ConnCells::new(
             self.plane.lock().shards.len(),
-            self.slow_capacity,
+            SLOW_LOG_CAPACITY,
             self.slow_threshold,
             if self.enabled { self.sample_every } else { 0 },
         )
@@ -631,7 +624,7 @@ impl ServeMetrics {
         // Idle windows with nothing to say are not recorded, so one
         // request after a quiet hour still has history behind it.
         if total > 0 || lock_acquisitions > 0 || conns_rejected > 0 || trigger.is_some() {
-            if plane.recorder.len() == plane.recorder_capacity {
+            if plane.recorder.len() == RECORDER_CAPACITY {
                 plane.recorder.pop_front();
             }
             plane.recorder.push_back(snapshot);
@@ -676,7 +669,7 @@ impl ServeMetrics {
             samples.reset();
         }
         for (position, verb, latency, end) in cells.slow.drain(..) {
-            if plane.slow.len() == self.slow_capacity {
+            if plane.slow.len() == SLOW_LOG_CAPACITY {
                 plane.slow.pop_front();
             }
             plane.slow.push_back(SlowRequest {
@@ -1388,18 +1381,22 @@ mod tests {
         let m = ServeMetrics::new(
             &MetricsConfig {
                 slow_threshold: std::time::Duration::from_micros(100),
-                slow_log_capacity: 2,
                 ..MetricsConfig::default()
             },
             1,
         );
         record(&m, Verb::Get, std::time::Duration::from_micros(50));
-        for _ in 1..=3 {
+        let last = SLOW_LOG_CAPACITY as u64 + 1;
+        for _ in 1..=last {
             record(&m, Verb::Set, std::time::Duration::from_micros(200));
         }
         let slow = m.slow_requests();
-        assert_eq!(slow.len(), 2, "capacity bound");
-        assert_eq!((slow[0].seq, slow[1].seq), (2, 3), "oldest dropped first");
+        assert_eq!(slow.len(), SLOW_LOG_CAPACITY, "capacity bound");
+        assert_eq!(
+            (slow[0].seq, slow[SLOW_LOG_CAPACITY - 1].seq),
+            (2, last),
+            "oldest dropped first"
+        );
         assert_eq!(slow[0].verb, Verb::Set);
         assert!(slow[0].latency >= SimDuration::from_micros(200));
     }
@@ -1416,8 +1413,6 @@ mod tests {
                     long_windows: 2,
                     alert_burn: 2.0,
                 },
-                window_retain: 4,
-                recorder_capacity: 4,
                 ..MetricsConfig::default()
             },
             2,
@@ -1426,30 +1421,37 @@ mod tests {
 
     #[test]
     fn windows_rotate_deterministically_and_render() {
-        let m = ServeMetrics::new(
-            &MetricsConfig {
-                window_retain: 2,
-                ..MetricsConfig::default()
-            },
-            1,
-        );
+        let m = ServeMetrics::new(&MetricsConfig::default(), 1);
         let us = std::time::Duration::from_micros;
         record(&m, Verb::Get, us(100));
         record(&m, Verb::Get, us(200));
         m.rotate_now();
         record(&m, Verb::Set, us(50));
         m.rotate_now();
-        m.rotate_now(); // empty third window evicts the first
-        assert_eq!(m.windows_closed(), 3);
+        // Empty windows fill the ring; the one past it evicts the first.
+        let last = WINDOW_RETAIN as u64 + 1;
+        for _ in 2..last {
+            m.rotate_now();
+        }
+        assert_eq!(m.windows_closed(), last);
         let mut out = BytesMut::new();
         m.render_stats_windows(&mut out);
         let text = String::from_utf8(out.to_vec()).unwrap();
-        assert!(text.contains("STAT windows_closed 3\r\n"), "{text}");
-        assert!(text.contains("STAT windows_retained 2\r\n"), "{text}");
-        // Ring holds windows #2 (one set) and #3 (empty); #1 evicted.
+        assert!(
+            text.contains(&format!("STAT windows_closed {last}\r\n")),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("STAT windows_retained {WINDOW_RETAIN}\r\n")),
+            "{text}"
+        );
+        // Ring holds windows #2 (one set) to #last (empty); #1 evicted.
         assert!(text.contains("STAT win_2_count 1\r\n"), "{text}");
-        assert!(text.contains("STAT win_3_count 0\r\n"), "{text}");
-        assert!(!text.contains("win_1_count"), "{text}");
+        assert!(
+            text.contains(&format!("STAT win_{last}_count 0\r\n")),
+            "{text}"
+        );
+        assert!(!text.contains("STAT win_1_count "), "{text}");
         assert!(text.contains("STAT rate_get "), "{text}");
         assert!(text.contains("STAT rate_set_ewma "), "{text}");
         assert!(text.contains("STAT win_2_p95_us "), "{text}");
@@ -1557,8 +1559,15 @@ mod tests {
         m.rotate_now();
         m.rotate_now();
         assert!(m.slo_snapshot().windows >= 2);
-        assert!(!m.window_snapshots().is_empty());
         assert!(m.last_trigger().is_some());
+        // The flight recorder keeps only its newest windows.
+        for _ in 0..RECORDER_CAPACITY {
+            record(&m, Verb::Get, slow);
+            m.rotate_now();
+        }
+        let snaps = m.window_snapshots();
+        assert_eq!(snaps.len(), RECORDER_CAPACITY, "recorder bound");
+        assert_eq!(snaps[0].index, 3, "oldest dropped first");
 
         m.reset();
         // Windowed state is gone…

@@ -914,7 +914,6 @@ mod tests {
         let on = run_against(MetricsConfig {
             sample_every: 1,
             window: Duration::from_millis(5),
-            window_retain: 2,
             ..MetricsConfig::default()
         });
         let off = run_against(MetricsConfig::disabled());

@@ -1,94 +1,8 @@
-//! Measurement helpers: counters, running means, and latency
-//! distributions.
+//! Measurement helpers: exact latency distributions.
 
 use core::fmt;
 
 use crate::time::Duration;
-
-/// A running mean/min/max accumulator over `f64` samples.
-///
-/// # Examples
-///
-/// ```
-/// use densekv_sim::stats::Summary;
-///
-/// let mut s = Summary::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.min(), Some(1.0));
-/// assert_eq!(s.max(), Some(3.0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample. Non-finite samples (NaN, ±∞) are ignored —
-    /// one poisoned measurement must not turn every later mean/min/max
-    /// query into NaN.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of the samples; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample, if any were recorded.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, if any were recorded.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A latency distribution with exact percentile and SLA queries.
 ///
@@ -240,32 +154,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_tracks_min_max_mean() {
-        let mut s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        for x in [4.0, -2.0, 10.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.sum(), 12.0);
-        assert_eq!(s.mean(), 4.0);
-        assert_eq!(s.min(), Some(-2.0));
-        assert_eq!(s.max(), Some(10.0));
-    }
-
-    #[test]
-    fn summary_merge() {
-        let mut a = Summary::new();
-        a.record(1.0);
-        let mut b = Summary::new();
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 2.0);
-    }
-
-    #[test]
     fn histogram_mean_exact() {
         let mut h = LatencyHistogram::new();
         h.record(Duration::from_nanos(100));
@@ -347,20 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_ignores_non_finite_samples() {
-        let mut s = Summary::new();
-        s.record(2.0);
-        s.record(f64::NAN);
-        s.record(f64::INFINITY);
-        s.record(f64::NEG_INFINITY);
-        s.record(4.0);
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.mean(), 3.0);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(4.0));
-    }
-
-    #[test]
     fn all_empty_queries_are_total() {
         // The full empty-distribution contract in one place: no panics,
         // no NaN — `None` or a documented sentinel everywhere.
@@ -369,10 +243,5 @@ mod tests {
         assert_eq!(h.mean(), Duration::ZERO);
         assert_eq!(h.max(), Duration::ZERO);
         assert_eq!(h.fraction_within(Duration::ZERO), 1.0);
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert!(s.mean().is_finite());
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
     }
 }

@@ -519,15 +519,6 @@ impl MetricsRegistry {
             .map(|&(_, v)| v)
     }
 
-    /// Looks a gauge up by name.
-    #[must_use]
-    pub fn gauge_by_name(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|&&(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
     /// Looks a histogram up by name.
     #[must_use]
     pub fn histogram_by_name(&self, name: &str) -> Option<&LogHistogram> {

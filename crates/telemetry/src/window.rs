@@ -9,12 +9,10 @@
 //! existing plane without forking it:
 //!
 //! * [`WindowedHistogram`] — one open window plus a bounded ring of
-//!   closed windows plus a cumulative histogram fed in lockstep. The
-//!   load-bearing invariant: merging every window ever closed (evicted
-//!   ones are folded into a catch-all) with the open window is
-//!   **bit-identical** to the cumulative histogram, which the
-//!   workspace property tests enforce. Windowing adds a view; it never
-//!   forks the data.
+//!   closed windows. Every sample lands in exactly one window, so the
+//!   windows ever closed merge **bit-identically** into a histogram fed
+//!   the same samples, which the property tests enforce. Windowing adds
+//!   a view; it never forks the data.
 //! * [`WindowedRate`] — per-window event counts with an EWMA-smoothed
 //!   events/sec rate.
 //! * [`SloTracker`] — multi-window burn-rate alerting in the SRE
@@ -37,14 +35,10 @@ use crate::registry::LogHistogram;
 /// infinite burn.
 const MIN_BUDGET: f64 = 1e-9;
 
-/// A ring of rotating [`LogHistogram`] windows alongside a cumulative
-/// histogram fed in lockstep.
+/// A ring of rotating [`LogHistogram`] windows.
 ///
-/// `record` writes both the open window and the cumulative histogram;
-/// `rotate` closes the open window into the ring, evicting the oldest
-/// closed window into a catch-all once the ring is full. Because
-/// nothing is ever dropped — only moved — the merge identity holds at
-/// every instant, for every capacity:
+/// `record` writes the open window; `rotate` closes it into the ring,
+/// dropping the oldest closed window once the ring is full:
 ///
 /// ```
 /// use densekv_sim::Duration;
@@ -53,12 +47,10 @@ const MIN_BUDGET: f64 = 1e-9;
 /// let mut w = WindowedHistogram::new(2);
 /// for us in [10u64, 250, 80, 4000, 15] {
 ///     w.record(Duration::from_micros(us));
-///     w.rotate();
+///     assert_eq!(w.rotate().count(), 1);
 /// }
-/// // 5 rotations with capacity 2: three windows were evicted, yet the
-/// // merge of everything still equals the cumulative view bit for bit.
-/// assert_eq!(&w.merged(), w.cumulative());
-/// assert_eq!(w.rotations(), 5);
+/// // 5 rotations with capacity 2: the ring keeps the newest two.
+/// assert_eq!(w.retained(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WindowedHistogram {
@@ -68,13 +60,6 @@ pub struct WindowedHistogram {
     current: LogHistogram,
     /// Closed windows, oldest first.
     closed: VecDeque<LogHistogram>,
-    /// Windows evicted from the ring, merged into one catch-all so the
-    /// cumulative identity survives eviction.
-    evicted: LogHistogram,
-    /// Every sample ever recorded.
-    cumulative: LogHistogram,
-    /// Number of `rotate` calls since creation/reset.
-    rotations: u64,
 }
 
 impl WindowedHistogram {
@@ -86,25 +71,18 @@ impl WindowedHistogram {
             capacity: capacity.max(1),
             current: LogHistogram::new(),
             closed: VecDeque::new(),
-            evicted: LogHistogram::new(),
-            cumulative: LogHistogram::new(),
-            rotations: 0,
         }
     }
 
-    /// Records one sample into the open window and the cumulative
-    /// histogram.
+    /// Records one sample into the open window.
     pub fn record(&mut self, d: Duration) {
         self.current.record(d);
-        self.cumulative.record(d);
     }
 
-    /// Folds a whole histogram of samples into the open window and the
-    /// cumulative histogram, as if each had been
-    /// [`WindowedHistogram::record`]ed.
+    /// Folds a whole histogram of samples into the open window, as if
+    /// each had been [`WindowedHistogram::record`]ed.
     pub fn record_all(&mut self, samples: &LogHistogram) {
         self.current.merge(samples);
-        self.cumulative.merge(samples);
     }
 
     /// Closes the open window into the ring and starts a fresh one,
@@ -115,17 +93,9 @@ impl WindowedHistogram {
         let closed = std::mem::take(&mut self.current);
         self.closed.push_back(closed.clone());
         while self.closed.len() > self.capacity {
-            let oldest = self.closed.pop_front().expect("ring non-empty");
-            self.evicted.merge(&oldest);
+            self.closed.pop_front();
         }
-        self.rotations += 1;
         closed
-    }
-
-    /// The open (not yet rotated) window.
-    #[must_use]
-    pub fn current(&self) -> &LogHistogram {
-        &self.current
     }
 
     /// Closed windows still in the ring, oldest first.
@@ -139,50 +109,10 @@ impl WindowedHistogram {
         self.closed.len()
     }
 
-    /// Total `rotate` calls since creation or reset.
-    #[must_use]
-    pub fn rotations(&self) -> u64 {
-        self.rotations
-    }
-
-    /// The cumulative histogram over every sample ever recorded.
-    #[must_use]
-    pub fn cumulative(&self) -> &LogHistogram {
-        &self.cumulative
-    }
-
-    /// Merge of the newest `n` closed windows (fewer if the ring holds
-    /// fewer) — the "last n windows" view a dashboard polls.
-    #[must_use]
-    pub fn merged_recent(&self, n: usize) -> LogHistogram {
-        let skip = self.closed.len().saturating_sub(n);
-        let mut out = LogHistogram::new();
-        for w in self.closed.iter().skip(skip) {
-            out.merge(w);
-        }
-        out
-    }
-
-    /// Merge of everything: evicted catch-all + ring + open window.
-    /// Bit-identical to [`Self::cumulative`] by construction.
-    #[must_use]
-    pub fn merged(&self) -> LogHistogram {
-        let mut out = self.evicted.clone();
-        for w in &self.closed {
-            out.merge(w);
-        }
-        out.merge(&self.current);
-        out
-    }
-
-    /// Clears every window, the ring, the catch-all, the cumulative
-    /// histogram, and the rotation count.
+    /// Clears the open window and the ring.
     pub fn reset(&mut self) {
         self.current.reset();
         self.closed.clear();
-        self.evicted.reset();
-        self.cumulative.reset();
-        self.rotations = 0;
     }
 }
 
@@ -222,8 +152,6 @@ pub struct WindowedRate {
     ewma: Option<f64>,
     /// Events ever recorded.
     total: u64,
-    /// Windows closed.
-    rotations: u64,
 }
 
 impl WindowedRate {
@@ -242,7 +170,6 @@ impl WindowedRate {
             last: 0,
             ewma: None,
             total: 0,
-            rotations: 0,
         }
     }
 
@@ -260,7 +187,6 @@ impl WindowedRate {
             None => rate,
             Some(prev) => self.alpha * rate + (1.0 - self.alpha) * prev,
         });
-        self.rotations += 1;
     }
 
     /// Events/sec over the most recently closed window.
@@ -275,12 +201,6 @@ impl WindowedRate {
         self.ewma.unwrap_or(0.0)
     }
 
-    /// Events in the open (not yet rotated) window.
-    #[must_use]
-    pub fn current_count(&self) -> u64 {
-        self.current
-    }
-
     /// Events in the most recently closed window.
     #[must_use]
     pub fn last_count(&self) -> u64 {
@@ -293,13 +213,12 @@ impl WindowedRate {
         self.total
     }
 
-    /// Clears counts, the EWMA, and the rotation count.
+    /// Clears counts and the EWMA.
     pub fn reset(&mut self) {
         self.current = 0;
         self.last = 0;
         self.ewma = None;
         self.total = 0;
-        self.rotations = 0;
     }
 
     fn to_rate(&self, count: u64) -> f64 {
@@ -460,15 +379,6 @@ impl SloTracker {
         self.bad += bad;
     }
 
-    /// Records one closed window from a latency histogram, deriving
-    /// the miss count from the configured objective.
-    pub fn observe_histogram(&mut self, window: &LogHistogram) {
-        let total = window.count();
-        let within = window.fraction_within(self.config.objective).unwrap_or(1.0);
-        let good = (within * total as f64).round() as u64;
-        self.observe_window(total, total - good.min(total));
-    }
-
     /// Burn rate over the newest `n` windows: violation fraction
     /// divided by budget fraction. Zero when those windows saw no
     /// traffic.
@@ -550,13 +460,9 @@ mod tests {
             assert_eq!(closed.count(), 1);
         }
         assert_eq!(w.retained(), 3);
-        assert_eq!(w.rotations(), 5);
-        assert_eq!(w.cumulative().count(), 5);
         // The ring holds the newest three windows: 30, 40, 50 us.
         let counts: Vec<u64> = w.windows().map(LogHistogram::count).collect();
         assert_eq!(counts, vec![1, 1, 1]);
-        assert_eq!(w.merged_recent(2).count(), 2);
-        assert_eq!(w.merged_recent(100).count(), 3);
     }
 
     #[test]
@@ -565,7 +471,6 @@ mod tests {
         let closed = w.rotate();
         assert_eq!(closed.count(), 0);
         assert_eq!(w.retained(), 1);
-        assert_eq!(&w.merged(), w.cumulative());
     }
 
     #[test]
@@ -576,10 +481,8 @@ mod tests {
         w.record(d(200));
         w.reset();
         assert_eq!(w.retained(), 0);
-        assert_eq!(w.rotations(), 0);
-        assert_eq!(w.cumulative().count(), 0);
-        assert_eq!(w.current().count(), 0);
-        assert_eq!(&w.merged(), w.cumulative());
+        // The open window went too: the next one closes empty.
+        assert_eq!(w.rotate().count(), 0);
     }
 
     #[test]
@@ -642,29 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn slo_observe_histogram_derives_bad_count_from_objective() {
-        let mut slo = SloTracker::new(SloConfig {
-            objective: d(100),
-            target: 0.5,
-            short_windows: 1,
-            long_windows: 1,
-            alert_burn: 1.5,
-        });
-        let mut h = LogHistogram::new();
-        for _ in 0..9 {
-            h.record(d(10)); // well within
-        }
-        h.record(d(10_000)); // way out
-        slo.observe_histogram(&h);
-        let snap = slo.snapshot();
-        assert_eq!(snap.total, 10);
-        assert_eq!(snap.bad, 1);
-        // 10% bad against a 50% budget: burn 0.2.
-        assert!((snap.short_burn - 0.2).abs() < 1e-12);
-        assert!(!snap.alerting);
-    }
-
-    #[test]
     fn slo_reset_clears_ring_and_ledger() {
         let mut slo = SloTracker::new(SloConfig::default());
         slo.observe_window(100, 100);
@@ -708,76 +588,85 @@ mod tests {
     }
 
     proptest! {
-        /// The tentpole invariant: for any record/rotate interleaving
-        /// and any ring capacity (including ones small enough to force
-        /// eviction), merging every window is bit-identical to both
-        /// the internal cumulative histogram and a plain LogHistogram
-        /// fed the same samples. Windowing is a view, never a fork.
+        /// For any record/rotate interleaving and any ring capacity
+        /// (including ones small enough to force eviction), every closed
+        /// window is bit-identical to a plain LogHistogram fed the same
+        /// samples, and so is the merge of all of them to one fed every
+        /// sample. Windowing is a view, never a fork.
         #[test]
         fn windowed_merge_is_bit_identical_to_cumulative(
             ops in proptest::collection::vec(win_op(), 0..200),
             capacity in 1usize..12,
         ) {
             let mut windowed = WindowedHistogram::new(capacity);
+            let mut window = LogHistogram::new();
+            let mut merged = LogHistogram::new();
             let mut plain = LogHistogram::new();
             // Reused across batches, as a connection reuses its cell: it
             // keeps the buckets it grew for an earlier, larger sample.
             let mut cell = LogHistogram::new();
-            for op in &ops {
+            for op in ops.iter().chain([&WinOp::Rotate]) {
                 match op {
                     &WinOp::Record(ps) => {
                         let v = Duration::from_ps(ps);
                         windowed.record(v);
+                        window.record(v);
                         plain.record(v);
                     }
                     WinOp::RecordAll(samples) => {
                         for &ps in samples {
                             cell.record(Duration::from_ps(ps));
+                            window.record(Duration::from_ps(ps));
                             plain.record(Duration::from_ps(ps));
                         }
                         windowed.record_all(&cell);
                         cell.reset();
                     }
                     WinOp::Rotate => {
-                        windowed.rotate();
+                        let closed = windowed.rotate();
+                        prop_assert_eq!(&closed, &window);
+                        merged.merge(&closed);
+                        window = LogHistogram::new();
                     }
                 }
-                prop_assert_eq!(&windowed.merged(), windowed.cumulative());
-                prop_assert_eq!(windowed.cumulative(), &plain);
             }
+            prop_assert_eq!(merged, plain);
         }
 
         /// Rotation bookkeeping: retained windows never exceed
-        /// capacity, and their counts plus evicted plus current always
-        /// total the cumulative count.
+        /// capacity, and the ring holds exactly the newest closed
+        /// windows, so their counts add up to what those windows took.
         #[test]
         fn ring_occupancy_is_bounded_and_counts_conserve(
             ops in proptest::collection::vec(win_op(), 0..200),
             capacity in 1usize..6,
         ) {
             let mut windowed = WindowedHistogram::new(capacity);
+            let mut closed_counts = Vec::new();
+            let mut open = 0u64;
             for op in &ops {
                 match op {
-                    &WinOp::Record(ps) => windowed.record(Duration::from_ps(ps)),
+                    &WinOp::Record(ps) => {
+                        windowed.record(Duration::from_ps(ps));
+                        open += 1;
+                    }
                     WinOp::RecordAll(samples) => {
                         let mut cell = LogHistogram::new();
                         for &ps in samples {
                             cell.record(Duration::from_ps(ps));
                         }
                         windowed.record_all(&cell);
+                        open += samples.len() as u64;
                     }
                     WinOp::Rotate => {
-                        windowed.rotate();
+                        prop_assert_eq!(windowed.rotate().count(), open);
+                        closed_counts.push(std::mem::take(&mut open));
                     }
                 }
                 prop_assert!(windowed.retained() <= capacity);
-                let in_ring: u64 = windowed.windows().map(LogHistogram::count).sum();
-                prop_assert_eq!(
-                    windowed.merged().count(),
-                    in_ring + windowed.current().count()
-                        + (windowed.cumulative().count() - in_ring - windowed.current().count())
-                );
-                prop_assert_eq!(windowed.merged().count(), windowed.cumulative().count());
+                let in_ring: Vec<u64> = windowed.windows().map(LogHistogram::count).collect();
+                let newest = &closed_counts[closed_counts.len().saturating_sub(capacity)..];
+                prop_assert_eq!(in_ring.as_slice(), newest);
             }
         }
     }

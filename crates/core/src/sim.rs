@@ -11,6 +11,7 @@ use densekv_cpu::CoreConfig;
 use densekv_hybrid::{HybridMemory, TierSnapshot};
 use densekv_kv::hash::hash_instructions;
 use densekv_kv::store::{AccessTrace, KvStore, StoreConfig, StoreError};
+use densekv_kv::StoreBackend;
 use densekv_mem::dram::DramStack;
 use densekv_mem::ftl::Ftl;
 use densekv_mem::sram::SramBuffer;

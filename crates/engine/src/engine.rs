@@ -4,12 +4,13 @@
 //! bounded at [`PROBE_LIMIT`] slots; a probe that cannot place a key
 //! doubles the table (bricksKV's bucket-doubling). Values live in the
 //! power-of-two page tiers of [`crate::tier`], so a GET is exactly the
-//! paper's served path: hash → bucket slot → tier page. Protocol
-//! semantics mirror the Memcached-model [`densekv_kv::KvStore`] verb
-//! for verb — the differential proptest in `tests/` holds the two to
-//! byte-identical protocol output.
+//! paper's served path: hash → bucket slot → tier page. The engine
+//! implements [`StoreBackend`]'s primitives; the Memcached verbs built
+//! on them are the trait's, shared with the model
+//! [`densekv_kv::KvStore`], and the differential proptest in `tests/`
+//! holds the two to byte-identical protocol output.
 
-use densekv_kv::hash::jenkins_oaat;
+use densekv_kv::backend::ItemRef;
 use densekv_kv::lru::EvictionPolicy;
 use densekv_kv::store::{
     HitRef, StoreConfig, StoreError, StoreStats, ITEM_HEADER_BYTES, MAX_ITEM_FOOTPRINT_BYTES,
@@ -376,135 +377,34 @@ impl StoreBackend for Engine {
         self.do_set(key, hash, value, flags, ttl_secs, now)
     }
 
-    fn add(
-        &mut self,
-        key: &[u8],
-        value: Vec<u8>,
-        ttl_secs: Option<u64>,
-        now: u64,
-    ) -> Result<(), StoreError> {
-        let hash = jenkins_oaat(key);
-        if self.lookup(key, hash, now).is_some() {
-            return Err(StoreError::Exists);
-        }
-        self.do_set(key, hash, value, 0, ttl_secs, now)
+    fn peek(&mut self, key: &[u8], hash: u64, now: u64) -> Option<ItemRef<'_>> {
+        let slot = self.lookup(key, hash, now)?;
+        let item = self.items[slot as usize].as_ref().expect("live");
+        Some(ItemRef {
+            value: self.tiers.read(item.vref, item.vlen as usize),
+            flags: item.flags,
+            cas: item.cas,
+            expires_at: item.expires_at,
+        })
     }
 
-    fn replace(
-        &mut self,
-        key: &[u8],
-        value: Vec<u8>,
-        ttl_secs: Option<u64>,
-        now: u64,
-    ) -> Result<(), StoreError> {
-        let hash = jenkins_oaat(key);
-        if self.lookup(key, hash, now).is_none() {
-            return Err(StoreError::NotFound);
-        }
-        self.do_set(key, hash, value, 0, ttl_secs, now)
-    }
-
-    fn concat(
-        &mut self,
-        key: &[u8],
-        extra: &[u8],
-        front: bool,
-        now: u64,
-    ) -> Result<(), StoreError> {
-        let hash = jenkins_oaat(key);
-        let slot = self.lookup(key, hash, now);
-        let slot = slot.ok_or(StoreError::NotFound)?;
-        let (mut value, flags, expires_at) = {
-            let item = self.items[slot as usize].as_ref().expect("live");
-            (
-                self.tiers.read(item.vref, item.vlen as usize).to_vec(),
-                item.flags,
-                item.expires_at,
-            )
+    fn touch(&mut self, key: &[u8], hash: u64, ttl_secs: Option<u64>, now: u64) -> bool {
+        let Some(slot) = self.lookup(key, hash, now) else {
+            return false;
         };
-        if front {
-            let mut combined = extra.to_vec();
-            combined.extend_from_slice(&value);
-            value = combined;
-        } else {
-            value.extend_from_slice(extra);
-        }
-        let ttl = expires_at.map(|t| t.saturating_sub(now));
-        self.do_set(key, hash, value, flags, ttl, now)
+        let item = self.items[slot as usize].as_mut().expect("live");
+        item.expires_at = ttl_secs.map(|t| now + t);
+        self.stats.touches += 1;
+        true
     }
 
-    fn cas(
-        &mut self,
-        key: &[u8],
-        value: Vec<u8>,
-        cas: u64,
-        ttl_secs: Option<u64>,
-        now: u64,
-    ) -> Result<(), StoreError> {
-        let hash = jenkins_oaat(key);
-        let slot = self.lookup(key, hash, now);
-        let slot = slot.ok_or(StoreError::NotFound)?;
-        let current = self.items[slot as usize].as_ref().expect("live").cas;
-        if current != cas {
-            return Err(StoreError::CasMismatch);
-        }
-        self.do_set(key, hash, value, 0, ttl_secs, now)
-    }
-
-    fn incr_decr(
-        &mut self,
-        key: &[u8],
-        delta: u64,
-        decrement: bool,
-        now: u64,
-    ) -> Result<u64, StoreError> {
-        let hash = jenkins_oaat(key);
-        let slot = self.lookup(key, hash, now);
-        let slot = slot.ok_or(StoreError::NotFound)?;
-        let (current, flags, expires_at) = {
-            let item = self.items[slot as usize].as_ref().expect("live");
-            let value = self.tiers.read(item.vref, item.vlen as usize);
-            let text = std::str::from_utf8(value).map_err(|_| StoreError::NotNumeric)?;
-            let n: u64 = text.trim().parse().map_err(|_| StoreError::NotNumeric)?;
-            (n, item.flags, item.expires_at)
+    fn delete(&mut self, key: &[u8], hash: u64, now: u64) -> bool {
+        let Some(slot) = self.lookup(key, hash, now) else {
+            return false;
         };
-        let next = if decrement {
-            current.saturating_sub(delta)
-        } else {
-            current.wrapping_add(delta)
-        };
-        let ttl = expires_at.map(|t| t.saturating_sub(now));
-        self.do_set(key, hash, next.to_string().into_bytes(), flags, ttl, now)?;
-        Ok(next)
-    }
-
-    fn touch(&mut self, key: &[u8], ttl_secs: Option<u64>, now: u64) -> bool {
-        let hash = jenkins_oaat(key);
-        let slot = self.lookup(key, hash, now);
-        match slot {
-            Some(slot) => {
-                let item = self.items[slot as usize].as_mut().expect("live");
-                item.expires_at = ttl_secs.map(|t| now + t);
-                self.stats.touches += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn delete(&mut self, key: &[u8]) -> bool {
-        let hash = jenkins_oaat(key);
-        // As in the model store: a delete finds any TTL'd item already
-        // expired, so it answers "not found" and counts an expiration.
-        let slot = self.lookup(key, hash, u64::MAX.saturating_sub(1));
-        match slot {
-            Some(slot) => {
-                self.remove_slot(slot);
-                self.stats.deletes += 1;
-                true
-            }
-            None => false,
-        }
+        self.remove_slot(slot);
+        self.stats.deletes += 1;
+        true
     }
 
     fn flush_all(&mut self) {
@@ -570,6 +470,7 @@ impl StoreBackend for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use densekv_kv::hash::jenkins_oaat as h;
 
     fn engine() -> Engine {
         Engine::new(StoreConfig::with_capacity(16 << 20))
@@ -584,8 +485,8 @@ mod tests {
         assert_eq!(hit.value(), b"hello");
         assert_eq!(hit.flags(), 9);
         assert_eq!(hit.cas(), 1, "CAS tokens start at 1");
-        assert!(e.delete(b"k"));
-        assert!(!e.delete(b"k"));
+        assert!(e.delete(b"k", h(b"k"), 0));
+        assert!(!e.delete(b"k", h(b"k"), 0));
         assert!(e.get(b"k", 0).is_none());
         let s = e.stats();
         assert_eq!((s.get_hits, s.get_misses, s.sets, s.deletes), (1, 1, 1, 1));
@@ -637,7 +538,7 @@ mod tests {
         assert_eq!(s.expirations, 1);
         assert_eq!(s.expired_bytes, ITEM_HEADER_BYTES + 1 + 2);
         assert_eq!(s.items, 0);
-        assert!(!e.touch(b"t", Some(5), 10), "gone");
+        assert!(!e.touch(b"t", h(b"t"), Some(5), 10), "gone");
     }
 
     #[test]
@@ -715,7 +616,10 @@ mod tests {
         assert!(e.doublings() > 0, "200 keys cannot fit 8 buckets");
         for i in 0..200u32 {
             let key = format!("key{i}");
-            assert!(e.delete(key.as_bytes()), "every key is live");
+            assert!(
+                e.delete(key.as_bytes(), h(key.as_bytes()), 0),
+                "every key is live"
+            );
         }
         for i in 0..200u32 {
             let key = format!("key{i}");
@@ -751,25 +655,29 @@ mod tests {
     #[test]
     fn verb_semantics_match_the_model_quirks() {
         let mut e = engine();
-        assert_eq!(e.add(b"k", b"one".to_vec(), None, 0), Ok(()));
+        let (k, n) = (h(b"k"), h(b"n"));
+        assert_eq!(e.add(b"k", k, b"one".to_vec(), None, 0), Ok(()));
         assert_eq!(
-            e.add(b"k", b"two".to_vec(), None, 0),
+            e.add(b"k", k, b"two".to_vec(), None, 0),
             Err(StoreError::Exists)
         );
-        assert_eq!(e.replace(b"k", b"three".to_vec(), None, 0), Ok(()));
-        assert_eq!(e.concat(b"k", b"!", false, 0), Ok(()));
-        assert_eq!(e.concat(b"k", b">", true, 0), Ok(()));
+        assert_eq!(e.replace(b"k", k, b"three".to_vec(), None, 0), Ok(()));
+        assert_eq!(e.concat(b"k", k, b"!", false, 0), Ok(()));
+        assert_eq!(e.concat(b"k", k, b">", true, 0), Ok(()));
         assert_eq!(e.get(b"k", 0).unwrap().value(), b">three!");
         e.set_with_flags(b"n", b"5".to_vec(), 0, None, 0).unwrap();
-        assert_eq!(e.incr_decr(b"n", 3, false, 0), Ok(8));
-        assert_eq!(e.incr_decr(b"n", 100, true, 0), Ok(0), "decr saturates");
+        assert_eq!(e.incr_decr(b"n", n, 3, false, 0), Ok(8));
+        assert_eq!(e.incr_decr(b"n", n, 100, true, 0), Ok(0), "decr saturates");
         let cas = e.get(b"n", 0).unwrap().cas();
-        assert_eq!(e.cas(b"n", b"9".to_vec(), cas, None, 0), Ok(()));
+        assert_eq!(e.cas(b"n", n, b"9".to_vec(), cas, None, 0), Ok(()));
         assert_eq!(
-            e.cas(b"n", b"9".to_vec(), cas, None, 0),
+            e.cas(b"n", n, b"9".to_vec(), cas, None, 0),
             Err(StoreError::CasMismatch)
         );
-        assert_eq!(e.incr_decr(b"k", 1, false, 0), Err(StoreError::NotNumeric));
+        assert_eq!(
+            e.incr_decr(b"k", k, 1, false, 0),
+            Err(StoreError::NotNumeric)
+        );
         let long_key = vec![b'k'; MAX_KEY_BYTES + 1];
         assert_eq!(
             e.set_with_flags(&long_key, b"v".to_vec(), 0, None, 0),
@@ -780,15 +688,19 @@ mod tests {
     }
 
     #[test]
-    fn delete_treats_ttl_items_as_expired() {
+    fn delete_reads_ttl_against_the_clock() {
+        // A TTL'd key deletes while it is live; once its TTL has run
+        // out, delete answers "not found" and counts an expiration.
         let mut e = engine();
-        e.set_with_flags(b"t", b"v".to_vec(), 0, Some(1000), 0)
-            .unwrap();
-        assert!(
-            !e.delete(b"t"),
-            "TTL'd item reads as expired at delete time"
-        );
-        assert_eq!(e.stats().expirations, 1);
-        assert_eq!(e.stats().deletes, 0);
+        for key in [&b"live"[..], b"stale"] {
+            e.set_with_flags(key, b"v".to_vec(), 0, Some(1000), 0)
+                .unwrap();
+        }
+        assert!(e.delete(b"live", h(b"live"), 999), "live until 1000");
+        assert!(!e.delete(b"stale", h(b"stale"), 1000), "expired at 1000");
+        let s = e.stats();
+        assert_eq!((s.deletes, s.expirations), (1, 1));
+        assert_eq!(s.expired_bytes, ITEM_HEADER_BYTES + 5 + 1);
+        assert_eq!(s.items, 0);
     }
 }

@@ -9,14 +9,16 @@
 //! * [`table`] — a chained hash table with incremental expansion,
 //! * [`lru`] — strict LRU (Memcached 1.4) and "Bags" pseudo-LRU
 //!   (Wiggins & Langston's scalability work, §3.6 of the paper),
-//! * [`store`] — the store itself: get/set/delete/CAS, TTL expiry,
+//! * [`store`] — the store itself: get/set/delete, TTL expiry,
 //!   eviction, statistics, and per-operation access traces,
 //! * [`protocol`] — the text wire protocol,
 //! * [`server`] / [`client`] — the command loop and the client-side
 //!   codec, so full byte-level request/response loops run in-process,
 //! * [`backend`] — the [`StoreBackend`] trait the command loop
 //!   dispatches through, so real engines (`densekv-engine`) serve the
-//!   same protocol as the model store.
+//!   same protocol as the model store; the conditional and derived
+//!   verbs (`add`, `replace`, `cas`, `append`/`prepend`,
+//!   `incr`/`decr`) are written once there.
 //!
 //! # Examples
 //!

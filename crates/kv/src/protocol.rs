@@ -567,6 +567,7 @@ pub fn render_error(out: &mut BytesMut, err: &ProtocolError) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::StoreBackend;
     use crate::store::{KvStore, StoreConfig};
 
     fn parse_one(input: &[u8]) -> Result<Parsed, ProtocolError> {

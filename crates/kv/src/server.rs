@@ -15,7 +15,7 @@ use crate::backend::StoreBackend;
 use crate::hash::jenkins_oaat;
 use crate::protocol::{
     find_crlf, parse_request, render_deleted, render_end, render_error, render_hit, render_number,
-    render_store_error, render_stored, Command, ProtocolError, Request, StoreVerb,
+    render_store_error, render_stored, ProtocolError, Request, StoreVerb,
 };
 use crate::store::{StoreError, StoreStats};
 
@@ -142,22 +142,6 @@ impl Stores for Single<'_> {
     }
 }
 
-/// Executes one parsed command against `store` at the clock's current
-/// time, appending any response to `out`.
-pub fn handle_command(
-    store: &mut dyn StoreBackend,
-    command: Command,
-    clock: &dyn Clock,
-    out: &mut BytesMut,
-) -> Disposition {
-    execute(
-        &mut Single(store),
-        command.as_request(),
-        clock.now_secs(),
-        out,
-    )
-}
-
 /// Executes one request against `stores` at time `now` (whole seconds),
 /// appending any response to `out`. A GET renders each hit straight from
 /// the value its store lends; a storage command copies its data block
@@ -191,11 +175,11 @@ pub fn execute(
             let ttl = (exptime > 0).then_some(exptime);
             let result = stores.with_store(key, |store, hash| match verb {
                 StoreVerb::Set => store.set_hashed(key, hash, data.to_vec(), flags, ttl, now),
-                StoreVerb::Add => store.add(key, data.to_vec(), ttl, now),
-                StoreVerb::Replace => store.replace(key, data.to_vec(), ttl, now),
-                StoreVerb::Append => store.concat(key, data, false, now),
-                StoreVerb::Prepend => store.concat(key, data, true, now),
-                StoreVerb::Cas => store.cas(key, data.to_vec(), cas, ttl, now),
+                StoreVerb::Add => store.add(key, hash, data.to_vec(), ttl, now),
+                StoreVerb::Replace => store.replace(key, hash, data.to_vec(), ttl, now),
+                StoreVerb::Append => store.concat(key, hash, data, false, now),
+                StoreVerb::Prepend => store.concat(key, hash, data, true, now),
+                StoreVerb::Cas => store.cas(key, hash, data.to_vec(), cas, ttl, now),
             });
             if !noreply {
                 match result {
@@ -210,8 +194,9 @@ pub fn execute(
             decrement,
             noreply,
         } => {
-            let result =
-                stores.with_store(key, |store, _| store.incr_decr(key, delta, decrement, now));
+            let result = stores.with_store(key, |store, hash| {
+                store.incr_decr(key, hash, delta, decrement, now)
+            });
             if !noreply {
                 match result {
                     Ok(value) => render_number(out, value),
@@ -220,7 +205,7 @@ pub fn execute(
             }
         }
         Request::Delete { key, noreply } => {
-            let existed = stores.with_store(key, |store, _| store.delete(key));
+            let existed = stores.with_store(key, |store, hash| store.delete(key, hash, now));
             if !noreply {
                 render_deleted(out, existed);
             }
@@ -231,7 +216,7 @@ pub fn execute(
             noreply,
         } => {
             let ttl = (exptime > 0).then_some(exptime);
-            let touched = stores.with_store(key, |store, _| store.touch(key, ttl, now));
+            let touched = stores.with_store(key, |store, hash| store.touch(key, hash, ttl, now));
             if !noreply {
                 if touched {
                     out.extend_from_slice(b"TOUCHED\r\n");
@@ -388,7 +373,6 @@ pub fn resync_offset(buf: &[u8], err: &ProtocolError) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{parse_command, Parsed};
     use crate::store::{KvStore, StoreConfig};
 
     fn store() -> KvStore {
@@ -534,15 +518,10 @@ mod tests {
         assert_eq!(out, "");
     }
 
-    /// Runs one already-parsed command through `handle_command` under an
-    /// arbitrary clock and returns the rendered reply.
+    /// Runs `input` through `execute` over one store at the clock's
+    /// current time and returns the rendered reply.
     fn run_at(s: &mut KvStore, input: &[u8], clock: &dyn Clock) -> String {
-        let mut buf = BytesMut::from(input);
-        let mut out = BytesMut::new();
-        while let Ok(Parsed::Complete(cmd)) = parse_command(&mut buf) {
-            handle_command(s, cmd, clock, &mut out);
-        }
-        String::from_utf8(out.to_vec()).expect("ascii")
+        String::from_utf8(serve_buffer(s, input, clock.now_secs())).expect("ascii")
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! The key-value store: Memcached 1.4 semantics over the slab allocator,
 //! hash table, and eviction policies.
 //!
-//! Every operation returns (alongside its result) an [`AccessTrace`] — the
-//! byte offsets of the hash bucket, chain entries, item header, and value
-//! the operation touched. The simulator feeds those addresses to the cache
+//! The traced operations ([`KvStore::get`], [`KvStore::get_traced`],
+//! [`KvStore::set_traced`]) record an [`AccessTrace`] — the byte offsets
+//! of the hash bucket, chain entries, item header, and value the
+//! operation touched. The simulator feeds those addresses to the cache
 //! and memory-device models, making the timing model execution-driven.
 
 use core::fmt;
 use std::borrow::Cow;
 
+use crate::backend::{ItemRef, StoreBackend};
 use crate::hash::jenkins_oaat;
 use crate::lru::{EvictionKind, EvictionPolicy};
 use crate::slab::{SlabAddr, SlabAllocator, SlabError};
@@ -282,27 +284,20 @@ impl GetHit {
     }
 }
 
-/// Outcome of a successful SET.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SetOutcome {
-    /// Items evicted to make room.
-    pub evicted: u64,
-    /// The addresses the operation touched.
-    pub trace: AccessTrace,
-}
-
 /// The single-threaded store. The live server shards it behind locks
 /// (`densekv_serve::ShardedStore`).
 ///
 /// # Examples
 ///
 /// ```
+/// use densekv_kv::hash::jenkins_oaat;
 /// use densekv_kv::store::{KvStore, StoreConfig};
+/// use densekv_kv::StoreBackend;
 ///
 /// let mut store = KvStore::new(StoreConfig::with_capacity(16 << 20));
 /// store.set(b"k", b"v".to_vec(), None, 0)?;
 /// assert!(store.get(b"k", 0).is_some());
-/// assert!(store.delete(b"k").is_some());
+/// assert!(store.delete(b"k", jenkins_oaat(b"k"), 0));
 /// assert!(store.get(b"k", 0).is_none());
 /// # Ok::<(), densekv_kv::StoreError>(())
 /// ```
@@ -347,26 +342,6 @@ impl KvStore {
             slab,
             config,
         }
-    }
-
-    /// Current statistics.
-    pub fn stats(&self) -> StoreStats {
-        self.stats
-    }
-
-    /// The configured memory budget.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.slab.arena_bytes()
-    }
-
-    /// Live items.
-    pub fn len(&self) -> u64 {
-        self.stats.items
-    }
-
-    /// True when the store holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.stats.items == 0
     }
 
     fn bucket_offset(&self, hash: u64) -> u64 {
@@ -485,21 +460,8 @@ impl KvStore {
         Some(item.value.len() as u64)
     }
 
-    /// [`KvStore::get`] for the live plane: identical side effects, but
-    /// lends the value instead of copying it and builds no trace.
-    /// `hash` is `jenkins_oaat(key)`, which the caller already has.
-    pub fn get_ref(&mut self, key: &[u8], hash: u64, now: u64) -> Option<HitRef<'_>> {
-        let slot = self.live_slot(key, hash, now);
-        let slot = self.count_get(slot)?;
-        let item = self.items[slot as usize].as_ref().expect("live");
-        Some(HitRef {
-            value: &item.value,
-            flags: item.flags,
-            cas: item.cas,
-        })
-    }
-
-    /// Stores `key` → `value` with optional TTL (seconds from `now`).
+    /// Stores `key` → `value` with flags 0 and optional TTL (seconds
+    /// from `now`), returning the items evicted to make room.
     ///
     /// # Errors
     ///
@@ -512,44 +474,8 @@ impl KvStore {
         value: impl Into<Cow<'static, [u8]>>,
         ttl_secs: Option<u64>,
         now: u64,
-    ) -> Result<SetOutcome, StoreError> {
-        self.set_with_flags(key, value, 0, ttl_secs, now)
-    }
-
-    /// [`KvStore::set`] with client flags.
-    ///
-    /// # Errors
-    ///
-    /// As for [`KvStore::set`].
-    pub fn set_with_flags(
-        &mut self,
-        key: &[u8],
-        value: impl Into<Cow<'static, [u8]>>,
-        flags: u32,
-        ttl_secs: Option<u64>,
-        now: u64,
-    ) -> Result<SetOutcome, StoreError> {
-        self.set_hashed(key, jenkins_oaat(key), value, flags, ttl_secs, now)
-    }
-
-    /// [`KvStore::set_with_flags`] for a caller that already has
-    /// `hash` = `jenkins_oaat(key)`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`KvStore::set`].
-    pub fn set_hashed(
-        &mut self,
-        key: &[u8],
-        hash: u64,
-        value: impl Into<Cow<'static, [u8]>>,
-        flags: u32,
-        ttl_secs: Option<u64>,
-        now: u64,
-    ) -> Result<SetOutcome, StoreError> {
-        let mut trace = AccessTrace::default();
-        let evicted = self.set_into(key, hash, value.into(), flags, ttl_secs, now, &mut trace)?;
-        Ok(SetOutcome { evicted, trace })
+    ) -> Result<u64, StoreError> {
+        self.set_scratch(key, jenkins_oaat(key), value.into(), 0, ttl_secs, now)
     }
 
     /// [`KvStore::set`] for timing-model callers, the twin of
@@ -577,21 +503,21 @@ impl KvStore {
         set
     }
 
-    /// [`KvStore::set_hashed`] for a caller that discards the trace: it
+    /// [`KvStore::set_into`] for a caller that discards the trace: it
     /// goes to the store's scratch trace.
-    pub(crate) fn set_untraced(
+    fn set_scratch(
         &mut self,
         key: &[u8],
         hash: u64,
-        value: Vec<u8>,
+        value: Cow<'static, [u8]>,
         flags: u32,
         ttl_secs: Option<u64>,
         now: u64,
-    ) -> Result<(), StoreError> {
+    ) -> Result<u64, StoreError> {
         let mut trace = std::mem::take(&mut self.scratch);
-        let set = self.set_into(key, hash, value.into(), flags, ttl_secs, now, &mut trace);
+        let set = self.set_into(key, hash, value, flags, ttl_secs, now, &mut trace);
         self.scratch = trace;
-        set.map(|_| ())
+        set
     }
 
     /// The one set body: stores the item, traces what it touched into
@@ -651,177 +577,6 @@ impl KvStore {
         Ok(evicted)
     }
 
-    /// Compare-and-swap: stores only if the item's CAS token still equals
-    /// `cas`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] if the key is absent,
-    /// [`StoreError::CasMismatch`] if the token changed, or any
-    /// [`KvStore::set`] error.
-    pub fn cas(
-        &mut self,
-        key: &[u8],
-        value: impl Into<Cow<'static, [u8]>>,
-        cas: u64,
-        ttl_secs: Option<u64>,
-        now: u64,
-    ) -> Result<SetOutcome, StoreError> {
-        let slot = self
-            .live_slot(key, jenkins_oaat(key), now)
-            .ok_or(StoreError::NotFound)?;
-        let current = self.items[slot as usize].as_ref().expect("live").cas;
-        if current != cas {
-            return Err(StoreError::CasMismatch);
-        }
-        self.set(key, value, ttl_secs, now)
-    }
-
-    /// Deletes `key`, returning its trace if it was present.
-    pub fn delete(&mut self, key: &[u8]) -> Option<AccessTrace> {
-        let hash = jenkins_oaat(key);
-        let mut trace = AccessTrace::default();
-        let slot = self.lookup_into(key, hash, u64::MAX.saturating_sub(1), &mut trace)?;
-        self.remove_slot(slot, hash);
-        self.stats.deletes += 1;
-        Some(trace)
-    }
-
-    /// Stores only if the key is absent (Memcached `add`).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Exists`] if the key is live, or any [`KvStore::set`]
-    /// error.
-    pub fn add(
-        &mut self,
-        key: &[u8],
-        value: impl Into<Cow<'static, [u8]>>,
-        ttl_secs: Option<u64>,
-        now: u64,
-    ) -> Result<SetOutcome, StoreError> {
-        if self.live_slot(key, jenkins_oaat(key), now).is_some() {
-            return Err(StoreError::Exists);
-        }
-        self.set(key, value, ttl_secs, now)
-    }
-
-    /// Stores only if the key already exists (Memcached `replace`).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] if the key is absent, or any
-    /// [`KvStore::set`] error.
-    pub fn replace(
-        &mut self,
-        key: &[u8],
-        value: impl Into<Cow<'static, [u8]>>,
-        ttl_secs: Option<u64>,
-        now: u64,
-    ) -> Result<SetOutcome, StoreError> {
-        if self.live_slot(key, jenkins_oaat(key), now).is_none() {
-            return Err(StoreError::NotFound);
-        }
-        self.set(key, value, ttl_secs, now)
-    }
-
-    /// Appends (or, with `front`, prepends) bytes to an existing value
-    /// (Memcached `append`/`prepend`). Flags, TTL, and CAS advance as a
-    /// store.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] if the key is absent, or any
-    /// [`KvStore::set`] error.
-    pub fn concat(
-        &mut self,
-        key: &[u8],
-        extra: &[u8],
-        front: bool,
-        now: u64,
-    ) -> Result<SetOutcome, StoreError> {
-        let slot = self
-            .live_slot(key, jenkins_oaat(key), now)
-            .ok_or(StoreError::NotFound)?;
-        let (mut value, flags, expires_at) = {
-            let item = self.items[slot as usize].as_ref().expect("live");
-            (item.value.to_vec(), item.flags, item.expires_at)
-        };
-        if front {
-            let mut combined = extra.to_vec();
-            combined.extend_from_slice(&value);
-            value = combined;
-        } else {
-            value.extend_from_slice(extra);
-        }
-        let ttl = expires_at.map(|t| t.saturating_sub(now));
-        self.set_with_flags(key, value, flags, ttl, now)
-    }
-
-    /// Increments (or decrements) a numeric value (Memcached
-    /// `incr`/`decr`). The value must be an ASCII decimal; decrements
-    /// saturate at zero, as Memcached's do.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] if the key is absent,
-    /// [`StoreError::NotNumeric`] if the value isn't an unsigned decimal,
-    /// or any [`KvStore::set`] error.
-    pub fn incr_decr(
-        &mut self,
-        key: &[u8],
-        delta: u64,
-        decrement: bool,
-        now: u64,
-    ) -> Result<u64, StoreError> {
-        let hash = jenkins_oaat(key);
-        let slot = self.live_slot(key, hash, now).ok_or(StoreError::NotFound)?;
-        let (current, flags, expires_at) = {
-            let item = self.items[slot as usize].as_ref().expect("live");
-            let text = std::str::from_utf8(&item.value).map_err(|_| StoreError::NotNumeric)?;
-            let n: u64 = text.trim().parse().map_err(|_| StoreError::NotNumeric)?;
-            (n, item.flags, item.expires_at)
-        };
-        let next = if decrement {
-            current.saturating_sub(delta)
-        } else {
-            current.wrapping_add(delta)
-        };
-        let ttl = expires_at.map(|t| t.saturating_sub(now));
-        self.set_untraced(key, hash, next.to_string().into_bytes(), flags, ttl, now)?;
-        Ok(next)
-    }
-
-    /// Updates a live item's TTL without touching its value.
-    pub fn touch(&mut self, key: &[u8], ttl_secs: Option<u64>, now: u64) -> bool {
-        match self.live_slot(key, jenkins_oaat(key), now) {
-            Some(slot) => {
-                let item = self.items[slot as usize].as_mut().expect("live");
-                item.expires_at = ttl_secs.map(|t| now + t);
-                self.stats.touches += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drops every item (Memcached `flush_all`).
-    pub fn flush_all(&mut self) {
-        let slots: Vec<u32> = self
-            .items
-            .iter()
-            .enumerate()
-            .filter_map(|(i, item)| item.as_ref().map(|_| i as u32))
-            .collect();
-        for slot in slots {
-            let hash = {
-                let item = self.items[slot as usize].as_ref().expect("live");
-                jenkins_oaat(&item.key)
-            };
-            self.remove_slot(slot, hash);
-        }
-    }
-
     /// Unlinks and frees `slot`, handing back its item.
     fn remove_slot(&mut self, slot: u32, hash: u64) -> Item {
         let item = self.items[slot as usize].take().expect("slot is live");
@@ -867,12 +622,100 @@ impl KvStore {
     }
 }
 
+impl StoreBackend for KvStore {
+    fn get_ref(&mut self, key: &[u8], hash: u64, now: u64) -> Option<HitRef<'_>> {
+        let slot = self.live_slot(key, hash, now);
+        let slot = self.count_get(slot)?;
+        let item = self.items[slot as usize].as_ref().expect("live");
+        Some(HitRef {
+            value: &item.value,
+            flags: item.flags,
+            cas: item.cas,
+        })
+    }
+
+    fn peek(&mut self, key: &[u8], hash: u64, now: u64) -> Option<ItemRef<'_>> {
+        let slot = self.live_slot(key, hash, now)?;
+        let item = self.items[slot as usize].as_ref().expect("live");
+        Some(ItemRef {
+            value: &item.value,
+            flags: item.flags,
+            cas: item.cas,
+            expires_at: item.expires_at,
+        })
+    }
+
+    fn set_hashed(
+        &mut self,
+        key: &[u8],
+        hash: u64,
+        value: Vec<u8>,
+        flags: u32,
+        ttl_secs: Option<u64>,
+        now: u64,
+    ) -> Result<(), StoreError> {
+        self.set_scratch(key, hash, value.into(), flags, ttl_secs, now)
+            .map(|_| ())
+    }
+
+    fn touch(&mut self, key: &[u8], hash: u64, ttl_secs: Option<u64>, now: u64) -> bool {
+        let Some(slot) = self.live_slot(key, hash, now) else {
+            return false;
+        };
+        let item = self.items[slot as usize].as_mut().expect("live");
+        item.expires_at = ttl_secs.map(|t| now + t);
+        self.stats.touches += 1;
+        true
+    }
+
+    fn delete(&mut self, key: &[u8], hash: u64, now: u64) -> bool {
+        let Some(slot) = self.live_slot(key, hash, now) else {
+            return false;
+        };
+        self.remove_slot(slot, hash);
+        self.stats.deletes += 1;
+        true
+    }
+
+    fn flush_all(&mut self) {
+        let slots: Vec<u32> = self
+            .items
+            .iter()
+            .enumerate()
+            .filter_map(|(i, item)| item.as_ref().map(|_| i as u32))
+            .collect();
+        for slot in slots {
+            let hash = {
+                let item = self.items[slot as usize].as_ref().expect("live");
+                jenkins_oaat(&item.key)
+            };
+            self.remove_slot(slot, hash);
+        }
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.stats
+    }
+
+    fn len(&self) -> u64 {
+        self.stats.items
+    }
+
+    fn capacity_bytes(&self) -> u64 {
+        self.slab.arena_bytes()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn small() -> KvStore {
         KvStore::new(StoreConfig::with_capacity(2 << 20))
+    }
+
+    fn h(key: &[u8]) -> u64 {
+        jenkins_oaat(key)
     }
 
     #[test]
@@ -900,7 +743,7 @@ mod tests {
         s.set(b"k", b"hello".to_vec(), None, 0).unwrap(); // 5 bytes in
         s.get(b"k", 0).unwrap(); // 5 bytes out
         s.get(b"k", 0).unwrap(); // 5 more
-        assert!(s.touch(b"k", Some(10), 0));
+        assert!(s.touch(b"k", h(b"k"), Some(10), 0));
         s.set(b"t", b"xy".to_vec(), Some(5), 0).unwrap(); // 2 bytes in
         assert!(s.get(b"t", 10).is_none(), "expired");
         let stats = s.stats();
@@ -950,8 +793,8 @@ mod tests {
     fn delete_removes() {
         let mut s = small();
         s.set(b"k", b"v".to_vec(), None, 0).unwrap();
-        assert!(s.delete(b"k").is_some());
-        assert!(s.delete(b"k").is_none());
+        assert!(s.delete(b"k", h(b"k"), 0));
+        assert!(!s.delete(b"k", h(b"k"), 0));
         assert!(s.get(b"k", 0).is_none());
         assert_eq!(s.stats().items, 0);
         assert_eq!(s.stats().bytes, 0);
@@ -971,9 +814,9 @@ mod tests {
     fn touch_extends_ttl() {
         let mut s = small();
         s.set(b"k", b"v".to_vec(), Some(10), 0).unwrap();
-        assert!(s.touch(b"k", Some(100), 5));
+        assert!(s.touch(b"k", h(b"k"), Some(100), 5));
         assert!(s.get(b"k", 50).is_some());
-        assert!(!s.touch(b"missing", None, 0));
+        assert!(!s.touch(b"missing", h(b"missing"), None, 0));
     }
 
     #[test]
@@ -984,14 +827,15 @@ mod tests {
         // Interleaved write bumps the token.
         s.set(b"k", b"v2".to_vec(), None, 0).unwrap();
         assert_eq!(
-            s.cas(b"k", b"v3".to_vec(), token, None, 0),
+            s.cas(b"k", h(b"k"), b"v3".to_vec(), token, None, 0),
             Err(StoreError::CasMismatch)
         );
         let fresh = s.get(b"k", 0).unwrap().cas();
-        s.cas(b"k", b"v3".to_vec(), fresh, None, 0).unwrap();
+        s.cas(b"k", h(b"k"), b"v3".to_vec(), fresh, None, 0)
+            .unwrap();
         assert_eq!(s.get(b"k", 0).unwrap().value(), b"v3");
         assert_eq!(
-            s.cas(b"absent", b"x".to_vec(), 1, None, 0),
+            s.cas(b"absent", h(b"absent"), b"x".to_vec(), 1, None, 0),
             Err(StoreError::NotFound)
         );
     }
@@ -1040,8 +884,7 @@ mod tests {
         let mut total_evicted = 0;
         for i in 0..40 {
             let key = format!("key{i:02}");
-            let out = s.set(key.as_bytes(), value.clone(), None, 0).unwrap();
-            total_evicted += out.evicted;
+            total_evicted += s.set(key.as_bytes(), value.clone(), None, 0).unwrap();
         }
         assert!(total_evicted > 0);
         assert!(s.get(b"key39", 0).is_some(), "newest survives");
@@ -1089,10 +932,10 @@ mod tests {
         let value = vec![3u8; 64 << 10];
         // 20 items fit in the 2 MB arena without eviction.
         for i in 0..20 {
-            let out = s
+            let evicted = s
                 .set(format!("key{i:02}").as_bytes(), value.clone(), None, 0)
                 .unwrap();
-            assert_eq!(out.evicted, 0, "warmup insert {i} must not evict");
+            assert_eq!(evicted, 0, "warmup insert {i} must not evict");
         }
         // Touch key00: it becomes the most recently used of the batch.
         assert!(s.get(b"key00", 0).is_some());
@@ -1143,22 +986,22 @@ mod tests {
         let mut s = small();
         s.set(b"key", vec![0; 100], None, 0).unwrap();
         assert_eq!(s.stats().bytes, ITEM_HEADER_BYTES + 3 + 100);
-        s.delete(b"key");
+        s.delete(b"key", h(b"key"), 0);
         assert_eq!(s.stats().bytes, 0);
     }
 
     #[test]
     fn add_only_when_absent() {
         let mut s = small();
-        s.add(b"k", b"one".to_vec(), None, 0).unwrap();
+        s.add(b"k", h(b"k"), b"one".to_vec(), None, 0).unwrap();
         assert_eq!(
-            s.add(b"k", b"two".to_vec(), None, 0),
+            s.add(b"k", h(b"k"), b"two".to_vec(), None, 0),
             Err(StoreError::Exists)
         );
         assert_eq!(s.get(b"k", 0).unwrap().value(), b"one");
         // Expired items count as absent.
         s.set(b"t", b"v".to_vec(), Some(5), 0).unwrap();
-        s.add(b"t", b"fresh".to_vec(), None, 10).unwrap();
+        s.add(b"t", h(b"t"), b"fresh".to_vec(), None, 10).unwrap();
         assert_eq!(s.get(b"t", 10).unwrap().value(), b"fresh");
     }
 
@@ -1166,11 +1009,11 @@ mod tests {
     fn replace_only_when_present() {
         let mut s = small();
         assert_eq!(
-            s.replace(b"k", b"x".to_vec(), None, 0),
+            s.replace(b"k", h(b"k"), b"x".to_vec(), None, 0),
             Err(StoreError::NotFound)
         );
         s.set(b"k", b"one".to_vec(), None, 0).unwrap();
-        s.replace(b"k", b"two".to_vec(), None, 0).unwrap();
+        s.replace(b"k", h(b"k"), b"two".to_vec(), None, 0).unwrap();
         assert_eq!(s.get(b"k", 0).unwrap().value(), b"two");
     }
 
@@ -1178,13 +1021,13 @@ mod tests {
     fn append_and_prepend() {
         let mut s = small();
         s.set_with_flags(b"k", b"mid".to_vec(), 7, None, 0).unwrap();
-        s.concat(b"k", b"-end", false, 0).unwrap();
-        s.concat(b"k", b"start-", true, 0).unwrap();
+        s.concat(b"k", h(b"k"), b"-end", false, 0).unwrap();
+        s.concat(b"k", h(b"k"), b"start-", true, 0).unwrap();
         let hit = s.get(b"k", 0).unwrap();
         assert_eq!(hit.value(), b"start-mid-end");
         assert_eq!(hit.flags(), 7, "flags survive concat");
         assert_eq!(
-            s.concat(b"missing", b"x", false, 0),
+            s.concat(b"missing", h(b"missing"), b"x", false, 0),
             Err(StoreError::NotFound)
         );
     }
@@ -1193,13 +1036,20 @@ mod tests {
     fn incr_decr_semantics() {
         let mut s = small();
         s.set(b"n", b"10".to_vec(), None, 0).unwrap();
-        assert_eq!(s.incr_decr(b"n", 5, false, 0), Ok(15));
-        assert_eq!(s.incr_decr(b"n", 20, true, 0), Ok(0), "decr saturates");
+        assert_eq!(s.incr_decr(b"n", h(b"n"), 5, false, 0), Ok(15));
+        assert_eq!(
+            s.incr_decr(b"n", h(b"n"), 20, true, 0),
+            Ok(0),
+            "decr saturates"
+        );
         assert_eq!(s.get(b"n", 0).unwrap().value(), b"0");
         s.set(b"s", b"abc".to_vec(), None, 0).unwrap();
-        assert_eq!(s.incr_decr(b"s", 1, false, 0), Err(StoreError::NotNumeric));
         assert_eq!(
-            s.incr_decr(b"missing", 1, false, 0),
+            s.incr_decr(b"s", h(b"s"), 1, false, 0),
+            Err(StoreError::NotNumeric)
+        );
+        assert_eq!(
+            s.incr_decr(b"missing", h(b"missing"), 1, false, 0),
             Err(StoreError::NotFound)
         );
     }
@@ -1208,29 +1058,34 @@ mod tests {
     fn concat_preserves_remaining_ttl() {
         let mut s = small();
         s.set(b"k", b"a".to_vec(), Some(100), 0).unwrap();
-        s.concat(b"k", b"b", false, 40).unwrap();
+        s.concat(b"k", h(b"k"), b"b", false, 40).unwrap();
         assert!(s.get(b"k", 90).is_some(), "alive until the original expiry");
         assert!(s.get(b"k", 110).is_none(), "expired at the original time");
     }
 
     #[test]
     fn set_traced_matches_set_observably() {
-        // `set` on one store, `set_traced` into one reused trace on the
-        // other, through fresh keys, overwrites and evictions: the same
-        // traces, evictions and counters. A refused set leaves the trace
-        // empty.
+        // `set` on one store, `set_traced` into one reused trace on
+        // another and into a fresh trace per set on a third, through
+        // fresh keys, overwrites and evictions: the same evictions and
+        // counters, and a reused trace equal to a fresh one. A refused
+        // set leaves the trace empty.
         static VALUE: [u8; 64 << 10] = [9; 64 << 10];
-        let mut by_outcome = small();
+        let mut by_set = small();
         let mut by_trace = small();
+        let mut by_fresh = small();
         let mut trace = AccessTrace::default();
         // 40 fresh keys overflow the 2 MB arena; the last 20 sets
         // overwrite the 8 newest.
         for i in 0..60 {
             let key = format!("key{}", if i < 40 { i } else { 32 + i % 8 });
-            let set = by_outcome.set(key.as_bytes(), &VALUE[..], None, 0).unwrap();
-            let evicted = by_trace.set_traced(key.as_bytes(), &VALUE[..], 0, &mut trace);
-            assert_eq!((set.evicted, &set.trace), (evicted.unwrap(), &trace), "{i}");
-            assert_eq!(by_outcome.stats(), by_trace.stats(), "set {i}");
+            let evicted = by_set.set(key.as_bytes(), &VALUE[..], None, 0);
+            let traced = by_trace.set_traced(key.as_bytes(), &VALUE[..], 0, &mut trace);
+            let mut fresh = AccessTrace::default();
+            let fresh_set = by_fresh.set_traced(key.as_bytes(), &VALUE[..], 0, &mut fresh);
+            assert_eq!((&evicted, &evicted), (&traced, &fresh_set), "{i}");
+            assert_eq!(trace, fresh, "set {i}");
+            assert_eq!(by_set.stats(), by_trace.stats(), "set {i}");
         }
         let stats = by_trace.stats();
         assert!(stats.evictions > 0 && stats.sets - stats.evictions > stats.items);
@@ -1276,38 +1131,36 @@ mod tests {
     fn borrowed_and_owned_values_are_indistinguishable() {
         // The same operations on two stores, one handed `Vec`s and one
         // lent `'static` slices of equal bytes: every result, trace and
-        // counter must agree, including the paths that read a value
-        // (`get`, `incr_decr`) or rebuild one (`concat`).
+        // counter must agree, including the verbs that read a stored
+        // value (`get`, `incr_decr`) or rebuild one (`concat`).
         static BYTES: [u8; 300] = [b'7'; 300];
         let mut owned = small();
         let mut borrowed = small();
         for (key, len) in [(&b"a"[..], 300), (b"n", 3), (b"empty", 0), (b"a", 17)] {
             assert_eq!(
-                owned.set_with_flags(key, BYTES[..len].to_vec(), 5, Some(60), 0),
-                borrowed.set_with_flags(key, &BYTES[..len], 5, Some(60), 0),
+                owned.set(key, BYTES[..len].to_vec(), Some(60), 0),
+                borrowed.set(key, &BYTES[..len], Some(60), 0),
             );
         }
-        assert_eq!(
-            owned.add(b"fresh", BYTES[..9].to_vec(), None, 0),
-            borrowed.add(b"fresh", &BYTES[..9], None, 0)
-        );
-        assert_eq!(
-            owned.replace(b"fresh", BYTES[..4].to_vec(), None, 0),
-            borrowed.replace(b"fresh", &BYTES[..4], None, 0)
-        );
+        for s in [&mut owned, &mut borrowed] {
+            s.add(b"fresh", h(b"fresh"), BYTES[..9].to_vec(), None, 0)
+                .unwrap();
+            s.replace(b"fresh", h(b"fresh"), BYTES[..4].to_vec(), None, 0)
+                .unwrap();
+        }
         let token = owned.get(b"n", 0).unwrap().cas();
         assert_eq!(token, borrowed.get(b"n", 0).unwrap().cas());
         assert_eq!(
-            owned.cas(b"n", BYTES[..2].to_vec(), token, None, 0),
-            borrowed.cas(b"n", &BYTES[..2], token, None, 0)
+            owned.cas(b"n", h(b"n"), BYTES[..2].to_vec(), token, None, 0),
+            borrowed.cas(b"n", h(b"n"), BYTES[..2].to_vec(), token, None, 0)
         );
         // 77 + 23 = 100: the borrowed digits parse like the owned ones.
-        assert_eq!(owned.incr_decr(b"n", 23, false, 0), Ok(100));
-        assert_eq!(borrowed.incr_decr(b"n", 23, false, 0), Ok(100));
+        assert_eq!(owned.incr_decr(b"n", h(b"n"), 23, false, 0), Ok(100));
+        assert_eq!(borrowed.incr_decr(b"n", h(b"n"), 23, false, 0), Ok(100));
         for (extra, front) in [(&b"-tail"[..], false), (b"head-", true)] {
             assert_eq!(
-                owned.concat(b"a", extra, front, 1),
-                borrowed.concat(b"a", extra, front, 1)
+                owned.concat(b"a", h(b"a"), extra, front, 1),
+                borrowed.concat(b"a", h(b"a"), extra, front, 1)
             );
         }
         let mut trace = AccessTrace::default();

@@ -375,11 +375,8 @@ struct Plane {
     /// The most recent trigger edge.
     last_trigger: Option<Trigger>,
     /// Whether the previous closed window was in a triggered state
-    /// (the recorder dumps on the rising edge only).
+    /// (only a rising edge becomes `last_trigger`).
     triggered: bool,
-    /// The dump captured at the last rising trigger edge, waiting to
-    /// be collected by [`ServeMetrics::take_auto_dump`].
-    auto_dump: Option<String>,
     /// Totals at the previous window close, for per-window deltas.
     prev_acquisitions: u64,
     prev_contended: u64,
@@ -491,7 +488,6 @@ impl ServeMetrics {
             recorder: VecDeque::new(),
             last_trigger: None,
             triggered: false,
-            auto_dump: None,
             prev_acquisitions: 0,
             prev_contended: 0,
             prev_rejected: 0,
@@ -563,8 +559,7 @@ impl ServeMetrics {
 
     /// Closes the open window: rotates the histogram ring and the
     /// per-verb rates, feeds the SLO tracker, snapshots the window for
-    /// the flight recorder, and fires the recorder on a rising trigger
-    /// edge.
+    /// the flight recorder, and records a rising trigger edge.
     fn close_window(&self, plane: &mut Plane) {
         let closed_hist = plane.overall.rotate();
         let total = closed_hist.count();
@@ -636,7 +631,6 @@ impl ServeMetrics {
                         reason,
                         window: plane.closed,
                     });
-                    plane.auto_dump = Some(self.recorder_json_locked(plane));
                 }
                 plane.triggered = true;
             }
@@ -876,14 +870,6 @@ impl ServeMetrics {
         plane.slo.snapshot()
     }
 
-    /// Takes the dump captured at the last rising trigger edge, if one
-    /// is waiting. The bench harness polls this and writes the JSON to
-    /// disk — the plane itself never touches the filesystem.
-    #[must_use]
-    pub fn take_auto_dump(&self) -> Option<String> {
-        self.plane.lock().auto_dump.take()
-    }
-
     /// The on-demand flight-recorder dump (`stats dump`): rotates due
     /// windows, then serializes the snapshot ring, SLO state, slow log,
     /// and the newest sampled spans as one JSON object.
@@ -894,14 +880,6 @@ impl ServeMetrics {
         }
         let mut plane = self.plane.lock();
         self.rotate_due(&mut plane, Instant::now());
-        self.recorder_json_locked(&plane)
-    }
-
-    /// Serializes the recorder with the plane lock already held (shared
-    /// by the on-demand dump and the rising-edge auto dump). Takes the
-    /// tracer lock inside the plane lock; nothing ever takes the plane
-    /// lock while holding that, so the order is safe.
-    fn recorder_json_locked(&self, plane: &Plane) -> String {
         let mut out = String::from("{\"format\":\"densekv-flight-recorder-v1\",\"enabled\":true");
         put!(
             out,
@@ -993,6 +971,8 @@ impl ServeMetrics {
             );
         }
         out.push_str("],\"trace\":");
+        // The tracer lock inside the plane lock: nothing ever takes the
+        // plane lock while holding the tracer lock, so the order is safe.
         out.push_str(&self.tracer.lock().to_chrome_json_capped(RECORDER_SPAN_CAP));
         out.push('}');
         out
@@ -1075,8 +1055,8 @@ impl ServeMetrics {
 
     /// The `stats reset` semantics: zero counters and histograms, clear
     /// the slow log, and clear the *entire* windowed plane — histogram
-    /// ring, per-verb rates, SLO ledger, flight recorder, trigger state,
-    /// pending auto dump — in one atomic step (everything happens under
+    /// ring, per-verb rates, SLO ledger, flight recorder, trigger
+    /// state — in one atomic step (everything happens under
     /// the plane lock, so no window can rotate half-reset state into
     /// the ring). Kept: registered handles, collected spans, the
     /// sequence counter (sampling cadence is unaffected), and the
@@ -1096,7 +1076,6 @@ impl ServeMetrics {
         plane.recorder.clear();
         plane.last_trigger = None;
         plane.triggered = false;
-        plane.auto_dump = None;
         plane.prev_acquisitions = 0;
         plane.prev_contended = 0;
         plane.prev_rejected = 0;
@@ -1474,19 +1453,22 @@ mod tests {
         let trigger = m.last_trigger().expect("burn must trip the recorder");
         assert_eq!(trigger.reason, "slo-burn");
         assert_eq!(trigger.window, 1);
-        let dump = m.take_auto_dump().expect("rising edge captures a dump");
-        densekv_telemetry::validate_json(&dump).expect("auto dump is valid JSON");
-        assert!(dump.contains("\"reason\":\"slo-burn\""), "{dump}");
+        let dump = m.flight_recorder_json();
+        densekv_telemetry::validate_json(&dump).expect("dump is valid JSON");
+        assert!(
+            dump.contains("\"trigger\":{\"reason\":\"slo-burn\",\"window\":1}"),
+            "{dump}"
+        );
 
-        // Still burning: no second dump while the state holds.
+        // Still burning: the state holds, so no new edge.
         for _ in 10..20 {
             record(&m, Verb::Get, slow);
         }
         m.rotate_now();
-        assert!(m.take_auto_dump().is_none(), "no dump without a new edge");
+        assert_eq!(m.last_trigger(), Some(trigger), "no new edge");
 
         // Recover (two clean windows clear the 2-window long burn),
-        // then trip again: a fresh edge captures a fresh dump.
+        // then trip again: a fresh edge names its own window.
         m.rotate_now();
         m.rotate_now();
         assert!(!m.slo_snapshot().alerting);
@@ -1494,8 +1476,13 @@ mod tests {
             record(&m, Verb::Get, slow);
         }
         m.rotate_now();
-        let second = m.take_auto_dump().expect("new edge, new dump");
-        assert!(second.contains("\"reason\":\"slo-burn\""));
+        let second = m.last_trigger().expect("new edge");
+        assert_eq!((second.reason, second.window), ("slo-burn", 5));
+        let dump = m.flight_recorder_json();
+        assert!(
+            dump.contains("\"trigger\":{\"reason\":\"slo-burn\",\"window\":5}"),
+            "{dump}"
+        );
     }
 
     #[test]
@@ -1576,7 +1563,6 @@ mod tests {
         assert_eq!((snap.windows, snap.total, snap.bad), (0, 0, 0));
         assert_eq!(snap.short_burn, 0.0);
         assert!(m.last_trigger().is_none(), "trigger state cleared");
-        assert!(m.take_auto_dump().is_none(), "pending dump cleared");
         // …and so is the cumulative registry (the PR-7 semantics).
         assert_eq!(m.verb_count(Verb::Get), 0);
         // Window numbering continues: indices stay comparable across

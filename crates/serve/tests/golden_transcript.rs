@@ -1,7 +1,7 @@
 //! Replays a seeded all-verb request stream and compares every reply
-//! byte with `tests/golden/serve_transcript.bin`, which was recorded
-//! from this same stream before the connection loop, the parser and the
-//! receive buffer were rewritten (`record_golden` below is how).
+//! byte with `tests/golden/serve_transcript.bin`, recorded from this
+//! same stream through the model store (`record_golden` below is how)
+//! and re-recorded only when the protocol changes on purpose.
 //!
 //! The stream is a sequence of sessions, each ending the way a
 //! connection ends: with `quit`, or with an error that loses framing.

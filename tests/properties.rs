@@ -6,10 +6,12 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use densekv_dht::ConsistentHashRing;
+use densekv_kv::hash::jenkins_oaat;
 use densekv_kv::lru::{BagLru, EvictionPolicy, StrictLru};
 use densekv_kv::slab::{SlabAllocator, SlabError};
 use densekv_kv::store::{KvStore, StoreConfig};
 use densekv_kv::table::HashTable;
+use densekv_kv::StoreBackend;
 use densekv_mem::flash::FlashConfig;
 use densekv_mem::ftl::Ftl;
 use densekv_sim::stats::LatencyHistogram;
@@ -62,7 +64,7 @@ proptest! {
                 }
                 StoreOp::Delete(k) => {
                     let key = [b'k', k];
-                    let existed = store.delete(&key).is_some();
+                    let existed = store.delete(&key, jenkins_oaat(&key), 0);
                     prop_assert_eq!(existed, model.remove(&k).is_some());
                 }
             }
@@ -82,7 +84,8 @@ proptest! {
                     model.insert(k, len);
                 }
                 StoreOp::Delete(k) => {
-                    store.delete(&[b'k', k]);
+                    let key = [b'k', k];
+                    store.delete(&key, jenkins_oaat(&key), 0);
                     model.remove(&k);
                 }
                 StoreOp::Get(_) => {}

@@ -21,7 +21,7 @@ use densekv_kv::lru::EvictionKind;
 use densekv_kv::store::StoreConfig;
 use densekv_serve::{BackendKind, ShardedStore};
 use densekv_sim::dist::Zipf;
-use densekv_sim::SplitRng;
+use densekv_sim::SplitMix64;
 
 /// Key population (pre-loaded so GETs mostly hit).
 const KEYS: u64 = 8_192;
@@ -132,7 +132,7 @@ pub fn measure(
         let workers: Vec<_> = (0..threads)
             .map(|t| {
                 scope.spawn(move || {
-                    let mut rng = SplitRng::new(0xE1213E + u64::from(t));
+                    let mut rng = SplitMix64::new(0xE1213E + u64::from(t));
                     let mut ops = 0u64;
                     barrier.wait();
                     while !stop.load(Ordering::Relaxed) {

@@ -30,7 +30,7 @@ use densekv_energy::PowerTimeline;
 use densekv_net::PortMeter;
 use densekv_sim::dist::{Exponential, Zipf};
 use densekv_sim::stats::LatencyHistogram;
-use densekv_sim::{Duration, Scheduler, SimTime, SplitRng};
+use densekv_sim::{Duration, Scheduler, SimTime, SplitMix64};
 use densekv_telemetry::{BucketedTimeline, SpanBuilder, Telemetry};
 
 use crate::config::ClusterConfig;
@@ -284,7 +284,7 @@ const DRAW_BLOCK: u32 = 64;
 /// tight loop of independent loads those misses overlap, where the event
 /// loop would take them one after another.
 struct Draws {
-    rng: SplitRng,
+    rng: SplitMix64,
     arrivals: Exponential,
     zipf: Arc<Zipf>,
     /// Keys per arrival.
@@ -303,7 +303,7 @@ struct Draws {
 
 impl Draws {
     fn new(config: &ClusterConfig, total: u32) -> Self {
-        let mut rng = SplitRng::new(config.seed);
+        let mut rng = SplitMix64::new(config.seed);
         let arrivals = Exponential::from_rate_per_sec(config.workload.rate_per_sec);
         let first_gap = (total > 0).then(|| arrivals.sample(&mut rng));
         let batch = config.workload.multiget_batch as usize;
@@ -1017,6 +1017,26 @@ mod tests {
         assert!(observed.ingress.iter().all(|m| m.drops() == 0));
     }
 
+    #[test]
+    fn scheduler_holds_one_arrival_and_the_fault() {
+        // The traffic the event heap is sized for: each arrival schedules
+        // the next, so the backlog is the next arrival, plus the pending
+        // kill when a fault plan runs.
+        for config in [quick(0.5), failover_config()] {
+            let mut tele = Telemetry {
+                metrics: densekv_telemetry::MetricsRegistry::enabled(),
+                ..Telemetry::disabled()
+            };
+            run_with_telemetry(&config, &mut tele);
+            let faults = u64::from(config.fault.is_some());
+            let counter = |name| tele.metrics.counter_by_name(name);
+            assert_eq!(counter("cluster.sched.peak_backlog"), Some(1 + faults));
+            let arrivals = u64::from(config.warmup + config.requests);
+            assert_eq!(counter("cluster.sched.pushed"), Some(arrivals + faults));
+            assert_eq!(counter("cluster.sched.popped"), Some(arrivals + faults));
+        }
+    }
+
     fn failover_config() -> ClusterConfig {
         let mut config = quick(0.3);
         config.requests = 6_000;
@@ -1323,7 +1343,7 @@ mod tests {
 
         // The event loop's order: the first gap, then per arrival the
         // gap to the next one (none after the last) and its keys.
-        let mut rng = SplitRng::new(config.seed);
+        let mut rng = SplitMix64::new(config.seed);
         let arrivals = Exponential::from_rate_per_sec(config.workload.rate_per_sec);
         let zipf = popularity(config.workload.key_population, config.workload.zipf_alpha);
         let first_gap = arrivals.sample(&mut rng);

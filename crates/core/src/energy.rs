@@ -236,7 +236,7 @@ impl EnergyObserver {
         self.meter
             .charge_mw_for(Component::CoreActive, self.rates.core_active_mw, active);
         self.meter
-            .charge_mw_for(Component::CoreIdle, self.rates.core_idle_mw, idle);
+            .charge_mw_for(Component::CoreIdle, self.rates.core_active_mw, idle);
         self.meter
             .charge_mw_for(Component::MacActive, self.rates.mac_mw, mac_active);
         self.meter

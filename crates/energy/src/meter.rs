@@ -153,16 +153,6 @@ impl EnergyMeter {
         }
     }
 
-    /// Accumulates another meter (e.g. per-stack meters into a cluster
-    /// total). Enabled-ness follows `self`.
-    pub fn merge(&mut self, other: &EnergyMeter) {
-        if self.enabled {
-            for (mine, theirs) in self.joules.iter_mut().zip(other.joules.iter()) {
-                *mine += theirs;
-            }
-        }
-    }
-
     /// `(name, joules)` rows in [`Component::ALL`] order.
     #[must_use]
     pub fn rows(&self) -> [(&'static str, f64); Component::ALL.len()] {
@@ -230,17 +220,5 @@ mod tests {
         let rows = m.rows();
         assert_eq!(rows.len(), Component::ALL.len());
         assert!(rows.iter().any(|&(n, j)| n == "memory" && j == 2.0));
-    }
-
-    #[test]
-    fn merge_sums_componentwise() {
-        let mut a = EnergyMeter::enabled();
-        let mut b = EnergyMeter::enabled();
-        a.charge_j(Component::Phy, 1.0);
-        b.charge_j(Component::Phy, 2.0);
-        b.charge_j(Component::Memory, 4.0);
-        a.merge(&b);
-        assert_eq!(a.component_j(Component::Phy), 3.0);
-        assert_eq!(a.component_j(Component::Memory), 4.0);
     }
 }

@@ -10,14 +10,10 @@ use densekv_sim::Duration;
 /// component specs so the two can't drift.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyRates {
-    /// Core draw while executing, mW per core (Table 1).
+    /// Core draw, mW per core (Table 1). The paper charges cores as
+    /// constant draw, so idle time is charged at this rate too: the
+    /// active/idle split is attribution over time, not a DVFS model.
     pub core_active_mw: f64,
-    /// Core draw while idle, mW per core. The paper charges cores as
-    /// constant draw, so this *equals* `core_active_mw` by default —
-    /// the active/idle split is attribution over time, not a DVFS
-    /// model. Kept separate so a future idle-state model changes one
-    /// number.
-    pub core_idle_mw: f64,
     /// Power-gated L2 SRAM leakage, mW per core with an L2 (`0.0`
     /// without; the workspace's `L2_POWER_MW` assumption).
     pub l2_leak_mw_per_core: f64,
@@ -51,7 +47,6 @@ impl EnergyRates {
     pub fn new(core_mw: f64, l2_mw: f64, mem_mw_per_gbps: f64, mac_mw: f64, phy_mw: f64) -> Self {
         EnergyRates {
             core_active_mw: core_mw,
-            core_idle_mw: core_mw,
             l2_leak_mw_per_core: l2_mw,
             mem_mw_per_gbps,
             mac_mw,
@@ -124,12 +119,5 @@ mod tests {
         assert!((no_l2.stack_static_w(32) - 3.62).abs() < 1e-12);
         // One second of static draw.
         assert!((r.stack_static_j(32, Duration::from_secs(1)) - 3.94).abs() < 1e-12);
-    }
-
-    #[test]
-    fn idle_rate_defaults_to_active() {
-        let r = EnergyRates::iridium_a7(true);
-        assert_eq!(r.core_active_mw, r.core_idle_mw);
-        assert_eq!(r.mem_mw_per_gbps, 6.0);
     }
 }

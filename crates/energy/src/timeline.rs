@@ -134,24 +134,6 @@ impl PowerTimeline {
             .fold(0.0_f64, |acc, &j| acc.max(j / self.width.as_secs_f64()))
     }
 
-    /// Sums another timeline into this one bucket-by-bucket. Both must
-    /// share a bucket width; enabled-ness follows `self`.
-    ///
-    /// # Panics
-    /// Panics if the widths differ.
-    pub fn merge(&mut self, other: &PowerTimeline) {
-        if !self.enabled {
-            return;
-        }
-        assert_eq!(self.width, other.width, "bucket widths must match");
-        if self.joules.len() < other.joules.len() {
-            self.joules.resize(other.joules.len(), 0.0);
-        }
-        for (mine, theirs) in self.joules.iter_mut().zip(other.joules.iter()) {
-            *mine += theirs;
-        }
-    }
-
     /// Renders `time_s,watts` CSV rows (bucket midpoints).
     #[must_use]
     pub fn to_csv(&self) -> String {
@@ -208,20 +190,6 @@ mod tests {
         assert!((t.total_j() - 20e-6).abs() < 1e-18);
         // Interior bucket sits at the full 1 W.
         assert!((t.watts(1) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_sums_bucketwise() {
-        let width = Duration::from_micros(10);
-        let mut a = PowerTimeline::enabled(width);
-        let mut b = PowerTimeline::enabled(width);
-        a.deposit(SimTime::ZERO, 1e-6);
-        b.deposit(SimTime::ZERO, 2e-6);
-        b.deposit(SimTime::ZERO + Duration::from_micros(15), 3e-6);
-        a.merge(&b);
-        assert_eq!(a.joules(0), 3e-6);
-        assert_eq!(a.joules(1), 3e-6);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -202,6 +202,10 @@ impl StoreBackend for RefStore {
         let Some(item) = self.map.get(key) else {
             return Err(StoreError::NotFound);
         };
+        let footprint = item.footprint(key) + extra.len() as u64;
+        if footprint > MAX_ITEM_FOOTPRINT_BYTES {
+            return Err(StoreError::ValueTooLarge { bytes: footprint });
+        }
         let (flags, expires_at) = (item.flags, item.expires_at);
         let mut value = item.value.clone();
         if front {
@@ -413,10 +417,8 @@ fn assert_backends_agree(ops: &[Op], initial_buckets: u64) {
 
 /// `append` and `prepend` that push an item one byte past
 /// `MAX_ITEM_FOOTPRINT_BYTES`, which the random sequences never reach:
-/// every backend answers `SERVER_ERROR object too large for cache` and
-/// renders the same `stats` block. All three remove the old item before
-/// the size check, so the key reads absent afterwards; this pins that
-/// ordering as it stands, it does not endorse it.
+/// every backend answers `SERVER_ERROR object too large for cache`,
+/// keeps the old value and flags, and renders the same `stats` block.
 #[test]
 fn concat_past_the_size_cap_fails_alike() {
     let largest = (MAX_ITEM_FOOTPRINT_BYTES - ITEM_HEADER_BYTES) as usize - "big".len();
@@ -434,9 +436,19 @@ fn concat_past_the_size_cap_fails_alike() {
         serve_buffer(&mut RefStore::new(), &input, 0),
     ];
     let text = String::from_utf8_lossy(&replies[1]);
-    let refused = "STORED\r\nSERVER_ERROR object too large for cache\r\nEND\r\n";
-    assert!(text.starts_with(&refused.repeat(2)), "{text}");
-    for stat in ["cmd_set 2", "get_misses 2", "curr_items 0", "bytes 0"] {
+    let survived = format!(
+        "STORED\r\nSERVER_ERROR object too large for cache\r\nVALUE big 3 {largest}\r\n{}\r\nEND\r\n",
+        "B".repeat(largest)
+    );
+    assert!(text.starts_with(&survived.repeat(2)), "{text}");
+    let bytes = format!("bytes {MAX_ITEM_FOOTPRINT_BYTES}");
+    for stat in [
+        "cmd_set 2",
+        "get_hits 2",
+        "get_misses 0",
+        "curr_items 1",
+        &bytes,
+    ] {
         assert!(text.contains(&format!("STAT {stat}\r\n")), "{stat}: {text}");
     }
     assert_eq!(replies[0], replies[1], "engine vs model");

@@ -11,7 +11,10 @@
 //! implementations against each other byte for byte.
 
 use crate::hash::jenkins_oaat;
-use crate::store::{AccessTrace, GetHit, HitRef, StoreError, StoreStats};
+use crate::store::{
+    AccessTrace, GetHit, HitRef, StoreError, StoreStats, ITEM_HEADER_BYTES,
+    MAX_ITEM_FOOTPRINT_BYTES,
+};
 
 /// A live item as [`StoreBackend::peek`] lends it: what the conditional
 /// and derived verbs read, valid until the store is next touched.
@@ -200,12 +203,14 @@ pub trait StoreBackend {
         self.set_hashed(key, hash, value, 0, ttl_secs, now)
     }
 
-    /// Appends (or with `front`, prepends) to an existing value.
+    /// Appends (or with `front`, prepends) to an existing value. A result
+    /// past [`MAX_ITEM_FOOTPRINT_BYTES`] is refused and the item is left
+    /// as it was; only a plain oversize `set` unlinks the old item.
     ///
     /// # Errors
     ///
-    /// [`StoreError::NotFound`] when the key is absent, or any set
-    /// error.
+    /// [`StoreError::NotFound`] when the key is absent,
+    /// [`StoreError::ValueTooLarge`] past the cap, or any set error.
     fn concat(
         &mut self,
         key: &[u8],
@@ -215,6 +220,10 @@ pub trait StoreBackend {
         now: u64,
     ) -> Result<(), StoreError> {
         let item = self.peek(key, hash, now).ok_or(StoreError::NotFound)?;
+        let bytes = ITEM_HEADER_BYTES + (key.len() + item.value.len() + extra.len()) as u64;
+        if bytes > MAX_ITEM_FOOTPRINT_BYTES {
+            return Err(StoreError::ValueTooLarge { bytes });
+        }
         let value = if front {
             [extra, item.value].concat()
         } else {

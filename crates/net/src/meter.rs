@@ -78,14 +78,6 @@ impl PortMeter {
             self.busy_ps as f64 / elapsed as f64
         }
     }
-
-    /// Merges another meter (e.g. the other direction of a full-duplex
-    /// port) into this one.
-    pub fn merge(&mut self, other: &PortMeter) {
-        self.busy_ps += other.busy_ps;
-        self.sends += other.sends;
-        self.drops += other.drops;
-    }
 }
 
 #[cfg(test)]
@@ -110,18 +102,5 @@ mod tests {
         m.record_send(Duration::from_micros(1));
         let now = SimTime::ZERO + Duration::from_micros(4);
         assert_eq!(m.utilization(now), 0.25);
-    }
-
-    #[test]
-    fn merge_sums_both_directions() {
-        let mut rx = PortMeter::new();
-        rx.record_send(Duration::from_micros(1));
-        let mut tx = PortMeter::new();
-        tx.record_send(Duration::from_micros(3));
-        tx.record_drop();
-        rx.merge(&tx);
-        assert_eq!(rx.busy_time(), Duration::from_micros(4));
-        assert_eq!(rx.sends(), 2);
-        assert_eq!(rx.drops(), 1);
     }
 }

@@ -135,8 +135,9 @@ fn command(out: &mut Vec<u8>, rng: &mut SplitMix64) {
 
 /// A key of `MAX_KEY_BYTES` and values at the item-size policy
 /// boundary: the largest storable value, an append that pushes it over
-/// (and so destroys it), and a block of exactly `MAX_VALUE_BYTES`,
-/// which the parser admits and the store refuses.
+/// (refused, leaving the item intact), and a block of exactly
+/// `MAX_VALUE_BYTES`, which the parser admits and the store refuses
+/// (unlinking the old item, as a failed `set` does).
 fn boundary_session() -> Vec<u8> {
     let mut out = Vec::new();
     let long_key = "K".repeat(250);

@@ -1,6 +1,6 @@
 //! Random distributions used by the workload generators.
 
-use crate::rng::UniformSource;
+use crate::rng::SplitMix64;
 
 /// A discrete Zipf(α) distribution over ranks `0..n`.
 ///
@@ -84,11 +84,7 @@ impl Zipf {
     }
 
     /// Draws a rank in `0..len()` via the alias table (O(1)).
-    ///
-    /// Generic over any [`UniformSource`], so call sites can hand in a
-    /// direct [`SplitMix64`](crate::SplitMix64) or a batched
-    /// [`SplitRng`](crate::SplitRng) and draw the identical rank stream.
-    pub fn sample<R: UniformSource>(&self, rng: &mut R) -> usize {
+    pub fn sample(&self, rng: &mut SplitMix64) -> usize {
         let scaled = rng.next_f64() * self.slots.len() as f64;
         // `next_f64` is in [0, 1), so `scaled < n` and the cast is safe.
         let slot = scaled as usize;
@@ -183,8 +179,8 @@ impl Exponential {
         }
     }
 
-    /// Draws an inter-arrival gap from any [`UniformSource`].
-    pub fn sample<R: UniformSource>(&self, rng: &mut R) -> crate::time::Duration {
+    /// Draws an inter-arrival gap.
+    pub fn sample(&self, rng: &mut SplitMix64) -> crate::time::Duration {
         // Inverse-CDF; guard the log against u == 0.
         let u = rng.next_f64().max(f64::MIN_POSITIVE);
         crate::time::Duration::from_secs_f64(-self.mean_secs * u.ln())
@@ -194,7 +190,6 @@ impl Exponential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::{SplitMix64, SplitRng};
 
     #[test]
     fn zipf_uniform_when_alpha_zero() {
@@ -276,7 +271,7 @@ mod tests {
             CdfSampler { cdf }
         }
 
-        fn sample<R: UniformSource>(&self, rng: &mut R) -> usize {
+        fn sample(&self, rng: &mut SplitMix64) -> usize {
             let u = rng.next_f64();
             match self
                 .cdf
@@ -347,22 +342,6 @@ mod tests {
             counter.next_f64();
         }
         assert_eq!(rng, counter);
-    }
-
-    #[test]
-    fn batched_source_samples_identically() {
-        // The cluster simulator swaps its SplitMix64 for a SplitRng; the
-        // interleaved Zipf + Exponential streams must not move by a bit.
-        let zipf = Zipf::new(4096, 0.99);
-        let cdf = CdfSampler::new(&zipf);
-        let exp = Exponential::from_rate_per_sec(1_500_000.0);
-        let mut direct = SplitMix64::new(0x5EED);
-        let mut batched = SplitRng::new(0x5EED);
-        for _ in 0..5000 {
-            assert_eq!(zipf.sample(&mut direct), zipf.sample(&mut batched));
-            assert_eq!(exp.sample(&mut direct), exp.sample(&mut batched));
-            assert_eq!(cdf.sample(&mut direct), cdf.sample(&mut batched));
-        }
     }
 
     /// FNV-1a over every slot's threshold bits and redirect.

@@ -3,7 +3,8 @@
 //! This crate provides the substrate every other `densekv` crate builds on:
 //!
 //! * [`SimTime`] / [`Duration`] — integer-picosecond simulated time,
-//! * [`Scheduler`] over a [`TimerWheel`] — a deterministic discrete-event loop,
+//! * [`Scheduler`] — a deterministic discrete-event loop over a
+//!   `(time, seq)` binary heap,
 //! * [`rng::SplitMix64`] and the [`dist`] module — reproducible randomness,
 //! * [`lru::StrictLru`] — an index-linked recency list over `u32` slots,
 //! * [`stats`] — counters and exact latency distributions with
@@ -33,9 +34,7 @@ pub mod lru;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod wheel;
 
-pub use event::{HeapQueue, QueueStats, Scheduler};
-pub use rng::{SplitMix64, SplitRng, UniformSource};
+pub use event::{QueueStats, Scheduler};
+pub use rng::{SplitMix64, SplitRng};
 pub use time::{Duration, SimTime};
-pub use wheel::TimerWheel;

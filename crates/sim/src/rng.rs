@@ -67,29 +67,9 @@ impl SplitMix64 {
         }
     }
 
-    /// Returns a uniform integer in the inclusive range `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        let span = hi - lo;
-        if span == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.next_below(span + 1)
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn next_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Derives an independent child generator; useful for giving each
-    /// simulated component its own stream.
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
     }
 
     /// Shuffles a slice in place (Fisher–Yates).
@@ -101,142 +81,8 @@ impl SplitMix64 {
     }
 }
 
-/// A source of uniform draws the distribution samplers can consume.
-///
-/// Implemented by both [`SplitMix64`] (direct) and [`SplitRng`]
-/// (batched). Because `SplitRng` consumes the *same* underlying stream,
-/// a sampler is bit-identical under either implementation.
-pub trait UniformSource {
-    /// Returns the next 64 uniformly distributed bits.
-    fn next_u64(&mut self) -> u64;
-
-    /// Returns a uniform `f64` in `[0, 1)` (53 high bits).
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl UniformSource for SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        SplitMix64::next_u64(self)
-    }
-}
-
-/// Draws buffered per [`SplitRng`] refill.
-const BATCH: usize = 64;
-
-/// A [`SplitMix64`] that draws in batches.
-///
-/// [`SplitRng::fill_f64`] refills a fixed buffer of raw 64-bit draws in
-/// one tight loop, so hot samplers (Zipf alias sampling, exponential
-/// arrivals) amortize the generator's state load/update across `BATCH`
-/// draws instead of paying it per call. The *consumed* stream is
-/// bit-identical to calling the wrapped [`SplitMix64`] directly — only
-/// the moment the state advances differs — so swapping a `SplitRng` in
-/// for a `SplitMix64` never changes simulation output.
-///
-/// # Examples
-///
-/// ```
-/// use densekv_sim::{SplitMix64, SplitRng};
-///
-/// let mut direct = SplitMix64::new(7);
-/// let mut batched = SplitRng::new(7);
-/// for _ in 0..1000 {
-///     assert_eq!(direct.next_u64(), batched.next_u64());
-/// }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct SplitRng {
-    core: SplitMix64,
-    buf: [u64; BATCH],
-    /// Next unconsumed buffer position; `BATCH` means empty.
-    pos: usize,
-}
-
-impl SplitRng {
-    /// Creates a batched generator from a seed; the consumed stream
-    /// equals `SplitMix64::new(seed)`'s.
-    pub fn new(seed: u64) -> Self {
-        SplitRng::from_rng(SplitMix64::new(seed))
-    }
-
-    /// Wraps an existing generator, continuing its stream.
-    pub fn from_rng(core: SplitMix64) -> Self {
-        SplitRng {
-            core,
-            buf: [0; BATCH],
-            pos: BATCH,
-        }
-    }
-
-    /// Refills the draw buffer from the underlying generator.
-    fn refill(&mut self) {
-        for slot in &mut self.buf {
-            *slot = self.core.next_u64();
-        }
-        self.pos = 0;
-    }
-
-    /// Returns the next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
-        if self.pos == BATCH {
-            self.refill();
-        }
-        let x = self.buf[self.pos];
-        self.pos += 1;
-        x
-    }
-
-    /// Returns a uniform `f64` in `[0, 1)` — same mapping as
-    /// [`SplitMix64::next_f64`] over the buffered stream.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Fills `out` with uniform `f64`s in `[0, 1)`, draining and
-    /// refilling the internal buffer as needed. Equivalent to calling
-    /// [`SplitRng::next_f64`] `out.len()` times.
-    pub fn fill_f64(&mut self, out: &mut [f64]) {
-        for slot in out {
-            *slot = self.next_f64();
-        }
-    }
-
-    /// Returns a uniform integer in `[0, bound)` (Lemire rejection over
-    /// the buffered stream — identical values to
-    /// [`SplitMix64::next_below`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (bound as u128);
-            let low = m as u64;
-            if low >= bound {
-                return (m >> 64) as u64;
-            }
-            let threshold = bound.wrapping_neg() % bound;
-            if low >= threshold {
-                return (m >> 64) as u64;
-            }
-        }
-    }
-
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn next_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
-}
-
-impl UniformSource for SplitRng {
-    fn next_u64(&mut self) -> u64 {
-        SplitRng::next_u64(self)
-    }
-}
+/// Former name of [`SplitMix64`], still imported by `benchmark/src/layers.rs`.
+pub type SplitRng = SplitMix64;
 
 #[cfg(test)]
 mod tests {
@@ -279,75 +125,11 @@ mod tests {
     }
 
     #[test]
-    fn range_inclusive() {
-        let mut r = SplitMix64::new(11);
-        let mut seen_lo = false;
-        let mut seen_hi = false;
-        for _ in 0..2000 {
-            let x = r.next_range(3, 5);
-            assert!((3..=5).contains(&x));
-            seen_lo |= x == 3;
-            seen_hi |= x == 5;
-        }
-        assert!(seen_lo && seen_hi);
-    }
-
-    #[test]
     fn mean_is_roughly_half() {
         let mut r = SplitMix64::new(123);
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| r.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut parent = SplitMix64::new(77);
-        let mut child = parent.fork();
-        // Child stream should not simply replay the parent stream.
-        let p: Vec<_> = (0..8).map(|_| parent.next_u64()).collect();
-        let c: Vec<_> = (0..8).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
-    }
-
-    #[test]
-    fn batched_stream_matches_direct_stream() {
-        let mut direct = SplitMix64::new(0xF00D);
-        let mut batched = SplitRng::new(0xF00D);
-        for i in 0..1000u64 {
-            // Interleave draw kinds so buffer refills land mid-sequence.
-            match i % 4 {
-                0 => assert_eq!(direct.next_u64(), batched.next_u64()),
-                1 => assert_eq!(direct.next_f64().to_bits(), batched.next_f64().to_bits()),
-                2 => assert_eq!(direct.next_below(1 + i), batched.next_below(1 + i)),
-                _ => assert_eq!(direct.next_bool(0.3), batched.next_bool(0.3)),
-            }
-        }
-    }
-
-    #[test]
-    fn fill_f64_equals_repeated_next_f64() {
-        let mut a = SplitRng::new(9);
-        let mut b = SplitMix64::new(9);
-        let mut buf = [0.0f64; 100];
-        a.fill_f64(&mut buf);
-        for x in buf {
-            assert_eq!(x.to_bits(), b.next_f64().to_bits());
-        }
-    }
-
-    #[test]
-    fn from_rng_continues_the_stream() {
-        let mut direct = SplitMix64::new(5);
-        let mut staged = SplitMix64::new(5);
-        for _ in 0..10 {
-            direct.next_u64();
-            staged.next_u64();
-        }
-        let mut batched = SplitRng::from_rng(staged);
-        for _ in 0..100 {
-            assert_eq!(direct.next_u64(), batched.next_u64());
-        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * [`MetricsRegistry`] — counters, gauges, and constant-memory
 //!   log-bucketed latency histograms ([`LogHistogram`]) addressed by
 //!   static names. Recording is an indexed array write; a disabled
-//!   registry is a single branch. Registries merge by name across
-//!   shards.
+//!   registry is a single branch.
 //! * [`Tracer`] — request-span tracing: each sampled request records
 //!   its phase transitions (client → NIC rx → TCP → kv lookup →
 //!   memory/cache → TCP tx → client) with sim-timestamps, built via

@@ -528,25 +528,6 @@ impl MetricsRegistry {
             .map(|(_, h)| h)
     }
 
-    /// Folds another registry (e.g. a per-shard one) into this one:
-    /// counters add, gauges take the other's latest value, histograms
-    /// merge. Metrics are matched by name; names only the other registry
-    /// knows are created here.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for &(name, v) in &other.counters {
-            let id = self.counter(name);
-            self.counters[id.0].1 += v;
-        }
-        for &(name, v) in &other.gauges {
-            let id = self.gauge(name);
-            self.gauges[id.0].1 = v;
-        }
-        for (name, h) in &other.histograms {
-            let id = self.histogram(name);
-            self.histograms[id.0].1.merge(h);
-        }
-    }
-
     /// Zeroes every counter and gauge and resets every histogram while
     /// keeping all registrations (and thus every dense-index handle)
     /// valid — the `stats reset` semantics of a live server.
@@ -837,21 +818,5 @@ mod tests {
         let d = w.elapsed();
         assert!(d >= Duration::from_millis(1), "{d}");
         assert!(d < Duration::from_secs(60), "{d}");
-    }
-
-    #[test]
-    fn registry_merge_by_name() {
-        let mut a = MetricsRegistry::enabled();
-        let ca = a.counter("shared");
-        a.inc(ca, 1);
-        let mut b = MetricsRegistry::enabled();
-        // Register in a different order so the dense indices differ.
-        let hb = b.histogram("lat");
-        b.observe(hb, Duration::from_micros(2));
-        let cb = b.counter("shared");
-        b.inc(cb, 4);
-        a.merge(&b);
-        assert_eq!(a.counter_by_name("shared"), Some(5));
-        assert_eq!(a.histogram_by_name("lat").unwrap().count(), 1);
     }
 }

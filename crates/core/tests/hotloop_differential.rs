@@ -172,9 +172,13 @@ fn residency_shortcut_is_invisible_on_iridium() {
 /// through the GET warm-up of `SweepEffort::full()`, request by request
 /// equal to the walking reference. A 64 B GET walks nothing at all. A
 /// 1 MB GET's copy loop makes 131 fetches over the 64-line `value-copy`
-/// region, so it comes round to lines it referenced itself, which may
-/// hit: those are looked up, on every GET as in the steady state, and
-/// the first GET's first pass of 64 is not.
+/// region, so it comes round to lines it referenced itself. On the
+/// first GET the 67 that come round are looked up: the region's lines
+/// were stamped by its own first pass a moment before. From the second
+/// GET on, the phases between two copy loops have evicted every line of
+/// the region, and a region of at most `sets` lines has each line alone
+/// in its set, so the first 64 fetches miss and the 67 after them hit
+/// (the repeat lemma): nothing is walked.
 #[test]
 fn a_cold_core_walks_nothing() {
     let grid = [
@@ -184,9 +188,8 @@ fn a_cold_core_walks_nothing() {
         CoreSimConfig::mercury(CoreConfig::a15_1ghz(), true, Duration::from_nanos(10)),
     ];
     // (value bytes, key population, warm-up GETs) of a sweep point, and
-    // (references walked per GET, of which deferred on the first).
-    for (value_bytes, population, warm_up, (per_get, first_pass)) in
-        [(64, 512, 300, (0, 0)), (1 << 20, 16, 30, (131, 64))]
+    // the references the first GET walks (no later one walks any).
+    for (value_bytes, population, warm_up, first_get) in [(64, 512, 300, 0), (1 << 20, 16, 30, 67)]
     {
         for config in &grid {
             let mut fast = build(config, value_bytes, population, false);
@@ -204,13 +207,49 @@ fn a_cold_core_walks_nothing() {
                 assert_cores_identical(&fast, &reference, &format!("GET #{i}"));
                 assert_eq!(
                     fast.walk_counts().walked,
-                    per_get * (i + 1) - first_pass,
+                    first_get,
                     "GET #{i} ({value_bytes} B)"
                 );
             }
             assert!(fast.walk_counts().deferred > 0);
         }
     }
+}
+
+/// What a Mercury-A7 1 MB point of the quick grid costs the L1s: its
+/// 26 requests (9 warm-up and 4 measured GETs, then as many PUTs, as
+/// `measure_point` runs them) walk only the first GET's 67 copy fetches
+/// that come round, settle once for them, and install at that settle
+/// what the preload and that GET's first passes queued — every request
+/// equal to the walking reference.
+#[test]
+fn a_1mb_point_walks_one_copy_loop() {
+    const VALUE: u64 = 1 << 20;
+    let config = CoreSimConfig::mercury_a7();
+    let mut fast = build(&config, VALUE, 16, false);
+    let mut reference = build(&config, VALUE, 16, true);
+    let mut key = Vec::new();
+    for op in [Op::Get, Op::Put] {
+        let mut keys = FixedSizeWorkload::new(op, VALUE, 16, 0x5EED ^ VALUE);
+        for i in 0..13 {
+            key_bytes_into(keys.next_key_id(), &mut key);
+            assert_eq!(
+                fast.execute_parts(op, &key, VALUE),
+                reference.execute_parts(op, &key, VALUE),
+                "{op:?} #{i}"
+            );
+            assert_cores_identical(&fast, &reference, &format!("{op:?} #{i}"));
+        }
+    }
+    let counts = fast.walk_counts();
+    assert_eq!(
+        (counts.walked, counts.settles, counts.installed_at_settle),
+        (67, 1, 427)
+    );
+    assert_eq!(
+        counts.walked + counts.deferred,
+        reference.walk_counts().walked
+    );
 }
 
 /// The sizes whose network phases run far past the L1's window (a

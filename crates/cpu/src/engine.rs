@@ -34,11 +34,11 @@
 //! first pass every reference is a compulsory miss in both levels, so
 //! the misses are credited, the lines priced as one memory stream and
 //! the L2's fills owed (`lazy::LazyL2`); and on both branches the L1s
-//! are *lazy* (`lazy::LazyL1`) — a run whose every reference is a proven
-//! L1 miss is counted and queued instead of filled, and the queue is
-//! replayed only when a later reference's outcome depends on the L1's
-//! contents. [`PhaseEngine::walk_counts`] says how many references went
-//! which way.
+//! are *lazy* (`lazy::LazyL1`) — a run whose every reference has a
+//! proven L1 outcome is counted and queued instead of filled, and the
+//! queue is replayed only when a later reference's outcome depends on
+//! the L1's contents. [`PhaseEngine::walk_counts`] says how many
+//! references went which way.
 
 use densekv_mem::{AccessKind, MemoryTiming};
 use densekv_sim::Duration;
@@ -708,11 +708,12 @@ mod lazy {
 
     /// An L1 on the resident-L2 branch, where a miss changes nothing
     /// below it: a run is fully described by its L1 outcomes and the
-    /// L1's contents afterwards. Runs whose every reference provably
-    /// misses are credited at once and queued; the queue is replayed
-    /// through [`Cache::install`] (*settled*) before any reference is
-    /// looked up. DESIGN.md, "Bulk pricing" §3, proves the three lemmas
-    /// this rests on — coverage, miss and determinacy.
+    /// L1's contents afterwards. Runs whose every reference has a
+    /// provable outcome are credited at once and queued; the queue is
+    /// replayed through [`Cache::install`] (*settled*) before any
+    /// reference is looked up. DESIGN.md, "Bulk pricing" §3, proves the
+    /// four lemmas this rests on — coverage, miss, repeat and
+    /// determinacy.
     #[derive(Debug, Clone)]
     pub(super) struct LazyL1 {
         cache: Cache,
@@ -778,11 +779,19 @@ mod lazy {
 
         /// Runs the next `refs` references of a warm region on the
         /// resident-L2 branch and returns how many missed: deferred when
-        /// all of them must, walked otherwise.
+        /// the outcome of each is known, walked otherwise.
         pub(super) fn run_resident(&mut self, region: &mut Region, refs: u64) -> u64 {
-            if region.footprint >= self.window || self.all_evicted(region, refs) {
-                self.defer(region, refs);
+            if region.footprint >= self.window {
+                self.defer(region, refs, 0);
                 return refs;
+            }
+            if self.outcomes_proven(region, refs) {
+                // Repeat lemma: past its first `footprint` references a
+                // run comes back to lines it installed itself, each alone
+                // in its set, so those hit.
+                let misses = refs.min(region.footprint);
+                self.defer(region, refs, refs - misses);
+                return misses;
             }
             let cache = self.settled_for(region, refs);
             (0..refs)
@@ -790,14 +799,15 @@ mod lazy {
                 .sum()
         }
 
-        /// Whether each of the next `refs` references of a stamped region
-        /// is to a line whose set has seen `ways` other lines since (the
-        /// miss lemma). A run that comes round to a line twice is not
-        /// worth proving.
-        fn all_evicted(&self, region: &Region, refs: u64) -> bool {
+        /// Whether the next `refs` references of a stamped region have
+        /// outcomes known without a lookup: every line they touch has had
+        /// `ways` other lines through its set since (the miss lemma), and
+        /// a run that comes round to a line twice is in a region of at
+        /// most `sets` lines (the repeat lemma).
+        fn outcomes_proven(&self, region: &Region, refs: u64) -> bool {
             let (first, second) = region.spans(refs);
             let at = region.cursor as usize;
-            refs <= region.footprint
+            (refs <= region.footprint || region.footprint <= self.sets)
                 && region.stamps[at..at + first as usize]
                     .iter()
                     .chain(&region.stamps[..second as usize])
@@ -809,11 +819,12 @@ mod lazy {
         /// referenced, so absent (the miss lemma).
         pub(super) fn defer_first_pass(&mut self, region: &mut Region, refs: u64) {
             debug_assert!(region.wraps == 0 && refs <= region.footprint - region.cursor);
-            self.defer(region, refs);
+            self.defer(region, refs, 0);
         }
 
-        /// Credits `refs` misses and queues their fills.
-        fn defer(&mut self, region: &mut Region, refs: u64) {
+        /// Credits `hits` hits and `refs − hits` misses and queues the
+        /// run's fills.
+        fn defer(&mut self, region: &mut Region, refs: u64, hits: u64) {
             region.stamp(refs, self.clock);
             match self.queue.back_mut() {
                 // A run that continues the one before it extends it.
@@ -849,7 +860,7 @@ mod lazy {
                 }
             }
             region.advance(refs);
-            self.cache.credit(0, refs);
+            self.cache.credit(hits, refs - hits);
             self.counts.deferred += refs;
         }
 
@@ -1458,11 +1469,21 @@ mod tests {
         }
     }
 
+    /// A region length: at most `sets` lines (arm 3), or on either side
+    /// of the window.
+    fn footprint_of(sets: u64, window: u64, (arm, x): (u8, u64)) -> u64 {
+        match arm {
+            3 => 1 + x % sets,
+            _ => around(window, (arm, x)),
+        }
+    }
+
     proptest! {
         /// The lazy L1s against the full walk: random phase sequences
-        /// over regions smaller than, equal to and larger than the
-        /// window, with fetch and kernel runs on both sides of it, on
-        /// 2-, 4- and 8-way L1s. [`Pair::check`] holds after every phase,
+        /// over regions of at most `sets` lines and regions smaller
+        /// than, equal to and larger than the window, with fetch and
+        /// kernel runs on both sides of it and fetch runs that come
+        /// round their region once or twice, on 2-, 4- and 8-way L1s. [`Pair::check`] holds after every phase,
         /// through a region that fits the L1 coming back at random (its
         /// hits depend on exactly which of its lines every earlier run
         /// left resident, and in what order — and looking forces a
@@ -1473,9 +1494,9 @@ mod tests {
         /// mis-credit hits.
         #[test]
         fn lazy_l1_matches_full_walk(
-            footprints in proptest::collection::vec((0u8..3, any::<u64>()), 4),
+            footprints in proptest::collection::vec((0u8..4, any::<u64>()), 4),
             phases in proptest::collection::vec(
-                (0usize..4, (0u8..4, any::<u64>()), (0u8..4, any::<u64>()), 0u64..5, 0u8..6),
+                (0usize..4, (0u8..5, any::<u64>()), (0u8..4, any::<u64>()), 0u64..5, 0u8..6),
                 8..40,
             ),
             // One case in four brings a region back with another footprint.
@@ -1486,9 +1507,12 @@ mod tests {
             setup in (0usize..3, 0u8..4, 0usize..100, 0usize..60),
         ) {
             const NAMES: [&str; 4] = ["p0", "p1", "p2", "p3"];
-            let mut pair = Pair::new([4, 2, 8][setup.0]);
+            let ways = [4, 2, 8][setup.0];
+            let mut pair = Pair::new(ways);
             let window = pair.fast.l1i.window();
-            let footprints: Vec<u64> = footprints.iter().map(|&f| around(window, f)).collect();
+            let sets = window / (u64::from(ways) + 2);
+            let footprints: Vec<u64> =
+                footprints.iter().map(|&f| footprint_of(sets, window, f)).collect();
             if setup.1 > 0 {
                 for (name, &footprint) in NAMES.iter().zip(&footprints) {
                     pair.phase(name, footprint, footprint + 1, KERNEL_REGION_LINES / 4 + 1);
@@ -1505,7 +1529,12 @@ mod tests {
                 if refootprint.0 == 0 && i == phases.len() / 2 {
                     footprint = refootprint.1;
                 }
-                let fetches = if fetches.0 == 0 { fetches.1 % 400 } else { around(window, fetches) };
+                let fetches = match fetches.0 {
+                    0 => fetches.1 % 400,
+                    // Past one pass, by up to two more (or two windows).
+                    4 => footprint + 1 + fetches.1 % (2 * footprint.min(window)),
+                    _ => around(window, fetches),
+                };
                 let kernel_refs =
                     if kernel_refs.0 == 0 { kernel_refs.1 % 400 } else { around(window, kernel_refs) };
                 let mut spec = fetch_phase(NAMES[region], footprint, fetches, kernel_refs);
@@ -1646,6 +1675,37 @@ mod tests {
         pair.phase("a", 3_000, 200, 0);
         pair.phase("fits-l1", 300, 300, 0);
         assert_eq!(pair.fast.walk_counts().walked, after.walked + 300);
+        // The repeat lemma, on a region of at most `sets` lines.
+        let evict = |pair: &mut Pair| {
+            pair.phase("a", 3_000, 300, 0);
+            pair.phase("b", 2_500, 300, 0);
+        };
+        // A 64-line region, each line alone in one of the 128 sets. Its
+        // first pass defers; the 67 fetches that come round are looked
+        // up, since the stamps say its lines were just referenced.
+        let before = pair.fast.walk_counts();
+        pair.phase("copy", 64, 131, 0);
+        assert_eq!(pair.fast.walk_counts().walked, before.walked + 67);
+        // Once every line is provably evicted, a run of it may come
+        // round twice: 64 misses, then hits on what it installed itself.
+        evict(&mut pair);
+        let (before, l1i) = (pair.fast.walk_counts(), pair.fast.cache_stats().l1i);
+        pair.phase("copy", 64, 192, 0);
+        let (after, l1i_after) = (pair.fast.walk_counts(), pair.fast.cache_stats().l1i);
+        assert_eq!(
+            (after.walked, after.settles),
+            (before.walked, before.settles)
+        );
+        assert_eq!(after.deferred, before.deferred + 192);
+        assert_eq!(
+            (l1i_after.hits - l1i.hits, l1i_after.misses - l1i.misses),
+            (128, 64)
+        );
+        // A region of more than `sets` lines has lines that share a set:
+        // a run that comes round it is looked up, evicted or not.
+        evict(&mut pair);
+        pair.phase("fits-l1", 300, 301, 0);
+        assert_eq!(pair.fast.walk_counts().walked, after.walked + 301);
     }
 
     #[test]

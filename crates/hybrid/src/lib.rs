@@ -32,7 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use densekv_mem::flash::FlashConfig;
 use densekv_mem::ftl::Ftl;
@@ -172,8 +172,9 @@ enum Frames {
         table: Vec<Frame>,
         /// Recency order over the slots of `table`.
         order: StrictLru,
-        /// lpn -> slot of `table`.
-        index: HashMap<u64, u32>,
+        /// Slot of `table` + 1 by lpn, over the FTL's exported pages
+        /// (0: not resident).
+        index: Vec<u32>,
     },
     /// The tick-ordered directory `ObjectLru` replaced: the
     /// differential tests' reference.
@@ -192,12 +193,13 @@ struct DramTier {
 }
 
 impl DramTier {
-    fn new(config: &HybridConfig) -> Self {
+    /// An empty tier for `config` over `pages` logical flash pages.
+    fn new(config: &HybridConfig, pages: u64) -> Self {
         DramTier {
             frames: Frames::ObjectLru {
                 table: Vec::new(),
                 order: StrictLru::new(),
-                index: HashMap::default(),
+                index: vec![0; pages as usize],
             },
             capacity_pages: config.capacity_pages(),
             resident: 0,
@@ -223,7 +225,7 @@ impl DramTier {
                 let slot = match order.head() {
                     Some(head) if table[head as usize].lpn == lpn => head,
                     _ => {
-                        let Some(&slot) = index.get(&lpn) else {
+                        let Some(slot) = index[lpn as usize].checked_sub(1) else {
                             return false;
                         };
                         order.touch(slot);
@@ -252,7 +254,7 @@ impl DramTier {
                 let (slot, evicted) = if table.len() as u64 == self.capacity_pages {
                     let slot = order.pop_lru().expect("tier is non-empty");
                     let victim = std::mem::replace(&mut table[slot as usize], frame);
-                    index.remove(&victim.lpn);
+                    index[victim.lpn as usize] = 0;
                     (slot, Some(victim))
                 } else {
                     let slot = u32::try_from(table.len()).expect("frames are indexed by u32");
@@ -260,7 +262,7 @@ impl DramTier {
                     (slot, None)
                 };
                 order.insert(slot);
-                index.insert(lpn, slot);
+                index[lpn as usize] = slot + 1;
                 evicted
             }
             #[cfg(test)]
@@ -301,8 +303,10 @@ pub struct HybridMemory {
     tier: DramTier,
     /// Dirty lpns awaiting flush, in eviction order.
     writeback: VecDeque<u64>,
-    /// Mirror of `writeback` membership for O(1) coalescing.
-    writeback_set: HashSet<u64>,
+    /// `writeback` membership by lpn, for O(1) coalescing.
+    buffered: Vec<bool>,
+    /// `config.flash.page_bytes / LINE_BYTES`, derived once.
+    lines_per_page: u64,
     hits: u64,
     misses: u64,
     dram_bytes: u64,
@@ -312,16 +316,26 @@ pub struct HybridMemory {
 
 impl HybridMemory {
     /// Builds the tier, the FTL, and the flash array from `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flash page is not a whole number of lines, or as
+    /// [`Ftl::new`] does.
     pub fn new(config: HybridConfig) -> Self {
+        assert!(
+            config.flash.page_bytes.is_multiple_of(LINE_BYTES),
+            "a flash page must be a whole number of lines"
+        );
         let ftl = Ftl::new(config.flash.clone(), config.overprovision);
-        let tier = DramTier::new(&config);
+        let pages = ftl.exported_pages();
         HybridMemory {
             dram_line_latency: config.dram_line_latency(),
             dram_page_latency: config.dram_page_latency(),
+            lines_per_page: config.flash.page_bytes / LINE_BYTES,
             ftl,
-            tier,
+            tier: DramTier::new(&config, pages),
             writeback: VecDeque::new(),
-            writeback_set: HashSet::new(),
+            buffered: vec![false; pages as usize],
             hits: 0,
             misses: 0,
             dram_bytes: 0,
@@ -406,15 +420,12 @@ impl HybridMemory {
 
     /// The logical flash page holding a line address (64 B units),
     /// wrapped modulo the FTL's exported capacity, and the first line
-    /// that starts in the next page (saturating). Byte-exact, so a page
-    /// need not be a whole number of lines.
+    /// of the next page (saturating).
     fn page_of_line(&self, line_addr: u64) -> (u64, u64) {
-        let page_bytes = u128::from(self.config.flash.page_bytes);
-        let raw = u128::from(line_addr) * u128::from(LINE_BYTES) / page_bytes;
-        let next = ((raw + 1) * page_bytes).div_ceil(u128::from(LINE_BYTES));
+        let raw = line_addr / self.lines_per_page;
         (
-            (raw % u128::from(self.ftl.exported_pages())) as u64,
-            u64::try_from(next).unwrap_or(u64::MAX),
+            raw % self.ftl.exported_pages(),
+            raw.saturating_add(1).saturating_mul(self.lines_per_page),
         )
     }
 
@@ -437,7 +448,7 @@ impl HybridMemory {
     /// Queues one dirty page for writeback, coalescing repeats, and
     /// flushes the buffer once it reaches capacity.
     fn buffer_writeback(&mut self, lpn: u64) -> Duration {
-        if !self.writeback_set.insert(lpn) {
+        if std::mem::replace(&mut self.buffered[lpn as usize], true) {
             self.programs_coalesced += 1;
             return Duration::ZERO;
         }
@@ -454,7 +465,7 @@ impl HybridMemory {
     pub fn drain_writeback(&mut self) -> Duration {
         let mut latency = Duration::ZERO;
         while let Some(lpn) = self.writeback.pop_front() {
-            self.writeback_set.remove(&lpn);
+            self.buffered[lpn as usize] = false;
             latency += self
                 .ftl
                 .write(lpn)
@@ -582,7 +593,7 @@ mod tests {
     use densekv_mem::dram::{DramConfig, DramStack};
     use densekv_sim::SplitMix64;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
 
     /// The frame directory as it was before the frame table: a SipHash
     /// map to a recency tick and a tree from ticks back to pages. Every
@@ -699,6 +710,58 @@ mod tests {
             overprovision: 0.25,
             ..HybridConfig::helios(dram_tier_bytes, Duration::from_micros(10))
         }
+    }
+
+    #[test]
+    fn page_of_line_matches_the_byte_exact_form() {
+        // The `u128` form it replaced, which also priced pages that are
+        // not a whole number of lines: the page holding the line's first
+        // byte, and the first line that starts past that page.
+        let byte_exact = |line: u64, page_bytes: u64, pages: u64| {
+            let page_bytes = u128::from(page_bytes);
+            let raw = u128::from(line) * u128::from(LINE_BYTES) / page_bytes;
+            let next = ((raw + 1) * page_bytes).div_ceil(u128::from(LINE_BYTES));
+            (
+                (raw % u128::from(pages)) as u64,
+                u64::try_from(next).unwrap_or(u64::MAX),
+            )
+        };
+        let mut rng = SplitMix64::new(0x9A6E);
+        for page_bytes in [64, 3 * 64, 65 * 64, 8 << 10] {
+            let memory = HybridMemory::new(HybridConfig {
+                flash: FlashConfig {
+                    page_bytes,
+                    ..tiny_flash()
+                },
+                ..tiny_helios(0)
+            });
+            let pages = memory.ftl().exported_pages();
+            let lines = (0..2_000)
+                .map(|i| match i % 3 {
+                    0 => rng.next_u64(),
+                    1 => rng.next_u64() % (4 * pages * page_bytes / LINE_BYTES),
+                    _ => u64::MAX - rng.next_u64() % (2 * page_bytes),
+                })
+                .chain([0, 1, u64::MAX]);
+            for line in lines {
+                assert_eq!(
+                    memory.page_of_line(line),
+                    byte_exact(line, page_bytes, pages),
+                    "line {line}, {page_bytes} B pages"
+                );
+            }
+        }
+        // A page that lines would straddle is refused.
+        let straddled = std::panic::catch_unwind(|| {
+            HybridMemory::new(HybridConfig {
+                flash: FlashConfig {
+                    page_bytes: 5_000,
+                    ..tiny_flash()
+                },
+                ..tiny_helios(0)
+            })
+        });
+        assert!(straddled.is_err());
     }
 
     #[test]

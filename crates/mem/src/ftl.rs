@@ -19,6 +19,9 @@ use densekv_sim::Duration;
 use crate::flash::{FlashArray, FlashConfig, PhysPage};
 use crate::{AccessKind, MemoryTiming};
 
+#[cfg(test)]
+mod reference;
+
 /// Outcome of one logical write, including any garbage-collection work it
 /// triggered.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,41 +66,6 @@ impl core::fmt::Display for FtlError {
 
 impl std::error::Error for FtlError {}
 
-/// Per-block FTL bookkeeping.
-#[derive(Debug, Clone)]
-struct BlockState {
-    /// Which pages hold valid (current) data.
-    valid: Vec<bool>,
-    /// Logical page stored in each physical page, for GC relocation.
-    owner: Vec<Option<u64>>,
-    /// Next page to program (blocks fill sequentially).
-    write_ptr: u32,
-}
-
-impl BlockState {
-    fn new(pages: u32) -> Self {
-        BlockState {
-            valid: vec![false; pages as usize],
-            owner: vec![None; pages as usize],
-            write_ptr: 0,
-        }
-    }
-
-    fn valid_count(&self) -> u32 {
-        self.valid.iter().filter(|v| **v).count() as u32
-    }
-
-    fn is_full(&self, pages: u32) -> bool {
-        self.write_ptr >= pages
-    }
-
-    fn reset(&mut self) {
-        self.valid.iter_mut().for_each(|v| *v = false);
-        self.owner.iter_mut().for_each(|o| *o = None);
-        self.write_ptr = 0;
-    }
-}
-
 /// Per-plane allocation state.
 #[derive(Debug, Clone)]
 struct PlaneState {
@@ -138,9 +106,13 @@ struct PlaneState {
 #[derive(Debug, Clone)]
 pub struct Ftl {
     flash: FlashArray,
-    /// Logical page -> physical page.
-    map: Vec<Option<PhysPage>>,
-    blocks: Vec<BlockState>,
+    /// Logical page -> flat physical page + 1 (0: unmapped).
+    map: Vec<u32>,
+    /// Flat physical page -> logical page + 1 (0: no valid data). A page
+    /// holds valid data exactly when it has an owner.
+    owner: Vec<u32>,
+    /// Next page to program in each block (blocks fill sequentially).
+    write_ptr: Vec<u32>,
     planes: Vec<PlaneState>,
     exported_pages: u64,
     host_writes: u64,
@@ -150,6 +122,46 @@ pub struct Ftl {
     wear_threshold: u32,
 }
 
+/// Fresh per-plane state for `config` and the pages the FTL exports
+/// (the plane blocks left after `overprovision`).
+///
+/// # Panics
+///
+/// As for [`Ftl::new`].
+fn plane_states(config: &FlashConfig, overprovision: f64) -> (Vec<PlaneState>, u64) {
+    assert!(
+        (0.0..=0.5).contains(&overprovision),
+        "overprovision must be in [0, 0.5]"
+    );
+    // At least 3 spares: one reserved GC block plus enough slack that
+    // the pigeonhole argument guarantees every GC victim has at least
+    // one dead page (so the post-GC open block is never full).
+    let spare_per_plane = ((config.blocks_per_plane as f64 * overprovision).ceil() as u32).max(3);
+    assert!(
+        spare_per_plane < config.blocks_per_plane,
+        "overprovisioning leaves no exported capacity"
+    );
+    let exported_blocks = (config.blocks_per_plane - spare_per_plane) as u64 * config.planes as u64;
+    let exported_pages = exported_blocks * config.pages_per_block as u64;
+    let planes = (0..config.planes)
+        .map(|_| {
+            let mut is_free = vec![true; config.blocks_per_plane as usize];
+            is_free[0] = false; // open
+            is_free[config.blocks_per_plane as usize - 1] = false; // reserved
+            PlaneState {
+                open_block: 0,
+                // Block 0 is open, the last block is reserved for GC,
+                // the rest are free.
+                free_blocks: (1..config.blocks_per_plane - 1).rev().collect(),
+                is_free,
+                reserved: config.blocks_per_plane - 1,
+                writes_since_wear_check: 0,
+            }
+        })
+        .collect();
+    (planes, exported_pages)
+}
+
 impl Ftl {
     /// Creates an FTL over a fresh flash device, reserving
     /// `overprovision` (a fraction in `[0, 0.5]`) of each plane's blocks.
@@ -157,46 +169,20 @@ impl Ftl {
     /// # Panics
     ///
     /// Panics if `overprovision` is outside `[0, 0.5]` or leaves a plane
-    /// with fewer than two spare blocks.
+    /// with fewer than two spare blocks, or if the device has `u32::MAX`
+    /// pages or more (the full Iridium stack has 2.4 M).
     pub fn new(config: FlashConfig, overprovision: f64) -> Self {
+        let total_pages = config.total_pages();
         assert!(
-            (0.0..=0.5).contains(&overprovision),
-            "overprovision must be in [0, 0.5]"
+            total_pages < u64::from(u32::MAX),
+            "page numbers (+ 1) must fit a u32"
         );
-        // At least 3 spares: one reserved GC block plus enough slack that
-        // the pigeonhole argument guarantees every GC victim has at least
-        // one dead page (so the post-GC open block is never full).
-        let spare_per_plane =
-            ((config.blocks_per_plane as f64 * overprovision).ceil() as u32).max(3);
-        assert!(
-            spare_per_plane < config.blocks_per_plane,
-            "overprovisioning leaves no exported capacity"
-        );
-        let exported_blocks =
-            (config.blocks_per_plane - spare_per_plane) as u64 * config.planes as u64;
-        let exported_pages = exported_blocks * config.pages_per_block as u64;
-        let nblocks = (config.planes * config.blocks_per_plane) as usize;
-        let planes = (0..config.planes)
-            .map(|_| {
-                let mut is_free = vec![true; config.blocks_per_plane as usize];
-                is_free[0] = false; // open
-                is_free[config.blocks_per_plane as usize - 1] = false; // reserved
-                PlaneState {
-                    open_block: 0,
-                    // Block 0 is open, the last block is reserved for GC,
-                    // the rest are free.
-                    free_blocks: (1..config.blocks_per_plane - 1).rev().collect(),
-                    is_free,
-                    reserved: config.blocks_per_plane - 1,
-                    writes_since_wear_check: 0,
-                }
-            })
-            .collect();
+        let (planes, exported_pages) = plane_states(&config, overprovision);
+        let blocks = (config.planes * config.blocks_per_plane) as usize;
         Ftl {
-            map: vec![None; exported_pages as usize],
-            blocks: (0..nblocks)
-                .map(|_| BlockState::new(config.pages_per_block))
-                .collect(),
+            map: vec![0; exported_pages as usize],
+            owner: vec![0; total_pages as usize],
+            write_ptr: vec![0; blocks],
             planes,
             exported_pages,
             host_writes: 0,
@@ -273,12 +259,39 @@ impl Ftl {
         self.wear_threshold = spread.max(1);
     }
 
-    fn block_state(&self, plane: u32, block: u32) -> &BlockState {
-        &self.blocks[(plane * self.flash.config().blocks_per_plane + block) as usize]
+    /// Index of `(plane, block)` in `write_ptr`; times pages per block,
+    /// the flat number of the block's first page.
+    fn block_index(&self, plane: u32, block: u32) -> usize {
+        (plane * self.flash.config().blocks_per_plane + block) as usize
     }
 
-    fn block_state_mut(&mut self, plane: u32, block: u32) -> &mut BlockState {
-        &mut self.blocks[(plane * self.flash.config().blocks_per_plane + block) as usize]
+    /// The physical page of flat page number `flat`.
+    fn phys(&self, flat: u32) -> PhysPage {
+        let config = self.flash.config();
+        let block = flat / config.pages_per_block;
+        PhysPage {
+            plane: block / config.blocks_per_plane,
+            block: block % config.blocks_per_plane,
+            page: flat % config.pages_per_block,
+        }
+    }
+
+    /// Where a logical page lives, if it was ever written.
+    #[cfg(test)]
+    fn location(&self, lpn: u64) -> Option<PhysPage> {
+        self.map[lpn as usize]
+            .checked_sub(1)
+            .map(|flat| self.phys(flat))
+    }
+
+    /// Pages of `(plane, block)` that hold valid data.
+    fn valid_count(&self, plane: u32, block: u32) -> u32 {
+        let pages = self.flash.config().pages_per_block as usize;
+        let first = self.block_index(plane, block) * pages;
+        self.owner[first..first + pages]
+            .iter()
+            .filter(|&&owner| owner != 0)
+            .count() as u32
     }
 
     /// The plane a logical page is striped onto (round-robin, keeping the
@@ -293,15 +306,14 @@ impl Ftl {
     ///
     /// [`FtlError::LpnOutOfRange`] or [`FtlError::Unmapped`].
     pub fn read(&mut self, lpn: u64) -> Result<(PhysPage, Duration), FtlError> {
-        let loc = *self
-            .map
-            .get(lpn as usize)
-            .ok_or(FtlError::LpnOutOfRange {
-                lpn,
-                capacity: self.exported_pages,
-            })?
-            .as_ref()
-            .ok_or(FtlError::Unmapped { lpn })?;
+        let flat = *self.map.get(lpn as usize).ok_or(FtlError::LpnOutOfRange {
+            lpn,
+            capacity: self.exported_pages,
+        })?;
+        if flat == 0 {
+            return Err(FtlError::Unmapped { lpn });
+        }
+        let loc = self.phys(flat - 1);
         let latency = self.flash.read_page(loc);
         Ok((loc, latency))
     }
@@ -314,14 +326,15 @@ impl Ftl {
     /// wraps modulo the exported capacity, mirroring [`Ftl::write_range`].
     pub fn read_page_any(&mut self, lpn: u64) -> Duration {
         let lpn = lpn % self.exported_pages;
-        match self.map[lpn as usize] {
-            Some(loc) => self.flash.read_page(loc),
-            None => self.flash.read_page(PhysPage {
+        let loc = match self.map[lpn as usize] {
+            0 => PhysPage {
                 plane: self.plane_of(lpn),
                 block: 0,
                 page: 0,
-            }),
-        }
+            },
+            flat => self.phys(flat - 1),
+        };
+        self.flash.read_page(loc)
     }
 
     /// Writes (or overwrites) a logical page.
@@ -338,58 +351,46 @@ impl Ftl {
         }
         self.host_writes += 1;
         let plane = self.plane_of(lpn);
-        let mut latency = Duration::ZERO;
-        let mut moved = 0;
-        let mut erased = 0;
 
         // Invalidate the old copy.
-        if let Some(old) = self.map[lpn as usize] {
-            let st = self.block_state_mut(old.plane, old.block);
-            st.valid[old.page as usize] = false;
-            st.owner[old.page as usize] = None;
+        if let Some(old) = self.map[lpn as usize].checked_sub(1) {
+            self.owner[old as usize] = 0;
         }
 
         // Make room if the open block is full.
         let (gc_lat, gc_moved, gc_erased) = self.ensure_open_page(plane);
-        latency += gc_lat;
-        moved += gc_moved;
-        erased += gc_erased;
 
-        let location = self.append(plane, lpn);
-        latency += self.flash.program_page(location);
-        self.device_programs += 1;
-        self.map[lpn as usize] = Some(location);
+        let open = self.planes[plane as usize].open_block;
+        let (location, program) = self.program(plane, open, lpn);
 
         // Static wear-leveling: migrate a cold block if spread is large.
         let (wl_lat, wl_moved, wl_erased) = self.maybe_level_wear(plane);
-        latency += wl_lat;
-        moved += wl_moved;
-        erased += wl_erased;
-
+        let moved = gc_moved + wl_moved;
+        let erased = gc_erased + wl_erased;
         self.gc_moved_pages += moved as u64;
         self.gc_erased_blocks += erased as u64;
 
         Ok(WriteOutcome {
             location,
-            latency,
+            latency: gc_lat + program + wl_lat,
             gc_moved_pages: moved,
             gc_erased_blocks: erased,
         })
     }
 
-    /// Appends `lpn` to the plane's open block. Caller guarantees space.
-    fn append(&mut self, plane: u32, lpn: u64) -> PhysPage {
-        let open = self.planes[plane as usize].open_block;
-        let st = self.block_state_mut(plane, open);
-        let page = st.write_ptr;
-        st.write_ptr += 1;
-        st.valid[page as usize] = true;
-        st.owner[page as usize] = Some(lpn);
-        PhysPage {
-            plane,
-            block: open,
-            page,
-        }
+    /// Programs `lpn` into the next page of `(plane, block)`, which the
+    /// caller guarantees has one, and maps it there. Returns the page and
+    /// the program's device time.
+    fn program(&mut self, plane: u32, block: u32, lpn: u64) -> (PhysPage, Duration) {
+        let index = self.block_index(plane, block);
+        let page = self.write_ptr[index];
+        self.write_ptr[index] += 1;
+        let flat = index as u32 * self.flash.config().pages_per_block + page;
+        self.owner[flat as usize] = lpn as u32 + 1;
+        self.map[lpn as usize] = flat + 1;
+        self.device_programs += 1;
+        let location = PhysPage { plane, block, page };
+        (location, self.flash.program_page(location))
     }
 
     /// Rotates to a fresh open block when the current one is full: pop a
@@ -397,7 +398,7 @@ impl Ftl {
     fn ensure_open_page(&mut self, plane: u32) -> (Duration, u32, u32) {
         let pages = self.flash.config().pages_per_block;
         let open = self.planes[plane as usize].open_block;
-        if !self.block_state(plane, open).is_full(pages) {
+        if self.write_ptr[self.block_index(plane, open)] < pages {
             return (Duration::ZERO, 0, 0);
         }
         if let Some(next) = self.planes[plane as usize].free_blocks.pop() {
@@ -414,20 +415,12 @@ impl Ftl {
     /// makes progress with an empty free pool: over-provisioning
     /// guarantees the min-valid victim is not completely full.
     fn collect_garbage(&mut self, plane: u32) -> (Duration, u32, u32) {
-        let cfg_blocks = self.flash.config().blocks_per_plane;
-        let open = self.planes[plane as usize].open_block;
-        let reserved = self.planes[plane as usize].reserved;
-        let is_free = std::mem::take(&mut self.planes[plane as usize].is_free);
-        let victim = (0..cfg_blocks)
-            .filter(|&b| b != open && b != reserved && !is_free[b as usize])
-            .min_by_key(|&b| {
-                (
-                    self.block_state(plane, b).valid_count(),
-                    self.flash.erase_count(plane, b),
-                )
-            })
+        let state = &self.planes[plane as usize];
+        let (open, reserved) = (state.open_block, state.reserved);
+        let victim = (0..self.flash.config().blocks_per_plane)
+            .filter(|&b| b != open && b != reserved && !state.is_free[b as usize])
+            .min_by_key(|&b| (self.valid_count(plane, b), self.flash.erase_count(plane, b)))
             .expect("plane has data blocks beyond open and reserved");
-        self.planes[plane as usize].is_free = is_free;
         let (latency, moved) = self.relocate_into_reserved(plane, victim);
         // The reserved block (now holding the survivors, with tail space
         // left over) becomes the open block; the erased victim is the new
@@ -435,9 +428,7 @@ impl Ftl {
         self.planes[plane as usize].open_block = reserved;
         self.planes[plane as usize].reserved = victim;
         debug_assert!(
-            !self
-                .block_state(plane, reserved)
-                .is_full(self.flash.config().pages_per_block),
+            self.write_ptr[self.block_index(plane, reserved)] < self.flash.config().pages_per_block,
             "over-provisioning must leave a dead page in every GC victim"
         );
         (latency, moved, 1)
@@ -449,47 +440,30 @@ impl Ftl {
     fn relocate_into_reserved(&mut self, plane: u32, victim: u32) -> (Duration, u32) {
         let reserved = self.planes[plane as usize].reserved;
         debug_assert_eq!(
-            self.block_state(plane, reserved).write_ptr,
+            self.write_ptr[self.block_index(plane, reserved)],
             0,
             "reserved block must be empty"
         );
-        let survivors: Vec<(u32, u64)> = {
-            let st = self.block_state(plane, victim);
-            st.owner
-                .iter()
-                .enumerate()
-                .filter(|&(p, _o)| st.valid[p])
-                .map(|(p, o)| (p as u32, o.expect("valid page has an owner")))
-                .collect()
-        };
+        let pages = self.flash.config().pages_per_block;
+        let index = self.block_index(plane, victim);
+        let first = index * pages as usize;
         let mut latency = Duration::ZERO;
         let mut moved = 0;
-        for (page, lpn) in survivors {
+        for page in 0..pages {
+            let Some(lpn) = self.owner[first + page as usize].checked_sub(1) else {
+                continue;
+            };
             latency += self.flash.read_page(PhysPage {
                 plane,
                 block: victim,
                 page,
             });
-            let dest_page = {
-                let st = self.block_state_mut(plane, reserved);
-                let p = st.write_ptr;
-                st.write_ptr += 1;
-                st.valid[p as usize] = true;
-                st.owner[p as usize] = Some(lpn);
-                p
-            };
-            let dest = PhysPage {
-                plane,
-                block: reserved,
-                page: dest_page,
-            };
-            latency += self.flash.program_page(dest);
-            self.device_programs += 1;
-            self.map[lpn as usize] = Some(dest);
+            latency += self.program(plane, reserved, u64::from(lpn)).1;
             moved += 1;
         }
         latency += self.flash.erase_block(plane, victim);
-        self.block_state_mut(plane, victim).reset();
+        self.owner[first..first + pages as usize].fill(0);
+        self.write_ptr[index] = 0;
         (latency, moved)
     }
 
@@ -578,7 +552,9 @@ impl MemoryTiming for Ftl {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::ReferenceFtl;
     use super::*;
+    use proptest::prelude::*;
 
     /// A small device so GC triggers quickly in tests.
     fn tiny() -> FlashConfig {
@@ -592,6 +568,86 @@ mod tests {
             erase_latency: Duration::from_millis(2),
             controller_overhead: Duration::ZERO,
             active_mw_per_gbps: 6.0,
+        }
+    }
+
+    /// Every counter of the FTL and its device, and every block's erase
+    /// count.
+    fn counters(flash: &FlashArray, ftl: [u64; 4]) -> ([u64; 4], [u64; 4], (u32, u32), Vec<u32>) {
+        let config = flash.config();
+        let erases = (0..config.planes)
+            .flat_map(|plane| (0..config.blocks_per_plane).map(move |b| (plane, b)))
+            .map(|(plane, b)| flash.erase_count(plane, b))
+            .collect();
+        (
+            ftl,
+            [
+                flash.bytes_moved(),
+                flash.reads(),
+                flash.programs(),
+                flash.erases(),
+            ],
+            flash.wear_spread(),
+            erases,
+        )
+    }
+
+    proptest! {
+        /// The flat FTL against the per-block one it replaced, op for op
+        /// on the two-plane device, with writes skewed onto four hot
+        /// pages so that garbage collection and (at a low threshold)
+        /// static wear-leveling run: equal outcomes, errors, locations
+        /// and latencies, equal counters and erase counts after every
+        /// op, and every logical page mapped to the same physical page.
+        #[test]
+        fn flat_ftl_matches_per_block_reference(
+            wear_threshold in 1u32..8,
+            ops in proptest::collection::vec((0u8..5, any::<u64>(), 1u64..40_000), 1..400),
+        ) {
+            let mut flat = Ftl::new(tiny(), 0.25);
+            flat.set_wear_threshold(wear_threshold);
+            let mut reference = ReferenceFtl::new(tiny(), 0.25, wear_threshold);
+            let exported = flat.exported_pages();
+            let page = tiny().page_bytes;
+            for (op, x, bytes) in ops {
+                // Past the exported range by two, to reach the errors.
+                let lpn = if x % 4 == 0 { (x >> 2) % (exported + 2) } else { (x >> 2) % 4 };
+                match op {
+                    0 | 1 => prop_assert_eq!(flat.write(lpn), reference.write(lpn)),
+                    2 => prop_assert_eq!(flat.read(lpn), reference.read(lpn)),
+                    3 => prop_assert_eq!(flat.read_page_any(x), reference.read_page_any(x)),
+                    _ => {
+                        let offset = x % (3 * exported * page);
+                        prop_assert_eq!(
+                            flat.write_range(offset, bytes),
+                            reference.write_range(offset, bytes)
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    counters(
+                        flat.flash(),
+                        [
+                            flat.host_writes(),
+                            flat.device_programs(),
+                            flat.gc_moved_pages(),
+                            flat.gc_erased_blocks(),
+                        ],
+                    ),
+                    counters(
+                        reference.flash(),
+                        [
+                            reference.host_writes,
+                            reference.device_programs,
+                            reference.gc_moved_pages,
+                            reference.gc_erased_blocks,
+                        ],
+                    )
+                );
+                for lpn in 0..exported {
+                    prop_assert_eq!(flat.location(lpn), reference.location(lpn));
+                }
+            }
         }
     }
 

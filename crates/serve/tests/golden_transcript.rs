@@ -135,7 +135,8 @@ fn command(out: &mut Vec<u8>, rng: &mut SplitMix64) {
 
 /// A key of `MAX_KEY_BYTES` and values at the item-size policy
 /// boundary: the largest storable value, an append that pushes it over
-/// (refused, leaving the item intact), and a block of exactly
+/// (refused, leaving the item intact: a `touch` finds it, without
+/// echoing its megabyte into the golden file), and a block of exactly
 /// `MAX_VALUE_BYTES`, which the parser admits and the store refuses
 /// (unlinking the old item, as a failed `set` does).
 fn boundary_session() -> Vec<u8> {
@@ -148,7 +149,7 @@ fn boundary_session() -> Vec<u8> {
     let largest = (MAX_ITEM_FOOTPRINT_BYTES - ITEM_HEADER_BYTES) as usize - "big".len();
     storage(&mut out, format!("set big 1 0 {largest}"), largest, b'B');
     storage(&mut out, "append big 0 0 1".to_owned(), 1, b'!');
-    out.extend_from_slice(b"get big\r\n");
+    out.extend_from_slice(b"touch big 0\r\n");
     storage(&mut out, format!("set big 1 0 {}", 1 << 20), 1 << 20, b'B');
     out.extend_from_slice(b"get big\r\nstats\r\nquit\r\n");
     out

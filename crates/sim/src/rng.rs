@@ -71,14 +71,6 @@ impl SplitMix64 {
     pub fn next_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
 }
 
 /// Former name of [`SplitMix64`], still imported by `benchmark/src/layers.rs`.
@@ -130,15 +122,5 @@ mod tests {
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| r.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SplitMix64::new(3);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

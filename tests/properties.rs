@@ -1002,8 +1002,7 @@ mod stream_pricing {
     }
 
     /// A small flash geometry so garbage collection starts early;
-    /// `page_bytes` also comes in sizes that are not a whole number of
-    /// 64 B lines, so lines straddle page boundaries.
+    /// `page_bytes` also comes in sizes that are not a power of two.
     fn tiny_flash(page_bytes: u64) -> FlashConfig {
         FlashConfig {
             planes: 2,
@@ -1074,8 +1073,8 @@ mod stream_pricing {
         }
 
         /// The page-granular hybrid stream against the per-line walk, on
-        /// tiers small enough that runs evict: a 0-byte tier, pages that
-        /// lines straddle, and writes whose dirty victims fill the
+        /// tiers small enough that runs evict: a 0-byte tier, pages of
+        /// 3 and 65 lines, and writes whose dirty victims fill the
         /// writeback buffer and reach the FTL (garbage collection
         /// included). Bulk PUT writes are interleaved, as the core
         /// interleaves them.
@@ -1088,7 +1087,7 @@ mod stream_pricing {
             runs in runs(96 * 128, 110 * 128, 700),
             value_writes in proptest::collection::vec((0u64..(1 << 20), 1u64..40_000), 24),
         ) {
-            let page_bytes = [8 << 10, 65 * 64, 5_000][page_shape];
+            let page_bytes = [8 << 10, 65 * 64, 3 * 64][page_shape];
             let config = HybridConfig {
                 dram_tier_bytes: tier_pages * page_bytes,
                 writeback_pages,
@@ -1111,7 +1110,7 @@ mod stream_pricing {
             // What each later access pays depends on which pages are
             // resident, which are dirty and in what recency order: a
             // scan longer than the tier, twice, witnesses all three.
-            let lines_per_page = page_bytes.div_ceil(64);
+            let lines_per_page = page_bytes / 64;
             for pass in 0..2 {
                 for page in (0..24u64).map(|i| i * 7 % 24) {
                     let line = page * lines_per_page + pass;

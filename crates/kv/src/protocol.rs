@@ -842,11 +842,11 @@ mod tests {
     }
 
     /// One pseudo-protocol fragment for the chunked fuzz test: a mix of
-    /// well-formed commands, truncated commands, raw bytes, and framing
-    /// noise.
+    /// well-formed commands, truncated commands, raw bytes, framing
+    /// noise, and `quit`.
     fn fragment() -> impl proptest::Strategy<Value = Vec<u8>> {
         use proptest::Strategy as _;
-        (0u8..10, proptest::any::<u8>(), 0usize..12).prop_map(|(kind, byte, n)| match kind {
+        (0u8..11, proptest::any::<u8>(), 0usize..12).prop_map(|(kind, byte, n)| match kind {
             0 => b"get k\r\n".to_vec(),
             1 => format!("set k 0 0 {n}\r\n").into_bytes(),
             2 => vec![byte; n],
@@ -856,73 +856,68 @@ mod tests {
             6 => b"gets a b c\r\n".to_vec(),
             7 => vec![b' '; n],
             8 => b"cas k 1 0 2 99\r\nhi\r\n".to_vec(),
+            9 => b"quit\r\n".to_vec(),
             _ => b"delete \x00\xff\r\n".to_vec(),
         })
     }
 
     proptest::proptest! {
         /// Adversarial bytes from a real socket: random fragments fed at
-        /// random split points never panic the parser, and every call
-        /// makes progress — a complete command consumes bytes, an
-        /// incomplete parse leaves the buffer untouched, and an error
-        /// lets the caller resynchronize or close.
+        /// random split points through the drain loop over a model store
+        /// never panic it, and every call makes progress — it consumes
+        /// what is complete and leaves only a command the parser still
+        /// waits for. The replies equal [`serve_buffer`]'s one-shot
+        /// replies byte for byte, nothing after a close is consumed, and
+        /// a trailing partial command stays buffered and unanswered.
+        ///
+        /// [`serve_buffer`]: crate::server::serve_buffer
         #[test]
         fn parser_survives_random_chunked_bytes(
             fragments in proptest::collection::vec(fragment(), 1..32),
             splits in proptest::collection::vec(1usize..17, 1..32)
         ) {
+            use crate::server::{drain, serve_buffer, store_step, Drain};
+            use crate::store::{KvStore, StoreConfig};
+
+            let config = StoreConfig::with_capacity(8 << 20);
             let stream: Vec<u8> = fragments.concat();
+            let mut one_shot = KvStore::new(config.clone());
+            let (whole, whole_end) =
+                drain(&stream, &mut BytesMut::new(), usize::MAX, store_step(&mut one_shot, 0));
+            let mut store = KvStore::new(config.clone());
+            let mut step = store_step(&mut store, 0);
             let mut buf = BytesMut::new();
-            let mut fed = 0usize;
+            let mut out = BytesMut::new();
+            let (mut fed, mut consumed) = (0usize, 0usize);
+            let mut end = Drain::NeedMore;
             let mut split = splits.iter().cycle();
-            while fed < stream.len() {
+            while fed < stream.len() && end == Drain::NeedMore {
                 let take = (*split.next().unwrap()).min(stream.len() - fed);
                 buf.extend_from_slice(&stream[fed..fed + take]);
                 fed += take;
-                loop {
-                    let before = buf.to_vec();
-                    // The owned parse is the borrowed one, copied out.
-                    let borrowed = parse_request(&buf).map(|parsed| {
-                        parsed.map(|(request, used)| (request.to_command(), used))
-                    });
-                    let owned = parse_command(&mut buf);
-                    match &owned {
-                        Ok(Parsed::Complete(command)) => {
-                            let (same, used) = borrowed.unwrap().expect("complete");
-                            proptest::prop_assert_eq!(command, &same);
-                            proptest::prop_assert!(used > 0, "complete command must consume bytes");
-                            // Consumed from the front; what is still
-                            // buffered behind did not move or change.
-                            proptest::prop_assert_eq!(&buf[..], &before[used..]);
-                        }
-                        Ok(Parsed::Incomplete) => {
-                            proptest::prop_assert_eq!(borrowed, Ok(None));
-                            proptest::prop_assert_eq!(
-                                &buf[..],
-                                &before[..],
-                                "incomplete parse must leave the buffer intact"
-                            );
-                            break;
-                        }
-                        Err(err) => {
-                            proptest::prop_assert_eq!(borrowed.as_ref(), Err(err));
-                            proptest::prop_assert_eq!(&buf[..], &before[..]);
-                            // A server answers the error, then skips the
-                            // offending line or closes; either way the
-                            // buffer shrinks and the loop terminates.
-                            match buf.windows(2).position(|w| w == b"\r\n") {
-                                Some(pos) => Buf::advance(&mut buf, pos + 2),
-                                None => buf.clear(),
-                            }
-                        }
-                    }
+                let used;
+                (used, end) = drain(&buf, &mut out, usize::MAX, &mut step);
+                Buf::advance(&mut buf, used);
+                consumed += used;
+                if end == Drain::NeedMore {
+                    // What is left is one command still arriving: the
+                    // parser waits for it and leaves it where it is.
+                    let before = buf.clone();
+                    proptest::prop_assert_eq!(parse_command(&mut buf), Ok(Parsed::Incomplete));
+                    proptest::prop_assert_eq!(&buf, &before);
                 }
-                // At most one incomplete command is ever buffered, so the
-                // buffer stays bounded by a command line plus the largest
-                // admissible data block.
+                // So the buffer stays bounded by a command line plus the
+                // largest admissible data block.
                 proptest::prop_assert!(
                     buf.len() <= MAX_LINE_BYTES + MAX_VALUE_BYTES as usize + 2 + 16
                 );
+            }
+            let reference = serve_buffer(&mut KvStore::new(config), &stream, 0);
+            proptest::prop_assert_eq!(&out[..], &reference[..]);
+            proptest::prop_assert_eq!(end, whole_end);
+            proptest::prop_assert_eq!(consumed, whole, "a close consumes nothing after it");
+            if end == Drain::NeedMore {
+                proptest::prop_assert_eq!(consumed + buf.len(), stream.len());
             }
         }
     }

@@ -1,11 +1,8 @@
-//! The server-side command loop: dispatches parsed protocol commands to
-//! a storage backend and renders responses — the glue between
-//! [`crate::protocol`] and [`crate::store`] that a byte-stream server
-//! (or the simulator's functional path) runs per connection.
-//!
-//! The loop is generic over [`StoreBackend`], so the same dispatch,
-//! rendering, and error mapping serve both the Memcached-model
-//! [`crate::store::KvStore`] and real engines layered on the trait.
+//! The server-side command loop: [`drain`] turns a request byte stream
+//! into replies, one [`execute`] per request — for [`serve_buffer`] over
+//! one store, and for the live front-end's sessions over a sharded one.
+//! [`execute`] is generic over [`Stores`], so the same dispatch,
+//! rendering, and error mapping serve every [`StoreBackend`].
 
 use std::fmt::Write as _;
 
@@ -29,13 +26,9 @@ pub enum Disposition {
 }
 
 /// Where "now" comes from, in whole seconds (the store's TTL
-/// granularity).
-///
-/// The same command loop serves two time domains: the simulator drives
-/// it with simulated seconds ([`FixedClock`]), a real TCP front-end with
-/// wall-clock seconds ([`WallClock`]). Keeping the loop generic over the
-/// clock is what lets the simulator act as the timing oracle for a live
-/// server — identical dispatch, expiry, and rendering either way.
+/// granularity): pinned by a test or replay ([`FixedClock`]), or read
+/// off the wall ([`WallClock`]). Dispatch, expiry, and rendering are the
+/// same under both.
 pub trait Clock {
     /// Current time in whole seconds.
     fn now_secs(&self) -> u64;
@@ -63,9 +56,9 @@ impl Clock for FixedClock {
 /// Wall time: seconds elapsed since the clock was created (plus an
 /// optional epoch offset, so tests can start "mid-life").
 ///
-/// Relative time keeps the arithmetic identical to the simulator's
-/// (`now` starts near zero) and immune to host clock adjustments, which
-/// `SystemTime` is not.
+/// Relative time keeps `now` near zero, as a test's [`FixedClock`]
+/// usually is, and immune to host clock adjustments, which `SystemTime`
+/// is not.
 #[derive(Debug, Clone)]
 pub struct WallClock {
     start: std::time::Instant,
@@ -229,39 +222,44 @@ pub fn execute(
             stores.flush_all();
             out.extend_from_slice(b"OK\r\n");
         }
-        Request::Stats { arg: None } => render_stats(&stores.stats(), out),
+        Request::Stats { arg: None } => render_stat_lines(stat_lines(&stores.stats()), out),
         // `stats engine` surfaces backend internals (tier occupancy,
         // bitmap fill, probe histogram); the model store has none and
         // answers ERROR like any unknown stats argument.
         Request::Stats {
             arg: Some(b"engine"),
-        } => render_backend_stats(&stores.backend_stat_lines(), out),
+        } => match stores.backend_stat_lines() {
+            lines if lines.is_empty() => out.extend_from_slice(b"ERROR\r\n"),
+            lines => render_stat_lines(lines, out),
+        },
         // Extended sub-commands (`stats latency` …) are served by the
         // front-end layers that own the relevant state; a bare store
         // answers like Memcached answers unknown stats args.
         Request::Stats { arg: Some(_) } => out.extend_from_slice(b"ERROR\r\n"),
-        Request::Metrics => render_store_metrics(&stores.stats(), out),
+        Request::Metrics => {
+            write_store_metrics(&stores.stats(), out);
+            render_end(out);
+        }
         Request::Version => out.extend_from_slice(b"VERSION 1.4.15-densekv\r\n"),
         Request::Quit => return Disposition::Close,
     }
     Disposition::KeepAlive
 }
 
-/// Renders the `stats` reply for the given counters. Shared by the
-/// single-store loop above and sharded front-ends, which merge their
-/// per-shard counters before rendering.
-pub fn render_stats(stats: &crate::store::StoreStats, out: &mut BytesMut) {
-    for (name, value) in stat_lines(stats) {
+/// Renders `STAT` lines, then `END`.
+fn render_stat_lines<N: std::fmt::Display>(
+    lines: impl IntoIterator<Item = (N, u64)>,
+    out: &mut BytesMut,
+) {
+    for (name, value) in lines {
         let _ = write!(out, "STAT {name} {value}\r\n");
     }
     render_end(out);
 }
 
 /// The `stats` reply as (name, value) pairs, Memcached naming where a
-/// Memcached counterpart exists. Public so sharded front-ends can fold
-/// the same lines into their own report formats (Prometheus, per-shard
-/// breakdowns) without re-stating the mapping.
-pub fn stat_lines(stats: &crate::store::StoreStats) -> [(&'static str, u64); 12] {
+/// Memcached counterpart exists.
+fn stat_lines(stats: &crate::store::StoreStats) -> [(&'static str, u64); 12] {
     [
         ("cmd_get", stats.get_hits + stats.get_misses),
         ("get_hits", stats.get_hits),
@@ -278,25 +276,9 @@ pub fn stat_lines(stats: &crate::store::StoreStats) -> [(&'static str, u64); 12]
     ]
 }
 
-/// Renders the `stats engine` reply from a backend's internal gauges,
-/// or `ERROR` when the backend exposes none (the model store). Shared
-/// by the single-store loop and sharded front-ends, which merge their
-/// per-shard lines by name before rendering.
-pub fn render_backend_stats(lines: &[(String, u64)], out: &mut BytesMut) {
-    if lines.is_empty() {
-        out.extend_from_slice(b"ERROR\r\n");
-        return;
-    }
-    for (name, value) in lines {
-        let _ = write!(out, "STAT {name} {value}\r\n");
-    }
-    render_end(out);
-}
-
-/// Renders the store's counters in the Prometheus text exposition format
-/// (the `metrics` verb of a bare store), terminated by `END\r\n` so text
-/// protocol clients can frame the reply.
-pub fn render_store_metrics(stats: &crate::store::StoreStats, out: &mut BytesMut) {
+/// Writes the store's counters in the Prometheus text exposition format:
+/// the bare store's `metrics` reply, and part of a front-end's.
+pub fn write_store_metrics(stats: &crate::store::StoreStats, out: &mut impl std::fmt::Write) {
     for (name, value) in stat_lines(stats) {
         // `curr_items`/`bytes` are instantaneous; everything else counts.
         let kind = if matches!(name, "curr_items" | "bytes") {
@@ -309,13 +291,52 @@ pub fn render_store_metrics(stats: &crate::store::StoreStats, out: &mut BytesMut
             "# TYPE densekv_store_{name} {kind}\ndensekv_store_{name} {value}\n"
         );
     }
-    render_end(out);
 }
 
-/// Drains every complete command in `input` through `store`, returning
-/// the accumulated response bytes. Protocol errors are answered in-band
-/// (as Memcached does) and parsing continues at the next line where
-/// possible.
+/// Where [`drain`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Drain {
+    /// At most a partial command is left: wait for more bytes.
+    NeedMore,
+    /// The replies reached the caller's bound: send them, then drain on.
+    Full,
+    /// At `quit`, or at an error that lost framing: send, then close.
+    Close,
+}
+
+/// Drains the complete requests at the front of `input`, the one loop
+/// every request byte stream runs through: `step` executes each one into
+/// `out`. A malformed one is answered in-band (as Memcached does) and
+/// handed to `step` as an `Err`, to be counted; the drain then resumes
+/// after its line, or closes if framing is lost. Returns the bytes used:
+/// nothing after a close, and no trailing partial command.
+pub fn drain<S>(input: &[u8], out: &mut BytesMut, out_bound: usize, mut step: S) -> (usize, Drain)
+where
+    S: FnMut(Result<Request<'_>, &ProtocolError>, &mut BytesMut) -> Disposition,
+{
+    let mut used = 0;
+    loop {
+        let (disposition, skip) = match parse_request(&input[used..]) {
+            Ok(Some((request, len))) => (step(Ok(request), out), Some(len)),
+            Ok(None) => return (used, Drain::NeedMore),
+            Err(err) => {
+                render_error(out, &err);
+                (step(Err(&err), out), resync_offset(&input[used..], &err))
+            }
+        };
+        debug_assert_ne!(skip, Some(0), "every step makes progress");
+        used += skip.unwrap_or(0);
+        if disposition == Disposition::Close || skip.is_none() {
+            return (used, Drain::Close);
+        }
+        if out.len() >= out_bound {
+            return (used, Drain::Full);
+        }
+    }
+}
+
+/// Drains every complete command in `input` through `store` at time
+/// `now`, returning the response bytes.
 ///
 /// # Examples
 ///
@@ -328,39 +349,28 @@ pub fn render_store_metrics(stats: &crate::store::StoreStats, out: &mut BytesMut
 /// assert_eq!(&out[..], b"STORED\r\nVALUE k 0 2\r\nhi\r\nEND\r\n");
 /// ```
 pub fn serve_buffer(store: &mut dyn StoreBackend, input: &[u8], now: u64) -> Vec<u8> {
-    let mut stores = Single(store);
-    let mut rest = input;
     let mut out = BytesMut::new();
-    loop {
-        let skip = match parse_request(rest) {
-            Ok(Some((request, used))) => {
-                if execute(&mut stores, request, now, &mut out) == Disposition::Close {
-                    break;
-                }
-                Some(used)
-            }
-            Ok(None) => break,
-            Err(err) => {
-                render_error(&mut out, &err);
-                resync_offset(rest, &err)
-            }
-        };
-        let Some(skip) = skip else { break };
-        rest = &rest[skip..];
-    }
+    drain(input, &mut out, usize::MAX, store_step(store, now));
     out.to_vec()
 }
 
-/// How many bytes of `buf` to skip to get past the offending line after
-/// a protocol error, or `None` when parsing cannot continue on this
-/// byte stream.
-///
-/// Errors that lose framing ([`ProtocolError::BadDataChunk`],
-/// [`ProtocolError::LineTooLong`], [`ProtocolError::ValueTooLarge`])
-/// return `None` — a real server answers and closes the connection,
-/// because the following bytes can no longer be trusted to start at a
-/// command boundary.
-pub fn resync_offset(buf: &[u8], err: &ProtocolError) -> Option<usize> {
+/// [`serve_buffer`]'s step: each request against `store` at `now`.
+pub(crate) fn store_step(
+    store: &mut dyn StoreBackend,
+    now: u64,
+) -> impl FnMut(Result<Request<'_>, &ProtocolError>, &mut BytesMut) -> Disposition + '_ {
+    let mut stores = Single(store);
+    move |request, out| match request {
+        Ok(request) => execute(&mut stores, request, now, out),
+        Err(_) => Disposition::KeepAlive,
+    }
+}
+
+/// How many bytes of `buf` to skip past the line that caused `err`, or
+/// `None` when `err` lost framing (a bad data chunk, an overlong line or
+/// value): what follows can no longer be trusted to start at a command
+/// boundary, so the connection answers and closes.
+fn resync_offset(buf: &[u8], err: &ProtocolError) -> Option<usize> {
     if matches!(
         err,
         ProtocolError::BadDataChunk | ProtocolError::LineTooLong | ProtocolError::ValueTooLarge
@@ -575,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn resync_is_public_and_closes_on_lost_framing() {
+    fn resync_skips_the_line_or_closes_on_lost_framing() {
         let buf = b"rest\r\nnext";
         assert_eq!(resync_offset(buf, &ProtocolError::ValueTooLarge), None);
         let skip = resync_offset(buf, &ProtocolError::UnknownCommand("x".into()));

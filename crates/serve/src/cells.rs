@@ -14,7 +14,7 @@ use crate::shard::LockObserver;
 /// atomic. [`crate::ServeMetrics::flush`] folds them into the shared plane and
 /// empties them.
 #[derive(Debug)]
-pub struct ConnCells {
+pub(crate) struct ConnCells {
     /// Per-verb command latencies; a verb's count is its histogram's.
     pub(crate) latency: [LogHistogram; VERB_COUNT],
     /// Per-shard lock accounting.
@@ -63,7 +63,7 @@ impl ConnCells {
 
     /// Whether the command about to run should record a phase span:
     /// the first on the connection and every `sample_every`th after it.
-    pub fn sampled(&mut self) -> bool {
+    pub(crate) fn sampled(&mut self) -> bool {
         if self.sample_every == 0 {
             return false;
         }
@@ -77,20 +77,20 @@ impl ConnCells {
 
     /// Whether the next command will be [`ConnCells::sampled`].
     #[must_use]
-    pub fn samples_next(&self) -> bool {
+    pub(crate) fn samples_next(&self) -> bool {
         self.sample_every != 0 && self.until_sample == 1
     }
 
     /// Takes what the command just executed spent waiting for shard
     /// locks, and when it released the last one — the one clock reading
     /// that both ends this command and starts the next.
-    pub fn take_lock(&mut self) -> (Duration, Option<Instant>) {
+    pub(crate) fn take_lock(&mut self) -> (Duration, Option<Instant>) {
         (std::mem::take(&mut self.lock_wait), self.released.take())
     }
 
     /// Records one completed command that took `latency` and finished
     /// at `end`; returns its position since the last flush.
-    pub fn record(&mut self, verb: Verb, latency: Duration, end: Instant) -> u64 {
+    pub(crate) fn record(&mut self, verb: Verb, latency: Duration, end: Instant) -> u64 {
         self.latency[verb.index()].record(SimDuration::from_std(latency));
         if latency >= self.slow_threshold && self.slow.capacity() > 0 {
             if self.slow.len() == self.slow.capacity() {

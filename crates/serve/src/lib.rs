@@ -10,14 +10,16 @@
 //! SNIPPETS.md §3) describes:
 //!
 //! * [`shard`] — [`ShardedStore`]: the hash space split over
-//!   independently locked [`densekv_kv::KvStore`]s. One shard is
+//!   independently locked stores of either backend. One shard is
 //!   Memcached 1.4's global cache lock; many shards are the 1.6-style
 //!   striped design.
 //! * [`server`] — the front-end itself: a listener thread plus one
 //!   worker thread per connection (memcached's threading model, with
 //!   the worker pool degenerated to thread-per-connection since the
-//!   experiments cap connections anyway). Enforces a max-connections
-//!   cap (`SERVER_ERROR busy`) and a per-connection read timeout so an
+//!   experiments cap connections anyway), each only moving bytes between
+//!   its socket and a [`Session`], which drains them through
+//!   [`densekv_kv::server::drain`]. Enforces a max-connections cap
+//!   (`SERVER_ERROR busy`) and a per-connection read timeout so an
 //!   adversarial or stalled peer can never wedge the process.
 //! * [`metrics`] — the live observability plane: per-verb wall-clock
 //!   latency histograms and counters in a
@@ -37,11 +39,11 @@
 //!   simulator as timing oracle behind a live front-end — is the
 //!   `serve_validate` subcommand of `densekv-bench`.
 //!
-//! The command loop itself is byte-identical to the simulator's: both
-//! run [`densekv_kv::server::execute`], differing only in the stores
-//! they hand it (one store there, the key's shard under its lock here)
-//! and the [`densekv_kv::server::Clock`] they read (simulated seconds
-//! there, [`densekv_kv::server::WallClock`] here).
+//! Every verb is turned into store calls and reply bytes by
+//! [`densekv_kv::server::execute`], here over the key's shard under its
+//! lock and at [`densekv_kv::server::WallClock`] seconds. The simulator
+//! does not run this loop: it prices requests through the store's
+//! traced get/set.
 //!
 //! # Examples
 //!
@@ -59,14 +61,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cells;
+mod cells;
 pub mod client;
 pub mod loadgen;
 pub mod metrics;
 pub mod server;
 pub mod shard;
 
-pub use cells::ConnCells;
 pub use client::{ClientError, Connection};
 pub use loadgen::{
     preload, run_closed_loop, run_open_loop, ClosedLoopConfig, LoadMix, LoadReport, OpenLoopConfig,
@@ -75,5 +76,5 @@ pub use metrics::{
     render_prometheus, MetricsConfig, RequestPhases, ServeMetrics, ShardLockSnapshot, SlowRequest,
     Trigger, Verb, WindowSnapshot,
 };
-pub use server::{spawn, ServeConfig, ServeStats, ServerHandle};
+pub use server::{spawn, ServeConfig, ServeStats, Server, ServerHandle, Session};
 pub use shard::{BackendKind, ShardTiming, ShardedStore};

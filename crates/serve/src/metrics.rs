@@ -139,18 +139,6 @@ impl Verb {
         VERB_NAMES[self.index()][0]
     }
 
-    /// Registry name of this verb's command counter.
-    #[must_use]
-    pub fn counter_name(self) -> &'static str {
-        VERB_NAMES[self.index()][1]
-    }
-
-    /// Registry name of this verb's latency histogram.
-    #[must_use]
-    pub fn histogram_name(self) -> &'static str {
-        VERB_NAMES[self.index()][2]
-    }
-
     /// Dense index into the per-verb handle arrays.
     #[must_use]
     pub fn index(self) -> usize {
@@ -403,10 +391,10 @@ pub struct RequestPhases {
 /// The front-end's live observability plane.
 ///
 /// Shared by every worker thread, which is why workers do not record
-/// into it directly: each connection fills its own [`ConnCells`] and
-/// [`ServeMetrics::flush`]es them once per drained batch. Spans sit
-/// behind their own mutex (one lock per sampled request). All of it is
-/// inert when constructed from a disabled [`MetricsConfig`].
+/// into it directly: each [`crate::Session`] fills its own cells and
+/// flushes them once per written batch. Spans sit behind their own
+/// mutex (one lock per sampled request). All of it is inert when
+/// constructed from a disabled [`MetricsConfig`].
 pub struct ServeMetrics {
     enabled: bool,
     sample_every: u64,
@@ -450,9 +438,8 @@ impl ServeMetrics {
         } else {
             MetricsRegistry::disabled()
         };
-        let verb_counters = std::array::from_fn(|i| registry.counter(Verb::ALL[i].counter_name()));
-        let verb_histograms =
-            std::array::from_fn(|i| registry.histogram(Verb::ALL[i].histogram_name()));
+        let verb_counters = std::array::from_fn(|i| registry.counter(VERB_NAMES[i][1]));
+        let verb_histograms = std::array::from_fn(|i| registry.histogram(VERB_NAMES[i][2]));
         let gauge_bytes_in = registry.gauge("serve.bytes_in");
         let gauge_bytes_out = registry.gauge("serve.bytes_out");
         let gauge_active = registry.gauge("serve.connections.active");
@@ -519,15 +506,9 @@ impl ServeMetrics {
         self.enabled
     }
 
-    /// Wall time since the plane (= the server) started.
-    #[must_use]
-    pub fn uptime(&self) -> SimDuration {
-        self.start.elapsed()
-    }
-
     /// Empty cells for one connection of this server.
     #[must_use]
-    pub fn cells(&self) -> ConnCells {
+    pub(crate) fn cells(&self) -> ConnCells {
         ConnCells::new(
             self.plane.lock().shards.len(),
             SLOW_LOG_CAPACITY,
@@ -644,7 +625,7 @@ impl ServeMetrics {
     /// commands join the slow log; lock accounting joins the shards'.
     /// Rotates any window due at `now` first. Returns the sequence
     /// number of the first command flushed (the rest follow in order).
-    pub fn flush(&self, cells: &mut ConnCells, now: Instant) -> u64 {
+    pub(crate) fn flush(&self, cells: &mut ConnCells, now: Instant) -> u64 {
         if !self.enabled || cells.commands == 0 {
             return 0;
         }
@@ -781,16 +762,6 @@ impl ServeMetrics {
     #[must_use]
     pub fn shard_snapshots(&self) -> Vec<ShardLockSnapshot> {
         self.plane.lock().shards.clone()
-    }
-
-    /// Copies the front-end's own counters into the registry's gauges
-    /// (called when rendering, so the exposition is always current).
-    pub fn sync_gauges(&self, stats: &ServeStats, active: usize) {
-        let registry = &mut self.plane.lock().registry;
-        registry.set(self.gauge_bytes_in, stats.bytes_in as f64);
-        registry.set(self.gauge_bytes_out, stats.bytes_out as f64);
-        registry.set(self.gauge_active, active as f64);
-        registry.set(self.gauge_rejected, stats.rejected_busy as f64);
     }
 
     /// The server calls this once at spawn so the saturation trigger
@@ -1140,31 +1111,6 @@ impl ServeMetrics {
         }
         out.extend_from_slice(b"END\r\n");
     }
-
-    /// The registry plus shard-lock series in Prometheus text format.
-    /// Shard locks become labeled series (`{shard="i"}`) so a scrape
-    /// sees contention per stripe without N distinct metric names.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut out = self.plane.lock().registry.to_prometheus();
-        let locks = self.shard_snapshots();
-        for (metric, get) in [
-            (
-                "densekv_shard_lock_acquisitions",
-                (|l: &ShardLockSnapshot| l.acquisitions) as fn(&ShardLockSnapshot) -> u64,
-            ),
-            ("densekv_shard_lock_contended", |l| l.contended),
-            ("densekv_shard_lock_wait_ns", |l| l.wait_ns),
-            ("densekv_shard_lock_hold_ns", |l| l.hold_ns),
-            ("densekv_shard_lock_hold_max_ns", |l| l.hold_max_ns),
-        ] {
-            put!(out, "# TYPE {metric} counter\n");
-            for (i, lock) in locks.iter().enumerate() {
-                put!(out, "{metric}{{shard=\"{i}\"}} {}\n", get(lock));
-            }
-        }
-        out
-    }
 }
 
 /// Renders the full `metrics` verb body: front-end counters, store
@@ -1178,7 +1124,6 @@ pub fn render_prometheus(
     store: &densekv_kv::store::StoreStats,
     engine: &[(String, u64)],
 ) -> String {
-    metrics.sync_gauges(serve, active);
     let mut out = String::new();
     for (name, v) in [
         ("accepted", serve.accepted),
@@ -1197,25 +1142,42 @@ pub fn render_prometheus(
     put!(
         out,
         "# TYPE densekv_serve_uptime_seconds gauge\ndensekv_serve_uptime_seconds {:.3}\n",
-        metrics.uptime().as_secs_f64()
+        metrics.start.elapsed().as_secs_f64()
     );
-    for (name, v) in densekv_kv::server::stat_lines(store) {
-        let kind = if matches!(name, "curr_items" | "bytes") {
-            "gauge"
-        } else {
-            "counter"
-        };
-        put!(
-            out,
-            "# TYPE densekv_store_{name} {kind}\ndensekv_store_{name} {v}\n"
-        );
-    }
+    densekv_kv::server::write_store_metrics(store, &mut out);
     // Backend-internal gauges (tier occupancy, bitmap fill, probe
     // lengths) when the engine is serving; empty under the model store.
     for (name, v) in engine {
         put!(out, "# TYPE densekv_{name} gauge\ndensekv_{name} {v}\n");
     }
-    out.push_str(&metrics.to_prometheus());
+    {
+        // The front-end's own gauges are copied in now, so the
+        // exposition is current.
+        let registry = &mut metrics.plane.lock().registry;
+        registry.set(metrics.gauge_bytes_in, serve.bytes_in as f64);
+        registry.set(metrics.gauge_bytes_out, serve.bytes_out as f64);
+        registry.set(metrics.gauge_active, active as f64);
+        registry.set(metrics.gauge_rejected, serve.rejected_busy as f64);
+        out.push_str(&registry.to_prometheus());
+    }
+    // Shard locks become labeled series (`{shard="i"}`), so a scrape
+    // sees contention per stripe without N distinct metric names.
+    let locks = metrics.shard_snapshots();
+    for (metric, get) in [
+        (
+            "densekv_shard_lock_acquisitions",
+            (|l: &ShardLockSnapshot| l.acquisitions) as fn(&ShardLockSnapshot) -> u64,
+        ),
+        ("densekv_shard_lock_contended", |l| l.contended),
+        ("densekv_shard_lock_wait_ns", |l| l.wait_ns),
+        ("densekv_shard_lock_hold_ns", |l| l.hold_ns),
+        ("densekv_shard_lock_hold_max_ns", |l| l.hold_max_ns),
+    ] {
+        put!(out, "# TYPE {metric} counter\n");
+        for (i, lock) in locks.iter().enumerate() {
+            put!(out, "{metric}{{shard=\"{i}\"}} {}\n", get(lock));
+        }
+    }
     out
 }
 
@@ -1248,8 +1210,8 @@ mod tests {
         assert_eq!(names.len(), VERB_COUNT);
         for (i, v) in Verb::ALL.iter().enumerate() {
             assert_eq!(v.index(), i);
-            assert!(v.counter_name().ends_with(v.name()));
-            assert!(v.histogram_name().contains("latency"));
+            assert!(VERB_NAMES[v.index()][1].ends_with(v.name()));
+            assert!(VERB_NAMES[v.index()][2].contains("latency"));
         }
     }
 

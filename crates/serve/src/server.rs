@@ -10,25 +10,26 @@
 //!   mid-command is disconnected after [`ServeConfig::read_timeout`],
 //!   so stalled or adversarial clients cannot pin worker threads.
 //! * **Bounded buffering** — the parser's [`MAX_LINE_BYTES`] /
-//!   [`MAX_VALUE_BYTES`] limits cap the per-connection receive buffer;
+//!   [`MAX_VALUE_BYTES`] limits cap the per-connection receive buffer,
+//!   and replies are written once they reach [`MAX_VALUE_BYTES`];
 //!   framing-losing protocol errors answer in-band and close.
 //!
 //! [`MAX_LINE_BYTES`]: densekv_kv::protocol::MAX_LINE_BYTES
 //! [`MAX_VALUE_BYTES`]: densekv_kv::protocol::MAX_VALUE_BYTES
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
+use bytes::{Buf, BytesMut};
 use parking_lot::Mutex;
 
-use densekv_kv::protocol::{parse_request, render_error, Request};
-use densekv_kv::server::{resync_offset, Clock, Disposition, WallClock};
+use densekv_kv::protocol::{ProtocolError, Request, MAX_VALUE_BYTES};
+use densekv_kv::server::{drain, Clock, Disposition, Drain, WallClock};
 use densekv_kv::store::StoreConfig;
 
 use crate::cells::ConnCells;
@@ -85,27 +86,6 @@ impl ServeConfig {
         ServeConfig::default()
     }
 
-    /// Sets the concurrent-connection cap.
-    #[must_use]
-    pub fn with_max_connections(mut self, max_connections: usize) -> Self {
-        self.max_connections = max_connections;
-        self
-    }
-
-    /// Sets the per-connection read timeout.
-    #[must_use]
-    pub fn with_read_timeout(mut self, read_timeout: Duration) -> Self {
-        self.read_timeout = read_timeout;
-        self
-    }
-
-    /// Sets the lock-stripe count.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Replaces the observability configuration.
     #[must_use]
     pub fn with_metrics(mut self, metrics: MetricsConfig) -> Self {
@@ -151,8 +131,9 @@ struct Counters {
     protocol_errors: AtomicU64,
 }
 
-/// State shared between the accept loop, workers, and the handle.
-struct Shared {
+/// One front-end's shared state: store, clock, counters and plane.
+/// [`spawn`] serves one on a socket; a [`Session`] drives one without.
+pub struct Server {
     store: ShardedStore,
     clock: WallClock,
     config: ServeConfig,
@@ -163,6 +144,36 @@ struct Shared {
     /// Clones of live connection sockets, so shutdown can interrupt
     /// blocked reads immediately instead of waiting out the timeout.
     conns: Mutex<HashMap<u64, TcpStream>>,
+}
+
+impl Server {
+    /// A front-end over `config`'s store and plane, serving nothing yet.
+    #[must_use]
+    pub fn new(config: ServeConfig) -> Self {
+        let store = ShardedStore::new_with_backend(
+            StoreConfig::with_capacity(config.store_bytes),
+            config.shards,
+            config.backend,
+        );
+        let metrics = ServeMetrics::new(&config.metrics, config.shards);
+        metrics.set_connection_capacity(config.max_connections);
+        Server {
+            store,
+            clock: WallClock::new(),
+            config,
+            shutdown: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            counters: Counters::default(),
+            metrics,
+            conns: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Counts a connection refused `SERVER_ERROR busy`.
+    fn reject(&self) {
+        self.counters.rejected_busy.fetch_add(1, Ordering::Relaxed);
+        self.metrics.connection_rejected();
+    }
 }
 
 impl Counters {
@@ -182,26 +193,25 @@ impl Counters {
         }
         *tally = ServeStats::default();
     }
-}
 
-/// Reads the lifetime counters out of `counters` (shared by the handle
-/// and the in-band `metrics` verb).
-fn stats_of(counters: &Counters) -> ServeStats {
-    ServeStats {
-        accepted: counters.accepted.load(Ordering::Relaxed),
-        rejected_busy: counters.rejected_busy.load(Ordering::Relaxed),
-        commands: counters.commands.load(Ordering::Relaxed),
-        bytes_in: counters.bytes_in.load(Ordering::Relaxed),
-        bytes_out: counters.bytes_out.load(Ordering::Relaxed),
-        timeouts: counters.timeouts.load(Ordering::Relaxed),
-        protocol_errors: counters.protocol_errors.load(Ordering::Relaxed),
+    /// The lifetime counters so far.
+    fn snapshot(&self) -> ServeStats {
+        ServeStats {
+            accepted: self.accepted.load(Ordering::Relaxed),
+            rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
+            commands: self.commands.load(Ordering::Relaxed),
+            bytes_in: self.bytes_in.load(Ordering::Relaxed),
+            bytes_out: self.bytes_out.load(Ordering::Relaxed),
+            timeouts: self.timeouts.load(Ordering::Relaxed),
+            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+        }
     }
 }
 
 /// A running front-end. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    shared: Arc<Server>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -223,23 +233,7 @@ pub struct ServerHandle {
 pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(config.addr)?;
     let addr = listener.local_addr()?;
-    let store = ShardedStore::new_with_backend(
-        StoreConfig::with_capacity(config.store_bytes),
-        config.shards,
-        config.backend,
-    );
-    let metrics = ServeMetrics::new(&config.metrics, config.shards);
-    metrics.set_connection_capacity(config.max_connections);
-    let shared = Arc::new(Shared {
-        store,
-        clock: WallClock::new(),
-        config,
-        shutdown: AtomicBool::new(false),
-        active: AtomicUsize::new(0),
-        counters: Counters::default(),
-        metrics,
-        conns: Mutex::new(HashMap::new()),
-    });
+    let shared = Arc::new(Server::new(config));
     let accept = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -263,7 +257,7 @@ impl ServerHandle {
     /// Lifetime counters so far.
     #[must_use]
     pub fn stats(&self) -> ServeStats {
-        stats_of(&self.shared.counters)
+        self.shared.counters.snapshot()
     }
 
     /// The observability plane: per-verb latency quantiles, shard-lock
@@ -283,12 +277,6 @@ impl ServerHandle {
     #[must_use]
     pub fn items(&self) -> u64 {
         self.shared.store.len()
-    }
-
-    /// Store counters (the same numbers the `stats` verb reports).
-    #[must_use]
-    pub fn store_stats(&self) -> densekv_kv::StoreStats {
-        self.shared.store.stats()
     }
 
     /// Stops accepting, interrupts every live connection, joins the
@@ -320,24 +308,19 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Server>) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     let mut next_id = 0u64;
     for conn in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = conn else { continue };
+        let Ok(mut stream) = conn else { continue };
         if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections {
             // Over the cap: answer and close instead of queueing work we
             // cannot serve — the degradation mode the SLA experiments
             // rely on.
-            shared
-                .counters
-                .rejected_busy
-                .fetch_add(1, Ordering::Relaxed);
-            shared.metrics.connection_rejected();
-            let mut stream = stream;
+            shared.reject();
             let _ = stream.write_all(b"SERVER_ERROR busy\r\n");
             let _ = stream.shutdown(Shutdown::Both);
             continue;
@@ -361,11 +344,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 shared.conns.lock().remove(&id);
                 shared.active.fetch_sub(1, Ordering::SeqCst);
                 shared.metrics.connection_closed();
-                shared
-                    .counters
-                    .rejected_busy
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.metrics.connection_rejected();
+                shared.reject();
             }
         }
         // Reap finished workers so the handle list stays bounded by the
@@ -377,208 +356,260 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Executes one request: the observability verbs (`stats
-/// latency|shards|reset…`, `metrics`) are answered from the plane;
-/// everything else goes to the sharded store, reporting its shard locks
-/// to `observer`.
+/// One connection's request stream, on a [`Server`] but without a
+/// socket. [`Session::feed`] drains it through [`drain`], answering the
+/// observability verbs from the plane and the rest from the store, and
+/// meters each command; [`Session::write`] tells the shared counters and
+/// plane before it hands the replies on, as `stats`/`metrics` verbs do
+/// before they run, so whoever has read a reply can read its counters.
+///
+/// # Examples
+///
+/// ```
+/// use densekv_kv::server::Drain;
+/// use densekv_serve::{ServeConfig, Server, Session};
+///
+/// let server = Server::new(ServeConfig::ephemeral());
+/// let (mut session, mut out) = (Session::new(&server, 0), bytes::BytesMut::new());
+/// assert_eq!(session.feed(b"set k 0 0 2\r\nhi\r\nqu", &mut out), Drain::NeedMore);
+/// assert_eq!(session.feed(b"it\r\n", &mut out), Drain::Close);
+/// assert_eq!(&out[..], b"STORED\r\n");
+/// ```
+pub struct Session<'a> {
+    server: &'a Server,
+    /// The `tid` of its spans.
+    id: u64,
+    /// Received and not yet consumed: a partial command at most.
+    rx: BytesMut,
+    tally: ServeStats,
+    /// `None` when the plane is off, and then no command reads a clock.
+    cells: Option<ConnCells>,
+    /// Sampled requests waiting for the flush that numbers them:
+    /// position since the last flush, verb, and phases so far.
+    pending: Vec<(u64, Verb, RequestPhases)>,
+    /// When the wait for the next sampled request's bytes began.
+    read_at: Option<Instant>,
+    /// When the previous command ended, which is when the next begins:
+    /// each command's latency costs one clock reading, not two.
+    prev: Instant,
+}
+
+impl<'a> Session<'a> {
+    /// A new connection to `server`, numbered `id`.
+    #[must_use]
+    pub fn new(server: &'a Server, id: u64) -> Self {
+        Session {
+            server,
+            id,
+            rx: BytesMut::with_capacity(4096),
+            tally: ServeStats::default(),
+            cells: server.metrics.is_enabled().then(|| server.metrics.cells()),
+            pending: Vec::new(),
+            read_at: None,
+            prev: Instant::now(),
+        }
+    }
+
+    /// Appends `bytes` to what has been received and drains it into
+    /// `out`. It stops once `out` holds [`MAX_VALUE_BYTES`]
+    /// ([`Drain::Full`]: write, then feed no bytes, before reading), so
+    /// pipelined GETs of large values hold at most that plus one reply;
+    /// one multi-key `get` line can still render many values at once.
+    pub fn feed(&mut self, bytes: &[u8], out: &mut BytesMut) -> Drain {
+        self.tally.bytes_in += bytes.len() as u64;
+        let mut rx = std::mem::take(&mut self.rx);
+        rx.extend_from_slice(bytes);
+        if self.cells.is_some() {
+            self.prev = Instant::now();
+        }
+        let now = self.server.clock.now_secs();
+        let (used, drained) = drain(&rx, out, MAX_VALUE_BYTES as usize, |request, out| {
+            self.step(request, now, out)
+        });
+        rx.advance(used);
+        self.rx = rx;
+        drained
+    }
+
+    /// Hands the replies in `out`, if any, to `send` and empties `out`:
+    /// after the batch's counts reach the shared plane, and before its
+    /// sampled spans do, the last with the time `send` took.
+    pub fn write<E>(
+        &mut self,
+        out: &mut BytesMut,
+        send: impl FnOnce(&[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.tally.bytes_out += out.len() as u64;
+        let first = self.flush();
+        let start = (!self.pending.is_empty()).then(Instant::now);
+        let sent = if out.is_empty() { Ok(()) } else { send(out) };
+        out.clear();
+        self.commit_spans(first, start.map(|t| t.elapsed()).unwrap_or_default());
+        // If the next command is sampled, its recv phase starts now.
+        let sampled = self.cells.as_ref().is_some_and(ConnCells::samples_next);
+        self.read_at = sampled.then(Instant::now);
+        sent
+    }
+
+    /// The metered step: counts, times and executes one request.
+    fn step(
+        &mut self,
+        request: Result<Request<'_>, &ProtocolError>,
+        now: u64,
+        out: &mut BytesMut,
+    ) -> Disposition {
+        let Ok(request) = request else {
+            self.tally.protocol_errors += 1;
+            return Disposition::KeepAlive;
+        };
+        self.tally.commands += 1;
+        // A verb that reads the counters finds this batch in them.
+        if matches!(request, Request::Stats { .. } | Request::Metrics) {
+            let first = self.flush();
+            self.commit_spans(first, Duration::ZERO);
+        }
+        let Some(cells) = self.cells.as_mut() else {
+            return execute(self.server, request, now, out, None);
+        };
+        let verb = Verb::of(&request);
+        let parsed = cells.sampled().then(Instant::now);
+        let disposition = execute(self.server, request, now, out, Some(cells));
+        let (lock_wait, released) = cells.take_lock();
+        let end = released.unwrap_or_else(Instant::now);
+        let position = cells.record(verb, end - self.prev, end);
+        if let Some(parsed) = parsed {
+            // Only the first command of a feed is timed from a write,
+            // and that one still starts at `prev`.
+            let read_at = self.read_at.take();
+            let phases = RequestPhases {
+                recv: read_at.map_or(Duration::ZERO, |t| self.prev - t),
+                parse: parsed - self.prev,
+                lock_wait,
+                store: (end - parsed).saturating_sub(lock_wait),
+                write: Duration::ZERO,
+            };
+            self.pending.push((position, verb, phases));
+        }
+        self.prev = end;
+        disposition
+    }
+
+    /// Tells the shared plane; returns the first flushed command's seq.
+    fn flush(&mut self) -> u64 {
+        self.server.counters.add(&mut self.tally);
+        let metrics = &self.server.metrics;
+        self.cells
+            .as_mut()
+            .map_or(0, |cells| metrics.flush(cells, self.prev))
+    }
+
+    /// Records the flushed spans from `first`; the last waited `write`.
+    fn commit_spans(&mut self, first: u64, write: Duration) {
+        if let Some((_, _, phases)) = self.pending.last_mut() {
+            phases.write = write;
+        }
+        let metrics = &self.server.metrics;
+        for (position, verb, phases) in self.pending.drain(..) {
+            metrics.record_span(first + position, verb, self.id as u32, &phases);
+        }
+    }
+}
+
+/// Executes one request: the observability verbs are answered from the
+/// plane; everything else goes to the sharded store, reporting its shard
+/// locks to `observer`.
 fn execute(
-    shared: &Shared,
+    server: &Server,
     request: Request<'_>,
     now: u64,
     out: &mut BytesMut,
     observer: Option<&mut dyn LockObserver>,
 ) -> Disposition {
-    let plane = &shared.metrics;
+    let plane = &server.metrics;
     match request {
-        Request::Stats {
-            arg: Some(b"latency"),
-        } => plane.render_stats_latency(out),
-        Request::Stats {
-            arg: Some(b"shards"),
-        } => plane.render_stats_shards(&shared.store.shard_stats(), out),
-        Request::Stats {
-            arg: Some(b"windows"),
-        } => plane.render_stats_windows(out),
-        Request::Stats { arg: Some(b"slo") } => plane.render_stats_slo(out),
-        Request::Stats { arg: Some(b"dump") } => {
-            // One JSON object on one line, then END — readable with the
-            // same line-until-END client call as the other stats verbs.
-            out.extend_from_slice(plane.flight_recorder_json().as_bytes());
-            out.extend_from_slice(b"\r\nEND\r\n");
-        }
-        Request::Stats {
-            arg: Some(b"reset"),
-        } => {
-            plane.reset();
-            out.extend_from_slice(b"RESET\r\n");
-        }
+        Request::Stats { arg: Some(arg) } => match arg {
+            b"latency" => plane.render_stats_latency(out),
+            b"shards" => plane.render_stats_shards(&server.store.shard_stats(), out),
+            b"windows" => plane.render_stats_windows(out),
+            b"slo" => plane.render_stats_slo(out),
+            b"dump" => {
+                // One JSON object on one line, then END — readable with
+                // the same line-until-END client call as the other stats
+                // verbs.
+                out.extend_from_slice(plane.flight_recorder_json().as_bytes());
+                out.extend_from_slice(b"\r\nEND\r\n");
+            }
+            b"reset" => {
+                plane.reset();
+                out.extend_from_slice(b"RESET\r\n");
+            }
+            _ => return server.store.execute(request, now, out, observer),
+        },
         Request::Metrics => {
             let text = render_prometheus(
                 plane,
-                &stats_of(&shared.counters),
-                shared.active.load(Ordering::Relaxed),
-                &shared.store.stats(),
-                &shared.store.backend_stat_lines(),
+                &server.counters.snapshot(),
+                server.active.load(Ordering::Relaxed),
+                &server.store.stats(),
+                &server.store.backend_stat_lines(),
             );
             out.extend_from_slice(text.as_bytes());
             out.extend_from_slice(b"END\r\n");
         }
-        request => return shared.store.execute(request, now, out, observer),
+        request => return server.store.execute(request, now, out, observer),
     }
     Disposition::KeepAlive
 }
 
-/// Commits the sampled requests of the commands just flushed, which
-/// were numbered from `first`; the last of them waited for `write`.
-fn commit_spans(
-    metrics: &ServeMetrics,
-    pending: &mut Vec<(u64, Verb, RequestPhases)>,
-    first: u64,
-    id: u64,
-    write: Duration,
-) {
-    if let Some((_, _, phases)) = pending.last_mut() {
-        phases.write = write;
-    }
-    for (position, verb, phases) in pending.drain(..) {
-        metrics.record_span(first + position, verb, id as u32, &phases);
-    }
-}
-
-/// One connection's worker. Per socket read it drains every complete
-/// command out of the receive buffer, borrowing each from it, and
-/// answers them with one write. What it measures along the way stays in
-/// its own tally and cells until the batch is drained; they reach the
-/// shared counters and plane before that batch's write — and before
-/// any `stats`/`metrics` verb in it runs — so whoever has read a reply
-/// can also read its counters.
-fn serve_connection(mut stream: TcpStream, id: u64, shared: &Arc<Shared>) {
+/// One connection's worker: read → [`Session::feed`] →
+/// [`Session::write`], until the session closes, the peer goes away or
+/// stalls past the read timeout, or the server shuts down.
+fn serve_connection(mut stream: TcpStream, id: u64, server: &Server) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-    let mut rx = BytesMut::with_capacity(4096);
+    let _ = stream.set_read_timeout(Some(server.config.read_timeout));
+    let mut session = Session::new(server, id);
     let mut out = BytesMut::with_capacity(4096);
     let mut chunk = vec![0u8; READ_CHUNK];
-    let metrics = &shared.metrics;
-    let mut cells: Option<ConnCells> = metrics.is_enabled().then(|| metrics.cells());
-    let mut tally = ServeStats::default();
-    // Sampled requests waiting for the flush that numbers them: position
-    // since the last flush, verb, and phases so far.
-    let mut pending: Vec<(u64, Verb, RequestPhases)> = Vec::new();
-    // Wall time of the socket read that delivered the bytes currently
-    // buffered — the sampled span's recv phase.
-    let mut last_read = Duration::ZERO;
-    // When the previous command ended, which is when the next begins:
-    // each command's latency costs one clock reading, not two.
-    let mut prev = Instant::now();
-    let mut open = true;
-
-    while open {
-        // Drain every complete command currently buffered.
-        let now = shared.clock.now_secs();
-        let mut used = 0;
-        while open {
-            let request = match parse_request(&rx[used..]) {
-                Ok(Some((request, len))) => {
-                    used += len;
-                    request
-                }
-                Ok(None) => break,
-                Err(err) => {
-                    tally.protocol_errors += 1;
-                    render_error(&mut out, &err);
-                    match resync_offset(&rx[used..], &err) {
-                        Some(skip) => used += skip,
-                        // Framing lost: answer, then close.
-                        None => open = false,
-                    }
-                    continue;
-                }
-            };
-            tally.commands += 1;
-            // A verb that reads the counters finds this batch in them.
-            if matches!(request, Request::Stats { .. } | Request::Metrics) {
-                shared.counters.add(&mut tally);
-                if let Some(cells) = &mut cells {
-                    let first = metrics.flush(cells, prev);
-                    commit_spans(metrics, &mut pending, first, id, Duration::ZERO);
-                }
-            }
-            let Some(cells) = &mut cells else {
-                open = execute(shared, request, now, &mut out, None) == Disposition::KeepAlive;
-                continue;
-            };
-            let verb = Verb::of(&request);
-            let parsed = cells.sampled().then(Instant::now);
-            open = execute(shared, request, now, &mut out, Some(cells)) == Disposition::KeepAlive;
-            let (lock_wait, released) = cells.take_lock();
-            let end = released.unwrap_or_else(Instant::now);
-            let position = cells.record(verb, end - prev, end);
-            if let Some(parsed) = parsed {
-                let phases = RequestPhases {
-                    recv: std::mem::take(&mut last_read),
-                    parse: parsed - prev,
-                    lock_wait,
-                    store: (end - parsed).saturating_sub(lock_wait),
-                    write: Duration::ZERO,
-                };
-                pending.push((position, verb, phases));
-            }
-            prev = end;
-        }
-        bytes::Buf::advance(&mut rx, used);
-
-        tally.bytes_out += out.len() as u64;
-        shared.counters.add(&mut tally);
-        let first = cells.as_mut().map_or(0, |cells| metrics.flush(cells, prev));
-        let write_t0 = (!pending.is_empty()).then(Instant::now);
-        open &= out.is_empty() || stream.write_all(&out).is_ok();
-        out.clear();
-        let write = write_t0.map(|t| t.elapsed()).unwrap_or_default();
-        commit_spans(metrics, &mut pending, first, id, write);
-        if !open || shared.shutdown.load(Ordering::SeqCst) {
+    let mut received = 0;
+    loop {
+        let drained = session.feed(&chunk[..received], &mut out);
+        let sent = session.write(&mut out, |replies| stream.write_all(replies));
+        if drained == Drain::Close || sent.is_err() || server.shutdown.load(Ordering::SeqCst) {
             break;
         }
-
-        // Only a sampled request reports how long its bytes took to come.
-        let read_t0 = cells
-            .as_ref()
-            .is_some_and(ConnCells::samples_next)
-            .then(Instant::now);
-        match stream.read(&mut chunk) {
+        if drained == Drain::Full {
+            // The replies filled up, not the commands: drain on first.
+            received = 0;
+            continue;
+        }
+        received = match stream.read(&mut chunk) {
             Ok(0) => break, // peer closed
-            Ok(n) => {
-                if cells.is_some() {
-                    prev = Instant::now();
-                    last_read = read_t0.map_or(Duration::ZERO, |t| prev - t);
-                }
-                tally.bytes_in += n as u64;
-                rx.extend_from_slice(&chunk[..n]);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if !shared.shutdown.load(Ordering::SeqCst) {
-                    shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+            Ok(n) => n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if !server.shutdown.load(Ordering::SeqCst) {
+                    server.counters.timeouts.fetch_add(1, Ordering::Relaxed);
                 }
                 break; // idle or stalled peer: disconnect
             }
             Err(_) => break,
-        }
+        };
     }
-    shared.counters.add(&mut tally);
-    shared.conns.lock().remove(&id);
-    shared.active.fetch_sub(1, Ordering::SeqCst);
-    shared.metrics.connection_closed();
+    server.conns.lock().remove(&id);
+    server.active.fetch_sub(1, Ordering::SeqCst);
+    server.metrics.connection_closed();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Connection;
+    use crate::metrics::Verb;
 
     fn quick_config() -> ServeConfig {
-        ServeConfig::ephemeral().with_read_timeout(Duration::from_millis(400))
+        ServeConfig {
+            read_timeout: Duration::from_millis(400),
+            ..ServeConfig::ephemeral()
+        }
     }
 
     #[test]
@@ -599,7 +630,11 @@ mod tests {
 
     #[test]
     fn over_cap_connections_get_busy_then_closed() {
-        let server = spawn(quick_config().with_max_connections(3)).unwrap();
+        let config = ServeConfig {
+            max_connections: 3,
+            ..quick_config()
+        };
+        let server = spawn(config).unwrap();
         // Fill the cap and prove each connection is live with a
         // round-trip (connect() alone returns before accept()).
         let mut held: Vec<Connection> = (0..3)
@@ -630,7 +665,10 @@ mod tests {
 
     #[test]
     fn read_timeout_disconnects_stalled_peers() {
-        let config = ServeConfig::ephemeral().with_read_timeout(Duration::from_millis(100));
+        let config = ServeConfig {
+            read_timeout: Duration::from_millis(100),
+            ..ServeConfig::ephemeral()
+        };
         let server = spawn(config).unwrap();
         let mut conn = Connection::connect(server.addr()).unwrap();
         conn.version().unwrap();
@@ -665,7 +703,11 @@ mod tests {
 
     #[test]
     fn stats_latency_and_shards_report_live_traffic() {
-        let config = quick_config().with_shards(2).with_metrics(MetricsConfig {
+        let config = ServeConfig {
+            shards: 2,
+            ..quick_config()
+        }
+        .with_metrics(MetricsConfig {
             sample_every: 1,
             ..MetricsConfig::default()
         });
@@ -1081,5 +1123,52 @@ mod tests {
         let stats = conn.text_block(b"stats\r\n").unwrap().join("\n");
         assert!(stats.contains("STAT evictions "), "{stats}");
         server.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod session_tests {
+    use super::*;
+    use densekv_kv::store::{ITEM_HEADER_BYTES, MAX_ITEM_FOOTPRINT_BYTES};
+
+    #[test]
+    fn pipelined_gets_of_a_large_value_are_written_in_bounded_batches() {
+        let server = Server::new(ServeConfig::ephemeral());
+        let mut session = Session::new(&server, 0);
+        let mut out = BytesMut::new();
+        let len = (MAX_ITEM_FOOTPRINT_BYTES - ITEM_HEADER_BYTES) as usize - "big".len();
+        let mut set = format!("set big 0 0 {len}\r\n").into_bytes();
+        set.resize(set.len() + len, b'B');
+        set.extend_from_slice(b"\r\n");
+        assert_eq!(session.feed(&set, &mut out), Drain::NeedMore);
+        assert_eq!(&out[..], b"STORED\r\n");
+        session.write(&mut out, |_| Ok::<_, ()>(())).unwrap();
+
+        // One read's worth of 64 GETs: written a bounded batch at a
+        // time, not 64 MB at once.
+        let reply = format!("VALUE big 0 {len}\r\n").len() + len + "\r\nEND\r\n".len();
+        let mut bytes = b"get big\r\n".repeat(64);
+        let (mut replied, mut writes) = (0, 0);
+        loop {
+            let drained = session.feed(&bytes, &mut out);
+            bytes.clear();
+            assert!(
+                out.len() <= MAX_VALUE_BYTES as usize + reply,
+                "{}",
+                out.len()
+            );
+            replied += out.len();
+            writes += 1;
+            session.write(&mut out, |_| Ok::<_, ()>(())).unwrap();
+            if drained == Drain::NeedMore {
+                break;
+            }
+            assert_eq!(drained, Drain::Full);
+        }
+        assert_eq!(replied, 64 * reply);
+        assert!(writes >= 32, "{writes} writes");
+        let stats = server.counters.snapshot();
+        assert_eq!(stats.commands, 65);
+        assert_eq!(stats.bytes_out, (replied + b"STORED\r\n".len()) as u64);
     }
 }

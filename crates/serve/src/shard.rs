@@ -2,7 +2,7 @@
 //! independently locked stores.
 //!
 //! Full protocol requests run through [`densekv_kv::server::execute`],
-//! so every verb the simulator's functional path supports works over a
+//! so every verb `serve_buffer` answers over one store works over a
 //! real socket too. One shard reproduces Memcached 1.4's global cache
 //! lock; many shards are the 1.6-style striped design whose contention
 //! difference the paper's §3.6 (and Table 4's "Bags" row) turns on. The
@@ -273,8 +273,8 @@ impl ShardedStore {
     }
 
     /// Executes one request at time `now`, appending any response to
-    /// `out` — [`densekv_kv::server::execute`], the command body the
-    /// simulator runs, over the shards.
+    /// `out` — [`densekv_kv::server::execute`], the one command body,
+    /// over the shards.
     ///
     /// Single-key commands lock exactly their key's shard. Multi-key
     /// GETs lock one shard at a time (no deadlock possible: at most one
@@ -359,8 +359,7 @@ impl ShardedStore {
     /// line sets agree). Ratio lines don't sum — `*_fill_pct` is
     /// recomputed from the merged `*_used_pages` / `*_total_pages`
     /// totals. Empty under the model store, which exposes no
-    /// internals — [`densekv_kv::server::render_backend_stats`] turns that
-    /// into `ERROR`.
+    /// internals: `stats engine` then answers `ERROR`.
     #[must_use]
     pub fn backend_stat_lines(&self) -> Vec<(String, u64)> {
         let mut merged: Vec<(String, u64)> = Vec::new();
@@ -405,16 +404,13 @@ impl ShardedStore {
 mod tests {
     use super::*;
     use densekv_kv::protocol::{parse_command, Parsed};
-    use densekv_kv::server::FixedClock;
+    use densekv_kv::server::{drain, FixedClock};
 
     fn run(store: &ShardedStore, input: &[u8], now: u64) -> String {
-        let mut buf = BytesMut::from(input);
         let mut out = BytesMut::new();
-        while let Ok(Parsed::Complete(cmd)) = parse_command(&mut buf) {
-            if store.dispatch(cmd, &FixedClock(now), &mut out) == Disposition::Close {
-                break;
-            }
-        }
+        drain(input, &mut out, usize::MAX, |request, out| {
+            store.execute(request.expect("well-formed"), now, out, None)
+        });
         String::from_utf8(out.to_vec()).expect("ascii")
     }
 
@@ -512,16 +508,17 @@ mod tests {
         let metrics = ServeMetrics::new(&MetricsConfig::default(), 4);
         let script = b"set k 0 0 3\r\nfoo\r\nget k\r\nset n 0 0 1\r\n5\r\nincr n 2\r\n\
                        touch k 10\r\ndelete k\r\nget k missing\r\nversion\r\n";
-        let mut buf = BytesMut::from(&script[..]);
         let mut out_timed = BytesMut::new();
         let mut total = ShardTiming::default();
-        while let Ok(Parsed::Complete(cmd)) = parse_command(&mut buf) {
+        drain(script, &mut out_timed, usize::MAX, |request, out| {
+            let command = request.expect("well-formed").to_command();
             let (disposition, timing) =
-                timed.dispatch_timed(cmd, &FixedClock(0), &mut out_timed, &metrics);
+                timed.dispatch_timed(command, &FixedClock(0), out, &metrics);
             assert_eq!(disposition, Disposition::KeepAlive);
             total.lock_wait += timing.lock_wait;
             total.hold += timing.hold;
-        }
+            disposition
+        });
         let out_plain = run(&plain, script, 0);
         assert_eq!(String::from_utf8(out_timed.to_vec()).unwrap(), out_plain);
         let acquisitions: u64 = metrics

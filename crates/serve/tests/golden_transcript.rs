@@ -11,18 +11,22 @@
 //! against one store.
 //!
 //! Replies must not depend on the path the bytes took: through
-//! `kv::server::serve_buffer` or a live connection, in one write or in
-//! chunks, over the model store or the engine, metrics on or off.
+//! `kv::server::serve_buffer`, a `Session` with no socket, or a live
+//! connection, in one write or in chunks, over the model store or the
+//! engine, metrics on or off.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use bytes::BytesMut;
 use densekv_engine::Engine;
-use densekv_kv::server::serve_buffer;
+use densekv_kv::server::{serve_buffer, Drain};
 use densekv_kv::store::{ITEM_HEADER_BYTES, MAX_ITEM_FOOTPRINT_BYTES};
 use densekv_kv::{KvStore, StoreBackend, StoreConfig};
-use densekv_serve::{spawn, BackendKind, MetricsConfig, ServeConfig, ServerHandle};
+use densekv_serve::{
+    spawn, BackendKind, MetricsConfig, ServeConfig, Server, ServerHandle, Session,
+};
 use densekv_sim::SplitMix64;
 
 const GOLDEN: &str = concat!(
@@ -207,16 +211,74 @@ fn store(backend: BackendKind) -> Box<dyn StoreBackend> {
 }
 
 /// One shard, so that CAS tokens advance as they do in a single store.
-fn server(backend: BackendKind, metrics: MetricsConfig, store_bytes: u64) -> ServerHandle {
-    spawn(ServeConfig {
+fn config(backend: BackendKind, metrics: MetricsConfig, store_bytes: u64) -> ServeConfig {
+    ServeConfig {
         store_bytes,
         shards: 1,
         read_timeout: Duration::from_secs(10),
         metrics,
         backend,
         ..ServeConfig::ephemeral()
+    }
+}
+
+fn server(backend: BackendKind, metrics: MetricsConfig, store_bytes: u64) -> ServerHandle {
+    spawn(config(backend, metrics, store_bytes)).expect("loopback listener binds")
+}
+
+/// The metrics planes every replay runs under: on, sampling every
+/// request and rotating windows mid-stream, and off.
+fn planes(sample_every: u64) -> [MetricsConfig; 2] {
+    [
+        MetricsConfig {
+            sample_every,
+            window: Duration::from_millis(2),
+            ..MetricsConfig::default()
+        },
+        MetricsConfig::disabled(),
+    ]
+}
+
+/// `session` in random chunks of 1 B to 16 KB, most of them small.
+fn random_chunks<'a>(
+    rng: &'a mut SplitMix64,
+    session: &'a [u8],
+) -> impl Iterator<Item = &'a [u8]> + 'a {
+    let mut rest = session;
+    std::iter::from_fn(move || {
+        let small = rng.next_below(4) > 0;
+        let most = if small { 64 } else { 16 << 10 };
+        let take = (1 + rng.next_below(most) as usize).min(rest.len());
+        let (chunk, tail) = rest.split_at(take);
+        rest = tail;
+        (!chunk.is_empty()).then_some(chunk)
     })
-    .expect("loopback listener binds")
+}
+
+/// Feeds `chunks` to a new session on `server` the way a connection's
+/// worker does — writing after every feed, and feeding again before the
+/// next chunk while the replies are full — and returns what it wrote.
+/// Every session in the stream ends in a close, which ends the feeding.
+fn feed_session<'a>(server: &Server, chunks: impl Iterator<Item = &'a [u8]>) -> Vec<u8> {
+    let mut session = Session::new(server, 0);
+    let mut out = BytesMut::new();
+    let mut sent = Vec::new();
+    for mut bytes in chunks {
+        loop {
+            let drained = session.feed(bytes, &mut out);
+            let send = |replies: &[u8]| {
+                sent.extend_from_slice(replies);
+                Ok::<_, ()>(())
+            };
+            session.write(&mut out, send).unwrap();
+            match drained {
+                Drain::NeedMore => break,
+                Drain::Full => bytes = &[],
+                Drain::Close => return sent,
+            }
+        }
+    }
+    panic!("the session never closed")
 }
 
 /// Sends `session` in the given chunks on a new connection and reads
@@ -294,19 +356,44 @@ fn serve_buffer_replays_the_golden() {
 }
 
 #[test]
+fn session_replays_the_golden_without_a_socket() {
+    let golden = golden();
+    let sessions = sessions();
+    for backend in [BackendKind::Model, BackendKind::Engine] {
+        for plane in planes(1) {
+            let what = format!("{backend:?} metrics {}", plane.enabled);
+            // The short session, split in two at every offset, each time
+            // from an empty store.
+            let short = &sessions[0];
+            for at in 0..=short.len() {
+                let front = Server::new(config(backend, plane.clone(), 1 << 20));
+                let got = feed_session(&front, [&short[..at], &short[at..]].into_iter());
+                assert_same(&format!("{what} split at {at}"), &got, &golden[0]);
+            }
+
+            // The rest in order against one store, a byte at a time; then
+            // again, from an empty store, in random chunks.
+            let front = Server::new(config(backend, plane.clone(), STORE_BYTES));
+            for (i, (session, want)) in sessions.iter().zip(&golden).enumerate().skip(1) {
+                let got = feed_session(&front, session.chunks(1));
+                assert_same(&format!("{what} session {i} in bytes"), &got, want);
+            }
+            let front = Server::new(config(backend, plane.clone(), STORE_BYTES));
+            let mut rng = SplitMix64::new(SEED ^ 0x5E55);
+            for (i, (session, want)) in sessions.iter().zip(&golden).enumerate().skip(1) {
+                let got = feed_session(&front, random_chunks(&mut rng, session));
+                assert_same(&format!("{what} session {i} in chunks"), &got, want);
+            }
+        }
+    }
+}
+
+#[test]
 fn live_connection_replays_the_golden_at_every_split() {
     let golden = golden();
     let sessions = sessions();
-    let planes = [
-        MetricsConfig {
-            sample_every: 3,
-            window: Duration::from_millis(2),
-            ..MetricsConfig::default()
-        },
-        MetricsConfig::disabled(),
-    ];
     for backend in [BackendKind::Model, BackendKind::Engine] {
-        for plane in &planes {
+        for plane in planes(3) {
             let what = format!("{backend:?} metrics {}", plane.enabled);
             // The short session, split in two at every offset, each time
             // from an empty store.
@@ -323,16 +410,7 @@ fn live_connection_replays_the_golden_at_every_split() {
             let live = server(backend, plane.clone(), STORE_BYTES);
             let mut rng = SplitMix64::new(SEED ^ 0xC4);
             for (i, (session, want)) in sessions.iter().zip(&golden).enumerate().skip(1) {
-                let mut rest = &session[..];
-                let chunks = std::iter::from_fn(|| {
-                    let small = rng.next_below(4) > 0;
-                    let most = if small { 64 } else { 16 << 10 };
-                    let take = (1 + rng.next_below(most) as usize).min(rest.len());
-                    let (chunk, tail) = rest.split_at(take);
-                    rest = tail;
-                    (!chunk.is_empty()).then_some(chunk)
-                });
-                let got = converse(&live, chunks);
+                let got = converse(&live, random_chunks(&mut rng, session));
                 assert_same(&format!("{what} session {i}"), &got, want);
             }
             live.shutdown();

@@ -1,4 +1,5 @@
-//! Table 4's baseline rows and the contention model behind them.
+//! Table 4's baseline rows, with a contention model in the tests that
+//! derives their throughputs.
 
 /// One baseline system as the paper tabulates it (64 B requests).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,7 +31,7 @@ impl BaselineSpec {
 }
 
 /// Memcached 1.4 on the Xeon baseline (Table 4: global cache lock).
-pub const MEMCACHED_14: BaselineSpec = BaselineSpec {
+pub(crate) const MEMCACHED_14: BaselineSpec = BaselineSpec {
     name: "Memcached 1.4",
     cores: 6,
     memory_gb: 12.0,
@@ -40,7 +41,7 @@ pub const MEMCACHED_14: BaselineSpec = BaselineSpec {
 };
 
 /// Memcached 1.6 (striped hash locks, global LRU lock).
-pub const MEMCACHED_16: BaselineSpec = BaselineSpec {
+pub(crate) const MEMCACHED_16: BaselineSpec = BaselineSpec {
     name: "Memcached 1.6",
     cores: 4,
     memory_gb: 128.0,
@@ -73,75 +74,69 @@ pub const TSSP: BaselineSpec = BaselineSpec {
 /// All Table 4 baseline rows in paper order.
 pub const TABLE4_BASELINES: [BaselineSpec; 4] = [MEMCACHED_14, MEMCACHED_16, BAGS, TSSP];
 
-/// An Amdahl-style lock-contention throughput model: each operation costs
-/// `parallel_us` of perfectly parallel work plus `serial_us` inside a
-/// critical section that all threads share.
-///
-/// Throughput is `min(threads / (parallel+serial), 1 / serial)` — the
-/// second term is the lock's hard ceiling.
-///
-/// # Examples
-///
-/// ```
-/// use densekv_baseline::ContentionModel;
-///
-/// let v14 = ContentionModel::memcached_14();
-/// // More threads stop helping once the global lock saturates.
-/// assert!(v14.tps(16) < v14.tps(4) * 1.5);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContentionModel {
-    /// Parallelizable service time per operation, µs.
-    pub parallel_us: f64,
-    /// Serialized (in-lock) time per operation, µs.
-    pub serial_us: f64,
-}
-
-impl ContentionModel {
-    /// Memcached 1.4: nearly the whole operation runs under the cache
-    /// lock. Calibrated to the 0.41 MTPS Table 4 row.
-    pub fn memcached_14() -> Self {
-        ContentionModel {
-            parallel_us: 2.7,
-            serial_us: 2.44,
-        }
-    }
-
-    /// Memcached 1.6: hash buckets are striped but LRU maintenance still
-    /// serializes. Calibrated to 0.52 MTPS.
-    pub fn memcached_16() -> Self {
-        ContentionModel {
-            parallel_us: 3.2,
-            serial_us: 1.92,
-        }
-    }
-
-    /// Bags: no global ordering; only residual atomics serialize.
-    /// Calibrated to 3.15 MTPS at 16 threads.
-    pub fn bags() -> Self {
-        ContentionModel {
-            parallel_us: 5.02,
-            serial_us: 0.06,
-        }
-    }
-
-    /// Throughput in TPS with `threads` worker threads.
-    pub fn tps(&self, threads: u32) -> f64 {
-        let per_op = self.parallel_us + self.serial_us;
-        let linear = threads as f64 / per_op * 1e6;
-        let lock_ceiling = 1e6 / self.serial_us;
-        linear.min(lock_ceiling)
-    }
-
-    /// Threads beyond which adding more stops helping.
-    pub fn saturation_threads(&self) -> u32 {
-        ((self.parallel_us + self.serial_us) / self.serial_us).ceil() as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The rows above are published numbers; this model derives their
+    // 1.4 → 1.6 → Bags throughputs from per-op service time and
+    // serialization, so the ordering is explained rather than asserted.
+
+    /// An Amdahl-style lock-contention throughput model: each operation costs
+    /// `parallel_us` of perfectly parallel work plus `serial_us` inside a
+    /// critical section that all threads share.
+    ///
+    /// Throughput is `min(threads / (parallel+serial), 1 / serial)` — the
+    /// second term is the lock's hard ceiling.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct ContentionModel {
+        /// Parallelizable service time per operation, µs.
+        parallel_us: f64,
+        /// Serialized (in-lock) time per operation, µs.
+        serial_us: f64,
+    }
+
+    impl ContentionModel {
+        /// Memcached 1.4: nearly the whole operation runs under the cache
+        /// lock. Calibrated to the 0.41 MTPS Table 4 row.
+        fn memcached_14() -> Self {
+            ContentionModel {
+                parallel_us: 2.7,
+                serial_us: 2.44,
+            }
+        }
+
+        /// Memcached 1.6: hash buckets are striped but LRU maintenance still
+        /// serializes. Calibrated to 0.52 MTPS.
+        fn memcached_16() -> Self {
+            ContentionModel {
+                parallel_us: 3.2,
+                serial_us: 1.92,
+            }
+        }
+
+        /// Bags: no global ordering; only residual atomics serialize.
+        /// Calibrated to 3.15 MTPS at 16 threads.
+        fn bags() -> Self {
+            ContentionModel {
+                parallel_us: 5.02,
+                serial_us: 0.06,
+            }
+        }
+
+        /// Throughput in TPS with `threads` worker threads.
+        fn tps(&self, threads: u32) -> f64 {
+            let per_op = self.parallel_us + self.serial_us;
+            let linear = threads as f64 / per_op * 1e6;
+            let lock_ceiling = 1e6 / self.serial_us;
+            linear.min(lock_ceiling)
+        }
+
+        /// Threads beyond which adding more stops helping.
+        fn saturation_threads(&self) -> u32 {
+            ((self.parallel_us + self.serial_us) / self.serial_us).ceil() as u32
+        }
+    }
 
     #[test]
     fn table4_rows_match_paper() {

@@ -26,7 +26,7 @@ use densekv_workload::{key_bytes, Op, Request};
 
 /// Directory (relative to the workspace root) where experiment output is
 /// written.
-pub const RESULTS_DIR: &str = "results";
+pub(crate) const RESULTS_DIR: &str = "results";
 
 /// Environment variable that redirects all emitted artifacts to another
 /// directory. Used by tests to avoid clobbering the checked-in
@@ -53,7 +53,7 @@ fn default_results_dir() -> PathBuf {
 ///
 /// Panics if the directory cannot be created.
 #[must_use]
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let dir = std::env::var_os(RESULTS_DIR_ENV)
         .filter(|d| !d.is_empty())
         .map_or_else(default_results_dir, PathBuf::from);
@@ -79,7 +79,7 @@ pub fn emit(name: &str, table: &TextTable) {
 /// # Panics
 ///
 /// Panics if the file cannot be written.
-pub fn emit_raw(file_name: &str, contents: &str) {
+pub(crate) fn emit_raw(file_name: &str, contents: &str) {
     let path = results_dir().join(file_name);
     std::fs::write(&path, contents).expect("write artifact");
     eprintln!("[densekv-bench] wrote {}", path.display());
@@ -87,10 +87,10 @@ pub fn emit_raw(file_name: &str, contents: &str) {
 
 /// Keys the `trace_run` and `energy_run` cores are preloaded with (and
 /// their replay cycles through).
-pub const REPLAY_POPULATION: u64 = 64;
+pub(crate) const REPLAY_POPULATION: u64 = 64;
 /// Value size of the `trace_run` and `energy_run` replays, bytes — the
 /// paper's headline 64 B point.
-pub const REPLAY_VALUE_BYTES: u64 = 64;
+pub(crate) const REPLAY_VALUE_BYTES: u64 = 64;
 
 /// The request stream `trace_run` and `energy_run` replay, so their
 /// trace and energy artefacts describe one workload: a 3:1 GET:PUT mix
@@ -98,7 +98,7 @@ pub const REPLAY_VALUE_BYTES: u64 = 64;
 /// never-written key — deterministic, with hits and misses both
 /// exercised.
 #[must_use]
-pub fn replay_mix(requests: u64) -> Vec<Request> {
+pub(crate) fn replay_mix(requests: u64) -> Vec<Request> {
     (0..requests)
         .map(|i| {
             let key = if i % 16 == 5 {
@@ -154,7 +154,7 @@ pub struct Args {
     /// `--frames`: frames `top` renders before exiting.
     pub frames: Option<u64>,
     /// `--interval-ms`: `top`'s refresh period.
-    pub interval_ms: Option<u64>,
+    pub(crate) interval_ms: Option<u64>,
 }
 
 impl Args {

@@ -37,11 +37,11 @@ const STRIPES: usize = 8;
 
 /// What stands in for a measurement taken with more threads than the
 /// host has cores.
-pub const SKIPPED: &str = "skipped_insufficient_cores";
+pub(crate) const SKIPPED: &str = "skipped_insufficient_cores";
 
 /// Which locking architecture to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Variant {
+pub(crate) enum Variant {
     /// Memcached 1.4: one shard, one lock.
     Global,
     /// Striped locks over strict per-stripe LRU.
@@ -103,7 +103,7 @@ fn value_for(id: u64) -> Vec<u8> {
 ///
 /// Panics if the preload does not fit the budget or a worker panics.
 #[must_use]
-pub fn measure(
+pub(crate) fn measure(
     backend: BackendKind,
     variant: Variant,
     threads: u32,
@@ -173,7 +173,7 @@ pub fn measure(
 
 /// Measures every (backend, variant, thread count) point and writes
 /// `results/lock_scaling.csv`: absolute throughput and the scaling over
-/// one thread per backend and variant, [`SKIPPED`] where the host has
+/// one thread per backend and variant, `SKIPPED` where the host has
 /// too few cores.
 pub fn run() {
     let duration = Duration::from_millis(if crate::quick() { 40 } else { 300 });

@@ -12,9 +12,8 @@
 //! on a shared box swings tens of percent burst to burst, in both
 //! directions — a single pair would make the gate a coin flip). With
 //! `DENSEKV_OBS_GATE=1` the run exits non-zero when the median
-//! instrumented throughput drop exceeds the tolerance
-//! (`DENSEKV_OBS_TOLERANCE`, default 0.05) — the CI regression gate for
-//! the passivity claim.
+//! instrumented throughput drop exceeds [`OBS_TOLERANCE`] (5 %) — the
+//! CI regression gate for the passivity claim.
 //!
 //! Emits:
 //! * `results/serve_metrics.csv` — per-verb server-side quantiles,
@@ -36,6 +35,10 @@ use densekv_serve::{
 use densekv_telemetry::Quantiles;
 
 use crate::{emit_raw, us};
+
+/// Largest median metrics-on throughput drop the `DENSEKV_OBS_GATE`
+/// run accepts.
+const OBS_TOLERANCE: f64 = 0.05;
 
 /// Keys in play (all resident).
 const POPULATION: usize = 128;
@@ -287,22 +290,18 @@ pub fn run() {
     );
 
     if std::env::var("DENSEKV_OBS_GATE").is_ok_and(|v| v != "0") {
-        let tolerance: f64 = std::env::var("DENSEKV_OBS_TOLERANCE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.05);
-        if overhead > tolerance {
+        if overhead > OBS_TOLERANCE {
             eprintln!(
                 "[serve_obs] GATE FAILED: metrics overhead {:.1}% exceeds {:.0}% tolerance",
                 overhead * 100.0,
-                tolerance * 100.0
+                OBS_TOLERANCE * 100.0
             );
             std::process::exit(1);
         }
         eprintln!(
             "[serve_obs] gate passed: {:.1}% overhead within {:.0}% tolerance",
             overhead * 100.0,
-            tolerance * 100.0
+            OBS_TOLERANCE * 100.0
         );
     }
 }

@@ -1,18 +1,19 @@
 //! The subcommands of `densekv-bench`, in one table.
 //!
-//! The paper's evaluation is seven [`PAPER_STAGES`]. Each is a
+//! The paper's evaluation is seven `PAPER_STAGES`. Each is a
 //! subcommand of its own, and `all` runs the seven concurrently under
 //! `--jobs` / `DENSEKV_JOBS`, each stage fanning its own points out over
 //! the same worker budget. Emission happens after the join, in a fixed
 //! stage order, so the artifacts are byte-identical at any `--jobs` and
 //! to what the seven subcommands write one by one. The tabular
-//! extensions ([`EXTENSIONS`]) have the same shape; the rest
-//! ([`RUNS`]) write non-tabular artifacts or drive the live plane.
+//! extensions (`EXTENSIONS`) have the same shape; the rest
+//! (`RUNS`) write non-tabular artifacts or drive the live plane.
 
 use densekv::experiments::{
     ablations, cluster, efficiency, evaluation, fig4, fig56, fig78, headline, multiget, scaling,
     sla, tables, thermal,
 };
+use densekv::paper::{IRIDIUM_HEADLINE, MERCURY_HEADLINE, TABLE4_IRIDIUM, TABLE4_MERCURY};
 use densekv::report::TextTable;
 use densekv_par::par_map;
 
@@ -24,7 +25,7 @@ pub type Stage = fn() -> Vec<(String, TextTable)>;
 /// The paper's evaluation: Tables 1–4, Figs. 4–8, the §6 headline and
 /// digest, the §6.5 thermal check and the ablations. Together they are
 /// `all`, and EXPERIMENTS.md is produced from them.
-pub const PAPER_STAGES: [(&str, Stage); 7] = [
+pub(crate) const PAPER_STAGES: [(&str, Stage); 7] = [
     ("tables", || {
         let mut out = one("table1", tables::table1());
         out.extend(one("table2", tables::table2()));
@@ -53,7 +54,7 @@ pub const PAPER_STAGES: [(&str, Stage); 7] = [
 ];
 
 /// The extension experiments that write one table each.
-pub const EXTENSIONS: [(&str, Stage); 6] = [
+pub(crate) const EXTENSIONS: [(&str, Stage); 6] = [
     ("sla", || {
         one("sla", sla::table(&sla::run(effort(), jobs())))
     }),
@@ -85,7 +86,7 @@ pub const EXTENSIONS: [(&str, Stage); 6] = [
 
 /// The subcommands that are not one stage: `all`, the replays that
 /// write traces and raw CSVs, and the live plane.
-pub const RUNS: [(&str, fn()); 9] = [
+pub(crate) const RUNS: [(&str, fn()); 9] = [
     ("all", all),
     ("trace_run", crate::trace_run::run),
     ("energy_run", crate::energy_run::run),
@@ -174,28 +175,42 @@ fn grid() -> Vec<(String, TextTable)> {
 fn digest(t4: &tables::Table4, hl: &headline::HeadlineReport) -> TextTable {
     let mut digest = TextTable::new(vec!["quantity".into(), "paper".into(), "measured".into()])
         .with_title("Paper vs. measured digest");
-    let mut row = |what: &str, paper: &str, measured: String| {
-        digest.row(vec![what.into(), paper.into(), measured]);
+    let mut row = |what: &str, paper: String, measured: String| {
+        digest.row(vec![what.into(), paper, measured]);
     };
-    for (sys, paper) in [("Mercury-32", "32.70"), ("Iridium-32", "16.49")] {
-        if let Some(r) = t4.row(sys) {
-            row(&format!("{sys} TPS (M)"), paper, format!("{:.2}", r.mtps));
+    let (tm, ti) = (&TABLE4_MERCURY[2], &TABLE4_IRIDIUM[2]);
+    for paper in [tm, ti] {
+        if let Some(r) = t4.row(paper.name) {
+            let what = format!("{} TPS (M)", paper.name);
+            row(
+                &what,
+                format!("{:.2}", paper.mtps),
+                format!("{:.2}", r.mtps),
+            );
         }
     }
-    if let (Some(m), Some(i)) = (t4.row("Mercury-32"), t4.row("Iridium-32")) {
+    if let (Some(m), Some(i)) = (t4.row(tm.name), t4.row(ti.name)) {
         for (what, paper, value, digits) in [
-            ("Mercury-32 KTPS/W", "54.77", m.ktps_per_watt, 2),
-            ("Iridium-32 KTPS/W", "26.98", i.ktps_per_watt, 2),
-            ("Mercury-32 memory (GB)", "372", m.memory_gb, 0),
-            ("Iridium-32 memory (GB)", "1901", i.memory_gb, 0),
+            ("Mercury-32 KTPS/W", tm.ktps_per_watt, m.ktps_per_watt, 2),
+            ("Iridium-32 KTPS/W", ti.ktps_per_watt, i.ktps_per_watt, 2),
+            ("Mercury-32 memory (GB)", tm.memory_gb, m.memory_gb, 0),
+            ("Iridium-32 memory (GB)", ti.memory_gb, i.memory_gb, 0),
         ] {
-            row(what, paper, format!("{value:.digits$}"));
+            row(
+                what,
+                format!("{paper:.digits$}"),
+                format!("{value:.digits$}"),
+            );
         }
     }
     let (m, i) = (&hl.mercury, &hl.iridium);
+    let (hm, hi) = (MERCURY_HEADLINE, IRIDIUM_HEADLINE);
     row(
         "Mercury headline (density/TPS-W/TPS/TPS-GB)",
-        "2.9x / 4.9x / 10x / 3.5x",
+        format!(
+            "{}x / {}x / {}x / {}x",
+            hm.density, hm.efficiency, hm.throughput, hm.tps_per_gb
+        ),
         format!(
             "{:.1}x / {:.1}x / {:.1}x / {:.1}x",
             m.density, m.efficiency, m.throughput, m.tps_per_gb
@@ -203,7 +218,13 @@ fn digest(t4: &tables::Table4, hl: &headline::HeadlineReport) -> TextTable {
     );
     row(
         "Iridium headline (density/TPS-W/TPS/1 per TPS-GB)",
-        "14.8x / 2.4x / 5.2x / 1/2.8x",
+        format!(
+            "{}x / {}x / {}x / 1/{}x",
+            hi.density,
+            hi.efficiency,
+            hi.throughput,
+            1.0 / hi.tps_per_gb
+        ),
         format!(
             "{:.1}x / {:.1}x / {:.1}x / 1/{:.1}x",
             i.density,

@@ -78,7 +78,7 @@ impl ClusterTopology {
 
     /// The stack owning ring node `node`.
     #[must_use]
-    pub fn stack_of(&self, node: u32) -> u32 {
+    pub(crate) fn stack_of(&self, node: u32) -> u32 {
         node / self.cores_per_stack
     }
 }
@@ -139,11 +139,11 @@ pub struct ClusterEnergyModel {
     pub stack_static_w: f64,
     /// Activity joules of a shard GET that hits (value bytes through the
     /// memory device).
-    pub hit_j: f64,
+    pub(crate) hit_j: f64,
     /// Activity joules of a shard GET that misses (metadata walk only).
-    pub miss_j: f64,
+    pub(crate) miss_j: f64,
     /// Activity joules of a read-through fill re-warming a key.
-    pub fill_j: f64,
+    pub(crate) fill_j: f64,
     /// Bucket width of the run's power timeline.
     pub timeline_bucket: Duration,
 }
@@ -151,7 +151,7 @@ pub struct ClusterEnergyModel {
 impl ClusterEnergyModel {
     /// Builds a model from per-stack [`EnergyRates`] and the memory
     /// bytes each operation class moves at the device.
-    pub fn from_rates(
+    pub(crate) fn from_rates(
         rates: &EnergyRates,
         cores_per_stack: u32,
         hit_bytes: u64,
@@ -246,8 +246,9 @@ impl ClusterConfig {
     /// Aggregate service capacity in logical requests/second, assuming
     /// every shard access hits: `nodes / hit_service`. The open-loop
     /// load axis of the tail experiments is expressed against this.
+    #[cfg(test)]
     #[must_use]
-    pub fn hit_capacity(&self) -> f64 {
+    pub(crate) fn hit_capacity(&self) -> f64 {
         let per_core = 1.0 / self.profile.hit_service.as_secs_f64();
         let shards_per_request = f64::from(self.workload.multiget_batch.max(1));
         f64::from(self.topology.nodes()) * per_core / shards_per_request

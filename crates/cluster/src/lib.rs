@@ -40,11 +40,6 @@
 mod config;
 mod run;
 
-pub use config::{
-    ClusterConfig, ClusterEnergyModel, ClusterTopology, ClusterWorkload, FaultPlan, ServiceProfile,
-};
+pub use config::{ClusterConfig, ClusterEnergyModel, ClusterWorkload, FaultPlan, ServiceProfile};
 pub use densekv_telemetry::{BucketedTimeline, TimelineBucket};
-pub use run::{
-    effective_capacity, hot_core_share, run, run_with_telemetry, ClusterEnergy, ClusterResult,
-    RemapEvent, StackEnergy, TIMELINE_COLUMNS,
-};
+pub use run::{effective_capacity, run, run_with_telemetry, ClusterResult, TIMELINE_COLUMNS};

@@ -218,7 +218,7 @@ fn popularity(population: u64, alpha: f64) -> Arc<Zipf> {
 /// a single core, so a partitioned cluster saturates long before its
 /// aggregate capacity.
 #[must_use]
-pub fn hot_core_share(config: &ClusterConfig) -> f64 {
+pub(crate) fn hot_core_share(config: &ClusterConfig) -> f64 {
     let ring = build_ring(config);
     let zipf = popularity(config.workload.key_population, config.workload.zipf_alpha);
     let mut share = vec![0.0f64; config.topology.nodes() as usize];
@@ -231,8 +231,8 @@ pub fn hot_core_share(config: &ClusterConfig) -> f64 {
 }
 
 /// The offered load (logical requests/second) at which the hottest core
-/// saturates, assuming every access hits. This — not
-/// [`ClusterConfig::hit_capacity`] — is the meaningful upper bound of
+/// saturates, assuming every access hits. This — not the cluster-wide
+/// `nodes / hit_service` — is the meaningful upper bound of
 /// the load axis: beyond it the hot core's queue diverges while the
 /// rest of the cluster idles.
 #[must_use]
@@ -1014,7 +1014,6 @@ mod tests {
         // Port meters saw every shard leg.
         let sends: u64 = observed.ingress.iter().map(PortMeter::sends).sum();
         assert_eq!(sends, 2_500); // warmup + measured arrivals, batch 1
-        assert!(observed.ingress.iter().all(|m| m.drops() == 0));
     }
 
     #[test]

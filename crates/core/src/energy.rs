@@ -5,7 +5,7 @@
 //!
 //! Like [`crate::observe`], this layer is strictly passive: it reads the
 //! core's counters and the request's phase durations after the fact and
-//! does arithmetic on them. An [`EnergyObserver`] over a disabled meter
+//! does arithmetic on them. An `EnergyObserver` over a disabled meter
 //! performs no accounting at all, and neither mode can change a
 //! simulation's performance outputs (enforced by the workspace property
 //! tests).
@@ -42,14 +42,16 @@ use crate::sweep::{per_core_perf, population_for, warm, SweepEffort};
 /// [`crate::observe::CORE_TIMELINE_COLUMNS`] in one sampler):
 /// `watts` is the last request's energy over its RTT, `mean_watts` the
 /// run's accumulated joules over elapsed sim-time.
-pub const ENERGY_TIMELINE_COLUMNS: &[&str] = &["watts", "mean_watts"];
+#[cfg(test)]
+pub(crate) const ENERGY_TIMELINE_COLUMNS: &[&str] = &["watts", "mean_watts"];
 
 /// Extra gauge columns for hybrid (Helios) cores, matched by name like
 /// [`ENERGY_TIMELINE_COLUMNS`]: the DRAM tier's cumulative hit rate,
 /// the last request's per-tier device bandwidth, and the memory watts
 /// those tiers drew at their separate Table 1 rates. On single-tier
 /// cores the columns stay zero.
-pub const HYBRID_TIMELINE_COLUMNS: &[&str] =
+#[cfg(test)]
+pub(crate) const HYBRID_TIMELINE_COLUMNS: &[&str] =
     &["tier_hit_rate", "dram_gbps", "flash_gbps", "tier_watts"];
 
 /// One request's round trip priced in joules — [`PhaseBreakdown`]'s
@@ -58,7 +60,7 @@ pub const HYBRID_TIMELINE_COLUMNS: &[&str] =
 pub struct EnergyBreakdown {
     /// Time-proportional joules per phase, in [`PhaseBreakdown::phases`]
     /// order (phase duration × the stack's static watts).
-    pub phase_j: [f64; 11],
+    pub(crate) phase_j: [f64; 11],
     /// Memory-device bytes this request moved, priced at Table 1's
     /// pJ/byte (whole-request: value copies and store walks both move
     /// device lines). Hybrid (Helios) cores price DRAM-tier and
@@ -126,7 +128,7 @@ impl EnergyBreakdown {
 /// Construct it *after* any preload, so the device-byte and cache
 /// counters it charges deltas of cover only the measured requests.
 #[derive(Debug)]
-pub struct EnergyObserver {
+pub(crate) struct EnergyObserver {
     rates: EnergyRates,
     /// Table 1 J/byte per tier `(DRAM, flash)`. Single-tier stacks put
     /// their whole rate on their own tier, so the split pricing reduces
@@ -191,7 +193,7 @@ impl EnergyObserver {
     /// Resolves which sampler columns (if any) this observer should keep
     /// current, by name. Call once before the run when sharing a sampler
     /// with other observers.
-    pub fn bind_sampler(&mut self, tele: &Telemetry) {
+    pub(crate) fn bind_sampler(&mut self, tele: &Telemetry) {
         let find = |name: &str| tele.sampler.columns().iter().position(|c| *c == name);
         self.watts_col = find("watts");
         self.mean_watts_col = find("mean_watts");
@@ -202,6 +204,7 @@ impl EnergyObserver {
     }
 
     /// The rate constants in use (derived from the core's stack config).
+    #[cfg(test)]
     pub fn rates(&self) -> &EnergyRates {
         &self.rates
     }
@@ -357,7 +360,7 @@ pub struct EnergyRun {
 impl EnergyRun {
     /// Measured closed-loop throughput, TPS.
     #[must_use]
-    pub fn measured_tps(&self) -> f64 {
+    pub(crate) fn measured_tps(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {
             self.requests as f64 / secs
@@ -413,7 +416,7 @@ impl EnergyRun {
     /// [`densekv_server::stack_working_point`] — the same §5.3
     /// aggregation the analytic path uses.
     #[must_use]
-    pub fn measured_stack_tps(&self, cores: u32, derate: f64) -> f64 {
+    pub(crate) fn measured_stack_tps(&self, cores: u32, derate: f64) -> f64 {
         f64::from(cores) * self.measured_tps() * derate
     }
 
@@ -428,7 +431,7 @@ impl EnergyRun {
     /// model. Feed the result through `ServerConstraints::wall_power_w`
     /// when comparing against a [`densekv_server::ServerReport`].
     #[must_use]
-    pub fn measured_stack_watts(&self, cores: u32, derate: f64) -> f64 {
+    pub(crate) fn measured_stack_watts(&self, cores: u32, derate: f64) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs <= 0.0 {
             return 0.0;
@@ -447,7 +450,7 @@ impl EnergyRun {
 /// core is built and warmed by the sweep's own code, so the measured
 /// GETs are the sweep's, and the returned [`PerCorePerf`] equals its
 /// `get.perf`; the [`EnergyRun`] covers those requests only.
-pub fn measure_energy_point(
+pub(crate) fn measure_energy_point(
     config: &CoreSimConfig,
     value_bytes: u64,
     effort: SweepEffort,
@@ -468,7 +471,7 @@ pub fn measure_energy_point(
 
 /// Runs `requests` closed-loop with telemetry *and* energy metering —
 /// the energy counterpart of [`crate::observe::run_observed`], on the
-/// same loop and [`CoreObserver`](crate::observe::CoreObserver), so
+/// same loop and `CoreObserver`, so
 /// spans, metrics, and joules come from one pass. `metered` selects the
 /// passivity property's on/off arm.
 pub fn run_energy_observed(

@@ -107,7 +107,7 @@ pub fn calibrate(label: &str, config: &CoreSimConfig, effort: SweepEffort) -> Se
 /// Table 4 row: 16 cores sustaining 3.15 MTPS puts the per-core GET
 /// service time near 5 µs; misses skip the value copy and fills cost
 /// about one hit.
-pub fn xeon_profile() -> ServiceProfile {
+pub(crate) fn xeon_profile() -> ServiceProfile {
     let per_core_tps = BAGS.mtps * 1e6 / f64::from(BAGS.cores);
     let hit_service = Duration::from_nanos_f64(1e9 / per_core_tps);
     let reference = CoreSimConfig::mercury_a7();
@@ -188,11 +188,11 @@ pub struct TailPoint {
     /// 99th-percentile response time.
     pub p99: Duration,
     /// Busiest core's utilization.
-    pub peak_utilization: f64,
+    pub(crate) peak_utilization: f64,
 }
 
 /// Runs the tail experiment: each design's cluster at the
-/// [`LOAD_POINTS`] fractions of its own hit capacity (8 stacks, single
+/// `LOAD_POINTS` fractions of its own hit capacity (8 stacks, single
 /// GETs, Zipf keys).
 pub fn cluster_tail(effort: SweepEffort, jobs: Jobs) -> Vec<TailPoint> {
     let (requests, warmup) = request_budget(effort);
@@ -299,7 +299,7 @@ const BURN_LONG_WINDOWS: usize = 8;
 /// directly as a burn-rate excursion. Returns the (clamped) config and
 /// one snapshot per bucket, aligned with `outcome.result.timeline`.
 #[must_use]
-pub fn failover_burn(outcome: &FailoverOutcome) -> (SloConfig, Vec<SloSnapshot>) {
+pub(crate) fn failover_burn(outcome: &FailoverOutcome) -> (SloConfig, Vec<SloSnapshot>) {
     let timeline = &outcome.result.timeline;
     let fault_bucket = match &outcome.result.remap {
         Some(r) => timeline.bucket_index(r.at).min(timeline.len()),
@@ -330,7 +330,7 @@ pub fn failover_burn(outcome: &FailoverOutcome) -> (SloConfig, Vec<SloSnapshot>)
 }
 
 /// Renders the failover timeline table, including the per-bucket SLO
-/// burn rate from [`failover_burn`].
+/// burn rate from `failover_burn`.
 pub fn failover_table(outcome: &FailoverOutcome) -> TextTable {
     let remap = outcome.result.remap.as_ref();
     let title = match remap {

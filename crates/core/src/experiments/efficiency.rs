@@ -33,7 +33,7 @@ use crate::sweep::SweepEffort;
 #[derive(Debug, Clone)]
 pub struct EfficiencyPoint {
     /// Mercury or Iridium.
-    pub family: Family,
+    pub(crate) family: Family,
     /// Value size, bytes.
     pub value_bytes: u64,
     /// Whole-server TPS.

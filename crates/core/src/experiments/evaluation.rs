@@ -15,7 +15,7 @@ use crate::sweep::{measure_point, SweepEffort, SweepPoint};
 
 /// The memory families the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Family {
+pub(crate) enum Family {
     /// 3D-DRAM stacks.
     Mercury,
     /// p-BiCS flash stacks.
@@ -43,7 +43,7 @@ impl Family {
 }
 
 /// The three core types of Table 3, in its column order.
-pub fn table3_cores() -> [CoreConfig; 3] {
+pub(crate) fn table3_cores() -> [CoreConfig; 3] {
     [
         CoreConfig::a15_1p5ghz(),
         CoreConfig::a15_1ghz(),
@@ -52,32 +52,32 @@ pub fn table3_cores() -> [CoreConfig; 3] {
 }
 
 /// The per-stack core counts of Tables 3–4.
-pub const CORE_COUNTS: [u32; 6] = [1, 2, 4, 8, 16, 32];
+pub(crate) const CORE_COUNTS: [u32; 6] = [1, 2, 4, 8, 16, 32];
 
 /// One fully evaluated (core, family, n) configuration.
 #[derive(Debug, Clone)]
 pub struct ConfigEval {
     /// Core label (`A7 @1GHz` …).
-    pub core_label: String,
+    pub(crate) core_label: String,
     /// Mercury or Iridium.
-    pub family: Family,
+    pub(crate) family: Family,
     /// Cores per stack.
     pub n: u32,
     /// The solved server plan (stack count at peak bandwidth).
     pub plan: ServerPlan,
     /// Server working point at 64 B GETs (Table 4 / Figs. 7–8).
-    pub at_64b: ServerReport,
+    pub(crate) at_64b: ServerReport,
     /// Maximum wall power over the size sweep (Table 3's Power column).
-    pub max_power_w: f64,
+    pub(crate) max_power_w: f64,
     /// Maximum server memory bandwidth over the sweep (Table 3's Max BW).
-    pub max_mem_bw_gbps: f64,
+    pub(crate) max_mem_bw_gbps: f64,
 }
 
 /// Stack-level memory bandwidth for `n` cores at one sweep point, derated
 /// by the stack's shared 10 GbE wire. Thin wrapper over the shared
 /// [`densekv_server::stack_working_point`] helper so the bandwidth that
 /// prices power here is the same one `evaluate_server` uses.
-pub fn stack_mem_gbps(n: u32, perf: PerCorePerf) -> f64 {
+pub(crate) fn stack_mem_gbps(n: u32, perf: PerCorePerf) -> f64 {
     densekv_server::stack_working_point(n, perf).mem_gbps
 }
 
@@ -103,7 +103,7 @@ pub(crate) fn plan_at_peak(
 }
 
 /// Evaluates one (core, family) sweep across all core counts.
-pub fn evaluate_family(
+pub(crate) fn evaluate_family(
     core: CoreConfig,
     family: Family,
     sweep: &[SweepPoint],
@@ -188,7 +188,8 @@ pub fn evaluate_all(effort: SweepEffort, jobs: Jobs) -> Vec<ConfigEval> {
 
 /// Evaluates only the A7 column (Table 4 needs nothing else) — much
 /// cheaper than [`evaluate_all`].
-pub fn evaluate_a7(effort: SweepEffort, jobs: Jobs) -> Vec<ConfigEval> {
+#[cfg(test)]
+pub(crate) fn evaluate_a7(effort: SweepEffort, jobs: Jobs) -> Vec<ConfigEval> {
     let core = CoreConfig::a7_1ghz();
     let pairs: Vec<(CoreConfig, Family)> =
         Family::ALL.map(|family| (core.clone(), family)).to_vec();

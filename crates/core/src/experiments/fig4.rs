@@ -15,7 +15,7 @@ use crate::sweep::{measure_point, SweepEffort};
 
 /// One bar of Fig. 4: the three component shares at one size.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakdownBar {
+pub(crate) struct BreakdownBar {
     /// Request size, bytes.
     pub value_bytes: u64,
     /// Network-stack share of server time (includes data transfer).
@@ -30,9 +30,9 @@ pub struct BreakdownBar {
 #[derive(Debug, Clone)]
 pub struct Fig4 {
     /// Fig. 4a: GET bars.
-    pub get: Vec<BreakdownBar>,
+    pub(crate) get: Vec<BreakdownBar>,
     /// Fig. 4b: PUT bars.
-    pub put: Vec<BreakdownBar>,
+    pub(crate) put: Vec<BreakdownBar>,
 }
 
 impl Fig4 {

@@ -12,7 +12,7 @@ use crate::sweep::{measure_point, SweepEffort, SweepPoint};
 
 /// One curve: a (cpu, L2, latency, op) series over request sizes.
 #[derive(Debug, Clone)]
-pub struct Series {
+pub(crate) struct Series {
     /// CPU label.
     pub cpu: String,
     /// Whether a 2 MB L2 was present.
@@ -25,31 +25,18 @@ pub struct Series {
     pub points: Vec<(u64, f64)>,
 }
 
-impl Series {
-    /// Label like `A7 w/ L2, 10ns - GET`.
-    pub fn label(&self) -> String {
-        format!(
-            "{} {} L2, {} - {}",
-            self.cpu,
-            if self.l2 { "w/" } else { "no" },
-            self.latency,
-            self.op
-        )
-    }
-}
-
 /// A full figure: all panels' curves.
 #[derive(Debug, Clone)]
 pub struct LatencyFigure {
     /// Figure name (`Fig. 5` / `Fig. 6`).
     pub name: &'static str,
     /// All series.
-    pub series: Vec<Series>,
+    pub(crate) series: Vec<Series>,
 }
 
 impl LatencyFigure {
     /// The series for one panel (cpu + L2 combination).
-    pub fn panel(&self, cpu: &str, l2: bool) -> Vec<&Series> {
+    pub(crate) fn panel(&self, cpu: &str, l2: bool) -> Vec<&Series> {
         self.series
             .iter()
             .filter(|s| s.cpu == cpu && s.l2 == l2)
@@ -249,9 +236,11 @@ mod tests {
                 points: vec![(64, 11_000.0), (128, 10_500.0)],
             }],
         };
-        assert_eq!(fig.series[0].label(), "A7 @1GHz w/ L2, 10.000ns - GET");
         let tables = fig.tables();
         assert_eq!(tables.len(), 1);
-        assert!(tables[0].to_string().contains("11.00"));
+        let text = tables[0].to_string();
+        assert!(text.contains("A7 @1GHz with L2"), "{text}");
+        assert!(text.contains("10.000ns GET (KTPS)"), "{text}");
+        assert!(text.contains("11.00"));
     }
 }

@@ -6,7 +6,7 @@ use crate::report::TextTable;
 
 /// One bar pair of Fig. 7 or Fig. 8.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TradeoffPoint {
+pub(crate) struct TradeoffPoint {
     /// Core label.
     pub core: String,
     /// `Mercury-n` / `Iridium-n`.
@@ -25,7 +25,7 @@ pub struct TradeoffFigure {
     /// Panel title.
     pub name: String,
     /// Points, grouped by core label in Table 3 column order.
-    pub points: Vec<TradeoffPoint>,
+    pub(crate) points: Vec<TradeoffPoint>,
 }
 
 impl TradeoffFigure {

@@ -32,11 +32,11 @@ use crate::sim::{CoreSim, CoreSimConfig};
 use crate::sweep::SweepEffort;
 
 /// Cores per stack, as in the headline Mercury-32/Iridium-32 designs.
-pub const STACK_CORES: u32 = 32;
+pub(crate) const STACK_CORES: u32 = 32;
 
 /// Stack-level DRAM-tier sizes swept, MB. Each of the 32 cores owns a
 /// 1/32 slice, so the per-core tiers run 2–32 MB.
-pub const TIER_SWEEP_MB: &[u64] = &[64, 128, 256, 512, 1024];
+pub(crate) const TIER_SWEEP_MB: &[u64] = &[64, 128, 256, 512, 1024];
 
 /// Value size every stream fixes (a mid-weight ETC object), so the tier
 /// size is the only axis that moves within a workload.

@@ -41,4 +41,4 @@ pub mod sla;
 pub mod tables;
 pub mod thermal;
 
-pub use evaluation::{evaluate_all, ConfigEval};
+pub use evaluation::evaluate_all;

@@ -20,13 +20,13 @@ pub struct MultigetPoint {
     /// Keys per request.
     pub batch: u32,
     /// Effective per-key throughput, keys/second.
-    pub keys_per_sec: f64,
+    pub(crate) keys_per_sec: f64,
     /// Speedup over batch = 1.
-    pub speedup: f64,
+    pub(crate) speedup: f64,
 }
 
 /// Batch sizes measured.
-pub const BATCHES: [u32; 5] = [1, 2, 4, 16, 64];
+pub(crate) const BATCHES: [u32; 5] = [1, 2, 4, 16, 64];
 
 /// Runs the batching sweep at 64 B values. Each (system, batch) cell
 /// builds and warms its own core so the cells are independent worker

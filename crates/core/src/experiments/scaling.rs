@@ -21,16 +21,16 @@ pub struct ScalingPoint {
     /// Cores on the stack.
     pub cores: u32,
     /// Event-driven aggregate TPS.
-    pub simulated_tps: f64,
+    pub(crate) simulated_tps: f64,
     /// Analytic prediction: `n ×` the single-core result.
-    pub linear_tps: f64,
+    pub(crate) linear_tps: f64,
     /// Outbound wire utilization in the event-driven run.
-    pub wire_utilization: f64,
+    pub(crate) wire_utilization: f64,
 }
 
 impl ScalingPoint {
     /// Simulated ÷ analytic: 1.0 = the assumption holds.
-    pub fn scaling_efficiency(&self) -> f64 {
+    pub(crate) fn scaling_efficiency(&self) -> f64 {
         self.simulated_tps / self.linear_tps
     }
 }

@@ -167,7 +167,7 @@ impl Table4 {
 }
 
 /// Builds Table 4 from an A7 evaluation grid
-/// ([`evaluate_a7`](crate::experiments::evaluation::evaluate_a7) or the
+/// (`evaluate_a7` or the
 /// full grid).
 pub fn table4(evals: &[ConfigEval]) -> Table4 {
     let mut rows = Vec::new();

@@ -53,11 +53,8 @@ pub mod stack_sim;
 pub mod sweep;
 pub mod system;
 
-pub use energy::{
-    measure_energy_point, run_energy_observed, EnergyBreakdown, EnergyObserver, EnergyRun,
-    ENERGY_TIMELINE_COLUMNS, HYBRID_TIMELINE_COLUMNS,
-};
-pub use observe::{run_observed, CoreObserver, CORE_TIMELINE_COLUMNS};
-pub use sim::{CoreSim, CoreSimConfig, PhaseBreakdown, RequestTiming};
-pub use sweep::{measure_point, sweep_get_latency, sweep_sizes, OpPoint, SweepPoint};
-pub use system::{System, SystemBuilder};
+pub use energy::{run_energy_observed, EnergyRun};
+pub use observe::{run_observed, CORE_TIMELINE_COLUMNS};
+pub use sim::{CoreSim, CoreSimConfig};
+pub use sweep::{measure_point, sweep_sizes, OpPoint, SweepPoint};
+pub use system::System;

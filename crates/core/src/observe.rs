@@ -5,7 +5,7 @@
 //! [`PhaseBreakdown`] and exposes raw counters, and this module turns
 //! them into [`densekv_telemetry`] records. [`run_observed`] drives a
 //! closed-loop request sequence (each request departs when the previous
-//! response lands, TPS = 1/RTT as in §5.3) and its [`CoreObserver`]
+//! response lands, TPS = 1/RTT as in §5.3) and its `CoreObserver`
 //! records every request into a [`Telemetry`] bundle as it goes.
 //! Telemetry is passive: the loop calls the same
 //! [`CoreSim::execute_breakdown`] whether the bundle is enabled or
@@ -19,7 +19,7 @@ use densekv_workload::{Op, Request};
 
 use crate::sim::{CoreSim, PhaseBreakdown, RequestTiming};
 
-/// Gauge columns a [`CoreObserver`] keeps current in the bundle's
+/// Gauge columns a `CoreObserver` keeps current in the bundle's
 /// sampler; build the sampler with exactly these columns.
 pub const CORE_TIMELINE_COLUMNS: &[&str] =
     &["kv_hit_rate", "l1d_hit_rate", "l2_hit_rate", "wire_mb"];
@@ -41,7 +41,7 @@ const CORE_PID: u32 = 1;
 /// the RTT exactly, so `phase_sum == total` holds for every exported
 /// span.
 #[derive(Debug)]
-pub struct CoreObserver {
+pub(crate) struct CoreObserver {
     requests: CounterId,
     hits: CounterId,
     misses: CounterId,
@@ -152,7 +152,7 @@ impl CoreObserver {
     }
 }
 
-/// Runs `requests` back-to-back through a fresh [`CoreObserver`],
+/// Runs `requests` back-to-back through a fresh `CoreObserver`,
 /// recording into `tele`, and returns the exact RTT distribution — the
 /// one-call harness `densekv-bench trace_run` and the telemetry
 /// property tests share.

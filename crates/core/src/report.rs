@@ -55,7 +55,8 @@ impl TextTable {
     }
 
     /// Number of data rows.
-    pub fn row_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn row_count(&self) -> usize {
         self.rows.len()
     }
 
@@ -121,7 +122,7 @@ impl fmt::Display for TextTable {
 }
 
 /// Formats a count with engineering suffixes (`1.23M`, `45.6K`).
-pub fn si(value: f64) -> String {
+pub(crate) fn si(value: f64) -> String {
     let abs = value.abs();
     if abs >= 1e9 {
         format!("{:.2}G", value / 1e9)
@@ -136,7 +137,7 @@ pub fn si(value: f64) -> String {
 
 /// Formats a byte size the way the paper labels its x-axes
 /// (`64`, `1K`, `1M`).
-pub fn size_label(bytes: u64) -> String {
+pub(crate) fn size_label(bytes: u64) -> String {
     if bytes >= 1 << 20 && bytes.is_multiple_of(1 << 20) {
         format!("{}M", bytes >> 20)
     } else if bytes >= 1 << 10 && bytes.is_multiple_of(1 << 10) {

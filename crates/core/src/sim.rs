@@ -305,9 +305,9 @@ pub struct PhaseBreakdown {
     /// Request serialization + propagation on the 10 GbE wire.
     pub req_wire: Duration,
     /// Request store-and-forward through the on-stack NIC MAC.
-    pub req_nic: Duration,
+    pub(crate) req_nic: Duration,
     /// Kernel RX path (TCP/IP + payload landing in packet buffers).
-    pub net_rx: Duration,
+    pub(crate) net_rx: Duration,
     /// Memcached protocol parse.
     pub parse: Duration,
     /// Key hash computation.
@@ -315,11 +315,11 @@ pub struct PhaseBreakdown {
     /// Store metadata operation (lookup or insert, bucket/item walks).
     pub store_op: Duration,
     /// Value movement between the store and the packet buffers.
-    pub value_copy: Duration,
+    pub(crate) value_copy: Duration,
     /// Kernel TX path.
-    pub net_tx: Duration,
+    pub(crate) net_tx: Duration,
     /// Response store-and-forward through the NIC MAC.
-    pub resp_nic: Duration,
+    pub(crate) resp_nic: Duration,
     /// Response serialization + propagation on the wire.
     pub resp_wire: Duration,
 }

@@ -74,7 +74,11 @@ impl StackSimConfig {
     }
 
     /// GETs arriving at `rate_per_sec` (Poisson) at one `per_core` core.
-    pub fn poisson_gets(per_core: CoreSimConfig, value_bytes: u64, rate_per_sec: f64) -> Self {
+    pub(crate) fn poisson_gets(
+        per_core: CoreSimConfig,
+        value_bytes: u64,
+        rate_per_sec: f64,
+    ) -> Self {
         StackSimConfig {
             per_core,
             cores: 1,
@@ -103,7 +107,7 @@ pub struct StackSimResult {
     /// Core utilization: [`busy`](Self::busy) ÷ (cores × window).
     pub utilization: f64,
     /// Outbound wire utilization.
-    pub wire_out_utilization: f64,
+    pub(crate) wire_out_utilization: f64,
     /// Fraction of measured requests that found their core busy.
     pub queued_fraction: f64,
     /// Inbound (request) port over the whole run, warm-up included.
@@ -139,11 +143,11 @@ struct Client {
 /// # Examples
 ///
 /// ```
-/// use densekv::stack_sim::{run, StackSimConfig};
-/// use densekv::CoreSimConfig;
+/// use densekv::stack_sim::{run, Arrivals, StackSimConfig};
 ///
-/// // 30% of the core's closed-loop capacity: almost no queueing.
-/// let mut config = StackSimConfig::poisson_gets(CoreSimConfig::mercury_a7(), 64, 3_000.0);
+/// // One core at 30% of its closed-loop capacity: almost no queueing.
+/// let mut config = StackSimConfig::mercury_a7(1, 64);
+/// config.arrivals = Arrivals::Poisson { rate_per_sec: 3_000.0 };
 /// config.requests_per_core = 100;
 /// config.warmup_per_core = 100;
 /// assert!(run(&config).sla_1ms() > 0.99);

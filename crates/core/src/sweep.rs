@@ -1,7 +1,7 @@
 //! Request-size sweeps: the measurement loop behind Figures 4–6 and the
 //! per-core performance inputs to Tables 3–4.
 
-use densekv_par::{par_map, par_map_reduce, Jobs};
+use densekv_par::{par_map, Jobs};
 use densekv_server::PerCorePerf;
 use densekv_sim::stats::LatencyHistogram;
 use densekv_sim::Duration;
@@ -206,48 +206,10 @@ pub fn sweep_sizes(config: &CoreSimConfig, effort: SweepEffort, jobs: Jobs) -> V
     par_map(jobs, &sizes, |&size| measure_point(config, size, effort))
 }
 
-/// Measures the GET round-trip distribution across the whole paper size
-/// sweep as one merged histogram — the latency profile a core serving a
-/// mixed-size population would exhibit.
-///
-/// The per-size histograms are measured on `jobs` workers and merged in
-/// size order after the join, so the merged distribution (and every
-/// percentile read from it) is bit-identical at any `jobs`.
-pub fn sweep_get_latency(
-    config: &CoreSimConfig,
-    effort: SweepEffort,
-    jobs: Jobs,
-) -> LatencyHistogram {
-    let sizes = densekv_workload::paper_size_sweep();
-    par_map_reduce(
-        jobs,
-        sizes.len(),
-        |i| measure_point(config, sizes[i], effort).get.latency,
-        LatencyHistogram::new(),
-        |mut acc, h| {
-            acc.merge(&h);
-            acc
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::CoreSimConfig;
-
-    #[test]
-    fn merged_sweep_latency_is_jobs_invariant() {
-        let cfg = CoreSimConfig::mercury_a7();
-        let quick = SweepEffort::quick();
-        let serial = sweep_get_latency(&cfg, quick, Jobs::SERIAL);
-        let par = sweep_get_latency(&cfg, quick, Jobs::new(4));
-        assert!(serial.count() > 0);
-        assert_eq!(serial.count(), par.count());
-        assert_eq!(serial.mean(), par.mean());
-        assert_eq!(serial.percentile(0.5), par.percentile(0.5));
-        assert_eq!(serial.percentile(0.99), par.percentile(0.99));
-    }
 
     #[test]
     fn tps_is_inverse_rtt() {

@@ -23,7 +23,7 @@ pub struct CacheConfig {
 impl CacheConfig {
     /// A 32 KB, 4-way L1 with a 1 ns hit (folded into core IPC for L1
     /// hits; the latency matters when a lower level returns through it).
-    pub fn l1_32k() -> Self {
+    pub(crate) fn l1_32k() -> Self {
         CacheConfig {
             size_bytes: 32 << 10,
             line_bytes: 64,
@@ -63,7 +63,7 @@ impl CacheConfig {
 /// ```
 /// use densekv_cpu::cache::{Cache, CacheConfig};
 ///
-/// let mut c = Cache::new(CacheConfig::l1_32k());
+/// let mut c = Cache::new(CacheConfig::l2_2m());
 /// assert!(!c.access(7));  // cold miss
 /// assert!(c.access(7));   // now resident
 /// ```
@@ -128,7 +128,7 @@ impl Cache {
 
     /// First line address past the modeled range: lines below it have
     /// a tag distinct from the [`EMPTY`] sentinel.
-    pub fn line_limit(&self) -> u64 {
+    pub(crate) fn line_limit(&self) -> u64 {
         u64::from(EMPTY) * (self.tags.len() / self.ways) as u64
     }
 
@@ -137,7 +137,7 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the line's tag reaches the [`EMPTY`] sentinel — a
+    /// Panics if the line's tag reaches the `EMPTY` sentinel — a
     /// device beyond the modeled address range.
     #[inline]
     pub fn access(&mut self, line_addr: u64) -> bool {
@@ -152,7 +152,7 @@ impl Cache {
     /// counting a lookup. Returns whether it was already resident.
     ///
     /// For callers that already know a reference's outcome and account
-    /// it through [`Cache::credit`]; the phase engine's lazy L1s catch up
+    /// it through `Cache::credit`; the phase engine's lazy L1s catch up
     /// on postponed fills this way.
     ///
     /// # Panics
@@ -224,7 +224,7 @@ impl Cache {
     /// Credits hit/miss counters without touching contents, for
     /// references whose outcome is known without walking them (the phase
     /// engine's resident-L2 shortcut and lazy L1s).
-    pub fn credit(&mut self, hits: u64, misses: u64) {
+    pub(crate) fn credit(&mut self, hits: u64, misses: u64) {
         self.hits += hits;
         self.misses += misses;
     }

@@ -5,7 +5,7 @@ use densekv_sim::Duration;
 
 /// Which microarchitecture a core uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CoreKind {
+pub(crate) enum CoreKind {
     /// In-order, dual-issue Cortex-A7.
     CortexA7,
     /// Out-of-order Cortex-A15.
@@ -29,17 +29,17 @@ impl core::fmt::Display for CoreKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
     /// Microarchitecture.
-    pub kind: CoreKind,
+    pub(crate) kind: CoreKind,
     /// Clock frequency, GHz.
-    pub freq_ghz: f64,
+    pub(crate) freq_ghz: f64,
     /// Effective committed instructions per cycle on this workload.
-    pub ipc: f64,
+    pub(crate) ipc: f64,
     /// Memory-level parallelism: how many demand misses the core overlaps
     /// (1.0 for the in-order A7).
-    pub mlp: f64,
+    pub(crate) mlp: f64,
     /// Overlap factor for sequential (streaming) transfers, where the
     /// prefetcher can run ahead.
-    pub stream_mlp: f64,
+    pub(crate) stream_mlp: f64,
     /// Core power, milliwatts (Table 1).
     pub power_mw: f64,
     /// Core area, mm² in 28 nm (Table 1).
@@ -83,13 +83,8 @@ impl CoreConfig {
     }
 
     /// Time to commit `instructions` with no memory stalls.
-    pub fn instruction_time(&self, instructions: u64) -> Duration {
+    pub(crate) fn instruction_time(&self, instructions: u64) -> Duration {
         Duration::from_nanos_f64(instructions as f64 / (self.ipc * self.freq_ghz))
-    }
-
-    /// One clock period.
-    pub fn cycle_time(&self) -> Duration {
-        Duration::from_nanos_f64(1.0 / self.freq_ghz)
     }
 
     /// Short label like `A7 @1GHz` used in reports.
@@ -127,15 +122,6 @@ mod tests {
     fn a7_has_no_miss_overlap() {
         assert_eq!(CoreConfig::a7_1ghz().mlp, 1.0);
         assert!(CoreConfig::a15_1ghz().mlp > 1.0);
-    }
-
-    #[test]
-    fn cycle_time() {
-        assert_eq!(CoreConfig::a7_1ghz().cycle_time(), Duration::from_nanos(1));
-        assert_eq!(
-            CoreConfig::a15_1p5ghz().cycle_time(),
-            Duration::from_ps(667)
-        );
     }
 
     #[test]

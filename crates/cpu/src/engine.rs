@@ -48,6 +48,10 @@ use crate::core::CoreConfig;
 pub use lazy::RING_RUNS as L1_RING_RUNS;
 use lazy::{LazyL1, LazyL2};
 
+/// Latency of one uncached MMIO operation (a NIC doorbell, a DMA
+/// descriptor).
+const UNCACHED_LATENCY: Duration = Duration::from_nanos(300);
+
 /// Line-granular base of the kernel hot region (arbitrary, disjoint from
 /// instruction and store regions).
 const KERNEL_BASE_LINE: u64 = 0x8000_0000;
@@ -93,7 +97,8 @@ pub struct PhaseSpec {
 
 impl PhaseSpec {
     /// A compute-only phase (no memory traffic beyond its fetch stream).
-    pub fn compute(name: &'static str, instructions: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn compute(name: &'static str, instructions: u64) -> Self {
         PhaseSpec {
             name,
             instructions,
@@ -204,11 +209,11 @@ pub struct PhaseResult {
     /// Memory-stall component.
     pub stall: Duration,
     /// References that reached the memory device.
-    pub mem_refs: u64,
+    pub(crate) mem_refs: u64,
     /// References satisfied by the L2.
-    pub l2_hits: u64,
+    pub(crate) l2_hits: u64,
     /// Bytes moved at the memory device by this phase.
-    pub mem_bytes: u64,
+    pub(crate) mem_bytes: u64,
 }
 
 impl PhaseResult {
@@ -334,7 +339,17 @@ pub struct WalkCounts {
 ///
 /// let mut engine = PhaseEngine::with_l2(CoreConfig::a7_1ghz());
 /// let mut dram = DramStack::new(DramConfig::default());
-/// let result = engine.run(&PhaseSpec::compute("hash", 1_400), &mut dram);
+/// let hash = PhaseSpec {
+///     name: "hash",
+///     instructions: 1_400,
+///     ifetch_footprint_lines: 64,
+///     ifetch_per_kinstr: 2,
+///     kernel_refs: 0,
+///     store_refs: Vec::new(),
+///     stream: None,
+///     uncached_ops: 0,
+/// };
+/// let result = engine.run(&hash, &mut dram);
 /// // 1,400 instructions at IPC 0.7 and 1 GHz = 2 us of compute.
 /// assert_eq!(result.busy, densekv_sim::Duration::from_micros(2));
 /// ```
@@ -344,7 +359,6 @@ pub struct PhaseEngine {
     l1i: LazyL1,
     l1d: LazyL1,
     l2: Option<LazyL2>,
-    uncached_latency: Duration,
     /// Per-phase-name instruction regions, laid out back to back in
     /// first-run order. A request names half a dozen, so a scan by name
     /// beats hashing it.
@@ -388,7 +402,6 @@ impl PhaseEngine {
         let l2 = l2.map(LazyL2::new);
         let mut engine = PhaseEngine {
             core,
-            uncached_latency: Duration::from_nanos(300),
             instr_regions: Vec::new(),
             next_instr_base: INSTR_BASE_LINE,
             kernel: Region::new("kernel", KERNEL_BASE_LINE, KERNEL_REGION_LINES, l1.window()),
@@ -469,16 +482,6 @@ impl PhaseEngine {
         &self.core
     }
 
-    /// Whether an L2 is present.
-    pub fn has_l2(&self) -> bool {
-        self.l2.is_some()
-    }
-
-    /// Overrides the uncached-operation latency.
-    pub fn set_uncached_latency(&mut self, latency: Duration) {
-        self.uncached_latency = latency;
-    }
-
     /// Snapshot of every cache level's lifetime hit/miss counters.
     pub fn cache_stats(&self) -> CacheHierarchyStats {
         CacheHierarchyStats {
@@ -557,8 +560,8 @@ impl PhaseEngine {
         let bytes_before = mem.bytes_moved() + stream_dev.as_deref().map_or(0, |d| d.bytes_moved());
 
         // Compute: instruction commit plus MMIO (never overlapped).
-        result.busy = self.core.instruction_time(spec.instructions)
-            + self.uncached_latency * spec.uncached_ops;
+        result.busy =
+            self.core.instruction_time(spec.instructions) + UNCACHED_LATENCY * spec.uncached_ops;
 
         let l2_latency = self
             .l2
@@ -1127,12 +1130,11 @@ mod tests {
     #[test]
     fn uncached_ops_are_fixed_cost() {
         let mut e = PhaseEngine::with_l2(CoreConfig::a15_1p5ghz());
-        e.set_uncached_latency(Duration::from_nanos(250));
         let mut mem = dram(10);
         let mut spec = PhaseSpec::compute("mmio", 0);
         spec.uncached_ops = 8;
         let r = e.run(&spec, &mut mem);
-        assert_eq!(r.busy, Duration::from_nanos(2000));
+        assert_eq!(r.busy, Duration::from_nanos(2400));
     }
 
     #[test]
@@ -1179,7 +1181,7 @@ mod tests {
         }
         assert_eq!(
             fast.l2_shortcut_used,
-            fast.has_l2(),
+            fast.l2.is_some(),
             "steady state must hit the shortcut exactly when there is an L2"
         );
     }

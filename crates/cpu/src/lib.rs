@@ -28,8 +28,6 @@ pub mod cache;
 pub mod core;
 pub mod engine;
 
-pub use crate::core::{CoreConfig, CoreKind};
+pub use crate::core::CoreConfig;
 pub use cache::{Cache, CacheConfig};
-pub use engine::{
-    CacheHierarchyStats, CacheLevelStats, PhaseEngine, PhaseResult, PhaseSpec, WalkCounts,
-};
+pub use engine::{CacheHierarchyStats, PhaseEngine, PhaseResult, PhaseSpec, WalkCounts};

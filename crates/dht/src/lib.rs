@@ -72,12 +72,6 @@ impl ConsistentHashRing {
         }
     }
 
-    /// Virtual nodes per physical node.
-    #[must_use]
-    pub fn vnodes(&self) -> u32 {
-        self.vnodes
-    }
-
     /// Physical nodes currently on the ring.
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -153,8 +147,9 @@ impl ConsistentHashRing {
     }
 
     /// Fraction of the ring each node owns, by arc length.
+    #[cfg(test)]
     #[must_use]
-    pub fn arc_ownership(&self) -> Vec<(u32, f64)> {
+    pub(crate) fn arc_ownership(&self) -> Vec<(u32, f64)> {
         let points = &self.ring;
         if points.is_empty() {
             return Vec::new();

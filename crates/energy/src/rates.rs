@@ -20,7 +20,7 @@ pub struct EnergyRates {
     /// Memory-device active energy, mW per GB/s of sustained bandwidth
     /// (Table 1: DRAM 210, flash 6). Numerically this is also the
     /// device's pJ/byte: `mW/(GB/s) = mJ/GB = pJ/B`.
-    pub mem_mw_per_gbps: f64,
+    pub(crate) mem_mw_per_gbps: f64,
     /// NIC MAC draw, mW (Table 1).
     pub mac_mw: f64,
     /// This stack's 10 GbE PHY share, mW (Table 1; one PHY port per
@@ -35,9 +35,9 @@ pub struct EnergyRates {
 }
 
 /// Default L1 dynamic access energy, pJ.
-pub const L1_PJ_PER_ACCESS: f64 = 10.0;
+pub(crate) const L1_PJ_PER_ACCESS: f64 = 10.0;
 /// Default L2 dynamic access energy, pJ.
-pub const L2_PJ_PER_ACCESS: f64 = 120.0;
+pub(crate) const L2_PJ_PER_ACCESS: f64 = 120.0;
 
 impl EnergyRates {
     /// Rates for a stack of cores drawing `core_mw` each, with or

@@ -91,12 +91,6 @@ impl MultiLevelBitmap {
         self.used
     }
 
-    /// Number of summary levels above the leaves.
-    #[must_use]
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
-    }
-
     /// True when every leaf bit is set.
     #[must_use]
     pub fn is_full(&self) -> bool {
@@ -301,7 +295,7 @@ mod tests {
     fn summary_levels_collapse_to_one_bit() {
         // 4096 pages: 4096 → 512 → 64 → 8 → 1, four summary levels.
         let bm = MultiLevelBitmap::new(4096);
-        assert_eq!(bm.level_count(), 5);
+        assert_eq!(bm.levels.len(), 5);
         bm.check_invariants().unwrap();
     }
 

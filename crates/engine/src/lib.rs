@@ -42,4 +42,3 @@ pub mod tier;
 
 pub use bitmap::MultiLevelBitmap;
 pub use engine::{Engine, PROBE_LIMIT};
-pub use tier::{TierSet, ValueRef, OVERFLOW_TIER, TIER_COUNT, TIER_PAGE_BYTES};

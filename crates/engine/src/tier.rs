@@ -16,21 +16,21 @@
 use crate::bitmap::MultiLevelBitmap;
 
 /// Number of fixed-page tiers.
-pub const TIER_COUNT: usize = 8;
+pub(crate) const TIER_COUNT: usize = 8;
 
 /// Page size per tier: 32 B doubling to 4 KB.
-pub const TIER_PAGE_BYTES: [u64; TIER_COUNT] = [32, 64, 128, 256, 512, 1024, 2048, 4096];
+pub(crate) const TIER_PAGE_BYTES: [u64; TIER_COUNT] = [32, 64, 128, 256, 512, 1024, 2048, 4096];
 
 /// Class index of the overflow arena (one past the last tier); used by
 /// the engine to key its per-class eviction policies.
-pub const OVERFLOW_TIER: usize = TIER_COUNT;
+pub(crate) const OVERFLOW_TIER: usize = TIER_COUNT;
 
 /// Pages in a tier's first extent.
 const INITIAL_PAGES: u64 = 8;
 
 /// Where a stored value lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValueRef {
+pub(crate) enum ValueRef {
     /// One page of a fixed-size tier.
     Tier {
         /// Tier index into [`TIER_PAGE_BYTES`].
@@ -68,20 +68,8 @@ impl Tier {
 }
 
 /// The eight tiers plus the overflow arena, under one memory budget.
-///
-/// # Examples
-///
-/// ```
-/// use densekv_engine::{TierSet, ValueRef};
-///
-/// let mut tiers = TierSet::new(1 << 20);
-/// let vref = tiers.alloc(b"hello").expect("within budget");
-/// assert!(matches!(vref, ValueRef::Tier { tier: 0, .. }));
-/// assert_eq!(tiers.read(vref, 5), b"hello");
-/// tiers.free(vref);
-/// ```
 #[derive(Debug)]
-pub struct TierSet {
+pub(crate) struct TierSet {
     tiers: Vec<Tier>,
     overflow: Vec<Option<Vec<u8>>>,
     overflow_free: Vec<u32>,
@@ -112,7 +100,7 @@ impl TierSet {
     /// The class a value of `len` bytes allocates from: the smallest
     /// tier whose page fits it, or [`OVERFLOW_TIER`] past 4 KB.
     #[must_use]
-    pub fn tier_for(len: usize) -> usize {
+    pub(crate) fn tier_for(len: usize) -> usize {
         TIER_PAGE_BYTES
             .iter()
             .position(|&p| len as u64 <= p)
@@ -222,43 +210,27 @@ impl TierSet {
         }
     }
 
-    /// Synthetic byte offset of `vref` within the engine's value
-    /// address space (each class gets a disjoint 16 GB region), for
-    /// [`densekv_kv::store::AccessTrace`] value addresses.
-    #[must_use]
-    pub fn byte_offset(&self, vref: ValueRef) -> u64 {
-        const REGION: u64 = 1 << 34;
-        match vref {
-            ValueRef::Tier { tier, page } => {
-                u64::from(tier) * REGION + page * self.tiers[tier as usize].page_bytes
-            }
-            ValueRef::Overflow { slot } => {
-                OVERFLOW_TIER as u64 * REGION + u64::from(slot) * (1 << 20)
-            }
-        }
-    }
-
     /// Pages currently allocated in tier `t`.
     #[must_use]
-    pub fn tier_used_pages(&self, t: usize) -> u64 {
+    pub(crate) fn tier_used_pages(&self, t: usize) -> u64 {
         self.tiers[t].bitmap.used()
     }
 
     /// Pages the tier `t` arena currently holds.
     #[must_use]
-    pub fn tier_total_pages(&self, t: usize) -> u64 {
+    pub(crate) fn tier_total_pages(&self, t: usize) -> u64 {
         self.tiers[t].pages()
     }
 
     /// Live overflow values.
     #[must_use]
-    pub fn overflow_items(&self) -> u64 {
+    pub(crate) fn overflow_items(&self) -> u64 {
         self.overflow_items
     }
 
     /// Bytes held by live overflow values.
     #[must_use]
-    pub fn overflow_bytes(&self) -> u64 {
+    pub(crate) fn overflow_bytes(&self) -> u64 {
         self.overflow_bytes
     }
 
@@ -270,7 +242,7 @@ impl TierSet {
 
     /// The configured memory budget.
     #[must_use]
-    pub fn budget_bytes(&self) -> u64 {
+    pub(crate) fn budget_bytes(&self) -> u64 {
         self.budget_bytes
     }
 }
@@ -356,21 +328,5 @@ mod tests {
             tiers.alloc(&vec![8u8; 1_000_000]).is_some(),
             "freeing the overflow value returned its budget"
         );
-    }
-
-    #[test]
-    fn byte_offsets_are_disjoint_per_class() {
-        let mut tiers = TierSet::new(4 << 20);
-        let small = tiers.alloc(&[1; 8]).unwrap();
-        let mid = tiers.alloc(&[2; 300]).unwrap();
-        let big = tiers.alloc(&vec![3u8; 8000]).unwrap();
-        let offsets = [
-            tiers.byte_offset(small),
-            tiers.byte_offset(mid),
-            tiers.byte_offset(big),
-        ];
-        assert_eq!(offsets[0] >> 34, 0);
-        assert_eq!(offsets[1] >> 34, 4, "300 B lands in the 512 B tier");
-        assert_eq!(offsets[2] >> 34, OVERFLOW_TIER as u64);
     }
 }

@@ -80,13 +80,13 @@ impl HybridConfig {
 
     /// Number of whole flash pages the DRAM tier can hold.
     #[must_use]
-    pub fn capacity_pages(&self) -> u64 {
+    pub(crate) fn capacity_pages(&self) -> u64 {
         self.dram_tier_bytes / self.flash.page_bytes
     }
 
     /// Time to move one 64 B line over a DRAM port.
     #[must_use]
-    pub fn dram_line_transfer(&self) -> Duration {
+    pub(crate) fn dram_line_transfer(&self) -> Duration {
         Duration::from_nanos_f64(LINE_BYTES as f64 / self.dram_port_bandwidth_gbps)
     }
 
@@ -99,7 +99,7 @@ impl HybridConfig {
 
     /// Time to stream one whole flash page over a DRAM port.
     #[must_use]
-    pub fn dram_page_latency(&self) -> Duration {
+    pub(crate) fn dram_page_latency(&self) -> Duration {
         self.dram_hit_latency
             + Duration::from_nanos_f64(self.flash.page_bytes as f64 / self.dram_port_bandwidth_gbps)
     }
@@ -126,7 +126,7 @@ pub struct TierSnapshot {
     /// Pages currently resident in the tier.
     pub resident_pages: u64,
     /// Total page frames in the tier.
-    pub capacity_pages: u64,
+    pub(crate) capacity_pages: u64,
     /// Dirty pages actually programmed through the FTL.
     pub writebacks_flushed: u64,
     /// Programs saved by write-buffer coalescing (same lpn re-dirtied

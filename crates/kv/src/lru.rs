@@ -133,11 +133,6 @@ impl BagLru {
         }
     }
 
-    /// Number of bags currently held.
-    pub fn bag_count(&self) -> usize {
-        self.bags.len()
-    }
-
     fn ensure(&mut self, slot: u32) {
         let need = slot as usize + 1;
         if self.accessed.len() < need {
@@ -293,7 +288,7 @@ mod tests {
         for s in 0..10 {
             bags.on_insert(s);
         }
-        assert!(bags.bag_count() >= 3);
+        assert!(bags.bags.len() >= 3);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! `get`, `gets`, `set`, `delete`, `touch`, `flush_all`, `stats`, plus
 //! `version` and `quit`).
 //!
-//! Parsing is incremental: [`parse_request`] either yields a complete
+//! Parsing is incremental: `parse_request` either yields a complete
 //! command borrowed from the bytes it was given (and how many of them it
-//! spans), reports that more bytes are needed, or fails with a protocol
-//! error — exactly the contract a byte-stream server loop needs.
+//! spans), reports how many bytes it needs first, or fails with a
+//! protocol error — exactly the contract a byte-stream server loop needs.
 //! [`parse_command`] is the same parse copied out into an owned
 //! [`Command`] and consumed from a [`bytes::BytesMut`].
 
@@ -288,7 +288,7 @@ impl<'a> Iterator for Keys<'a> {
 /// # Errors
 ///
 /// Returns a [`ProtocolError`] for malformed input; the caller should
-/// answer with [`render_error`] and close or resynchronize.
+/// answer with `render_error` and close or resynchronize.
 ///
 /// # Examples
 ///
@@ -306,7 +306,7 @@ impl<'a> Iterator for Keys<'a> {
 /// # Ok::<(), densekv_kv::protocol::ProtocolError>(())
 /// ```
 pub fn parse_command(buf: &mut BytesMut) -> Result<Parsed, ProtocolError> {
-    let Some((request, used)) = parse_request(buf)? else {
+    let (Some(request), used) = parse_request(buf)? else {
         return Ok(Parsed::Incomplete);
     };
     let command = request.to_command();
@@ -315,14 +315,16 @@ pub fn parse_command(buf: &mut BytesMut) -> Result<Parsed, ProtocolError> {
 }
 
 /// Tries to parse one request from the front of `buf` without copying
-/// anything out of it: `Some` carries the request and how many bytes of
-/// `buf` it spans (data block included); `None` means `buf` does not yet
-/// hold a complete command.
+/// anything out of it: `(Some(request), used)` carries the request and
+/// how many bytes of `buf` it spans (data block included); `(None, need)`
+/// means `buf` does not yet hold a complete command, and that the answer
+/// cannot change before `buf` holds `need` bytes — the length a storage
+/// command announced, or one more byte of a line still arriving.
 ///
 /// # Errors
 ///
 /// As for [`parse_command`].
-pub fn parse_request(buf: &[u8]) -> Result<Option<(Request<'_>, usize)>, ProtocolError> {
+pub(crate) fn parse_request(buf: &[u8]) -> Result<(Option<Request<'_>>, usize), ProtocolError> {
     // A line within the limit ends inside this window; past it the line
     // is too long whether or not its end has arrived.
     let window = &buf[..buf.len().min(MAX_LINE_BYTES + 2)];
@@ -330,7 +332,7 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request<'_>, usize)>, Protoco
         if buf.len() > MAX_LINE_BYTES {
             return Err(ProtocolError::LineTooLong);
         }
-        return Ok(None);
+        return Ok((None, buf.len() + 1));
     };
     let mut parts = Tokens {
         rest: &buf[..line_end],
@@ -382,7 +384,7 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request<'_>, usize)>, Protoco
             let data_start = used;
             used = data_start + nbytes + 2;
             if buf.len() < used {
-                return Ok(None);
+                return Ok((None, used));
             }
             if &buf[data_start + nbytes..used] != b"\r\n" {
                 return Err(ProtocolError::BadDataChunk);
@@ -440,7 +442,7 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request<'_>, usize)>, Protoco
             ))
         }
     };
-    Ok(Some((request, used)))
+    Ok((Some(request), used))
 }
 
 /// Offset of the first CRLF in `buf`.
@@ -484,7 +486,7 @@ pub fn render_value(out: &mut BytesMut, key: &[u8], hit: &GetHit, with_cas: bool
 }
 
 /// Renders a `VALUE` block for a hit the store still owns.
-pub fn render_hit(out: &mut BytesMut, key: &[u8], hit: HitRef<'_>, with_cas: bool) {
+pub(crate) fn render_hit(out: &mut BytesMut, key: &[u8], hit: HitRef<'_>, with_cas: bool) {
     out.put_slice(b"VALUE ");
     out.put_slice(key);
     out.put_slice(b" ");
@@ -506,12 +508,12 @@ pub fn render_end(out: &mut BytesMut) {
 }
 
 /// Renders the reply to a storage command.
-pub fn render_stored(out: &mut BytesMut) {
+pub(crate) fn render_stored(out: &mut BytesMut) {
     out.put_slice(b"STORED\r\n");
 }
 
 /// Renders the reply to a delete.
-pub fn render_deleted(out: &mut BytesMut, existed: bool) {
+pub(crate) fn render_deleted(out: &mut BytesMut, existed: bool) {
     out.put_slice(if existed {
         b"DELETED\r\n".as_slice()
     } else {
@@ -520,7 +522,7 @@ pub fn render_deleted(out: &mut BytesMut, existed: bool) {
 }
 
 /// Renders a store-side failure.
-pub fn render_store_error(out: &mut BytesMut, err: &StoreError) {
+pub(crate) fn render_store_error(out: &mut BytesMut, err: &StoreError) {
     match err {
         StoreError::OutOfMemory => out.put_slice(b"SERVER_ERROR out of memory storing object\r\n"),
         // Same wording as the parse-time nbytes cap: one item-size
@@ -543,13 +545,13 @@ pub fn render_store_error(out: &mut BytesMut, err: &StoreError) {
 }
 
 /// Renders an `incr`/`decr` result.
-pub fn render_number(out: &mut BytesMut, value: u64) {
+pub(crate) fn render_number(out: &mut BytesMut, value: u64) {
     put_decimal(out, value);
     out.put_slice(b"\r\n");
 }
 
 /// Renders a protocol-level failure.
-pub fn render_error(out: &mut BytesMut, err: &ProtocolError) {
+pub(crate) fn render_error(out: &mut BytesMut, err: &ProtocolError) {
     match err {
         ProtocolError::UnknownCommand(_) => out.put_slice(b"ERROR\r\n"),
         ProtocolError::ValueTooLarge => {
@@ -889,19 +891,28 @@ mod tests {
             let mut buf = BytesMut::new();
             let mut out = BytesMut::new();
             let (mut fed, mut consumed) = (0usize, 0usize);
-            let mut end = Drain::NeedMore;
+            let mut end = Drain::NeedMore(0);
             let mut split = splits.iter().cycle();
-            while fed < stream.len() && end == Drain::NeedMore {
+            while fed < stream.len() {
+                let Drain::NeedMore(need) = end else { break };
                 let take = (*split.next().unwrap()).min(stream.len() - fed);
                 buf.extend_from_slice(&stream[fed..fed + take]);
                 fed += take;
+                if buf.len() < need {
+                    // Short of what the last drain asked for: draining
+                    // could not progress, so it is skipped, as the live
+                    // session skips it.
+                    continue;
+                }
                 let used;
                 (used, end) = drain(&buf, &mut out, usize::MAX, &mut step);
                 Buf::advance(&mut buf, used);
                 consumed += used;
-                if end == Drain::NeedMore {
+                if let Drain::NeedMore(need) = end {
                     // What is left is one command still arriving: the
-                    // parser waits for it and leaves it where it is.
+                    // parser waits for it and leaves it where it is, and
+                    // says how much of it must arrive first.
+                    proptest::prop_assert!(need > buf.len());
                     let before = buf.clone();
                     proptest::prop_assert_eq!(parse_command(&mut buf), Ok(Parsed::Incomplete));
                     proptest::prop_assert_eq!(&buf, &before);
@@ -916,7 +927,7 @@ mod tests {
             proptest::prop_assert_eq!(&out[..], &reference[..]);
             proptest::prop_assert_eq!(end, whole_end);
             proptest::prop_assert_eq!(consumed, whole, "a close consumes nothing after it");
-            if end == Drain::NeedMore {
+            if matches!(end, Drain::NeedMore(_)) {
                 proptest::prop_assert_eq!(consumed + buf.len(), stream.len());
             }
         }

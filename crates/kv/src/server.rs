@@ -75,7 +75,7 @@ impl WallClock {
     /// A clock reading `epoch_secs` at creation and advancing in real
     /// time from there.
     #[must_use]
-    pub fn starting_at(epoch_secs: u64) -> Self {
+    pub(crate) fn starting_at(epoch_secs: u64) -> Self {
         WallClock {
             start: std::time::Instant::now(),
             epoch_secs,
@@ -296,8 +296,10 @@ pub fn write_store_metrics(stats: &crate::store::StoreStats, out: &mut impl std:
 /// Where [`drain`] stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Drain {
-    /// At most a partial command is left: wait for more bytes.
-    NeedMore,
+    /// At most a partial command is left, and nothing drains until the
+    /// bytes after those used number at least this many: the length a
+    /// storage command announced, or one more byte of a partial line.
+    NeedMore(usize),
     /// The replies reached the caller's bound: send them, then drain on.
     Full,
     /// At `quit`, or at an error that lost framing: send, then close.
@@ -317,8 +319,8 @@ where
     let mut used = 0;
     loop {
         let (disposition, skip) = match parse_request(&input[used..]) {
-            Ok(Some((request, len))) => (step(Ok(request), out), Some(len)),
-            Ok(None) => return (used, Drain::NeedMore),
+            Ok((Some(request), len)) => (step(Ok(request), out), Some(len)),
+            Ok((None, need)) => return (used, Drain::NeedMore(need)),
             Err(err) => {
                 render_error(out, &err);
                 (step(Err(&err), out), resync_offset(&input[used..], &err))

@@ -13,10 +13,10 @@ use core::fmt;
 pub const PAGE_BYTES: u64 = 1 << 20;
 
 /// Smallest chunk size (bytes).
-pub const MIN_CHUNK_BYTES: u64 = 96;
+pub(crate) const MIN_CHUNK_BYTES: u64 = 96;
 
 /// Geometric growth factor between size classes.
-pub const GROWTH_FACTOR: f64 = 1.25;
+pub(crate) const GROWTH_FACTOR: f64 = 1.25;
 
 /// A chunk's identity and location within the allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,23 +41,6 @@ pub enum SlabError {
     },
     /// No free chunk and no memory left for a new page.
     OutOfMemory,
-}
-
-impl SlabError {
-    /// Whether evicting an item of the same class and retrying can turn
-    /// this failure into a success — the contract [`SlabAllocator::allocate`]
-    /// documents.
-    ///
-    /// [`SlabError::OutOfMemory`] is retryable: freeing any chunk of the
-    /// requested class makes the next `allocate` succeed. A caller must
-    /// therefore only surface it after its eviction policy ran dry (or
-    /// eviction is disabled). [`SlabError::ObjectTooLarge`] is not: no
-    /// amount of eviction grows the largest chunk class, so retrying
-    /// would evict the whole store and still fail.
-    #[must_use]
-    pub fn retryable_after_eviction(&self) -> bool {
-        matches!(self, SlabError::OutOfMemory)
-    }
 }
 
 impl fmt::Display for SlabError {
@@ -142,7 +125,7 @@ impl SlabAllocator {
     }
 
     /// Number of size classes.
-    pub fn class_count(&self) -> usize {
+    pub(crate) fn class_count(&self) -> usize {
         self.classes.len()
     }
 
@@ -156,7 +139,7 @@ impl SlabAllocator {
     }
 
     /// The class that will serve an object of `bytes`, if any fits.
-    pub fn class_for(&self, bytes: u64) -> Option<u16> {
+    pub(crate) fn class_for(&self, bytes: u64) -> Option<u16> {
         self.classes
             .iter()
             .position(|c| c.chunk_bytes >= bytes)
@@ -164,7 +147,7 @@ impl SlabAllocator {
     }
 
     /// Total bytes of the arena.
-    pub fn arena_bytes(&self) -> u64 {
+    pub(crate) fn arena_bytes(&self) -> u64 {
         self.total_pages as u64 * PAGE_BYTES
     }
 
@@ -184,8 +167,7 @@ impl SlabAllocator {
     /// retry it; [`SlabError::OutOfMemory`] when the arena is exhausted
     /// — callers (the store) respond by evicting a same-class victim
     /// and retrying, and surface the error only once eviction cannot
-    /// free a fitting chunk. [`SlabError::retryable_after_eviction`]
-    /// encodes the distinction.
+    /// free a fitting chunk.
     pub fn allocate(&mut self, bytes: u64) -> Result<SlabAddr, SlabError> {
         let class_idx = self.class_for(bytes).ok_or(SlabError::ObjectTooLarge {
             requested: bytes,
@@ -319,16 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_guidance_distinguishes_the_two_failures() {
-        assert!(SlabError::OutOfMemory.retryable_after_eviction());
-        assert!(!SlabError::ObjectTooLarge {
-            requested: PAGE_BYTES * 2,
-            max: PAGE_BYTES,
-        }
-        .retryable_after_eviction());
-    }
-
-    #[test]
     fn oom_becomes_allocatable_after_a_same_class_free() {
         // The retry contract end to end: exhaust the arena, observe the
         // retryable error, free one fitting chunk, and allocate again.
@@ -337,7 +309,7 @@ mod tests {
         let first = slab.allocate(big).unwrap();
         slab.allocate(big).unwrap();
         let err = slab.allocate(big).unwrap_err();
-        assert!(err.retryable_after_eviction());
+        assert_eq!(err, SlabError::OutOfMemory);
         slab.free(first);
         assert!(slab.allocate(big).is_ok(), "eviction made room");
     }

@@ -174,14 +174,14 @@ impl StoreStats {
 ///
 /// Layout: hash-table buckets live at the front of the address space
 /// (8 bytes per bucket); the slab arena follows at
-/// [`AccessTrace::SLAB_REGION_OFFSET`].
+/// `AccessTrace::SLAB_REGION_OFFSET`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AccessTrace {
     /// Offset of the hash bucket head examined.
-    pub bucket_offset: u64,
+    pub(crate) bucket_offset: u64,
     /// Offsets of the item headers walked along the chain (including the
     /// matching item, if any).
-    pub chain_offsets: Vec<u64>,
+    pub(crate) chain_offsets: Vec<u64>,
     /// Offset and length of the value read or written, if any.
     pub value: Option<(u64, u64)>,
 }
@@ -189,7 +189,7 @@ pub struct AccessTrace {
 impl AccessTrace {
     /// Where the slab arena starts in the store address space (1 GB in,
     /// leaving room for any table size we simulate).
-    pub const SLAB_REGION_OFFSET: u64 = 1 << 30;
+    pub(crate) const SLAB_REGION_OFFSET: u64 = 1 << 30;
 
     /// All metadata offsets (bucket + chain walk) in access order.
     pub fn metadata_offsets(&self) -> impl Iterator<Item = u64> + '_ {
@@ -255,7 +255,7 @@ impl GetHit {
     }
 
     /// The hit with its value borrowed.
-    pub fn borrowed(&self) -> HitRef<'_> {
+    pub(crate) fn borrowed(&self) -> HitRef<'_> {
         HitRef {
             value: &self.value,
             flags: self.flags,

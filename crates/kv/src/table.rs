@@ -115,11 +115,6 @@ impl HashTable {
         self.items == 0
     }
 
-    /// True while an incremental expansion is migrating buckets.
-    pub fn expanding(&self) -> bool {
-        self.old.is_some()
-    }
-
     /// Which table and bucket currently hold `hash`.
     fn bucket_of(&self, hash: u64) -> (bool, u64) {
         // During expansion a key lives in the old table until its old
@@ -243,7 +238,8 @@ impl HashTable {
     }
 
     /// Mean chain length over non-empty buckets (a health metric).
-    pub fn mean_chain_length(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_chain_length(&self) -> f64 {
         let heads = self.old.iter().flatten().chain(&self.heads);
         let (mut chains, mut entries) = (0u64, 0u64);
         for &head in heads {
@@ -500,7 +496,7 @@ mod tests {
         for i in 0..7 {
             t.insert(i * 1_000_003, i as u32);
         }
-        assert!(t.expanding(), "load factor 7/4 should trigger growth");
+        assert!(t.old.is_some(), "load factor 7/4 should trigger growth");
         let before = t.bucket_count();
         assert_eq!(before, 8);
         // Operations drive migration to completion.
@@ -508,7 +504,7 @@ mod tests {
             let r = t.find_with(i * 1_000_003, |s| s == i as u32);
             assert_eq!(r.slot, Some(i as u32), "item {i} must stay findable");
         }
-        assert!(!t.expanding(), "migration should finish");
+        assert!(t.old.is_none(), "migration should finish");
         // Everything still present afterwards.
         for i in 0..7 {
             assert_eq!(
@@ -524,7 +520,7 @@ mod tests {
         for i in 0..7u64 {
             t.insert(i, i as u32);
         }
-        assert!(t.expanding());
+        assert!(t.old.is_some());
         for i in 0..7u64 {
             assert!(t.remove(i, i as u32), "remove {i} during migration");
         }
@@ -588,7 +584,7 @@ mod tests {
                 if len > 1 {
                     coverage.removes_at[usize::from(at > 1) + usize::from(at == len)] += 1;
                 }
-                coverage.removes_expanding += u32::from(table.expanding());
+                coverage.removes_expanding += u32::from(table.old.is_some());
                 assert!(table.remove(hash, slot), "op {i}");
                 assert!(reference.remove(hash, slot), "op {i}");
             } else if present.contains(&(hash, slot)) {
@@ -600,7 +596,7 @@ mod tests {
                 reference.insert(hash, slot);
                 present.push((hash, slot));
             }
-            coverage.finds_expanding += u32::from(table.expanding());
+            coverage.finds_expanding += u32::from(table.old.is_some());
             assert_eq!(
                 table.find_with(hash, |s| s == slot),
                 reference.find_with(hash, |s| s == slot),
@@ -609,7 +605,7 @@ mod tests {
             assert_eq!(table.len(), reference.len(), "op {i}");
             assert_eq!(table.len(), present.len() as u64, "op {i}");
             assert_eq!(table.bucket_count(), reference.bucket_count(), "op {i}");
-            assert_eq!(table.expanding(), reference.expanding(), "op {i}");
+            assert_eq!(table.old.is_some(), reference.expanding(), "op {i}");
             coverage.doublings += u32::from(table.bucket_count() > buckets);
         }
         coverage

@@ -86,33 +86,17 @@ impl DramConfig {
     }
 
     /// Bytes of address space behind one port.
-    pub fn port_bytes(&self) -> u64 {
+    pub(crate) fn port_bytes(&self) -> u64 {
         self.capacity_bytes() / self.ports as u64
     }
 
     /// Bytes in one bank.
-    pub fn bank_bytes(&self) -> u64 {
+    pub(crate) fn bank_bytes(&self) -> u64 {
         self.port_bytes() / self.banks_per_port as u64
     }
 
-    /// Aggregate stack bandwidth, GB/s.
-    pub fn total_bandwidth_gbps(&self) -> f64 {
-        self.port_bandwidth_gbps * self.ports as f64
-    }
-
-    /// Maximum number of simultaneously open pages per stack
-    /// (paper §4.1.1: 128 8 kb pages per bank × 16 banks per physical
-    /// layer = 2,048).
-    pub fn max_open_pages(&self) -> u64 {
-        // All subarrays in a vertical stack share one row buffer, so each
-        // group of 256 rows (one subarray's worth) exposes a single open
-        // page; a 32 MB bank therefore holds 32 Ki rows / 256 = 128 pages.
-        let pages_per_bank = self.bank_bytes() / self.row_bytes / 256;
-        pages_per_bank * self.ports as u64
-    }
-
     /// Time for one 64 B line transfer on a port, excluding array access.
-    pub fn line_transfer_time(&self) -> Duration {
+    pub(crate) fn line_transfer_time(&self) -> Duration {
         Duration::from_nanos_f64(LINE_BYTES as f64 / self.port_bandwidth_gbps)
     }
 }
@@ -125,7 +109,7 @@ impl Default for DramConfig {
 
 /// Where an address lands inside the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DramLocation {
+pub(crate) struct DramLocation {
     /// Port index in `0..ports`.
     pub port: u32,
     /// Bank index within the port, `0..banks_per_port`.
@@ -206,7 +190,7 @@ impl DramStack {
     ///
     /// The port is the top-level split (each core's Memcached instance owns
     /// whole ports, §4.1.2), so consecutive lines stay within a port.
-    pub fn decode(&self, line_addr: u64) -> DramLocation {
+    pub(crate) fn decode(&self, line_addr: u64) -> DramLocation {
         let byte_addr = (line_addr * LINE_BYTES) % self.config.capacity_bytes();
         let port = (byte_addr / self.config.port_bytes()) as u32;
         let in_port = byte_addr % self.config.port_bytes();
@@ -330,13 +314,18 @@ mod tests {
         assert_eq!(c.capacity_gb(), 4);
         assert_eq!(c.port_bytes(), 256 << 20);
         assert_eq!(c.bank_bytes(), 32 << 20);
-        assert_eq!(c.total_bandwidth_gbps(), 100.0);
+        assert_eq!(c.port_bandwidth_gbps * c.ports as f64, 100.0);
     }
 
     #[test]
     fn max_open_pages_matches_paper() {
         // 128 pages per bank x 16 banks per layer = 2,048 (paper §4.1.1).
-        assert_eq!(DramConfig::default().max_open_pages(), 2048);
+        // All subarrays in a vertical stack share one row buffer, so each
+        // group of 256 rows (one subarray's worth) exposes a single open
+        // page; a 32 MB bank therefore holds 32 Ki rows / 256 = 128 pages.
+        let c = DramConfig::default();
+        let pages_per_bank = c.bank_bytes() / c.row_bytes / 256;
+        assert_eq!(pages_per_bank * c.ports as u64, 2048);
     }
 
     #[test]
@@ -425,7 +414,8 @@ mod tests {
         let stacked = DramConfig::default();
         let dimm = DramConfig::ddr3_like();
         assert!(dimm.closed_page_latency > stacked.closed_page_latency);
-        assert!(dimm.total_bandwidth_gbps() < stacked.total_bandwidth_gbps() / 5.0);
+        let total = |c: &DramConfig| c.port_bandwidth_gbps * c.ports as f64;
+        assert!(total(&dimm) < total(&stacked) / 5.0);
         assert_eq!(dimm.capacity_gb(), stacked.capacity_gb());
         let mut a = DramStack::new(stacked);
         let mut b = DramStack::new(dimm);

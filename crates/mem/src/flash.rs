@@ -110,14 +110,14 @@ pub struct PhysPage {
 /// # Examples
 ///
 /// ```
-/// use densekv_mem::flash::{FlashArray, FlashConfig, PhysPage};
+/// use densekv_mem::flash::{FlashArray, FlashConfig};
+/// use densekv_mem::{AccessKind, MemoryTiming};
 /// use densekv_sim::Duration;
 ///
 /// let mut flash = FlashArray::new(FlashConfig::default());
-/// let page = PhysPage { plane: 0, block: 0, page: 0 };
 /// // 10 us array read + 15 us controller overhead (transfer + ECC).
-/// assert_eq!(flash.read_page(page), Duration::from_micros(25));
-/// assert_eq!(flash.program_page(page), Duration::from_micros(215));
+/// assert_eq!(flash.line_access(0, AccessKind::Read), Duration::from_micros(25));
+/// assert_eq!(flash.line_access(0, AccessKind::Write), Duration::from_micros(215));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlashArray {
@@ -161,7 +161,7 @@ impl FlashArray {
     }
 
     /// Reads one full page; returns the device latency.
-    pub fn read_page(&mut self, page: PhysPage) -> Duration {
+    pub(crate) fn read_page(&mut self, page: PhysPage) -> Duration {
         let _ = self.block_index(page.plane, page.block);
         self.reads += 1;
         self.bytes_moved += self.config.page_bytes;
@@ -169,7 +169,7 @@ impl FlashArray {
     }
 
     /// Programs one full page; returns the device latency.
-    pub fn program_page(&mut self, page: PhysPage) -> Duration {
+    pub(crate) fn program_page(&mut self, page: PhysPage) -> Duration {
         let _ = self.block_index(page.plane, page.block);
         self.programs += 1;
         self.bytes_moved += self.config.page_bytes;
@@ -177,7 +177,7 @@ impl FlashArray {
     }
 
     /// Erases a block, bumping its wear counter; returns the latency.
-    pub fn erase_block(&mut self, plane: u32, block: u32) -> Duration {
+    pub(crate) fn erase_block(&mut self, plane: u32, block: u32) -> Duration {
         let idx = self.block_index(plane, block);
         self.erase_counts[idx] += 1;
         self.erases += 1;
@@ -185,7 +185,7 @@ impl FlashArray {
     }
 
     /// Erase count of one block.
-    pub fn erase_count(&self, plane: u32, block: u32) -> u32 {
+    pub(crate) fn erase_count(&self, plane: u32, block: u32) -> u32 {
         self.erase_counts[self.block_index(plane, block)]
     }
 

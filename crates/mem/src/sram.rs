@@ -10,6 +10,9 @@ use densekv_sim::Duration;
 
 use crate::{AccessKind, MemoryTiming, LINE_BYTES};
 
+/// Access latency of one line, either direction.
+const LATENCY: Duration = Duration::from_nanos(100);
+
 /// A flat-latency on-die buffer RAM.
 ///
 /// # Examples
@@ -25,7 +28,6 @@ use crate::{AccessKind, MemoryTiming, LINE_BYTES};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SramBuffer {
-    latency: Duration,
     bytes_moved: u64,
     mw_per_gbps: f64,
 }
@@ -34,17 +36,8 @@ impl SramBuffer {
     /// The Iridium logic-die buffer: 100 ns per line, cheap to drive.
     pub fn on_die() -> Self {
         SramBuffer {
-            latency: Duration::from_nanos(100),
             bytes_moved: 0,
             mw_per_gbps: 20.0,
-        }
-    }
-
-    /// A buffer with an explicit access latency.
-    pub fn with_latency(latency: Duration) -> Self {
-        SramBuffer {
-            latency,
-            ..SramBuffer::on_die()
         }
     }
 }
@@ -52,7 +45,7 @@ impl SramBuffer {
 impl MemoryTiming for SramBuffer {
     fn line_access(&mut self, _line_addr: u64, _kind: AccessKind) -> Duration {
         self.bytes_moved += LINE_BYTES;
-        self.latency
+        LATENCY
     }
 
     fn stream_access(
@@ -63,7 +56,7 @@ impl MemoryTiming for SramBuffer {
         scale: f64,
     ) -> Duration {
         self.bytes_moved += LINE_BYTES * lines;
-        (self.latency * scale) * lines
+        (LATENCY * scale) * lines
     }
 
     fn bytes_moved(&self) -> u64 {
@@ -92,12 +85,6 @@ mod tests {
         assert_eq!(s.bytes_moved(), 128);
         s.reset_counters();
         assert_eq!(s.bytes_moved(), 0);
-    }
-
-    #[test]
-    fn custom_latency() {
-        let mut s = SramBuffer::with_latency(Duration::from_nanos(5));
-        assert_eq!(s.line_access(0, AccessKind::Read), Duration::from_nanos(5));
     }
 
     #[test]

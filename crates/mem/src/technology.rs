@@ -25,14 +25,6 @@ pub struct DramTechnology {
     pub stacked: bool,
 }
 
-impl DramTechnology {
-    /// Bandwidth per megabyte of capacity — the figure of merit that makes
-    /// 3D parts attractive for bandwidth-starved key-value serving.
-    pub fn bandwidth_per_mb(&self) -> f64 {
-        self.bandwidth_gbps / self.capacity_mb as f64
-    }
-}
-
 impl fmt::Display for DramTechnology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -47,7 +39,7 @@ impl fmt::Display for DramTechnology {
 }
 
 /// DDR3-1333 DIMM (Table 2, row 1).
-pub const DDR3_1333: DramTechnology = DramTechnology {
+pub(crate) const DDR3_1333: DramTechnology = DramTechnology {
     name: "DDR3-1333",
     bandwidth_gbps: 10.7,
     capacity_mb: 2048,
@@ -55,7 +47,7 @@ pub const DDR3_1333: DramTechnology = DramTechnology {
 };
 
 /// DDR4-2667 DIMM (Table 2, row 2).
-pub const DDR4_2667: DramTechnology = DramTechnology {
+pub(crate) const DDR4_2667: DramTechnology = DramTechnology {
     name: "DDR4-2667",
     bandwidth_gbps: 21.3,
     capacity_mb: 2048,
@@ -63,7 +55,7 @@ pub const DDR4_2667: DramTechnology = DramTechnology {
 };
 
 /// LPDDR3 at 30 nm (Table 2, row 3).
-pub const LPDDR3: DramTechnology = DramTechnology {
+pub(crate) const LPDDR3: DramTechnology = DramTechnology {
     name: "LPDDR3 (30nm)",
     bandwidth_gbps: 6.4,
     capacity_mb: 512,
@@ -71,7 +63,7 @@ pub const LPDDR3: DramTechnology = DramTechnology {
 };
 
 /// Hybrid Memory Cube generation I (Table 2, row 4).
-pub const HMC_I: DramTechnology = DramTechnology {
+pub(crate) const HMC_I: DramTechnology = DramTechnology {
     name: "HMC I (3D-Stack)",
     bandwidth_gbps: 128.0,
     capacity_mb: 512,
@@ -79,7 +71,7 @@ pub const HMC_I: DramTechnology = DramTechnology {
 };
 
 /// Wide I/O mobile 3D stack at 50 nm (Table 2, row 5).
-pub const WIDE_IO: DramTechnology = DramTechnology {
+pub(crate) const WIDE_IO: DramTechnology = DramTechnology {
     name: "Wide I/O (3D-stack, 50nm)",
     bandwidth_gbps: 12.8,
     capacity_mb: 512,
@@ -87,7 +79,7 @@ pub const WIDE_IO: DramTechnology = DramTechnology {
 };
 
 /// Tezzaron Octopus 8-port 3D DRAM (Table 2, row 6).
-pub const TEZZARON_OCTOPUS: DramTechnology = DramTechnology {
+pub(crate) const TEZZARON_OCTOPUS: DramTechnology = DramTechnology {
     name: "Tezzaron Octopus (3D-Stack)",
     bandwidth_gbps: 50.0,
     capacity_mb: 512,
@@ -96,7 +88,7 @@ pub const TEZZARON_OCTOPUS: DramTechnology = DramTechnology {
 
 /// The projected next-generation Tezzaron part Mercury is built from
 /// (Table 2, row 7): 100 GB/s, 4 GB per stack.
-pub const TEZZARON_FUTURE: DramTechnology = DramTechnology {
+pub(crate) const TEZZARON_FUTURE: DramTechnology = DramTechnology {
     name: "Future Tezzaron (3D-stack)",
     bandwidth_gbps: 100.0,
     capacity_mb: 4096,
@@ -135,16 +127,19 @@ mod tests {
 
     #[test]
     fn stacked_parts_lead_on_bandwidth_per_mb() {
+        // The figure of merit that makes 3D parts attractive for
+        // bandwidth-starved key-value serving.
+        let bandwidth_per_mb = |t: &DramTechnology| t.bandwidth_gbps / t.capacity_mb as f64;
         // Every 3D part in the table beats every DIMM on BW per MB except
         // the future Tezzaron part, which trades some of that for capacity.
         let best_dimm = TABLE2
             .iter()
             .filter(|t| !t.stacked)
-            .map(|t| t.bandwidth_per_mb())
+            .map(bandwidth_per_mb)
             .fold(0.0f64, f64::max);
         for t in TABLE2.iter().filter(|t| t.stacked && t.capacity_mb <= 512) {
             assert!(
-                t.bandwidth_per_mb() > best_dimm,
+                bandwidth_per_mb(t) > best_dimm,
                 "{} should beat the best DIMM",
                 t.name
             );

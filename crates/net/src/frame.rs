@@ -5,17 +5,14 @@
 //! segments. Values up to 1 MB therefore span hundreds of frames, which is
 //! why the network stack's per-frame costs dominate large transfers.
 
-/// Standard Ethernet MTU (bytes of IP payload per frame).
-pub const MTU_BYTES: u64 = 1500;
-
-/// TCP maximum segment size: MTU minus 20 B IP, 20 B TCP, and 12 B of
-/// TCP timestamp options.
-pub const MSS_BYTES: u64 = 1448;
+/// TCP maximum segment size: the 1500 B Ethernet MTU minus 20 B IP,
+/// 20 B TCP, and 12 B of TCP timestamp options.
+pub(crate) const MSS_BYTES: u64 = 1448;
 
 /// Non-payload bytes that occupy the wire per frame: 14 B Ethernet
 /// header + 4 B FCS + 8 B preamble + 12 B inter-frame gap + 52 B of
 /// IP/TCP headers and options.
-pub const PER_FRAME_OVERHEAD_BYTES: u64 = 90;
+pub(crate) const PER_FRAME_OVERHEAD_BYTES: u64 = 90;
 
 /// Number of TCP segments needed to carry `payload` bytes.
 ///
@@ -68,7 +65,7 @@ pub struct MessageSizes {
 }
 
 /// Protocol header bytes per message (command line / response line).
-pub const PROTOCOL_OVERHEAD_BYTES: u64 = 40;
+pub(crate) const PROTOCOL_OVERHEAD_BYTES: u64 = 40;
 
 impl MessageSizes {
     /// Sizing for a GET of a `value_bytes` value with a `key_bytes` key.
@@ -106,11 +103,6 @@ impl MessageSizes {
     pub const fn response_frames(&self) -> u64 {
         frames_for_payload(self.response_payload)
     }
-
-    /// Total frames in both directions (excluding ACK-only frames).
-    pub const fn total_frames(&self) -> u64 {
-        self.request_frames() + self.response_frames()
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +139,6 @@ mod tests {
         assert_eq!(m.response_payload, 4136);
         assert_eq!(m.request_frames(), 1);
         assert_eq!(m.response_frames(), 3);
-        assert_eq!(m.total_frames(), 4);
     }
 
     #[test]

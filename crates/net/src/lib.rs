@@ -6,7 +6,7 @@
 //!
 //! * [`frame`] — MTU segmentation and per-frame wire overhead,
 //! * [`wire`] — 10 GbE serialization and propagation delay,
-//! * [`nic`] — the integrated MAC (buffers + TCP-port→core routing, based
+//! * [`nic`] — the integrated MAC (store-and-forward buffers, based
 //!   on the Niagara-2 NIC; Table 1: 120 mW, 0.43 mm²),
 //! * [`phy`] — the off-stack Broadcom-style PHY (300 mW per port, two
 //!   10 GbE PHYs per 441 mm² package),
@@ -23,7 +23,7 @@ pub mod phy;
 pub mod tcp;
 pub mod wire;
 
-pub use frame::{frames_for_payload, wire_bytes_for_payload, MSS_BYTES, PER_FRAME_OVERHEAD_BYTES};
+pub use frame::{frames_for_payload, wire_bytes_for_payload};
 pub use meter::PortMeter;
 pub use nic::NicMac;
 pub use tcp::TcpCostModel;

@@ -12,8 +12,8 @@ use densekv_sim::{Duration, SimTime};
 /// Lifetime busy-time accounting for one serialization resource (a NIC
 /// port direction, a wire).
 ///
-/// The meter is passive: callers report each transfer's duration (and
-/// optionally drops); the meter never influences timing.
+/// The meter is passive: callers report each transfer's duration; the
+/// meter never influences timing.
 ///
 /// # Examples
 ///
@@ -32,7 +32,6 @@ use densekv_sim::{Duration, SimTime};
 pub struct PortMeter {
     busy_ps: u64,
     sends: u64,
-    drops: u64,
 }
 
 impl PortMeter {
@@ -47,11 +46,6 @@ impl PortMeter {
         self.sends += 1;
     }
 
-    /// Records a transfer the port refused (queue overflow, dead stack).
-    pub fn record_drop(&mut self) {
-        self.drops += 1;
-    }
-
     /// Total time the port spent clocking bits.
     pub fn busy_time(&self) -> Duration {
         Duration::from_ps(self.busy_ps)
@@ -60,11 +54,6 @@ impl PortMeter {
     /// Number of transfers recorded.
     pub fn sends(&self) -> u64 {
         self.sends
-    }
-
-    /// Number of refused transfers.
-    pub fn drops(&self) -> u64 {
-        self.drops
     }
 
     /// Fraction of the interval `[SimTime::ZERO, now]` the port was busy;
@@ -89,10 +78,8 @@ mod tests {
         let mut m = PortMeter::new();
         m.record_send(Duration::from_micros(2));
         m.record_send(Duration::from_micros(2));
-        m.record_drop();
         assert_eq!(m.busy_time(), Duration::from_micros(4));
         assert_eq!(m.sends(), 2);
-        assert_eq!(m.drops(), 1);
     }
 
     #[test]

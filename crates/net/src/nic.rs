@@ -8,25 +8,8 @@
 
 use densekv_sim::Duration;
 
-/// Errors returned by MAC routing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteError {
-    /// No core is registered for the TCP port.
-    UnknownTcpPort(u16),
-}
-
-impl core::fmt::Display for RouteError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            RouteError::UnknownTcpPort(p) => write!(f, "no core listening on TCP port {p}"),
-        }
-    }
-}
-
-impl std::error::Error for RouteError {}
-
-/// The on-stack NIC MAC: per-frame store-and-forward latency, TCP-port to
-/// core routing, and Table 1 power/area constants.
+/// The on-stack NIC MAC: per-frame store-and-forward latency and Table 1
+/// power/area constants.
 ///
 /// # Examples
 ///
@@ -34,19 +17,15 @@ impl std::error::Error for RouteError {}
 /// use densekv_net::NicMac;
 ///
 /// let mac = NicMac::for_cores(4);
-/// assert_eq!(mac.route(NicMac::BASE_TCP_PORT + 2)?, 2);
-/// # Ok::<(), densekv_net::nic::RouteError>(())
+/// // A 700-frame message pays the store-and-forward delay once.
+/// assert_eq!(mac.message_latency(700), mac.message_latency(1));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct NicMac {
-    cores: u32,
     per_frame_latency: Duration,
 }
 
 impl NicMac {
-    /// First TCP port; core `i` listens on `BASE_TCP_PORT + i`.
-    pub const BASE_TCP_PORT: u16 = 11211;
-
     /// MAC power from Table 1, milliwatts.
     pub const POWER_MW: f64 = 120.0;
 
@@ -61,20 +40,9 @@ impl NicMac {
     pub fn for_cores(cores: u32) -> Self {
         assert!(cores > 0, "a stack needs at least one core");
         NicMac {
-            cores,
             // Store-and-forward of one frame through the MAC buffers.
             per_frame_latency: Duration::from_nanos(500),
         }
-    }
-
-    /// Number of cores this MAC routes to.
-    pub fn cores(&self) -> u32 {
-        self.cores
-    }
-
-    /// Per-frame store-and-forward latency through the MAC buffers.
-    pub fn per_frame_latency(&self) -> Duration {
-        self.per_frame_latency
     }
 
     /// Latency the MAC adds to a message of `frames` frames. Buffering is
@@ -84,30 +52,6 @@ impl NicMac {
         debug_assert!(frames > 0);
         self.per_frame_latency
     }
-
-    /// Routes a TCP destination port to a core index.
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::UnknownTcpPort`] if the port is outside the range
-    /// this stack's cores listen on.
-    pub fn route(&self, tcp_port: u16) -> Result<u32, RouteError> {
-        let base = Self::BASE_TCP_PORT;
-        if tcp_port < base || u32::from(tcp_port - base) >= self.cores {
-            return Err(RouteError::UnknownTcpPort(tcp_port));
-        }
-        Ok(u32::from(tcp_port - base))
-    }
-
-    /// The TCP port core `core` listens on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn tcp_port_of(&self, core: u32) -> u16 {
-        assert!(core < self.cores, "core index out of range");
-        Self::BASE_TCP_PORT + core as u16
-    }
 }
 
 #[cfg(test)]
@@ -115,28 +59,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn routing_roundtrip() {
-        let mac = NicMac::for_cores(32);
-        for core in 0..32 {
-            assert_eq!(mac.route(mac.tcp_port_of(core)), Ok(core));
-        }
-    }
-
-    #[test]
-    fn unknown_ports_rejected() {
-        let mac = NicMac::for_cores(2);
-        assert_eq!(
-            mac.route(NicMac::BASE_TCP_PORT + 2),
-            Err(RouteError::UnknownTcpPort(NicMac::BASE_TCP_PORT + 2))
-        );
-        assert_eq!(mac.route(80), Err(RouteError::UnknownTcpPort(80)));
-    }
-
-    #[test]
     fn message_latency_is_one_store_and_forward() {
         let mac = NicMac::for_cores(1);
-        assert_eq!(mac.message_latency(1), mac.per_frame_latency());
-        assert_eq!(mac.message_latency(700), mac.per_frame_latency());
+        assert_eq!(mac.message_latency(1), mac.per_frame_latency);
+        assert_eq!(mac.message_latency(700), mac.per_frame_latency);
     }
 
     #[test]

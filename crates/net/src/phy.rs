@@ -3,64 +3,11 @@
 //! The physical-layer part of the NIC stays off the 3D stack (§4.1.4);
 //! power and packaging follow the Broadcom octal-PHY part the paper cites:
 //! 300 mW per 10 GbE port, two PHYs per 441 mm² package, so a 96-stack
-//! server carries 48 dual-PHY chips.
+//! server carries 48 dual-PHY chips (`densekv_stack::area::board_footprint_mm2`
+//! charges each stack half a package).
 
 /// Power of one 10 GbE PHY port, milliwatts (Table 1).
 pub const PHY_POWER_MW: f64 = 300.0;
 
-/// Silicon area of the PHY macro, mm² (Table 1).
-pub const PHY_AREA_MM2: f64 = 220.0;
-
 /// Board footprint of one packaged dual-PHY chip, mm² (§5.5).
 pub const DUAL_PHY_PACKAGE_MM2: f64 = 441.0;
-
-/// 10 GbE ports per PHY package (§5.5).
-pub const PORTS_PER_PHY_CHIP: u32 = 2;
-
-/// Number of PHY packages needed for `ports` 10 GbE ports.
-///
-/// # Examples
-///
-/// ```
-/// use densekv_net::phy::phy_chips_for_ports;
-///
-/// assert_eq!(phy_chips_for_ports(96), 48); // the paper's full server
-/// assert_eq!(phy_chips_for_ports(3), 2);
-/// ```
-pub const fn phy_chips_for_ports(ports: u32) -> u32 {
-    ports.div_ceil(PORTS_PER_PHY_CHIP)
-}
-
-/// Total PHY power for `ports` active ports, watts.
-pub fn phy_power_w(ports: u32) -> f64 {
-    ports as f64 * PHY_POWER_MW / 1000.0
-}
-
-/// Total board area occupied by PHY packages for `ports` ports, mm².
-pub fn phy_board_area_mm2(ports: u32) -> f64 {
-    phy_chips_for_ports(ports) as f64 * DUAL_PHY_PACKAGE_MM2
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn full_server_needs_48_chips() {
-        assert_eq!(phy_chips_for_ports(96), 48);
-        assert_eq!(phy_board_area_mm2(96), 48.0 * 441.0);
-    }
-
-    #[test]
-    fn power_scales_per_port() {
-        assert_eq!(phy_power_w(1), 0.3);
-        assert_eq!(phy_power_w(96), 28.8);
-    }
-
-    #[test]
-    fn odd_port_counts_round_up() {
-        assert_eq!(phy_chips_for_ports(0), 0);
-        assert_eq!(phy_chips_for_ports(1), 1);
-        assert_eq!(phy_chips_for_ports(95), 48);
-    }
-}

@@ -37,28 +37,28 @@ impl NetCost {
 pub struct TcpCostModel {
     /// Fixed receive-path instructions per message (interrupt, socket
     /// lookup, epoll wakeup, `read` syscall).
-    pub rx_base_instr: u64,
+    pub(crate) rx_base_instr: u64,
     /// Receive-path instructions per additional frame (IP/TCP processing,
     /// reassembly, ACK generation).
-    pub rx_per_frame_instr: u64,
+    pub(crate) rx_per_frame_instr: u64,
     /// Fixed transmit-path instructions per message (`write` syscall,
     /// socket buffer setup).
-    pub tx_base_instr: u64,
+    pub(crate) tx_base_instr: u64,
     /// Transmit-path instructions per frame (segmentation, header build,
     /// descriptor post).
-    pub tx_per_frame_instr: u64,
+    pub(crate) tx_per_frame_instr: u64,
     /// Fixed receive-path kernel references per message.
-    pub rx_base_refs: u64,
+    pub(crate) rx_base_refs: u64,
     /// Receive-path kernel references per frame.
-    pub rx_per_frame_refs: u64,
+    pub(crate) rx_per_frame_refs: u64,
     /// Fixed transmit-path kernel references per message.
-    pub tx_base_refs: u64,
+    pub(crate) tx_base_refs: u64,
     /// Transmit-path kernel references per frame.
-    pub tx_per_frame_refs: u64,
+    pub(crate) tx_per_frame_refs: u64,
     /// Uncached NIC operations per received message.
-    pub rx_uncached_ops: u64,
+    pub(crate) rx_uncached_ops: u64,
     /// Uncached NIC operations per transmitted message.
-    pub tx_uncached_ops: u64,
+    pub(crate) tx_uncached_ops: u64,
 }
 
 impl TcpCostModel {

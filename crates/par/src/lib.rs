@@ -48,7 +48,7 @@ use std::sync::Mutex;
 pub struct Jobs(NonZeroUsize);
 
 /// Environment variable overriding the default worker count.
-pub const JOBS_ENV: &str = "DENSEKV_JOBS";
+pub(crate) const JOBS_ENV: &str = "DENSEKV_JOBS";
 
 impl Jobs {
     /// One worker: the serial path.
@@ -106,16 +106,7 @@ impl std::fmt::Display for Jobs {
 /// # Panics
 ///
 /// Propagates a panic from `f` after all workers stop claiming work.
-///
-/// # Examples
-///
-/// ```
-/// use densekv_par::{par_map_indexed, Jobs};
-///
-/// let squares = par_map_indexed(Jobs::new(4), 8, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub fn par_map_indexed<T, F>(jobs: Jobs, n: usize, f: F) -> Vec<T>
+pub(crate) fn par_map_indexed<T, F>(jobs: Jobs, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

@@ -88,7 +88,7 @@ impl Connection {
     ///
     /// [`ClientError`] on socket failure, malformed output, an error
     /// reply, or the server closing mid-reply.
-    pub fn read_reply(&mut self) -> Result<Reply, ClientError> {
+    pub(crate) fn read_reply(&mut self) -> Result<Reply, ClientError> {
         loop {
             if let Some(reply) = parse_reply(&mut self.rx)? {
                 if let Reply::Error(line) = reply {
@@ -107,7 +107,7 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// See [`Connection::read_reply`].
+    /// See `Connection::read_reply`.
     pub fn set(&mut self, key: &[u8], value: &[u8]) -> Result<bool, ClientError> {
         self.builder.set(key, value, 0, 0);
         self.send()?;
@@ -118,7 +118,7 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// See [`Connection::read_reply`].
+    /// See `Connection::read_reply`.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Value>, ClientError> {
         self.builder.get(key);
         self.send()?;
@@ -134,7 +134,7 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// See [`Connection::read_reply`].
+    /// See `Connection::read_reply`.
     pub fn delete(&mut self, key: &[u8]) -> Result<bool, ClientError> {
         self.builder.delete(key);
         self.send()?;
@@ -145,7 +145,7 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// See [`Connection::read_reply`].
+    /// See `Connection::read_reply`.
     pub fn touch(&mut self, key: &[u8], exptime: u64) -> Result<bool, ClientError> {
         self.builder.touch(key, exptime);
         self.send()?;
@@ -156,7 +156,7 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// See [`Connection::read_reply`].
+    /// See `Connection::read_reply`.
     pub fn version(&mut self) -> Result<String, ClientError> {
         self.builder.version();
         self.send()?;
@@ -172,7 +172,7 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// See [`Connection::read_reply`].
+    /// See `Connection::read_reply`.
     pub fn flush_all(&mut self) -> Result<(), ClientError> {
         self.builder.flush_all();
         self.send()?;
@@ -228,12 +228,8 @@ impl Connection {
 
     /// Writes raw bytes and returns the next reply *line* verbatim —
     /// for poking the server with traffic the builder refuses to emit.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] on socket failure or the server closing before
-    /// a full line arrives.
-    pub fn raw_roundtrip(&mut self, bytes: &[u8]) -> Result<String, ClientError> {
+    #[cfg(test)]
+    pub(crate) fn raw_roundtrip(&mut self, bytes: &[u8]) -> Result<String, ClientError> {
         self.stream.write_all(bytes)?;
         loop {
             if let Some(end) = self.rx.windows(2).position(|w| w == b"\r\n") {

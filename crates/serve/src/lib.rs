@@ -68,13 +68,10 @@ pub mod metrics;
 pub mod server;
 pub mod shard;
 
-pub use client::{ClientError, Connection};
+pub use client::Connection;
 pub use loadgen::{
     preload, run_closed_loop, run_open_loop, ClosedLoopConfig, LoadMix, LoadReport, OpenLoopConfig,
 };
-pub use metrics::{
-    render_prometheus, MetricsConfig, RequestPhases, ServeMetrics, ShardLockSnapshot, SlowRequest,
-    Trigger, Verb, WindowSnapshot,
-};
-pub use server::{spawn, ServeConfig, ServeStats, Server, ServerHandle, Session};
-pub use shard::{BackendKind, ShardTiming, ShardedStore};
+pub use metrics::{MetricsConfig, ServeMetrics, Verb};
+pub use server::{spawn, ServeConfig, Server, ServerHandle, Session};
+pub use shard::{BackendKind, ShardedStore};

@@ -44,7 +44,7 @@ macro_rules! put {
 }
 
 /// Number of protocol verbs the plane tracks (every [`Verb`] variant).
-pub const VERB_COUNT: usize = 16;
+pub(crate) const VERB_COUNT: usize = 16;
 
 /// A protocol verb as the observability plane classifies it: one label
 /// per distinct command shape, with the six storage verbs split out so
@@ -229,7 +229,7 @@ pub struct ShardLockSnapshot {
     /// Total nanoseconds the lock was held.
     pub hold_ns: u64,
     /// Longest single hold, nanoseconds.
-    pub hold_max_ns: u64,
+    pub(crate) hold_max_ns: u64,
 }
 
 impl ShardLockSnapshot {
@@ -273,7 +273,7 @@ pub struct SlowRequest {
 
 /// Why the flight recorder tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Trigger {
+pub(crate) struct Trigger {
     /// `"slo-burn"`, `"shard-contention"`, or `"connection-saturation"`.
     pub reason: &'static str,
     /// The window index (1-based, counted since server start) whose
@@ -284,7 +284,7 @@ pub struct Trigger {
 /// A point-in-time summary of one closed observation window — the unit
 /// the flight recorder rings.
 #[derive(Debug, Clone)]
-pub struct WindowSnapshot {
+pub(crate) struct WindowSnapshot {
     /// Window index, 1-based since server start (reset does not rewind
     /// it, so indices stay comparable across a `stats reset`).
     pub index: u64,
@@ -375,7 +375,7 @@ struct Plane {
 /// simulator's NIC→TCP→kv→memory decomposition (paper Fig. 4) with the
 /// phases a real socket server actually has.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RequestPhases {
+pub(crate) struct RequestPhases {
     /// The socket read that delivered this request's bytes.
     pub recv: std::time::Duration,
     /// Protocol parse.
@@ -664,7 +664,7 @@ impl ServeMetrics {
 
     /// Records one shard-lock acquisition: how long the worker waited,
     /// how long it held, and whether `try_lock` lost the race.
-    pub fn record_shard(
+    pub(crate) fn record_shard(
         &self,
         shard: usize,
         wait: std::time::Duration,
@@ -683,7 +683,13 @@ impl ServeMetrics {
     /// span is timestamped by server uptime (end minus the measured
     /// phase total), `pid` 1, `tid` = the connection id, so Perfetto
     /// shows per-connection lanes just like the simulator's traces.
-    pub fn record_span(&self, seq: u64, verb: Verb, connection: u32, phases: &RequestPhases) {
+    pub(crate) fn record_span(
+        &self,
+        seq: u64,
+        verb: Verb,
+        connection: u32,
+        phases: &RequestPhases,
+    ) {
         if !self.enabled {
             return;
         }
@@ -707,8 +713,9 @@ impl ServeMetrics {
     }
 
     /// The collected spans as Chrome trace-event JSON (Perfetto-ready).
+    #[cfg(test)]
     #[must_use]
-    pub fn trace_chrome_json(&self) -> String {
+    pub(crate) fn trace_chrome_json(&self) -> String {
         self.tracer.lock().to_chrome_json()
     }
 
@@ -750,8 +757,9 @@ impl ServeMetrics {
     }
 
     /// Lifetime count of one verb.
+    #[cfg(test)]
     #[must_use]
-    pub fn verb_count(&self, verb: Verb) -> u64 {
+    pub(crate) fn verb_count(&self, verb: Verb) -> u64 {
         self.plane
             .lock()
             .registry
@@ -766,26 +774,26 @@ impl ServeMetrics {
 
     /// The server calls this once at spawn so the saturation trigger
     /// knows the connection cap.
-    pub fn set_connection_capacity(&self, capacity: usize) {
+    pub(crate) fn set_connection_capacity(&self, capacity: usize) {
         self.conn_capacity.store(capacity as u64, Ordering::Relaxed);
     }
 
     /// One connection entered service.
-    pub fn connection_opened(&self) {
+    pub(crate) fn connection_opened(&self) {
         if self.enabled {
             self.conn_active.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// One connection left service.
-    pub fn connection_closed(&self) {
+    pub(crate) fn connection_closed(&self) {
         if self.enabled {
             self.conn_active.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
     /// One connection was refused `SERVER_ERROR busy`.
-    pub fn connection_rejected(&self) {
+    pub(crate) fn connection_rejected(&self) {
         if self.enabled {
             self.conn_rejected.fetch_add(1, Ordering::Relaxed);
         }
@@ -806,7 +814,8 @@ impl ServeMetrics {
     /// Closes the open window immediately, regardless of the wall
     /// clock — the deterministic hook tests and experiments use to
     /// drive rotation without sleeping.
-    pub fn rotate_now(&self) {
+    #[cfg(test)]
+    pub(crate) fn rotate_now(&self) {
         if !self.enabled {
             return;
         }
@@ -815,8 +824,9 @@ impl ServeMetrics {
     }
 
     /// The flight recorder's current snapshot ring, oldest first.
+    #[cfg(test)]
     #[must_use]
-    pub fn window_snapshots(&self) -> Vec<WindowSnapshot> {
+    pub(crate) fn window_snapshots(&self) -> Vec<WindowSnapshot> {
         if !self.enabled {
             return Vec::new();
         }
@@ -826,8 +836,9 @@ impl ServeMetrics {
     }
 
     /// The most recent trigger edge, if the recorder ever tripped.
+    #[cfg(test)]
     #[must_use]
-    pub fn last_trigger(&self) -> Option<Trigger> {
+    pub(crate) fn last_trigger(&self) -> Option<Trigger> {
         self.plane.lock().last_trigger
     }
 
@@ -955,7 +966,7 @@ impl ServeMetrics {
     /// (keyed by absolute window index, so a poller can align frames),
     /// terminated by `END`. Rotates due windows first, so polling this
     /// verb is what keeps an otherwise idle server's windows current.
-    pub fn render_stats_windows(&self, out: &mut BytesMut) {
+    pub(crate) fn render_stats_windows(&self, out: &mut BytesMut) {
         if self.enabled {
             let mut plane = self.plane.lock();
             self.rotate_due(&mut plane, Instant::now());
@@ -991,7 +1002,7 @@ impl ServeMetrics {
     /// Renders the `stats slo` reply: objective, target, burn rates,
     /// alert state, and the lifetime good/bad ledger, terminated by
     /// `END`.
-    pub fn render_stats_slo(&self, out: &mut BytesMut) {
+    pub(crate) fn render_stats_slo(&self, out: &mut BytesMut) {
         if self.enabled {
             let mut plane = self.plane.lock();
             self.rotate_due(&mut plane, Instant::now());
@@ -1055,7 +1066,7 @@ impl ServeMetrics {
     /// Renders the `stats latency` reply: per-verb count, mean, and
     /// p50/p90/p95/p99/p999/max in microseconds, only for verbs that
     /// have traffic, terminated by `END`.
-    pub fn render_stats_latency(&self, out: &mut BytesMut) {
+    pub(crate) fn render_stats_latency(&self, out: &mut BytesMut) {
         let plane = self.plane.lock();
         for verb in Verb::ALL {
             let h = plane
@@ -1084,7 +1095,7 @@ impl ServeMetrics {
 
     /// Renders the `stats shards` reply: per-shard item/byte occupancy
     /// plus lock acquisition, contention, wait, and hold accounting.
-    pub fn render_stats_shards(
+    pub(crate) fn render_stats_shards(
         &self,
         per_shard: &[densekv_kv::store::StoreStats],
         out: &mut BytesMut,
@@ -1117,7 +1128,7 @@ impl ServeMetrics {
 /// counters, then the registry (per-verb counters/histograms, gauges)
 /// and shard-lock series — one scrape-ready Prometheus text block.
 #[must_use]
-pub fn render_prometheus(
+pub(crate) fn render_prometheus(
     metrics: &ServeMetrics,
     serve: &ServeStats,
     active: usize,

@@ -111,11 +111,11 @@ pub struct ServeStats {
     /// Commands executed.
     pub commands: u64,
     /// Bytes read off sockets.
-    pub bytes_in: u64,
+    pub(crate) bytes_in: u64,
     /// Bytes written to sockets.
     pub bytes_out: u64,
     /// Connections dropped by the read timeout.
-    pub timeouts: u64,
+    pub(crate) timeouts: u64,
     /// Protocol errors answered in-band.
     pub protocol_errors: u64,
 }
@@ -268,8 +268,9 @@ impl ServerHandle {
     }
 
     /// Connections currently being served.
+    #[cfg(test)]
     #[must_use]
-    pub fn active_connections(&self) -> usize {
+    pub(crate) fn active_connections(&self) -> usize {
         self.shared.active.load(Ordering::Relaxed)
     }
 
@@ -371,7 +372,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Server>) {
 ///
 /// let server = Server::new(ServeConfig::ephemeral());
 /// let (mut session, mut out) = (Session::new(&server, 0), bytes::BytesMut::new());
-/// assert_eq!(session.feed(b"set k 0 0 2\r\nhi\r\nqu", &mut out), Drain::NeedMore);
+/// assert_eq!(session.feed(b"set k 0 0 2\r\nhi\r\nqu", &mut out), Drain::NeedMore(3));
 /// assert_eq!(session.feed(b"it\r\n", &mut out), Drain::Close);
 /// assert_eq!(&out[..], b"STORED\r\n");
 /// ```
@@ -381,6 +382,8 @@ pub struct Session<'a> {
     id: u64,
     /// Received and not yet consumed: a partial command at most.
     rx: BytesMut,
+    /// What `rx` must hold before draining it can make progress.
+    need: usize,
     tally: ServeStats,
     /// `None` when the plane is off, and then no command reads a clock.
     cells: Option<ConnCells>,
@@ -402,6 +405,7 @@ impl<'a> Session<'a> {
             server,
             id,
             rx: BytesMut::with_capacity(4096),
+            need: 0,
             tally: ServeStats::default(),
             cells: server.metrics.is_enabled().then(|| server.metrics.cells()),
             pending: Vec::new(),
@@ -417,17 +421,25 @@ impl<'a> Session<'a> {
     /// one multi-key `get` line can still render many values at once.
     pub fn feed(&mut self, bytes: &[u8], out: &mut BytesMut) -> Drain {
         self.tally.bytes_in += bytes.len() as u64;
-        let mut rx = std::mem::take(&mut self.rx);
-        rx.extend_from_slice(bytes);
+        self.rx.extend_from_slice(bytes);
         if self.cells.is_some() {
             self.prev = Instant::now();
         }
+        // A command still arriving would parse the same until it is whole.
+        if self.rx.len() < self.need {
+            return Drain::NeedMore(self.need);
+        }
+        let mut rx = std::mem::take(&mut self.rx);
         let now = self.server.clock.now_secs();
         let (used, drained) = drain(&rx, out, MAX_VALUE_BYTES as usize, |request, out| {
             self.step(request, now, out)
         });
         rx.advance(used);
         self.rx = rx;
+        self.need = match drained {
+            Drain::NeedMore(need) => need,
+            Drain::Full | Drain::Close => 0,
+        };
         drained
     }
 
@@ -1140,7 +1152,7 @@ mod session_tests {
         let mut set = format!("set big 0 0 {len}\r\n").into_bytes();
         set.resize(set.len() + len, b'B');
         set.extend_from_slice(b"\r\n");
-        assert_eq!(session.feed(&set, &mut out), Drain::NeedMore);
+        assert_eq!(session.feed(&set, &mut out), Drain::NeedMore(1));
         assert_eq!(&out[..], b"STORED\r\n");
         session.write(&mut out, |_| Ok::<_, ()>(())).unwrap();
 
@@ -1160,7 +1172,7 @@ mod session_tests {
             replied += out.len();
             writes += 1;
             session.write(&mut out, |_| Ok::<_, ()>(())).unwrap();
-            if drained == Drain::NeedMore {
+            if matches!(drained, Drain::NeedMore(_)) {
                 break;
             }
             assert_eq!(drained, Drain::Full);

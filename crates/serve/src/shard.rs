@@ -83,13 +83,13 @@ impl BackendKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardTiming {
     /// Total lock acquisition wait.
-    pub lock_wait: Duration,
+    pub(crate) lock_wait: Duration,
     /// Total time holding shard locks (store work).
     pub hold: Duration,
 }
 
 /// Told about every shard lock a command takes for its key.
-pub trait LockObserver {
+pub(crate) trait LockObserver {
     /// Shard `shard`'s lock was held from `acquired` to `released`
     /// after waiting `wait` for it. `contended` is whether `try_lock`
     /// lost; when it won, nothing was waited for and `wait` is zero.
@@ -283,7 +283,7 @@ impl ShardedStore {
     /// timed; without one no clock is read. The whole-store verbs are
     /// never reported: they visit every shard and would swamp the
     /// per-request lock accounting an observer is after.
-    pub fn execute(
+    pub(crate) fn execute(
         &self,
         request: Request<'_>,
         now: u64,
@@ -297,7 +297,7 @@ impl ShardedStore {
         densekv_kv::server::execute(&mut shards, request, now, out)
     }
 
-    /// [`ShardedStore::execute`] for an owned command at the clock's
+    /// `ShardedStore::execute` for an owned command at the clock's
     /// current time, unobserved.
     pub fn dispatch(&self, command: Command, clock: &dyn Clock, out: &mut BytesMut) -> Disposition {
         self.execute(command.as_request(), clock.now_secs(), out, None)
@@ -350,7 +350,7 @@ impl ShardedStore {
 
     /// Each shard's counters separately (the `stats shards` view).
     #[must_use]
-    pub fn shard_stats(&self) -> Vec<StoreStats> {
+    pub(crate) fn shard_stats(&self) -> Vec<StoreStats> {
         self.shards.iter().map(|s| s.lock().stats()).collect()
     }
 

@@ -272,7 +272,7 @@ fn feed_session<'a>(server: &Server, chunks: impl Iterator<Item = &'a [u8]>) -> 
             };
             session.write(&mut out, send).unwrap();
             match drained {
-                Drain::NeedMore => break,
+                Drain::NeedMore(_) => break,
                 Drain::Full => bytes = &[],
                 Drain::Close => return sent,
             }

@@ -4,18 +4,18 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConstraints {
     /// Power-supply rating, watts (HP 750 W common-slot unit).
-    pub supply_w: f64,
+    pub(crate) supply_w: f64,
     /// Power reserved for disk, motherboard, fans, etc., watts.
-    pub base_overhead_w: f64,
+    pub(crate) base_overhead_w: f64,
     /// Fraction of the remaining power deliverable to components after
     /// conversion/delivery losses (the paper's conservative 20 % margin).
-    pub delivery_efficiency: f64,
+    pub(crate) delivery_efficiency: f64,
     /// Ethernet ports that fit the back panel.
-    pub max_ports: u32,
+    pub(crate) max_ports: u32,
     /// Motherboard edge, millimetres (13 inches).
-    pub board_edge_mm: f64,
+    pub(crate) board_edge_mm: f64,
     /// Fraction of the board usable for stacks and PHYs.
-    pub usable_board_fraction: f64,
+    pub(crate) usable_board_fraction: f64,
 }
 
 impl ServerConstraints {
@@ -33,7 +33,7 @@ impl ServerConstraints {
 
     /// Watts available to stacks + PHYs:
     /// `(750 − 160) × 0.8 = 472 W`.
-    pub fn component_budget_w(&self) -> f64 {
+    pub(crate) fn component_budget_w(&self) -> f64 {
         (self.supply_w - self.base_overhead_w) * self.delivery_efficiency
     }
 
@@ -44,16 +44,14 @@ impl ServerConstraints {
     }
 
     /// Usable board area, mm².
-    pub fn usable_board_mm2(&self) -> f64 {
+    pub(crate) fn usable_board_mm2(&self) -> f64 {
         self.board_edge_mm * self.board_edge_mm * self.usable_board_fraction
     }
 
     /// Stacks that fit the board, each with half a dual-PHY package
     /// (§5.5: works out to ~128).
-    pub fn max_stacks_by_area(&self) -> u32 {
-        let per_stack =
-            densekv_stack::area::PACKAGE_AREA_MM2 + densekv_net::phy::DUAL_PHY_PACKAGE_MM2 / 2.0;
-        (self.usable_board_mm2() / per_stack).floor() as u32
+    pub(crate) fn max_stacks_by_area(&self) -> u32 {
+        (self.usable_board_mm2() / densekv_stack::area::board_footprint_mm2()).floor() as u32
     }
 }
 

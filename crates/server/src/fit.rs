@@ -37,14 +37,14 @@ pub struct ServerPlan {
     /// The binding constraint.
     pub limited_by: LimitingFactor,
     /// Per-stack component power at the planning (peak-bandwidth) point.
-    pub peak_stack_w: f64,
+    pub(crate) peak_stack_w: f64,
     /// The constraints used.
     pub constraints: ServerConstraints,
 }
 
 impl ServerPlan {
     /// Total cores in the server.
-    pub fn total_cores(&self) -> u32 {
+    pub(crate) fn total_cores(&self) -> u32 {
         self.stacks * self.stack.cores
     }
 

@@ -13,17 +13,6 @@ pub struct Demand {
     pub rate_tps: f64,
 }
 
-impl Demand {
-    /// Facebook's published 2008 Memcached footprint (§2.3: 28 TB over
-    /// 800+ servers) at a round 20 MTPS.
-    pub fn facebook_2008() -> Self {
-        Demand {
-            dataset_gb: 28_000.0,
-            rate_tps: 20e6,
-        }
-    }
-}
-
 /// A sized fleet of identical servers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetPlan {
@@ -33,7 +22,7 @@ pub struct FleetPlan {
     /// the paper's density argument bites.
     pub capacity_bound: bool,
     /// Rack units consumed (1.5U per server).
-    pub rack_units: f64,
+    pub(crate) rack_units: f64,
     /// 42U racks consumed.
     pub racks: f64,
     /// Total power draw, kW.
@@ -58,7 +47,9 @@ pub struct FleetPlan {
 /// let report = evaluate_server(&plan, PerCorePerf {
 ///     tps: 5_700.0, mem_gbps: 0.001, wire_gbps: 0.0007,
 /// });
-/// let fleet = plan_fleet(&report, &Demand::facebook_2008());
+/// // Facebook's published 2008 Memcached footprint (§2.3) at 20 MTPS.
+/// let demand = Demand { dataset_gb: 28_000.0, rate_tps: 20e6 };
+/// let fleet = plan_fleet(&report, &demand);
 /// assert!(fleet.capacity_bound, "28 TB on 1.9 TB boxes is capacity-bound");
 /// assert_eq!(fleet.servers, 15);
 /// # Ok::<(), densekv_stack::config::StackConfigError>(())

@@ -24,8 +24,6 @@ pub mod fleet;
 pub mod model;
 
 pub use constraints::ServerConstraints;
-pub use fit::{plan_server, LimitingFactor, ServerPlan};
-pub use fleet::{plan_fleet, Demand, FleetPlan};
-pub use model::{
-    evaluate_server, stack_working_point, PerCorePerf, ServerReport, StackWorkingPoint,
-};
+pub use fit::{plan_server, ServerPlan};
+pub use fleet::{plan_fleet, Demand};
+pub use model::{evaluate_server, stack_working_point, PerCorePerf, ServerReport};

@@ -118,8 +118,7 @@ pub fn evaluate_server(plan: &ServerPlan, perf: PerCorePerf) -> ServerReport {
     let tps = stacks * point.tps;
     let memory_gb = plan.density_gb();
 
-    let area_mm2 = stacks
-        * (densekv_stack::area::PACKAGE_AREA_MM2 + densekv_net::phy::DUAL_PHY_PACKAGE_MM2 / 2.0);
+    let area_mm2 = stacks * densekv_stack::area::board_footprint_mm2();
 
     ServerReport {
         name: plan.stack.name(),

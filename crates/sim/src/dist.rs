@@ -159,7 +159,7 @@ fn build_alias(pmf: &[f64]) -> Vec<AliasSlot> {
 /// let exp = Exponential::from_rate_per_sec(1_000_000.0); // 1 M req/s
 /// let mut rng = SplitMix64::new(2);
 /// let gap = exp.sample(&mut rng);
-/// assert!(gap.as_ps() > 0 || gap.is_zero());
+/// assert!(gap < densekv_sim::Duration::from_millis(1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {

@@ -119,18 +119,13 @@ impl Duration {
     }
 
     /// The duration in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / PS_PER_MS as f64
     }
 
     /// The duration in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / PS_PER_S as f64
-    }
-
-    /// True if this is the zero duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Saturating subtraction.

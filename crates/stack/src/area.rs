@@ -8,50 +8,23 @@
 //! than 400 A7s would fit, so area never limits the core count — power
 //! does.
 
-use densekv_net::nic::NicMac;
+use densekv_net::phy::DUAL_PHY_PACKAGE_MM2;
 
 use crate::config::StackConfig;
 use crate::power::stack_power;
 
-/// Die footprint shared by memory and logic dies, mm².
-pub const DIE_AREA_MM2: f64 = 15.5 * 18.0;
-
 /// Board footprint of the packaged stack (21 mm × 21 mm BGA), mm².
-pub const PACKAGE_AREA_MM2: f64 = 441.0;
-
-/// Logic-die area reserved for memory peripheral logic — the decode,
-/// sensing, row-buffer, and low-swing I/O spines of Fig. 3b, mm².
-pub const PERIPHERAL_LOGIC_MM2: f64 = 40.0;
-
-/// Area of one 2 MB L2 in 28 nm, mm² (CACTI-class estimate).
-pub const L2_AREA_MM2: f64 = 1.4;
+pub(crate) const PACKAGE_AREA_MM2: f64 = 441.0;
 
 /// Per-stack TDP the 1.5U chassis can remove with passive heat sinks and
 /// chassis fans (§6.5 argues ~6 W per stack is comfortably coolable).
-pub const PASSIVE_COOLING_LIMIT_W: f64 = 10.0;
+const PASSIVE_COOLING_LIMIT_W: f64 = 10.0;
 
-/// Logic-die area used by a configuration, mm².
-pub fn logic_die_used_mm2(config: &StackConfig) -> f64 {
-    let core_area = config.cores as f64 * config.core.area_mm2;
-    let l2_area = if config.l2 {
-        config.cores as f64 * L2_AREA_MM2
-    } else {
-        0.0
-    };
-    core_area + l2_area + NicMac::AREA_MM2 + PERIPHERAL_LOGIC_MM2
-}
-
-/// Whether the configuration's logic fits the die.
-pub fn logic_die_fits(config: &StackConfig) -> bool {
-    logic_die_used_mm2(config) <= DIE_AREA_MM2
-}
-
-/// Maximum number of cores of this type that fit the logic die (ignoring
-/// the port limit — the paper's ">400 cores" observation).
-pub fn max_cores_by_area(core_area_mm2: f64, with_l2: bool) -> u32 {
-    let per_core = core_area_mm2 + if with_l2 { L2_AREA_MM2 } else { 0.0 };
-    let available = DIE_AREA_MM2 - NicMac::AREA_MM2 - PERIPHERAL_LOGIC_MM2;
-    (available / per_core).floor() as u32
+/// Board area one stack takes with its share of the PHYs, mm²: its
+/// package plus half a dual-PHY package, since each stack drives one
+/// 10 GbE port and a PHY package carries two (§5.5).
+pub fn board_footprint_mm2() -> f64 {
+    PACKAGE_AREA_MM2 + DUAL_PHY_PACKAGE_MM2 / 2.0
 }
 
 /// §6.5 thermal check: a stack's TDP at peak memory bandwidth and whether
@@ -62,7 +35,7 @@ pub struct ThermalReport {
     pub stack_tdp_w: f64,
     /// Power density over the package, W/cm².
     pub power_density_w_cm2: f64,
-    /// Whether the TDP sits under [`PASSIVE_COOLING_LIMIT_W`].
+    /// Whether the TDP sits under `PASSIVE_COOLING_LIMIT_W`.
     pub passively_coolable: bool,
 }
 
@@ -93,11 +66,52 @@ pub fn thermal_report(config: &StackConfig, peak_gbps: f64) -> ThermalReport {
 mod tests {
     use super::*;
     use densekv_cpu::CoreConfig;
+    use densekv_net::nic::NicMac;
+
+    // The logic-die budget behind §5.5's "area never limits the core
+    // count": the packing solver has no area term because of it, and
+    // these tests show why.
+
+    /// Die footprint shared by memory and logic dies, mm² (Figure 2).
+    const DIE_AREA_MM2: f64 = 15.5 * 18.0;
+
+    /// Logic-die area reserved for memory peripheral logic — the decode,
+    /// sensing, row-buffer, and low-swing I/O spines of Fig. 3b, mm².
+    const PERIPHERAL_LOGIC_MM2: f64 = 40.0;
+
+    /// Area of one 2 MB L2 in 28 nm, mm² (CACTI-class estimate).
+    const L2_AREA_MM2: f64 = 1.4;
+
+    /// Logic-die area used by a configuration, mm².
+    fn logic_die_used_mm2(config: &StackConfig) -> f64 {
+        let core_area = config.cores as f64 * config.core.area_mm2;
+        let l2_area = if config.l2 {
+            config.cores as f64 * L2_AREA_MM2
+        } else {
+            0.0
+        };
+        core_area + l2_area + NicMac::AREA_MM2 + PERIPHERAL_LOGIC_MM2
+    }
+
+    /// Whether the configuration's logic fits the die.
+    fn logic_die_fits(config: &StackConfig) -> bool {
+        logic_die_used_mm2(config) <= DIE_AREA_MM2
+    }
+
+    /// Maximum number of cores of this type that fit the logic die
+    /// (ignoring the port limit — the paper's ">400 cores" observation).
+    fn max_cores_by_area(core_area_mm2: f64, with_l2: bool) -> u32 {
+        let per_core = core_area_mm2 + if with_l2 { L2_AREA_MM2 } else { 0.0 };
+        let available = DIE_AREA_MM2 - NicMac::AREA_MM2 - PERIPHERAL_LOGIC_MM2;
+        (available / per_core).floor() as u32
+    }
 
     #[test]
     fn die_area_matches_figure2() {
         assert!((DIE_AREA_MM2 - 279.0).abs() < 0.1);
         assert_eq!(PACKAGE_AREA_MM2, 441.0);
+        // A 96-stack server carries 48 dual-PHY chips.
+        assert_eq!(96.0 * board_footprint_mm2(), 96.0 * 441.0 + 48.0 * 441.0);
     }
 
     #[test]

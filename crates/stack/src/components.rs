@@ -15,7 +15,7 @@ pub struct ComponentSpec {
 }
 
 /// Cortex-A7 at 1 GHz.
-pub const A7_1GHZ: ComponentSpec = ComponentSpec {
+pub(crate) const A7_1GHZ: ComponentSpec = ComponentSpec {
     name: "A7@1GHz",
     power_mw: 100.0,
     power_per_gbps: false,
@@ -23,7 +23,7 @@ pub const A7_1GHZ: ComponentSpec = ComponentSpec {
 };
 
 /// Cortex-A15 at 1 GHz.
-pub const A15_1GHZ: ComponentSpec = ComponentSpec {
+pub(crate) const A15_1GHZ: ComponentSpec = ComponentSpec {
     name: "A15@1GHz",
     power_mw: 600.0,
     power_per_gbps: false,
@@ -31,7 +31,7 @@ pub const A15_1GHZ: ComponentSpec = ComponentSpec {
 };
 
 /// Cortex-A15 at 1.5 GHz.
-pub const A15_1P5GHZ: ComponentSpec = ComponentSpec {
+pub(crate) const A15_1P5GHZ: ComponentSpec = ComponentSpec {
     name: "A15@1.5GHz",
     power_mw: 1000.0,
     power_per_gbps: false,
@@ -39,7 +39,7 @@ pub const A15_1P5GHZ: ComponentSpec = ComponentSpec {
 };
 
 /// The 4 GB 3D DRAM stack (power per GB/s of bandwidth).
-pub const DRAM_3D_4GB: ComponentSpec = ComponentSpec {
+pub(crate) const DRAM_3D_4GB: ComponentSpec = ComponentSpec {
     name: "3D DRAM (4GB)",
     power_mw: 210.0,
     power_per_gbps: true,
@@ -47,7 +47,7 @@ pub const DRAM_3D_4GB: ComponentSpec = ComponentSpec {
 };
 
 /// The 19.8 GB 3D NAND flash (power per GB/s of bandwidth).
-pub const FLASH_3D_19GB: ComponentSpec = ComponentSpec {
+pub(crate) const FLASH_3D_19GB: ComponentSpec = ComponentSpec {
     name: "3D NAND Flash (19.8GB)",
     power_mw: 6.0,
     power_per_gbps: true,
@@ -55,7 +55,7 @@ pub const FLASH_3D_19GB: ComponentSpec = ComponentSpec {
 };
 
 /// The on-stack NIC MAC and buffers.
-pub const NIC_MAC: ComponentSpec = ComponentSpec {
+pub(crate) const NIC_MAC: ComponentSpec = ComponentSpec {
     name: "3D Stack NIC (MAC)",
     power_mw: 120.0,
     power_per_gbps: false,
@@ -63,7 +63,7 @@ pub const NIC_MAC: ComponentSpec = ComponentSpec {
 };
 
 /// The off-stack 10 GbE PHY.
-pub const NIC_PHY: ComponentSpec = ComponentSpec {
+pub(crate) const NIC_PHY: ComponentSpec = ComponentSpec {
     name: "Physical NIC (PHY)",
     power_mw: 300.0,
     power_per_gbps: false,

@@ -109,8 +109,7 @@ impl std::error::Error for StackConfigError {}
 ///
 /// let stack = StackConfig::mercury(CoreConfig::a7_1ghz(), 32, true)?;
 /// assert_eq!(stack.name(), "Mercury-32");
-/// assert_eq!(stack.ports_per_core(), 0); // cores share ports at n=32
-/// assert_eq!(stack.cores_per_port(), 2);
+/// assert_eq!(stack.memory.ports(), 16); // two cores per port at n=32
 /// # Ok::<(), densekv_stack::config::StackConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -209,32 +208,6 @@ impl StackConfig {
     pub fn name(&self) -> String {
         format!("{}-{}", self.memory.family(), self.cores)
     }
-
-    /// Whole memory ports owned by each core (0 when cores share ports).
-    pub fn ports_per_core(&self) -> u32 {
-        self.memory.ports() / self.cores.min(self.memory.ports() * 2)
-    }
-
-    /// Cores sharing each port (1 up to 16 cores, 2 at 32).
-    pub fn cores_per_port(&self) -> u32 {
-        self.cores.div_ceil(self.memory.ports()).max(1)
-    }
-
-    /// Private address-space bytes available to each core (§4.1.2: cores
-    /// own whole ports, or split a port's space when sharing).
-    pub fn bytes_per_core(&self) -> u64 {
-        self.memory.capacity_bytes() / self.cores as u64
-    }
-
-    /// The address-space base offset of a core's partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn core_partition_base(&self, core: u32) -> u64 {
-        assert!(core < self.cores, "core index out of range");
-        self.bytes_per_core() * core as u64
-    }
 }
 
 #[cfg(test)]
@@ -262,27 +235,6 @@ mod tests {
                 ports: 16
             })
         );
-    }
-
-    #[test]
-    fn port_allocation_across_n() {
-        let make = |n| StackConfig::mercury(CoreConfig::a7_1ghz(), n, true).unwrap();
-        assert_eq!(make(1).ports_per_core(), 16);
-        assert_eq!(make(4).ports_per_core(), 4);
-        assert_eq!(make(16).ports_per_core(), 1);
-        assert_eq!(make(16).cores_per_port(), 1);
-        assert_eq!(make(32).cores_per_port(), 2);
-    }
-
-    #[test]
-    fn address_partitions_are_disjoint_and_cover() {
-        let s = StackConfig::mercury(CoreConfig::a7_1ghz(), 16, true).unwrap();
-        assert_eq!(s.bytes_per_core(), 256 << 20);
-        for c in 0..16 {
-            assert_eq!(s.core_partition_base(c), (256u64 << 20) * c as u64);
-        }
-        let last = s.core_partition_base(15) + s.bytes_per_core();
-        assert_eq!(last, s.memory.capacity_bytes());
     }
 
     #[test]

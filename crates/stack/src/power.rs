@@ -24,15 +24,15 @@ pub const L2_POWER_MW: f64 = 10.0;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StackPower {
     /// All cores, watts.
-    pub cores_w: f64,
+    pub(crate) cores_w: f64,
     /// All L2s, watts (zero without L2).
-    pub l2_w: f64,
+    pub(crate) l2_w: f64,
     /// NIC MAC, watts.
-    pub mac_w: f64,
+    pub(crate) mac_w: f64,
     /// This stack's 10 GbE PHY, watts.
-    pub phy_w: f64,
+    pub(crate) phy_w: f64,
     /// Memory active power at the given bandwidth, watts.
-    pub memory_w: f64,
+    pub(crate) memory_w: f64,
 }
 
 impl StackPower {
@@ -53,9 +53,9 @@ impl StackPower {
 ///
 /// let stack = StackConfig::mercury(CoreConfig::a7_1ghz(), 32, true)?;
 /// let p = stack_power(&stack, 1.0);
-/// // 32 A7s (3.2 W) dominate; DRAM at 1 GB/s adds 0.21 W.
-/// assert!((p.cores_w - 3.2).abs() < 1e-9);
-/// assert!((p.memory_w - 0.21).abs() < 1e-9);
+/// // 32 A7s (3.2 W) dominate; their L2s add 0.32 W, the MAC 0.12 W,
+/// // the PHY 0.3 W and DRAM at 1 GB/s 0.21 W.
+/// assert!((p.total_w() - 4.15).abs() < 1e-9);
 /// # Ok::<(), densekv_stack::config::StackConfigError>(())
 /// ```
 pub fn stack_power(config: &StackConfig, mem_gbps: f64) -> StackPower {

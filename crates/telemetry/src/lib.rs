@@ -58,7 +58,7 @@ pub use registry::{
     CounterId, GaugeId, HistogramId, LogHistogram, MetricsRegistry, Quantiles, Stopwatch,
 };
 pub use timeline::{BucketedTimeline, TimelineBucket, TimelineSampler};
-pub use trace::{PhaseSpan, RequestSpan, SpanBuilder, Tracer};
+pub use trace::{SpanBuilder, Tracer};
 pub use window::{SloConfig, SloSnapshot, SloTracker, WindowedHistogram, WindowedRate};
 
 use densekv_sim::Duration;

@@ -498,12 +498,6 @@ impl MetricsRegistry {
         self.counters[id.0].1
     }
 
-    /// Current value of a gauge.
-    #[must_use]
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
-    }
-
     /// The histogram behind a handle.
     #[must_use]
     pub fn histogram_value(&self, id: HistogramId) -> &LogHistogram {
@@ -699,7 +693,7 @@ mod tests {
         assert_eq!(m.counter_by_name("y"), None);
         let g = m.gauge("depth");
         m.set(g, 7.5);
-        assert_eq!(m.gauge_value(g), 7.5);
+        assert_eq!(m.gauges[g.0].1, 7.5);
         assert!(m.summary().contains("depth"));
     }
 
@@ -714,7 +708,7 @@ mod tests {
         m.observe(h, Duration::from_micros(1));
         assert!(!m.is_enabled());
         assert_eq!(m.counter_value(c), 0);
-        assert_eq!(m.gauge_value(g), 0.0);
+        assert_eq!(m.gauges[g.0].1, 0.0);
         assert_eq!(m.histogram_value(h).count(), 0);
     }
 
@@ -785,7 +779,7 @@ mod tests {
         m.observe(h, Duration::from_micros(10));
         m.reset();
         assert_eq!(m.counter_value(c), 0);
-        assert_eq!(m.gauge_value(g), 0.0);
+        assert_eq!(m.gauges[g.0].1, 0.0);
         assert_eq!(m.histogram_value(h).count(), 0);
         m.inc(c, 2);
         assert_eq!(m.counter_by_name("serve.cmd.get"), Some(2));

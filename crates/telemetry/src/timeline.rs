@@ -236,12 +236,6 @@ impl BucketedTimeline {
         slot.misses += misses;
     }
 
-    /// The buckets, in time order.
-    #[must_use]
-    pub fn buckets(&self) -> &[TimelineBucket] {
-        &self.buckets
-    }
-
     /// Renders the non-empty buckets as CSV:
     /// `t_us,completed,hit_rate,p50_us,p99_us`.
     #[must_use]

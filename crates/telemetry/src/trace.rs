@@ -117,12 +117,6 @@ impl SpanBuilder {
         self
     }
 
-    /// The simulated time the next phase would start at.
-    #[must_use]
-    pub fn cursor(&self) -> SimTime {
-        self.cursor
-    }
-
     /// Finishes the span.
     #[must_use]
     pub fn build(self) -> RequestSpan {

@@ -157,12 +157,12 @@ pub fn key_bytes_into(id: u64, out: &mut Vec<u8>) {
 pub const MAX_KEY_LEN: usize = 24;
 
 /// Exact length [`key_bytes`] renders for `id`.
-pub fn key_bytes_len(id: u64) -> usize {
+pub(crate) fn key_bytes_len(id: u64) -> usize {
     let digits = if id == 0 { 1 } else { id.ilog10() as usize + 1 };
     4 + digits.max(11)
 }
 
-/// Renders key `id` into the first [`key_bytes_len`] bytes of `out`,
+/// Renders key `id` into the first `key_bytes_len` bytes of `out`,
 /// byte-identical to [`key_bytes`], and returns the rendered length.
 ///
 /// # Panics
@@ -238,7 +238,7 @@ pub const ETC_GET_FRACTION: f64 = 0.95;
 /// ETC value-size mixture, `(value_bytes, weight)`: mass concentrated
 /// below 1 KB with a thin large-value tail, coarsened from the paper's
 /// Fig. 2 value-size CDF to this crate's discrete sizes.
-pub const ETC_VALUE_MIX: &[(u64, f64)] = &[
+pub(crate) const ETC_VALUE_MIX: &[(u64, f64)] = &[
     (64, 0.3),
     (256, 0.35),
     (1024, 0.25),
@@ -285,7 +285,7 @@ impl MixedWorkload {
     }
 
     /// The ETC-like preset, assembled from the named constants
-    /// [`ETC_GET_FRACTION`], [`ETC_ZIPF_ALPHA`], and [`ETC_VALUE_MIX`]:
+    /// [`ETC_GET_FRACTION`], [`ETC_ZIPF_ALPHA`], and `ETC_VALUE_MIX`:
     /// 95 % GETs, Zipf(0.99) popularity, values biased toward a few
     /// hundred bytes.
     pub fn etc_like(keys: usize, seed: u64) -> Self {
@@ -311,19 +311,6 @@ impl MixedWorkload {
             &[(value_bytes, 1.0)],
             seed,
             &format!("ETC-like @{value_bytes}B"),
-        )
-    }
-
-    /// A McDipper-style photo workload: large values, GET-dominated, low
-    /// key skew (photos are accessed more uniformly than cache keys).
-    pub fn photo_like(keys: usize, seed: u64) -> Self {
-        MixedWorkload::new(
-            keys,
-            0.6,
-            0.99,
-            &[(16 << 10, 0.3), (64 << 10, 0.5), (256 << 10, 0.2)],
-            seed,
-            "photo-like",
         )
     }
 
@@ -438,14 +425,6 @@ mod tests {
             hottest > 20_000 / 50,
             "hot key should take >2% of traffic: {hottest}"
         );
-    }
-
-    #[test]
-    fn photo_workload_is_large_valued() {
-        let mut gen = MixedWorkload::photo_like(500, 5);
-        for _ in 0..100 {
-            assert!(gen.next_request().value_bytes >= 16 << 10);
-        }
     }
 
     #[test]

@@ -54,15 +54,13 @@ impl std::error::Error for TraceError {}
 /// # Examples
 ///
 /// ```
-/// use densekv_workload::trace::parse_trace;
-/// use densekv_workload::Op;
+/// use densekv_workload::trace::TraceReplay;
 ///
-/// let trace = parse_trace("# warmup\nput user:1 100\nget user:1\n")?;
+/// let trace = TraceReplay::from_text("# warmup\nput user:1 100\nget user:1\n")?;
 /// assert_eq!(trace.len(), 2);
-/// assert_eq!(trace[1].op, Op::Get);
 /// # Ok::<(), densekv_workload::trace::TraceError>(())
 /// ```
-pub fn parse_trace(text: &str) -> Result<Vec<Request>, TraceError> {
+pub(crate) fn parse_trace(text: &str) -> Result<Vec<Request>, TraceError> {
     let mut requests = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -107,20 +105,6 @@ pub fn parse_trace(text: &str) -> Result<Vec<Request>, TraceError> {
     Ok(requests)
 }
 
-/// Serializes requests to the trace text form (inverse of
-/// [`parse_trace`] up to whitespace).
-pub fn render_trace(requests: &[Request]) -> String {
-    let mut out = String::new();
-    for r in requests {
-        let key = String::from_utf8_lossy(&r.key);
-        match r.op {
-            Op::Get => out.push_str(&format!("get {key}\n")),
-            Op::Put => out.push_str(&format!("put {key} {}\n", r.value_bytes)),
-        }
-    }
-    out
-}
-
 /// Replays a parsed trace, looping back to the start when exhausted.
 #[derive(Debug, Clone)]
 pub struct TraceReplay {
@@ -150,7 +134,7 @@ impl TraceReplay {
     ///
     /// # Errors
     ///
-    /// Propagates [`parse_trace`] errors.
+    /// Propagates `parse_trace` errors.
     pub fn from_text(text: &str) -> Result<Self, TraceError> {
         TraceReplay::new(parse_trace(text)?)
     }
@@ -190,13 +174,6 @@ impl RequestGenerator for TraceReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_parse_render() {
-        let text = "put a 100\nget a\nput b:2 64\nget b:2\n";
-        let requests = parse_trace(text).unwrap();
-        assert_eq!(render_trace(&requests), text);
-    }
 
     #[test]
     fn comments_and_blanks_skipped() {

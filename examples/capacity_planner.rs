@@ -6,7 +6,7 @@
 //! Defaults: 28 TB (Facebook's published 2008 Memcached footprint, §2.3)
 //! at 20 MTPS.
 
-use densekv::SystemBuilder;
+use densekv::System;
 use densekv_baseline::BAGS;
 use densekv_server::{plan_fleet, Demand, ServerReport};
 
@@ -21,19 +21,10 @@ fn main() {
     println!("Planning for {dataset_tb} TB of cache at {target_mtps} MTPS (64 B GETs)\n");
 
     let mut candidates: Vec<(&str, ServerReport)> = vec![
-        (
-            "Mercury-32 (3D DRAM)",
-            SystemBuilder::mercury()
-                .build()
-                .expect("valid")
-                .evaluate_quick(64),
-        ),
+        ("Mercury-32 (3D DRAM)", System::mercury().evaluate_quick(64)),
         (
             "Iridium-32 (3D flash)",
-            SystemBuilder::iridium()
-                .build()
-                .expect("valid")
-                .evaluate_quick(64),
+            System::iridium().evaluate_quick(64),
         ),
     ];
     // The Xeon baseline as a pseudo-report from Table 4's Bags row.

@@ -5,7 +5,7 @@
 
 use densekv::sim::{CoreSim, CoreSimConfig};
 use densekv::sweep::{measure_point, SweepEffort};
-use densekv::SystemBuilder;
+use densekv::System;
 use densekv_workload::{key_bytes, Op, Request};
 
 fn main() {
@@ -34,14 +34,8 @@ fn main() {
 
     // --- 3. Project to a full 1.5U server (Table 4's headline). --------
     for (label, system) in [
-        (
-            "Mercury-32",
-            SystemBuilder::mercury().build().expect("valid"),
-        ),
-        (
-            "Iridium-32",
-            SystemBuilder::iridium().build().expect("valid"),
-        ),
+        ("Mercury-32", System::mercury()),
+        ("Iridium-32", System::iridium()),
     ] {
         let report = system.evaluate_quick(64);
         println!(

@@ -554,12 +554,11 @@ fn simulate(
     // Energy accounting (when configured) is derived purely from event
     // data the engine already computes, so it can never perturb the
     // simulation itself.
-    let energy_model = config.energy.clone();
+    let mut energy_acc = config
+        .energy
+        .clone()
+        .map(|m| (PowerTimeline::new(m.timeline_bucket), m));
     let mut dynamic_j = vec![0.0f64; topo.stacks as usize];
-    let mut power_tl = match &energy_model {
-        Some(m) => PowerTimeline::enabled(m.timeline_bucket),
-        None => PowerTimeline::disabled(),
-    };
     let mut stack_death: Vec<Option<SimTime>> = vec![None; topo.stacks as usize];
     let mut live_stacks = topo.stacks;
 
@@ -688,7 +687,7 @@ fn simulate(
                     let at_client = state.stack_out_free[stack] + profile.link_delay;
                     egress[stack].record_send(profile.resp_wire);
 
-                    if let Some(m) = &energy_model {
+                    if let Some((power_tl, m)) = &mut energy_acc {
                         let op_j = if hit { m.hit_j } else { m.miss_j };
                         dynamic_j[stack] += op_j;
                         power_tl.deposit(svc_end, op_j);
@@ -788,22 +787,20 @@ fn simulate(
             tele.sampler.set(1, hit_rate);
             tele.sampler.set(2, max_util(&ingress));
             tele.sampler.set(3, max_util(&egress));
-            if tele.sampler.columns().len() >= 6 {
-                // Cluster power gauge: live static draw plus the run's
-                // mean dynamic power so far. Zero without an energy
-                // model; the static term drops stepwise at stack death.
-                let watts = energy_model.as_ref().map_or(0.0, |m| {
-                    let secs = now.elapsed_since(SimTime::ZERO).as_secs_f64();
-                    let dyn_w = if secs > 0.0 {
-                        dynamic_j.iter().sum::<f64>() / secs
-                    } else {
-                        0.0
-                    };
-                    f64::from(live_stacks) * m.stack_static_w + dyn_w
-                });
-                tele.sampler.set(4, watts);
-                tele.sampler.set(5, f64::from(live_stacks));
-            }
+            // Cluster power gauge: live static draw plus the run's mean
+            // dynamic power so far. Zero without an energy model; the
+            // static term drops stepwise at stack death.
+            let watts = energy_acc.as_ref().map_or(0.0, |(_, m)| {
+                let secs = now.elapsed_since(SimTime::ZERO).as_secs_f64();
+                let dyn_w = if secs > 0.0 {
+                    dynamic_j.iter().sum::<f64>() / secs
+                } else {
+                    0.0
+                };
+                f64::from(live_stacks) * m.stack_static_w + dyn_w
+            });
+            tele.sampler.set(4, watts);
+            tele.sampler.set(5, f64::from(live_stacks));
         }
     }
     tele.sampler.finish(sim_end);
@@ -832,7 +829,7 @@ fn simulate(
 
     // Settle the static power spans: every stack draws its constant
     // watts from the epoch until its death or the end of the run.
-    let energy = energy_model.map(|m| {
+    let energy = energy_acc.map(|(mut power_tl, m)| {
         let per_stack: Vec<StackEnergy> = (0..topo.stacks as usize)
             .map(|s| {
                 let alive_until = stack_death[s].map_or(sim_end, |d| d.min(sim_end));

@@ -1,14 +1,13 @@
 //! Event-driven energy accounting for [`CoreSim`] runs: per-request
 //! [`EnergyBreakdown`]s mirroring [`PhaseBreakdown`], a component-tagged
-//! [`EnergyMeter`], watts gauges in the telemetry sampler, and a
-//! [`PowerTimeline`] — plus the *measured* TPS/Watt those add up to.
+//! [`EnergyMeter`] and a [`PowerTimeline`] — plus the *measured*
+//! TPS/Watt those add up to.
 //!
 //! Like [`crate::observe`], this layer is strictly passive: it reads the
 //! core's counters and the request's phase durations after the fact and
-//! does arithmetic on them. An `EnergyObserver` over a disabled meter
-//! performs no accounting at all, and neither mode can change a
-//! simulation's performance outputs (enforced by the workspace property
-//! tests).
+//! does arithmetic on them. Metering off runs no `EnergyObserver` at
+//! all, and metering cannot change a simulation's performance outputs
+//! (enforced by the workspace property tests).
 //!
 //! # Attribution
 //!
@@ -36,23 +35,6 @@ use densekv_workload::{Op, Request, RequestGenerator};
 use crate::observe::observed_loop;
 use crate::sim::{CoreSim, CoreSimConfig, PhaseBreakdown, RequestTiming};
 use crate::sweep::{per_core_perf, population_for, warm, SweepEffort};
-
-/// Gauge columns an [`EnergyObserver`] keeps current when the bundle's
-/// sampler carries them (matched by name, so they compose with
-/// [`crate::observe::CORE_TIMELINE_COLUMNS`] in one sampler):
-/// `watts` is the last request's energy over its RTT, `mean_watts` the
-/// run's accumulated joules over elapsed sim-time.
-#[cfg(test)]
-pub(crate) const ENERGY_TIMELINE_COLUMNS: &[&str] = &["watts", "mean_watts"];
-
-/// Extra gauge columns for hybrid (Helios) cores, matched by name like
-/// [`ENERGY_TIMELINE_COLUMNS`]: the DRAM tier's cumulative hit rate,
-/// the last request's per-tier device bandwidth, and the memory watts
-/// those tiers drew at their separate Table 1 rates. On single-tier
-/// cores the columns stay zero.
-#[cfg(test)]
-pub(crate) const HYBRID_TIMELINE_COLUMNS: &[&str] =
-    &["tier_hit_rate", "dram_gbps", "flash_gbps", "tier_watts"];
 
 /// One request's round trip priced in joules — [`PhaseBreakdown`]'s
 /// energy mirror.
@@ -122,8 +104,7 @@ impl EnergyBreakdown {
 }
 
 /// Charges a [`CoreSim`] run's events to an [`EnergyMeter`], builds
-/// per-request [`EnergyBreakdown`]s, feeds a [`PowerTimeline`], and
-/// keeps the sampler's watts gauges current.
+/// per-request [`EnergyBreakdown`]s and feeds a [`PowerTimeline`].
 ///
 /// Construct it *after* any preload, so the device-byte and cache
 /// counters it charges deltas of cover only the measured requests.
@@ -138,32 +119,15 @@ pub(crate) struct EnergyObserver {
     timeline: PowerTimeline,
     clock: SimTime,
     accumulated: EnergyBreakdown,
-    requests: u64,
     last_tier_bytes: (u64, u64),
     last_l1_accesses: u64,
     last_l2_accesses: u64,
-    watts_col: Option<usize>,
-    mean_watts_col: Option<usize>,
-    tier_hit_col: Option<usize>,
-    dram_gbps_col: Option<usize>,
-    flash_gbps_col: Option<usize>,
-    tier_watts_col: Option<usize>,
 }
 
 impl EnergyObserver {
-    /// An observer charging to an enabled meter, with a power timeline
-    /// of `bucket`-wide buckets.
+    /// An observer charging to a fresh meter, with a power timeline of
+    /// `bucket`-wide buckets.
     pub fn new(core: &CoreSim, bucket: Duration) -> Self {
-        Self::with_meter(core, EnergyMeter::enabled(), PowerTimeline::enabled(bucket))
-    }
-
-    /// An observer whose meter and timeline ignore every charge — the
-    /// "metering off" arm of the passivity property.
-    pub fn off(core: &CoreSim) -> Self {
-        Self::with_meter(core, EnergyMeter::disabled(), PowerTimeline::disabled())
-    }
-
-    fn with_meter(core: &CoreSim, meter: EnergyMeter, timeline: PowerTimeline) -> Self {
         let stack = core
             .config()
             .stack_config()
@@ -173,34 +137,14 @@ impl EnergyObserver {
         EnergyObserver {
             rates: energy_rates(&stack),
             tier_j_per_byte: (dram_mw * 1e-12, flash_mw * 1e-12),
-            meter,
-            timeline,
+            meter: EnergyMeter::default(),
+            timeline: PowerTimeline::new(bucket),
             clock: SimTime::ZERO,
             accumulated: EnergyBreakdown::default(),
-            requests: 0,
             last_tier_bytes: core.device_tier_bytes(),
             last_l1_accesses: cache.l1_accesses(),
             last_l2_accesses: cache.l2_accesses(),
-            watts_col: None,
-            mean_watts_col: None,
-            tier_hit_col: None,
-            dram_gbps_col: None,
-            flash_gbps_col: None,
-            tier_watts_col: None,
         }
-    }
-
-    /// Resolves which sampler columns (if any) this observer should keep
-    /// current, by name. Call once before the run when sharing a sampler
-    /// with other observers.
-    pub(crate) fn bind_sampler(&mut self, tele: &Telemetry) {
-        let find = |name: &str| tele.sampler.columns().iter().position(|c| *c == name);
-        self.watts_col = find("watts");
-        self.mean_watts_col = find("mean_watts");
-        self.tier_hit_col = find("tier_hit_rate");
-        self.dram_gbps_col = find("dram_gbps");
-        self.flash_gbps_col = find("flash_gbps");
-        self.tier_watts_col = find("tier_watts");
     }
 
     /// The rate constants in use (derived from the core's stack config).
@@ -216,7 +160,6 @@ impl EnergyObserver {
     /// device-byte and cache counters).
     pub fn observe(
         &mut self,
-        tele: &mut Telemetry,
         core: &CoreSim,
         timing: &RequestTiming,
         breakdown: &PhaseBreakdown,
@@ -224,10 +167,6 @@ impl EnergyObserver {
         let start = self.clock;
         let end = start + timing.rtt;
         self.clock = end;
-        self.requests += 1;
-        if !self.meter.is_enabled() {
-            return EnergyBreakdown::default();
-        }
 
         // Time-proportional charges: the whole RTT draws the static
         // rates, attributed by what the hardware was doing.
@@ -252,7 +191,7 @@ impl EnergyObserver {
         // Activity-proportional charges: device bytes and cache accesses
         // since the previous request, each tier priced at its own Table 1
         // rate (DRAM 210 mW/(GB/s), flash 6). On single-tier stacks this
-        // is exactly `charge_bytes` at the stack's headline rate.
+        // is exactly the stack's headline rate.
         let (dram_bytes, flash_bytes) = core.device_tier_bytes();
         let dram_moved = dram_bytes.saturating_sub(self.last_tier_bytes.0);
         let flash_moved = flash_bytes.saturating_sub(self.last_tier_bytes.1);
@@ -286,52 +225,18 @@ impl EnergyObserver {
         self.timeline.deposit_span(start, end, static_w);
         self.timeline.deposit(end, out.memory_j);
 
-        if tele.sampler.is_enabled() {
-            if let Some(col) = self.watts_col {
-                tele.sampler.set(
-                    col,
-                    out.total_j() / rtt.as_secs_f64().max(f64::MIN_POSITIVE),
-                );
-            }
-            if let Some(col) = self.mean_watts_col {
-                tele.sampler
-                    .set(col, self.meter.mean_watts(end.elapsed_since(SimTime::ZERO)));
-            }
-            let rtt_s = rtt.as_secs_f64().max(f64::MIN_POSITIVE);
-            let dram_gbps = dram_moved as f64 / rtt_s / 1e9;
-            let flash_gbps = flash_moved as f64 / rtt_s / 1e9;
-            if let Some(col) = self.tier_hit_col {
-                if let Some(stats) = core.tier_stats() {
-                    tele.sampler.set(col, stats.hit_rate());
-                }
-            }
-            if let Some(col) = self.dram_gbps_col {
-                tele.sampler.set(col, dram_gbps);
-            }
-            if let Some(col) = self.flash_gbps_col {
-                tele.sampler.set(col, flash_gbps);
-            }
-            if let Some(col) = self.tier_watts_col {
-                tele.sampler.set(
-                    col,
-                    self.tier_j_per_byte.0 * 1e12 * dram_gbps / 1000.0
-                        + self.tier_j_per_byte.1 * 1e12 * flash_gbps / 1000.0,
-                );
-            }
-        }
-
         out
     }
 
     /// Finishes the run, consuming the observer into its results.
     #[must_use]
     pub fn finish(self, latency: LatencyHistogram) -> EnergyRun {
+        let requests = latency.count();
         EnergyRun {
             latency,
-            requests: self.requests,
+            requests,
             elapsed: self.clock.elapsed_since(SimTime::ZERO),
-            per_op: self.accumulated.scaled(self.requests),
-            total: self.accumulated,
+            per_op: self.accumulated.scaled(requests),
             meter: self.meter,
             timeline: self.timeline,
         }
@@ -349,8 +254,6 @@ pub struct EnergyRun {
     pub elapsed: Duration,
     /// Mean per-op energy breakdown.
     pub per_op: EnergyBreakdown,
-    /// Run-total energy breakdown.
-    pub total: EnergyBreakdown,
     /// Component-tagged joule totals.
     pub meter: EnergyMeter,
     /// Bucketed watts-vs-time curve.
@@ -473,7 +376,9 @@ pub(crate) fn measure_energy_point(
 /// the energy counterpart of [`crate::observe::run_observed`], on the
 /// same loop and `CoreObserver`, so
 /// spans, metrics, and joules come from one pass. `metered` selects the
-/// passivity property's on/off arm.
+/// passivity property's on/off arm: off runs the loop with no
+/// `EnergyObserver` and reports the same latencies and elapsed time
+/// beside a zero meter and an empty timeline.
 pub fn run_energy_observed(
     core: &mut CoreSim,
     requests: &[Request],
@@ -481,14 +386,20 @@ pub fn run_energy_observed(
     metered: bool,
     bucket: Duration,
 ) -> EnergyRun {
-    let mut energy = if metered {
-        EnergyObserver::new(core, bucket)
-    } else {
-        EnergyObserver::off(core)
-    };
-    energy.bind_sampler(tele);
-    let latency = observed_loop(core, requests, tele, |tele, core, timing, breakdown| {
-        energy.observe(tele, core, timing, breakdown);
+    if !metered {
+        let (latency, elapsed) = observed_loop(core, requests, tele, |_, _, _| {});
+        return EnergyRun {
+            requests: latency.count(),
+            latency,
+            elapsed,
+            per_op: EnergyBreakdown::default(),
+            meter: EnergyMeter::default(),
+            timeline: PowerTimeline::new(bucket),
+        };
+    }
+    let mut energy = EnergyObserver::new(core, bucket);
+    let (latency, _) = observed_loop(core, requests, tele, |core, timing, breakdown| {
+        energy.observe(core, timing, breakdown);
     });
     energy.finish(latency)
 }
@@ -498,7 +409,6 @@ mod tests {
     use super::*;
     use crate::sweep::measure_point;
     use densekv_stack::power::stack_power;
-    use densekv_telemetry::TelemetryConfig;
     use densekv_workload::key_bytes;
 
     fn requests(n: u64) -> Vec<Request> {
@@ -582,10 +492,9 @@ mod tests {
     fn breakdown_phases_mirror_phase_breakdown() {
         let mut core = fresh_core(CoreSimConfig::mercury_a7());
         let mut energy = EnergyObserver::new(&core, Duration::from_micros(500));
-        let mut tele = Telemetry::disabled();
         let req = requests(1);
         let (timing, phases) = core.execute_breakdown(&req[0]);
-        let e = energy.observe(&mut tele, &core, &timing, &phases);
+        let e = energy.observe(&core, &timing, &phases);
 
         let names: Vec<_> = e.phases().iter().map(|&(n, _)| n).collect();
         let expected: Vec<_> = phases.phases().iter().map(|&(n, _)| n).collect();
@@ -658,17 +567,10 @@ mod tests {
     fn helios_memory_energy_prices_tiers_separately() {
         let mut core = fresh_core(CoreSimConfig::helios_a7(64 << 20));
         let before = core.device_tier_bytes();
-        let mut columns = crate::observe::CORE_TIMELINE_COLUMNS.to_vec();
-        columns.extend_from_slice(HYBRID_TIMELINE_COLUMNS);
-        let mut tele = Telemetry::enabled(TelemetryConfig {
-            sample_every: 8,
-            timeline_interval: Duration::from_micros(200),
-            timeline_columns: columns,
-        });
         let run = run_energy_observed(
             &mut core,
             &requests(128),
-            &mut tele,
+            &mut Telemetry::disabled(),
             true,
             Duration::from_micros(500),
         );
@@ -684,36 +586,5 @@ mod tests {
         // …which a single headline rate cannot reproduce.
         assert!(mem_j < 210e-12 * (dram + flash));
         assert!(mem_j > 6e-12 * (dram + flash));
-        // The hybrid gauges carried samples (columns 4..8 by layout).
-        let rows = tele.sampler.rows();
-        assert!(rows.iter().any(|(_, cols)| cols[4] > 0.0), "tier_hit_rate");
-        assert!(rows.iter().any(|(_, cols)| cols[5] > 0.0), "dram_gbps");
-        assert!(tele.sampler.to_csv().contains("tier_hit_rate"));
-    }
-
-    #[test]
-    fn sampler_watts_gauges_update_by_name() {
-        let mut core = fresh_core(CoreSimConfig::mercury_a7());
-        let mut columns = crate::observe::CORE_TIMELINE_COLUMNS.to_vec();
-        columns.extend_from_slice(ENERGY_TIMELINE_COLUMNS);
-        let mut tele = Telemetry::enabled(TelemetryConfig {
-            sample_every: 8,
-            timeline_interval: Duration::from_micros(200),
-            timeline_columns: columns,
-        });
-        let run = run_energy_observed(
-            &mut core,
-            &requests(64),
-            &mut tele,
-            true,
-            Duration::from_micros(500),
-        );
-        assert!(run.meter.total_j() > 0.0);
-        let rows = tele.sampler.rows();
-        assert!(!rows.is_empty());
-        // The watts columns (indices 4 and 5) carry nonzero samples.
-        assert!(rows.iter().any(|(_, cols)| cols[4] > 0.0));
-        assert!(rows.iter().any(|(_, cols)| cols[5] > 0.0));
-        assert!(tele.sampler.to_csv().contains("watts"));
     }
 }

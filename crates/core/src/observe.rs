@@ -13,7 +13,7 @@
 //! timings.
 
 use densekv_sim::stats::LatencyHistogram;
-use densekv_sim::SimTime;
+use densekv_sim::{Duration, SimTime};
 use densekv_telemetry::{CounterId, HistogramId, MetricsRegistry, SpanBuilder, Telemetry};
 use densekv_workload::{Op, Request};
 
@@ -161,36 +161,35 @@ pub fn run_observed(
     requests: &[Request],
     tele: &mut Telemetry,
 ) -> LatencyHistogram {
-    observed_loop(core, requests, tele, |_, _, _, _| {})
+    observed_loop(core, requests, tele, |_, _, _| {}).0
 }
 
 /// The closed loop every observed run shares: executes each request,
 /// hands its execution to `also` (another observer, e.g. the energy
 /// layer) and then to a fresh [`CoreObserver`], and returns the exact
-/// RTT distribution.
+/// RTT distribution and the closed-loop elapsed sim-time.
 pub(crate) fn observed_loop(
     core: &mut CoreSim,
     requests: &[Request],
     tele: &mut Telemetry,
-    mut also: impl FnMut(&mut Telemetry, &CoreSim, &RequestTiming, &PhaseBreakdown),
-) -> LatencyHistogram {
+    mut also: impl FnMut(&CoreSim, &RequestTiming, &PhaseBreakdown),
+) -> (LatencyHistogram, Duration) {
     let mut observer = CoreObserver::new(&mut tele.metrics);
     let mut latency = LatencyHistogram::new();
     for request in requests {
         let (timing, breakdown) = core.execute_breakdown(request);
-        also(tele, core, &timing, &breakdown);
+        also(core, &timing, &breakdown);
         observer.record(tele, core, request, timing, &breakdown);
         latency.record(timing.rtt);
     }
     tele.sampler.finish(observer.now());
-    latency
+    (latency, observer.now().elapsed_since(SimTime::ZERO))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::CoreSimConfig;
-    use densekv_sim::Duration;
     use densekv_telemetry::TelemetryConfig;
     use densekv_workload::key_bytes;
 

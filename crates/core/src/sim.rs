@@ -17,7 +17,7 @@ use densekv_mem::ftl::Ftl;
 use densekv_mem::sram::SramBuffer;
 use densekv_mem::{lines_for_bytes, AccessKind, MemoryTiming};
 use densekv_net::frame::MessageSizes;
-use densekv_net::nic::NicMac;
+use densekv_net::nic::MAC_LATENCY;
 use densekv_net::{TcpCostModel, Wire};
 use densekv_sim::Duration;
 use densekv_stack::{MemoryKind, StackConfig};
@@ -377,7 +377,6 @@ pub struct CoreSim {
     engine: PhaseEngine,
     store: KvStore,
     memory: StackMemory,
-    mac: NicMac,
     /// Wire payload bytes exchanged (both directions).
     wire_bytes: u64,
     /// Reused trace buffer (avoids per-request chain-vector allocation).
@@ -447,7 +446,6 @@ impl CoreSim {
             engine,
             store: KvStore::new(StoreConfig::with_capacity(config.store_bytes)),
             memory,
-            mac: NicMac::for_cores(1),
             wire_bytes: 0,
             trace_scratch: AccessTrace::default(),
             store_refs_scratch: Vec::new(),
@@ -728,14 +726,14 @@ impl CoreSim {
         let breakdown = PhaseBreakdown {
             client_overhead: self.config.client_overhead,
             req_wire: self.config.wire.one_way(sizes.request_payload),
-            req_nic: self.mac.message_latency(sizes.request_frames()),
+            req_nic: MAC_LATENCY,
             net_rx,
             parse,
             hash,
             store_op,
             value_copy,
             net_tx,
-            resp_nic: self.mac.message_latency(sizes.response_frames()),
+            resp_nic: MAC_LATENCY,
             resp_wire: self.config.wire.one_way(sizes.response_payload),
         };
         let all_hit = hits as usize == keys.len();

@@ -48,7 +48,7 @@ pub struct CoreConfig {
 
 impl CoreConfig {
     /// Cortex-A7 at 1 GHz (Table 1: 100 mW, 0.58 mm²).
-    pub fn a7_1ghz() -> Self {
+    pub const fn a7_1ghz() -> Self {
         CoreConfig {
             kind: CoreKind::CortexA7,
             freq_ghz: 1.0,
@@ -61,7 +61,7 @@ impl CoreConfig {
     }
 
     /// Cortex-A15 at 1 GHz (Table 1: 600 mW, 2.82 mm²).
-    pub fn a15_1ghz() -> Self {
+    pub const fn a15_1ghz() -> Self {
         CoreConfig {
             kind: CoreKind::CortexA15,
             freq_ghz: 1.0,
@@ -74,7 +74,7 @@ impl CoreConfig {
     }
 
     /// Cortex-A15 at 1.5 GHz (Table 1: 1,000 mW, 2.82 mm²).
-    pub fn a15_1p5ghz() -> Self {
+    pub const fn a15_1p5ghz() -> Self {
         CoreConfig {
             freq_ghz: 1.5,
             power_mw: 1000.0,

@@ -477,11 +477,6 @@ impl PhaseEngine {
         self.l2_resident_ok = false;
     }
 
-    /// The core configuration.
-    pub fn core(&self) -> &CoreConfig {
-        &self.core
-    }
-
     /// Snapshot of every cache level's lifetime hit/miss counters.
     pub fn cache_stats(&self) -> CacheHierarchyStats {
         CacheHierarchyStats {

@@ -9,10 +9,10 @@
 //! transients. This crate turns every simulated event into joules:
 //!
 //! * [`EnergyMeter`] — a component-tagged joule accumulator in the same
-//!   passive style as `densekv-telemetry`: recording is an array add, a
-//!   disabled meter is a single branch, and metering can never change a
-//!   simulation's performance outputs (enforced by workspace property
-//!   tests).
+//!   passive style as `densekv-telemetry`: recording is an array add, and
+//!   metering can never change a simulation's performance outputs
+//!   (enforced by workspace property tests, which compare a metered run
+//!   with one that builds no meter at all).
 //! * [`EnergyRates`] — the rate constants that convert activity into
 //!   energy, derived from the same Table 1 numbers the analytic
 //!   `stack_power()` model uses. The derivation is exact: integrating
@@ -52,10 +52,10 @@
 //! use densekv_sim::Duration;
 //!
 //! let rates = EnergyRates::mercury_a7(true);
-//! let mut meter = EnergyMeter::enabled();
+//! let mut meter = EnergyMeter::default();
 //! // One core busy for 100 us, 6400 bytes at the DRAM:
 //! meter.charge_mw_for(Component::CoreActive, rates.core_active_mw, Duration::from_micros(100));
-//! meter.charge_bytes(&rates, 6400);
+//! meter.charge_j(Component::Memory, rates.mem_j_per_byte() * 6400.0);
 //! assert!(meter.total_j() > 0.0);
 //! // DRAM at 210 mW/(GB/s) == 210 pJ/B: 6400 B = 1.344 nJ.
 //! assert!((meter.component_j(Component::Memory) - 6400.0 * 210e-12).abs() < 1e-18);

@@ -67,56 +67,24 @@ impl Component {
     }
 }
 
-/// A passive, component-tagged energy accumulator.
-///
-/// Simulators charge unconditionally; a [`EnergyMeter::disabled`] meter
-/// turns every charge into a no-op, so the hot path never grows a second
-/// code shape — the same design that makes telemetry passivity easy to
-/// believe and cheap to test.
+/// A passive, component-tagged energy accumulator: one joule total per
+/// [`Component`], starting at zero. Recording is an array add, so a
+/// metered run differs from an unmetered one only by arithmetic on
+/// counters the simulator already keeps.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyMeter {
-    enabled: bool,
     joules: [f64; Component::ALL.len()],
 }
 
 impl EnergyMeter {
-    /// A recording meter.
-    #[must_use]
-    pub fn enabled() -> Self {
-        EnergyMeter {
-            enabled: true,
-            joules: [0.0; Component::ALL.len()],
-        }
-    }
-
-    /// A meter where every charge is a no-op.
-    #[must_use]
-    pub fn disabled() -> Self {
-        EnergyMeter::default()
-    }
-
-    /// Whether charges are recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Charges `joules` to `component`.
     pub fn charge_j(&mut self, component: Component, joules: f64) {
-        if self.enabled {
-            self.joules[component.index()] += joules;
-        }
+        self.joules[component.index()] += joules;
     }
 
     /// Charges a constant draw of `mw` milliwatts held for `duration`.
     pub fn charge_mw_for(&mut self, component: Component, mw: f64, duration: Duration) {
         self.charge_j(component, mw * 1e-3 * duration.as_secs_f64());
-    }
-
-    /// Charges a memory-device transfer of `bytes` at the rates' pJ/byte
-    /// constant.
-    pub fn charge_bytes(&mut self, rates: &EnergyRates, bytes: u64) {
-        self.charge_j(Component::Memory, rates.mem_j_per_byte() * bytes as f64);
     }
 
     /// Charges per-level cache accesses *and* moves the same energy out
@@ -169,20 +137,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_meter_ignores_all_charges() {
-        let rates = EnergyRates::mercury_a7(true);
-        let mut m = EnergyMeter::disabled();
-        m.charge_j(Component::Memory, 1.0);
-        m.charge_mw_for(Component::CoreActive, 100.0, Duration::from_secs(1));
-        m.charge_bytes(&rates, 1 << 30);
-        m.attribute_cache(&rates, 1_000, 1_000);
-        assert_eq!(m.total_j(), 0.0);
-        assert!(!m.is_enabled());
-    }
-
-    #[test]
     fn charges_accumulate_per_component() {
-        let mut m = EnergyMeter::enabled();
+        let mut m = EnergyMeter::default();
         m.charge_mw_for(Component::CoreActive, 100.0, Duration::from_millis(10));
         m.charge_mw_for(Component::CoreActive, 100.0, Duration::from_millis(10));
         m.charge_j(Component::Phy, 0.5);
@@ -194,7 +150,7 @@ mod tests {
     #[test]
     fn cache_attribution_preserves_the_total() {
         let rates = EnergyRates::mercury_a7(true);
-        let mut m = EnergyMeter::enabled();
+        let mut m = EnergyMeter::default();
         m.charge_mw_for(
             Component::CoreActive,
             rates.core_active_mw,
@@ -213,7 +169,7 @@ mod tests {
 
     #[test]
     fn mean_watts_and_rows() {
-        let mut m = EnergyMeter::enabled();
+        let mut m = EnergyMeter::default();
         m.charge_j(Component::Memory, 2.0);
         assert_eq!(m.mean_watts(Duration::from_secs(4)), 0.5);
         assert_eq!(m.mean_watts(Duration::ZERO), 0.0);

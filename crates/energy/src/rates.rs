@@ -1,7 +1,5 @@
 //! Rate constants converting simulated activity into joules.
 
-use densekv_sim::Duration;
-
 /// The per-stack energy rate constants, derived from Table 1 (and the
 /// workspace's one L2 assumption). `densekv-stack::power::energy_rates`
 /// builds these from a `StackConfig`, which is the canonical path — the
@@ -88,12 +86,6 @@ impl EnergyRates {
         (cores * (self.core_active_mw + self.l2_leak_mw_per_core) + self.mac_mw + self.phy_mw)
             * 1e-3
     }
-
-    /// Energy of the static draw held for `elapsed`, joules.
-    #[must_use]
-    pub fn stack_static_j(&self, cores: u32, elapsed: Duration) -> f64 {
-        self.stack_static_w(cores) * elapsed.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +109,5 @@ mod tests {
         assert!((r.stack_static_w(32) - 3.94).abs() < 1e-12);
         let no_l2 = EnergyRates::mercury_a7(false);
         assert!((no_l2.stack_static_w(32) - 3.62).abs() < 1e-12);
-        // One second of static draw.
-        assert!((r.stack_static_j(32, Duration::from_secs(1)) - 3.94).abs() < 1e-12);
     }
 }

@@ -13,40 +13,22 @@ use densekv_sim::{Duration, SimTime};
 /// transients.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerTimeline {
-    enabled: bool,
     width: Duration,
     joules: Vec<f64>,
 }
 
 impl PowerTimeline {
-    /// A recording timeline with `width`-wide buckets.
+    /// An empty timeline with `width`-wide buckets.
     ///
     /// # Panics
     /// Panics if `width` is zero.
     #[must_use]
-    pub fn enabled(width: Duration) -> Self {
+    pub fn new(width: Duration) -> Self {
         assert!(width > Duration::ZERO, "bucket width must be positive");
         PowerTimeline {
-            enabled: true,
             width,
             joules: Vec::new(),
         }
-    }
-
-    /// A timeline where every deposit is a no-op.
-    #[must_use]
-    pub fn disabled() -> Self {
-        PowerTimeline {
-            enabled: false,
-            width: Duration::from_nanos(1),
-            joules: Vec::new(),
-        }
-    }
-
-    /// Whether deposits are recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Bucket width.
@@ -67,9 +49,6 @@ impl PowerTimeline {
 
     /// Deposits event energy into the bucket containing `at`.
     pub fn deposit(&mut self, at: SimTime, joules: f64) {
-        if !self.enabled {
-            return;
-        }
         let b = self.bucket_of(at);
         self.grow_to(b);
         self.joules[b] += joules;
@@ -78,7 +57,7 @@ impl PowerTimeline {
     /// Spreads a constant draw of `watts` held over `[start, end)`
     /// across every bucket the span overlaps, pro-rated by overlap.
     pub fn deposit_span(&mut self, start: SimTime, end: SimTime, watts: f64) {
-        if !self.enabled || end <= start {
+        if end <= start {
             return;
         }
         let width_ps = self.width.as_ps();
@@ -152,17 +131,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_timeline_ignores_deposits() {
-        let mut t = PowerTimeline::disabled();
-        t.deposit(SimTime::ZERO, 1.0);
-        t.deposit_span(SimTime::ZERO, SimTime::ZERO + Duration::from_secs(1), 5.0);
-        assert!(t.is_empty());
-        assert_eq!(t.total_j(), 0.0);
-    }
-
-    #[test]
     fn deposits_land_in_their_buckets() {
-        let mut t = PowerTimeline::enabled(Duration::from_micros(10));
+        let mut t = PowerTimeline::new(Duration::from_micros(10));
         t.deposit(SimTime::ZERO + Duration::from_micros(5), 2e-6);
         t.deposit(SimTime::ZERO + Duration::from_micros(25), 4e-6);
         assert_eq!(t.len(), 3);
@@ -176,7 +146,7 @@ mod tests {
 
     #[test]
     fn span_is_prorated_across_buckets() {
-        let mut t = PowerTimeline::enabled(Duration::from_micros(10));
+        let mut t = PowerTimeline::new(Duration::from_micros(10));
         // 1 W from 5 us to 25 us: 5 us in bucket 0, 10 us in bucket 1,
         // 5 us in bucket 2.
         t.deposit_span(
@@ -194,7 +164,7 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_midpoints() {
-        let mut t = PowerTimeline::enabled(Duration::from_micros(10));
+        let mut t = PowerTimeline::new(Duration::from_micros(10));
         t.deposit(SimTime::ZERO, 1e-5);
         let csv = t.to_csv();
         let mut lines = csv.lines();

@@ -34,6 +34,7 @@
 
 use std::collections::VecDeque;
 
+use densekv_mem::dram::MERCURY_MW_PER_GBPS;
 use densekv_mem::flash::FlashConfig;
 use densekv_mem::ftl::Ftl;
 use densekv_mem::{AccessKind, MemoryTiming, LINE_BYTES};
@@ -71,7 +72,7 @@ impl HybridConfig {
             dram_ports: 16,
             dram_hit_latency: Duration::from_nanos(10),
             dram_port_bandwidth_gbps: 6.25,
-            dram_active_mw_per_gbps: 210.0,
+            dram_active_mw_per_gbps: MERCURY_MW_PER_GBPS,
             writeback_pages: 16,
             flash: FlashConfig::iridium(flash_read_latency),
             overprovision: 1.0 / 16.0,

@@ -17,6 +17,10 @@ use crate::{stream_per_line, AccessKind, MemoryTiming, PagePolicy, LINE_BYTES};
 /// Bytes in one 512 MB DRAM die layer.
 const LAYER_BYTES: u64 = 512 << 20;
 
+/// Active power of Mercury's 3D DRAM per GB/s of sustained bandwidth,
+/// milliwatts (Table 1).
+pub const MERCURY_MW_PER_GBPS: f64 = 210.0;
+
 /// Geometry and timing of a 3D DRAM stack.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
@@ -53,7 +57,7 @@ impl DramConfig {
             row_hit_latency: Duration::from_nanos(2),
             port_bandwidth_gbps: 6.25,
             page_policy: PagePolicy::Closed,
-            active_mw_per_gbps: 210.0,
+            active_mw_per_gbps: MERCURY_MW_PER_GBPS,
         }
     }
 

@@ -17,6 +17,10 @@ use densekv_sim::Duration;
 
 use crate::{AccessKind, MemoryTiming, LINE_BYTES};
 
+/// Active power of Iridium's 3D NAND flash per GB/s of sustained
+/// bandwidth, milliwatts (Table 1).
+pub const IRIDIUM_MW_PER_GBPS: f64 = 6.0;
+
 /// Geometry and timing of the Iridium flash array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlashConfig {
@@ -59,7 +63,7 @@ impl FlashConfig {
             program_latency: Duration::from_micros(200),
             erase_latency: Duration::from_millis(2),
             controller_overhead: Duration::from_micros(15),
-            active_mw_per_gbps: 6.0,
+            active_mw_per_gbps: IRIDIUM_MW_PER_GBPS,
         }
     }
 

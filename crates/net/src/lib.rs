@@ -25,6 +25,5 @@ pub mod wire;
 
 pub use frame::{frames_for_payload, wire_bytes_for_payload};
 pub use meter::PortMeter;
-pub use nic::NicMac;
 pub use tcp::TcpCostModel;
 pub use wire::Wire;

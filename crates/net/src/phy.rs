@@ -9,5 +9,8 @@
 /// Power of one 10 GbE PHY port, milliwatts (Table 1).
 pub const PHY_POWER_MW: f64 = 300.0;
 
+/// Area of one 10 GbE PHY, mm² (Table 1).
+pub const PHY_AREA_MM2: f64 = 220.0;
+
 /// Board footprint of one packaged dual-PHY chip, mm² (§5.5).
 pub const DUAL_PHY_PACKAGE_MM2: f64 = 441.0;

@@ -66,7 +66,7 @@ pub fn thermal_report(config: &StackConfig, peak_gbps: f64) -> ThermalReport {
 mod tests {
     use super::*;
     use densekv_cpu::CoreConfig;
-    use densekv_net::nic::NicMac;
+    use densekv_net::nic;
 
     // The logic-die budget behind §5.5's "area never limits the core
     // count": the packing solver has no area term because of it, and
@@ -90,7 +90,7 @@ mod tests {
         } else {
             0.0
         };
-        core_area + l2_area + NicMac::AREA_MM2 + PERIPHERAL_LOGIC_MM2
+        core_area + l2_area + nic::AREA_MM2 + PERIPHERAL_LOGIC_MM2
     }
 
     /// Whether the configuration's logic fits the die.
@@ -102,7 +102,7 @@ mod tests {
     /// (ignoring the port limit — the paper's ">400 cores" observation).
     fn max_cores_by_area(core_area_mm2: f64, with_l2: bool) -> u32 {
         let per_core = core_area_mm2 + if with_l2 { L2_AREA_MM2 } else { 0.0 };
-        let available = DIE_AREA_MM2 - NicMac::AREA_MM2 - PERIPHERAL_LOGIC_MM2;
+        let available = DIE_AREA_MM2 - nic::AREA_MM2 - PERIPHERAL_LOGIC_MM2;
         (available / per_core).floor() as u32
     }
 

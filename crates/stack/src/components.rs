@@ -1,4 +1,14 @@
 //! Table 1 of the paper: power and area for the components of a 3D stack.
+//!
+//! Each number is read from the constant that owns it — the core
+//! constructors in `densekv-cpu`, the memory rates in `densekv-mem`, the
+//! MAC and PHY in `densekv-net` — so the table cannot drift from the
+//! models that use it.
+
+use densekv_cpu::CoreConfig;
+use densekv_mem::dram::MERCURY_MW_PER_GBPS;
+use densekv_mem::flash::IRIDIUM_MW_PER_GBPS;
+use densekv_net::{nic, phy};
 
 /// One row of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -14,34 +24,29 @@ pub struct ComponentSpec {
     pub area_mm2: f64,
 }
 
+/// A core's row, from its [`CoreConfig`].
+const fn core_row(name: &'static str, core: CoreConfig) -> ComponentSpec {
+    ComponentSpec {
+        name,
+        power_mw: core.power_mw,
+        power_per_gbps: false,
+        area_mm2: core.area_mm2,
+    }
+}
+
 /// Cortex-A7 at 1 GHz.
-pub(crate) const A7_1GHZ: ComponentSpec = ComponentSpec {
-    name: "A7@1GHz",
-    power_mw: 100.0,
-    power_per_gbps: false,
-    area_mm2: 0.58,
-};
+pub(crate) const A7_1GHZ: ComponentSpec = core_row("A7@1GHz", CoreConfig::a7_1ghz());
 
 /// Cortex-A15 at 1 GHz.
-pub(crate) const A15_1GHZ: ComponentSpec = ComponentSpec {
-    name: "A15@1GHz",
-    power_mw: 600.0,
-    power_per_gbps: false,
-    area_mm2: 2.82,
-};
+pub(crate) const A15_1GHZ: ComponentSpec = core_row("A15@1GHz", CoreConfig::a15_1ghz());
 
 /// Cortex-A15 at 1.5 GHz.
-pub(crate) const A15_1P5GHZ: ComponentSpec = ComponentSpec {
-    name: "A15@1.5GHz",
-    power_mw: 1000.0,
-    power_per_gbps: false,
-    area_mm2: 2.82,
-};
+pub(crate) const A15_1P5GHZ: ComponentSpec = core_row("A15@1.5GHz", CoreConfig::a15_1p5ghz());
 
 /// The 4 GB 3D DRAM stack (power per GB/s of bandwidth).
 pub(crate) const DRAM_3D_4GB: ComponentSpec = ComponentSpec {
     name: "3D DRAM (4GB)",
-    power_mw: 210.0,
+    power_mw: MERCURY_MW_PER_GBPS,
     power_per_gbps: true,
     area_mm2: 279.0,
 };
@@ -49,7 +54,7 @@ pub(crate) const DRAM_3D_4GB: ComponentSpec = ComponentSpec {
 /// The 19.8 GB 3D NAND flash (power per GB/s of bandwidth).
 pub(crate) const FLASH_3D_19GB: ComponentSpec = ComponentSpec {
     name: "3D NAND Flash (19.8GB)",
-    power_mw: 6.0,
+    power_mw: IRIDIUM_MW_PER_GBPS,
     power_per_gbps: true,
     area_mm2: 279.0,
 };
@@ -57,17 +62,17 @@ pub(crate) const FLASH_3D_19GB: ComponentSpec = ComponentSpec {
 /// The on-stack NIC MAC and buffers.
 pub(crate) const NIC_MAC: ComponentSpec = ComponentSpec {
     name: "3D Stack NIC (MAC)",
-    power_mw: 120.0,
+    power_mw: nic::POWER_MW,
     power_per_gbps: false,
-    area_mm2: 0.43,
+    area_mm2: nic::AREA_MM2,
 };
 
 /// The off-stack 10 GbE PHY.
 pub(crate) const NIC_PHY: ComponentSpec = ComponentSpec {
     name: "Physical NIC (PHY)",
-    power_mw: 300.0,
+    power_mw: phy::PHY_POWER_MW,
     power_per_gbps: false,
-    area_mm2: 220.0,
+    area_mm2: phy::PHY_AREA_MM2,
 };
 
 /// All of Table 1 in the paper's row order.
@@ -96,15 +101,6 @@ mod tests {
         assert_eq!(FLASH_3D_19GB.power_mw, 6.0);
         assert_eq!(NIC_MAC.area_mm2, 0.43);
         assert_eq!(NIC_PHY.area_mm2, 220.0);
-    }
-
-    #[test]
-    fn constants_agree_with_other_crates() {
-        use densekv_cpu::CoreConfig;
-        assert_eq!(CoreConfig::a7_1ghz().power_mw, A7_1GHZ.power_mw);
-        assert_eq!(CoreConfig::a15_1ghz().area_mm2, A15_1GHZ.area_mm2);
-        assert_eq!(densekv_net::nic::NicMac::POWER_MW, NIC_MAC.power_mw);
-        assert_eq!(densekv_net::phy::PHY_POWER_MW, NIC_PHY.power_mw);
     }
 
     #[test]

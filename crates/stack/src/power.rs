@@ -7,7 +7,7 @@
 //! observed bandwidth while Table 4 reports it at the 64 B working point.
 
 use densekv_energy::EnergyRates;
-use densekv_net::nic::NicMac;
+use densekv_net::nic;
 use densekv_net::phy::PHY_POWER_MW;
 
 use crate::config::{MemoryKind, StackConfig};
@@ -68,7 +68,7 @@ pub fn stack_power(config: &StackConfig, mem_gbps: f64) -> StackPower {
     StackPower {
         cores_w,
         l2_w,
-        mac_w: NicMac::POWER_MW / 1000.0,
+        mac_w: nic::POWER_MW / 1000.0,
         phy_w: PHY_POWER_MW / 1000.0,
         memory_w: config.memory.active_mw_per_gbps() * mem_gbps.max(0.0) / 1000.0,
     }
@@ -128,7 +128,7 @@ pub fn energy_rates(config: &StackConfig) -> EnergyRates {
         config.core.power_mw,
         if config.l2 { L2_POWER_MW } else { 0.0 },
         config.memory.active_mw_per_gbps(),
-        NicMac::POWER_MW,
+        nic::POWER_MW,
         PHY_POWER_MW,
     )
 }
@@ -137,7 +137,6 @@ pub fn energy_rates(config: &StackConfig) -> EnergyRates {
 mod tests {
     use super::*;
     use densekv_cpu::CoreConfig;
-    use densekv_sim::Duration;
 
     #[test]
     fn mercury32_a7_tdp_near_paper() {
@@ -210,8 +209,8 @@ mod tests {
             let rates = energy_rates(&config);
             let secs = 2.5;
             let bytes = gbps * 1e9 * secs;
-            let event_j = rates.stack_static_j(config.cores, Duration::from_secs_f64(secs))
-                + rates.mem_j_per_byte() * bytes;
+            let event_j =
+                rates.stack_static_w(config.cores) * secs + rates.mem_j_per_byte() * bytes;
             let analytic_j = stack_power(&config, gbps).total_w() * secs;
             let rel = (event_j - analytic_j).abs() / analytic_j;
             assert!(rel < 1e-12, "{}: relative error {rel}", config.name());

@@ -71,13 +71,14 @@ impl TimelineSampler {
     }
 
     /// Column names, in CSV order.
-    #[must_use]
-    pub fn columns(&self) -> &[&'static str] {
+    #[cfg(test)]
+    pub(crate) fn columns(&self) -> &[&'static str] {
         &self.columns
     }
 
-    /// Updates gauge `col` (index into [`TimelineSampler::columns`]).
-    /// The value is carried into every subsequent row until changed.
+    /// Updates gauge `col` (an index into the columns the sampler was
+    /// built with). The value is carried into every subsequent row until
+    /// changed.
     #[inline]
     pub fn set(&mut self, col: usize, value: f64) {
         if self.enabled {

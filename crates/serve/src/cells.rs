@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use densekv_sim::Duration as SimDuration;
 use densekv_telemetry::LogHistogram;
 
-use crate::metrics::{ShardLockSnapshot, Verb, LONGEST, VERB_COUNT};
+use crate::metrics::{grown_histogram, ShardLockSnapshot, Verb, VERB_COUNT};
 use crate::shard::LockObserver;
 
 /// One connection's measurements since its last flush: plain fields its
@@ -42,14 +42,7 @@ impl ConnCells {
         sample_every: u64,
     ) -> Self {
         ConnCells {
-            // Grown to their full range once, here, so that no later
-            // sample makes the worker allocate.
-            latency: std::array::from_fn(|_| {
-                let mut samples = LogHistogram::new();
-                samples.record(LONGEST);
-                samples.reset();
-                samples
-            }),
+            latency: std::array::from_fn(|_| grown_histogram()),
             shards: vec![ShardLockSnapshot::default(); shards],
             slow: VecDeque::with_capacity(slow_capacity),
             commands: 0,

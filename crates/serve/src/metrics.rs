@@ -1,10 +1,10 @@
-//! The live observability plane: per-verb counters and latency
-//! histograms, shard-lock contention accounting, deterministic span
-//! sampling, and a slow-request log — all fed by real wall-clock
-//! measurements from the TCP front-end.
+//! The live observability plane: per-verb latency histograms (a verb's
+//! count is its histogram's), connection counts, shard-lock contention
+//! accounting, deterministic span sampling, and a slow-request log —
+//! all fed by real wall-clock measurements from the TCP front-end.
 //!
 //! The instruments are the *same types* the simulator fills
-//! ([`MetricsRegistry`], [`LogHistogram`], [`Tracer`]), bridged to wall
+//! ([`LogHistogram`], [`Tracer`]), bridged to wall
 //! time by [`Stopwatch`]. That is the point: a `stats latency` reply
 //! from the live server and a percentile row from the simulator are
 //! directly comparable numbers, which is what lets `serve_validate`
@@ -28,8 +28,8 @@ use parking_lot::Mutex;
 use densekv_kv::protocol::{Request, StoreVerb};
 use densekv_sim::{Duration as SimDuration, SimTime};
 use densekv_telemetry::{
-    CounterId, GaugeId, HistogramId, LogHistogram, MetricsRegistry, Quantiles, SloConfig,
-    SloSnapshot, SloTracker, SpanBuilder, Stopwatch, Tracer, WindowedHistogram, WindowedRate,
+    LogHistogram, Quantiles, SloConfig, SloSnapshot, SloTracker, SpanBuilder, Stopwatch, Tracer,
+    WindowedHistogram, WindowedRate,
 };
 
 use crate::cells::ConnCells;
@@ -136,39 +136,34 @@ impl Verb {
     /// The wire-level verb name (also the trace span label).
     #[must_use]
     pub fn name(self) -> &'static str {
-        VERB_NAMES[self.index()][0]
+        VERB_NAMES[self.index()]
     }
 
-    /// Dense index into the per-verb handle arrays.
+    /// Dense index into the per-verb arrays.
     #[must_use]
     pub fn index(self) -> usize {
         self as usize
     }
 }
 
-/// Wire name, counter name and latency-histogram name of every verb, in
-/// [`Verb::ALL`] order.
-const VERB_NAMES: [[&str; 3]; VERB_COUNT] = [
-    ["get", "serve.cmd.get", "serve.latency.get"],
-    ["set", "serve.cmd.set", "serve.latency.set"],
-    ["add", "serve.cmd.add", "serve.latency.add"],
-    ["replace", "serve.cmd.replace", "serve.latency.replace"],
-    ["append", "serve.cmd.append", "serve.latency.append"],
-    ["prepend", "serve.cmd.prepend", "serve.latency.prepend"],
-    ["cas", "serve.cmd.cas", "serve.latency.cas"],
-    ["incr", "serve.cmd.incr", "serve.latency.incr"],
-    ["decr", "serve.cmd.decr", "serve.latency.decr"],
-    ["delete", "serve.cmd.delete", "serve.latency.delete"],
-    ["touch", "serve.cmd.touch", "serve.latency.touch"],
-    [
-        "flush_all",
-        "serve.cmd.flush_all",
-        "serve.latency.flush_all",
-    ],
-    ["stats", "serve.cmd.stats", "serve.latency.stats"],
-    ["metrics", "serve.cmd.metrics", "serve.latency.metrics"],
-    ["version", "serve.cmd.version", "serve.latency.version"],
-    ["quit", "serve.cmd.quit", "serve.latency.quit"],
+/// Wire name of every verb, in [`Verb::ALL`] order.
+const VERB_NAMES: [&str; VERB_COUNT] = [
+    "get",
+    "set",
+    "add",
+    "replace",
+    "append",
+    "prepend",
+    "cas",
+    "incr",
+    "decr",
+    "delete",
+    "touch",
+    "flush_all",
+    "stats",
+    "metrics",
+    "version",
+    "quit",
 ];
 
 /// How the front-end's observability plane is shaped.
@@ -185,12 +180,10 @@ pub struct MetricsConfig {
     pub slow_threshold: std::time::Duration,
     /// Wall-clock length of one observation window — the rotation
     /// cadence of the windowed histograms, rates, and SLO tracker
-    /// (clamped to ≥ 1 ms).
+    /// (clamped to ≥ 1 ms). The SLO is [`SloConfig::default`]: with
+    /// the default 1 s window, its 5-short/60-long windows are the
+    /// classic 5 s / 1 min multi-window burn-rate pair.
     pub window: std::time::Duration,
-    /// The latency objective the windowed plane burns against. With
-    /// the default 1 s window, the default 5-short/60-long windows are
-    /// the classic 5 s / 1 min multi-window burn-rate pair.
-    pub slo: SloConfig,
 }
 
 impl Default for MetricsConfig {
@@ -200,7 +193,6 @@ impl Default for MetricsConfig {
             sample_every: 1024,
             slow_threshold: std::time::Duration::from_millis(10),
             window: std::time::Duration::from_secs(1),
-            slo: SloConfig::default(),
         }
     }
 }
@@ -329,22 +321,29 @@ const CONTENTION_FRACTION_DEN: u64 = 2;
 const RECORDER_SPAN_CAP: usize = 64;
 /// EWMA smoothing factor of the per-verb windowed rates.
 const RATE_EWMA_ALPHA: f64 = 0.3;
-/// The largest latency a histogram can hold. Recording it once grows a
-/// histogram's buckets to their full range, which a reset then keeps.
-pub(crate) const LONGEST: SimDuration = SimDuration::from_ps(u64::MAX);
 /// Longest catch-up rotation run after an idle stretch; beyond this
 /// many windows every ring and the SLO ledger are all-empty anyway, so
 /// the rotation epoch just jumps.
 const MAX_CATCHUP_WINDOWS: u64 = 128;
 
-/// Everything a flush writes — the cumulative registry, the windowed
+/// An empty histogram whose buckets already span every latency, so no
+/// later sample, however slow, makes it allocate (a reset keeps them).
+pub(crate) fn grown_histogram() -> LogHistogram {
+    let mut histogram = LogHistogram::new();
+    histogram.record(SimDuration::from_ps(u64::MAX));
+    histogram.reset();
+    histogram
+}
+
+/// Everything a flush writes — the cumulative histograms, the windowed
 /// views and the slow log — mutated under one mutex, so a connection
 /// pays one lock per drained batch.
 struct Plane {
     /// Commands flushed so far: the next flush's first sequence number.
     seq: u64,
-    /// Per-verb counters and latency histograms, and the gauges.
-    registry: MetricsRegistry,
+    /// Per-verb latency histograms (indexed by [`Verb::index`]); a
+    /// verb's count is its histogram's.
+    latency: [LogHistogram; VERB_COUNT],
     /// Per-shard lock accounting.
     shards: Vec<ShardLockSnapshot>,
     /// The slow-request log, oldest first.
@@ -355,8 +354,7 @@ struct Plane {
     overall: WindowedHistogram,
     /// Per-verb windowed request rates.
     rates: [WindowedRate; VERB_COUNT],
-    /// Multi-window burn-rate tracking against the configured
-    /// objective.
+    /// Multi-window burn-rate tracking against the objective.
     slo: SloTracker,
     /// The flight recorder's snapshot ring, oldest first.
     recorder: VecDeque<WindowSnapshot>,
@@ -365,7 +363,7 @@ struct Plane {
     /// Whether the previous closed window was in a triggered state
     /// (only a rising edge becomes `last_trigger`).
     triggered: bool,
-    /// Totals at the previous window close, for per-window deltas.
+    /// Totals at the last window close or reset, for per-window deltas.
     prev_acquisitions: u64,
     prev_contended: u64,
     prev_rejected: u64,
@@ -388,33 +386,29 @@ pub(crate) struct RequestPhases {
     pub write: std::time::Duration,
 }
 
-/// The front-end's live observability plane.
+/// The front-end's live observability plane, and the server's one
+/// count of open and refused connections.
 ///
 /// Shared by every worker thread, which is why workers do not record
 /// into it directly: each [`crate::Session`] fills its own cells and
 /// flushes them once per written batch. Spans sit behind their own
-/// mutex (one lock per sampled request). All of it is inert when
-/// constructed from a disabled [`MetricsConfig`].
+/// mutex (one lock per sampled request). Constructed from a disabled
+/// [`MetricsConfig`], all of it is inert except the connection counts,
+/// which the connection cap and [`ServeStats`] read either way.
 pub struct ServeMetrics {
     enabled: bool,
     sample_every: u64,
     slow_threshold: std::time::Duration,
     start: Stopwatch,
-    verb_counters: [CounterId; VERB_COUNT],
-    verb_histograms: [HistogramId; VERB_COUNT],
-    gauge_bytes_in: GaugeId,
-    gauge_bytes_out: GaugeId,
-    gauge_active: GaugeId,
-    gauge_rejected: GaugeId,
     tracer: Mutex<Tracer>,
     /// Rotation cadence (clamped ≥ 1 ms), and its picosecond form the
     /// boundary check divides by.
     window: std::time::Duration,
     window_ps: u64,
     plane: Mutex<Plane>,
-    /// Connection-plane counters mirrored here so window snapshots and
-    /// the saturation trigger can read them without reaching into the
-    /// server's shared state.
+    /// Connections in service, the cap, and connections ever refused
+    /// `busy` (`stats reset` keeps it). Relaxed: no other data rides on
+    /// them, and only the accept thread adds to `conn_active`.
     conn_active: AtomicU64,
     conn_capacity: AtomicU64,
     conn_rejected: AtomicU64,
@@ -433,17 +427,6 @@ impl ServeMetrics {
     /// Builds the plane for a server with `shards` lock stripes.
     #[must_use]
     pub fn new(config: &MetricsConfig, shards: usize) -> Self {
-        let mut registry = if config.enabled {
-            MetricsRegistry::enabled()
-        } else {
-            MetricsRegistry::disabled()
-        };
-        let verb_counters = std::array::from_fn(|i| registry.counter(VERB_NAMES[i][1]));
-        let verb_histograms = std::array::from_fn(|i| registry.histogram(VERB_NAMES[i][2]));
-        let gauge_bytes_in = registry.gauge("serve.bytes_in");
-        let gauge_bytes_out = registry.gauge("serve.bytes_out");
-        let gauge_active = registry.gauge("serve.connections.active");
-        let gauge_rejected = registry.gauge("serve.connections.rejected");
         let tracer = if config.enabled && config.sample_every > 0 {
             Tracer::every(config.sample_every)
         } else {
@@ -451,27 +434,20 @@ impl ServeMetrics {
         };
         let window = config.window.max(std::time::Duration::from_millis(1));
         let window_sim = SimDuration::from_std(window);
+        // Every histogram a flush writes spans its full range from the
+        // start, so no sample makes a worker allocate under the plane
+        // lock. Merging an empty grown histogram grows the open window.
         let mut overall = WindowedHistogram::new(WINDOW_RETAIN);
-        if config.enabled {
-            // Grow every histogram a flush writes to its full range now,
-            // so that no later sample, however slow, makes a worker
-            // allocate under the plane lock (a reset keeps the buckets).
-            for &id in &verb_histograms {
-                registry.observe(id, LONGEST);
-            }
-            registry.reset();
-            overall.record(LONGEST);
-            overall.reset();
-        }
+        overall.record_all(&grown_histogram());
         let plane = Plane {
             seq: 0,
-            registry,
+            latency: std::array::from_fn(|_| grown_histogram()),
             shards: vec![ShardLockSnapshot::default(); shards],
             slow: VecDeque::with_capacity(SLOW_LOG_CAPACITY),
             closed: 0,
             overall,
             rates: std::array::from_fn(|_| WindowedRate::new(window_sim, RATE_EWMA_ALPHA)),
-            slo: SloTracker::new(config.slo),
+            slo: SloTracker::new(SloConfig::default()),
             recorder: VecDeque::new(),
             last_trigger: None,
             triggered: false,
@@ -484,12 +460,6 @@ impl ServeMetrics {
             sample_every: config.sample_every,
             slow_threshold: config.slow_threshold,
             start: Stopwatch::start(),
-            verb_counters,
-            verb_histograms,
-            gauge_bytes_in,
-            gauge_bytes_out,
-            gauge_active,
-            gauge_rejected,
             tracer: Mutex::new(tracer),
             window,
             window_ps: window_sim.as_ps().max(1),
@@ -620,8 +590,8 @@ impl ServeMetrics {
     }
 
     /// Folds a connection's cells into the plane and empties them: per
-    /// verb, the count goes to its counter and windowed rate and the
-    /// latencies to its histogram and the windowed all-verb view; slow
+    /// verb, the count goes to its windowed rate and the latencies to
+    /// its histogram and the windowed all-verb view; slow
     /// commands join the slow log; lock accounting joins the shards'.
     /// Rotates any window due at `now` first. Returns the sequence
     /// number of the first command flushed (the rest follow in order).
@@ -639,8 +609,7 @@ impl ServeMetrics {
             }
             plane.overall.record_all(samples);
             plane.rates[i].record(samples.count());
-            plane.registry.inc(self.verb_counters[i], samples.count());
-            plane.registry.observe_all(self.verb_histograms[i], samples);
+            plane.latency[i].merge(samples);
             samples.reset();
         }
         for (position, verb, latency, end) in cells.slow.drain(..) {
@@ -736,11 +705,7 @@ impl ServeMetrics {
     /// requests of that verb have completed).
     #[must_use]
     pub fn verb_quantiles(&self, verb: Verb) -> Quantiles {
-        self.plane
-            .lock()
-            .registry
-            .histogram_value(self.verb_histograms[verb.index()])
-            .quantiles()
+        self.plane.lock().latency[verb.index()].quantiles()
     }
 
     /// Quantiles over every verb's samples folded into one histogram —
@@ -748,22 +713,11 @@ impl ServeMetrics {
     /// cross-checks against the load generator's client-side histogram.
     #[must_use]
     pub fn overall_quantiles(&self) -> Quantiles {
-        let plane = self.plane.lock();
         let mut all = LogHistogram::new();
-        for id in self.verb_histograms {
-            all.merge(plane.registry.histogram_value(id));
+        for histogram in &self.plane.lock().latency {
+            all.merge(histogram);
         }
         all.quantiles()
-    }
-
-    /// Lifetime count of one verb.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn verb_count(&self, verb: Verb) -> u64 {
-        self.plane
-            .lock()
-            .registry
-            .counter_value(self.verb_counters[verb.index()])
     }
 
     /// Point-in-time copies of every shard's lock counters.
@@ -780,23 +734,27 @@ impl ServeMetrics {
 
     /// One connection entered service.
     pub(crate) fn connection_opened(&self) {
-        if self.enabled {
-            self.conn_active.fetch_add(1, Ordering::Relaxed);
-        }
+        self.conn_active.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One connection left service.
     pub(crate) fn connection_closed(&self) {
-        if self.enabled {
-            self.conn_active.fetch_sub(1, Ordering::Relaxed);
-        }
+        self.conn_active.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// One connection was refused `SERVER_ERROR busy`.
     pub(crate) fn connection_rejected(&self) {
-        if self.enabled {
-            self.conn_rejected.fetch_add(1, Ordering::Relaxed);
-        }
+        self.conn_rejected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Connections in service now.
+    pub(crate) fn connections_active(&self) -> u64 {
+        self.conn_active.load(Ordering::Relaxed)
+    }
+
+    /// Connections refused `SERVER_ERROR busy` since server start.
+    pub(crate) fn connections_rejected(&self) -> u64 {
+        self.conn_rejected.load(Ordering::Relaxed)
     }
 
     /// Windows closed since server start. Rotates due windows first, so
@@ -978,10 +936,10 @@ impl ServeMetrics {
                 plane.overall.retained()
             );
             for verb in Verb::ALL {
-                let rate = &plane.rates[verb.index()];
-                if rate.total() == 0 {
+                if plane.latency[verb.index()].count() == 0 {
                     continue;
                 }
+                let rate = &plane.rates[verb.index()];
                 let n = verb.name();
                 put!(out, "STAT rate_{n} {:.1}\r\n", rate.last_rate());
                 put!(out, "STAT rate_{n}_ewma {:.1}\r\n", rate.ewma_rate());
@@ -1035,21 +993,23 @@ impl ServeMetrics {
         out.extend_from_slice(b"END\r\n");
     }
 
-    /// The `stats reset` semantics: zero counters and histograms, clear
-    /// the slow log, and clear the *entire* windowed plane — histogram
-    /// ring, per-verb rates, SLO ledger, flight recorder, trigger
-    /// state — in one atomic step (everything happens under
-    /// the plane lock, so no window can rotate half-reset state into
-    /// the ring). Kept: registered handles, collected spans, the
-    /// sequence counter (sampling cadence is unaffected), and the
-    /// window numbering/rotation cadence — window indices keep counting
-    /// from server start so they stay comparable across a reset.
+    /// The `stats reset` semantics: zero the per-verb histograms and
+    /// shard-lock counters, clear the slow log, and clear the *entire*
+    /// windowed plane — histogram ring, per-verb rates, SLO ledger,
+    /// flight recorder, trigger state — in one atomic step (everything
+    /// happens under the plane lock, so no window can rotate half-reset
+    /// state into the ring). Kept: collected spans, the sequence
+    /// counter (sampling cadence is unaffected), the connection counts,
+    /// and the window numbering/rotation cadence — window indices keep
+    /// counting from server start so they stay comparable across a
+    /// reset. The next window counts only the refusals after it.
     pub fn reset(&self) {
         let mut plane = self.plane.lock();
-        plane.registry.reset();
+        for histogram in &mut plane.latency {
+            histogram.reset();
+        }
         plane.shards.fill(ShardLockSnapshot::default());
         plane.slow.clear();
-        self.conn_rejected.store(0, Ordering::Relaxed);
         plane.overall.reset();
         for rate in &mut plane.rates {
             rate.reset();
@@ -1060,7 +1020,7 @@ impl ServeMetrics {
         plane.triggered = false;
         plane.prev_acquisitions = 0;
         plane.prev_contended = 0;
-        plane.prev_rejected = 0;
+        plane.prev_rejected = self.connections_rejected();
     }
 
     /// Renders the `stats latency` reply: per-verb count, mean, and
@@ -1069,9 +1029,7 @@ impl ServeMetrics {
     pub(crate) fn render_stats_latency(&self, out: &mut BytesMut) {
         let plane = self.plane.lock();
         for verb in Verb::ALL {
-            let h = plane
-                .registry
-                .histogram_value(self.verb_histograms[verb.index()]);
+            let h = &plane.latency[verb.index()];
             if h.count() == 0 {
                 continue;
             }
@@ -1125,13 +1083,12 @@ impl ServeMetrics {
 }
 
 /// Renders the full `metrics` verb body: front-end counters, store
-/// counters, then the registry (per-verb counters/histograms, gauges)
+/// counters, the active-connection gauge, per-verb latency summaries
 /// and shard-lock series — one scrape-ready Prometheus text block.
 #[must_use]
 pub(crate) fn render_prometheus(
     metrics: &ServeMetrics,
     serve: &ServeStats,
-    active: usize,
     store: &densekv_kv::store::StoreStats,
     engine: &[(String, u64)],
 ) -> String {
@@ -1161,15 +1118,35 @@ pub(crate) fn render_prometheus(
     for (name, v) in engine {
         put!(out, "# TYPE densekv_{name} gauge\ndensekv_{name} {v}\n");
     }
-    {
-        // The front-end's own gauges are copied in now, so the
-        // exposition is current.
-        let registry = &mut metrics.plane.lock().registry;
-        registry.set(metrics.gauge_bytes_in, serve.bytes_in as f64);
-        registry.set(metrics.gauge_bytes_out, serve.bytes_out as f64);
-        registry.set(metrics.gauge_active, active as f64);
-        registry.set(metrics.gauge_rejected, serve.rejected_busy as f64);
-        out.push_str(&registry.to_prometheus());
+    put!(
+        out,
+        "# TYPE serve_connections_active gauge\nserve_connections_active {}\n",
+        metrics.connections_active()
+    );
+    // Each verb's histogram becomes a summary: quantiles in seconds,
+    // then the exact `_sum` and `_count`.
+    for (verb, h) in Verb::ALL.iter().zip(&metrics.plane.lock().latency) {
+        let name = verb.name();
+        put!(out, "# TYPE serve_latency_{name} summary\n");
+        let q = h.quantiles();
+        for (label, d) in [
+            ("0.5", q.p50),
+            ("0.9", q.p90),
+            ("0.95", q.p95),
+            ("0.99", q.p99),
+            ("0.999", q.p999),
+        ] {
+            let seconds = d.as_secs_f64();
+            put!(
+                out,
+                "serve_latency_{name}{{quantile=\"{label}\"}} {seconds}\n"
+            );
+        }
+        let (sum, count) = (h.sum().as_secs_f64(), q.count);
+        put!(
+            out,
+            "serve_latency_{name}_sum {sum}\nserve_latency_{name}_count {count}\n"
+        );
     }
     // Shard locks become labeled series (`{shard="i"}`), so a scrape
     // sees contention per stripe without N distinct metric names.
@@ -1214,15 +1191,13 @@ mod tests {
         assert_eq!(Verb::of(&get.as_request()), Verb::Get);
         assert_eq!(Verb::of(&Request::Metrics), Verb::Metrics);
         assert_eq!(Verb::of(&Request::Stats { arg: None }), Verb::Stats);
-        // Names, counter names, and indices are all distinct.
+        // Names and indices are all distinct.
         let mut names: Vec<_> = Verb::ALL.iter().map(|v| v.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), VERB_COUNT);
         for (i, v) in Verb::ALL.iter().enumerate() {
             assert_eq!(v.index(), i);
-            assert!(VERB_NAMES[v.index()][1].ends_with(v.name()));
-            assert!(VERB_NAMES[v.index()][2].contains("latency"));
         }
     }
 
@@ -1233,7 +1208,6 @@ mod tests {
             record(&m, Verb::Get, std::time::Duration::from_micros(us));
         }
         record(&m, Verb::Set, std::time::Duration::from_micros(50));
-        assert_eq!(m.verb_count(Verb::Get), 3);
         let q = m.verb_quantiles(Verb::Get);
         assert_eq!(q.count, 3);
         assert!(q.p50 >= SimDuration::from_micros(200));
@@ -1255,7 +1229,6 @@ mod tests {
         record(&m, Verb::Get, std::time::Duration::from_micros(10));
         m.record_shard(0, Default::default(), Default::default(), true);
         m.record_span(0, Verb::Get, 7, &RequestPhases::default());
-        assert_eq!(m.verb_count(Verb::Get), 0);
         assert_eq!(m.verb_quantiles(Verb::Get).count, 0);
         assert_eq!(m.shard_snapshots()[0], ShardLockSnapshot::default());
         assert_eq!(m.spans_recorded(), 0);
@@ -1322,10 +1295,10 @@ mod tests {
         record(&m, Verb::Get, us(100));
         m.reset();
         assert_eq!(m.shard_snapshots()[0], ShardLockSnapshot::default());
-        assert_eq!(m.verb_count(Verb::Get), 0);
-        // Handles survive the reset.
+        assert_eq!(m.verb_quantiles(Verb::Get).count, 0);
+        // The plane records on after the reset.
         record(&m, Verb::Get, us(10));
-        assert_eq!(m.verb_count(Verb::Get), 1);
+        assert_eq!(m.verb_quantiles(Verb::Get).count, 1);
     }
 
     #[test]
@@ -1353,23 +1326,8 @@ mod tests {
         assert!(slow[0].latency >= SimDuration::from_micros(200));
     }
 
-    /// A plane with a short-fuse SLO (objective 1 µs, 1-window short /
-    /// 2-window long burn) so tests can trip it deterministically.
-    fn touchy_plane() -> ServeMetrics {
-        ServeMetrics::new(
-            &MetricsConfig {
-                slo: densekv_telemetry::SloConfig {
-                    objective: SimDuration::from_micros(1),
-                    target: 0.95,
-                    short_windows: 1,
-                    long_windows: 2,
-                    alert_burn: 2.0,
-                },
-                ..MetricsConfig::default()
-            },
-            2,
-        )
-    }
+    /// A latency five times the default 1 ms objective.
+    const MISS: std::time::Duration = std::time::Duration::from_millis(5);
 
     #[test]
     fn windows_rotate_deterministically_and_render() {
@@ -1414,10 +1372,9 @@ mod tests {
 
     #[test]
     fn slo_burn_trips_the_flight_recorder_once_per_edge() {
-        let m = touchy_plane();
-        let slow = std::time::Duration::from_micros(500); // 500× objective
+        let m = ServeMetrics::new(&MetricsConfig::default(), 2);
         for _ in 0..10 {
-            record(&m, Verb::Get, slow);
+            record(&m, Verb::Get, MISS);
         }
         m.rotate_now();
         let snap = m.slo_snapshot();
@@ -1435,32 +1392,34 @@ mod tests {
 
         // Still burning: the state holds, so no new edge.
         for _ in 10..20 {
-            record(&m, Verb::Get, slow);
+            record(&m, Verb::Get, MISS);
         }
         m.rotate_now();
         assert_eq!(m.last_trigger(), Some(trigger), "no new edge");
 
-        // Recover (two clean windows clear the 2-window long burn),
+        // Recover (five idle windows empty the 5-window short burn),
         // then trip again: a fresh edge names its own window.
-        m.rotate_now();
-        m.rotate_now();
+        for _ in 0..5 {
+            m.rotate_now();
+        }
         assert!(!m.slo_snapshot().alerting);
         for _ in 20..30 {
-            record(&m, Verb::Get, slow);
+            record(&m, Verb::Get, MISS);
         }
         m.rotate_now();
         let second = m.last_trigger().expect("new edge");
-        assert_eq!((second.reason, second.window), ("slo-burn", 5));
+        assert_eq!((second.reason, second.window), ("slo-burn", 8));
         let dump = m.flight_recorder_json();
         assert!(
-            dump.contains("\"trigger\":{\"reason\":\"slo-burn\",\"window\":5}"),
+            dump.contains("\"trigger\":{\"reason\":\"slo-burn\",\"window\":8}"),
             "{dump}"
         );
     }
 
     #[test]
     fn contention_and_saturation_trip_their_triggers() {
-        let m = touchy_plane();
+        let plane = || ServeMetrics::new(&MetricsConfig::default(), 2);
+        let m = plane();
         let us = std::time::Duration::from_micros;
         for _ in 0..20 {
             m.record_shard(0, us(5), us(5), true);
@@ -1468,7 +1427,7 @@ mod tests {
         m.rotate_now();
         assert_eq!(m.last_trigger().unwrap().reason, "shard-contention");
 
-        let m = touchy_plane();
+        let m = plane();
         m.set_connection_capacity(2);
         m.connection_opened();
         m.connection_opened();
@@ -1476,7 +1435,7 @@ mod tests {
         assert_eq!(m.last_trigger().unwrap().reason, "connection-saturation");
         m.connection_closed();
 
-        let m = touchy_plane();
+        let m = plane();
         m.connection_rejected();
         m.rotate_now();
         assert_eq!(m.last_trigger().unwrap().reason, "connection-saturation");
@@ -1484,10 +1443,9 @@ mod tests {
 
     #[test]
     fn stats_dump_is_valid_json_with_every_section() {
-        let m = touchy_plane();
-        let us = std::time::Duration::from_micros;
-        record(&m, Verb::Get, us(300));
-        record(&m, Verb::Set, us(40));
+        let m = ServeMetrics::new(&MetricsConfig::default(), 2);
+        record(&m, Verb::Get, MISS);
+        record(&m, Verb::Set, std::time::Duration::from_micros(40));
         m.record_span(0, Verb::Get, 3, &RequestPhases::default());
         m.rotate_now();
         let json = m.flight_recorder_json();
@@ -1511,10 +1469,9 @@ mod tests {
 
     #[test]
     fn reset_clears_window_ring_and_slo_state_atomically() {
-        let m = touchy_plane();
-        let slow = std::time::Duration::from_micros(500);
+        let m = ServeMetrics::new(&MetricsConfig::default(), 2);
         for _ in 0..10 {
-            record(&m, Verb::Get, slow);
+            record(&m, Verb::Get, MISS);
         }
         m.rotate_now();
         m.rotate_now();
@@ -1522,7 +1479,7 @@ mod tests {
         assert!(m.last_trigger().is_some());
         // The flight recorder keeps only its newest windows.
         for _ in 0..RECORDER_CAPACITY {
-            record(&m, Verb::Get, slow);
+            record(&m, Verb::Get, MISS);
             m.rotate_now();
         }
         let snaps = m.window_snapshots();
@@ -1536,8 +1493,8 @@ mod tests {
         assert_eq!((snap.windows, snap.total, snap.bad), (0, 0, 0));
         assert_eq!(snap.short_burn, 0.0);
         assert!(m.last_trigger().is_none(), "trigger state cleared");
-        // …and so is the cumulative registry (the PR-7 semantics).
-        assert_eq!(m.verb_count(Verb::Get), 0);
+        // …and so are the cumulative histograms.
+        assert_eq!(m.verb_quantiles(Verb::Get).count, 0);
         // Window numbering continues: indices stay comparable across
         // the reset instead of restarting at 1.
         let before = m.windows_closed();
@@ -1586,7 +1543,9 @@ mod tests {
             items: 7,
             ..Default::default()
         };
-        let text = render_prometheus(&m, &serve, 2, &store, &[("engine_items".to_string(), 7)]);
+        m.connection_opened();
+        m.connection_opened();
+        let text = render_prometheus(&m, &serve, &store, &[("engine_items".to_string(), 7)]);
         assert!(text.contains("densekv_serve_accepted 4\n"), "{text}");
         assert!(text.contains("densekv_engine_items 7\n"), "{text}");
         assert!(
@@ -1594,11 +1553,12 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("densekv_store_curr_items 7\n"), "{text}");
-        assert!(text.contains("serve_cmd_get 1\n"), "{text}");
         assert!(
-            text.contains("serve_latency_get{quantile=\"0.99\"}"),
+            text.contains("serve_latency_get{quantile=\"0.99\"} 0.00012\n"),
             "{text}"
         );
+        assert!(text.contains("serve_latency_get_sum 0.00012\n"), "{text}");
+        assert!(text.contains("serve_latency_get_count 1\n"), "{text}");
         assert!(text.contains("serve_connections_active 2\n"), "{text}");
         assert!(
             text.contains("densekv_shard_lock_acquisitions{shard=\"1\"} 1\n"),

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -123,7 +123,6 @@ pub struct ServeStats {
 #[derive(Default)]
 struct Counters {
     accepted: AtomicU64,
-    rejected_busy: AtomicU64,
     commands: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
@@ -138,8 +137,8 @@ pub struct Server {
     clock: WallClock,
     config: ServeConfig,
     shutdown: AtomicBool,
-    active: AtomicUsize,
     counters: Counters,
+    /// The plane; it also counts open and refused connections.
     metrics: ServeMetrics,
     /// Clones of live connection sockets, so shutdown can interrupt
     /// blocked reads immediately instead of waiting out the timeout.
@@ -162,17 +161,24 @@ impl Server {
             clock: WallClock::new(),
             config,
             shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
             counters: Counters::default(),
             metrics,
             conns: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Counts a connection refused `SERVER_ERROR busy`.
-    fn reject(&self) {
-        self.counters.rejected_busy.fetch_add(1, Ordering::Relaxed);
-        self.metrics.connection_rejected();
+    /// The lifetime counters so far.
+    fn stats(&self) -> ServeStats {
+        let c = &self.counters;
+        ServeStats {
+            accepted: c.accepted.load(Ordering::Relaxed),
+            rejected_busy: self.metrics.connections_rejected(),
+            commands: c.commands.load(Ordering::Relaxed),
+            bytes_in: c.bytes_in.load(Ordering::Relaxed),
+            bytes_out: c.bytes_out.load(Ordering::Relaxed),
+            timeouts: c.timeouts.load(Ordering::Relaxed),
+            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -192,19 +198,6 @@ impl Counters {
             }
         }
         *tally = ServeStats::default();
-    }
-
-    /// The lifetime counters so far.
-    fn snapshot(&self) -> ServeStats {
-        ServeStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
-            commands: self.commands.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -257,7 +250,7 @@ impl ServerHandle {
     /// Lifetime counters so far.
     #[must_use]
     pub fn stats(&self) -> ServeStats {
-        self.shared.counters.snapshot()
+        self.shared.stats()
     }
 
     /// The observability plane: per-verb latency quantiles, shard-lock
@@ -265,13 +258,6 @@ impl ServerHandle {
     #[must_use]
     pub fn metrics(&self) -> &ServeMetrics {
         &self.shared.metrics
-    }
-
-    /// Connections currently being served.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Relaxed)
     }
 
     /// Live items in the shared store.
@@ -317,16 +303,15 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Server>) {
             break;
         }
         let Ok(mut stream) = conn else { continue };
-        if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections {
+        if shared.metrics.connections_active() >= shared.config.max_connections as u64 {
             // Over the cap: answer and close instead of queueing work we
             // cannot serve — the degradation mode the SLA experiments
             // rely on.
-            shared.reject();
+            shared.metrics.connection_rejected();
             let _ = stream.write_all(b"SERVER_ERROR busy\r\n");
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
-        shared.active.fetch_add(1, Ordering::SeqCst);
         shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
         shared.metrics.connection_opened();
         let id = next_id;
@@ -343,9 +328,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Server>) {
             Err(_) => {
                 // Thread exhaustion: treat like an over-cap connection.
                 shared.conns.lock().remove(&id);
-                shared.active.fetch_sub(1, Ordering::SeqCst);
                 shared.metrics.connection_closed();
-                shared.reject();
+                shared.metrics.connection_rejected();
             }
         }
         // Reap finished workers so the handle list stays bounded by the
@@ -560,8 +544,7 @@ fn execute(
         Request::Metrics => {
             let text = render_prometheus(
                 plane,
-                &server.counters.snapshot(),
-                server.active.load(Ordering::Relaxed),
+                &server.stats(),
                 &server.store.stats(),
                 &server.store.backend_stat_lines(),
             );
@@ -607,7 +590,6 @@ fn serve_connection(mut stream: TcpStream, id: u64, server: &Server) {
         };
     }
     server.conns.lock().remove(&id);
-    server.active.fetch_sub(1, Ordering::SeqCst);
     server.metrics.connection_closed();
 }
 
@@ -640,39 +622,47 @@ mod tests {
         assert!(stats.bytes_in > 0 && stats.bytes_out > 0);
     }
 
-    #[test]
-    fn over_cap_connections_get_busy_then_closed() {
-        let config = ServeConfig {
-            max_connections: 3,
-            ..quick_config()
-        };
-        let server = spawn(config).unwrap();
-        // Fill the cap and prove each connection is live with a
-        // round-trip (connect() alone returns before accept()).
-        let mut held: Vec<Connection> = (0..3)
+    /// Fills a server's cap of `cap` with connections, each proven live
+    /// by a round trip (connect() alone returns before accept()), and
+    /// has the next one refused `busy`. The server volunteers the error,
+    /// so that one reads without sending (writing first could race the
+    /// server's close into a reset).
+    fn fill_the_cap(server: &ServerHandle, cap: usize) -> Vec<Connection> {
+        let connect = || Connection::connect(server.addr()).unwrap();
+        let held = (0..cap)
             .map(|_| {
-                let mut c = Connection::connect(server.addr()).unwrap();
+                let mut c = connect();
                 c.version().unwrap();
                 c
             })
             .collect();
-        // The cap+1-th connection is told busy and dropped; the server
-        // volunteers the error, so read without sending (writing first
-        // could race the server's close into a reset).
-        let mut over = Connection::connect(server.addr()).unwrap();
-        let err = over.read_reply().expect_err("over-cap must not be served");
+        let err = connect().read_reply().expect_err("over the cap");
         let crate::client::ClientError::Server(msg) = err else {
             panic!("expected an in-band busy error, got {err:?}");
         };
         assert!(msg.contains("busy"), "{msg}");
-        // The held connections still work.
-        for conn in &mut held {
-            assert!(conn.set(b"x", b"1").unwrap());
+        held
+    }
+
+    #[test]
+    fn over_cap_connections_get_busy_then_closed() {
+        // The plane counts connections whether or not it is on.
+        for metrics in [MetricsConfig::default(), MetricsConfig::disabled()] {
+            let config = ServeConfig {
+                max_connections: 3,
+                ..quick_config().with_metrics(metrics)
+            };
+            let server = spawn(config).unwrap();
+            let mut held = fill_the_cap(&server, 3);
+            // The held connections still work.
+            for conn in &mut held {
+                assert!(conn.set(b"x", b"1").unwrap());
+            }
+            drop(held);
+            let stats = server.shutdown();
+            assert_eq!(stats.rejected_busy, 1);
+            assert_eq!(stats.accepted, 3);
         }
-        drop(held);
-        let stats = server.shutdown();
-        assert_eq!(stats.rejected_busy, 1);
-        assert_eq!(stats.accepted, 3);
     }
 
     #[test]
@@ -686,7 +676,7 @@ mod tests {
         conn.version().unwrap();
         // Go silent; the server must reclaim the worker.
         std::thread::sleep(Duration::from_millis(400));
-        assert_eq!(server.active_connections(), 0);
+        assert_eq!(server.metrics().connections_active(), 0);
         let stats = server.shutdown();
         assert_eq!(stats.timeouts, 1);
     }
@@ -772,9 +762,10 @@ mod tests {
         // stats reset zeroes the plane but keeps serving.
         let reset = conn.raw_roundtrip(b"stats reset\r\n").unwrap();
         assert_eq!(reset, "RESET");
-        assert_eq!(server.metrics().verb_count(Verb::Get), 0);
+        let gets = || server.metrics().verb_quantiles(Verb::Get).count;
+        assert_eq!(gets(), 0);
         assert!(conn.get(b"k0").unwrap().is_some());
-        assert_eq!(server.metrics().verb_count(Verb::Get), 1);
+        assert_eq!(gets(), 1);
 
         // Unknown stats sub-commands answer ERROR in-band.
         let err = conn.raw_roundtrip(b"stats bogus\r\n").unwrap();
@@ -828,13 +819,13 @@ mod tests {
         // flush-on-close.
         let held: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
         let metrics = server.metrics();
+        let count = |verb| metrics.verb_quantiles(verb).count;
         let n = (CONNECTIONS * ROUNDS) as u64;
         let deletes = (CONNECTIONS * ROUNDS.div_ceil(3)) as u64;
-        assert_eq!(metrics.verb_count(Verb::Set), n);
-        assert_eq!(metrics.verb_count(Verb::Get), 2 * n);
-        assert_eq!(metrics.verb_count(Verb::Delete), deletes);
-        assert_eq!(metrics.verb_count(Verb::Version), CONNECTIONS as u64);
-        assert_eq!(metrics.verb_quantiles(Verb::Get).count, 2 * n);
+        assert_eq!(count(Verb::Set), n);
+        assert_eq!(count(Verb::Get), 2 * n);
+        assert_eq!(count(Verb::Delete), deletes);
+        assert_eq!(count(Verb::Version), CONNECTIONS as u64);
         let commands = 3 * n + deletes + CONNECTIONS as u64;
         assert_eq!(metrics.overall_quantiles().count, commands);
         let locks: u64 = metrics
@@ -875,8 +866,14 @@ mod tests {
         assert!(latency.contains("STAT set_count 1\r\n"), "{latency}");
         assert!(latency.contains("STAT get_count 2\r\n"), "{latency}");
         assert!(!latency.contains("stats_count"), "{latency}");
-        assert!(exposition.contains("serve_cmd_get 3\n"), "{exposition}");
-        assert!(exposition.contains("serve_cmd_stats 1\n"), "{exposition}");
+        assert!(
+            exposition.contains("serve_latency_get_count 3\n"),
+            "{exposition}"
+        );
+        assert!(
+            exposition.contains("serve_latency_stats_count 1\n"),
+            "{exposition}"
+        );
         assert!(
             exposition.contains("densekv_serve_commands 6\n"),
             "{exposition}"
@@ -988,7 +985,7 @@ mod tests {
         );
         assert!(body.contains("densekv_serve_accepted 1"), "{body}");
         assert!(body.contains("densekv_store_curr_items 1"), "{body}");
-        assert!(body.contains("serve_cmd_get 1"), "{body}");
+        assert!(body.contains("serve_latency_get_count 1"), "{body}");
         assert!(
             body.contains("serve_latency_set{quantile=\"0.99\"}"),
             "{body}"
@@ -997,6 +994,73 @@ mod tests {
             body.contains("densekv_shard_lock_acquisitions{shard=\"0\"}"),
             "{body}"
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn metrics_reply_names_each_family_once_and_keeps_every_number() {
+        let config = ServeConfig {
+            max_connections: 2,
+            ..quick_config()
+        };
+        let server = spawn(config).unwrap();
+        let mut held = fill_the_cap(&server, 2);
+        let conn = &mut held[0];
+        assert!(conn.set(b"k", b"v").unwrap());
+        for _ in 0..3 {
+            assert!(conn.get(b"k").unwrap().is_some());
+        }
+        let latency = conn.text_block(b"stats latency\r\n").unwrap();
+        let body = conn.text_block(b"metrics\r\n").unwrap();
+        let value = |name: &str| -> u64 {
+            body.iter()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("no {name} in {body:?}"))
+        };
+
+        // Every sample belongs to a family declared once; a summary's
+        // `_sum` and `_count` belong to the summary.
+        let mut families: Vec<&str> = Vec::new();
+        for line in &body {
+            if let Some(declared) = line.strip_prefix("# TYPE ") {
+                let family = declared.split(' ').next().unwrap();
+                assert!(!families.contains(&family), "{family} declared twice");
+                families.push(family);
+                continue;
+            }
+            let name = line.split(['{', ' ']).next().unwrap();
+            let summary = name.trim_end_matches("_sum").trim_end_matches("_count");
+            let declared = families.contains(&name) || families.contains(&summary);
+            assert!(declared, "{line}");
+        }
+        assert!(!body.iter().any(|l| l.contains("serve_cmd_")), "{body:?}");
+
+        // Each verb counts what `stats latency` counted; that `stats`
+        // command itself was counted after its reply.
+        for verb in Verb::ALL {
+            let name = verb.name();
+            let listed = latency
+                .iter()
+                .find_map(|l| l.strip_prefix(&format!("STAT {name}_count "))?.parse().ok());
+            let expected = listed.unwrap_or(0) + u64::from(verb == Verb::Stats);
+            assert_eq!(value(&format!("serve_latency_{name}_count")), expected);
+        }
+        assert_eq!(value("serve_latency_get_count"), 3);
+        assert_eq!(value("serve_latency_version_count"), 2);
+
+        // The front-end counters are the handle's; the reply was
+        // rendered before it was sent, so only its own bytes are missing.
+        let stats = server.stats();
+        let reply = body.iter().map(|l| l.len() as u64 + 1).sum::<u64>() + 5; // + "END\r\n"
+        let exposed = ["bytes_in", "bytes_out", "rejected_busy"]
+            .map(|counter| value(&format!("densekv_serve_{counter}")));
+        assert_eq!(
+            exposed,
+            [stats.bytes_in, stats.bytes_out - reply, stats.rejected_busy]
+        );
+        assert_eq!(stats.rejected_busy, 1);
+        assert_eq!(value("serve_connections_active"), held.len() as u64);
+        drop(held);
         server.shutdown();
     }
 
@@ -1144,6 +1208,22 @@ mod session_tests {
     use densekv_kv::store::{ITEM_HEADER_BYTES, MAX_ITEM_FOOTPRINT_BYTES};
 
     #[test]
+    fn refusals_outlive_stats_reset_but_the_next_window_counts_only_newer_ones() {
+        let server = Server::new(ServeConfig::ephemeral());
+        server.metrics.connection_rejected();
+        let mut session = Session::new(&server, 0);
+        let mut out = BytesMut::new();
+        session.feed(b"stats reset\r\n", &mut out);
+        assert_eq!(&out[..], b"RESET\r\n");
+        server.metrics.connection_rejected();
+        server.metrics.rotate_now();
+        assert_eq!(server.stats().rejected_busy, 2, "a lifetime count");
+        let windows = server.metrics.window_snapshots();
+        let in_windows: u64 = windows.iter().map(|w| w.conns_rejected).sum();
+        assert_eq!(in_windows, 1, "{windows:?}");
+    }
+
+    #[test]
     fn pipelined_gets_of_a_large_value_are_written_in_bounded_batches() {
         let server = Server::new(ServeConfig::ephemeral());
         let mut session = Session::new(&server, 0);
@@ -1179,7 +1259,7 @@ mod session_tests {
         }
         assert_eq!(replied, 64 * reply);
         assert!(writes >= 32, "{writes} writes");
-        let stats = server.counters.snapshot();
+        let stats = server.stats();
         assert_eq!(stats.commands, 65);
         assert_eq!(stats.bytes_out, (replied + b"STORED\r\n".len()) as u64);
     }

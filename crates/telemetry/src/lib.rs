@@ -6,10 +6,11 @@
 //! This crate gives the whole workspace that visibility at sub-run
 //! granularity, in three layers:
 //!
-//! * [`MetricsRegistry`] — counters, gauges, and constant-memory
-//!   log-bucketed latency histograms ([`LogHistogram`]) addressed by
-//!   static names. Recording is an indexed array write; a disabled
-//!   registry is a single branch.
+//! * [`MetricsRegistry`] — counters and constant-memory log-bucketed
+//!   latency histograms ([`LogHistogram`]) addressed by static names.
+//!   Recording is an indexed array write; a disabled registry is a
+//!   single branch. The live server's plane holds its [`LogHistogram`]s
+//!   directly.
 //! * [`Tracer`] — request-span tracing: each sampled request records
 //!   its phase transitions (client → NIC rx → TCP → kv lookup →
 //!   memory/cache → TCP tx → client) with sim-timestamps, built via
@@ -40,7 +41,7 @@
 //! t.metrics.inc(served, 1);
 //! t.sampler.set(0, 4.0);
 //! t.sampler.finish(SimTime::from_ps(1_000_000));
-//! assert_eq!(t.metrics.counter_value(served), 1);
+//! assert_eq!(t.metrics.counter_by_name("requests.served"), Some(1));
 //! assert!(!t.sampler.to_csv().is_empty());
 //! ```
 
@@ -54,9 +55,7 @@ pub mod trace;
 pub mod window;
 
 pub use json::validate_json;
-pub use registry::{
-    CounterId, GaugeId, HistogramId, LogHistogram, MetricsRegistry, Quantiles, Stopwatch,
-};
+pub use registry::{CounterId, HistogramId, LogHistogram, MetricsRegistry, Quantiles, Stopwatch};
 pub use timeline::{BucketedTimeline, TimelineBucket, TimelineSampler};
 pub use trace::{SpanBuilder, Tracer};
 pub use window::{SloConfig, SloSnapshot, SloTracker, WindowedHistogram, WindowedRate};
@@ -93,7 +92,7 @@ impl Default for TelemetryConfig {
 /// "telemetry cannot change results" easy to believe and cheap to test).
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    /// Named counters/gauges/histograms.
+    /// Named counters and histograms.
     pub metrics: MetricsRegistry,
     /// Request-span collection.
     pub tracer: Tracer,

@@ -1,5 +1,5 @@
-//! The metrics registry: counters, gauges, and log-bucketed latency
-//! histograms addressed by static names.
+//! The metrics registry: counters and log-bucketed latency histograms
+//! addressed by static names.
 //!
 //! Instrumented code registers each metric once, keeps the returned
 //! dense-index handle, and records through it — a bounds-checked array
@@ -21,10 +21,6 @@ const SUBBUCKET_BITS: u32 = 4;
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
-
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
 
 /// Handle to a registered latency histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,6 +146,12 @@ impl LogHistogram {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Exact sum of every sample, saturating at `u64::MAX` picoseconds.
+    #[must_use]
+    pub fn sum(&self) -> Duration {
+        Duration::from_ps(u64::try_from(self.sum_ps).unwrap_or(u64::MAX))
     }
 
     /// Exact mean latency; zero when empty.
@@ -363,31 +365,12 @@ impl fmt::Display for LogHistogram {
     }
 }
 
-/// Maps a dotted metric name onto the Prometheus charset
-/// (`[a-zA-Z0-9_:]`, non-digit first): every other byte becomes `_`.
-fn prometheus_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
-}
-
 /// A registry of named metrics.
 ///
 /// Registration interns the static name into a dense index; recording
-/// through the returned handle is an array write. A disabled registry
-/// accepts every call and records nothing, so instrumented code never
-/// branches on "is telemetry on" itself.
+/// through the returned handle is an array write. The default registry
+/// is off: it accepts every call and records nothing, so instrumented
+/// code never branches on "is telemetry on" itself.
 ///
 /// # Examples
 ///
@@ -400,14 +383,13 @@ fn prometheus_name(name: &str) -> String {
 /// m.inc(hits, 3);
 /// let lat = m.histogram("request.rtt");
 /// m.observe(lat, Duration::from_micros(80));
-/// assert_eq!(m.counter_value(hits), 3);
-/// assert_eq!(m.histogram_value(lat).count(), 1);
+/// assert_eq!(m.counter_by_name("kv.hits"), Some(3));
+/// assert_eq!(m.histogram_by_name("request.rtt").unwrap().count(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     enabled: bool,
     counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, f64)>,
     histograms: Vec<(&'static str, LogHistogram)>,
 }
 
@@ -419,12 +401,6 @@ impl MetricsRegistry {
             enabled: true,
             ..MetricsRegistry::default()
         }
-    }
-
-    /// A registry that accepts every call and records nothing.
-    #[must_use]
-    pub fn disabled() -> Self {
-        MetricsRegistry::default()
     }
 
     /// Whether recording is on.
@@ -440,15 +416,6 @@ impl MetricsRegistry {
         }
         self.counters.push((name, 0));
         CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers (or re-finds) a gauge by name.
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        if let Some(idx) = self.gauges.iter().position(|&(n, _)| n == name) {
-            return GaugeId(idx);
-        }
-        self.gauges.push((name, 0.0));
-        GaugeId(self.gauges.len() - 1)
     }
 
     /// Registers (or re-finds) a latency histogram by name.
@@ -468,40 +435,12 @@ impl MetricsRegistry {
         }
     }
 
-    /// Sets a gauge's current value.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, value: f64) {
-        if self.enabled {
-            self.gauges[id.0].1 = value;
-        }
-    }
-
     /// Records one latency sample into a histogram.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, d: Duration) {
         if self.enabled {
             self.histograms[id.0].1.record(d);
         }
-    }
-
-    /// Folds a whole histogram of samples into a histogram, as if each
-    /// had been [`MetricsRegistry::observe`]d.
-    pub fn observe_all(&mut self, id: HistogramId, samples: &LogHistogram) {
-        if self.enabled {
-            self.histograms[id.0].1.merge(samples);
-        }
-    }
-
-    /// Current value of a counter.
-    #[must_use]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
-    /// The histogram behind a handle.
-    #[must_use]
-    pub fn histogram_value(&self, id: HistogramId) -> &LogHistogram {
-        &self.histograms[id.0].1
     }
 
     /// Looks a counter up by name (for reports and tests).
@@ -522,56 +461,6 @@ impl MetricsRegistry {
             .map(|(_, h)| h)
     }
 
-    /// Zeroes every counter and gauge and resets every histogram while
-    /// keeping all registrations (and thus every dense-index handle)
-    /// valid — the `stats reset` semantics of a live server.
-    pub fn reset(&mut self) {
-        self.counters.iter_mut().for_each(|c| c.1 = 0);
-        self.gauges.iter_mut().for_each(|g| g.1 = 0.0);
-        self.histograms.iter_mut().for_each(|h| h.1.reset());
-    }
-
-    /// Renders every metric in the Prometheus text exposition format,
-    /// in registration order (deterministic). Counters and gauges map
-    /// directly; each histogram becomes a summary (quantile series in
-    /// seconds plus `_sum`/`_count`). Metric names are sanitized to the
-    /// Prometheus charset (`.`/`-` and friends become `_`).
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for &(name, v) in &self.counters {
-            let name = prometheus_name(name);
-            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-        }
-        for &(name, v) in &self.gauges {
-            let name = prometheus_name(name);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let name = prometheus_name(name);
-            out.push_str(&format!("# TYPE {name} summary\n"));
-            let q = h.quantiles();
-            for (label, d) in [
-                ("0.5", q.p50),
-                ("0.9", q.p90),
-                ("0.95", q.p95),
-                ("0.99", q.p99),
-                ("0.999", q.p999),
-            ] {
-                out.push_str(&format!(
-                    "{name}{{quantile=\"{label}\"}} {}\n",
-                    d.as_secs_f64()
-                ));
-            }
-            out.push_str(&format!(
-                "{name}_sum {}\n{name}_count {}\n",
-                Duration::from_ps((h.sum_ps.min(u128::from(u64::MAX))) as u64).as_secs_f64(),
-                h.count
-            ));
-        }
-        out
-    }
-
     /// Renders every metric as an aligned text block, in registration
     /// order (deterministic).
     #[must_use]
@@ -579,9 +468,6 @@ impl MetricsRegistry {
         let mut out = String::new();
         for &(name, v) in &self.counters {
             out.push_str(&format!("{name:<32} {v}\n"));
-        }
-        for &(name, v) in &self.gauges {
-            out.push_str(&format!("{name:<32} {v:.4}\n"));
         }
         for (name, h) in &self.histograms {
             out.push_str(&format!("{name:<32} {h}\n"));
@@ -688,28 +574,24 @@ mod tests {
         assert_eq!(c1, c2);
         m.inc(c1, 2);
         m.inc(c2, 3);
-        assert_eq!(m.counter_value(c1), 5);
         assert_eq!(m.counter_by_name("x"), Some(5));
         assert_eq!(m.counter_by_name("y"), None);
-        let g = m.gauge("depth");
-        m.set(g, 7.5);
-        assert_eq!(m.gauges[g.0].1, 7.5);
+        let h = m.histogram("depth");
+        assert_eq!(h, m.histogram("depth"));
+        m.observe(h, Duration::from_micros(2));
         assert!(m.summary().contains("depth"));
     }
 
     #[test]
     fn disabled_registry_records_nothing() {
-        let mut m = MetricsRegistry::disabled();
+        let mut m = MetricsRegistry::default();
         let c = m.counter("x");
-        let g = m.gauge("g");
         let h = m.histogram("h");
         m.inc(c, 10);
-        m.set(g, 1.0);
         m.observe(h, Duration::from_micros(1));
         assert!(!m.is_enabled());
-        assert_eq!(m.counter_value(c), 0);
-        assert_eq!(m.gauges[g.0].1, 0.0);
-        assert_eq!(m.histogram_value(h).count(), 0);
+        assert_eq!(m.counter_by_name("x"), Some(0));
+        assert_eq!(m.histogram_by_name("h").unwrap().count(), 0);
     }
 
     #[test]
@@ -735,7 +617,7 @@ mod tests {
         }
         let s = h.quantiles();
         assert_eq!((s.count, s.p50, s.p999, s.max), (1, sample, sample, sample));
-        assert_eq!(h.mean(), sample);
+        assert_eq!((h.mean(), h.sum()), (sample, sample));
     }
 
     #[test]
@@ -748,6 +630,7 @@ mod tests {
         h.record(Duration::from_nanos(1));
         assert_eq!(h.percentile(1.0), Some(Duration::from_ps(u64::MAX)));
         assert_eq!(h.max(), Some(Duration::from_ps(u64::MAX)));
+        assert_eq!(h.sum(), Duration::from_ps(u64::MAX), "the sum saturates");
         let bound = bucket_bound(bucket_index(u64::MAX));
         assert_eq!(bound, u64::MAX);
         // Quantiles stay monotone even with the saturating bucket.
@@ -766,43 +649,6 @@ mod tests {
         assert_eq!(h.buckets.len(), cap);
         h.record(Duration::from_micros(9));
         assert_eq!(h.percentile(1.0), Some(Duration::from_micros(9)));
-    }
-
-    #[test]
-    fn registry_reset_keeps_handles_valid() {
-        let mut m = MetricsRegistry::enabled();
-        let c = m.counter("serve.cmd.get");
-        let g = m.gauge("serve.active");
-        let h = m.histogram("serve.latency.get");
-        m.inc(c, 7);
-        m.set(g, 3.0);
-        m.observe(h, Duration::from_micros(10));
-        m.reset();
-        assert_eq!(m.counter_value(c), 0);
-        assert_eq!(m.gauges[g.0].1, 0.0);
-        assert_eq!(m.histogram_value(h).count(), 0);
-        m.inc(c, 2);
-        assert_eq!(m.counter_by_name("serve.cmd.get"), Some(2));
-    }
-
-    #[test]
-    fn prometheus_exposition_covers_every_metric_kind() {
-        let mut m = MetricsRegistry::enabled();
-        let c = m.counter("serve.cmd.get");
-        m.inc(c, 41);
-        let g = m.gauge("serve.conn-active");
-        m.set(g, 2.0);
-        let h = m.histogram("serve.latency.get");
-        m.observe(h, Duration::from_micros(100));
-        let text = m.to_prometheus();
-        assert!(text.contains("# TYPE serve_cmd_get counter\nserve_cmd_get 41\n"));
-        assert!(text.contains("# TYPE serve_conn_active gauge\nserve_conn_active 2\n"));
-        assert!(text.contains("# TYPE serve_latency_get summary\n"));
-        assert!(text.contains("serve_latency_get{quantile=\"0.99\"} 0.0001"));
-        assert!(text.contains("serve_latency_get_count 1\n"));
-        assert!(text.contains("serve_latency_get_sum 0.0001"));
-        // Sanitization never emits a leading digit or stray charset.
-        assert_eq!(prometheus_name("9p.lat-x"), "_9p_lat_x");
     }
 
     #[test]

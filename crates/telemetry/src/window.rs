@@ -150,8 +150,6 @@ pub struct WindowedRate {
     last: u64,
     /// Smoothed events/sec; `None` until the first rotation.
     ewma: Option<f64>,
-    /// Events ever recorded.
-    total: u64,
 }
 
 impl WindowedRate {
@@ -169,14 +167,12 @@ impl WindowedRate {
             current: 0,
             last: 0,
             ewma: None,
-            total: 0,
         }
     }
 
     /// Adds `n` events to the open window.
     pub fn record(&mut self, n: u64) {
         self.current += n;
-        self.total += n;
     }
 
     /// Closes the open window and folds its rate into the EWMA.
@@ -207,18 +203,11 @@ impl WindowedRate {
         self.last
     }
 
-    /// Events ever recorded.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Clears counts and the EWMA.
     pub fn reset(&mut self) {
         self.current = 0;
         self.last = 0;
         self.ewma = None;
-        self.total = 0;
     }
 
     fn to_rate(&self, count: u64) -> f64 {
@@ -495,10 +484,10 @@ mod tests {
         r.rotate(); // 500 events/sec
         assert_eq!(r.last_rate(), 500.0);
         assert!((r.ewma_rate() - 200.0).abs() < 1e-9);
-        assert_eq!(r.total(), 60);
+        assert_eq!(r.last_count(), 50);
         r.reset();
         assert_eq!(r.ewma_rate(), 0.0);
-        assert_eq!(r.total(), 0);
+        assert_eq!(r.last_count(), 0);
     }
 
     #[test]

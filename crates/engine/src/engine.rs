@@ -80,9 +80,9 @@ pub struct Engine {
     mask: u64,
     items: Vec<Option<Item>>,
     free_slots: Vec<u32>,
-    /// One eviction policy per value class (8 tiers + overflow), as the
-    /// model store keeps one per slab class.
-    policies: Vec<Box<dyn EvictionPolicy + Send>>,
+    /// Orders each value class (8 tiers + overflow) apart, as the model
+    /// store's policy orders its slab classes.
+    policy: Box<dyn EvictionPolicy + Send>,
     stats: StoreStats,
     next_cas: u64,
     /// `probe_hist[i]` counts lookups that probed `i + 1` buckets.
@@ -103,9 +103,7 @@ impl Engine {
             mask: buckets as u64 - 1,
             items: Vec::new(),
             free_slots: Vec::new(),
-            policies: (0..=OVERFLOW_TIER)
-                .map(|_| config.eviction.build())
-                .collect(),
+            policy: config.eviction.build(OVERFLOW_TIER + 1),
             stats: StoreStats::default(),
             next_cas: 1,
             probe_hist: [0; PROBE_LIMIT],
@@ -263,7 +261,7 @@ impl Engine {
                 break;
             }
         }
-        self.policies[item.class()].on_remove(slot);
+        self.policy.on_remove(item.class(), slot);
         self.tiers.free(item.vref);
         self.stats.bytes -= item.footprint();
         self.stats.items -= 1;
@@ -279,7 +277,7 @@ impl Engine {
             if let Some(vref) = self.tiers.alloc(value) {
                 return Ok(vref);
             }
-            let Some(victim) = self.policies[class].pop_victim() else {
+            let Some(victim) = self.policy.pop_victim(class) else {
                 return Err(StoreError::OutOfMemory);
             };
             // pop_victim already dropped it from the policy;
@@ -343,7 +341,7 @@ impl Engine {
             }
         };
         self.table_insert(hash, slot);
-        self.policies[class].on_insert(slot);
+        self.policy.on_insert(class, slot);
         Ok(())
     }
 }
@@ -355,7 +353,7 @@ impl StoreBackend for Engine {
             return None;
         };
         let item = self.items[slot as usize].as_ref().expect("live");
-        self.policies[item.class()].on_access(slot);
+        self.policy.on_access(item.class(), slot);
         self.stats.get_hits += 1;
         self.stats.bytes_read += u64::from(item.vlen);
         Some(HitRef {

@@ -22,7 +22,7 @@ pub(crate) const TIER_COUNT: usize = 8;
 pub(crate) const TIER_PAGE_BYTES: [u64; TIER_COUNT] = [32, 64, 128, 256, 512, 1024, 2048, 4096];
 
 /// Class index of the overflow arena (one past the last tier); used by
-/// the engine to key its per-class eviction policies.
+/// the engine to key its eviction policy's classes.
 pub(crate) const OVERFLOW_TIER: usize = TIER_COUNT;
 
 /// Pages in a tier's first extent.

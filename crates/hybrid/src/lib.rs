@@ -171,7 +171,7 @@ enum Frames {
         /// Resident frames by slot: slots fill in order, and an evicted
         /// frame's slot is reused by the page that evicted it.
         table: Vec<Frame>,
-        /// Recency order over the slots of `table`.
+        /// Recency order over the slots of `table`, as list 0.
         order: StrictLru,
         /// Slot of `table` + 1 by lpn, over the FTL's exported pages
         /// (0: not resident).
@@ -199,7 +199,7 @@ impl DramTier {
         DramTier {
             frames: Frames::ObjectLru {
                 table: Vec::new(),
-                order: StrictLru::new(),
+                order: StrictLru::new(1),
                 index: vec![0; pages as usize],
             },
             capacity_pages: config.capacity_pages(),
@@ -223,13 +223,13 @@ impl DramTier {
             } => {
                 // A touch of the most recent frame moves nothing: most
                 // touches are the next line of the page touched last.
-                let slot = match order.head() {
+                let slot = match order.head(0) {
                     Some(head) if table[head as usize].lpn == lpn => head,
                     _ => {
                         let Some(slot) = index[lpn as usize].checked_sub(1) else {
                             return false;
                         };
-                        order.touch(slot);
+                        order.touch(0, slot);
                         slot
                     }
                 };
@@ -253,7 +253,7 @@ impl DramTier {
                 index,
             } => {
                 let (slot, evicted) = if table.len() as u64 == self.capacity_pages {
-                    let slot = order.pop_lru().expect("tier is non-empty");
+                    let slot = order.pop_lru(0).expect("tier is non-empty");
                     let victim = std::mem::replace(&mut table[slot as usize], frame);
                     index[victim.lpn as usize] = 0;
                     (slot, Some(victim))
@@ -262,7 +262,7 @@ impl DramTier {
                     table.push(frame);
                     (slot, None)
                 };
-                order.insert(slot);
+                order.insert(0, slot);
                 index[lpn as usize] = slot + 1;
                 evicted
             }

@@ -891,7 +891,9 @@ mod tests {
             let mut buf = BytesMut::new();
             let mut out = BytesMut::new();
             let (mut fed, mut consumed) = (0usize, 0usize);
-            let mut end = Drain::NeedMore(0);
+            // Where a session starts: what draining nothing answers (an
+            // empty stream's whole drain answers the same).
+            let (_, mut end) = drain(&buf, &mut out, usize::MAX, &mut step);
             let mut split = splits.iter().cycle();
             while fed < stream.len() {
                 let Drain::NeedMore(need) = end else { break };

@@ -61,11 +61,12 @@ impl std::error::Error for SlabError {}
 struct SizeClass {
     chunk_bytes: u64,
     chunks_per_page: u32,
-    /// Pages assigned to this class (global page indices).
-    pages: Vec<u32>,
-    /// Free chunks, as (page slot within `pages`, chunk index).
+    /// The page most recently assigned to this class (global index).
+    page: u32,
+    /// Free chunks, as (global page, chunk index).
     free: Vec<(u32, u32)>,
-    /// Next never-used chunk in the most recent page.
+    /// Next never-used chunk in `page`; `chunks_per_page` until the
+    /// class is first assigned a page.
     bump: u32,
     allocated: u64,
 }
@@ -104,12 +105,13 @@ impl SlabAllocator {
         let mut size = MIN_CHUNK_BYTES as f64;
         loop {
             let chunk = (size as u64).min(PAGE_BYTES);
+            let chunks_per_page = (PAGE_BYTES / chunk) as u32;
             classes.push(SizeClass {
                 chunk_bytes: chunk,
-                chunks_per_page: (PAGE_BYTES / chunk) as u32,
-                pages: Vec::new(),
+                chunks_per_page,
+                page: 0,
                 free: Vec::new(),
-                bump: 0,
+                bump: chunks_per_page,
                 allocated: 0,
             });
             if chunk == PAGE_BYTES {
@@ -175,44 +177,27 @@ impl SlabAllocator {
         })? as usize;
 
         // Reuse a freed chunk first.
-        if let Some((page_slot, chunk)) = self.classes[class_idx].free.pop() {
-            self.classes[class_idx].allocated += 1;
-            return Ok(SlabAddr {
-                class: class_idx as u16,
-                page: self.classes[class_idx].pages[page_slot as usize],
-                chunk,
-            });
-        }
-
-        // Bump-allocate in the newest page.
-        {
-            let class = &mut self.classes[class_idx];
-            if !class.pages.is_empty() && class.bump < class.chunks_per_page {
-                let chunk = class.bump;
-                class.bump += 1;
-                class.allocated += 1;
-                return Ok(SlabAddr {
-                    class: class_idx as u16,
-                    page: *class.pages.last().expect("nonempty"),
-                    chunk,
-                });
-            }
-        }
-
-        // Grab a fresh page.
-        if self.next_page >= self.total_pages {
-            return Err(SlabError::OutOfMemory);
-        }
-        let page = self.next_page;
-        self.next_page += 1;
         let class = &mut self.classes[class_idx];
-        class.pages.push(page);
-        class.bump = 1;
+        let (page, chunk) = if let Some(free) = class.free.pop() {
+            free
+        } else if class.bump < class.chunks_per_page {
+            // Bump-allocate in the newest page.
+            class.bump += 1;
+            (class.page, class.bump - 1)
+        } else if self.next_page < self.total_pages {
+            // Grab a fresh page.
+            class.page = self.next_page;
+            class.bump = 1;
+            self.next_page += 1;
+            (class.page, 0)
+        } else {
+            return Err(SlabError::OutOfMemory);
+        };
         class.allocated += 1;
         Ok(SlabAddr {
             class: class_idx as u16,
             page,
-            chunk: 0,
+            chunk,
         })
     }
 
@@ -220,15 +205,10 @@ impl SlabAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if the address's class or page is invalid.
+    /// Panics if the address's class is invalid.
     pub fn free(&mut self, addr: SlabAddr) {
         let class = &mut self.classes[addr.class as usize];
-        let page_slot = class
-            .pages
-            .iter()
-            .position(|&p| p == addr.page)
-            .expect("page belongs to class") as u32;
-        class.free.push((page_slot, addr.chunk));
+        class.free.push((addr.page, addr.chunk));
         class.allocated -= 1;
     }
 

@@ -82,7 +82,8 @@ impl std::error::Error for StoreError {}
 pub struct StoreConfig {
     /// Memory budget for item storage (slab arena), bytes.
     pub memory_bytes: u64,
-    /// Eviction policy (per slab class, as in Memcached).
+    /// Eviction policy (ordering each slab class apart, as Memcached
+    /// does).
     pub eviction: EvictionKind,
     /// Initial hash-table buckets.
     pub initial_buckets: u64,
@@ -197,21 +198,62 @@ impl AccessTrace {
     }
 }
 
+/// Longest key an item holds inline.
+const INLINE_KEY_BYTES: usize = 22;
+
+/// An item's key: up to [`INLINE_KEY_BYTES`] in the item itself (tag
+/// and length fill out its 24 bytes), a `Box` of its own above that.
+#[derive(Debug)]
+enum Key {
+    Inline(u8, [u8; INLINE_KEY_BYTES]),
+    Boxed(Box<[u8]>),
+}
+
+impl Key {
+    fn new(key: &[u8]) -> Self {
+        let mut inline = [0; INLINE_KEY_BYTES];
+        match inline.get_mut(..key.len()) {
+            Some(head) => head.copy_from_slice(key),
+            None => return Key::Boxed(key.into()),
+        }
+        Key::Inline(key.len() as u8, inline)
+    }
+}
+
+impl std::ops::Deref for Key {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Key::Inline(len, bytes) => &bytes[..usize::from(*len)],
+            Key::Boxed(key) => key,
+        }
+    }
+}
+
+/// `expires_at` of an item that never expires.
+const NEVER: u64 = u64::MAX;
+
 /// A live item.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Item {
-    key: Vec<u8>,
+    key: Key,
     /// Owned for every live-plane caller; borrowed when the caller has a
     /// `'static` block to lend (the simulator, which only ever asks for a
     /// value's length, lends slices of one zero block instead of filling
     /// a buffer per item). Nothing downstream can tell the two apart.
     value: Cow<'static, [u8]>,
     flags: u32,
-    /// Absolute expiry in seconds; `None` = immortal.
-    expires_at: Option<u64>,
+    /// Absolute expiry in seconds; [`NEVER`] = immortal.
+    expires_at: u64,
     cas: u64,
     addr: SlabAddr,
 }
+
+const _: () = assert!(
+    std::mem::size_of::<Option<Item>>() <= 80,
+    "a slot's host cost"
+);
 
 impl Item {
     fn footprint(&self) -> u64 {
@@ -305,8 +347,8 @@ pub struct KvStore {
     config: StoreConfig,
     slab: SlabAllocator,
     table: HashTable,
-    /// One eviction policy per slab class (Memcached keeps per-class LRU).
-    policies: Vec<Box<dyn EvictionPolicy + Send>>,
+    /// Orders each slab class apart (Memcached keeps per-class LRU).
+    policy: Box<dyn EvictionPolicy + Send>,
     items: Vec<Option<Item>>,
     free_slots: Vec<u32>,
     stats: StoreStats,
@@ -328,12 +370,9 @@ impl KvStore {
     /// Creates an empty store.
     pub fn new(config: StoreConfig) -> Self {
         let slab = SlabAllocator::new(config.memory_bytes);
-        let policies = (0..slab.class_count())
-            .map(|_| config.eviction.build())
-            .collect();
         KvStore {
             table: HashTable::new(config.initial_buckets),
-            policies,
+            policy: config.eviction.build(slab.class_count()),
             items: Vec::new(),
             free_slots: Vec::new(),
             stats: StoreStats::default(),
@@ -357,7 +396,7 @@ impl KvStore {
     }
 
     fn is_expired(item: &Item, now: u64) -> bool {
-        item.expires_at.is_some_and(|t| t <= now)
+        item.expires_at <= now
     }
 
     /// Looks up a live item slot, lazily expiring a stale one, and
@@ -397,7 +436,7 @@ impl KvStore {
         self.table.find_with(hash, |slot| {
             items[slot as usize]
                 .as_ref()
-                .is_some_and(|item| item.key == key)
+                .is_some_and(|item| *item.key == *key)
         })
     }
 
@@ -423,7 +462,7 @@ impl KvStore {
             return None;
         };
         let item = self.items[slot as usize].as_ref().expect("live");
-        self.policies[item.addr.class as usize].on_access(slot);
+        self.policy.on_access(item.addr.class.into(), slot);
         self.stats.get_hits += 1;
         self.stats.bytes_read += item.value.len() as u64;
         Some(slot)
@@ -548,10 +587,10 @@ impl KvStore {
         let cas = self.next_cas;
         self.next_cas += 1;
         let item = Item {
-            key: replaced_key.unwrap_or_else(|| key.to_vec()),
+            key: replaced_key.unwrap_or_else(|| Key::new(key)),
             value,
             flags,
-            expires_at: ttl_secs.map(|t| now + t),
+            expires_at: ttl_secs.map_or(NEVER, |t| now + t),
             cas,
             addr,
         };
@@ -573,7 +612,7 @@ impl KvStore {
             }
         };
         self.table.insert(hash, slot);
-        self.policies[addr.class as usize].on_insert(slot);
+        self.policy.on_insert(addr.class.into(), slot);
         Ok(evicted)
     }
 
@@ -581,7 +620,7 @@ impl KvStore {
     fn remove_slot(&mut self, slot: u32, hash: u64) -> Item {
         let item = self.items[slot as usize].take().expect("slot is live");
         self.table.remove(hash, slot);
-        self.policies[item.addr.class as usize].on_remove(slot);
+        self.policy.on_remove(item.addr.class.into(), slot);
         self.slab.free(item.addr);
         self.stats.bytes -= item.footprint();
         self.stats.items -= 1;
@@ -604,7 +643,7 @@ impl KvStore {
                     return Err(StoreError::ValueTooLarge { bytes: requested })
                 }
                 Err(SlabError::OutOfMemory) => {
-                    let Some(victim) = self.policies[class].pop_victim() else {
+                    let Some(victim) = self.policy.pop_victim(class) else {
                         return Err(StoreError::OutOfMemory);
                     };
                     let hash = {
@@ -641,7 +680,7 @@ impl StoreBackend for KvStore {
             value: &item.value,
             flags: item.flags,
             cas: item.cas,
-            expires_at: item.expires_at,
+            expires_at: (item.expires_at != NEVER).then_some(item.expires_at),
         })
     }
 
@@ -663,7 +702,7 @@ impl StoreBackend for KvStore {
             return false;
         };
         let item = self.items[slot as usize].as_mut().expect("live");
-        item.expires_at = ttl_secs.map(|t| now + t);
+        item.expires_at = ttl_secs.map_or(NEVER, |t| now + t);
         self.stats.touches += 1;
         true
     }
@@ -1061,6 +1100,62 @@ mod tests {
         s.concat(b"k", h(b"k"), b"b", false, 40).unwrap();
         assert!(s.get(b"k", 90).is_some(), "alive until the original expiry");
         assert!(s.get(b"k", 110).is_none(), "expired at the original time");
+    }
+
+    #[test]
+    fn keys_round_trip_inline_and_boxed() {
+        // The inline limit, one byte past it, and the longest key: set,
+        // get, overwrite, delete, eviction and flush_all see the whole
+        // key, and a key is never confused with its neighbour. Values
+        // of 64 KB share one class, so 40 of them overflow the 2 MB
+        // arena.
+        let value = |fill: u8| vec![fill; 64 << 10];
+        for len in [INLINE_KEY_BYTES, INLINE_KEY_BYTES + 1, MAX_KEY_BYTES] {
+            let mut s = small();
+            let key = |i: u8| {
+                let mut key = vec![b'k'; len];
+                key[len - 1] = i;
+                key
+            };
+            let (a, b) = (key(b'a'), key(b'b'));
+            s.set(&a, value(1), None, 0).unwrap();
+            s.set(&b, value(2), None, 0).unwrap();
+            s.set(&a, value(3), None, 0).unwrap();
+            assert_eq!(s.get(&a, 0).unwrap().value(), value(3), "{len}");
+            assert_eq!(s.get(&b, 0).unwrap().value(), value(2), "{len}");
+            assert!(s.get(&key(b'c'), 0).is_none());
+            assert!(s.get(&a[..len - 1], 0).is_none(), "a prefix is another key");
+            assert!(s.delete(&a, h(&a), 0));
+            assert!(s.get(&a, 0).is_none());
+            let footprint = ITEM_HEADER_BYTES + len as u64 + (64 << 10);
+            assert_eq!(s.stats().bytes, footprint);
+            // `b` is the oldest, and each eviction rehashes its victim's
+            // key to unlink it.
+            for i in 0..40 {
+                s.set(&key(i), value(i), None, 0).unwrap();
+            }
+            assert!(s.stats().evictions > 0);
+            assert!(s.get(&b, 0).is_none(), "{len}: oldest evicted");
+            assert_eq!(s.get(&key(39), 0).unwrap().value(), value(39));
+            assert_eq!(s.stats().bytes, s.len() * footprint);
+            s.flush_all();
+            assert_eq!((s.len(), s.stats().bytes), (0, 0));
+            assert!(s.get(&key(39), 0).is_none());
+        }
+    }
+
+    #[test]
+    fn peek_reports_expiry() {
+        let mut s = small();
+        s.set(b"k", b"v".to_vec(), None, 100).unwrap();
+        assert_eq!(s.peek(b"k", h(b"k"), 100).unwrap().expires_at, None);
+        assert!(s.touch(b"k", h(b"k"), Some(30), 200));
+        assert_eq!(s.peek(b"k", h(b"k"), 200).unwrap().expires_at, Some(230));
+        assert!(s.touch(b"k", h(b"k"), None, 210));
+        assert_eq!(
+            s.peek(b"k", h(b"k"), u64::MAX - 1).unwrap().expires_at,
+            None
+        );
     }
 
     #[test]

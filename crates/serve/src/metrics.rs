@@ -387,14 +387,14 @@ pub(crate) struct RequestPhases {
 }
 
 /// The front-end's live observability plane, and the server's one
-/// count of open and refused connections.
+/// count of open and refused connections and its one connection cap.
 ///
 /// Shared by every worker thread, which is why workers do not record
 /// into it directly: each [`crate::Session`] fills its own cells and
 /// flushes them once per written batch. Spans sit behind their own
 /// mutex (one lock per sampled request). Constructed from a disabled
-/// [`MetricsConfig`], all of it is inert except the connection counts,
-/// which the connection cap and [`ServeStats`] read either way.
+/// [`MetricsConfig`], all of it is inert except the connection counts
+/// and cap, which admission and [`ServeStats`] read either way.
 pub struct ServeMetrics {
     enabled: bool,
     sample_every: u64,
@@ -406,12 +406,14 @@ pub struct ServeMetrics {
     window: std::time::Duration,
     window_ps: u64,
     plane: Mutex<Plane>,
-    /// Connections in service, the cap, and connections ever refused
-    /// `busy` (`stats reset` keeps it). Relaxed: no other data rides on
-    /// them, and only the accept thread adds to `conn_active`.
+    /// Connections in service, and connections ever refused `busy`
+    /// (`stats reset` keeps it). Relaxed: no other data rides on them,
+    /// and only the accept thread adds to `conn_active`.
     conn_active: AtomicU64,
-    conn_capacity: AtomicU64,
     conn_rejected: AtomicU64,
+    /// The most connections in service at once; 0 until
+    /// [`ServeMetrics::with_connection_capacity`] sets it.
+    conn_capacity: u64,
 }
 
 impl std::fmt::Debug for ServeMetrics {
@@ -465,8 +467,8 @@ impl ServeMetrics {
             window_ps: window_sim.as_ps().max(1),
             plane: Mutex::new(plane),
             conn_active: AtomicU64::new(0),
-            conn_capacity: AtomicU64::new(0),
             conn_rejected: AtomicU64::new(0),
+            conn_capacity: 0,
         }
     }
 
@@ -534,7 +536,6 @@ impl ServeMetrics {
         let conns_rejected = rejected_total.saturating_sub(plane.prev_rejected);
         plane.prev_rejected = rejected_total;
         let conns_active = self.conn_active.load(Ordering::Relaxed);
-        let capacity = self.conn_capacity.load(Ordering::Relaxed);
 
         let short_burn = plane.slo.short_burn();
         let long_burn = plane.slo.long_burn();
@@ -545,7 +546,9 @@ impl ServeMetrics {
                 >= lock_acquisitions * CONTENTION_FRACTION_NUM
         {
             Some("shard-contention")
-        } else if conns_rejected > 0 || (capacity > 0 && conns_active >= capacity) {
+        } else if conns_rejected > 0
+            || (self.conn_capacity > 0 && conns_active >= self.conn_capacity)
+        {
             Some("connection-saturation")
         } else {
             None
@@ -726,15 +729,23 @@ impl ServeMetrics {
         self.plane.lock().shards.clone()
     }
 
-    /// The server calls this once at spawn so the saturation trigger
-    /// knows the connection cap.
-    pub(crate) fn set_connection_capacity(&self, capacity: usize) {
-        self.conn_capacity.store(capacity as u64, Ordering::Relaxed);
+    /// The plane with the server's connection cap, which
+    /// [`ServeMetrics::admit`] and the saturation trigger read.
+    #[must_use]
+    pub(crate) fn with_connection_capacity(mut self, capacity: usize) -> Self {
+        self.conn_capacity = capacity as u64;
+        self
     }
 
-    /// One connection entered service.
-    pub(crate) fn connection_opened(&self) {
+    /// Puts one more connection in service, or, with the cap full,
+    /// counts it refused and returns false.
+    pub(crate) fn admit(&self) -> bool {
+        if self.connections_active() >= self.conn_capacity {
+            self.connection_rejected();
+            return false;
+        }
         self.conn_active.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// One connection left service.
@@ -1427,10 +1438,8 @@ mod tests {
         m.rotate_now();
         assert_eq!(m.last_trigger().unwrap().reason, "shard-contention");
 
-        let m = plane();
-        m.set_connection_capacity(2);
-        m.connection_opened();
-        m.connection_opened();
+        let m = plane().with_connection_capacity(2);
+        assert!(m.admit() && m.admit());
         m.rotate_now();
         assert_eq!(m.last_trigger().unwrap().reason, "connection-saturation");
         m.connection_closed();
@@ -1526,7 +1535,7 @@ mod tests {
 
     #[test]
     fn prometheus_block_has_every_layer() {
-        let m = ServeMetrics::new(&MetricsConfig::default(), 2);
+        let m = ServeMetrics::new(&MetricsConfig::default(), 2).with_connection_capacity(2);
         record(&m, Verb::Get, std::time::Duration::from_micros(120));
         m.record_shard(
             1,
@@ -1543,8 +1552,7 @@ mod tests {
             items: 7,
             ..Default::default()
         };
-        m.connection_opened();
-        m.connection_opened();
+        assert!(m.admit() && m.admit());
         let text = render_prometheus(&m, &serve, &store, &[("engine_items".to_string(), 7)]);
         assert!(text.contains("densekv_serve_accepted 4\n"), "{text}");
         assert!(text.contains("densekv_engine_items 7\n"), "{text}");

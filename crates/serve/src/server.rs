@@ -154,8 +154,8 @@ impl Server {
             config.shards,
             config.backend,
         );
-        let metrics = ServeMetrics::new(&config.metrics, config.shards);
-        metrics.set_connection_capacity(config.max_connections);
+        let metrics = ServeMetrics::new(&config.metrics, config.shards)
+            .with_connection_capacity(config.max_connections);
         Server {
             store,
             clock: WallClock::new(),
@@ -303,17 +303,15 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Server>) {
             break;
         }
         let Ok(mut stream) = conn else { continue };
-        if shared.metrics.connections_active() >= shared.config.max_connections as u64 {
+        if !shared.metrics.admit() {
             // Over the cap: answer and close instead of queueing work we
             // cannot serve — the degradation mode the SLA experiments
             // rely on.
-            shared.metrics.connection_rejected();
             let _ = stream.write_all(b"SERVER_ERROR busy\r\n");
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
         shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        shared.metrics.connection_opened();
         let id = next_id;
         next_id += 1;
         if let Ok(clone) = stream.try_clone() {

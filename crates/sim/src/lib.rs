@@ -6,7 +6,7 @@
 //! * [`Scheduler`] — a deterministic discrete-event loop over a
 //!   `(time, seq)` binary heap,
 //! * [`rng::SplitMix64`] and the [`dist`] module — reproducible randomness,
-//! * [`lru::StrictLru`] — an index-linked recency list over `u32` slots,
+//! * [`lru::StrictLru`] — an index-linked recency lists over `u32` slots,
 //! * [`stats`] — counters and exact latency distributions with
 //!   percentile and SLA queries.
 //!

@@ -1,112 +1,115 @@
-//! An index-linked strict LRU list over `u32` slots.
+//! Index-linked strict LRU lists over `u32` slots.
 //!
-//! The list holds no payload: callers keep their own table indexed by
-//! slot (the store's items, Helios' page frames) and ask the list only
-//! for order — which slot was used last, which least recently. Every
-//! operation is O(1) and, once a slot number has been seen, allocates
-//! nothing. The operations are `#[inline]` because their callers sit in
-//! other crates' per-access paths.
+//! The lists hold no payload: callers keep their own table indexed by
+//! slot (the store's items, Helios' page frames) and ask a list only
+//! for order — which slot was used last, which least recently. One
+//! [`StrictLru`] holds any number of lists (the store's slab classes)
+//! over one link array indexed by slot, so a slot costs its links once
+//! however many lists are in use. Every operation is O(1) and, once a
+//! slot number has been seen, allocates nothing. The operations are
+//! `#[inline]` because their callers sit in other crates' per-access
+//! paths.
 
 /// Sentinel for "no neighbour" in the intrusive list.
 const NIL: u32 = u32::MAX;
 
-/// A strict LRU list, intrusive over slot indices.
+/// Sentinel list of an untracked slot.
+const UNTRACKED: u8 = u8::MAX;
+
+/// Strict LRU lists, intrusive over slot indices; a slot is in at most
+/// one list at a time.
 ///
 /// # Examples
 ///
 /// ```
 /// use densekv_sim::lru::StrictLru;
 ///
-/// let mut lru = StrictLru::new();
-/// lru.insert(1);
-/// lru.insert(2);
-/// lru.touch(1); // 2 is now least recent
-/// assert_eq!(lru.head(), Some(1));
-/// assert_eq!(lru.pop_lru(), Some(2));
+/// let mut lru = StrictLru::new(2);
+/// lru.insert(0, 1);
+/// lru.insert(0, 2);
+/// lru.insert(1, 3);
+/// lru.touch(0, 1); // 2 is now least recent in list 0
+/// assert_eq!(lru.head(0), Some(1));
+/// assert_eq!(lru.pop_lru(0), Some(2));
+/// assert_eq!(lru.pop_lru(1), Some(3));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct StrictLru {
     prev: Vec<u32>,
     next: Vec<u32>,
-    present: Vec<bool>,
-    head: u32,
-    tail: u32,
-    count: usize,
+    /// The list each slot is in, or [`UNTRACKED`].
+    list: Vec<u8>,
+    /// Each list's (most recent, least recent) slot.
+    ends: Vec<(u32, u32)>,
 }
 
 impl StrictLru {
-    /// Creates an empty list.
-    pub fn new() -> Self {
+    /// Creates `lists` empty lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lists` is 255 or more.
+    pub fn new(lists: usize) -> Self {
+        assert!(lists < usize::from(UNTRACKED), "at most 254 lists");
         StrictLru {
             prev: Vec::new(),
             next: Vec::new(),
-            present: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            count: 0,
+            list: Vec::new(),
+            ends: vec![(NIL, NIL); lists],
         }
     }
 
-    /// The most recently inserted or touched slot, if any.
+    /// The most recently inserted or touched slot of `list`, if any.
     #[must_use]
     #[inline]
-    pub fn head(&self) -> Option<u32> {
-        (self.head != NIL).then_some(self.head)
-    }
-
-    /// Number of tracked slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True when no slots are tracked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
+    pub fn head(&self, list: usize) -> Option<u32> {
+        let head = self.ends[list].0;
+        (head != NIL).then_some(head)
     }
 
     /// Starts tracking `slot` (which must not be tracked) as the most
-    /// recent.
+    /// recent of `list`.
     #[inline]
-    pub fn insert(&mut self, slot: u32) {
+    pub fn insert(&mut self, list: usize, slot: u32) {
         self.ensure(slot);
-        debug_assert!(!self.present[slot as usize], "slot already tracked");
-        self.present[slot as usize] = true;
-        self.push_front(slot);
-        self.count += 1;
+        debug_assert_eq!(self.list[slot as usize], UNTRACKED, "slot already tracked");
+        self.list[slot as usize] = list as u8;
+        self.push_front(list, slot);
     }
 
-    /// Makes `slot` the most recent; an untracked slot is ignored.
+    /// Makes `slot` the most recent of `list`; a slot `list` does not
+    /// track is ignored.
     #[inline]
-    pub fn touch(&mut self, slot: u32) {
-        if self.present.get(slot as usize).copied() != Some(true) {
-            return;
+    pub fn touch(&mut self, list: usize, slot: u32) {
+        if self.tracks(list, slot) {
+            self.unlink(list, slot);
+            self.push_front(list, slot);
         }
-        self.unlink(slot);
-        self.push_front(slot);
     }
 
-    /// Stops tracking `slot`; an untracked slot is ignored.
+    /// Stops tracking `slot` in `list`; a slot `list` does not track is
+    /// ignored.
     #[inline]
-    pub fn remove(&mut self, slot: u32) {
-        if self.present.get(slot as usize).copied() != Some(true) {
-            return;
+    pub fn remove(&mut self, list: usize, slot: u32) {
+        if self.tracks(list, slot) {
+            self.list[slot as usize] = UNTRACKED;
+            self.unlink(list, slot);
         }
-        self.present[slot as usize] = false;
-        self.unlink(slot);
-        self.count -= 1;
     }
 
-    /// Removes and returns the least recently used slot.
+    /// Removes and returns the least recently used slot of `list`.
     #[inline]
-    pub fn pop_lru(&mut self) -> Option<u32> {
-        if self.tail == NIL {
+    pub fn pop_lru(&mut self, list: usize) -> Option<u32> {
+        let victim = self.ends[list].1;
+        if victim == NIL {
             return None;
         }
-        let victim = self.tail;
-        self.remove(victim);
+        self.remove(list, victim);
         Some(victim)
+    }
+
+    fn tracks(&self, list: usize, slot: u32) -> bool {
+        self.list.get(slot as usize) == Some(&(list as u8))
     }
 
     fn ensure(&mut self, slot: u32) {
@@ -114,19 +117,20 @@ impl StrictLru {
         if self.prev.len() < need {
             self.prev.resize(need, NIL);
             self.next.resize(need, NIL);
-            self.present.resize(need, false);
+            self.list.resize(need, UNTRACKED);
         }
     }
 
-    fn unlink(&mut self, slot: u32) {
+    fn unlink(&mut self, list: usize, slot: u32) {
         let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
+        let ends = &mut self.ends[list];
         if p == NIL {
-            self.head = n;
+            ends.0 = n;
         } else {
             self.next[p as usize] = n;
         }
         if n == NIL {
-            self.tail = p;
+            ends.1 = p;
         } else {
             self.prev[n as usize] = p;
         }
@@ -134,15 +138,16 @@ impl StrictLru {
         self.next[slot as usize] = NIL;
     }
 
-    fn push_front(&mut self, slot: u32) {
+    fn push_front(&mut self, list: usize, slot: u32) {
+        let ends = &mut self.ends[list];
         self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = self.head;
-        if self.head != NIL {
-            self.prev[self.head as usize] = slot;
+        self.next[slot as usize] = ends.0;
+        if ends.0 != NIL {
+            self.prev[ends.0 as usize] = slot;
         }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
+        ends.0 = slot;
+        if ends.1 == NIL {
+            ends.1 = slot;
         }
     }
 }
@@ -153,19 +158,22 @@ mod tests {
 
     #[test]
     fn order_is_exact_and_head_follows_it() {
-        let mut lru = StrictLru::new();
-        assert_eq!(lru.head(), None);
+        let mut lru = StrictLru::new(2);
+        assert_eq!(lru.head(0), None);
         for s in 0..5 {
-            lru.insert(s);
+            lru.insert(0, s);
         }
-        lru.touch(0); // order (LRU->MRU): 1,2,3,4,0
-        lru.touch(2); // order: 1,3,4,0,2
-        assert_eq!(lru.head(), Some(2));
-        lru.remove(2);
-        assert_eq!((lru.head(), lru.len()), (Some(0), 4));
-        let order: Vec<_> = std::iter::from_fn(|| lru.pop_lru()).collect();
+        lru.insert(1, 5);
+        lru.touch(0, 0); // order (LRU->MRU): 1,2,3,4,0
+        lru.touch(0, 2); // order: 1,3,4,0,2
+        lru.touch(1, 3); // list 1 does not track 3: ignored
+        lru.remove(1, 4); // likewise
+        assert_eq!(lru.head(0), Some(2));
+        lru.remove(0, 2);
+        assert_eq!(lru.head(0), Some(0));
+        let order: Vec<_> = std::iter::from_fn(|| lru.pop_lru(0)).collect();
         assert_eq!(order, vec![1, 3, 4, 0]);
-        assert!(lru.is_empty());
-        assert_eq!(lru.head(), None);
+        assert_eq!((lru.head(0), lru.head(1)), (None, Some(5)));
+        assert_eq!((lru.pop_lru(1), lru.pop_lru(1)), (Some(5), None));
     }
 }

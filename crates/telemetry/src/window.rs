@@ -88,14 +88,19 @@ impl WindowedHistogram {
     /// Closes the open window into the ring and starts a fresh one,
     /// returning the histogram of the window just closed. Closing an
     /// empty window is legal and meaningful: it is how idle time shows
-    /// up in the ring.
-    pub fn rotate(&mut self) -> LogHistogram {
-        let closed = std::mem::take(&mut self.current);
-        self.closed.push_back(closed.clone());
-        while self.closed.len() > self.capacity {
-            self.closed.pop_front();
-        }
-        closed
+    /// up in the ring. Once the ring is full, the window it drops is
+    /// reset and reopened, grown buckets and all, so rotation allocates
+    /// nothing.
+    pub fn rotate(&mut self) -> &LogHistogram {
+        let mut open = if self.closed.len() == self.capacity {
+            self.closed.pop_front().expect("the ring is full")
+        } else {
+            LogHistogram::new()
+        };
+        open.reset();
+        std::mem::swap(&mut self.current, &mut open);
+        self.closed.push_back(open);
+        self.closed.back().expect("just closed")
     }
 
     /// Closed windows still in the ring, oldest first.
@@ -613,8 +618,8 @@ mod tests {
                     }
                     WinOp::Rotate => {
                         let closed = windowed.rotate();
-                        prop_assert_eq!(&closed, &window);
-                        merged.merge(&closed);
+                        prop_assert_eq!(closed, &window);
+                        merged.merge(closed);
                         window = LogHistogram::new();
                     }
                 }

@@ -206,20 +206,20 @@ fn policy_drains_exactly_live(policy: &mut dyn EvictionPolicy, ops: &[(u8, u8)])
         match action % 3 {
             0 => {
                 if !live.contains(&slot) {
-                    policy.on_insert(slot);
+                    policy.on_insert(0, slot);
                     live.insert(slot);
                 }
             }
-            1 => policy.on_access(slot),
+            1 => policy.on_access(0, slot),
             _ => {
                 if live.remove(&slot) {
-                    policy.on_remove(slot);
+                    policy.on_remove(0, slot);
                 }
             }
         }
     }
     let mut drained = HashSet::new();
-    while let Some(v) = policy.pop_victim() {
+    while let Some(v) = policy.pop_victim(0) {
         if !drained.insert(v) {
             return false; // duplicate victim
         }
@@ -233,9 +233,9 @@ proptest! {
     fn lru_policies_drain_exactly_live(ops in proptest::collection::vec(
         (any::<u8>(), any::<u8>()), 1..200))
     {
-        let mut strict = StrictLru::new();
+        let mut strict = StrictLru::new(1);
         prop_assert!(policy_drains_exactly_live(&mut strict, &ops), "StrictLru");
-        let mut bags = BagLru::new(8);
+        let mut bags = BagLru::new(1, 8);
         prop_assert!(policy_drains_exactly_live(&mut bags, &ops), "BagLru");
     }
 }
